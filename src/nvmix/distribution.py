@@ -158,6 +158,12 @@ class BoxIntegrand:
     pivot column; a block of size one per pivot reproduces the full-rank
     recursion, larger blocks take the max/min over their rows so that all
     d constraints stay active when the scale matrix is singular.
+
+    Step l costs one BLAS product, the block's partial sums
+    ``z[:, :l] @ coef[rows, :l].T`` over the conditional normal quantiles
+    drawn so far, and one ``ndtri``.  A block whose lower limits are all
+    -inf (upper limits all +inf) skips ``ndtr`` for that side, which is
+    exactly 0 (1) there.
     """
 
     def __init__(self, lower, upper, coef, block_heads, spec: MixtureSpec, nu):
@@ -171,6 +177,8 @@ class BoxIntegrand:
         self.blocks = [
             slice(int(h), int(e)) for h, e in zip(self.block_heads, block_ends)
         ]
+        self.open_lower = [bool(np.all(self.lower[r] == -np.inf)) for r in self.blocks]
+        self.open_upper = [bool(np.all(self.upper[r] == np.inf)) for r in self.blocks]
         self.spec = spec
         self.nu = np.atleast_1d(np.asarray(nu, dtype=float))
 
@@ -196,19 +204,25 @@ class BoxIntegrand:
         w = np.asarray(quantile(self.spec, u0, self.nu), dtype=float)
         inv_sqrt_w = 1.0 / np.sqrt(np.maximum(w, 1e-300))
 
-        partial = np.zeros((n, self.n_rows))
+        z = np.empty((n, self.rank), order="F")
         g = np.ones(n)
         with np.errstate(invalid="ignore"):
             for l, rows in enumerate(self.blocks):
-                lo_terms = self.lower[rows][None, :] * inv_sqrt_w[:, None] - partial[:, rows]
-                hi_terms = self.upper[rows][None, :] * inv_sqrt_w[:, None] - partial[:, rows]
-                d_l = ndtr(np.max(lo_terms, axis=1))
-                e_l = ndtr(np.min(hi_terms, axis=1))
+                partial = z[:, :l] @ self.coef[rows, :l].T
+                if self.open_lower[l]:
+                    d_l = 0.0
+                else:
+                    lo_terms = self.lower[rows][None, :] * inv_sqrt_w[:, None] - partial
+                    d_l = ndtr(np.max(lo_terms, axis=1))
+                if self.open_upper[l]:
+                    e_l = 1.0
+                else:
+                    hi_terms = self.upper[rows][None, :] * inv_sqrt_w[:, None] - partial
+                    e_l = ndtr(np.min(hi_terms, axis=1))
                 g = g * np.clip(e_l - d_l, 0.0, 1.0)
                 if l + 1 < self.rank:
                     p = np.clip(d_l + u[:, l + 1] * (e_l - d_l), _P_LO, _P_HI)
-                    z = ndtri(p)
-                    partial = partial + z[:, None] * self.coef[:, l][None, :]
+                    z[:, l] = ndtri(p)
         return g
 
 
@@ -225,7 +239,12 @@ def integrand_g(u, problem: ReorderedProblem, spec: MixtureSpec, nu) -> np.ndarr
 
 
 def _antithetic(f):
-    return lambda u: 0.5 * (f(u) + f(1.0 - u))
+    def pair_mean(u):
+        v = f(np.concatenate([u, 1.0 - u]))
+        n = len(u)
+        return 0.5 * (v[:n] + v[n:])
+
+    return pair_mean
 
 
 def _clamped(result: RqmcResult) -> RqmcResult:

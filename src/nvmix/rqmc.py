@@ -108,16 +108,6 @@ class SobolStream:
         if skip:
             self.fast_forward(int(skip))
 
-    @classmethod
-    def with_shift(cls, dimension: int, shift: np.ndarray, skip: int = 0) -> "SobolStream":
-        """Stream with an explicitly given per-dimension shift."""
-        stream = cls(dimension, seed=None, skip=skip)
-        shift = np.asarray(shift, dtype=np.uint64)
-        if shift.shape != (dimension,):
-            raise ValueError(f"shift must have shape ({dimension},)")
-        stream.shift = shift
-        return stream
-
     def fast_forward(self, n: int) -> "SobolStream":
         self._engine.fast_forward(n)
         self.skip += n
@@ -157,18 +147,6 @@ class _ShiftedSobolBank:
         """Next batch as a ``(B, n, dimension)`` array."""
         ints = _draw_raw(self._engine, n)
         return (ints[None, :, :] ^ self.shifts[:, None, :]) * _SCALE
-
-
-class _PseudoBank:
-    """Drop-in Monte Carlo replacement for ``_ShiftedSobolBank``."""
-
-    def __init__(self, dimension: int, n_random: int, seed: int | None):
-        self.dimension = int(dimension)
-        self.n_random = n_random
-        self._rng = np.random.default_rng(seed)
-
-    def take(self, n: int) -> np.ndarray:
-        return self._rng.random((self.n_random, n, self.dimension))
 
 
 @dataclass(frozen=True)
@@ -267,13 +245,11 @@ class RqmcAccumulator:
         dimension: int,
         cfg: RqmcConfig,
         seed: int | None,
-        point_bank: str = "sobol",
     ):
         self.g = g
         self.dimension = int(dimension)
         self.cfg = cfg
-        bank_cls = _ShiftedSobolBank if point_bank == "sobol" else _PseudoBank
-        self._bank = bank_cls(self.dimension, cfg.B, seed)
+        self._bank = _ShiftedSobolBank(self.dimension, cfg.B, seed)
         self.means = np.zeros(cfg.B)
         self.batches = 0
 
@@ -321,8 +297,8 @@ class LogRqmcAccumulator(RqmcAccumulator):
     estimate is ``log`` of the integral.
     """
 
-    def __init__(self, log_g, dimension, cfg, seed, point_bank="sobol"):
-        super().__init__(log_g, dimension, cfg, seed, point_bank)
+    def __init__(self, log_g, dimension, cfg, seed):
+        super().__init__(log_g, dimension, cfg, seed)
         self.means = np.full(cfg.B, NEG_INF)
 
     def add_batch(self) -> None:
@@ -369,7 +345,6 @@ def rqmc_estimate(
     dimension: int,
     cfg: RqmcConfig,
     seed: int | None,
-    point_bank: str = "sobol",
 ) -> RqmcResult:
     """Estimate ``int g(u) du`` over ``(0,1)^dimension``.
 
@@ -379,7 +354,7 @@ def rqmc_estimate(
     batches of ``n0`` until the CI half width meets the tolerance or
     ``i_max`` batches are spent.
     """
-    return _run(RqmcAccumulator(g, dimension, cfg, seed, point_bank))
+    return _run(RqmcAccumulator(g, dimension, cfg, seed))
 
 
 def rqmc_log_estimate(
@@ -387,7 +362,6 @@ def rqmc_log_estimate(
     dimension: int,
     cfg: RqmcConfig,
     seed: int | None,
-    point_bank: str = "sobol",
 ) -> RqmcResult:
     """Estimate ``log int exp(log_g(u)) du`` via a proper logarithm.
 
@@ -396,4 +370,4 @@ def rqmc_log_estimate(
     estimated without underflow.  The error estimate is the CI half width
     of the per-randomization log means.
     """
-    return _run(LogRqmcAccumulator(log_g, dimension, cfg, seed, point_bank))
+    return _run(LogRqmcAccumulator(log_g, dimension, cfg, seed))

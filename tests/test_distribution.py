@@ -4,18 +4,20 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from nvmix import distribution
 from nvmix.distribution import (
     BoxIntegrand,
     Hyperrectangle,
+    _antithetic,
     integrand_g,
     prob,
     prob_singular,
     reorder,
 )
 from nvmix.linalg import singular_cholesky
-from nvmix.mixtures import constant, inverse_gamma, pareto
+from nvmix.mixtures import constant, inverse_burr, inverse_gamma, pareto, quantile
 from nvmix.model import NvmModel
-from nvmix.rqmc import RqmcConfig
+from nvmix.rqmc import RqmcConfig, RqmcResult
 
 INF = float("inf")
 
@@ -110,6 +112,140 @@ class TestIntegrandG:
         v1 = integrand_g(np.array([0.1, 0.5]), res, inverse_gamma(), [3.0])
         v2 = integrand_g(np.array([0.9, 0.5]), res, inverse_gamma(), [3.0])
         assert v1 != v2
+
+
+def _std_normal_cdf(x):
+    # erfc keeps relative accuracy in the lower tail, where 1 + erf cancels.
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def scalar_recursion(u, A, a, b, spec, nu):
+    """Separation-of-variables integrand at one point, one scalar at a time.
+
+    Row i of the box reads a_i < sqrt(W) * A[i] @ z <= b_i.  Its last
+    nonzero loading A[i, l] names its block l and bounds z_l, from below
+    through a_i when positive and through b_i when negative.
+    """
+    nd = NormalDist()
+    w = quantile(spec, min(max(u[0], 1e-16), 1.0 - 1e-16), nu)
+    isw = 1.0 / math.sqrt(max(w, 1e-300))
+    block = [int(np.flatnonzero(row)[-1]) for row in A]
+    r = len(u)
+    z = [0.0] * r
+    g = 1.0
+    for l in range(r):
+        lo, hi = -INF, INF
+        for i in [i for i in range(len(a)) if block[i] == l]:
+            s = sum(A[i][k] * z[k] for k in range(l))
+            x_a = (a[i] * isw - s) / A[i][l]
+            x_b = (b[i] * isw - s) / A[i][l]
+            if A[i][l] < 0:
+                x_a, x_b = x_b, x_a
+            lo, hi = max(lo, x_a), min(hi, x_b)
+        d_l, e_l = _std_normal_cdf(lo), _std_normal_cdf(hi)
+        g *= min(max(e_l - d_l, 0.0), 1.0)
+        if l + 1 < r:
+            p = min(max(d_l + u[l + 1] * (e_l - d_l), 1e-16), 1.0 - 1e-16)
+            z[l] = nd.inv_cdf(p)
+    return g
+
+
+def _limits(kind, rng, d):
+    """Box limits: 'whole' space, 'lower'-open, 'upper'-open, 'finite', or
+    'mixed' (one-sided, two-sided and unbounded rows together)."""
+    lo = -rng.uniform(0.2, 2.5, d)
+    hi = rng.uniform(0.2, 2.5, d)
+    if kind == "whole":
+        return np.full(d, -INF), np.full(d, INF)
+    if kind == "lower":
+        return np.full(d, -INF), hi
+    if kind == "upper":
+        return lo, np.full(d, INF)
+    if kind == "mixed":
+        side = np.arange(d) % 4
+        lo[(side == 1) | (side == 3)] = -INF
+        hi[(side == 2) | (side == 3)] = INF
+    return lo, hi
+
+
+def _points(rng, n, r):
+    u = rng.random((n, r))
+    u[0, 0], u[1, 0] = 1e-12, 1.0 - 1e-12  # extreme mixing draws
+    return u
+
+
+_FAMILIES = [(inverse_gamma(), [3.0]), (inverse_burr(), [2.0, 2.0])]
+_KINDS = ["whole", "lower", "upper", "finite", "mixed"]
+
+
+class TestScalarRecursion:
+    """BoxIntegrand against the per-point scalar recursion above."""
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("d", [1, 5, 20, 50])
+    def test_reordered_full_rank(self, d, kind):
+        rng = np.random.default_rng(1000 + d)
+        G = rng.standard_normal((d, d + 2))
+        sigma = G @ G.T
+        a, b = _limits(kind, rng, d)
+        res = reorder(a, b, sigma, mu_sqrt_w=1.3)
+        spec, nu = _FAMILIES[d % 2]
+        u = _points(rng, 24, d)
+        got = integrand_g(u, res, spec, nu)
+        want = [scalar_recursion(p, res.factor.C, res.a, res.b, spec, nu) for p in u]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        if kind == "whole":
+            assert np.all(got == 1.0)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_staircase_with_negative_loadings(self, kind, monkeypatch):
+        # Six constraints on three factors: variable 3 is -0.8 times
+        # variable 0, and variables 4 and 5 load on two factors each, so
+        # every block has two rows and two of them flip orientation.
+        T = np.array([
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [-0.8, 0.0, 0.0],
+            [0.4, 1.5, 0.0],
+            [0.0, 0.3, -1.1],
+        ])
+        R = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.4], [0.2, 0.4, 1.0]])
+        model = NvmModel.build(None, T @ R @ T.T, inverse_gamma(), [3.0])
+        factor = model.factor
+        assert factor.rank == 3 and list(factor.block_sizes()) == [2, 2, 2]
+        assert np.sum(factor.row_scales < 0) == 2
+
+        rng = np.random.default_rng(7)
+        a, b = _limits(kind, rng, 6)
+        captured = []
+
+        def fake_estimate(g, dimension, cfg, seed):
+            captured.append(g)
+            return RqmcResult(0.5, 0.0, 0, 0, True)
+
+        monkeypatch.setattr(distribution, "rqmc_estimate", fake_estimate)
+        prob_singular(a, b, model, seed=1)
+        (pair_mean,) = captured
+
+        A = factor.mixing_matrix()
+        u = _points(rng, 32, 3)
+        want = [
+            0.5 * (scalar_recursion(p, A, a, b, model.spec, model.nu)
+                   + scalar_recursion(1.0 - p, A, a, b, model.spec, model.nu))
+            for p in u
+        ]
+        np.testing.assert_allclose(pair_mean(u), want, rtol=1e-12, atol=0.0)
+
+    def test_antithetic_pairs_u_with_one_minus_u(self):
+        rng = np.random.default_rng(3)
+        G = rng.standard_normal((5, 7))
+        res = reorder(np.full(5, -INF), rng.uniform(0.0, 2.0, 5), G @ G.T, 1.0)
+        f = BoxIntegrand.from_reordered(res, inverse_gamma(), [3.0])
+        u = rng.random((40, 5))
+        np.testing.assert_allclose(
+            _antithetic(f)(u), 0.5 * (f(u) + f(1.0 - u)), rtol=1e-15, atol=0.0
+        )
 
 
 class TestProb:
@@ -271,3 +407,68 @@ class TestVarianceReduction:
             if v_reord < v_plain:
                 wins += 1
         assert wins >= 0.8 * trials
+
+
+def _equicorrelation(d, rho=0.5):
+    R = np.full((d, d), rho)
+    np.fill_diagonal(R, 1.0)
+    return R
+
+
+def _golden_problems():
+    """Scale and limits of each golden case, drawn from one fixed stream."""
+    rng = np.random.default_rng(2024)
+    G = rng.standard_normal((20, 22))
+    S = G @ G.T
+    s = np.sqrt(np.diag(S))
+    box20 = (S / np.outer(s, s), -rng.uniform(0.5, 3.0, 20), rng.uniform(0.5, 3.0, 20))
+    T = np.vstack([np.eye(5), np.diag([0.7, 1.3, 1.9, 0.6, 0.8])])
+    T_neg = np.vstack([np.eye(5), np.diag([0.7, -1.3, 1.9, 0.6, -0.8])])
+    problems = {
+        f"orthant-{d}": (_equicorrelation(d), np.full(d, -INF), np.zeros(d))
+        for d in (5, 20, 50)
+    }
+    problems["box-20"] = box20
+    problems["singular-orthant-5"] = (
+        T @ _equicorrelation(5) @ T.T, np.full(10, -INF), np.zeros(10))
+    problems["singular-box-5"] = (
+        T_neg @ _equicorrelation(5) @ T_neg.T,
+        -rng.uniform(0.5, 3.0, 10), rng.uniform(0.5, 3.0, 10))
+    return problems
+
+
+# (family, problem, seed, estimate, iterations_used, n_per_randomization,
+# converged) at tol 1e-4, recorded before the integrand's partial sums
+# moved to BLAS products; the summation order changed, so estimates are
+# pinned to 1e-14 and everything else exactly.
+GOLDEN = [
+    ("inverse_gamma", "orthant-5", 100, 0.16667616906168617, 2, 256, True),
+    ("inverse_gamma", "orthant-20", 101, 0.04762441689286098, 8, 1024, True),
+    ("inverse_gamma", "orthant-50", 102, 0.01962437431991434, 19, 2432, True),
+    ("inverse_gamma", "box-20", 103, 0.08719800848638318, 27, 3456, True),
+    ("inverse_gamma", "singular-orthant-5", 104, 0.16667979634100397, 2, 256, True),
+    ("inverse_gamma", "singular-box-5", 105, 0.30473229704598315, 4, 512, True),
+    ("inverse_burr", "orthant-5", 106, 0.16664917555983597, 2, 256, True),
+    ("inverse_burr", "orthant-20", 107, 0.04756069986926436, 11, 1408, True),
+    ("inverse_burr", "orthant-50", 108, 0.019576323180289255, 24, 3072, True),
+    ("inverse_burr", "box-20", 109, 0.04886889055144044, 29, 3712, True),
+    ("inverse_burr", "singular-orthant-5", 110, 0.1667002644134861, 2, 256, True),
+    ("inverse_burr", "singular-box-5", 111, 0.24951711970413204, 8, 1024, True),
+]
+
+
+class TestGoldenValues:
+    @pytest.mark.parametrize(
+        "family, problem, seed, estimate, iterations, n, converged", GOLDEN,
+        ids=[f"{g[0]}-{g[1]}" for g in GOLDEN])
+    def test_fixed_seed_result(self, family, problem, seed, estimate, iterations,
+                               n, converged):
+        spec, nu = {"inverse_gamma": (inverse_gamma(), [3.0]),
+                    "inverse_burr": (inverse_burr(), [2.0, 2.0])}[family]
+        sigma, a, b = _golden_problems()[problem]
+        model = NvmModel.build(None, sigma, spec, nu)
+        estimator = prob_singular if problem.startswith("singular") else prob
+        res = estimator(a, b, model, RqmcConfig(tol=1e-4), seed=seed)
+        assert res.estimate == pytest.approx(estimate, rel=0.0, abs=1e-14)
+        assert (res.iterations_used, res.n_per_randomization, res.converged) == (
+            iterations, n, converged)
