@@ -1,11 +1,14 @@
 """Log-density estimation for normal variance mixtures.
 
 The log-density is a one-dimensional integral over the mixing variable's
-probability scale u.  For small Mahalanobis distances a crude log-space
-RQMC pass suffices.  For large ones the integrand collapses onto a narrow
-peak, which can sit within 1e-17 of u = 0 or u = 1, where the integrand
-decays only polynomially in u.  The adaptive path therefore works in the
-logit coordinate z = log(u / (1 - u)): there the integrand is
+probability scale u.  A crude log-space RQMC pass runs first on all
+inputs at once, over shared mixing realizations (one row per input of a
+single accumulator), and settles most small Mahalanobis distances.  For
+large ones the integrand collapses onto a narrow peak, which can sit
+within 1e-17 of u = 0 or u = 1, where the integrand decays only
+polynomially in u; at zero distance it is monotone with its peak at
+u = 0.  The adaptive path therefore works in the logit coordinate
+z = log(u / (1 - u)): there the integrand is
 g(z) = h(expit(z)) expit(z) expit(-z), which decays exponentially toward
 both ends whenever h is bounded, and the quantile receives u = expit(z)
 and 1 - u = expit(-z), each computed directly.  The path locates the peak
@@ -30,14 +33,7 @@ from scipy.special import expit, gammainc, gammaln, log_expit, logit
 from .linalg import mahalanobis_sq
 from .mixtures import MixtureSpec, quantile
 from .model import NvmModel
-from .rqmc import (
-    RqmcConfig,
-    RqmcResult,
-    _ShiftedSobolBank,
-    _combine_log_means,
-    log_mean_exp,
-    rqmc_log_estimate,
-)
+from .rqmc import RqmcAccumulator, RqmcConfig, RqmcResult, rqmc_log_estimate
 
 __all__ = [
     "DensityIntegrandParams",
@@ -54,7 +50,9 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 _LN10 = math.log(10.0)
 _U_EPS = 1e-16
-_D2_ZERO = 1e-12
+_DIVERGES = "integrand diverges at w = 0 when D2 = 0"
+# Batches of the crude pass that every input of log_integral_batch gets.
+_PILOT_BATCHES = 4
 # Range of the logit coordinate: expit(z) and expit(-z) are positive
 # normal doubles for |z| <= -_Z_LO.  A black box only receives
 # u = expit(z), which stays below 1 for z <= _Z_HI_BLACKBOX.
@@ -109,7 +107,7 @@ def log_h(u, params: DensityIntegrandParams, spec: MixtureSpec, nu) -> np.ndarra
     w = quantile(spec, u, nu)
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
     if params.D2 <= 0.0 and np.any(w_arr == 0.0):
-        raise ValueError("integrand diverges at w = 0 when D2 = 0")
+        raise ValueError(_DIVERGES)
     out = _log_h_of_w(w_arr, params.prefactor, params.shift_k, params.m)
     if np.isscalar(w):
         return float(out[0])
@@ -142,9 +140,6 @@ class QuantileCache:
         self.us = np.empty(0)
         self.ws = np.empty(0)
 
-    def __len__(self) -> int:
-        return len(self.us)
-
     def add(self, us, ws) -> None:
         us = np.concatenate([self.us, np.atleast_1d(np.asarray(us, dtype=float))])
         ws = np.concatenate([self.ws, np.atleast_1d(np.asarray(ws, dtype=float))])
@@ -170,10 +165,10 @@ def _peak_z(params: DensityIntegrandParams, spec, nu, cache, eps_bisec) -> tuple
     support is bounded on that side, or the target lies beyond the
     doubles' range) the peak collapses to that end of the z range and h
     is evaluated there; otherwise the height has a closed form that does
-    not depend on the mixing distribution.
+    not depend on the mixing distribution.  At D2 = 0 the target w* = 0
+    is unreachable unless W has an atom at 0, so h is monotone and its
+    peak is at the left end.
     """
-    if params.D2 <= _D2_ZERO:
-        raise ValueError("peak undefined for D2 = 0; use the crude path")
     z_lo, z_hi = _z_range(spec)
     w_star = params.m / params.shift_k
     lo, hi = z_lo, z_hi
@@ -192,6 +187,8 @@ def _peak_z(params: DensityIntegrandParams, spec, nu, cache, eps_bisec) -> tuple
     for end, z_end in ((lo, z_lo), (hi, z_hi)):
         if end == z_end:
             return end, float(_log_h_z(end, params, spec, nu))
+    if params.m == 0.0:  # quantile(expit(lo)) <= w* = 0
+        raise ValueError(_DIVERGES)
     k = params.shift_k
     log_h_max = params.prefactor - k * (math.log(params.m) - math.log(k)) - k
     return 0.5 * (lo + hi), log_h_max
@@ -227,6 +224,8 @@ def peak(params: DensityIntegrandParams, spec: MixtureSpec, nu,
     support is bounded on that side) the peak collapses to the boundary
     and the integrand is evaluated there instead.
     """
+    if params.D2 <= 0.0:
+        raise ValueError("peak undefined for D2 = 0; use the crude path")
     z_star, log_h_max = _peak_z(params, spec, nu, cache, eps_bisec)
     return float(expit(z_star)), log_h_max
 
@@ -285,55 +284,23 @@ def _bracket_z(params: DensityIntegrandParams, spec, nu, cache, k_th, eps_bisec)
     return (z_lo if z_l is None else z_l), (z_hi if z_r is None else z_r), closed
 
 
-def _phase1_crude(prefs, ks, ms, spec, nu, cfg, seed, n_batches):
-    """Shared-realization crude pass over all inputs; returns the running
-    per-randomization log-means, the bank (for continued draws) and the
-    collected quantile pairs."""
-    N = len(prefs)
-    bank = _ShiftedSobolBank(1, cfg.B, seed)
-    log_means = np.full((N, cfg.B), -np.inf)
-    cache_u: list[np.ndarray] = []
-    cache_w: list[np.ndarray] = []
-    for it in range(n_batches):
-        pts = bank.take(cfg.n0)[:, :, 0].reshape(-1)
-        u = np.clip(pts, _U_EPS, 1.0 - _U_EPS)
-        w = np.asarray(quantile(spec, u, nu), dtype=float)
-        cache_u.append(u)
-        cache_w.append(w)
-        lh = _log_h_of_w(w[None, :], prefs[:, None], ks[:, None], ms[:, None])
-        batch = log_mean_exp(lh.reshape(N, cfg.B, cfg.n0), axis=2)
-        if it == 0:
-            log_means = np.asarray(batch)
-        else:
-            log_means = _combine_log_means(log_means, it, batch)
-    return log_means, bank, np.concatenate(cache_u), np.concatenate(cache_w)
-
-
-def _row_errors(log_means: np.ndarray, cfg: RqmcConfig) -> np.ndarray:
-    spread = np.ptp(log_means, axis=1)
-    sd = log_means.std(axis=1, ddof=1)
-    err = cfg.ci_mult * sd / math.sqrt(cfg.B)
-    return np.where(spread == 0.0, 0.0, err)
-
-
 def log_integral_batch(params_list, spec: MixtureSpec, nu,
                        cfg: RqmcConfig | None = None, seed: int | None = None,
-                       *, k_th: float = 10.0, eps_bisec: float = 1e-6,
-                       pilot_i_max: int = 4) -> list[RqmcResult]:
+                       *, k_th: float = 10.0, eps_bisec: float = 1e-6) -> list[RqmcResult]:
     """Estimate ``log int_0^1 h_i(u) du`` for a batch of mixing integrands.
 
-    Phase 1 runs a crude log-space RQMC pass on all inputs with shared
-    mixing realizations, capped at ``pilot_i_max`` batches; inputs that
-    meet the tolerance return immediately.  The rest go through the
-    adaptive path in the logit coordinate z = logit(u) (see the module
-    docstring): the peak search starts from the crude pass's quantile
-    knots, every bisection and the maximization of g stop at a z-width of
-    ``eps_bisec``, the bracket ends where g falls ``k_th`` decades below
-    its maximum, and RQMC integrates g over the bracket.  A result is
-    unconverged when that RQMC misses the tolerance or when g is still
-    above the threshold at an end of the z range.  Inputs with
-    (numerically) zero Mahalanobis distance have a monotone integrand and
-    simply continue the crude pass.
+    A crude log-space RQMC pass of ``_PILOT_BATCHES`` batches runs on all
+    inputs with shared mixing realizations (one accumulator row per
+    input); inputs that meet the tolerance return immediately.  The rest,
+    zero Mahalanobis distance included, go through the adaptive path in
+    the logit coordinate z = logit(u) (see the module docstring): the peak
+    search starts from the crude pass's quantile knots, every bisection
+    and the maximization of g stop at a z-width of ``eps_bisec``, the
+    bracket ends where g falls ``k_th`` decades below its maximum, and
+    RQMC integrates g over the bracket.  A result is unconverged when that
+    RQMC misses the tolerance or when g is still above the threshold at an
+    end of the z range.  A mixing distribution with an atom at w = 0
+    makes the integral diverge at D2 = 0, which raises ``ValueError``.
     """
     if cfg is None:
         cfg = RqmcConfig()
@@ -347,61 +314,20 @@ def log_integral_batch(params_list, spec: MixtureSpec, nu,
     ms = np.array([p.m for p in params_list])
 
     seeds = np.random.SeedSequence(seed).spawn(N + 2)
-    pilot_batches = min(pilot_i_max, cfg.i_max)
-    log_means, bank, all_u, all_w = _phase1_crude(
-        prefs, ks, ms, spec, nu, cfg, seeds[0], pilot_batches
-    )
-    errors = _row_errors(log_means, cfg)
-    batches = pilot_batches
-
-    results: list[RqmcResult | None] = [None] * N
-    for i in range(N):
-        if errors[i] <= cfg.tol:
-            results[i] = RqmcResult(
-                estimate=float(log_mean_exp(log_means[i])),
-                error_estimate=float(errors[i]),
-                n_per_randomization=batches * cfg.n0,
-                iterations_used=batches,
-                converged=True,
-            )
-
-    pending = [i for i in range(N) if results[i] is None]
-    if not pending:
-        return results
-
-    # Zero-distance inputs: monotone integrand, keep the crude pass going
-    # on the shared bank.
-    crude_idx = [i for i in pending if params_list[i].D2 <= _D2_ZERO]
-    if crude_idx:
-        rows = np.array(crude_idx)
-        means = log_means[rows]
-        b = batches
-        while b < cfg.i_max:
-            pts = bank.take(cfg.n0)[:, :, 0].reshape(-1)
-            u = np.clip(pts, _U_EPS, 1.0 - _U_EPS)
-            w = np.asarray(quantile(spec, u, nu), dtype=float)
-            lh = _log_h_of_w(w[None, :], prefs[rows, None], ks[rows, None], ms[rows, None])
-            batch = log_mean_exp(lh.reshape(len(rows), cfg.B, cfg.n0), axis=2)
-            means = _combine_log_means(means, b, batch)
-            b += 1
-            if np.all(_row_errors(means, cfg) <= cfg.tol):
-                break
-        errs = _row_errors(means, cfg)
-        for j, i in enumerate(crude_idx):
-            results[i] = RqmcResult(
-                estimate=float(log_mean_exp(means[j])),
-                error_estimate=float(errs[j]),
-                n_per_randomization=b * cfg.n0,
-                iterations_used=b,
-                converged=bool(errs[j] <= cfg.tol),
-            )
-
+    crude = RqmcAccumulator(1, cfg, seeds[0], log=True)
     cache = QuantileCache()
-    cache.add(all_u, all_w)
-    for i in pending:
-        if results[i] is not None:
+    for _ in range(min(_PILOT_BATCHES, cfg.i_max)):
+        u = np.clip(crude.draw()[:, 0], _U_EPS, 1.0 - _U_EPS)
+        w = np.asarray(quantile(spec, u, nu), dtype=float)
+        if np.any(w == 0.0) and np.any(ms == 0.0):
+            raise ValueError(_DIVERGES)
+        cache.add(u, w)
+        crude.add(_log_h_of_w(w[None, :], prefs[:, None], ks[:, None], ms[:, None]))
+
+    results = crude.results()
+    for i, p in enumerate(params_list):
+        if results[i].converged:
             continue
-        p = params_list[i]
         z_l, z_r, closed = _bracket_z(p, spec, nu, cache, k_th, eps_bisec)
         width = z_r - z_l
 
@@ -409,11 +335,12 @@ def log_integral_batch(params_list, spec: MixtureSpec, nu,
             return _log_g(_lo + _w * v[:, 0], _p, spec, nu)
 
         mid = rqmc_log_estimate(mid_log_g, 1, cfg, seeds[i + 2])
+        batches = crude.batches + mid.iterations_used
         results[i] = RqmcResult(
             estimate=math.log(width) + mid.estimate,
             error_estimate=mid.error_estimate,
-            n_per_randomization=(batches + mid.iterations_used) * cfg.n0,
-            iterations_used=batches + mid.iterations_used,
+            n_per_randomization=batches * cfg.n0,
+            iterations_used=batches,
             converged=mid.converged and closed,
         )
     return results
@@ -432,14 +359,11 @@ def log_density_batch(X, model: NvmModel, cfg: RqmcConfig | None = None,
     d = model.dim
     if X.shape[1] != d:
         raise ValueError(f"points must have {d} columns")
+    if model.spec.kind == "constant":
+        return [RqmcResult(float(v), 0.0, 0, 0, True) for v in closed_log_density(model, X)]
+
     d2 = np.asarray(mahalanobis_sq(X, model.loc, model.factor), dtype=float)
     log_det = model.log_det
-
-    if model.spec.kind == "constant":
-        c = float(model.nu[0])
-        vals = -0.5 * d * (_LOG_2PI + math.log(c)) - 0.5 * log_det - d2 / (2.0 * c)
-        return [RqmcResult(float(v), 0.0, 0, 0, True) for v in vals]
-
     params = [
         DensityIntegrandParams(D2=float(v), d=d, log_det=log_det, shift_k=d / 2.0)
         for v in d2

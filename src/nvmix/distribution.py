@@ -12,7 +12,7 @@ keep all d constraints active.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -182,19 +182,6 @@ class BoxIntegrand:
         self.spec = spec
         self.nu = np.atleast_1d(np.asarray(nu, dtype=float))
 
-    @classmethod
-    def from_reordered(cls, problem: ReorderedProblem, spec, nu) -> "BoxIntegrand":
-        C = problem.factor.C
-        diag = np.diag(C)
-        return cls(
-            lower=problem.a / diag,
-            upper=problem.b / diag,
-            coef=C / diag[:, None],
-            block_heads=np.arange(len(problem.a)),
-            spec=spec,
-            nu=nu,
-        )
-
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = np.atleast_2d(np.asarray(u, dtype=float))
         if u.shape[1] != self.rank:
@@ -226,12 +213,40 @@ class BoxIntegrand:
         return g
 
 
+def _box_integrand(a0, b0, factor: ScaleFactor, spec: MixtureSpec, nu) -> BoxIntegrand:
+    """Integrand for the box ``a0 < C z <= b0`` (limits centered and in
+    the factor's row order).
+
+    Every row is divided by its entry in its block's column, so that entry
+    becomes one (a staircase factor's rows already carry a unit entry but
+    may have been scaled by a negative ``row_scales``, which flips the
+    limits); zero-variance rows are left out.
+    """
+    n_blocked = factor.dim - len(factor.degenerate_rows)
+    block_of_row = np.repeat(np.arange(factor.rank), factor.block_sizes())
+    pivot_entries = factor.C[np.arange(n_blocked), block_of_row]
+    divisors = factor.row_scales[:n_blocked] * pivot_entries
+    with np.errstate(invalid="ignore"):
+        lo = a0[:n_blocked] / divisors
+        hi = b0[:n_blocked] / divisors
+    neg = divisors < 0
+    lo[neg], hi[neg] = hi[neg], lo[neg]
+    return BoxIntegrand(
+        lower=lo,
+        upper=hi,
+        coef=factor.C[:n_blocked, : factor.rank] / pivot_entries[:, None],
+        block_heads=factor.block_heads,
+        spec=spec,
+        nu=nu,
+    )
+
+
 def integrand_g(u, problem: ReorderedProblem, spec: MixtureSpec, nu) -> np.ndarray | float:
     """Separation-of-variables integrand for a full-rank reordered problem.
 
     Accepts a single point in (0,1)^d or an (n, d) batch.
     """
-    f = BoxIntegrand.from_reordered(problem, spec, nu)
+    f = _box_integrand(problem.a, problem.b, problem.factor, spec, nu)
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
         return float(f(u[None, :])[0])
@@ -248,16 +263,7 @@ def _antithetic(f):
 
 
 def _clamped(result: RqmcResult) -> RqmcResult:
-    est = min(max(result.estimate, 0.0), 1.0)
-    if est == result.estimate:
-        return result
-    return RqmcResult(
-        estimate=est,
-        error_estimate=result.error_estimate,
-        n_per_randomization=result.n_per_randomization,
-        iterations_used=result.iterations_used,
-        converged=result.converged,
-    )
+    return replace(result, estimate=min(max(result.estimate, 0.0), 1.0))
 
 
 def prob(a, b, model: NvmModel, cfg: RqmcConfig | None = None,
@@ -267,7 +273,9 @@ def prob(a, b, model: NvmModel, cfg: RqmcConfig | None = None,
     Limits are shifted by the location, variables are greedily reordered,
     and the antithetic integrand (g(u) + g(1-u))/2 is fed to the
     iterative RQMC driver in dimension d.  Point counts in the result
-    refer to u-points; each costs two integrand evaluations.
+    refer to u-points; each costs two integrand evaluations.  A
+    rank-deficient scale matrix goes to :func:`prob_singular` unreordered:
+    ``reorder`` builds a full-rank Cholesky factor.
     """
     if cfg is None:
         cfg = RqmcConfig()
@@ -281,9 +289,8 @@ def prob(a, b, model: NvmModel, cfg: RqmcConfig | None = None,
     b0 = box.b - model.loc
     msw = mean_sqrt_w(model.spec, model.nu, n_pilot=1024)
     problem = reorder(a0, b0, model.scale, msw)
-    g = BoxIntegrand.from_reordered(problem, model.spec, model.nu)
-    result = rqmc_estimate(_antithetic(g), model.dim, cfg, seed)
-    return _clamped(result)
+    g = _box_integrand(problem.a, problem.b, problem.factor, model.spec, model.nu)
+    return _clamped(rqmc_estimate(_antithetic(g), model.dim, cfg, seed))
 
 
 def prob_singular(a, b, model: NvmModel, cfg: RqmcConfig | None = None,
@@ -313,27 +320,5 @@ def prob_singular(a, b, model: NvmModel, cfg: RqmcConfig | None = None,
         if not (a0[i] < 0.0 <= b0[i]):
             return RqmcResult(0.0, 0.0, 0, 0, True)
 
-    # Normalize every row to a unit coefficient on its block column; the
-    # staircase factor already is, a plain full-rank factor is not.
-    block_ends = np.append(factor.block_heads[1:], n_blocked)
-    block_of_row = np.empty(n_blocked, dtype=int)
-    for l, (h, e) in enumerate(zip(factor.block_heads, block_ends)):
-        block_of_row[h:e] = l
-    pivot_entries = factor.C[np.arange(n_blocked), block_of_row]
-    divisors = factor.row_scales[:n_blocked] * pivot_entries
-    with np.errstate(invalid="ignore"):
-        lo = a0[:n_blocked] / divisors
-        hi = b0[:n_blocked] / divisors
-    neg = divisors < 0
-    lo[neg], hi[neg] = hi[neg], lo[neg]
-
-    g = BoxIntegrand(
-        lower=lo,
-        upper=hi,
-        coef=factor.C[:n_blocked, : factor.rank] / pivot_entries[:, None],
-        block_heads=factor.block_heads,
-        spec=model.spec,
-        nu=model.nu,
-    )
-    result = rqmc_estimate(_antithetic(g), factor.rank, cfg, seed)
-    return _clamped(result)
+    g = _box_integrand(a0, b0, factor, model.spec, model.nu)
+    return _clamped(rqmc_estimate(_antithetic(g), factor.rank, cfg, seed))

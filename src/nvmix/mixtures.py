@@ -54,24 +54,14 @@ class MixtureSpec:
         ``inverse_burr``, ``blackbox``.
     n_params : int
         Length of the parameter vector the quantile expects.
-    support_hint : str
-        ``unbounded-positive``, ``bounded`` or ``unknown``; black boxes
-        default to ``unknown`` and are probed where the distinction
-        matters.
     default_nu : tuple
         Fallback starting parameters for fitting.
     """
 
     kind: str
     n_params: int
-    support_hint: str
     default_nu: tuple
     _quantile: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-    @property
-    def has_closed_forms(self) -> bool:
-        """Whether density and posterior weights exist in closed form."""
-        return self.kind in ("constant", "inverse_gamma", "pareto")
 
 
 def _q_constant(u, uc, nu):
@@ -104,30 +94,29 @@ def _q_inverse_burr(u, uc, nu):
 
 def constant() -> MixtureSpec:
     """W identically equal to nu[0]; the multivariate normal case."""
-    return MixtureSpec("constant", 1, "bounded", (1.0,), _q_constant)
+    return MixtureSpec("constant", 1, (1.0,), _q_constant)
 
 
 def inverse_gamma() -> MixtureSpec:
     """W ~ IG(nu/2, nu/2): the multivariate t with nu degrees of freedom."""
-    return MixtureSpec("inverse_gamma", 1, "unbounded-positive", (5.0,), _q_inverse_gamma)
+    return MixtureSpec("inverse_gamma", 1, (5.0,), _q_inverse_gamma)
 
 
 def pareto() -> MixtureSpec:
     """W ~ Par(alpha) with minimum 1; quantile (1-u)^(-1/alpha)."""
-    return MixtureSpec("pareto", 1, "unbounded-positive", (2.0,), _q_pareto)
+    return MixtureSpec("pareto", 1, (2.0,), _q_pareto)
 
 
 def inverse_burr() -> MixtureSpec:
     """W with quantile (u^(-1/nu2) - 1)^(-1/nu1)."""
-    return MixtureSpec("inverse_burr", 2, "unbounded-positive", (2.0, 2.0), _q_inverse_burr)
+    return MixtureSpec("inverse_burr", 2, (2.0, 2.0), _q_inverse_burr)
 
 
-def blackbox(quantile_fn, n_params: int, support_hint: str = "unknown",
-             default_nu: tuple | None = None) -> MixtureSpec:
+def blackbox(quantile_fn, n_params: int, default_nu: tuple | None = None) -> MixtureSpec:
     """Wrap a user-supplied vectorized quantile function ``q(u, nu)``."""
     if default_nu is None:
         default_nu = (1.0,) * n_params
-    return MixtureSpec("blackbox", n_params, support_hint, tuple(default_nu),
+    return MixtureSpec("blackbox", n_params, tuple(default_nu),
                        lambda u, uc, nu: quantile_fn(u, nu))
 
 

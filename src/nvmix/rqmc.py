@@ -3,17 +3,20 @@
 The estimators here exploit extensibility of the Sobol' sequence: every
 iteration appends a fresh batch of points to each randomized stream and
 folds it into a running per-randomization mean, so no function evaluation
-is ever discarded.  Two drivers are provided, one for plain integrals and
-one that maintains all running means in logarithmic space (a "proper
-logarithm") so that integrals as small as exp(-5000) are handled without
-underflow.
+is ever discarded.  One accumulator serves every integral in the package:
+B digital shifts of one Sobol' stream, running means kept either plainly
+or in logarithmic space (a "proper logarithm", so that integrals as small
+as exp(-5000) are handled without underflow), over one or several
+integrands evaluated at the same points, each with its own error and
+tolerance test.  ``rqmc_estimate`` and ``rqmc_log_estimate`` run it for a
+single integrand until the tolerance or the batch cap is reached.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,12 +28,10 @@ __all__ = [
     "RqmcConfig",
     "RqmcResult",
     "IntegrandNaNError",
-    "sobol_points",
     "lse",
     "rqmc_estimate",
     "rqmc_log_estimate",
     "RqmcAccumulator",
-    "LogRqmcAccumulator",
 ]
 
 # Resolution of the digital shift; Sobol' integers live on a 2^-32 grid,
@@ -72,37 +73,42 @@ def _draw_raw(engine: qmc.Sobol, n: int) -> np.ndarray:
     return np.round(pts * 2.0 ** _BITS).astype(np.uint64)
 
 
-def derive_shift(seed: int | None, dimension: int) -> np.ndarray:
-    """Per-dimension digital-shift words derived from a 64-bit seed.
+def derive_shift(seed, shape) -> np.ndarray:
+    """Digital-shift words of the given shape derived from ``seed`` (an int
+    or a ``SeedSequence``).
 
     ``seed=None`` yields the zero shift, i.e. the unrandomized sequence.
     """
     if seed is None:
-        return np.zeros(dimension, dtype=np.uint64)
+        return np.zeros(shape, dtype=np.uint64)
     rng = np.random.default_rng(seed)
-    return rng.integers(0, 2 ** _BITS, size=dimension, dtype=np.uint64)
+    return rng.integers(0, 2 ** _BITS, size=shape, dtype=np.uint64)
 
 
 class SobolStream:
-    """Extensible digitally-shifted Sobol' stream in ``[0,1)^dimension``.
+    """Extensible Sobol' stream in ``[0,1)^dimension`` under ``n_random``
+    independent digital shifts.
 
     Parameters
     ----------
     dimension : int
         Number of coordinates (limited by the direction-number table).
-    seed : int or None
-        Seed from which the digital shift is derived; ``None`` gives the
+    seed : int, SeedSequence or None
+        Seed from which the digital shifts are derived; ``None`` gives the
         raw (unrandomized) sequence.
     skip : int
         Number of leading points to discard.
+    n_random : int
+        Number of randomizations; all advance in lockstep, so one raw
+        draw serves all of them.
 
     Requesting ``n`` points and then ``m`` points returns exactly the
     same values as requesting ``n + m`` points at once.
     """
 
-    def __init__(self, dimension: int, seed: int | None = None, skip: int = 0):
+    def __init__(self, dimension: int, seed=None, skip: int = 0, n_random: int = 1):
         self.dimension = int(dimension)
-        self.shift = derive_shift(seed, self.dimension)
+        self.shifts = derive_shift(seed, (int(n_random), self.dimension))
         self._engine = _new_engine(self.dimension)
         self.skip = 0
         if skip:
@@ -114,38 +120,12 @@ class SobolStream:
         return self
 
     def take(self, n: int) -> np.ndarray:
-        """Next ``n`` points; advances the stream."""
+        """Next ``n`` points as an ``(n_random, n, dimension)`` array;
+        advances the stream."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         ints = _draw_raw(self._engine, n)
         self.skip += n
-        return (ints ^ self.shift[None, :]) * _SCALE
-
-
-def sobol_points(stream: SobolStream, n: int) -> np.ndarray:
-    """Next ``n`` points of ``stream`` as an ``(n, dimension)`` array."""
-    return stream.take(n)
-
-
-class _ShiftedSobolBank:
-    """One raw Sobol' stream viewed through B independent digital shifts.
-
-    All B randomizations advance in lockstep, so one raw draw serves all
-    of them; this is equivalent to B separate ``SobolStream`` objects but
-    much cheaper.
-    """
-
-    def __init__(self, dimension: int, n_random: int, seed: int | None):
-        self.dimension = int(dimension)
-        rng = np.random.default_rng(seed)
-        self.shifts = rng.integers(
-            0, 2 ** _BITS, size=(n_random, self.dimension), dtype=np.uint64
-        )
-        self._engine = _new_engine(self.dimension)
-
-    def take(self, n: int) -> np.ndarray:
-        """Next batch as a ``(B, n, dimension)`` array."""
-        ints = _draw_raw(self._engine, n)
         return (ints[None, :, :] ^ self.shifts[:, None, :]) * _SCALE
 
 
@@ -213,9 +193,8 @@ def log_mean_exp(values: np.ndarray, axis=None) -> np.ndarray | float:
 
 
 def _combine_log_means(old: np.ndarray, n_old: int, batch: np.ndarray) -> np.ndarray:
-    """Running log-mean update: log((n*e^old + e^batch)/(n+1)) elementwise."""
-    old = np.asarray(old, dtype=float)
-    batch = np.asarray(batch, dtype=float)
+    """Running log-mean update: log((n*e^old + e^batch)/(n+1)) elementwise;
+    ``batch`` itself when ``n = 0``."""
     m = np.maximum(old, batch)
     safe_m = np.where(np.isfinite(m), m, 0.0)
     mixed = (n_old * np.exp(old - safe_m) + np.exp(batch - safe_m)) / (n_old + 1)
@@ -224,120 +203,90 @@ def _combine_log_means(old: np.ndarray, n_old: int, batch: np.ndarray) -> np.nda
     return np.where(np.isfinite(m), out, m)
 
 
-def _check_nan(values: np.ndarray, points: np.ndarray) -> None:
-    bad = np.isnan(values)
-    if bad.any():
-        idx = int(np.flatnonzero(bad)[0])
-        raise IntegrandNaNError(points[idx])
-
-
 class RqmcAccumulator:
-    """State of Algorithm-style iterative RQMC estimation (plain space).
+    """Running per-randomization means of iterative RQMC for one or more
+    integrands (rows) evaluated at the same points.
 
-    Each call to :meth:`add_batch` appends ``n0`` fresh points to every
-    randomization and folds the batch means into the per-randomization
-    running means with equal batch weights.
+    Each :meth:`draw` appends ``n0`` fresh points to each of the ``B``
+    randomizations of one Sobol' stream; :meth:`add` folds the values
+    there into the running means with equal batch weights, plainly or, with
+    ``log=True``, as log-means (a "proper logarithm"), so that integrals as
+    small as exp(-5000) are handled without underflow.  Errors, estimates
+    and the tolerance test are per row.  ``seed=None`` draws fresh random
+    shifts.
     """
 
-    def __init__(
-        self,
-        g: Callable[[np.ndarray], np.ndarray],
-        dimension: int,
-        cfg: RqmcConfig,
-        seed: int | None,
-    ):
-        self.g = g
-        self.dimension = int(dimension)
+    def __init__(self, dimension: int, cfg: RqmcConfig, seed, log: bool = False):
         self.cfg = cfg
-        self._bank = _ShiftedSobolBank(self.dimension, cfg.B, seed)
-        self.means = np.zeros(cfg.B)
+        self.log = log
+        if seed is None:
+            seed = np.random.SeedSequence()
+        self._stream = SobolStream(dimension, seed, n_random=cfg.B)
+        # The empty mean; the first add broadcasts it to (rows, B).
+        self.means = NEG_INF if log else 0.0
         self.batches = 0
 
-    def add_batch(self) -> None:
+    def draw(self) -> np.ndarray:
+        """Next batch of all randomizations as one ``(B * n0, dimension)``
+        array, randomization-major."""
+        return self._stream.take(self.cfg.n0).reshape(-1, self._stream.dimension)
+
+    def add(self, vals: np.ndarray) -> None:
+        """Fold values at the last :meth:`draw`, shape ``(rows, B * n0)``."""
         cfg = self.cfg
-        pts = self._bank.take(cfg.n0)
-        flat = pts.reshape(-1, self.dimension)
-        vals = np.asarray(self.g(flat), dtype=float).reshape(-1)
-        if vals.shape[0] != flat.shape[0]:
-            raise ValueError("integrand must return one value per point")
-        _check_nan(vals, flat)
-        batch_means = vals.reshape(cfg.B, cfg.n0).mean(axis=1)
+        batch = np.asarray(vals, dtype=float).reshape(-1, cfg.B, cfg.n0)
         i = self.batches
-        self.means = (i * self.means + batch_means) / (i + 1)
-        self.batches += 1
-
-    @property
-    def estimate(self) -> float:
-        return float(self.means.mean())
-
-    @property
-    def n_per_randomization(self) -> int:
-        return self.batches * self.cfg.n0
-
-    def error_estimate(self) -> float:
-        if np.ptp(self.means) == 0.0:
-            return 0.0
-        sd = float(self.means.std(ddof=1))
-        return self.cfg.ci_mult * sd / math.sqrt(self.cfg.B)
-
-    def result(self, converged: bool) -> RqmcResult:
-        return RqmcResult(
-            estimate=self.estimate,
-            error_estimate=self.error_estimate(),
-            n_per_randomization=self.n_per_randomization,
-            iterations_used=self.batches,
-            converged=converged,
-        )
-
-
-class LogRqmcAccumulator(RqmcAccumulator):
-    """Iterative RQMC with all running means kept in log space.
-
-    ``g`` must return log-integrand values (finite or -inf); the final
-    estimate is ``log`` of the integral.
-    """
-
-    def __init__(self, log_g, dimension, cfg, seed):
-        super().__init__(log_g, dimension, cfg, seed)
-        self.means = np.full(cfg.B, NEG_INF)
-
-    def add_batch(self) -> None:
-        cfg = self.cfg
-        pts = self._bank.take(cfg.n0)
-        flat = pts.reshape(-1, self.dimension)
-        vals = np.asarray(self.g(flat), dtype=float).reshape(-1)
-        if vals.shape[0] != flat.shape[0]:
-            raise ValueError("log-integrand must return one value per point")
-        _check_nan(vals, flat)
-        batch_means = log_mean_exp(vals.reshape(cfg.B, cfg.n0), axis=1)
-        if self.batches == 0:
-            self.means = np.asarray(batch_means, dtype=float)
+        if self.log:
+            self.means = _combine_log_means(self.means, i, log_mean_exp(batch, axis=2))
         else:
-            self.means = _combine_log_means(self.means, self.batches, batch_means)
+            self.means = (i * self.means + batch.mean(axis=2)) / (i + 1)
         self.batches += 1
 
-    @property
-    def estimate(self) -> float:
-        return float(log_mean_exp(self.means))
+    def estimates(self) -> np.ndarray:
+        if self.log:
+            return log_mean_exp(self.means, axis=1)
+        return self.means.mean(axis=1)
+
+    def errors(self) -> np.ndarray:
+        """CI half widths over the randomizations (of the log-means when
+        ``log``)."""
+        sd = self.means.std(axis=1, ddof=1)
+        err = self.cfg.ci_mult * sd / math.sqrt(self.cfg.B)
+        return np.where(np.ptp(self.means, axis=1) == 0.0, 0.0, err)
+
+    def results(self) -> list[RqmcResult]:
+        """One result per row; ``converged`` is the tolerance test."""
+        est, err = self.estimates(), self.errors()
+        n = self.batches * self.cfg.n0
+        return [
+            RqmcResult(float(e), float(x), n, self.batches, bool(ok))
+            for e, x, ok in zip(est, err, _tolerance_met(err, est, self.cfg))
+        ]
 
 
-def _tolerance_met(err: float, estimate: float, cfg: RqmcConfig) -> bool:
-    if cfg.tol_type == "relative" and abs(estimate) >= 1e-16:
-        return err <= cfg.tol * abs(estimate)
-    # Relative mode falls back to an absolute check when the running
+def _tolerance_met(err: np.ndarray, estimate: np.ndarray, cfg: RqmcConfig) -> np.ndarray:
+    if cfg.tol_type == "absolute":
+        return err <= cfg.tol
+    # Relative mode falls back to an absolute check where the running
     # estimate is numerically indistinguishable from zero.
-    return err <= cfg.tol
+    scale = np.abs(estimate)
+    return err <= np.where(scale >= 1e-16, cfg.tol * scale, cfg.tol)
 
 
-def _run(acc: RqmcAccumulator) -> RqmcResult:
-    cfg = acc.cfg
-    acc.add_batch()
+def _run(g, dimension: int, cfg: RqmcConfig, seed, log: bool) -> RqmcResult:
+    acc = RqmcAccumulator(dimension, cfg, seed, log)
     while True:
-        if _tolerance_met(acc.error_estimate(), acc.estimate, cfg):
-            return acc.result(converged=True)
-        if acc.batches >= cfg.i_max:
-            return acc.result(converged=False)
-        acc.add_batch()
+        pts = acc.draw()
+        vals = np.asarray(g(pts), dtype=float).reshape(-1)
+        if vals.shape[0] != pts.shape[0]:
+            raise ValueError("integrand must return one value per point")
+        bad = np.flatnonzero(np.isnan(vals))
+        if len(bad):
+            raise IntegrandNaNError(pts[bad[0]])
+        acc.add(vals)
+        (res,) = acc.results()
+        if res.converged or acc.batches >= cfg.i_max:
+            return res
 
 
 def rqmc_estimate(
@@ -354,7 +303,7 @@ def rqmc_estimate(
     batches of ``n0`` until the CI half width meets the tolerance or
     ``i_max`` batches are spent.
     """
-    return _run(RqmcAccumulator(g, dimension, cfg, seed))
+    return _run(g, dimension, cfg, seed, log=False)
 
 
 def rqmc_log_estimate(
@@ -370,4 +319,4 @@ def rqmc_log_estimate(
     estimated without underflow.  The error estimate is the CI half width
     of the per-randomization log means.
     """
-    return _run(LogRqmcAccumulator(log_g, dimension, cfg, seed))
+    return _run(log_g, dimension, cfg, seed, log=True)

@@ -34,7 +34,7 @@ def rnvmix(n: int, model: NvmModel, seed: int | None = None,
     if method == "pseudo":
         u = np.random.default_rng(seed).random((n, r + 1))
     else:
-        u = SobolStream(r + 1, seed=seed).take(n)
+        u = SobolStream(r + 1, seed=seed).take(n)[0]
 
     u = np.clip(u, _U_EPS, 1.0 - _U_EPS)
     w = np.asarray(quantile(model.spec, u[:, 0], model.nu), dtype=float)

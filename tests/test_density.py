@@ -361,13 +361,14 @@ class TestLogDensityBatch:
             log_density_batch(np.zeros((1, 2)), model)
 
 
-@pytest.mark.parametrize("D2", [1e-8, 0.5, 640.0, 1.6e4, 2e5, 1e8, 1e10])
+@pytest.mark.parametrize("D2", [0.0, 1e-8, 0.5, 640.0, 1.6e4, 2e5, 1e8, 1e10])
 @pytest.mark.parametrize(
     "spec,nu", [(inverse_gamma(), 4.0), (pareto(), 6.0)], ids=["inverse_gamma", "pareto"]
 )
 def test_adaptive_across_distances(spec, nu, D2):
     # Small D2 puts the IG peak near u = 0 (u* ~ 2e-16 at D2 = 0.5, below
-    # the smallest double at D2 = 1e-8); large D2 puts both peaks near
+    # the smallest double at D2 = 1e-8, and at u = 0 itself at the center,
+    # where h is monotone); large D2 puts both peaks near
     # u = 1 (1 - u* from 5e-4 for IG at D2 = 640 down to 1e-54 for Pareto
     # at D2 = 1e10).
     d = 10
@@ -377,6 +378,82 @@ def test_adaptive_across_distances(spec, nu, D2):
     res = log_density_batch(x[None, :], model, RqmcConfig(tol=1e-3), seed=1)[0]
     assert res.converged
     assert abs(res.estimate - closed_log_density(model, x)) <= 1e-3
+
+
+# (family, D2, estimate, iterations_used, n_per_randomization, converged)
+# of log_density_batch at x = sqrt(D2) e_1 in d = 10, tol 1e-3, seed 17,
+# recorded before the crude pass moved onto the shared RQMC accumulator.
+# Four iterations is a row the crude pass settled, five one that took the
+# adaptive path.  Estimates pinned to 1e-14, everything else exactly.
+DENSITY_GOLDEN_D2 = [0.5, 3.0, 10.0, 25.0, 80.0, 640.0, 1.6e4]
+DENSITY_GOLDEN = {
+    "inverse_gamma": [
+        (-6.9003512724580345, 5, 640, True),
+        (-9.993180538413245, 5, 640, True),
+        (-14.84521080150147, 4, 512, True),
+        (-19.942880305070958, 4, 512, True),
+        (-27.38752886871452, 4, 512, True),
+        (-41.64570057774551, 5, 640, True),
+        (-64.13596728485479, 5, 640, True),
+    ],
+    "pareto": [
+        (-10.024502336641502, 5, 640, True),
+        (-11.163566972730544, 4, 512, True),
+        (-14.287787057903234, 4, 512, True),
+        (-20.428733085706273, 5, 640, True),
+        (-32.870887301232635, 5, 640, True),
+        (-55.74474424349027, 5, 640, True),
+        (-91.15237831704042, 5, 640, True),
+    ],
+    "inverse_burr": [
+        (-6.980970787229872, 5, 640, True),
+        (-10.5869915003497, 5, 640, True),
+        (-14.879609156675409, 4, 512, True),
+        (-19.64716487936917, 4, 512, True),
+        (-27.145355151234654, 4, 512, True),
+        (-41.60372581933343, 5, 640, True),
+        (-64.13422012856438, 5, 640, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("family", sorted(DENSITY_GOLDEN))
+def test_log_density_golden_values(family):
+    spec, nu = {"inverse_gamma": (inverse_gamma(), [4.0]), "pareto": (pareto(), [6.0]),
+                "inverse_burr": (inverse_burr(), [2.0, 2.0])}[family]
+    d = 10
+    X = np.zeros((len(DENSITY_GOLDEN_D2), d))
+    X[:, 0] = np.sqrt(DENSITY_GOLDEN_D2)
+    model = NvmModel.build(None, np.eye(d), spec, nu)
+    res = log_density_batch(X, model, RqmcConfig(tol=1e-3), seed=17)
+    for r, (estimate, iterations, n, converged) in zip(res, DENSITY_GOLDEN[family]):
+        assert r.estimate == pytest.approx(estimate, rel=0.0, abs=1e-14)
+        assert (r.iterations_used, r.n_per_randomization, r.converged) == (
+            iterations, n, converged)
+
+
+def test_crude_pass_honours_relative_tolerance():
+    # An estimate near 0.02 needs an error below 2e-5 in relative mode; a
+    # 4-batch crude pass reaches about 4e-4, which only meets the absolute
+    # bound, so this row must go on to the adaptive path.
+    p = DensityIntegrandParams(D2=1.0, d=2, log_det=0.0, shift_k=1.0, log_coeff=math.log(2.0))
+    cfg = RqmcConfig(tol=1e-3, tol_type="relative")
+    res = log_integral_batch([p], inverse_gamma(), [4.0], cfg, seed=0)[0]
+    assert res.converged
+    assert res.error_estimate <= cfg.tol * abs(res.estimate)
+    assert res.iterations_used > 4
+
+
+@pytest.mark.parametrize("u_atom", [0.1, 1e-12], ids=["seen-by-crude-pass", "found-by-peak-search"])
+def test_atom_at_zero_diverges_at_center(u_atom):
+    # P(W = 0) > 0 makes the density at x = loc infinite.  An atom of mass
+    # 0.1 shows up among the crude pass's points; one of mass 1e-12 does
+    # not (there h = 1/w = 1/u is not integrable either, so the crude pass
+    # cannot settle) and is met by the peak search.
+    spec = blackbox(lambda u, nu: np.where(u < u_atom, 0.0, np.minimum(u / 0.1, 1.0)), 0)
+    model = NvmModel.build(None, np.eye(2), spec, [])
+    with pytest.raises(ValueError, match="diverges at w = 0"):
+        log_density_batch(np.zeros((1, 2)), model, seed=0)
 
 
 def test_remark_shift_generalization():

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from nvmix.rqmc import (
     IntegrandNaNError,
-    LogRqmcAccumulator,
     RqmcAccumulator,
     RqmcConfig,
     SobolStream,
     lse,
     rqmc_estimate,
     rqmc_log_estimate,
-    sobol_points,
 )
 
 
@@ -36,35 +34,35 @@ def reference_sobol_1d(n):
 
 class TestSobolStream:
     def test_first_points_match_reference(self):
-        pts = sobol_points(SobolStream(1, seed=None), 4)[:, 0]
+        pts = SobolStream(1, seed=None).take(4)[0][:, 0]
         assert np.array_equal(pts, reference_sobol_1d(4))
         assert np.array_equal(pts, [0.0, 0.5, 0.75, 0.25])
 
     def test_reference_oracle_longer_run(self):
-        pts = sobol_points(SobolStream(1, seed=None), 64)[:, 0]
+        pts = SobolStream(1, seed=None).take(64)[0][:, 0]
         assert np.array_equal(pts, reference_sobol_1d(64))
 
     def test_extensible(self):
         s1 = SobolStream(5, seed=7)
-        a = np.vstack([sobol_points(s1, 4), sobol_points(s1, 4)])
-        b = sobol_points(SobolStream(5, seed=7), 8)
+        a = np.vstack([s1.take(4)[0], s1.take(4)[0]])
+        b = SobolStream(5, seed=7).take(8)[0]
         assert np.array_equal(a, b)
         assert s1.skip == 8
 
     def test_skip_semantics(self):
-        full = sobol_points(SobolStream(3, seed=11), 16)
-        tail = sobol_points(SobolStream(3, seed=11, skip=5), 11)
+        full = SobolStream(3, seed=11).take(16)[0]
+        tail = SobolStream(3, seed=11, skip=5).take(11)[0]
         assert np.array_equal(tail, full[5:])
 
     def test_same_seed_same_points(self):
-        a = sobol_points(SobolStream(4, seed=123), 32)
-        b = sobol_points(SobolStream(4, seed=123), 32)
+        a = SobolStream(4, seed=123).take(32)[0]
+        b = SobolStream(4, seed=123).take(32)[0]
         assert np.array_equal(a, b)
 
     def test_range_and_stratification(self):
         # One point per dyadic interval [k/1024, (k+1)/1024) in every
         # 1-D projection: a digital shift preserves the net property.
-        pts = sobol_points(SobolStream(5, seed=99), 1024)
+        pts = SobolStream(5, seed=99).take(1024)[0]
         assert pts.min() >= 0.0 and pts.max() < 1.0
         for j in range(5):
             cells = np.floor(pts[:, j] * 1024).astype(int)
@@ -73,7 +71,7 @@ class TestSobolStream:
     def test_different_seeds_uniform_chisq(self):
         # Per-coordinate chi-square GOF against U(0,1), 20 cells.
         for seed in (1, 2, 3):
-            pts = sobol_points(SobolStream(3, seed=seed), 4096)
+            pts = SobolStream(3, seed=seed).take(4096)[0]
             for j in range(3):
                 counts = np.bincount(
                     np.floor(pts[:, j] * 20).astype(int), minlength=20
@@ -199,14 +197,17 @@ class TestInvariants:
         cfg = RqmcConfig(B=5, n0=64)
         g = lambda u: np.cos(u[:, 0] * u[:, 1])
 
-        acc1 = RqmcAccumulator(g, 2, cfg, seed=77)
+        def add_batch(acc):
+            acc.add(g(acc.draw()))
+
+        acc1 = RqmcAccumulator(2, cfg, seed=77)
         for _ in range(3):
-            acc1.add_batch()
-        acc2 = RqmcAccumulator(g, 2, cfg, seed=77)
+            add_batch(acc1)
+        acc2 = RqmcAccumulator(2, cfg, seed=77)
         for _ in range(7):
-            acc2.add_batch()
+            add_batch(acc2)
         for _ in range(4):
-            acc1.add_batch()
+            add_batch(acc1)
         assert np.array_equal(acc1.means, acc2.means)
 
     def test_plain_and_log_agree(self):
@@ -263,3 +264,36 @@ class TestConfigValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             RqmcConfig(**kwargs)
+
+
+def _golden_g(u):
+    return np.exp(0.4 * np.sum(u, axis=1)) * np.cos(u[:, 0] - u[:, 2])
+
+
+def _golden_log_g(u):
+    return -8.0 * u[:, 0] + np.log1p(u[:, 1] * u[:, 2])
+
+
+# (estimator, seed, estimate, iterations_used, n_per_randomization,
+# converged) in d = 3, recorded before the plain and log accumulators were
+# merged; estimates pinned to 1e-14, everything else exactly.
+GOLDEN = [
+    ("plain", 1, 1.71019387263893, 32, 4096, True),
+    ("plain", 2, 1.7102304558892807, 32, 4096, True),
+    ("plain", 3, 1.710239975132964, 32, 4096, True),
+    ("log", 1, -1.8563558674118332, 32, 4096, True),
+    ("log", 2, -1.8567503497816322, 48, 6144, True),
+    ("log", 3, -1.856840754136861, 44, 5632, True),
+]
+
+
+@pytest.mark.parametrize("kind, seed, estimate, iterations, n, converged", GOLDEN,
+                         ids=[f"{g[0]}-{g[1]}" for g in GOLDEN])
+def test_golden_values(kind, seed, estimate, iterations, n, converged):
+    if kind == "plain":
+        res = rqmc_estimate(_golden_g, 3, RqmcConfig(tol=1e-4), seed)
+    else:
+        res = rqmc_log_estimate(_golden_log_g, 3, RqmcConfig(tol=5e-4), seed)
+    assert res.estimate == pytest.approx(estimate, rel=0.0, abs=1e-14)
+    assert (res.iterations_used, res.n_per_randomization, res.converged) == (
+        iterations, n, converged)
