@@ -73,8 +73,6 @@ def _q_inverse_gamma(u, uc, nu):
     # inverted from the probability that is small on it.
     a = 0.5 * float(nu[0])
     lower = u < 0.5
-    if u.ndim == 0:  # the bisections' scalar calls skip the masking
-        return a / (gammainccinv(a, u) if lower else gammaincinv(a, uc))
     g = np.empty(u.shape)
     g[lower] = gammainccinv(a, u[lower])
     g[~lower] = gammaincinv(a, uc[~lower])
@@ -140,10 +138,13 @@ def quantile(spec: MixtureSpec, u, nu, uc=None) -> np.ndarray | float:
     round to 1 as long as ``uc`` is positive.  A given ``uc`` must agree
     with ``1 - u`` to a few units in the last place of the larger of the
     two.  A black-box quantile only receives ``u``, which must then be
-    below 1 itself.
+    below 1 itself.  A scalar ``u`` is evaluated as a one-element array,
+    so it gives exactly the matching element of an array call (numpy's
+    scalar arithmetic may round differently from its array loops).
     """
     nu = _check_params(spec, nu)
-    u_arr = np.asarray(u, dtype=float)
+    scalar = np.ndim(u) == 0
+    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if uc is None:
         uc_arr = 1.0 - u_arr
     else:
@@ -162,8 +163,8 @@ def quantile(spec: MixtureSpec, u, nu, uc=None) -> np.ndarray | float:
             raise InvalidMixtureError(
                 "black-box quantile returned a negative or NaN value"
             )
-    if np.isscalar(u) or u_arr.ndim == 0:
-        return float(np.ravel(w)[0])
+    if scalar:
+        return float(w[0])
     return w
 
 

@@ -412,7 +412,7 @@ DENSITY_GOLDEN = {
         (-19.64716487936917, 4, 512, True),
         (-27.145355151234654, 4, 512, True),
         (-41.60372581933343, 5, 640, True),
-        (-64.13422012856438, 5, 640, True),
+        (-64.1342201285644, 5, 640, True),
     ],
 }
 

@@ -117,6 +117,24 @@ def test_tails_inverted_from_the_small_probability():
     assert quantile(pareto(), 1.0, [6.0], 1e-78) == pytest.approx(1e13, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "spec,nu",
+    [(constant(), [2.0]), (inverse_gamma(), [4.0]), (pareto(), [6.0]),
+     (inverse_burr(), [2.0, 2.0])],
+    ids=["constant", "inverse_gamma", "pareto", "inverse_burr"],
+)
+def test_scalar_call_matches_array_element(spec, nu):
+    # A batched search and its one-point view must see the same quantile
+    # to the last bit, at the listed probabilities and at random logits.
+    listed = np.array([1e-300, 1e-17, 0.3, 0.5, 1 - 1e-12])
+    rng = np.random.default_rng(5)
+    z = np.concatenate([np.log(listed) - np.log1p(-listed), rng.uniform(-40.0, 40.0, 2000)])
+    u, uc = expit(z), expit(-z)
+    w = quantile(spec, u, nu, uc)
+    for i in range(len(z)):
+        assert quantile(spec, float(u[i]), nu, float(uc[i])) == w[i]
+
+
 def test_blackbox_needs_u_below_one():
     spec = blackbox(lambda u, nu: u, n_params=0)
     with pytest.raises(ValueError, match="strictly inside"):
