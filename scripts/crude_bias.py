@@ -20,6 +20,7 @@ from nvmix.density import (
     _log_g,
     _log_h_of_w,
     _peak_z,
+    _row_params,
     closed_log_density,
 )
 from nvmix.mixtures import inverse_gamma, quantile
@@ -43,13 +44,13 @@ def main(n_seeds: int = 300) -> None:
         runs = [rqmc_log_estimate(crude_log_g, 1, RqmcConfig(i_max=4), seed=s)
                 for s in range(n_seeds)]
         err = np.array([r.estimate - truth for r in runs])
-        means8 = err[: n_seeds // 8 * 8].reshape(-1, 8).mean(axis=1)
 
         # Peak of h in 1 - u, and the width in u of the region where the
         # integrand in u is within 1 nat of its maximum.
-        z_star, _ = _peak_z(p, spec, nu, None, 1e-9)
+        pref, k, m = _row_params([p])
+        z_star = float(_peak_z(spec, nu, pref, k, m, 1e-9)[0][0])
         z = np.linspace(z_star - 10.0, z_star + 10.0, 20001)
-        log_hu = _log_g(z, p, spec, nu) - np.log(expit(z) * expit(-z))
+        log_hu = _log_g(z, spec, nu, pref, k, m) - np.log(expit(z) * expit(-z))
         near = z[log_hu >= log_hu.max() - 1.0]
         width = expit(-near[0]) - expit(-near[-1])
 
@@ -58,7 +59,9 @@ def main(n_seeds: int = 300) -> None:
         print(f"  crude error over {n_seeds} seeds: mean {err.mean():+.3f}, sd {err.std():.3f}, "
               f"max |err| {np.abs(err).max():.3f}, share below -1 {np.mean(err < -1):.3f}, "
               f"converged {sum(r.converged for r in runs)}")
-        print(f"  8-seed means: max {means8.max():+.2f}; seeds 0-7 {err[:8].mean():+.2f}")
+        if n_seeds >= 8:
+            means8 = err[: n_seeds // 8 * 8].reshape(-1, 8).mean(axis=1)
+            print(f"  8-seed means: max {means8.max():+.2f}; seeds 0-7 {err[:8].mean():+.2f}")
 
 
 if __name__ == "__main__":

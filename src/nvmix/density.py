@@ -15,8 +15,14 @@ and 1 - u = expit(-z), each computed directly.  The path locates the peak
 of h by bisection in z (only quantile evaluations are available),
 maximizes g between that peak and z = 0, brackets the region where g
 exceeds a threshold ten orders below its maximum and integrates g over
-that bracket by RQMC; the mass outside the bracket is negligible.  The
-same machinery integrates any integrand of the form
+that bracket by RQMC; the mass outside the bracket is negligible.  All
+inputs the crude pass leaves unsettled take these steps together: each
+bisection or maximization step evaluates the quantile once for every
+input whose search still runs, and the RQMC runs as one block, each
+input under its own digital shifts until it meets the tolerance.  The
+number of quantile calls thus grows with the number of steps, not with
+the number of inputs.  The same
+machinery integrates any integrand of the form
 c * w^(-k) * exp(-m/w), which covers the posterior weights needed for
 fitting and the Mahalanobis-distance density.
 """
@@ -27,17 +33,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import expit, gammainc, gammaln, log_expit, logit
 
 from .linalg import mahalanobis_sq
 from .mixtures import MixtureSpec, quantile
 from .model import NvmModel
-from .rqmc import RqmcAccumulator, RqmcConfig, RqmcResult, rqmc_log_estimate
+# rqmc_log_estimate stays bound here for tools that trace this module's
+# estimator by name.
+from .rqmc import RqmcAccumulator, RqmcConfig, RqmcResult, _run, rqmc_log_estimate  # noqa: F401
 
 __all__ = [
     "DensityIntegrandParams",
-    "QuantileCache",
     "log_h",
     "peak",
     "region_bounds",
@@ -118,116 +124,193 @@ def _z_range(spec: MixtureSpec) -> tuple[float, float]:
     return _Z_LO, (_Z_HI_BLACKBOX if spec.kind == "blackbox" else -_Z_LO)
 
 
+def _row_params(params_list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prefactors, shifts k and halved distances m of the integrands."""
+    return (np.array([p.prefactor for p in params_list]),
+            np.array([p.shift_k for p in params_list]),
+            np.array([p.m for p in params_list]))
+
+
 def _quantile_z(spec, z, nu):
-    """Quantile at u = expit(z), with 1 - u = expit(-z)."""
-    return quantile(spec, expit(z), nu, expit(-z))
+    """Quantile at u = expit(z), with 1 - u = expit(-z), in one call for
+    z of any shape."""
+    z = np.asarray(z, dtype=float)
+    flat = z.ravel()
+    return quantile(spec, expit(flat), nu, expit(-flat)).reshape(z.shape)
 
 
-def _log_h_z(z, params: DensityIntegrandParams, spec, nu):
-    """log_h at u = expit(z)."""
-    return _log_h_of_w(_quantile_z(spec, z, nu), params.prefactor, params.shift_k, params.m)
+def _log_h_z(z, spec, nu, pref, k, m):
+    """log_h at u = expit(z); the parameters broadcast against z."""
+    return _log_h_of_w(_quantile_z(spec, z, nu), pref, k, m)
 
 
-def _log_g(z, params: DensityIntegrandParams, spec, nu):
+def _log_g(z, spec, nu, pref, k, m):
     """log of the integrand in the logit coordinate, h(u) du/dz."""
-    return _log_h_z(z, params, spec, nu) + log_expit(z) + log_expit(-z)
+    return _log_h_z(z, spec, nu, pref, k, m) + log_expit(z) + log_expit(-z)
 
 
-class QuantileCache:
-    """Sorted store of (u, quantile(u)) pairs that seeds the peak search."""
+def _bisect(goes_up, a, b, eps_bisec, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row bisection between ``a`` and ``b`` down to a width of
+    ``eps_bisec``, of the given rows only.
 
-    def __init__(self):
-        self.us = np.empty(0)
-        self.ws = np.empty(0)
-
-    def add(self, us, ws) -> None:
-        us = np.concatenate([self.us, np.atleast_1d(np.asarray(us, dtype=float))])
-        ws = np.concatenate([self.ws, np.atleast_1d(np.asarray(ws, dtype=float))])
-        order = np.argsort(us, kind="stable")
-        self.us, self.ws = us[order], ws[order]
-
-    def bracket_for_w(self, w_target: float) -> tuple[float | None, float | None]:
-        """Cached u just below/above the u solving quantile(u) = w_target."""
-        if len(self.us) == 0:
-            return None, None
-        idx = int(np.searchsorted(self.ws, w_target))
-        lo = float(self.us[idx - 1]) if idx > 0 else None
-        hi = float(self.us[idx]) if idx < len(self.us) else None
-        return lo, hi
+    At each step the midpoint replaces ``a`` where ``goes_up(mid, rows)``
+    holds and ``b`` elsewhere; one call serves all rows still wider than
+    ``eps_bisec``.
+    """
+    a, b = a.copy(), b.copy()
+    rows = rows[np.abs(b[rows] - a[rows]) > eps_bisec]
+    while len(rows):
+        mid = 0.5 * (a[rows] + b[rows])
+        up = goes_up(mid, rows)
+        a[rows] = np.where(up, mid, a[rows])
+        b[rows] = np.where(up, b[rows], mid)
+        rows = rows[np.abs(b[rows] - a[rows]) > eps_bisec]
+    return a, b
 
 
-def _peak_z(params: DensityIntegrandParams, spec, nu, cache, eps_bisec) -> tuple[float, float]:
-    """logit of the peak location of h and the peak's log height.
+def _level_crossings(f, level, z_in, z_out: float, eps_bisec) -> np.ndarray:
+    """Per row, where ``f``, above ``level`` at ``z_in``, falls to it on the
+    way to ``z_out``, by bisection down to a z-width of ``eps_bisec``; NaN
+    where ``f`` is still above the level at ``z_out``.  ``f(z, rows)``
+    evaluates the rows' integrands, one z each."""
+    z_out = np.full(len(z_in), z_out)
+    rows = np.arange(len(z_in))
+    open_end = f(z_out, rows) > level
+    a, b = _bisect(lambda z, r: f(z, r) > level[r], z_in, z_out, eps_bisec, rows[~open_end])
+    return np.where(open_end, np.nan, 0.5 * (a + b))
 
-    Bisection in z for ``quantile(expit(z)) = D2 / (2 shift_k)`` down to a
-    z-width of ``eps_bisec``, starting from the cached knots around the
-    target.  When the quantile cannot reach the target (the mixing
-    support is bounded on that side, or the target lies beyond the
-    doubles' range) the peak collapses to that end of the z range and h
-    is evaluated there; otherwise the height has a closed form that does
-    not depend on the mixing distribution.  At D2 = 0 the target w* = 0
-    is unreachable unless W has an atom at 0, so h is monotone and its
-    peak is at the left end.
+
+def _peak_z(spec, nu, pref, k, m, eps_bisec, knots=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the logit of the peak location of h and the peak's log
+    height.
+
+    Bisection in z for ``quantile(expit(z)) = m / k`` down to a z-width of
+    ``eps_bisec``, all rows together, each starting from the knots (sorted
+    u and their quantiles) around its target when ``knots`` is given.
+    When the quantile cannot reach the target (the mixing support is
+    bounded on that side, or the target lies beyond the doubles' range)
+    the peak collapses to that end of the z range and h is evaluated
+    there; otherwise the height has a closed form that does not depend on
+    the mixing distribution.  At D2 = 0 the target w* = 0 is unreachable
+    unless W has an atom at 0, so h is monotone and its peak is at the
+    left end.
     """
     z_lo, z_hi = _z_range(spec)
-    w_star = params.m / params.shift_k
-    lo, hi = z_lo, z_hi
-    if cache is not None:
-        u_lo, u_hi = cache.bracket_for_w(w_star)
-        if u_lo is not None:
-            lo = max(float(logit(u_lo)), z_lo)
-        if u_hi is not None:
-            hi = min(float(logit(u_hi)), z_hi)
-    while hi - lo > eps_bisec:
-        mid = 0.5 * (lo + hi)
-        if _quantile_z(spec, mid, nu) <= w_star:
-            lo = mid
-        else:
-            hi = mid
-    for end, z_end in ((lo, z_lo), (hi, z_hi)):
-        if end == z_end:
-            return end, float(_log_h_z(end, params, spec, nu))
-    if params.m == 0.0:  # quantile(expit(lo)) <= w* = 0
+    w_star = m / k
+    lo, hi = np.full(len(m), z_lo), np.full(len(m), z_hi)
+    if knots is not None:
+        us, ws = knots
+        idx = np.searchsorted(ws, w_star)
+        below, above = idx > 0, idx < len(us)
+        lo[below] = np.clip(logit(us[idx[below] - 1]), z_lo, z_hi)
+        hi[above] = np.clip(logit(us[idx[above]]), z_lo, z_hi)
+    lo, hi = _bisect(lambda z, r: _quantile_z(spec, z, nu) <= w_star[r],
+                     lo, hi, eps_bisec, np.arange(len(m)))
+    at_lo = lo == z_lo
+    at_hi = ~at_lo & (hi == z_hi)
+    z = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))
+    log_h_max = np.empty(len(m))
+    edge = np.flatnonzero(at_lo | at_hi)
+    if len(edge):
+        log_h_max[edge] = _log_h_z(z[edge], spec, nu, pref[edge], k[edge], m[edge])
+    inner = np.flatnonzero(~(at_lo | at_hi))
+    if np.any(m[inner] == 0.0):  # quantile(expit(lo)) <= w* = 0
         raise ValueError(_DIVERGES)
-    k = params.shift_k
-    log_h_max = params.prefactor - k * (math.log(params.m) - math.log(k)) - k
-    return 0.5 * (lo + hi), log_h_max
+    # math.log, as in the one-point closed form the golden values pin.
+    log_h_max[inner] = [p - kk * (math.log(mm) - math.log(kk)) - kk
+                        for p, kk, mm in zip(pref[inner], k[inner], m[inner])]
+    return z, log_h_max
 
 
-def _crossing(f, level: float, z_in: float, z_out: float, eps_bisec: float) -> float | None:
-    """Where ``f``, above ``level`` at ``z_in``, falls to it on the way to
-    ``z_out``, by bisection down to a z-width of ``eps_bisec``; ``None``
-    when ``f`` is still above the level at ``z_out``."""
-    if f(z_out) > level:
-        return None
-    while abs(z_out - z_in) > eps_bisec:
-        mid = 0.5 * (z_in + z_out)
-        if f(mid) > level:
-            z_in = mid
-        else:
-            z_out = mid
-    return 0.5 * (z_in + z_out)
+# Constants of scipy's bounded Brent (minimize_scalar(method="bounded")).
+_BRENT_SQRT_EPS = math.sqrt(2.2e-16)
+_BRENT_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_BRENT_MAXFUN = 500
+
+
+def _brent_max(f, a, b, xatol, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize ``f(z, rows)`` over ``[a, b]``, one interval per row.
+
+    A row-masked mirror of scipy's bounded Brent minimizer applied to -f,
+    with its constants and branch order, so each row ends where the scalar
+    routine would; one call of ``f`` serves all rows still running.
+    Returns the maximizers and the maxima.
+    """
+    xf = a + _BRENT_GOLDEN * (b - a)
+    fx = -f(xf, rows)
+    zero = np.zeros(len(rows))
+    # Per row: bracket, best point, second and third best points, the
+    # step before last and the last step.
+    state = np.array([a, b, xf, fx, xf, fx, xf, fx, zero, zero])
+    live = np.arange(len(rows))
+    for _ in range(_BRENT_MAXFUN - 1):
+        s = state[:, live]
+        a, b, xf = s[0], s[1], s[2]
+        xm = 0.5 * (a + b)
+        tol1 = _BRENT_SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        go = np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
+        live, xm, tol1, tol2 = live[go], xm[go], tol1[go], tol2[go]
+        if not len(live):
+            break
+        a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat = s[:, go]
+        with np.errstate(all="ignore"):
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
+            parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                         & (p > q * (a - xf)) & (p < q * (b - xf)))
+            step = (p + 0.0) / q
+        x = xf + step
+        near_end = parabolic & (((x - a) < tol2) | ((b - x) < tol2))
+        step = np.where(near_end, tol1 * (np.sign(xm - xf) + ((xm - xf) == 0)), step)
+        e_golden = np.where(xf >= xm, a - xf, b - xf)
+        e = np.where(parabolic, rat, e_golden)
+        step = np.where(parabolic, step, _BRENT_GOLDEN * e_golden)
+        x = xf + (np.sign(step) + (step == 0)) * np.maximum(np.abs(step), tol1)
+        fu = -f(x, rows[live])
+
+        better = fu <= fx
+        to_a = np.where(better, x >= xf, x < xf)
+        end = np.where(better, xf, x)
+        second = ~better & ((fu <= fnfc) | (nfc == xf))
+        third = ~better & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+        demote = better | second
+        state[:, live] = (
+            np.where(to_a, end, a), np.where(to_a, b, end),
+            np.where(better, x, xf), np.where(better, fu, fx),
+            np.where(better, xf, np.where(second, x, nfc)),
+            np.where(better, fx, np.where(second, fu, fnfc)),
+            np.where(demote, nfc, np.where(third, x, fulc)),
+            np.where(demote, fnfc, np.where(third, fu, ffulc)),
+            e, step,
+        )
+    return state[2], -state[3]
 
 
 def peak(params: DensityIntegrandParams, spec: MixtureSpec, nu,
-         cache: QuantileCache | None = None,
          eps_bisec: float = 1e-6) -> tuple[float, float]:
     """Location and height of the integrand's peak.
 
     Solves ``quantile(u) = D2 / (2 shift_k)`` by bisection in
-    z = logit(u) seeded from the cache.  ``eps_bisec`` bounds the final
-    bracket's width in z, so u* is located to a relative precision of
-    about ``eps_bisec`` near 0, 1 - u* likewise near 1, and u* to
-    ``eps_bisec / 4`` in between.  u* is returned as the nearest double.
-    The interior peak height has a closed form independent of the mixing
-    distribution; when the quantile cannot reach the target (the mixing
-    support is bounded on that side) the peak collapses to the boundary
-    and the integrand is evaluated there instead.
+    z = logit(u); this is the one-point case of the search that
+    :func:`log_integral_batch` runs for all its inputs at once.
+    ``eps_bisec`` bounds the final bracket's width in z, so u* is located
+    to a relative precision of about ``eps_bisec`` near 0, 1 - u*
+    likewise near 1, and u* to ``eps_bisec / 4`` in between.  u* is
+    returned as the nearest double.  The interior peak height has a closed
+    form independent of the mixing distribution; when the quantile cannot
+    reach the target (the mixing support is bounded on that side) the peak
+    collapses to the boundary and the integrand is evaluated there
+    instead.
     """
     if params.D2 <= 0.0:
         raise ValueError("peak undefined for D2 = 0; use the crude path")
-    z_star, log_h_max = _peak_z(params, spec, nu, cache, eps_bisec)
-    return float(expit(z_star)), log_h_max
+    z_star, log_h_max = _peak_z(spec, nu, *_row_params([params]), eps_bisec)
+    return float(expit(z_star[0])), float(log_h_max[0])
 
 
 def region_bounds(params: DensityIntegrandParams, spec: MixtureSpec, nu,
@@ -242,21 +325,22 @@ def region_bounds(params: DensityIntegrandParams, spec: MixtureSpec, nu,
     falls below the threshold collapses to 0 or 1.
     """
     z_lo, z_hi = _z_range(spec)
-    level = log_h_max - k_th * _LN10
-    z_star = float(np.clip(logit(u_star), z_lo, z_hi))
+    pref, k, m = _row_params([params])
+    level = np.array([log_h_max - k_th * _LN10])
+    z_star = np.clip(logit(np.array([u_star], dtype=float)), z_lo, z_hi)
 
-    def f(z):
-        return _log_h_z(z, params, spec, nu)
+    def f(z, rows):
+        return _log_h_z(z, spec, nu, pref[rows], k[rows], m[rows])
 
-    z_l = _crossing(f, level, z_star, z_lo, eps_bisec)
-    z_r = _crossing(f, level, z_star, z_hi, eps_bisec)
-    return (0.0 if z_l is None else float(expit(z_l)),
-            1.0 if z_r is None else float(expit(z_r)))
+    z_l = _level_crossings(f, level, z_star, z_lo, eps_bisec)[0]
+    z_r = _level_crossings(f, level, z_star, z_hi, eps_bisec)[0]
+    return (0.0 if np.isnan(z_l) else float(expit(z_l)),
+            1.0 if np.isnan(z_r) else float(expit(z_r)))
 
 
-def _bracket_z(params: DensityIntegrandParams, spec, nu, cache, k_th, eps_bisec):
-    """``(z_l, z_r, closed)``: the region where g exceeds its maximum less
-    ``k_th`` decades.
+def _bracket_z(spec, nu, pref, k, m, knots, k_th, eps_bisec):
+    """``(z_l, z_r, closed)`` per row: the region where g exceeds its
+    maximum less ``k_th`` decades.
 
     g peaks between the peak of h and z = 0 (outside, both h and the
     Jacobian fall away from it); there it is maximized by bounded Brent
@@ -265,23 +349,25 @@ def _bracket_z(params: DensityIntegrandParams, spec, nu, cache, k_th, eps_bisec)
     at an end of the z range, i.e. mass lies beyond the doubles' reach.
     """
     z_lo, z_hi = _z_range(spec)
-    z_h, _ = _peak_z(params, spec, nu, cache, eps_bisec)
+    z_h, _ = _peak_z(spec, nu, pref, k, m, eps_bisec, knots)
 
-    def f(z):
-        return float(_log_g(z, params, spec, nu))
+    def f(z, rows):
+        return _log_g(z, spec, nu, pref[rows], k[rows], m[rows])
 
-    a, b = sorted((z_h, 0.0))
-    if b - a > eps_bisec:
-        opt = minimize_scalar(lambda z: -f(z), bounds=(a, b), method="bounded",
-                              options={"xatol": eps_bisec})
-        z_g, log_g_max = float(opt.x), -float(opt.fun)
-    else:
-        z_g, log_g_max = a, f(a)
+    a, b = np.minimum(z_h, 0.0), np.maximum(z_h, 0.0)
+    z_g, log_g_max = a.copy(), np.empty(len(m))
+    wide = b - a > eps_bisec
+    rows = np.flatnonzero(wide)
+    if len(rows):
+        z_g[rows], log_g_max[rows] = _brent_max(f, a[rows], b[rows], eps_bisec, rows)
+    rows = np.flatnonzero(~wide)
+    if len(rows):
+        log_g_max[rows] = f(a[rows], rows)
     level = log_g_max - k_th * _LN10
-    z_l = _crossing(f, level, z_g, z_lo, eps_bisec)
-    z_r = _crossing(f, level, z_g, z_hi, eps_bisec)
-    closed = z_l is not None and z_r is not None
-    return (z_lo if z_l is None else z_l), (z_hi if z_r is None else z_r), closed
+    z_l = _level_crossings(f, level, z_g, z_lo, eps_bisec)
+    z_r = _level_crossings(f, level, z_g, z_hi, eps_bisec)
+    closed = ~np.isnan(z_l) & ~np.isnan(z_r)
+    return np.where(np.isnan(z_l), z_lo, z_l), np.where(np.isnan(z_r), z_hi, z_r), closed
 
 
 def log_integral_batch(params_list, spec: MixtureSpec, nu,
@@ -293,14 +379,18 @@ def log_integral_batch(params_list, spec: MixtureSpec, nu,
     inputs with shared mixing realizations (one accumulator row per
     input); inputs that meet the tolerance return immediately.  The rest,
     zero Mahalanobis distance included, go through the adaptive path in
-    the logit coordinate z = logit(u) (see the module docstring): the peak
-    search starts from the crude pass's quantile knots, every bisection
-    and the maximization of g stop at a z-width of ``eps_bisec``, the
-    bracket ends where g falls ``k_th`` decades below its maximum, and
-    RQMC integrates g over the bracket.  A result is unconverged when that
-    RQMC misses the tolerance or when g is still above the threshold at an
-    end of the z range.  A mixing distribution with an atom at w = 0
-    makes the integral diverge at D2 = 0, which raises ``ValueError``.
+    the logit coordinate z = logit(u) (see the module docstring), all
+    together: the peak search starts from the crude pass's quantile
+    knots, every bisection and the maximization of g stop at a z-width of
+    ``eps_bisec``, the bracket ends where g falls ``k_th`` decades below
+    its maximum, and RQMC integrates g over the bracket, each input under
+    its own shifts until it meets the tolerance.  Each step of these
+    searches, and each RQMC batch, evaluates the quantile once for all
+    inputs still running, so the number of quantile calls does not grow
+    with the number of inputs.  A result is unconverged when that RQMC
+    misses the tolerance or when g is still above the threshold at an end
+    of the z range.  A mixing distribution with an atom at w = 0 makes
+    the integral diverge at D2 = 0, which raises ``ValueError``.
     """
     if cfg is None:
         cfg = RqmcConfig()
@@ -309,39 +399,48 @@ def log_integral_batch(params_list, spec: MixtureSpec, nu,
     if N == 0:
         return []
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    prefs = np.array([p.prefactor for p in params_list])
-    ks = np.array([p.shift_k for p in params_list])
-    ms = np.array([p.m for p in params_list])
+    prefs, ks, ms = _row_params(params_list)
+    # An atom of W at 0 may lie below every point of the crude pass; the
+    # smallest u of the logit path meets it.
+    if np.any(ms == 0.0) and _quantile_z(spec, _Z_LO, nu) == 0.0:
+        raise ValueError(_DIVERGES)
 
     seeds = np.random.SeedSequence(seed).spawn(N + 2)
     crude = RqmcAccumulator(1, cfg, seeds[0], log=True)
-    cache = QuantileCache()
+    us, ws = [], []
     for _ in range(min(_PILOT_BATCHES, cfg.i_max)):
         u = np.clip(crude.draw()[:, 0], _U_EPS, 1.0 - _U_EPS)
         w = np.asarray(quantile(spec, u, nu), dtype=float)
         if np.any(w == 0.0) and np.any(ms == 0.0):
             raise ValueError(_DIVERGES)
-        cache.add(u, w)
+        us.append(u)
+        ws.append(w)
         crude.add(_log_h_of_w(w[None, :], prefs[:, None], ks[:, None], ms[:, None]))
 
     results = crude.results()
-    for i, p in enumerate(params_list):
-        if results[i].converged:
-            continue
-        z_l, z_r, closed = _bracket_z(p, spec, nu, cache, k_th, eps_bisec)
-        width = z_r - z_l
+    todo = np.flatnonzero([not r.converged for r in results])
+    if not len(todo):
+        return results
+    us = np.concatenate(us)
+    order = np.argsort(us, kind="stable")
+    knots = us[order], np.concatenate(ws)[order]
+    pref, k, m = prefs[todo], ks[todo], ms[todo]
+    z_l, z_r, closed = _bracket_z(spec, nu, pref, k, m, knots, k_th, eps_bisec)
+    width = z_r - z_l
 
-        def mid_log_g(v, _p=p, _lo=z_l, _w=width):
-            return _log_g(_lo + _w * v[:, 0], _p, spec, nu)
+    def mid_log_g(v, rows):
+        z = z_l[rows, None] + width[rows, None] * v[:, :, 0]
+        return _log_g(z, spec, nu, pref[rows, None], k[rows, None], m[rows, None])
 
-        mid = rqmc_log_estimate(mid_log_g, 1, cfg, seeds[i + 2])
+    mids = _run(mid_log_g, 1, cfg, [seeds[i + 2] for i in todo], log=True)
+    for j, (i, mid) in enumerate(zip(todo, mids)):
         batches = crude.batches + mid.iterations_used
         results[i] = RqmcResult(
-            estimate=math.log(width) + mid.estimate,
+            estimate=math.log(width[j]) + mid.estimate,
             error_estimate=mid.error_estimate,
             n_per_randomization=batches * cfg.n0,
             iterations_used=batches,
-            converged=mid.converged and closed,
+            converged=mid.converged and bool(closed[j]),
         )
     return results
 

@@ -7,9 +7,10 @@ is ever discarded.  One accumulator serves every integral in the package:
 B digital shifts of one Sobol' stream, running means kept either plainly
 or in logarithmic space (a "proper logarithm", so that integrals as small
 as exp(-5000) are handled without underflow), over one or several
-integrands evaluated at the same points, each with its own error and
-tolerance test.  ``rqmc_estimate`` and ``rqmc_log_estimate`` run it for a
-single integrand until the tolerance or the batch cap is reached.
+integrands evaluated at the same points or each under its own shifts,
+each with its own error and tolerance test.  One driver runs a batch of
+integrands, each until it meets the tolerance or the batch cap;
+``rqmc_estimate`` and ``rqmc_log_estimate`` are its one-integrand case.
 """
 
 from __future__ import annotations
@@ -205,41 +206,68 @@ def _combine_log_means(old: np.ndarray, n_old: int, batch: np.ndarray) -> np.nda
 
 class RqmcAccumulator:
     """Running per-randomization means of iterative RQMC for one or more
-    integrands (rows) evaluated at the same points.
+    integrands (rows).
 
     Each :meth:`draw` appends ``n0`` fresh points to each of the ``B``
-    randomizations of one Sobol' stream; :meth:`add` folds the values
-    there into the running means with equal batch weights, plainly or, with
-    ``log=True``, as log-means (a "proper logarithm"), so that integrals as
-    small as exp(-5000) are handled without underflow.  Errors, estimates
-    and the tolerance test are per row.  ``seed=None`` draws fresh random
-    shifts.
+    randomizations of one raw Sobol' stream; :meth:`add` folds the values
+    there into the running means of the given rows with equal batch
+    weights, plainly or, with ``log=True``, as log-means (a "proper
+    logarithm"), so that integrals as small as exp(-5000) are handled
+    without underflow.  ``seed`` is either one seed, whose ``B`` digital
+    shifts every row shares (all rows are evaluated at the same points),
+    or a list with one seed per row, each giving its row its own ``B``
+    shifts of the same raw stream; ``None`` draws fresh random shifts.
+    Errors, estimates, the tolerance test and the batch count are per row.
     """
 
     def __init__(self, dimension: int, cfg: RqmcConfig, seed, log: bool = False):
         self.cfg = cfg
         self.log = log
-        if seed is None:
-            seed = np.random.SeedSequence()
-        self._stream = SobolStream(dimension, seed, n_random=cfg.B)
-        # The empty mean; the first add broadcasts it to (rows, B).
-        self.means = NEG_INF if log else 0.0
+        self.dimension = int(dimension)
+        self._per_row = isinstance(seed, list)
+        seeds = seed if self._per_row else [seed]
+        self._engine = _new_engine(self.dimension)
+        self.shifts = np.stack([
+            derive_shift(np.random.SeedSequence() if s is None else s, (cfg.B, self.dimension))
+            for s in seeds
+        ])
+        # (rows, B) means and per-row batch counts, set up by the first add
+        # under shared shifts.
+        self.means = self.counts = None
+        if self._per_row:
+            self._start(len(seeds))
         self.batches = 0
 
-    def draw(self) -> np.ndarray:
-        """Next batch of all randomizations as one ``(B * n0, dimension)``
-        array, randomization-major."""
-        return self._stream.take(self.cfg.n0).reshape(-1, self._stream.dimension)
+    def _start(self, rows: int) -> None:
+        self.means = np.full((rows, self.cfg.B), NEG_INF if self.log else 0.0)
+        self.counts = np.zeros(rows, dtype=int)
 
-    def add(self, vals: np.ndarray) -> None:
-        """Fold values at the last :meth:`draw`, shape ``(rows, B * n0)``."""
+    def draw(self, rows=None) -> np.ndarray:
+        """Next batch of all randomizations, randomization-major: a
+        ``(B * n0, dimension)`` array under shared shifts, a ``(len(rows),
+        B * n0, dimension)`` array for the given rows (all by default)
+        under per-row shifts."""
+        ints = _draw_raw(self._engine, self.cfg.n0)
+        shifts = self.shifts if rows is None or not self._per_row else self.shifts[rows]
+        pts = ((ints[None, None] ^ shifts[:, :, None, :]) * _SCALE).reshape(
+            len(shifts), -1, self.dimension)
+        return pts if self._per_row else pts[0]
+
+    def add(self, vals: np.ndarray, rows=None) -> None:
+        """Fold values at the last :meth:`draw` into the given rows (all by
+        default), shape ``(len(rows), B * n0)``."""
         cfg = self.cfg
         batch = np.asarray(vals, dtype=float).reshape(-1, cfg.B, cfg.n0)
-        i = self.batches
+        if self.means is None:
+            self._start(len(batch))
+        if rows is None:
+            rows = slice(None)
+        n = self.counts[rows][:, None]
         if self.log:
-            self.means = _combine_log_means(self.means, i, log_mean_exp(batch, axis=2))
+            self.means[rows] = _combine_log_means(self.means[rows], n, log_mean_exp(batch, axis=2))
         else:
-            self.means = (i * self.means + batch.mean(axis=2)) / (i + 1)
+            self.means[rows] = (n * self.means[rows] + batch.mean(axis=2)) / (n + 1)
+        self.counts[rows] += 1
         self.batches += 1
 
     def estimates(self) -> np.ndarray:
@@ -254,13 +282,16 @@ class RqmcAccumulator:
         err = self.cfg.ci_mult * sd / math.sqrt(self.cfg.B)
         return np.where(np.ptp(self.means, axis=1) == 0.0, 0.0, err)
 
+    def converged(self) -> np.ndarray:
+        """Per-row tolerance test."""
+        return _tolerance_met(self.errors(), self.estimates(), self.cfg)
+
     def results(self) -> list[RqmcResult]:
         """One result per row; ``converged`` is the tolerance test."""
         est, err = self.estimates(), self.errors()
-        n = self.batches * self.cfg.n0
         return [
-            RqmcResult(float(e), float(x), n, self.batches, bool(ok))
-            for e, x, ok in zip(est, err, _tolerance_met(err, est, self.cfg))
+            RqmcResult(float(e), float(x), int(c) * self.cfg.n0, int(c), bool(ok))
+            for e, x, c, ok in zip(est, err, self.counts, _tolerance_met(err, est, self.cfg))
         ]
 
 
@@ -273,20 +304,29 @@ def _tolerance_met(err: np.ndarray, estimate: np.ndarray, cfg: RqmcConfig) -> np
     return err <= np.where(scale >= 1e-16, cfg.tol * scale, cfg.tol)
 
 
-def _run(g, dimension: int, cfg: RqmcConfig, seed, log: bool) -> RqmcResult:
-    acc = RqmcAccumulator(dimension, cfg, seed, log)
-    while True:
-        pts = acc.draw()
-        vals = np.asarray(g(pts), dtype=float).reshape(-1)
-        if vals.shape[0] != pts.shape[0]:
+def _run(g, dimension: int, cfg: RqmcConfig, seeds: list, log: bool) -> list[RqmcResult]:
+    """Row-batched RQMC: row ``i`` runs on the shifts of ``seeds[i]`` until it
+    meets the tolerance or ``i_max`` batches are spent.
+
+    All rows advance through one raw Sobol' stream; each iteration calls
+    ``g(pts, rows)`` once with the ``(len(rows), B * n0, dimension)`` points
+    of the rows still running, and it must return one value per point
+    (NaN aborts with the offending point).
+    """
+    acc = RqmcAccumulator(dimension, cfg, list(seeds), log)
+    rows = np.arange(len(seeds))
+    while len(rows):
+        pts = acc.draw(rows)
+        vals = np.asarray(g(pts, rows), dtype=float)
+        if vals.size != pts.shape[0] * pts.shape[1]:
             raise ValueError("integrand must return one value per point")
-        bad = np.flatnonzero(np.isnan(vals))
+        vals = vals.reshape(pts.shape[:2])
+        bad = np.argwhere(np.isnan(vals))
         if len(bad):
-            raise IntegrandNaNError(pts[bad[0]])
-        acc.add(vals)
-        (res,) = acc.results()
-        if res.converged or acc.batches >= cfg.i_max:
-            return res
+            raise IntegrandNaNError(pts[tuple(bad[0])])
+        acc.add(vals, rows)
+        rows = rows[~acc.converged()[rows]] if acc.batches < cfg.i_max else rows[:0]
+    return acc.results()
 
 
 def rqmc_estimate(
@@ -303,7 +343,7 @@ def rqmc_estimate(
     batches of ``n0`` until the CI half width meets the tolerance or
     ``i_max`` batches are spent.
     """
-    return _run(g, dimension, cfg, seed, log=False)
+    return _run(lambda pts, rows: g(pts[0]), dimension, cfg, [seed], log=False)[0]
 
 
 def rqmc_log_estimate(
@@ -319,4 +359,4 @@ def rqmc_log_estimate(
     estimated without underflow.  The error estimate is the CI half width
     of the per-randomization log means.
     """
-    return _run(log_g, dimension, cfg, seed, log=True)
+    return _run(lambda pts, rows: log_g(pts[0]), dimension, cfg, [seed], log=True)[0]

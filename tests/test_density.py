@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import gammaincc, gammaln
+from scipy.special import expit, gammaincc, gammaln
 
 from nvmix.density import (
     DensityIntegrandParams,
-    QuantileCache,
+    _brent_max,
+    _log_g,
+    _peak_z,
+    _row_params,
     closed_log_density,
     log_density_batch,
     log_h,
@@ -123,14 +126,60 @@ class TestPeak:
             peak(density_params(0.0, 3), inverse_gamma(), [4.0])
 
     def test_cache_reuse(self):
+        # Seeding the search from quantile knots, as log_integral_batch
+        # does with its crude pass's, lands on the unseeded search's peak.
         p = density_params(25.0, 5)
-        cache = QuantileCache()
+        spec, nu = inverse_gamma(), [3.0]
         u = np.linspace(0.01, 0.99, 99)
-        cache.add(u, quantile(inverse_gamma(), u, [3.0]))
-        u1, h1 = peak(p, inverse_gamma(), [3.0], cache)
-        u2, h2 = peak(p, inverse_gamma(), [3.0])
-        assert u1 == pytest.approx(u2, abs=2e-6)
-        assert h1 == h2
+        knots = (u, quantile(spec, u, nu))
+        z1, h1 = _peak_z(spec, nu, *_row_params([p]), 1e-6, knots)
+        u2, h2 = peak(p, spec, nu)
+        assert expit(z1[0]) == pytest.approx(u2, abs=2e-6)
+        assert h1[0] == h2
+
+
+def _scipy_brent_max(f, a, b, xatol):
+    from scipy.optimize import minimize_scalar
+
+    opt = minimize_scalar(lambda z: -f(z), bounds=(a, b), method="bounded",
+                          options={"xatol": xatol})
+    return opt.x, -opt.fun
+
+
+def test_brent_mirror_matches_scipy():
+    # The batched maximization of g must end exactly where scipy's bounded
+    # Brent ends for each row alone: any other maximizer moves the bracket
+    # and with it every adaptive estimate.  Besides the density's g, rows
+    # with kinks, several local maxima and flat stretches exercise the
+    # golden-section, near-end and tie branches.
+    spec, nu = inverse_gamma(), [4.0]
+    pref, k, m = _row_params([density_params(v, 10) for v in (0.5, 3.0, 640.0, 1.6e4, 1e8)])
+
+    def log_g(z, rows):
+        return _log_g(z, spec, nu, pref[rows], k[rows], m[rows])
+
+    z_h, _ = _peak_z(spec, nu, pref, k, m, 1e-6)
+    shapes = [
+        lambda z: -np.abs(z - 0.3),
+        lambda z: np.sin(3.0 * z) - 0.1 * z * z,
+        lambda z: np.minimum(z, 1.0),
+        lambda z: np.floor(4.0 * np.cos(z)),
+        lambda z: z ** 3 - 3.0 * z,
+        lambda z: -np.exp(z),
+        lambda z: np.where(z > -1.18, -(z - 4.9) ** 2, -50.0),
+        lambda z: -(z - 4.99) ** 4,
+    ]
+    cases = [(log_g, np.minimum(z_h, 0.0), np.maximum(z_h, 0.0), 1e-6)] + [
+        (lambda z, rows: np.choose(rows, [s(z) for s in shapes]),
+         np.full(len(shapes), -5.0), np.full(len(shapes), 5.0), xatol)
+        for xatol in (1e-4, 1e-6)]
+    for f, a, b, xatol in cases:
+        rows = np.arange(len(a))
+        z_max, f_max = _brent_max(f, a, b, xatol, rows)
+        for i in rows:
+            want = _scipy_brent_max(lambda z: float(f(np.array([z]), rows[i:i + 1])[0]),
+                                    a[i], b[i], xatol)
+            assert (z_max[i], f_max[i]) == want
 
 
 def symmetric_toy_quantile():
@@ -444,16 +493,73 @@ def test_crude_pass_honours_relative_tolerance():
     assert res.iterations_used > 4
 
 
-@pytest.mark.parametrize("u_atom", [0.1, 1e-12], ids=["seen-by-crude-pass", "found-by-peak-search"])
-def test_atom_at_zero_diverges_at_center(u_atom):
+@pytest.mark.parametrize(
+    "u_atom,flat",
+    [(0.1, False), (1e-12, False), (1e-9, True)],
+    ids=["seen-by-crude-pass", "found-by-peak-search", "below-crude-resolution"],
+)
+def test_atom_at_zero_diverges_at_center(u_atom, flat):
     # P(W = 0) > 0 makes the density at x = loc infinite.  An atom of mass
-    # 0.1 shows up among the crude pass's points; one of mass 1e-12 does
-    # not (there h = 1/w = 1/u is not integrable either, so the crude pass
-    # cannot settle) and is met by the peak search.
-    spec = blackbox(lambda u, nu: np.where(u < u_atom, 0.0, np.minimum(u / 0.1, 1.0)), 0)
-    model = NvmModel.build(None, np.eye(2), spec, [])
+    # 0.1 shows up among the crude pass's points; atoms of mass 1e-12 and
+    # 1e-9 do not.  Above the 1e-12 atom h = 1/w = 1/(10 u) is not
+    # integrable, so the crude pass cannot settle that row; above the 1e-9
+    # atom h is constant, which the crude pass would settle with zero
+    # spread.  Both are met by the quantile at the smallest u of the logit
+    # path.
+    def q(u, nu):
+        return np.where(u < u_atom, 0.0, 1.0 if flat else np.minimum(u / 0.1, 1.0))
+
+    model = NvmModel.build(None, np.eye(2), blackbox(q, 0), [])
     with pytest.raises(ValueError, match="diverges at w = 0"):
         log_density_batch(np.zeros((1, 2)), model, seed=0)
+
+
+def _ig_rows(D2s, d=10):
+    return [density_params(float(v), d) for v in D2s]
+
+
+@pytest.mark.parametrize("swap", [1e10, 0.0], ids=["far-tail", "center"])
+@pytest.mark.parametrize(
+    "cfg", [RqmcConfig(tol=1e-3), RqmcConfig(tol=1e-13, i_max=3)], ids=["default", "capped"])
+def test_batch_rows_are_independent(cfg, swap):
+    # Rows share the crude pass's points and the adaptive path's quantile
+    # calls but nothing else: replacing one row leaves every other row's
+    # result exactly as it was.  Under the capped configuration the rows'
+    # RQMC stops at different batches (two, or the cap of three
+    # unconverged), so a row that stops early or runs on must not shift
+    # the others' points.
+    D2s = [0.5, 3.0, 10.0, 640.0, 1.6e4, 2e5, 1e6]
+    spec, nu = inverse_gamma(), [4.0]
+    ref = log_integral_batch(_ig_rows(D2s), spec, nu, cfg, seed=2)
+    got = log_integral_batch(_ig_rows(D2s[:4] + [swap] + D2s[5:]), spec, nu, cfg, seed=2)
+    assert [r for i, r in enumerate(got) if i != 4] == [r for i, r in enumerate(ref) if i != 4]
+    assert got[4] != ref[4]
+    if cfg.i_max == 3:
+        assert {r.iterations_used for r in ref} == {5, 6}
+        assert not ref[4].converged and got[4].converged
+
+
+def test_quantile_calls_do_not_grow_with_pending_points(monkeypatch):
+    # Far-tail points all take the adaptive path; each search step and
+    # each RQMC batch makes one quantile call for all of them.
+    import nvmix.density as density
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[1]))
+        return quantile(*args, **kwargs)
+
+    monkeypatch.setattr(density, "quantile", counted)
+    counts = {}
+    for n in (10, 200):
+        calls.clear()
+        res = log_integral_batch(_ig_rows(np.logspace(5, 9, n)), inverse_gamma(), [4.0],
+                                 RqmcConfig(), seed=1)
+        assert all(r.iterations_used > 4 and r.converged for r in res)
+        counts[n] = len(calls)
+    assert counts[200] == counts[10]
+    assert counts[10] < 200
 
 
 def test_remark_shift_generalization():
