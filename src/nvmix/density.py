@@ -216,7 +216,8 @@ def _peak_z(spec, nu, pref, k, m, eps_bisec, knots=None) -> tuple[np.ndarray, np
     inner = np.flatnonzero(~(at_lo | at_hi))
     if np.any(m[inner] == 0.0):  # quantile(expit(lo)) <= w* = 0
         raise ValueError(_DIVERGES)
-    # math.log, as in the one-point closed form the golden values pin.
+    # math.log per row: numpy's array log may differ from it in the last
+    # bit, and fixed-seed results pin these heights.
     log_h_max[inner] = [p - kk * (math.log(mm) - math.log(kk)) - kk
                         for p, kk, mm in zip(pref[inner], k[inner], m[inner])]
     return z, log_h_max
@@ -418,7 +419,7 @@ def log_integral_batch(params_list, spec: MixtureSpec, nu,
         crude.add(_log_h_of_w(w[None, :], prefs[:, None], ks[:, None], ms[:, None]))
 
     results = crude.results()
-    todo = np.flatnonzero([not r.converged for r in results])
+    todo = np.flatnonzero(~crude.converged())
     if not len(todo):
         return results
     us = np.concatenate(us)

@@ -193,9 +193,10 @@ def log_mean_exp(values: np.ndarray, axis=None) -> np.ndarray | float:
     return out
 
 
-def _combine_log_means(old: np.ndarray, n_old: int, batch: np.ndarray) -> np.ndarray:
-    """Running log-mean update: log((n*e^old + e^batch)/(n+1)) elementwise;
-    ``batch`` itself when ``n = 0``."""
+def _combine_log_means(old: np.ndarray, n_old, batch: np.ndarray) -> np.ndarray:
+    """Running log-mean update: log((n*e^old + e^batch)/(n+1)) elementwise,
+    ``n_old`` broadcasting against the means; ``batch`` itself when
+    ``n = 0``."""
     m = np.maximum(old, batch)
     safe_m = np.where(np.isfinite(m), m, 0.0)
     mixed = (n_old * np.exp(old - safe_m) + np.exp(batch - safe_m)) / (n_old + 1)
