@@ -21,10 +21,9 @@ bisection or maximization step evaluates the quantile once for every
 input whose search still runs, and the RQMC runs as one block, each
 input under its own digital shifts until it meets the tolerance.  The
 number of quantile calls thus grows with the number of steps, not with
-the number of inputs.  The same
-machinery integrates any integrand of the form
-c * w^(-k) * exp(-m/w), which covers the posterior weights needed for
-fitting and the Mahalanobis-distance density.
+the number of inputs.  The same machinery integrates any integrand of
+the form c * w^(-k) * exp(-m/w), which covers the posterior weights
+needed for fitting and the Mahalanobis-distance density.
 """
 
 from __future__ import annotations
