@@ -94,14 +94,15 @@ class SobolStream:
     ----------
     dimension : int
         Number of coordinates (limited by the direction-number table).
-    seed : int, SeedSequence or None
+    seed : int, SeedSequence, None, or a list of these
         Seed from which the digital shifts are derived; ``None`` gives the
-        raw (unrandomized) sequence.
+        raw (unrandomized) sequence.  A list derives ``n_random`` shifts
+        from each of its seeds, one seed's after the other.
     skip : int
         Number of leading points to discard.
     n_random : int
-        Number of randomizations; all advance in lockstep, so one raw
-        draw serves all of them.
+        Number of randomizations (per seed); all advance in lockstep, so
+        one raw draw serves all of them.
 
     Requesting ``n`` points and then ``m`` points returns exactly the
     same values as requesting ``n + m`` points at once.
@@ -109,7 +110,9 @@ class SobolStream:
 
     def __init__(self, dimension: int, seed=None, skip: int = 0, n_random: int = 1):
         self.dimension = int(dimension)
-        self.shifts = derive_shift(seed, (int(n_random), self.dimension))
+        seeds = seed if isinstance(seed, list) else [seed]
+        self.shifts = np.concatenate(
+            [derive_shift(s, (int(n_random), self.dimension)) for s in seeds])
         self._engine = _new_engine(self.dimension)
         self.skip = 0
         if skip:
@@ -120,14 +123,16 @@ class SobolStream:
         self.skip += n
         return self
 
-    def take(self, n: int) -> np.ndarray:
-        """Next ``n`` points as an ``(n_random, n, dimension)`` array;
+    def take(self, n: int, which=None) -> np.ndarray:
+        """Next ``n`` points under every shift, as a ``(len(shifts), n,
+        dimension)`` array, or under the shifts indexed by ``which`` only;
         advances the stream."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         ints = _draw_raw(self._engine, n)
         self.skip += n
-        return (ints[None, :, :] ^ self.shifts[:, None, :]) * _SCALE
+        shifts = self.shifts if which is None else self.shifts[which]
+        return (ints[None, :, :] ^ shifts[:, None, :]) * _SCALE
 
 
 @dataclass(frozen=True)
@@ -224,14 +229,10 @@ class RqmcAccumulator:
     def __init__(self, dimension: int, cfg: RqmcConfig, seed, log: bool = False):
         self.cfg = cfg
         self.log = log
-        self.dimension = int(dimension)
         self._per_row = isinstance(seed, list)
-        seeds = seed if self._per_row else [seed]
-        self._engine = _new_engine(self.dimension)
-        self.shifts = np.stack([
-            derive_shift(np.random.SeedSequence() if s is None else s, (cfg.B, self.dimension))
-            for s in seeds
-        ])
+        seeds = [np.random.SeedSequence() if s is None else s
+                 for s in (seed if self._per_row else [seed])]
+        self._stream = SobolStream(dimension, seeds, n_random=cfg.B)
         # (rows, B) means and per-row batch counts, set up by the first add
         # under shared shifts.
         self.means = self.counts = None
@@ -248,11 +249,11 @@ class RqmcAccumulator:
         ``(B * n0, dimension)`` array under shared shifts, a ``(len(rows),
         B * n0, dimension)`` array for the given rows (all by default)
         under per-row shifts."""
-        ints = _draw_raw(self._engine, self.cfg.n0)
-        shifts = self.shifts if rows is None or not self._per_row else self.shifts[rows]
-        pts = ((ints[None, None] ^ shifts[:, :, None, :]) * _SCALE).reshape(
-            len(shifts), -1, self.dimension)
-        return pts if self._per_row else pts[0]
+        B, n0, dim = self.cfg.B, self.cfg.n0, self._stream.dimension
+        if not self._per_row:
+            return self._stream.take(n0).reshape(-1, dim)
+        which = None if rows is None else (np.asarray(rows)[:, None] * B + np.arange(B)).ravel()
+        return self._stream.take(n0, which).reshape(-1, B * n0, dim)
 
     def add(self, vals: np.ndarray, rows=None) -> None:
         """Fold values at the last :meth:`draw` into the given rows (all by
