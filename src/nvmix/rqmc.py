@@ -8,7 +8,7 @@ B digital shifts of one Sobol' stream, running means kept either plainly
 or in logarithmic space (a "proper logarithm", so that integrals as small
 as exp(-5000) are handled without underflow), over one or several
 integrands evaluated at the same points or each under its own shifts,
-each with its own error and tolerance test.  One driver runs a batch of
+each with its own error and tolerance test.  One loop runs a batch of
 integrands, each until it meets the tolerance or the batch cap;
 ``rqmc_estimate`` and ``rqmc_log_estimate`` are its one-integrand case.
 """
