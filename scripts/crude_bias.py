@@ -10,19 +10,13 @@ where the integrand's peak sits.
     PYTHONPATH=src python3 scripts/crude_bias.py [n_seeds]
 """
 
+import math
 import sys
 
 import numpy as np
 from scipy.special import expit
 
-from nvmix.density import (
-    DensityIntegrandParams,
-    _log_g,
-    _log_h_of_w,
-    _peak_z,
-    _row_params,
-    closed_log_density,
-)
+from nvmix.density import _log_g, _log_h_of_w, _peak_z, closed_log_density
 from nvmix.mixtures import inverse_gamma, quantile
 from nvmix.model import NvmModel
 from nvmix.rqmc import RqmcConfig, rqmc_log_estimate
@@ -31,15 +25,18 @@ from nvmix.rqmc import RqmcConfig, rqmc_log_estimate
 def main(n_seeds: int = 300) -> None:
     d, spec, nu = 10, inverse_gamma(), [4.0]
     model = NvmModel.build(None, np.eye(d), spec, nu)
+    # The integrand's prefactor, shift k and halved distance m, one row.
+    pref, k = np.array([-0.5 * d * math.log(2.0 * math.pi)]), np.array([d / 2])
     for c in (8.0, 40.0):
         x = np.full(d, c)
-        p = DensityIntegrandParams(D2=float(x @ x), d=d, log_det=0.0, shift_k=d / 2)
+        D2 = float(x @ x)
+        m = np.array([0.5 * D2])
         truth = float(closed_log_density(model, x))
 
-        def crude_log_g(v, p=p):
+        def crude_log_g(v, m=m):
             u = np.clip(v[:, 0], 1e-16, 1 - 1e-16)
             w = np.asarray(quantile(spec, u, nu), dtype=float)
-            return _log_h_of_w(w, p.prefactor, p.shift_k, p.m)
+            return _log_h_of_w(w, pref, k, m)
 
         runs = [rqmc_log_estimate(crude_log_g, 1, RqmcConfig(i_max=4), seed=s)
                 for s in range(n_seeds)]
@@ -47,14 +44,13 @@ def main(n_seeds: int = 300) -> None:
 
         # Peak of h in 1 - u, and the width in u of the region where the
         # integrand in u is within 1 nat of its maximum.
-        pref, k, m = _row_params([p])
         z_star = float(_peak_z(spec, nu, pref, k, m, 1e-9)[0][0])
         z = np.linspace(z_star - 10.0, z_star + 10.0, 20001)
         log_hu = _log_g(z, spec, nu, pref, k, m) - np.log(expit(z) * expit(-z))
         near = z[log_hu >= log_hu.max() - 1.0]
         width = expit(-near[0]) - expit(-near[-1])
 
-        print(f"D2 = {p.D2:g}: log f = {truth:.2f}, 1 - u* = {expit(-z_star):.2g}, "
+        print(f"D2 = {D2:g}: log f = {truth:.2f}, 1 - u* = {expit(-z_star):.2g}, "
               f"width within 1 nat of the peak = {width:.2g}")
         print(f"  crude error over {n_seeds} seeds: mean {err.mean():+.3f}, sd {err.std():.3f}, "
               f"max |err| {np.abs(err).max():.3f}, share below -1 {np.mean(err < -1):.3f}, "

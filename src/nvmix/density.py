@@ -29,7 +29,6 @@ needed for fitting and the Mahalanobis-distance density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, gammainc, gammaln, log_expit, logit
@@ -42,8 +41,6 @@ from .model import NvmModel
 from .rqmc import RqmcAccumulator, RqmcConfig, RqmcResult, _run, rqmc_log_estimate  # noqa: F401
 
 __all__ = [
-    "DensityIntegrandParams",
-    "log_h",
     "peak",
     "region_bounds",
     "log_integral_batch",
@@ -56,6 +53,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _LN10 = math.log(10.0)
 _U_EPS = 1e-16
 _DIVERGES = "integrand diverges at w = 0 when D2 = 0"
+# The adaptive path's bracket ends where g falls _K_TH decades below its
+# maximum; its searches stop at a z-width of _EPS_BISEC.
+_K_TH = 10.0
+_EPS_BISEC = 1e-6
 # Batches of the crude pass that every input of log_integral_batch gets.
 _PILOT_BATCHES = 4
 # Range of the logit coordinate: expit(z) and expit(-z) are positive
@@ -65,41 +66,6 @@ _Z_LO = math.log(np.finfo(float).tiny)
 _Z_HI_BLACKBOX = -math.log(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class DensityIntegrandParams:
-    """Parameters of the one-dimensional mixing integrand.
-
-    The integrand is ``exp(log_coeff) * w^(-shift_k) * exp(-D2/(2w))``
-    with ``w`` the mixing quantile.  ``shift_k = d/2`` gives the density
-    of the mixture; ``d/2 + 1`` gives the numerator of the posterior
-    mean of 1/W used by the fitting algorithm.  When ``log_coeff`` is
-    omitted it defaults to the Gaussian normalizing constant
-    ``-(d/2) log(2 pi) - log_det/2``.
-    """
-
-    D2: float
-    d: int
-    log_det: float
-    shift_k: float
-    log_coeff: float | None = None
-
-    def __post_init__(self):
-        if self.D2 < 0:
-            raise ValueError("D2 must be non-negative")
-        if not self.shift_k > 0:
-            raise ValueError("shift_k must be positive")
-
-    @property
-    def m(self) -> float:
-        return 0.5 * self.D2
-
-    @property
-    def prefactor(self) -> float:
-        if self.log_coeff is not None:
-            return self.log_coeff
-        return -0.5 * self.d * _LOG_2PI - 0.5 * self.log_det
-
-
 def _log_h_of_w(w, pref, k, m) -> np.ndarray:
     """log integrand from quantile values; broadcasts params against w."""
     w = np.asarray(w, dtype=float)
@@ -107,27 +73,22 @@ def _log_h_of_w(w, pref, k, m) -> np.ndarray:
     return np.where(w > 0.0, pref - k * np.log(safe) - m / safe, -np.inf)
 
 
-def log_h(u, params: DensityIntegrandParams, spec: MixtureSpec, nu) -> np.ndarray | float:
-    """Log of the mixing integrand at ``u`` in (0,1)."""
-    w = quantile(spec, u, nu)
-    w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-    if params.D2 <= 0.0 and np.any(w_arr == 0.0):
-        raise ValueError(_DIVERGES)
-    out = _log_h_of_w(w_arr, params.prefactor, params.shift_k, params.m)
-    if np.isscalar(w):
-        return float(out[0])
-    return out
-
-
 def _z_range(spec: MixtureSpec) -> tuple[float, float]:
     return _Z_LO, (_Z_HI_BLACKBOX if spec.kind == "blackbox" else -_Z_LO)
 
 
-def _row_params(params_list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Prefactors, shifts k and halved distances m of the integrands."""
-    return (np.array([p.prefactor for p in params_list]),
-            np.array([p.shift_k for p in params_list]),
-            np.array([p.m for p in params_list]))
+def _row_arrays(D2, shift_k, prefactor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prefactors, shifts k and halved distances m = D2/2 of the
+    integrands, one row per entry of the 1-D ``D2``."""
+    D2 = np.asarray(D2, dtype=float)
+    if D2.ndim != 1:
+        raise ValueError("D2 must be one-dimensional")
+    if not np.all(D2 >= 0.0):
+        raise ValueError("D2 must be non-negative")
+    k = np.broadcast_to(np.asarray(shift_k, dtype=float), D2.shape)
+    if not np.all(k > 0.0):
+        raise ValueError("shift_k must be positive")
+    return np.broadcast_to(np.asarray(prefactor, dtype=float), D2.shape), k, 0.5 * D2
 
 
 def _quantile_z(spec, z, nu):
@@ -139,7 +100,7 @@ def _quantile_z(spec, z, nu):
 
 
 def _log_h_z(z, spec, nu, pref, k, m):
-    """log_h at u = expit(z); the parameters broadcast against z."""
+    """log h at u = expit(z); the parameters broadcast against z."""
     return _log_h_of_w(_quantile_z(spec, z, nu), pref, k, m)
 
 
@@ -291,9 +252,10 @@ def _brent_max(f, a, b, xatol, rows) -> tuple[np.ndarray, np.ndarray]:
     return state[2], -state[3]
 
 
-def peak(params: DensityIntegrandParams, spec: MixtureSpec, nu,
-         eps_bisec: float = 1e-6) -> tuple[float, float]:
-    """Location and height of the integrand's peak.
+def peak(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec, nu,
+         eps_bisec: float = _EPS_BISEC) -> tuple[float, float]:
+    """Location and height of the peak of one integrand of
+    :func:`log_integral_batch`.
 
     Solves ``quantile(u) = D2 / (2 shift_k)`` by bisection in
     z = logit(u); this is the one-point case of the search that
@@ -307,16 +269,17 @@ def peak(params: DensityIntegrandParams, spec: MixtureSpec, nu,
     collapses to the boundary and the integrand is evaluated there
     instead.
     """
-    if params.D2 <= 0.0:
+    if D2 <= 0.0:
         raise ValueError("peak undefined for D2 = 0; use the crude path")
-    z_star, log_h_max = _peak_z(spec, nu, *_row_params([params]), eps_bisec)
+    z_star, log_h_max = _peak_z(spec, nu, *_row_arrays([D2], shift_k, prefactor), eps_bisec)
     return float(expit(z_star[0])), float(log_h_max[0])
 
 
-def region_bounds(params: DensityIntegrandParams, spec: MixtureSpec, nu,
-                  u_star: float, log_h_max: float, k_th: float = 10.0,
-                  eps_bisec: float = 1e-6) -> tuple[float, float]:
-    """Bracket {u : log_h(u) > log_h_max - k_th * log 10}.
+def region_bounds(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec, nu,
+                  u_star: float, log_h_max: float, k_th: float = _K_TH,
+                  eps_bisec: float = _EPS_BISEC) -> tuple[float, float]:
+    """Bracket {u : log h(u) > log_h_max - k_th * log 10} of one integrand
+    h of :func:`log_integral_batch`.
 
     Each end is found by bisection in z = logit(u) between u_star and that
     end of the z range, down to a z-width of ``eps_bisec`` (a relative
@@ -325,7 +288,7 @@ def region_bounds(params: DensityIntegrandParams, spec: MixtureSpec, nu,
     falls below the threshold collapses to 0 or 1.
     """
     z_lo, z_hi = _z_range(spec)
-    pref, k, m = _row_params([params])
+    pref, k, m = _row_arrays([D2], shift_k, prefactor)
     level = np.array([log_h_max - k_th * _LN10])
     z_star = np.clip(logit(np.array([u_star], dtype=float)), z_lo, z_hi)
 
@@ -338,42 +301,48 @@ def region_bounds(params: DensityIntegrandParams, spec: MixtureSpec, nu,
             1.0 if np.isnan(z_r) else float(expit(z_r)))
 
 
-def _bracket_z(spec, nu, pref, k, m, knots, k_th, eps_bisec):
+def _bracket_z(spec, nu, pref, k, m, knots):
     """``(z_l, z_r, closed)`` per row: the region where g exceeds its
-    maximum less ``k_th`` decades.
+    maximum less ``_K_TH`` decades.
 
     g peaks between the peak of h and z = 0 (outside, both h and the
     Jacobian fall away from it); there it is maximized by bounded Brent
-    to an ``eps_bisec`` z-tolerance, and each end of the region is found
+    to an ``_EPS_BISEC`` z-tolerance, and each end of the region is found
     by bisection.  ``closed`` is False when g still exceeds the threshold
     at an end of the z range, i.e. mass lies beyond the doubles' reach.
     """
     z_lo, z_hi = _z_range(spec)
-    z_h, _ = _peak_z(spec, nu, pref, k, m, eps_bisec, knots)
+    z_h, _ = _peak_z(spec, nu, pref, k, m, _EPS_BISEC, knots)
 
     def f(z, rows):
         return _log_g(z, spec, nu, pref[rows], k[rows], m[rows])
 
     a, b = np.minimum(z_h, 0.0), np.maximum(z_h, 0.0)
     z_g, log_g_max = a.copy(), np.empty(len(m))
-    wide = b - a > eps_bisec
+    wide = b - a > _EPS_BISEC
     rows = np.flatnonzero(wide)
     if len(rows):
-        z_g[rows], log_g_max[rows] = _brent_max(f, a[rows], b[rows], eps_bisec, rows)
+        z_g[rows], log_g_max[rows] = _brent_max(f, a[rows], b[rows], _EPS_BISEC, rows)
     rows = np.flatnonzero(~wide)
     if len(rows):
         log_g_max[rows] = f(a[rows], rows)
-    level = log_g_max - k_th * _LN10
-    z_l = _level_crossings(f, level, z_g, z_lo, eps_bisec)
-    z_r = _level_crossings(f, level, z_g, z_hi, eps_bisec)
+    level = log_g_max - _K_TH * _LN10
+    z_l = _level_crossings(f, level, z_g, z_lo, _EPS_BISEC)
+    z_r = _level_crossings(f, level, z_g, z_hi, _EPS_BISEC)
     closed = ~np.isnan(z_l) & ~np.isnan(z_r)
     return np.where(np.isnan(z_l), z_lo, z_l), np.where(np.isnan(z_r), z_hi, z_r), closed
 
 
-def log_integral_batch(params_list, spec: MixtureSpec, nu,
-                       cfg: RqmcConfig | None = None, seed: int | None = None,
-                       *, k_th: float = 10.0, eps_bisec: float = 1e-6) -> list[RqmcResult]:
+def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
+                       cfg: RqmcConfig | None = None,
+                       seed: int | None = None) -> list[RqmcResult]:
     """Estimate ``log int_0^1 h_i(u) du`` for a batch of mixing integrands.
+
+    Row i integrates ``exp(prefactor) w^(-shift_k) exp(-D2/(2w))`` with
+    ``w`` the mixing quantile at u: ``shift_k = d/2`` gives the density,
+    ``d/2 + 1`` the numerator of E[1/W | x] used by the fitting algorithm.
+    ``D2`` is 1-D and non-negative; ``shift_k`` (positive) and
+    ``prefactor`` broadcast against it.
 
     A crude log-space RQMC pass of ``_PILOT_BATCHES`` batches runs on all
     inputs with shared mixing realizations (one accumulator row per
@@ -382,7 +351,7 @@ def log_integral_batch(params_list, spec: MixtureSpec, nu,
     the logit coordinate z = logit(u) (see the module docstring), all
     together: the peak search starts from the crude pass's quantile
     knots, every bisection and the maximization of g stop at a z-width of
-    ``eps_bisec``, the bracket ends where g falls ``k_th`` decades below
+    ``_EPS_BISEC``, the bracket ends where g falls ``_K_TH`` decades below
     its maximum, and RQMC integrates g over the bracket, each input under
     its own shifts until it meets the tolerance.  Each step of these
     searches, and each RQMC batch, evaluates the quantile once for all
@@ -394,12 +363,11 @@ def log_integral_batch(params_list, spec: MixtureSpec, nu,
     """
     if cfg is None:
         cfg = RqmcConfig()
-    params_list = list(params_list)
-    N = len(params_list)
+    prefs, ks, ms = _row_arrays(D2, shift_k, prefactor)
+    N = len(ms)
     if N == 0:
         return []
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    prefs, ks, ms = _row_params(params_list)
     # An atom of W at 0 may lie below every point of the crude pass; the
     # smallest u of the logit path meets it.
     if np.any(ms == 0.0) and _quantile_z(spec, _Z_LO, nu) == 0.0:
@@ -425,7 +393,7 @@ def log_integral_batch(params_list, spec: MixtureSpec, nu,
     order = np.argsort(us, kind="stable")
     knots = us[order], np.concatenate(ws)[order]
     pref, k, m = prefs[todo], ks[todo], ms[todo]
-    z_l, z_r, closed = _bracket_z(spec, nu, pref, k, m, knots, k_th, eps_bisec)
+    z_l, z_r, closed = _bracket_z(spec, nu, pref, k, m, knots)
     width = z_r - z_l
 
     def mid_log_g(v, rows):
@@ -446,8 +414,7 @@ def log_integral_batch(params_list, spec: MixtureSpec, nu,
 
 
 def log_density_batch(X, model: NvmModel, cfg: RqmcConfig | None = None,
-                      seed: int | None = None, *, k_th: float = 10.0,
-                      eps_bisec: float = 1e-6) -> list[RqmcResult]:
+                      seed: int | None = None) -> list[RqmcResult]:
     """Estimate log f(x_i) for the rows of ``X`` under the mixture model.
 
     Constant mixtures short-circuit to the exact Gaussian log-density.
@@ -462,14 +429,8 @@ def log_density_batch(X, model: NvmModel, cfg: RqmcConfig | None = None,
         return [RqmcResult(float(v), 0.0, 0, 0, True) for v in closed_log_density(model, X)]
 
     d2 = np.asarray(mahalanobis_sq(X, model.loc, model.factor), dtype=float)
-    log_det = model.log_det
-    params = [
-        DensityIntegrandParams(D2=float(v), d=d, log_det=log_det, shift_k=d / 2.0)
-        for v in d2
-    ]
-    return log_integral_batch(
-        params, model.spec, model.nu, cfg, seed, k_th=k_th, eps_bisec=eps_bisec
-    )
+    prefactor = -0.5 * d * _LOG_2PI - 0.5 * model.log_det
+    return log_integral_batch(d2, d / 2.0, prefactor, model.spec, model.nu, cfg, seed)
 
 
 def log_lower_incomplete_gamma(z: float, x) -> np.ndarray | float:

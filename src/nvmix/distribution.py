@@ -26,7 +26,6 @@ __all__ = [
     "Hyperrectangle",
     "ReorderedProblem",
     "reorder",
-    "integrand_g",
     "prob",
     "prob_singular",
 ]
@@ -239,18 +238,6 @@ def _box_integrand(a0, b0, factor: ScaleFactor, spec: MixtureSpec, nu) -> BoxInt
         spec=spec,
         nu=nu,
     )
-
-
-def integrand_g(u, problem: ReorderedProblem, spec: MixtureSpec, nu) -> np.ndarray | float:
-    """Separation-of-variables integrand for a full-rank reordered problem.
-
-    Accepts a single point in (0,1)^d or an (n, d) batch.
-    """
-    f = _box_integrand(problem.a, problem.b, problem.factor, spec, nu)
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        return float(f(u[None, :])[0])
-    return f(u)
 
 
 def _antithetic(f):

@@ -89,8 +89,7 @@ def _check_square_symmetric(sigma: np.ndarray) -> None:
         raise ValueError("scale matrix must be symmetric")
 
 
-def cholesky(sigma: np.ndarray, *, allow_singular: bool = False,
-             tol_zero: float | None = None) -> ScaleFactor:
+def cholesky(sigma: np.ndarray, *, allow_singular: bool = False) -> ScaleFactor:
     """Cholesky factor of a symmetric positive-definite matrix.
 
     With ``allow_singular=True`` a non-PD pivot routes the input to
@@ -103,7 +102,7 @@ def cholesky(sigma: np.ndarray, *, allow_singular: bool = False,
         C = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         if allow_singular:
-            return singular_cholesky(sigma, tol_zero=tol_zero)
+            return singular_cholesky(sigma)
         raise ValueError("scale matrix is not positive definite") from None
     return ScaleFactor(
         C=C,
@@ -114,12 +113,12 @@ def cholesky(sigma: np.ndarray, *, allow_singular: bool = False,
     )
 
 
-def singular_cholesky(sigma: np.ndarray, tol_zero: float | None = None) -> ScaleFactor:
+def singular_cholesky(sigma: np.ndarray) -> ScaleFactor:
     """Staircase factorization of a positive-semidefinite matrix.
 
     Rows are processed in natural order; a row whose residual variance
-    falls below ``tol_zero`` is dependent and is filed behind the pivot of
-    the last column it loads on.  Each row is then scaled so its entry in
+    falls below 1e-10 times the largest diagonal entry is dependent and is
+    filed behind the pivot of the last column it loads on.  Each row is then scaled so its entry in
     its block column equals one.  Full-rank inputs come out unpermuted
     with unit-pivot scaling as the only difference from :func:`cholesky`.
     """
@@ -130,8 +129,7 @@ def singular_cholesky(sigma: np.ndarray, tol_zero: float | None = None) -> Scale
     diag_max = float(diag.max(initial=0.0))
     if diag_max <= 0.0:
         raise ValueError("scale matrix has rank 0")
-    if tol_zero is None:
-        tol_zero = 1e-10 * diag_max
+    tol_zero = 1e-10 * diag_max
 
     zero_rows = np.flatnonzero(diag <= tol_zero)
     active = np.flatnonzero(diag > tol_zero)

@@ -24,8 +24,7 @@ class NvmModel:
     factor: ScaleFactor
 
     @classmethod
-    def build(cls, loc, scale, spec: MixtureSpec, nu, *,
-              allow_singular: bool = True) -> "NvmModel":
+    def build(cls, loc, scale, spec: MixtureSpec, nu) -> "NvmModel":
         scale = np.asarray(scale, dtype=float)
         if scale.ndim == 0:
             scale = scale.reshape(1, 1)
@@ -36,7 +35,7 @@ class NvmModel:
         if loc.shape != (d,):
             raise ValueError(f"location must have length {d}, got {loc.shape}")
         nu = np.atleast_1d(np.asarray(nu, dtype=float))
-        factor = cholesky(scale, allow_singular=allow_singular)
+        factor = cholesky(scale, allow_singular=True)
         return cls(loc=loc, scale=scale, spec=spec, nu=nu, factor=factor)
 
     @property

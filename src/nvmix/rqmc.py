@@ -18,10 +18,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 from scipy.stats import qmc
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "RqmcConfig",
     "RqmcResult",
     "IntegrandNaNError",
-    "lse",
     "rqmc_estimate",
     "rqmc_log_estimate",
     "RqmcAccumulator",
@@ -174,14 +172,6 @@ class RqmcResult:
     n_per_randomization: int
     iterations_used: int
     converged: bool
-
-
-def lse(values: Sequence[float] | np.ndarray) -> float:
-    """log(sum(exp(values))) without overflow; -inf entries are allowed."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("lse requires at least one value")
-    return float(logsumexp(values))
 
 
 def log_mean_exp(values: np.ndarray, axis=None) -> np.ndarray | float:

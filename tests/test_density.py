@@ -7,14 +7,12 @@ from scipy.optimize import brentq
 from scipy.special import expit, gammaincc, gammaln
 
 from nvmix.density import (
-    DensityIntegrandParams,
     _brent_max,
     _log_g,
+    _log_h_of_w,
     _peak_z,
-    _row_params,
     closed_log_density,
     log_density_batch,
-    log_h,
     log_integral_batch,
     log_lower_incomplete_gamma,
     peak,
@@ -28,36 +26,45 @@ from nvmix.sampling import rnvmix
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def density_params(D2, d, log_det=0.0, shift_k=None):
-    return DensityIntegrandParams(
-        D2=D2, d=d, log_det=log_det, shift_k=shift_k if shift_k is not None else d / 2.0
-    )
+def gaussian_prefactor(d, log_det=0.0):
+    """Prefactor of the density's integrand: the Gaussian normalizing
+    constant's log."""
+    return -0.5 * d * LOG_2PI - 0.5 * log_det
+
+
+def density_args(D2, d, log_det=0.0):
+    """``(D2, shift_k, prefactor)`` of the log-density at distance D2 in
+    d dimensions."""
+    return D2, d / 2.0, gaussian_prefactor(d, log_det)
+
+
+def log_h(u, D2, shift_k, prefactor, spec, nu):
+    """log of the mixing integrand at u."""
+    return _log_h_of_w(quantile(spec, u, nu), prefactor, shift_k, 0.5 * D2)
 
 
 class TestLogH:
     def test_constant_center(self):
-        p = density_params(0.0, 4)
         for u in (0.1, 0.5, 0.9):
-            assert log_h(u, p, constant(), [1.0]) == pytest.approx(-2.0 * LOG_2PI)
+            got = log_h(u, *density_args(0.0, 4), constant(), [1.0])
+            assert got == pytest.approx(-2.0 * LOG_2PI)
 
     def test_plugin_arithmetic(self):
         # d=2, |Sigma|=1, w=1, D2=2: log(exp(-1)/(2 pi)).
-        p = density_params(2.0, 2)
-        got = log_h(0.5, p, constant(), [1.0])
+        got = log_h(0.5, *density_args(2.0, 2), constant(), [1.0])
         assert got == pytest.approx(-LOG_2PI - 1.0, abs=1e-14)
         assert got == pytest.approx(-2.8379, abs=1e-4)
 
     def test_decay_in_distance(self):
         vals = [
-            log_h(0.3, density_params(D2, 3), constant(), [1.0])
+            log_h(0.3, *density_args(D2, 3), constant(), [1.0])
             for D2 in (1.0, 10.0, 100.0, 1000.0)
         ]
         assert np.all(np.diff(vals) < 0)
 
     def test_vectorized(self):
-        p = density_params(5.0, 3)
         u = np.linspace(0.05, 0.95, 9)
-        out = log_h(u, p, inverse_gamma(), [4.0])
+        out = log_h(u, *density_args(5.0, 3), inverse_gamma(), [4.0])
         assert out.shape == (9,)
 
 
@@ -66,27 +73,25 @@ class TestPeak:
         # u* = F_W(D2/d); independent CDF via the regularized upper
         # incomplete gamma: F_IG(w; a, a) = Q(a, a/w).
         nu, d, D2 = 3.0, 5, 12.0
-        p = density_params(D2, d)
-        u_star, _ = peak(p, inverse_gamma(), [nu], eps_bisec=1e-9)
+        u_star, _ = peak(*density_args(D2, d), inverse_gamma(), [nu], eps_bisec=1e-9)
         a = nu / 2.0
         oracle = float(gammaincc(a, a / (D2 / d)))
         assert u_star == pytest.approx(oracle, abs=1e-8)
 
     def test_height_arithmetic(self):
-        p = density_params(2.0, 2)
-        _, lh_max = peak(p, inverse_gamma(), [4.0])
+        _, lh_max = peak(*density_args(2.0, 2), inverse_gamma(), [4.0])
         assert lh_max == pytest.approx(math.log(math.exp(-1.0) / (2.0 * math.pi)), abs=1e-12)
         assert math.exp(lh_max) == pytest.approx(0.05855, abs=1e-5)
 
     def test_height_matches_grid_maximum(self):
-        p = density_params(30.0, 4)
+        p = density_args(30.0, 4)
         for spec, nu in ((inverse_gamma(), [2.5]), (pareto(), [3.0])):
-            _, lh_max = peak(p, spec, nu)
+            _, lh_max = peak(*p, spec, nu)
             coarse = np.linspace(1e-6, 1 - 1e-6, 10001)
-            vals = log_h(coarse, p, spec, nu)
+            vals = log_h(coarse, *p, spec, nu)
             u0 = coarse[int(np.argmax(vals))]
             fine = np.linspace(max(u0 - 1e-3, 1e-9), min(u0 + 1e-3, 1 - 1e-9), 20001)
-            grid_max = float(np.max(log_h(fine, p, spec, nu)))
+            grid_max = float(np.max(log_h(fine, *p, spec, nu)))
             # A true maximum: never below the brute-force value, and tight.
             assert lh_max >= grid_max - 1e-12
             assert lh_max == pytest.approx(grid_max, rel=1e-6)
@@ -94,46 +99,45 @@ class TestPeak:
     def test_distribution_independence(self):
         # Same (D2, d, log_det) gives the same interior peak height for
         # any mixing distribution reaching it.
-        p = density_params(40.0, 6, log_det=1.3)
-        _, h_ig = peak(p, inverse_gamma(), [1.7])
-        _, h_par = peak(p, pareto(), [2.2])
+        p = density_args(40.0, 6, log_det=1.3)
+        _, h_ig = peak(*p, inverse_gamma(), [1.7])
+        _, h_par = peak(*p, pareto(), [2.2])
         assert h_ig == h_par
 
     def test_pareto_boundary_branch(self):
         # D2/d < 1 puts the target below the Pareto support; the peak
         # collapses to the left boundary where w -> 1.
-        d = 4
-        p = density_params(2.0, d)
-        u_star, lh_max = peak(p, pareto(), [2.0])
+        d, D2 = 4, 2.0
+        u_star, lh_max = peak(*density_args(D2, d), pareto(), [2.0])
         assert u_star < 1e-8
-        boundary = -0.5 * d * LOG_2PI - p.m  # w = 1
+        boundary = -0.5 * d * LOG_2PI - 0.5 * D2  # w = 1
         assert lh_max == pytest.approx(boundary, abs=1e-6)
 
     def test_far_tail_peak_is_interior(self):
         # The peak sits at 1 - u* ~ 1e-18 (IG) and 1e-78 (Pareto), where
         # 1 - u underflows but the logit does not: the height is the
         # interior closed form, not a boundary value.
-        p = density_params(1e14, 10)
-        k = p.shift_k
-        closed = p.prefactor - k * (math.log(p.m) - math.log(k)) - k
+        p = D2, k, pref = density_args(1e14, 10)
+        closed = pref - k * (math.log(0.5 * D2) - math.log(k)) - k
         for spec, nu in ((inverse_gamma(), [4.0]), (pareto(), [6.0])):
-            u_star, lh_max = peak(p, spec, nu)
+            u_star, lh_max = peak(*p, spec, nu)
             assert u_star == 1.0
             assert lh_max == closed
 
     def test_zero_distance_rejected(self):
         with pytest.raises(ValueError, match="crude"):
-            peak(density_params(0.0, 3), inverse_gamma(), [4.0])
+            peak(*density_args(0.0, 3), inverse_gamma(), [4.0])
 
     def test_cache_reuse(self):
         # Seeding the search from quantile knots, as log_integral_batch
         # does with its crude pass's, lands on the unseeded search's peak.
-        p = density_params(25.0, 5)
+        D2, k, pref = density_args(25.0, 5)
         spec, nu = inverse_gamma(), [3.0]
         u = np.linspace(0.01, 0.99, 99)
         knots = (u, quantile(spec, u, nu))
-        z1, h1 = _peak_z(spec, nu, *_row_params([p]), 1e-6, knots)
-        u2, h2 = peak(p, spec, nu)
+        z1, h1 = _peak_z(spec, nu, np.array([pref]), np.array([k]), np.array([0.5 * D2]),
+                         1e-6, knots)
+        u2, h2 = peak(D2, k, pref, spec, nu)
         assert expit(z1[0]) == pytest.approx(u2, abs=2e-6)
         assert h1[0] == h2
 
@@ -153,7 +157,8 @@ def test_brent_mirror_matches_scipy():
     # with kinks, several local maxima and flat stretches exercise the
     # golden-section, near-end and tie branches.
     spec, nu = inverse_gamma(), [4.0]
-    pref, k, m = _row_params([density_params(v, 10) for v in (0.5, 3.0, 640.0, 1.6e4, 1e8)])
+    D2 = np.array([0.5, 3.0, 640.0, 1.6e4, 1e8])
+    pref, k, m = np.full(len(D2), gaussian_prefactor(10)), np.full(len(D2), 5.0), 0.5 * D2
 
     def log_g(z, rows):
         return _log_g(z, spec, nu, pref[rows], k[rows], m[rows])
@@ -203,29 +208,29 @@ def symmetric_toy_quantile():
 class TestRegionBounds:
     def test_symmetric_toy(self):
         spec = symmetric_toy_quantile()
-        p = density_params(2.0, 2, shift_k=1.0)  # m = 1, k = 1, w* = 1
+        p = 2.0, 1.0, gaussian_prefactor(2)  # m = 1, k = 1, w* = 1
         eps = 1e-6
-        u_star, lh_max = peak(p, spec, [], eps_bisec=eps)
+        u_star, lh_max = peak(*p, spec, [], eps_bisec=eps)
         assert u_star == pytest.approx(0.5, abs=2 * eps)
-        u_l, u_r = region_bounds(p, spec, [], u_star, lh_max, k_th=3.0, eps_bisec=eps)
+        u_l, u_r = region_bounds(*p, spec, [], u_star, lh_max, k_th=3.0, eps_bisec=eps)
         assert 0.0 < u_l < u_star < u_r < 1.0
         assert (0.5 - u_l) == pytest.approx(u_r - 0.5, abs=2 * eps + 1e-4)
 
     def test_bounds_sit_at_threshold(self):
-        p = density_params(35.0, 5)
+        p = density_args(35.0, 5)
         spec, nu = inverse_gamma(), [2.0]
-        u_star, lh_max = peak(p, spec, nu)
+        u_star, lh_max = peak(*p, spec, nu)
         k_th = 6.0
-        u_l, u_r = region_bounds(p, spec, nu, u_star, lh_max, k_th=k_th)
+        u_l, u_r = region_bounds(*p, spec, nu, u_star, lh_max, k_th=k_th)
         target = lh_max - k_th * math.log(10.0)
-        assert log_h(u_l, p, spec, nu) == pytest.approx(target, abs=1e-2)
-        assert log_h(u_r, p, spec, nu) == pytest.approx(target, abs=1e-2)
+        assert log_h(u_l, *p, spec, nu) == pytest.approx(target, abs=1e-2)
+        assert log_h(u_r, *p, spec, nu) == pytest.approx(target, abs=1e-2)
 
     def test_huge_threshold_collapses_to_unit_interval(self):
         spec = symmetric_toy_quantile()
-        p = density_params(2.0, 2, shift_k=1.0)
-        u_star, lh_max = peak(p, spec, [])
-        u_l, u_r = region_bounds(p, spec, [], u_star, lh_max, k_th=1e6)
+        p = 2.0, 1.0, gaussian_prefactor(2)
+        u_star, lh_max = peak(*p, spec, [])
+        u_l, u_r = region_bounds(*p, spec, [], u_star, lh_max, k_th=1e6)
         assert (u_l, u_r) == (0.0, 1.0)
 
 
@@ -239,9 +244,8 @@ class TestRegionBounds:
 )
 def test_unimodal_on_grid(spec, nu):
     # No ascent after the first descent, up to floating-point noise.
-    p = density_params(18.0, 4)
     grid = np.linspace(1e-5, 1 - 1e-5, 10000)
-    lh = log_h(grid, p, spec, nu)
+    lh = log_h(grid, *density_args(18.0, 4), spec, nu)
     imax = int(np.argmax(lh))
     tol = 1e-9 * np.maximum(1.0, np.abs(lh))
     assert np.all(np.diff(lh[: imax + 1]) >= -tol[: imax])
@@ -366,15 +370,10 @@ class TestLogDensityBatch:
         x = np.full(d, 40.0)  # D2 = 16000: far tail
         truth = float(closed_log_density(model, x))
 
-        from nvmix.density import _log_h_of_w
-        from nvmix.mixtures import quantile as qf
-
-        p = density_params(float(x @ x), d)
+        p = density_args(float(x @ x), d)
 
         def crude_log_g(v):
-            u = np.clip(v[:, 0], 1e-16, 1 - 1e-16)
-            w = np.asarray(qf(inverse_gamma(), u, [4.0]), dtype=float)
-            return _log_h_of_w(w, p.prefactor, p.shift_k, p.m)
+            return log_h(np.clip(v[:, 0], 1e-16, 1 - 1e-16), *p, inverse_gamma(), [4.0])
 
         crude = [rqmc_log_estimate(crude_log_g, 1, RqmcConfig(i_max=4), seed=s) for s in range(8)]
         adaptive = log_density_batch(x[None, :], model, RqmcConfig(tol=1e-3), seed=3)[0]
@@ -485,12 +484,36 @@ def test_crude_pass_honours_relative_tolerance():
     # An estimate near 0.02 needs an error below 2e-5 in relative mode; a
     # 4-batch crude pass reaches about 4e-4, which only meets the absolute
     # bound, so this row must go on to the adaptive path.
-    p = DensityIntegrandParams(D2=1.0, d=2, log_det=0.0, shift_k=1.0, log_coeff=math.log(2.0))
     cfg = RqmcConfig(tol=1e-3, tol_type="relative")
-    res = log_integral_batch([p], inverse_gamma(), [4.0], cfg, seed=0)[0]
+    res = log_integral_batch([1.0], 1.0, math.log(2.0), inverse_gamma(), [4.0], cfg, seed=0)[0]
     assert res.converged
     assert res.error_estimate <= cfg.tol * abs(res.estimate)
     assert res.iterations_used > 4
+
+
+@pytest.mark.parametrize(
+    "D2,shift_k,prefactor,match",
+    [([1.0, -1e-300], 5.0, 0.0, "D2 must be non-negative"),
+     ([1.0, np.nan], 5.0, 0.0, "D2 must be non-negative"),
+     ([1.0, 2.0], 0.0, 0.0, "shift_k must be positive"),
+     ([1.0, 2.0], [5.0, -1.0], 0.0, "shift_k must be positive"),
+     ([1.0, 2.0], [5.0, 5.0, 5.0], 0.0, "broadcast"),
+     ([1.0, 2.0], 5.0, [0.0, 0.0, 0.0], "broadcast")],
+    ids=["negative-D2", "nan-D2", "zero-shift", "negative-shift", "shift-length",
+         "prefactor-length"])
+def test_log_integral_batch_rejects_bad_rows(D2, shift_k, prefactor, match):
+    with pytest.raises(ValueError, match=match):
+        log_integral_batch(D2, shift_k, prefactor, inverse_gamma(), [4.0], seed=0)
+
+
+def test_log_integral_batch_broadcasts_scalar_parameters():
+    # Scalar shift_k and prefactor stand for full rows; an empty D2 gives
+    # no results.
+    D2, k, pref = density_args([0.5, 640.0, 1.6e4], 10)
+    spec, nu = inverse_gamma(), [4.0]
+    full = log_integral_batch(D2, np.full(3, k), np.full(3, pref), spec, nu, seed=4)
+    assert log_integral_batch(D2, k, pref, spec, nu, seed=4) == full
+    assert log_integral_batch(np.zeros(0), k, pref, spec, nu, seed=4) == []
 
 
 @pytest.mark.parametrize(
@@ -514,10 +537,6 @@ def test_atom_at_zero_diverges_at_center(u_atom, flat):
         log_density_batch(np.zeros((1, 2)), model, seed=0)
 
 
-def _ig_rows(D2s, d=10):
-    return [density_params(float(v), d) for v in D2s]
-
-
 @pytest.mark.parametrize("swap", [1e10, 0.0], ids=["far-tail", "center"])
 @pytest.mark.parametrize(
     "cfg", [RqmcConfig(tol=1e-3), RqmcConfig(tol=1e-13, i_max=3)], ids=["default", "capped"])
@@ -530,8 +549,9 @@ def test_batch_rows_are_independent(cfg, swap):
     # the others' points.
     D2s = [0.5, 3.0, 10.0, 640.0, 1.6e4, 2e5, 1e6]
     spec, nu = inverse_gamma(), [4.0]
-    ref = log_integral_batch(_ig_rows(D2s), spec, nu, cfg, seed=2)
-    got = log_integral_batch(_ig_rows(D2s[:4] + [swap] + D2s[5:]), spec, nu, cfg, seed=2)
+    ref = log_integral_batch(*density_args(D2s, 10), spec, nu, cfg, seed=2)
+    got = log_integral_batch(*density_args(D2s[:4] + [swap] + D2s[5:], 10), spec, nu, cfg,
+                             seed=2)
     assert [r for i, r in enumerate(got) if i != 4] == [r for i, r in enumerate(ref) if i != 4]
     assert got[4] != ref[4]
     if cfg.i_max == 3:
@@ -554,7 +574,7 @@ def test_quantile_calls_do_not_grow_with_pending_points(monkeypatch):
     counts = {}
     for n in (10, 200):
         calls.clear()
-        res = log_integral_batch(_ig_rows(np.logspace(5, 9, n)), inverse_gamma(), [4.0],
+        res = log_integral_batch(*density_args(np.logspace(5, 9, n), 10), inverse_gamma(), [4.0],
                                  RqmcConfig(), seed=1)
         assert all(r.iterations_used > 4 and r.converged for r in res)
         counts[n] = len(calls)
@@ -572,6 +592,6 @@ def test_remark_shift_generalization():
         return w ** (-(d / 2.0 + 1.0)) * math.exp(-D2 / (2 * w))
 
     oracle, _ = quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-11, limit=400)
-    p = DensityIntegrandParams(D2=D2, d=d, log_det=0.0, shift_k=d / 2.0 + 1.0, log_coeff=0.0)
-    res = log_integral_batch([p], spec, [nu_ig], RqmcConfig(tol=1e-3), seed=2)[0]
+    res = log_integral_batch([D2], d / 2.0 + 1.0, 0.0, spec, [nu_ig], RqmcConfig(tol=1e-3),
+                             seed=2)[0]
     assert res.estimate == pytest.approx(math.log(oracle), abs=2e-3)

@@ -9,7 +9,6 @@ from nvmix.distribution import (
     Hyperrectangle,
     _antithetic,
     _box_integrand,
-    integrand_g,
     prob,
     prob_singular,
     reorder,
@@ -78,13 +77,14 @@ class TestIntegrandG:
     def test_d1_half(self):
         res = reorder([-INF], [0.0], np.eye(1), 1.0)
         for u in ([0.3], [0.7]):
-            assert integrand_g(np.array(u), res, constant(), [1.0]) == pytest.approx(0.5)
+            f = _box_integrand(res.a, res.b, res.factor, constant(), [1.0])
+            assert f(np.array([u]))[0] == pytest.approx(0.5)
 
     def test_d2_independent(self):
         res = reorder([-INF, -INF], [0.0, 0.0], np.eye(2), 1.0)
         rng = np.random.default_rng(0)
         u = rng.random((50, 2))
-        vals = integrand_g(u, res, constant(), [1.0])
+        vals = _box_integrand(res.a, res.b, res.factor, constant(), [1.0])(u)
         assert np.allclose(vals, 0.25, atol=1e-14)
 
     def test_correlated_matches_scalar_recursion(self):
@@ -103,14 +103,15 @@ class TestIntegrandG:
             e2 = nd.cdf((b2 - C[1, 0] * z) / C[1, 1])
             return e1 * e2
 
+        f = _box_integrand(res.a, res.b, res.factor, constant(), [1.0])
         for u1 in (0.2, 0.5, 0.9):
-            got = integrand_g(np.array([0.5, u1]), res, constant(), [1.0])
+            got = f(np.array([[0.5, u1]]))[0]
             assert got == pytest.approx(scalar_oracle(u1), rel=1e-9)
 
     def test_mixing_coordinate_changes_value(self):
         res = reorder([-INF, -INF], [0.0, 1.0], np.eye(2), 1.0)
-        v1 = integrand_g(np.array([0.1, 0.5]), res, inverse_gamma(), [3.0])
-        v2 = integrand_g(np.array([0.9, 0.5]), res, inverse_gamma(), [3.0])
+        f = _box_integrand(res.a, res.b, res.factor, inverse_gamma(), [3.0])
+        v1, v2 = f(np.array([[0.1, 0.5], [0.9, 0.5]]))
         assert v1 != v2
 
 
@@ -191,7 +192,7 @@ class TestScalarRecursion:
         res = reorder(a, b, sigma, mu_sqrt_w=1.3)
         spec, nu = _FAMILIES[d % 2]
         u = _points(rng, 24, d)
-        got = integrand_g(u, res, spec, nu)
+        got = _box_integrand(res.a, res.b, res.factor, spec, nu)(u)
         want = [scalar_recursion(p, res.factor.C, res.a, res.b, spec, nu) for p in u]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         if kind == "whole":
@@ -394,16 +395,13 @@ class TestVarianceReduction:
             msw = mean_sqrt_w(spec, [nu])
 
             reordered = reorder(a, b, sigma, msw)
-            # Variance without reordering: use the identity-order problem.
-            from nvmix.distribution import ReorderedProblem
+            # Variance without reordering: the identity-order factor.
             from nvmix.linalg import cholesky
 
-            ident = ReorderedProblem(
-                a=a, b=b, factor=cholesky(sigma), perm=np.arange(d)
-            )
             u = rng.random((4000, d))
-            v_plain = np.var(integrand_g(u, ident, spec, [nu]))
-            v_reord = np.var(integrand_g(u, reordered, spec, [nu]))
+            v_plain = np.var(_box_integrand(a, b, cholesky(sigma), spec, [nu])(u))
+            v_reord = np.var(_box_integrand(reordered.a, reordered.b, reordered.factor,
+                                            spec, [nu])(u))
             if v_reord < v_plain:
                 wins += 1
         assert wins >= 0.8 * trials

@@ -10,7 +10,7 @@ from nvmix.rqmc import (
     RqmcAccumulator,
     RqmcConfig,
     SobolStream,
-    lse,
+    log_mean_exp,
     rqmc_estimate,
     rqmc_log_estimate,
 )
@@ -86,23 +86,26 @@ class TestSobolStream:
 
 
 class TestLse:
+    """Log-sum-exp properties of ``log_mean_exp``, which is log-sum-exp
+    less log n."""
+
     def test_single(self):
-        assert lse([0.0]) == 0.0
+        assert log_mean_exp([0.0]) == 0.0
 
     def test_log2(self):
-        assert lse([math.log(1.0), math.log(1.0)]) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert log_mean_exp([0.0, math.log(3.0)]) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_shifted_does_not_underflow(self):
-        assert lse([-1000.0, -1000.0]) == pytest.approx(-1000.0 + math.log(2.0), abs=1e-12)
+        assert log_mean_exp([-1000.0, -1000.0]) == pytest.approx(-1000.0, abs=1e-12)
         # naive evaluation underflows to log(0)
         assert math.exp(-1000.0) + math.exp(-1000.0) == 0.0
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            lse([])
+            log_mean_exp([])
 
     def test_all_neg_inf(self):
-        assert lse([-np.inf, -np.inf]) == -np.inf
+        assert log_mean_exp([-np.inf, -np.inf]) == -np.inf
 
     @given(
         st.lists(st.floats(min_value=-1e6, max_value=700), min_size=1, max_size=20),
@@ -110,9 +113,22 @@ class TestLse:
     )
     @settings(max_examples=200, deadline=None)
     def test_shift_identity(self, values, shift):
-        assert lse(np.asarray(values) + shift) == pytest.approx(
-            lse(values) + shift, rel=1e-12, abs=1e-9
+        assert log_mean_exp(np.asarray(values) + shift) == pytest.approx(
+            log_mean_exp(values) + shift, rel=1e-12, abs=1e-9
         )
+
+    @pytest.mark.parametrize("c", [0.0, -1000.0, 3.7, 700.0, -np.inf])
+    def test_exact_for_constant_input(self, c):
+        assert log_mean_exp(np.full(7, c)) == c
+
+    def test_axis_matches_row_by_row(self):
+        rng = np.random.default_rng(5)
+        values = rng.normal(scale=300.0, size=(4, 9))
+        values[1, :3] = -np.inf
+        values[2] = -np.inf
+        rows = log_mean_exp(values, axis=1)
+        assert rows.shape == (4,)
+        assert list(rows) == [log_mean_exp(v) for v in values]
 
 
 class TestRqmcEstimate:
