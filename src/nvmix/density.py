@@ -3,7 +3,10 @@
 The log-density is a one-dimensional integral over the mixing variable's
 probability scale u.  A crude log-space RQMC pass runs first on all
 inputs at once, over shared mixing realizations (one row per input of a
-single accumulator), and settles most small Mahalanobis distances.  For
+single accumulator), and settles most small Mahalanobis distances.  Each
+of its batches evaluates the quantile once for all inputs and reduces
+the inputs' integrands block by block, a few dozen rows at a time, so
+its memory does not grow with the number of inputs.  For
 large ones the integrand collapses onto a narrow peak, which can sit
 within 1e-17 of u = 0 or u = 1, where the integrand decays only
 polynomially in u; at zero distance it is monotone with its peak at
@@ -29,6 +32,7 @@ needed for fitting and the Mahalanobis-distance density.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import expit, gammainc, gammaln, log_expit, logit
@@ -38,7 +42,8 @@ from .mixtures import MixtureSpec, quantile
 from .model import NvmModel
 # rqmc_log_estimate stays bound here for tools that trace this module's
 # estimator by name.
-from .rqmc import RqmcAccumulator, RqmcConfig, RqmcResult, _run, rqmc_log_estimate  # noqa: F401
+from .rqmc import (RqmcAccumulator, RqmcConfig, RqmcResult, _run, log_mean_exp,  # noqa: F401
+                   rqmc_log_estimate)
 
 __all__ = [
     "peak",
@@ -59,6 +64,9 @@ _K_TH = 10.0
 _EPS_BISEC = 1e-6
 # Batches of the crude pass that every input of log_integral_batch gets.
 _PILOT_BATCHES = 4
+# The crude pass evaluates its integrands in blocks of whole rows of about
+# this many values, so a block stays in cache through its reduction.
+_BLOCK_VALUES = 2 ** 16
 # Range of the logit coordinate: expit(z) and expit(-z) are positive
 # normal doubles for |z| <= -_Z_LO.  A black box only receives
 # u = expit(z), which stays below 1 for z <= _Z_HI_BLACKBOX.
@@ -71,6 +79,40 @@ def _log_h_of_w(w, pref, k, m) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     safe = np.maximum(w, 1e-300)
     return np.where(w > 0.0, pref - k * np.log(safe) - m / safe, -np.inf)
+
+
+def _crude_log_means(w, pref, k, m, B) -> np.ndarray:
+    """Per-batch log-means of the integrands at the quantile values ``w``
+    of one crude batch (``B`` randomizations of equal length, one after
+    the other): row i of the ``(len(m), B)`` result equals
+    ``log_mean_exp(_log_h_of_w(w, pref[i], k[i], m[i]).reshape(B, -1),
+    axis=1)``.
+
+    ``pref - k log w`` is formed once per distinct (``pref``, ``k``)
+    pair; the rows sharing a pair are then walked in blocks of about
+    ``_BLOCK_VALUES`` values, each completed by ``- m / w`` and reduced
+    while it is still in cache.
+    """
+    positive = w > 0.0
+    # Where w = 0 the integrand is 0 (log -inf); dividing by 1 there keeps
+    # the block's arithmetic finite.
+    safe = np.where(positive, np.maximum(w, 1e-300), 1.0)
+    log_w = np.log(safe)
+    step = max(1, _BLOCK_VALUES // len(w))
+    out = np.empty((len(m), B))
+    # Each (pref, k) pair as one complex number, pref + k i, which makes
+    # the pairs one sortable array.
+    pairs, pair_of_row, counts = np.unique(pref + 1j * k, return_inverse=True,
+                                           return_counts=True)
+    rows_of_pair = np.split(np.argsort(pair_of_row, kind="stable"), np.cumsum(counts)[:-1])
+    for pair, rows in zip(pairs, rows_of_pair):
+        base = np.where(positive, pair.real - pair.imag * log_w, -np.inf)
+        for start in range(0, len(rows), step):
+            r = rows[start:start + step]
+            block = np.divide(m[r, None], safe)
+            np.subtract(base, block, out=block)
+            out[r] = log_mean_exp(block.reshape(len(r), B, -1), axis=2)
+    return out
 
 
 def _z_range(spec: MixtureSpec) -> tuple[float, float]:
@@ -346,7 +388,11 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
 
     A crude log-space RQMC pass of ``_PILOT_BATCHES`` batches runs on all
     inputs with shared mixing realizations (one accumulator row per
-    input); inputs that meet the tolerance return immediately.  The rest,
+    input); inputs that meet the tolerance return immediately.  Per batch
+    it forms ``prefactor - shift_k log w`` once per distinct
+    (``prefactor``, ``shift_k``) pair and reduces the rows in blocks of
+    about ``_BLOCK_VALUES`` values to their log-means per randomization.
+    The rest,
     zero Mahalanobis distance included, go through the adaptive path in
     the logit coordinate z = logit(u) (see the module docstring), all
     together: the peak search starts from the crude pass's quantile
@@ -356,9 +402,12 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     its own shifts until it meets the tolerance.  Each step of these
     searches, and each RQMC batch, evaluates the quantile once for all
     inputs still running, so the number of quantile calls does not grow
-    with the number of inputs.  A result is unconverged when that RQMC
-    misses the tolerance or when g is still above the threshold at an end
-    of the z range.  A mixing distribution with an atom at w = 0 makes
+    with the number of inputs.  The crude batches count against
+    ``cfg.i_max``: the adaptive RQMC gets the rest of that budget, and an
+    input the crude pass leaves unsettled with none left keeps its crude
+    result, unconverged.  A result is unconverged when that RQMC misses
+    the tolerance or when g is still above the threshold at an end of the
+    z range.  A mixing distribution with an atom at w = 0 makes
     the integral diverge at D2 = 0, which raises ``ValueError``.
     """
     if cfg is None:
@@ -373,8 +422,14 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     if np.any(ms == 0.0) and _quantile_z(spec, _Z_LO, nu) == 0.0:
         raise ValueError(_DIVERGES)
 
-    seeds = np.random.SeedSequence(seed).spawn(N + 2)
-    crude = RqmcAccumulator(1, cfg, seeds[0], log=True)
+    # Child i of the root seed, as SeedSequence(seed).spawn(N + 2)[i]
+    # would give it, built only for the rows that need one.
+    root = np.random.SeedSequence(seed)
+
+    def child(i):
+        return np.random.SeedSequence(root.entropy, spawn_key=(i,))
+
+    crude = RqmcAccumulator(1, cfg, child(0), log=True)
     us, ws = [], []
     for _ in range(min(_PILOT_BATCHES, cfg.i_max)):
         u = np.clip(crude.draw()[:, 0], _U_EPS, 1.0 - _U_EPS)
@@ -383,11 +438,14 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
             raise ValueError(_DIVERGES)
         us.append(u)
         ws.append(w)
-        crude.add(_log_h_of_w(w[None, :], prefs[:, None], ks[:, None], ms[:, None]))
+        crude.fold(_crude_log_means(w, prefs, ks, ms, cfg.B))
 
     results = crude.results()
     todo = np.flatnonzero(~crude.converged())
-    if not len(todo):
+    # The adaptive path gets what the crude pass left of the i_max budget;
+    # without any, an unsettled row keeps its unconverged crude result.
+    budget = cfg.i_max - crude.batches
+    if not len(todo) or budget < 1:
         return results
     us = np.concatenate(us)
     order = np.argsort(us, kind="stable")
@@ -400,7 +458,7 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
         z = z_l[rows, None] + width[rows, None] * v[:, :, 0]
         return _log_g(z, spec, nu, pref[rows, None], k[rows, None], m[rows, None])
 
-    mids = _run(mid_log_g, 1, cfg, [seeds[i + 2] for i in todo], log=True)
+    mids = _run(mid_log_g, 1, replace(cfg, i_max=budget), [child(i + 2) for i in todo], log=True)
     for j, (i, mid) in enumerate(zip(todo, mids)):
         batches = crude.batches + mid.iterations_used
         results[i] = RqmcResult(

@@ -138,7 +138,11 @@ class RqmcConfig:
     """Error-control parameters for the iterative RQMC loops.
 
     ``i_max`` caps the total number of batches per randomization, so at
-    most ``B * n0 * i_max`` integrand evaluations are spent.
+    most ``B * n0 * i_max`` integrand evaluations are spent; for a
+    log-density the crude pass's batches count against it too.  A
+    relative tolerance is met only by a nonzero estimate (in log space,
+    where the estimate is a log, a vanishing one falls back to the
+    absolute test).
     """
 
     B: int = 15
@@ -180,8 +184,10 @@ def log_mean_exp(values: np.ndarray, axis=None) -> np.ndarray | float:
     values = np.asarray(values, dtype=float)
     m = np.max(values, axis=axis, keepdims=True)
     safe_m = np.where(np.isfinite(m), m, 0.0)
+    scaled = np.asarray(values - safe_m)
+    np.exp(scaled, out=scaled)
     with np.errstate(divide="ignore"):
-        out = np.log(np.mean(np.exp(values - safe_m), axis=axis)) + np.squeeze(safe_m, axis=axis)
+        out = np.log(np.mean(scaled, axis=axis)) + np.squeeze(safe_m, axis=axis)
     out = np.where(np.isfinite(np.squeeze(m, axis=axis)), out, np.squeeze(m, axis=axis))
     if out.ndim == 0:
         return float(out)
@@ -205,9 +211,10 @@ class RqmcAccumulator:
     integrands (rows).
 
     Each :meth:`draw` appends ``n0`` fresh points to each of the ``B``
-    randomizations of one raw Sobol' stream; :meth:`add` folds the values
-    there into the running means of the given rows with equal batch
-    weights, plainly or, with ``log=True``, as log-means (a "proper
+    randomizations of one raw Sobol' stream; :meth:`add` reduces the
+    values there to one mean per randomization and :meth:`fold` folds
+    such batch means into the running means of the given rows with equal
+    batch weights, plainly or, with ``log=True``, as log-means (a "proper
     logarithm"), so that integrals as small as exp(-5000) are handled
     without underflow.  ``seed`` is either one seed, whose ``B`` digital
     shifts every row shares (all rows are evaluated at the same points),
@@ -248,17 +255,23 @@ class RqmcAccumulator:
     def add(self, vals: np.ndarray, rows=None) -> None:
         """Fold values at the last :meth:`draw` into the given rows (all by
         default), shape ``(len(rows), B * n0)``."""
-        cfg = self.cfg
-        batch = np.asarray(vals, dtype=float).reshape(-1, cfg.B, cfg.n0)
+        batch = np.asarray(vals, dtype=float).reshape(-1, self.cfg.B, self.cfg.n0)
+        self.fold(log_mean_exp(batch, axis=2) if self.log else batch.mean(axis=2), rows)
+
+    def fold(self, batch_means: np.ndarray, rows=None) -> None:
+        """Fold one batch, given as its ``(len(rows), B)`` means per
+        randomization (log-means when ``log``), into the given rows (all by
+        default).  A caller that reduces its values block by block folds
+        them here without forming the whole batch."""
         if self.means is None:
-            self._start(len(batch))
+            self._start(len(batch_means))
         if rows is None:
             rows = slice(None)
         n = self.counts[rows][:, None]
         if self.log:
-            self.means[rows] = _combine_log_means(self.means[rows], n, log_mean_exp(batch, axis=2))
+            self.means[rows] = _combine_log_means(self.means[rows], n, batch_means)
         else:
-            self.means[rows] = (n * self.means[rows] + batch.mean(axis=2)) / (n + 1)
+            self.means[rows] = (n * self.means[rows] + batch_means) / (n + 1)
         self.counts[rows] += 1
         self.batches += 1
 
@@ -276,23 +289,29 @@ class RqmcAccumulator:
 
     def converged(self) -> np.ndarray:
         """Per-row tolerance test."""
-        return _tolerance_met(self.errors(), self.estimates(), self.cfg)
+        return _tolerance_met(self.errors(), self.estimates(), self.cfg, self.log)
 
     def results(self) -> list[RqmcResult]:
         """One result per row; ``converged`` is the tolerance test."""
         est, err = self.estimates(), self.errors()
         return [
             RqmcResult(float(e), float(x), int(c) * self.cfg.n0, int(c), bool(ok))
-            for e, x, c, ok in zip(est, err, self.counts, _tolerance_met(err, est, self.cfg))
+            for e, x, c, ok in zip(est, err, self.counts,
+                                   _tolerance_met(err, est, self.cfg, self.log))
         ]
 
 
-def _tolerance_met(err: np.ndarray, estimate: np.ndarray, cfg: RqmcConfig) -> np.ndarray:
+def _tolerance_met(err: np.ndarray, estimate: np.ndarray, cfg: RqmcConfig,
+                   log: bool) -> np.ndarray:
     if cfg.tol_type == "absolute":
         return err <= cfg.tol
-    # Relative mode falls back to an absolute check where the running
-    # estimate is numerically indistinguishable from zero.
     scale = np.abs(estimate)
+    if not log:
+        # A zero estimate meets no relative tolerance: it is what a far
+        # tail returns when no point has reached its mass.
+        return (err <= cfg.tol * scale) & (scale > 0.0)
+    # A log-estimate near 0 (an integral near 1) falls back to the
+    # absolute check.
     return err <= np.where(scale >= 1e-16, cfg.tol * scale, cfg.tol)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from scipy.optimize import brentq
 from scipy.special import expit, gammaincc, gammaln
 
 from nvmix.density import (
+    _BLOCK_VALUES,
     _brent_max,
+    _crude_log_means,
     _log_g,
     _log_h_of_w,
     _peak_z,
@@ -20,7 +23,7 @@ from nvmix.density import (
 )
 from nvmix.mixtures import blackbox, constant, inverse_burr, inverse_gamma, pareto, quantile
 from nvmix.model import NvmModel
-from nvmix.rqmc import RqmcConfig, rqmc_log_estimate
+from nvmix.rqmc import RqmcConfig, log_mean_exp, rqmc_log_estimate
 from nvmix.sampling import rnvmix
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -516,6 +519,60 @@ def test_log_integral_batch_broadcasts_scalar_parameters():
     assert log_integral_batch(np.zeros(0), k, pref, spec, nu, seed=4) == []
 
 
+# Rows per block of the crude pass under the default configuration.
+_BLOCK_ROWS = _BLOCK_VALUES // (RqmcConfig().B * RqmcConfig().n0)
+
+
+@pytest.mark.parametrize(
+    "n,e_step,center,zero_w",
+    [(1, False, False, False), (_BLOCK_ROWS - 1, False, False, False),
+     (_BLOCK_ROWS, False, False, False), (_BLOCK_ROWS + 1, False, False, False),
+     (3 * _BLOCK_ROWS + 5, False, False, False), (_BLOCK_ROWS + 3, True, False, False),
+     (_BLOCK_ROWS + 3, True, True, False), (_BLOCK_ROWS + 3, True, True, True)],
+    ids=["one-row", "block-minus-one", "one-block", "block-plus-one", "several-blocks",
+         "e-step", "e-step-center", "zero-w"])
+def test_crude_log_means_match_whole_block(n, e_step, center, zero_w):
+    # The blocked crude pass gives the log-means of the whole (rows, B n0)
+    # block of log-integrands bit for bit: one or two (prefactor, shift_k)
+    # pairs, rows at D2 = 0 and quantile values w = 0 included.
+    cfg, d = RqmcConfig(), 10
+    rng = np.random.default_rng(n)
+    D2 = 10.0 ** rng.uniform(-3.0, 6.0, n)
+    if center:
+        D2[::5] = 0.0
+    k = np.full(n, d / 2.0)
+    if e_step:
+        D2, k = np.concatenate([D2, D2]), np.concatenate([k, k + 1.0])
+    pref, m = np.full(len(D2), gaussian_prefactor(d)), 0.5 * D2
+    w = quantile(inverse_gamma(), rng.uniform(size=cfg.B * cfg.n0), [4.0])
+    if zero_w:
+        w[[0, 700, -1]] = 0.0
+    # The whole-block form divides by 1e-300 where w = 0, which overflows
+    # for large D2 before np.where discards it.
+    with np.errstate(over="ignore"):
+        whole = _log_h_of_w(w[None], pref[:, None], k[:, None], m[:, None])
+    expected = log_mean_exp(whole.reshape(len(m), cfg.B, cfg.n0), axis=2)
+    assert np.array_equal(_crude_log_means(w, pref, k, m, cfg.B), expected)
+
+
+def test_crude_pass_memory_stays_below_one_block():
+    # 2000 rows that the crude pass settles: it reduces them block by
+    # block, so the call's traced peak stays far below one (2000, B n0)
+    # float64 block of log-integrands (30.7 MB).
+    cfg = RqmcConfig()
+    D2, k, pref = density_args(np.linspace(10.0, 100.0, 2000), 10)
+    spec, nu = inverse_gamma(), [4.0]
+    log_integral_batch(D2[:10], k, pref, spec, nu, cfg, seed=3)  # lazy imports and tables
+    tracemalloc.start()
+    try:
+        res = log_integral_batch(D2, k, pref, spec, nu, cfg, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.iterations_used == 4 and r.converged for r in res)
+    assert peak < len(D2) * cfg.B * cfg.n0 * 8 / 4
+
+
 @pytest.mark.parametrize(
     "u_atom,flat",
     [(0.1, False), (1e-12, False), (1e-9, True)],
@@ -539,14 +596,16 @@ def test_atom_at_zero_diverges_at_center(u_atom, flat):
 
 @pytest.mark.parametrize("swap", [1e10, 0.0], ids=["far-tail", "center"])
 @pytest.mark.parametrize(
-    "cfg", [RqmcConfig(tol=1e-3), RqmcConfig(tol=1e-13, i_max=3)], ids=["default", "capped"])
+    "cfg", [RqmcConfig(tol=1e-3), RqmcConfig(tol=1e-13, i_max=7),
+            RqmcConfig(tol=1e-13, i_max=2)], ids=["default", "capped", "crude-only"])
 def test_batch_rows_are_independent(cfg, swap):
     # Rows share the crude pass's points and the adaptive path's quantile
     # calls but nothing else: replacing one row leaves every other row's
-    # result exactly as it was.  Under the capped configuration the rows'
-    # RQMC stops at different batches (two, or the cap of three
-    # unconverged), so a row that stops early or runs on must not shift
-    # the others' points.
+    # result exactly as it was.  Under the capped configuration the crude
+    # pass's four batches leave the adaptive RQMC three, and the rows stop
+    # at different batches (two adaptive ones, or the cap unconverged), so
+    # a row that stops early or runs on must not shift the others' points.
+    # Under crude-only the crude pass uses up the whole budget.
     D2s = [0.5, 3.0, 10.0, 640.0, 1.6e4, 2e5, 1e6]
     spec, nu = inverse_gamma(), [4.0]
     ref = log_integral_batch(*density_args(D2s, 10), spec, nu, cfg, seed=2)
@@ -554,9 +613,13 @@ def test_batch_rows_are_independent(cfg, swap):
                              seed=2)
     assert [r for i, r in enumerate(got) if i != 4] == [r for i, r in enumerate(ref) if i != 4]
     assert got[4] != ref[4]
-    if cfg.i_max == 3:
-        assert {r.iterations_used for r in ref} == {5, 6}
+    assert all(r.iterations_used <= cfg.i_max for r in ref + got)
+    if cfg.i_max == 7:
+        assert {r.iterations_used for r in ref} == {6, 7}
         assert not ref[4].converged and got[4].converged
+    if cfg.i_max == 2:
+        assert {r.iterations_used for r in ref + got} == {2}
+        assert not any(r.converged for r in ref + got)
 
 
 def test_quantile_calls_do_not_grow_with_pending_points(monkeypatch):

@@ -320,6 +320,26 @@ class TestProb:
         assert res.estimate == 1.0
 
 
+# P(X <= -a 1) = P(X > a 1) for the bivariate t_3 with identity scale, by
+# quadrature of E[Phi(-a / sqrt(W))^2].
+T3_ORTHANT = {20.0: 1.5943e-5, 200.0: 1.600e-8}
+
+
+@pytest.mark.parametrize("a", sorted(T3_ORTHANT))
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_far_tail_box_is_never_converged_while_wrong(a, side):
+    # A relative request is met only by a nonzero estimate within its
+    # error bound; at a = 200 the estimate is 0 or about 1e-12, and it
+    # used to be reported converged after one batch.
+    cfg = RqmcConfig(tol=1e-3, tol_type="relative")
+    lo, hi = ([-INF, -INF], [-a, -a]) if side == "lower" else ([a, a], [INF, INF])
+    res = prob(lo, hi, mvt_model(3.0, np.eye(2)), cfg, seed=1)
+    exact = T3_ORTHANT[a]
+    assert not res.converged or abs(res.estimate - exact) <= cfg.tol * exact
+    if a == 200.0:
+        assert not res.converged
+
+
 class TestProbSingular:
     def test_rank1_collapse_half(self):
         model = NvmModel.build(None, np.ones((2, 2)), constant(), [1.0])

@@ -176,6 +176,13 @@ class TestRqmcEstimate:
         assert res.error_estimate <= 1e-3 * abs(res.estimate)
 
 
+    def test_zero_estimate_never_meets_relative_tolerance(self):
+        cfg = RqmcConfig(tol=1e-3, tol_type="relative", i_max=3)
+        res = rqmc_estimate(lambda u: np.zeros(len(u)), 1, cfg, seed=2)
+        assert res.estimate == 0.0 and res.error_estimate == 0.0
+        assert not res.converged and res.iterations_used == 3
+
+
 class TestRqmcLogEstimate:
     def test_constant_log(self):
         res = rqmc_log_estimate(
@@ -183,6 +190,13 @@ class TestRqmcLogEstimate:
         )
         assert res.estimate == math.log(0.7)
         assert res.error_estimate == 0.0
+
+    def test_log_of_one_meets_relative_tolerance(self):
+        # In log space an estimate of 0 is an integral of 1: the relative
+        # test falls back to the absolute one there.
+        cfg = RqmcConfig(tol=1e-3, tol_type="relative")
+        res = rqmc_log_estimate(lambda u: np.zeros(len(u)), 1, cfg, seed=2)
+        assert res.estimate == 0.0 and res.converged and res.iterations_used == 1
 
     def test_tiny_constant_exact(self):
         cfg = RqmcConfig(i_max=3, tol=1e-6)
