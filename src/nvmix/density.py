@@ -42,8 +42,8 @@ from .mixtures import MixtureSpec, quantile
 from .model import NvmModel
 # rqmc_log_estimate stays bound here for tools that trace this module's
 # estimator by name.
-from .rqmc import (RqmcAccumulator, RqmcConfig, RqmcResult, _run, log_mean_exp,  # noqa: F401
-                   rqmc_log_estimate)
+from .rqmc import (_BLOCK_VALUES, RqmcAccumulator, RqmcConfig, RqmcResult, _run,  # noqa: F401
+                   log_mean_exp, rqmc_log_estimate)
 
 __all__ = [
     "peak",
@@ -64,9 +64,6 @@ _K_TH = 10.0
 _EPS_BISEC = 1e-6
 # Batches of the crude pass that every input of log_integral_batch gets.
 _PILOT_BATCHES = 4
-# The crude pass evaluates its integrands in blocks of whole rows of about
-# this many values, so a block stays in cache through its reduction.
-_BLOCK_VALUES = 2 ** 16
 # Range of the logit coordinate: expit(z) and expit(-z) are positive
 # normal doubles for |z| <= -_Z_LO.  A black box only receives
 # u = expit(z), which stays below 1 for z <= _Z_HI_BLACKBOX.

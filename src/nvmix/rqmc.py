@@ -37,6 +37,10 @@ __all__ = [
 # which float64 represents exactly.
 _BITS = 32
 _SCALE = 2.0 ** -_BITS
+# Whole-array passes are walked in blocks of whole rows of about this many
+# values, so that a block's temporaries stay in cache (the crude density
+# pass, sampling).
+_BLOCK_VALUES = 2 ** 16
 
 NEG_INF = -np.inf
 
@@ -69,7 +73,10 @@ def _draw_raw(engine: qmc.Sobol, n: int) -> np.ndarray:
         # warning for non-power-of-2 draws is expected and harmless here.
         warnings.filterwarnings("ignore", message="The balance properties")
         pts = engine.random(n)
-    return np.round(pts * 2.0 ** _BITS).astype(np.uint64)
+    # The points are exact multiples of 2^-bits, so the product is an
+    # exact integer and the cast loses nothing.
+    pts *= 2.0 ** _BITS
+    return pts.astype(np.uint64)
 
 
 def derive_shift(seed, shape) -> np.ndarray:

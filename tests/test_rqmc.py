@@ -10,6 +10,8 @@ from nvmix.rqmc import (
     RqmcAccumulator,
     RqmcConfig,
     SobolStream,
+    _draw_raw,
+    _new_engine,
     log_mean_exp,
     rqmc_estimate,
     rqmc_log_estimate,
@@ -48,6 +50,19 @@ class TestSobolStream:
         b = SobolStream(5, seed=7).take(8)[0]
         assert np.array_equal(a, b)
         assert s1.skip == 8
+
+    @pytest.mark.filterwarnings("ignore:The balance properties")
+    @pytest.mark.parametrize("d", [1, 11, 50])
+    def test_raw_draw_is_exact_without_rounding(self, d):
+        # The engine's points are multiples of 2^-32, so scaling and
+        # casting them equals the rounded form, also after a fast-forward.
+        got, ref = _new_engine(d), _new_engine(d)
+        for skip, n in ((0, 37), (1000, 64), (3, 5)):
+            if skip:
+                got.fast_forward(skip)
+                ref.fast_forward(skip)
+            want = np.round(ref.random(n) * 2.0 ** 32).astype(np.uint64)
+            assert np.array_equal(_draw_raw(got, n), want)
 
     def test_skip_semantics(self):
         full = SobolStream(3, seed=11).take(16)[0]
