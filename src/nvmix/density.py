@@ -22,11 +22,14 @@ that bracket by RQMC; the mass outside the bracket is negligible.  All
 inputs the crude pass leaves unsettled take these steps together: each
 bisection or maximization step evaluates the quantile once for every
 input whose search still runs, and the RQMC runs as one block, each
-input under its own digital shifts until it meets the tolerance.  The
-number of quantile calls thus grows with the number of steps, not with
-the number of inputs.  The same machinery integrates any integrand of
-the form c * w^(-k) * exp(-m/w), which covers the posterior weights
-needed for fitting and the Mahalanobis-distance density.
+input until it meets the tolerance.  The number of quantile calls thus
+grows with the number of steps, not with the number of inputs.  Both
+RQMC passes share one seed's digital shifts among all their inputs, so
+every input is integrated at the same points and its result does not
+depend on the other inputs or on its position among them.  The same
+machinery integrates any integrand of the form c * w^(-k) * exp(-m/w),
+which covers the posterior weights needed for fitting and the
+Mahalanobis-distance density.
 """
 
 from __future__ import annotations
@@ -395,11 +398,14 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     together: the peak search starts from the crude pass's quantile
     knots, every bisection and the maximization of g stop at a z-width of
     ``_EPS_BISEC``, the bracket ends where g falls ``_K_TH`` decades below
-    its maximum, and RQMC integrates g over the bracket, each input under
-    its own shifts until it meets the tolerance.  Each step of these
-    searches, and each RQMC batch, evaluates the quantile once for all
-    inputs still running, so the number of quantile calls does not grow
-    with the number of inputs.  The crude batches count against
+    its maximum, and RQMC integrates g over the bracket, each input until
+    it meets the tolerance.  All adaptive inputs share one seed's ``B``
+    digital shifts (as the crude pass's inputs share another's), so every
+    input's result equals that of a call with this input alone: it does
+    not depend on the other inputs or on its position among them.  Each
+    step of these searches, and each RQMC batch, evaluates the quantile
+    once for all inputs still running, so the number of quantile calls
+    does not grow with the number of inputs.  The crude batches count against
     ``cfg.i_max``: the adaptive RQMC gets the rest of that budget, and an
     input the crude pass leaves unsettled with none left keeps its crude
     result, unconverged.  A result is unconverged when that RQMC misses
@@ -419,8 +425,10 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     if np.any(ms == 0.0) and _quantile_z(spec, _Z_LO, nu) == 0.0:
         raise ValueError(_DIVERGES)
 
-    # Child i of the root seed, as SeedSequence(seed).spawn(N + 2)[i]
-    # would give it, built only for the rows that need one.
+    # Children 0 and 2 of the root seed, as SeedSequence(seed).spawn(3)
+    # gives them, randomize the crude pass and the adaptive RQMC.  Child 2
+    # was the first input's own when each input had its own shifts, so
+    # one-input calls keep their fixed-seed values.
     root = np.random.SeedSequence(seed)
 
     def child(i):
@@ -452,10 +460,10 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     width = z_r - z_l
 
     def mid_log_g(v, rows):
-        z = z_l[rows, None] + width[rows, None] * v[:, :, 0]
+        z = z_l[rows, None] + width[rows, None] * v[:, 0]
         return _log_g(z, spec, nu, pref[rows, None], k[rows, None], m[rows, None])
 
-    mids = _run(mid_log_g, 1, replace(cfg, i_max=budget), [child(i + 2) for i in todo], log=True)
+    mids = _run(mid_log_g, 1, replace(cfg, i_max=budget), child(2), len(todo), log=True)
     for j, (i, mid) in enumerate(zip(todo, mids)):
         batches = crude.batches + mid.iterations_used
         results[i] = RqmcResult(

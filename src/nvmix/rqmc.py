@@ -7,10 +7,13 @@ is ever discarded.  One accumulator serves every integral in the package:
 B digital shifts of one Sobol' stream, running means kept either plainly
 or in logarithmic space (a "proper logarithm", so that integrals as small
 as exp(-5000) are handled without underflow), over one or several
-integrands evaluated at the same points or each under its own shifts,
-each with its own error and tolerance test.  One loop runs a batch of
-integrands, each until it meets the tolerance or the batch cap;
-``rqmc_estimate`` and ``rqmc_log_estimate`` are its one-integrand case.
+integrands, each with its own error and tolerance test.  A run has one
+randomization: the B shifts derived from its one seed, shared by all its
+integrands, which are thus evaluated at the same points (common random
+numbers), so each integrand's result depends on that integrand alone and
+not on the others in its batch.  One loop runs a batch of integrands,
+each until it meets the tolerance or the batch cap; ``rqmc_estimate``
+and ``rqmc_log_estimate`` are its one-integrand case.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ _SCALE = 2.0 ** -_BITS
 # values, so that a block's temporaries stay in cache (the crude density
 # pass, sampling).
 _BLOCK_VALUES = 2 ** 16
+# Multiple of the standard error over the randomizations that makes the
+# CI half width.
+_CI_MULT = 3.5
 
 NEG_INF = -np.inf
 
@@ -79,18 +85,6 @@ def _draw_raw(engine: qmc.Sobol, n: int) -> np.ndarray:
     return pts.astype(np.uint64)
 
 
-def derive_shift(seed, shape) -> np.ndarray:
-    """Digital-shift words of the given shape derived from ``seed`` (an int
-    or a ``SeedSequence``).
-
-    ``seed=None`` yields the zero shift, i.e. the unrandomized sequence.
-    """
-    if seed is None:
-        return np.zeros(shape, dtype=np.uint64)
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 2 ** _BITS, size=shape, dtype=np.uint64)
-
-
 class SobolStream:
     """Extensible Sobol' stream in ``[0,1)^dimension`` under ``n_random``
     independent digital shifts.
@@ -99,45 +93,29 @@ class SobolStream:
     ----------
     dimension : int
         Number of coordinates (limited by the direction-number table).
-    seed : int, SeedSequence, None, or a list of these
-        Seed from which the digital shifts are derived; ``None`` gives the
-        raw (unrandomized) sequence.  A list derives ``n_random`` shifts
-        from each of its seeds, one seed's after the other.
-    skip : int
-        Number of leading points to discard.
+    seed : int, SeedSequence or None
+        Seed from which the digital shifts are derived, as by
+        ``numpy.random.default_rng``: ``None`` draws fresh shifts.
     n_random : int
-        Number of randomizations (per seed); all advance in lockstep, so
-        one raw draw serves all of them.
+        Number of randomizations; all advance in lockstep, so one raw draw
+        serves all of them.
 
     Requesting ``n`` points and then ``m`` points returns exactly the
     same values as requesting ``n + m`` points at once.
     """
 
-    def __init__(self, dimension: int, seed=None, skip: int = 0, n_random: int = 1):
-        self.dimension = int(dimension)
-        seeds = seed if isinstance(seed, list) else [seed]
-        self.shifts = np.concatenate(
-            [derive_shift(s, (int(n_random), self.dimension)) for s in seeds])
-        self._engine = _new_engine(self.dimension)
-        self.skip = 0
-        if skip:
-            self.fast_forward(int(skip))
+    def __init__(self, dimension: int, seed=None, n_random: int = 1):
+        self._engine = _new_engine(int(dimension))
+        self.shifts = np.random.default_rng(seed).integers(
+            0, 2 ** _BITS, size=(int(n_random), int(dimension)), dtype=np.uint64)
 
-    def fast_forward(self, n: int) -> "SobolStream":
-        self._engine.fast_forward(n)
-        self.skip += n
-        return self
-
-    def take(self, n: int, which=None) -> np.ndarray:
-        """Next ``n`` points under every shift, as a ``(len(shifts), n,
-        dimension)`` array, or under the shifts indexed by ``which`` only;
-        advances the stream."""
+    def take(self, n: int) -> np.ndarray:
+        """Next ``n`` points under every shift, as a ``(n_random, n,
+        dimension)`` array; advances the stream."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         ints = _draw_raw(self._engine, n)
-        self.skip += n
-        shifts = self.shifts if which is None else self.shifts[which]
-        return (ints[None, :, :] ^ shifts[:, None, :]) * _SCALE
+        return (ints[None, :, :] ^ self.shifts[:, None, :]) * _SCALE
 
 
 @dataclass(frozen=True)
@@ -157,7 +135,6 @@ class RqmcConfig:
     i_max: int = 64
     tol: float = 1e-3
     tol_type: str = "absolute"
-    ci_mult: float = 3.5
 
     def __post_init__(self):
         if self.B < 2:
@@ -170,8 +147,6 @@ class RqmcConfig:
             raise ValueError("tol must be positive")
         if self.tol_type not in ("absolute", "relative"):
             raise ValueError("tol_type must be 'absolute' or 'relative'")
-        if not self.ci_mult > 0:
-            raise ValueError("ci_mult must be positive")
 
 
 @dataclass(frozen=True)
@@ -218,46 +193,30 @@ class RqmcAccumulator:
     integrands (rows).
 
     Each :meth:`draw` appends ``n0`` fresh points to each of the ``B``
-    randomizations of one raw Sobol' stream; :meth:`add` reduces the
-    values there to one mean per randomization and :meth:`fold` folds
-    such batch means into the running means of the given rows with equal
-    batch weights, plainly or, with ``log=True``, as log-means (a "proper
-    logarithm"), so that integrals as small as exp(-5000) are handled
-    without underflow.  ``seed`` is either one seed, whose ``B`` digital
-    shifts every row shares (all rows are evaluated at the same points),
-    or a list with one seed per row, each giving its row its own ``B``
-    shifts of the same raw stream; ``None`` draws fresh random shifts.
-    Errors, estimates, the tolerance test and the batch count are per row.
+    randomizations of one Sobol' stream, whose ``B`` digital shifts come
+    from the one ``seed`` and are shared by all rows: every row is
+    evaluated at the same points, so a row's result depends on that row
+    alone.  :meth:`add` reduces the values there to one mean per
+    randomization and :meth:`fold` folds such batch means into the running
+    means of the given rows with equal batch weights, plainly or, with
+    ``log=True``, as log-means (a "proper logarithm"), so that integrals
+    as small as exp(-5000) are handled without underflow.  Errors,
+    estimates, the tolerance test and the batch count are per row.
     """
 
     def __init__(self, dimension: int, cfg: RqmcConfig, seed, log: bool = False):
         self.cfg = cfg
         self.log = log
-        self._per_row = isinstance(seed, list)
-        seeds = [np.random.SeedSequence() if s is None else s
-                 for s in (seed if self._per_row else [seed])]
-        self._stream = SobolStream(dimension, seeds, n_random=cfg.B)
-        # (rows, B) means and per-row batch counts, set up by the first add
-        # under shared shifts.
+        self._stream = SobolStream(dimension, seed, n_random=cfg.B)
+        # (rows, B) means and per-row batch counts, set up by the first fold.
         self.means = self.counts = None
-        if self._per_row:
-            self._start(len(seeds))
         self.batches = 0
 
-    def _start(self, rows: int) -> None:
-        self.means = np.full((rows, self.cfg.B), NEG_INF if self.log else 0.0)
-        self.counts = np.zeros(rows, dtype=int)
-
-    def draw(self, rows=None) -> np.ndarray:
-        """Next batch of all randomizations, randomization-major: a
-        ``(B * n0, dimension)`` array under shared shifts, a ``(len(rows),
-        B * n0, dimension)`` array for the given rows (all by default)
-        under per-row shifts."""
-        B, n0, dim = self.cfg.B, self.cfg.n0, self._stream.dimension
-        if not self._per_row:
-            return self._stream.take(n0).reshape(-1, dim)
-        which = None if rows is None else (np.asarray(rows)[:, None] * B + np.arange(B)).ravel()
-        return self._stream.take(n0, which).reshape(-1, B * n0, dim)
+    def draw(self) -> np.ndarray:
+        """Next batch of all randomizations, randomization-major, as a
+        ``(B * n0, dimension)`` array."""
+        pts = self._stream.take(self.cfg.n0)
+        return pts.reshape(-1, pts.shape[-1])
 
     def add(self, vals: np.ndarray, rows=None) -> None:
         """Fold values at the last :meth:`draw` into the given rows (all by
@@ -271,7 +230,8 @@ class RqmcAccumulator:
         default).  A caller that reduces its values block by block folds
         them here without forming the whole batch."""
         if self.means is None:
-            self._start(len(batch_means))
+            self.means = np.full((len(batch_means), self.cfg.B), NEG_INF if self.log else 0.0)
+            self.counts = np.zeros(len(batch_means), dtype=int)
         if rows is None:
             rows = slice(None)
         n = self.counts[rows][:, None]
@@ -291,7 +251,7 @@ class RqmcAccumulator:
         """CI half widths over the randomizations (of the log-means when
         ``log``)."""
         sd = self.means.std(axis=1, ddof=1)
-        err = self.cfg.ci_mult * sd / math.sqrt(self.cfg.B)
+        err = _CI_MULT * sd / math.sqrt(self.cfg.B)
         return np.where(np.ptp(self.means, axis=1) == 0.0, 0.0, err)
 
     def converged(self) -> np.ndarray:
@@ -322,26 +282,28 @@ def _tolerance_met(err: np.ndarray, estimate: np.ndarray, cfg: RqmcConfig,
     return err <= np.where(scale >= 1e-16, cfg.tol * scale, cfg.tol)
 
 
-def _run(g, dimension: int, cfg: RqmcConfig, seeds: list, log: bool) -> list[RqmcResult]:
-    """Row-batched RQMC: row ``i`` runs on the shifts of ``seeds[i]`` until it
-    meets the tolerance or ``i_max`` batches are spent.
+def _run(g, dimension: int, cfg: RqmcConfig, seed, n_rows: int,
+         log: bool) -> list[RqmcResult]:
+    """Row-batched RQMC: ``n_rows`` integrands at the same points, under
+    the ``B`` shifts of ``seed``, each until it meets the tolerance or
+    ``i_max`` batches are spent.
 
-    All rows advance through one raw Sobol' stream; each iteration calls
-    ``g(pts, rows)`` once with the ``(len(rows), B * n0, dimension)`` points
-    of the rows still running, and it must return one value per point
-    (NaN aborts with the offending point).
+    Each iteration calls ``g(pts, rows)`` once with the ``(B * n0,
+    dimension)`` points of the batch and the indices of the rows still
+    running; it must return a ``(len(rows), B * n0)`` array, one value per
+    row and point (NaN aborts with the offending point).
     """
-    acc = RqmcAccumulator(dimension, cfg, list(seeds), log)
-    rows = np.arange(len(seeds))
+    acc = RqmcAccumulator(dimension, cfg, seed, log)
+    rows = np.arange(n_rows)
     while len(rows):
-        pts = acc.draw(rows)
+        pts = acc.draw()
         vals = np.asarray(g(pts, rows), dtype=float)
-        if vals.size != pts.shape[0] * pts.shape[1]:
+        if vals.size != len(rows) * len(pts):
             raise ValueError("integrand must return one value per point")
-        vals = vals.reshape(pts.shape[:2])
+        vals = vals.reshape(len(rows), len(pts))
         bad = np.argwhere(np.isnan(vals))
         if len(bad):
-            raise IntegrandNaNError(pts[tuple(bad[0])])
+            raise IntegrandNaNError(pts[bad[0, 1]])
         acc.add(vals, rows)
         rows = rows[~acc.converged()[rows]] if acc.batches < cfg.i_max else rows[:0]
     return acc.results()
@@ -361,7 +323,7 @@ def rqmc_estimate(
     batches of ``n0`` until the CI half width meets the tolerance or
     ``i_max`` batches are spent.
     """
-    return _run(lambda pts, rows: g(pts[0]), dimension, cfg, [seed], log=False)[0]
+    return _run(lambda pts, rows: g(pts), dimension, cfg, seed, 1, log=False)[0]
 
 
 def rqmc_log_estimate(
@@ -377,4 +339,4 @@ def rqmc_log_estimate(
     estimated without underflow.  The error estimate is the CI half width
     of the per-randomization log means.
     """
-    return _run(lambda pts, rows: log_g(pts[0]), dimension, cfg, [seed], log=True)[0]
+    return _run(lambda pts, rows: log_g(pts), dimension, cfg, seed, 1, log=True)[0]

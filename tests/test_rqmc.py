@@ -12,6 +12,7 @@ from nvmix.rqmc import (
     SobolStream,
     _draw_raw,
     _new_engine,
+    _run,
     log_mean_exp,
     rqmc_estimate,
     rqmc_log_estimate,
@@ -34,14 +35,19 @@ def reference_sobol_1d(n):
     return np.array(out[:n])
 
 
+def raw_points(dimension, n):
+    """First n unshifted Sobol' points on the 2^-32 grid."""
+    return _draw_raw(_new_engine(dimension), n) * 2.0 ** -32
+
+
 class TestSobolStream:
     def test_first_points_match_reference(self):
-        pts = SobolStream(1, seed=None).take(4)[0][:, 0]
+        pts = raw_points(1, 4)[:, 0]
         assert np.array_equal(pts, reference_sobol_1d(4))
         assert np.array_equal(pts, [0.0, 0.5, 0.75, 0.25])
 
     def test_reference_oracle_longer_run(self):
-        pts = SobolStream(1, seed=None).take(64)[0][:, 0]
+        pts = raw_points(1, 64)[:, 0]
         assert np.array_equal(pts, reference_sobol_1d(64))
 
     def test_extensible(self):
@@ -49,7 +55,6 @@ class TestSobolStream:
         a = np.vstack([s1.take(4)[0], s1.take(4)[0]])
         b = SobolStream(5, seed=7).take(8)[0]
         assert np.array_equal(a, b)
-        assert s1.skip == 8
 
     @pytest.mark.filterwarnings("ignore:The balance properties")
     @pytest.mark.parametrize("d", [1, 11, 50])
@@ -64,15 +69,17 @@ class TestSobolStream:
             want = np.round(ref.random(n) * 2.0 ** 32).astype(np.uint64)
             assert np.array_equal(_draw_raw(got, n), want)
 
-    def test_skip_semantics(self):
-        full = SobolStream(3, seed=11).take(16)[0]
-        tail = SobolStream(3, seed=11, skip=5).take(11)[0]
-        assert np.array_equal(tail, full[5:])
-
     def test_same_seed_same_points(self):
         a = SobolStream(4, seed=123).take(32)[0]
         b = SobolStream(4, seed=123).take(32)[0]
         assert np.array_equal(a, b)
+
+    def test_no_seed_draws_fresh_shifts(self):
+        # seed=None randomizes as numpy.random.default_rng(None) does: two
+        # streams differ, and neither is the unshifted sequence.
+        a, b = SobolStream(3, n_random=2).take(8), SobolStream(3, n_random=2).take(8)
+        assert not np.array_equal(a, b)
+        assert not np.array_equal(a[0], raw_points(3, 8))
 
     def test_range_and_stratification(self):
         # One point per dyadic interval [k/1024, (k+1)/1024) in every
@@ -235,6 +242,40 @@ class TestRqmcLogEstimate:
         assert res.estimate == pytest.approx(math.log(0.125), abs=5e-3)
 
 
+class TestRowBatchedRun:
+    def test_nan_in_second_row_reports_shared_point(self):
+        # Rows share the batch's points: a NaN in row 1 aborts the run and
+        # names the point where that row returned it.
+        cfg = RqmcConfig(B=3, n0=8)
+        seen = []
+
+        def g(pts, rows):
+            seen.append(pts.copy())
+            vals = np.tile(pts[:, 0], (len(rows), 1))
+            vals[1, 5] = np.nan
+            return vals
+
+        with pytest.raises(IntegrandNaNError) as info:
+            _run(g, 2, cfg, seed=1, n_rows=3, log=False)
+        assert len(seen) == 1 and seen[0].shape == (cfg.B * cfg.n0, 2)
+        assert np.array_equal(info.value.point, seen[0][5])
+
+    def test_rows_equal_their_one_row_runs(self):
+        # Each row's result depends on that row alone: rows that stop at
+        # different batches give what each gives run alone.
+        cfg = RqmcConfig(B=5, n0=32, tol=1e-5, i_max=12)
+        scales = np.array([0.0, 1.0, 3.0, 0.2])
+
+        def g(pts, rows):
+            return 1.0 + scales[rows, None] * np.sin(7.0 * pts[None, :, 0])
+
+        batch = _run(g, 1, cfg, seed=3, n_rows=4, log=False)
+        alone = [_run(lambda p, r, s=s: g(p, np.array([s])), 1, cfg, 3, 1, False)[0]
+                 for s in range(4)]
+        assert batch == alone
+        assert len({r.iterations_used for r in batch}) > 1
+
+
 class TestInvariants:
     def test_extensible_iteration(self):
         # Continuing from iteration i is bit-identical to running straight
@@ -302,7 +343,6 @@ class TestConfigValidation:
             {"n0": 100},
             {"tol": 0.0},
             {"tol_type": "weird"},
-            {"ci_mult": 0.0},
             {"i_max": 0},
         ],
     )
