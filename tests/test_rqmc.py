@@ -344,6 +344,7 @@ class TestConfigValidation:
             {"tol": 0.0},
             {"tol_type": "weird"},
             {"i_max": 0},
+            {"tol": float("nan")},
         ],
     )
     def test_rejects(self, kwargs):
