@@ -160,29 +160,28 @@ class BoxIntegrand:
 
     Step l costs one BLAS product, the block's partial sums
     ``z[:, :l] @ coef[rows, :l].T`` over the conditional normal quantiles
-    drawn so far, and one ``ndtri``.  A block whose lower limits are all
-    -inf (upper limits all +inf) skips ``ndtr`` for that side, which is
-    exactly 0 (1) there.
+    drawn so far, at most two ``ndtr`` and one ``ndtri``, all into a few
+    length-n buffers made once per call (``ndtri`` into column l of the
+    Fortran-ordered ``z``); a block's rows are reduced one by one with
+    in-place ``np.maximum``/``np.minimum``, with no (n, k) temporary.  A
+    block whose lower limits are all -inf (upper limits all +inf) skips
+    ``ndtr`` for that side, which is exactly 0 (1) there.
     """
 
     def __init__(self, lower, upper, coef, block_heads, spec: MixtureSpec, nu):
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
         self.coef = np.asarray(coef, dtype=float)
-        self.block_heads = np.asarray(block_heads, dtype=int)
-        self.rank = len(self.block_heads)
-        self.n_rows = self.coef.shape[0]
-        block_ends = np.append(self.block_heads[1:], self.n_rows)
-        self.blocks = [
-            slice(int(h), int(e)) for h, e in zip(self.block_heads, block_ends)
-        ]
+        heads = [int(h) for h in block_heads]
+        self.rank = len(heads)
+        self.blocks = [slice(h, e) for h, e in zip(heads, heads[1:] + [len(self.coef)])]
         self.open_lower = [bool(np.all(self.lower[r] == -np.inf)) for r in self.blocks]
         self.open_upper = [bool(np.all(self.upper[r] == np.inf)) for r in self.blocks]
         self.spec = spec
         self.nu = np.atleast_1d(np.asarray(nu, dtype=float))
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        u = np.atleast_2d(np.asarray(u, dtype=float))
+        u = np.asfortranarray(np.atleast_2d(u), dtype=float)
         if u.shape[1] != self.rank:
             raise ValueError(f"points must have {self.rank} coordinates")
         n = u.shape[0]
@@ -192,24 +191,35 @@ class BoxIntegrand:
 
         z = np.empty((n, self.rank), order="F")
         g = np.ones(n)
+        d_buf, e_buf, width, t = (np.empty(n) for _ in range(4))
         with np.errstate(invalid="ignore"):
             for l, rows in enumerate(self.blocks):
                 partial = z[:, :l] @ self.coef[rows, :l].T
-                if self.open_lower[l]:
-                    d_l = 0.0
-                else:
-                    lo_terms = self.lower[rows][None, :] * inv_sqrt_w[:, None] - partial
-                    d_l = ndtr(np.max(lo_terms, axis=1))
-                if self.open_upper[l]:
-                    e_l = 1.0
-                else:
-                    hi_terms = self.upper[rows][None, :] * inv_sqrt_w[:, None] - partial
-                    e_l = ndtr(np.min(hi_terms, axis=1))
-                g = g * np.clip(e_l - d_l, 0.0, 1.0)
+                d_l = 0.0 if self.open_lower[l] else _ndtr_of_bound(
+                    d_buf, self.lower[rows], partial, inv_sqrt_w, np.maximum, t)
+                e_l = 1.0 if self.open_upper[l] else _ndtr_of_bound(
+                    e_buf, self.upper[rows], partial, inv_sqrt_w, np.minimum, t)
+                np.subtract(e_l, d_l, out=width)
                 if l + 1 < self.rank:
-                    p = np.clip(d_l + u[:, l + 1] * (e_l - d_l), _P_LO, _P_HI)
-                    z[:, l] = ndtri(p)
+                    np.multiply(u[:, l + 1], width, out=t)
+                    t += d_l
+                    np.clip(t, _P_LO, _P_HI, out=t)
+                    ndtri(t, out=z[:, l])
+                np.clip(width, 0.0, 1.0, out=width)
+                g *= width
         return g
+
+
+def _ndtr_of_bound(out, limits, partial, inv_sqrt_w, reduce, scratch) -> np.ndarray:
+    """``ndtr`` of ``reduce`` (which must propagate NaN) over a block's rows j
+    of ``limits[j] * inv_sqrt_w - partial[:, j]``, into ``out``."""
+    for j, limit in enumerate(limits):
+        term = scratch if j else out
+        np.multiply(inv_sqrt_w, limit, out=term)
+        term -= partial[:, j]
+        if j:
+            reduce(out, term, out=out)
+    return ndtr(out, out=out)
 
 
 def _box_integrand(a0, b0, factor: ScaleFactor, spec: MixtureSpec, nu) -> BoxIntegrand:
@@ -241,9 +251,14 @@ def _box_integrand(a0, b0, factor: ScaleFactor, spec: MixtureSpec, nu) -> BoxInt
 
 
 def _antithetic(f):
+    """``u -> (f(u) + f(1 - u)) / 2`` by one call of ``f`` on ``u`` stacked
+    over ``1 - u`` in one Fortran-ordered array."""
     def pair_mean(u):
-        v = f(np.concatenate([u, 1.0 - u]))
         n = len(u)
+        both = np.empty((2 * n, u.shape[1]), order="F")
+        both[:n] = u
+        np.subtract(1.0, both[:n], out=both[n:])
+        v = f(both)
         return 0.5 * (v[:n] + v[n:])
 
     return pair_mean

@@ -73,16 +73,16 @@ def _new_engine(dimension: int) -> qmc.Sobol:
 
 
 def _draw_raw(engine: qmc.Sobol, n: int) -> np.ndarray:
-    """Next n raw Sobol' points as uint64 on the 2^bits grid."""
+    """Next n raw Sobol' points as uint32 on the 2^bits grid."""
     with warnings.catch_warnings():
         # Arbitrary n is part of the extensibility contract; the balance
         # warning for non-power-of-2 draws is expected and harmless here.
         warnings.filterwarnings("ignore", message="The balance properties")
         pts = engine.random(n)
     # The points are exact multiples of 2^-bits, so the product is an
-    # exact integer and the cast loses nothing.
+    # exact integer below 2^32 and the cast loses nothing.
     pts *= 2.0 ** _BITS
-    return pts.astype(np.uint64)
+    return pts.astype(np.uint32)
 
 
 class SobolStream:
@@ -106,12 +106,15 @@ class SobolStream:
 
     def __init__(self, dimension: int, seed=None, n_random: int = 1):
         self._engine = _new_engine(int(dimension))
-        self.shifts = np.random.default_rng(seed).integers(
+        # Drawn as uint64, which fixes a seed's values, and XORed as uint32.
+        shifts = np.random.default_rng(seed).integers(
             0, 2 ** _BITS, size=(int(n_random), int(dimension)), dtype=np.uint64)
+        self.shifts = shifts.astype(np.uint32)
 
     def take(self, n: int) -> np.ndarray:
         """Next ``n`` points under every shift, as a ``(n_random, n,
-        dimension)`` array; advances the stream."""
+        dimension)`` array; advances the stream.  The shift XORs 32-bit
+        words, which are then scaled once into float64."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         ints = _draw_raw(self._engine, n)

@@ -14,9 +14,9 @@ from nvmix.distribution import (
     reorder,
 )
 from nvmix.linalg import singular_cholesky
-from nvmix.mixtures import constant, inverse_burr, inverse_gamma, pareto, quantile
+from nvmix.mixtures import blackbox, constant, inverse_burr, inverse_gamma, pareto, quantile
 from nvmix.model import NvmModel
-from nvmix.rqmc import RqmcConfig, RqmcResult
+from nvmix.rqmc import IntegrandNaNError, RqmcConfig, RqmcResult
 
 INF = float("inf")
 
@@ -247,6 +247,75 @@ class TestScalarRecursion:
         np.testing.assert_allclose(
             _antithetic(f)(u), 0.5 * (f(u) + f(1.0 - u)), rtol=1e-15, atol=0.0
         )
+
+
+def _staircase_model(spec, nu):
+    """The rank-3 model of ``test_staircase_with_negative_loadings``: six
+    variables in three 2-row blocks, two of them with negative loadings."""
+    T = np.array([
+        [1.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0],
+        [-0.8, 0.0, 0.0],
+        [0.4, 1.5, 0.0],
+        [0.0, 0.3, -1.1],
+    ])
+    R = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.4], [0.2, 0.4, 1.0]])
+    return NvmModel.build(None, T @ R @ T.T, spec, nu)
+
+
+class TestPointLayout:
+    """The integrand reads its points' columns whatever their memory
+    layout: C-ordered, Fortran-ordered and strided points give equal
+    values."""
+
+    @staticmethod
+    def _assert_layout_free(f, u):
+        strided = np.zeros((2 * u.shape[0], 3 * u.shape[1]))[::2, 1::3]
+        strided[...] = u
+        assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
+        want = f(u)
+        assert np.array_equal(f(np.asfortranarray(u)), want)
+        assert np.array_equal(f(strided), want)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_full_rank(self, kind):
+        rng = np.random.default_rng(20)
+        G = rng.standard_normal((20, 22))
+        res = reorder(*_limits(kind, rng, 20), G @ G.T, mu_sqrt_w=1.3)
+        f = _box_integrand(res.a, res.b, res.factor, inverse_gamma(), [3.0])
+        self._assert_layout_free(f, _points(rng, 64, 20))
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_staircase(self, kind):
+        model = _staircase_model(inverse_gamma(), [3.0])
+        factor = model.factor
+        rng = np.random.default_rng(7)
+        a, b = _limits(kind, rng, 6)
+        f = _box_integrand(a[factor.perm], b[factor.perm], factor, model.spec, model.nu)
+        self._assert_layout_free(f, _points(rng, 64, 3))
+
+
+class TestNaNInMultiRowBlocks:
+    """W = inf makes a -inf limit's term -inf * 0 = NaN; the block's
+    max/min must carry the NaN on (as ``np.maximum`` does and ``np.fmax``
+    does not) so that the driver reports it."""
+
+    SPEC = blackbox(lambda u, nu: np.where(u > 0.9, np.inf, 1 / (1 - u)), 1)
+
+    def test_mixed_block_raises(self):
+        model = _staircase_model(self.SPEC, [1.0])
+        lower = [-1.0, -INF, -1.0, -INF, -1.0, -1.0]
+        with pytest.raises(IntegrandNaNError) as err:
+            prob_singular(lower, np.ones(6), model, seed=1)
+        np.testing.assert_allclose(
+            err.value.point, [0.9731887, 0.01182162, 0.25516751], rtol=1e-6)
+
+    def test_finite_limits_are_finite(self):
+        model = _staircase_model(self.SPEC, [1.0])
+        res = prob_singular(-np.ones(6), np.ones(6), model, seed=1)
+        assert res.estimate == 0.10686578015041026
+        assert res.converged
 
 
 class TestProb:
