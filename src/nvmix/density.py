@@ -18,13 +18,14 @@ and 1 - u = expit(-z), each computed directly.  The path locates the peak
 of h by bisection in z (only quantile evaluations are available),
 maximizes g between that peak and z = 0, brackets the region where g
 exceeds a threshold ten orders below its maximum and integrates g over
-that bracket by RQMC; the mass outside the bracket is negligible.  All
-inputs the crude pass leaves unsettled take these steps together: each
-bisection or maximization step evaluates the quantile once for every
-input whose search still runs, and the RQMC runs as one block, each
-input until it meets the tolerance.  The number of quantile calls thus
-grows with the number of steps, not with the number of inputs.  Both
-RQMC passes share one seed's digital shifts among all their inputs, so
+that bracket by RQMC; the error estimate does not count the mass outside
+the bracket.  All inputs the crude pass leaves unsettled take these
+steps together: each bisection or maximization step evaluates the
+quantile once for every input whose search still runs, and the RQMC runs
+as one block, each input until it meets the tolerance, tested every 32
+points per randomization.  The number of quantile calls thus grows with
+the number of steps, not with the number of inputs.  Both RQMC passes
+share one seed's digital shifts among all their inputs, so
 every input is integrated at the same points and its result does not
 depend on the other inputs or on its position among them.  The same
 machinery integrates any integrand of the form c * w^(-k) * exp(-m/w),
@@ -67,6 +68,8 @@ _K_TH = 10.0
 _EPS_BISEC = 1e-6
 # Batches of the crude pass that every input of log_integral_batch gets.
 _PILOT_BATCHES = 4
+# Points per randomization between the adaptive RQMC's tolerance checks.
+_ADAPTIVE_STEP = 32
 # Range of the logit coordinate: expit(z) and expit(-z) are positive
 # normal doubles for |z| <= -_Z_LO.  A black box only receives
 # u = expit(z), which stays below 1 for z <= _Z_HI_BLACKBOX.
@@ -399,18 +402,20 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     knots, every bisection and the maximization of g stop at a z-width of
     ``_EPS_BISEC``, the bracket ends where g falls ``_K_TH`` decades below
     its maximum, and RQMC integrates g over the bracket, each input until
-    it meets the tolerance.  All adaptive inputs share one seed's ``B``
+    it meets the tolerance, tested every ``min(cfg.n0, _ADAPTIVE_STEP)``
+    points per randomization.  All adaptive inputs share one seed's ``B``
     digital shifts (as the crude pass's inputs share another's), so every
     input's result equals that of a call with this input alone: it does
     not depend on the other inputs or on its position among them.  Each
-    step of these searches, and each RQMC batch, evaluates the quantile
+    step of these searches, and each RQMC step, evaluates the quantile
     once for all inputs still running, so the number of quantile calls
     does not grow with the number of inputs.  The crude batches count against
     ``cfg.i_max``: the adaptive RQMC gets the rest of that budget, and an
     input the crude pass leaves unsettled with none left keeps its crude
-    result, unconverged.  A result is unconverged when that RQMC misses
-    the tolerance or when g is still above the threshold at an end of the
-    z range.  A mixing distribution with an atom at w = 0 makes
+    result, unconverged.  An adaptive result counts the crude pass's points
+    and the adaptive points it used.  A result is unconverged when that
+    RQMC misses the tolerance or when g is still above the threshold at an
+    end of the z range.  A mixing distribution with an atom at w = 0 makes
     the integral diverge at D2 = 0, which raises ``ValueError``.
     """
     if cfg is None:
@@ -463,14 +468,18 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
         z = z_l[rows, None] + width[rows, None] * v[:, 0]
         return _log_g(z, spec, nu, pref[rows, None], k[rows, None], m[rows, None])
 
-    mids = _run(mid_log_g, 1, replace(cfg, i_max=budget), child(2), len(todo), log=True)
+    # The stream is extensible: a row sees the points of whole n0-point
+    # batches, a step at a time, and the budget in points is unchanged.
+    step = min(cfg.n0, _ADAPTIVE_STEP)
+    mids = _run(mid_log_g, 1, replace(cfg, n0=step, i_max=budget * cfg.n0 // step), child(2),
+                len(todo), log=True)
     for j, (i, mid) in enumerate(zip(todo, mids)):
-        batches = crude.batches + mid.iterations_used
+        n = crude.batches * cfg.n0 + mid.n_per_randomization
         results[i] = RqmcResult(
             estimate=math.log(width[j]) + mid.estimate,
             error_estimate=mid.error_estimate,
-            n_per_randomization=batches * cfg.n0,
-            iterations_used=batches,
+            n_per_randomization=n,
+            iterations_used=-(-n // cfg.n0),
             converged=mid.converged and bool(closed[j]),
         )
     return results

@@ -125,12 +125,14 @@ class SobolStream:
 class RqmcConfig:
     """Error-control parameters for the iterative RQMC loops.
 
+    A batch of ``n0`` points per randomization is the budget's unit:
     ``i_max`` caps the total number of batches per randomization, so at
     most ``B * n0 * i_max`` integrand evaluations are spent; for a
-    log-density the crude pass's batches count against it too.  A
-    relative tolerance is met only by a nonzero estimate (in log space,
-    where the estimate is a log, a vanishing one falls back to the
-    absolute test).
+    log-density the crude pass's batches count against it too.  The
+    tolerance is tested after every batch, by the adaptive log-density
+    pass every ``min(n0, 32)`` points.  A relative tolerance is met only
+    by a nonzero estimate (in log space, where the estimate is a log, a
+    vanishing one falls back to the absolute test).
     """
 
     B: int = 15
@@ -154,7 +156,9 @@ class RqmcConfig:
 
 @dataclass(frozen=True)
 class RqmcResult:
-    """Outcome of an iterative RQMC estimation."""
+    """Outcome of an iterative RQMC estimation: ``n_per_randomization`` is
+    the exact number of points spent per randomization, ``iterations_used``
+    that number in batches of ``RqmcConfig.n0``, rounded up."""
 
     estimate: float
     error_estimate: float

@@ -436,37 +436,41 @@ def test_adaptive_across_distances(spec, nu, D2):
 # recorded before the crude pass moved onto the shared RQMC accumulator;
 # the adaptive rows that moved by more than 1e-14 when all adaptive rows
 # came to share one seed's shifts were re-recorded then, each as the
-# row's one-row result, which that change kept.  Four iterations is a row
-# the crude pass settled, five one that took the adaptive path.
-# Estimates pinned to 1e-14, everything else exactly.
+# row's one-row result, which that change kept.  The adaptive rows were
+# re-recorded again when the adaptive RQMC came to check its tolerance
+# every 32 points: each new value lies within its error estimate of the
+# old one.  512 points (four iterations) is a row the crude pass
+# settled, 544 one that took the adaptive path and met the tolerance
+# after its first 32 points.  Estimates pinned to 1e-14, everything
+# else exactly.
 DENSITY_GOLDEN_D2 = [0.5, 3.0, 10.0, 25.0, 80.0, 640.0, 1.6e4]
 DENSITY_GOLDEN = {
     "inverse_gamma": [
-        (-6.9003512724580345, 5, 640, True),
-        (-9.993180538413235, 5, 640, True),
+        (-6.900352151498413, 5, 544, True),
+        (-9.993180547517596, 5, 544, True),
         (-14.84521080150147, 4, 512, True),
         (-19.942880305070958, 4, 512, True),
         (-27.38752886871452, 4, 512, True),
-        (-41.64570057774569, 5, 640, True),
-        (-64.13596728485501, 5, 640, True),
+        (-41.64570057774504, 5, 544, True),
+        (-64.13596728485433, 5, 544, True),
     ],
     "pareto": [
-        (-10.024502336641502, 5, 640, True),
+        (-10.024497222131274, 5, 544, True),
         (-11.163566972730544, 4, 512, True),
         (-14.287787057903234, 4, 512, True),
-        (-20.428733085706217, 5, 640, True),
-        (-32.8708873012328, 5, 640, True),
-        (-55.744744243490416, 5, 640, True),
-        (-91.15237831704061, 5, 640, True),
+        (-20.428733191522415, 5, 544, True),
+        (-32.870887301231456, 5, 544, True),
+        (-55.74474424348961, 5, 544, True),
+        (-91.15237831703982, 5, 544, True),
     ],
     "inverse_burr": [
-        (-6.980970787229872, 5, 640, True),
-        (-10.5869915003497, 5, 640, True),
+        (-6.980970787223541, 5, 544, True),
+        (-10.586991500348633, 5, 544, True),
         (-14.879609156675409, 4, 512, True),
         (-19.64716487936917, 4, 512, True),
         (-27.145355151234654, 4, 512, True),
-        (-41.603725819333604, 5, 640, True),
-        (-64.13422012856464, 5, 640, True),
+        (-41.603725819332915, 5, 544, True),
+        (-64.13422012856394, 5, 544, True),
     ],
 }
 
@@ -599,28 +603,34 @@ def test_atom_at_zero_diverges_at_center(u_atom, flat):
 
 @pytest.mark.parametrize("swap", [1e16, 0.0], ids=["far-tail", "center"])
 @pytest.mark.parametrize(
-    "cfg", [RqmcConfig(tol=1e-3), RqmcConfig(tol=7.3e-14, i_max=7),
+    "cfg", [RqmcConfig(tol=1e-3), RqmcConfig(tol=1e-13, i_max=7),
             RqmcConfig(tol=1e-13, i_max=2)], ids=["default", "capped", "crude-only"])
 def test_batch_rows_are_independent(cfg, swap):
     # Rows share the crude pass's points, the adaptive path's points and
     # its quantile calls but nothing else: replacing one row leaves every
     # other row's result exactly as it was.  Under the capped
     # configuration the crude pass's four batches leave the adaptive RQMC
-    # three, and the rows stop at different batches (two adaptive ones,
-    # or the cap unconverged), so a row that stops early or runs on must
-    # not shift the others' points.  All rows' errors then sit near the
-    # rounding floor of the log-means, 4e-14 to 8e-14 after two adaptive
-    # batches: the tolerance lies between the swapped-in rows' errors
-    # (7.0e-14 at D2 = 0, 7.1e-14 at 1e16) and D2 = 1.6e4's (7.5e-14).
-    # Under crude-only the crude pass uses up the whole budget.
-    D2s = [0.5, 3.0, 10.0, 640.0, 1.6e4, 2e5, 1e6]
+    # three, checked every 32 points, and the rows stop at different
+    # steps (at 768 points, or the cap of 896 unconverged), so a row that
+    # stops early or runs on must not shift the others' points.  All
+    # rows' errors then sit near the rounding floor of the folded
+    # 32-point log-means, which is lowest at dyadic point counts: at 768
+    # points 4e-14 to 8e-14 (7.0e-14 at D2 = 0, 8.9e-14 at 1e16), while
+    # the replaced row, D2 = 1e14, reads 1.1e-13 there and 1.19e-13 at
+    # the cap.  The tolerance lies between.  A nearer row such as
+    # D2 = 1.6e4 reads 7.8e-14 at 768 points, below every error of the
+    # 1e16 row, so no tolerance would separate the two.  Under crude-only
+    # the crude pass uses up the whole budget.
+    D2s = [0.5, 3.0, 10.0, 640.0, 1e14, 2e5, 1e6]
     spec, nu = inverse_gamma(), [4.0]
     ref = log_integral_batch(*density_args(D2s, 10), spec, nu, cfg, seed=2)
     got = log_integral_batch(*density_args(D2s[:4] + [swap] + D2s[5:], 10), spec, nu, cfg,
                              seed=2)
     assert [r for i, r in enumerate(got) if i != 4] == [r for i, r in enumerate(ref) if i != 4]
     assert got[4] != ref[4]
-    assert all(r.iterations_used <= cfg.i_max for r in ref + got)
+    # iterations_used counts n0-point batches, the last one partly used.
+    assert all(r.iterations_used == -(-r.n_per_randomization // cfg.n0) <= cfg.i_max
+               for r in ref + got)
     if cfg.i_max == 7:
         assert {r.iterations_used for r in ref} == {6, 7}
         assert not ref[4].converged and got[4].converged
@@ -672,6 +682,40 @@ def test_quantile_calls_do_not_grow_with_pending_points(monkeypatch):
         counts[n] = len(calls)
     assert counts[200] == counts[10]
     assert counts[10] < 200
+
+
+def test_adaptive_rows_stop_at_the_first_step_that_meets_tol():
+    # Every row here takes the adaptive path, and the RQMC tests the
+    # tolerance every 32 points per randomization: at tol 1e-3 the first
+    # 32 points settle each row, on top of the crude pass's four batches.
+    cfg = RqmcConfig(tol=1e-3)
+    res = log_integral_batch(*density_args(np.linspace(0.5, 2.0, 20), 10), inverse_gamma(),
+                             [4.0], cfg, seed=1)
+    assert all(r.converged and r.n_per_randomization == 4 * cfg.n0 + 32
+               and r.iterations_used == 5 for r in res)
+
+
+def test_adaptive_rows_meet_their_tolerance():
+    # Calibration of the early stop: of the converged rows that take the
+    # adaptive path, at most 1% may miss tol against the closed form (the
+    # 3.5-sd CI's own miss rate), and none by more than 3 tol.
+    cfg = RqmcConfig(tol=1e-3)
+    D2 = np.concatenate([[0.0], np.logspace(-8, 10, 37)])
+    errors = []
+    for spec, nu in [(inverse_gamma(), 4.0), (pareto(), 6.0)]:
+        for d in (2, 10):
+            model = NvmModel.build(None, np.eye(d), spec, [nu])
+            X = np.zeros((len(D2), d))
+            X[:, 0] = np.sqrt(D2)
+            exact = closed_log_density(model, X)
+            for seed in (1, 2):
+                res = log_density_batch(X, model, cfg, seed=seed)
+                errors += [abs(r.estimate - e) for r, e in zip(res, exact)
+                           if r.converged and r.n_per_randomization > 4 * cfg.n0]
+    errors = np.array(errors)
+    assert len(errors) >= 200
+    assert np.mean(errors > cfg.tol) <= 0.01
+    assert np.max(errors) <= 3 * cfg.tol
 
 
 def test_remark_shift_generalization():
