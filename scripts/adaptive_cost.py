@@ -6,14 +6,19 @@ Two parts, both at tol 1e-3 under the default ``RqmcConfig``:
   path (IG(4), D2 evenly spaced in [0.5, 2], ``shift_k`` 5, prefactor 0,
   seed 1) for N = 500 and 2000.  Prints the wall time of one untraced
   call, the tracemalloc peak of another and the number of quantile calls
-  and u-values it evaluates.
+  and u-values it evaluates, in all and per phase.
 * Calibration: IG(4) log-densities in d = 10 of points whose D2 / d
   follows F(10, 1), as under the nu = 1 mixture (multivariate Cauchy),
   stratified below D2 = 1e8 as in the density-tail benchmark workload,
   on the identity scale, one call of 300 points per seed.  Prints the
   share of adaptive rows, the rows that report converged while missing
-  tol against ``closed_log_density`` and the quantiles of error over
-  error estimate of the adaptive rows.
+  tol against ``closed_log_density``, the quantiles of error over
+  error estimate of the adaptive rows and the quantile work per phase,
+  summed over the calls.
+
+The phases are the crude pass, the search (``_bracket_z``: the peak of
+h, the maximum of g and the bracket's ends) and the adaptive RQMC
+(``_run``); the search's u-values are also given per adaptive row.
 
 Run from the root of a checkout (about 10 s)::
 
@@ -36,12 +41,49 @@ from nvmix.rqmc import RqmcConfig
 TOL = 1e-3
 
 
-def _counted_quantile(counts):
+PHASES = ("crude", "search", "rqmc")
+
+
+def _phase_counts(call):
+    """``call()``'s result and the quantile calls and u-values it
+    evaluates in each phase of ``log_integral_batch``: a quantile call
+    belongs to the search while ``_bracket_z`` runs, to the RQMC while
+    ``_run`` runs and to the crude pass otherwise."""
+    counts = {p: [0, 0] for p in PHASES}
+    phase = ["crude"]
+
     def counted(spec, u, *args, **kwargs):
-        counts[0] += 1
-        counts[1] += np.size(u)
+        counts[phase[0]][0] += 1
+        counts[phase[0]][1] += np.size(u)
         return quantile(spec, u, *args, **kwargs)
-    return counted
+
+    def in_phase(name, fn):
+        def wrapped(*args, **kwargs):
+            outer, phase[0] = phase[0], name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = outer
+        return wrapped
+
+    saved = {name: getattr(density, name) for name in ("quantile", "_bracket_z", "_run")}
+    density.quantile = counted
+    density._bracket_z = in_phase("search", saved["_bracket_z"])
+    density._run = in_phase("rqmc", saved["_run"])
+    try:
+        result = call()
+    finally:
+        for name, fn in saved.items():
+            setattr(density, name, fn)
+    return result, counts
+
+
+def _print_phases(counts, adaptive_rows: int) -> None:
+    for p in PHASES:
+        calls, u_values = counts[p]
+        per_row = f" ({u_values / max(adaptive_rows, 1):.1f} per adaptive row)"
+        print(f"  {p:6s}: quantile calls {calls:4d}, u-values {u_values:9d}"
+              + (per_row if p == "search" else ""))
 
 
 def cost(n: int) -> None:
@@ -55,16 +97,13 @@ def cost(n: int) -> None:
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    counts = [0, 0]
-    density.quantile = _counted_quantile(counts)
-    try:
-        log_integral_batch(*args, seed=1)
-    finally:
-        density.quantile = quantile
+    _, counts = _phase_counts(lambda: log_integral_batch(*args, seed=1))
     points = sorted({r.n_per_randomization for r in res})
     print(f"N = {n:5d}: {wall:.3f} s, tracemalloc peak {peak / 2 ** 20:.1f} MiB, "
-          f"quantile calls {counts[0]}, u-values {counts[1]}, "
+          f"quantile calls {sum(c[0] for c in counts.values())}, "
+          f"u-values {sum(c[1] for c in counts.values())}, "
           f"converged {sum(r.converged for r in res)}/{n}, points per randomization {points}")
+    _print_phases(counts, n)
 
 
 def calibration(n_seeds: int, n_points: int = 300, d: int = 10) -> None:
@@ -72,6 +111,7 @@ def calibration(n_seeds: int, n_points: int = 300, d: int = 10) -> None:
     model = NvmModel.build(None, np.eye(d), inverse_gamma(), [4.0])
     u_max = fdtr(d, 1.0, 1e8 / d)
     errors, estimates, unconverged = [], [], 0
+    counts = {p: [0, 0] for p in PHASES}
     for seed in range(1, n_seeds + 1):
         rng = np.random.default_rng(seed)
         strata = (np.arange(n_points) + rng.uniform(size=n_points)) / n_points
@@ -79,7 +119,10 @@ def calibration(n_seeds: int, n_points: int = 300, d: int = 10) -> None:
         X = np.zeros((n_points, d))
         X[:, 0] = np.sqrt(D2)
         exact = closed_log_density(model, X)
-        for r, e in zip(log_density_batch(X, model, cfg, seed=seed), exact):
+        res, seed_counts = _phase_counts(lambda: log_density_batch(X, model, cfg, seed=seed))
+        for p in PHASES:
+            counts[p] = [c + s for c, s in zip(counts[p], seed_counts[p])]
+        for r, e in zip(res, exact):
             if r.n_per_randomization <= 4 * cfg.n0:
                 continue
             if not r.converged:
@@ -95,6 +138,7 @@ def calibration(n_seeds: int, n_points: int = 300, d: int = 10) -> None:
           f"converged but missing tol {np.sum(errors > TOL)}")
     print("  |error| / error estimate: median {:.3g}, 90% {:.3g}, 99% {:.3g}, max {:.3g}"
           .format(*q))
+    _print_phases(counts, len(errors) + unconverged)
 
 
 def main(n_seeds: int = 10) -> None:

@@ -15,19 +15,20 @@ z = log(u / (1 - u)): there the integrand is
 g(z) = h(expit(z)) expit(z) expit(-z), which decays exponentially toward
 both ends whenever h is bounded, and the quantile receives u = expit(z)
 and 1 - u = expit(-z), each computed directly.  The path locates the peak
-of h by bisection in z (only quantile evaluations are available),
-maximizes g between that peak and z = 0, brackets the region where g
-exceeds a threshold ten orders below its maximum and integrates g over
-that bracket by RQMC; the error estimate does not count the mass outside
-the bracket.  All inputs the crude pass leaves unsettled take these
-steps together: each bisection or maximization step evaluates the
-quantile once for every input whose search still runs, and the RQMC runs
-as one block, each input until it meets the tolerance, tested every 32
-points per randomization.  The number of quantile calls thus grows with
-the number of steps, not with the number of inputs.  Both RQMC passes
-share one seed's digital shifts among all their inputs, so
-every input is integrated at the same points and its result does not
-depend on the other inputs or on its position among them.  The same
+of h by bisection in z (only quantile evaluations are available), finds
+the maximum of g between that peak and z = 0 by bisection on the sign of
+its slope, brackets the region where g exceeds a threshold ten orders
+below its maximum by bisection on that level and integrates g over that
+bracket by RQMC; the error estimate does not count the mass outside the
+bracket.  All inputs the crude pass leaves unsettled take these steps
+together: each bisection step evaluates the quantile once for every
+input whose search still runs, and the RQMC runs as one block, each
+input until it meets the tolerance, tested every 32 points per
+randomization.  The number of quantile calls thus grows with the number
+of steps, not with the number of inputs.  Both RQMC passes share one
+seed's digital shifts among all their inputs, so every input is
+integrated at the same points and its result does not depend on the
+other inputs or on its position among them.  The same
 machinery integrates any integrand of the form c * w^(-k) * exp(-m/w),
 which covers the posterior weights needed for fitting and the
 Mahalanobis-distance density.
@@ -173,16 +174,22 @@ def _bisect(goes_up, a, b, eps_bisec, rows) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _level_crossings(f, level, z_in, z_out: float, eps_bisec) -> np.ndarray:
-    """Per row, where ``f``, above ``level`` at ``z_in``, falls to it on the
-    way to ``z_out``, by bisection down to a z-width of ``eps_bisec``; NaN
-    where ``f`` is still above the level at ``z_out``.  ``f(z, rows)``
-    evaluates the rows' integrands, one z each."""
-    z_out = np.full(len(z_in), z_out)
-    rows = np.arange(len(z_in))
-    open_end = f(z_out, rows) > level
-    a, b = _bisect(lambda z, r: f(z, r) > level[r], z_in, z_out, eps_bisec, rows[~open_end])
-    return np.where(open_end, np.nan, 0.5 * (a + b))
+def _level_crossings(f, level, z_in, z_lo: float, z_hi: float,
+                     eps_bisec) -> tuple[np.ndarray, np.ndarray]:
+    """``(z_l, z_r)`` per row: where ``f``, above ``level`` at ``z_in``,
+    falls to it on the way to ``z_lo`` and on the way to ``z_hi``, by
+    bisection down to a z-width of ``eps_bisec``; NaN where ``f`` is still
+    above the level at that end.  ``f(z, rows)`` evaluates the rows'
+    integrands, one z each; both ends of all rows share each call."""
+    n = len(z_in)
+    rows = np.tile(np.arange(n), 2)
+    level = np.tile(level, 2)
+    z_end = np.repeat([z_lo, z_hi], n)
+    open_end = f(z_end, rows) > level
+    a, b = _bisect(lambda z, r: f(z, rows[r]) > level[r], np.tile(z_in, 2), z_end, eps_bisec,
+                   np.flatnonzero(~open_end))
+    z = np.where(open_end, np.nan, 0.5 * (a + b))
+    return z[:n], z[n:]
 
 
 def _peak_z(spec, nu, pref, k, m, eps_bisec, knots=None) -> tuple[np.ndarray, np.ndarray]:
@@ -222,79 +229,11 @@ def _peak_z(spec, nu, pref, k, m, eps_bisec, knots=None) -> tuple[np.ndarray, np
     if np.any(m[inner] == 0.0):  # quantile(expit(lo)) <= w* = 0
         raise ValueError(_DIVERGES)
     # math.log per row: numpy's array log may differ from it in the last
-    # bit, and fixed-seed results pin these heights.
+    # bit.  The adaptive path discards these heights; peak() returns them,
+    # and the tests pin them through it.
     log_h_max[inner] = [p - kk * (math.log(mm) - math.log(kk)) - kk
                         for p, kk, mm in zip(pref[inner], k[inner], m[inner])]
     return z, log_h_max
-
-
-# Constants of scipy's bounded Brent (minimize_scalar(method="bounded")).
-_BRENT_SQRT_EPS = math.sqrt(2.2e-16)
-_BRENT_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_BRENT_MAXFUN = 500
-
-
-def _brent_max(f, a, b, xatol, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize ``f(z, rows)`` over ``[a, b]``, one interval per row.
-
-    A row-masked mirror of scipy's bounded Brent minimizer applied to -f,
-    with its constants and branch order, so each row ends where the scalar
-    routine would; one call of ``f`` serves all rows still running.
-    Returns the maximizers and the maxima.
-    """
-    xf = a + _BRENT_GOLDEN * (b - a)
-    fx = -f(xf, rows)
-    zero = np.zeros(len(rows))
-    # Per row: bracket, best point, second and third best points, the
-    # step before last and the last step.
-    state = np.array([a, b, xf, fx, xf, fx, xf, fx, zero, zero])
-    live = np.arange(len(rows))
-    for _ in range(_BRENT_MAXFUN - 1):
-        s = state[:, live]
-        a, b, xf = s[0], s[1], s[2]
-        xm = 0.5 * (a + b)
-        tol1 = _BRENT_SQRT_EPS * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        go = np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
-        live, xm, tol1, tol2 = live[go], xm[go], tol1[go], tol2[go]
-        if not len(live):
-            break
-        a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat = s[:, go]
-        with np.errstate(all="ignore"):
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            p = np.where(q > 0.0, -p, p)
-            q = np.abs(q)
-            parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
-                         & (p > q * (a - xf)) & (p < q * (b - xf)))
-            step = (p + 0.0) / q
-        x = xf + step
-        near_end = parabolic & (((x - a) < tol2) | ((b - x) < tol2))
-        step = np.where(near_end, tol1 * (np.sign(xm - xf) + ((xm - xf) == 0)), step)
-        e_golden = np.where(xf >= xm, a - xf, b - xf)
-        e = np.where(parabolic, rat, e_golden)
-        step = np.where(parabolic, step, _BRENT_GOLDEN * e_golden)
-        x = xf + (np.sign(step) + (step == 0)) * np.maximum(np.abs(step), tol1)
-        fu = -f(x, rows[live])
-
-        better = fu <= fx
-        to_a = np.where(better, x >= xf, x < xf)
-        end = np.where(better, xf, x)
-        second = ~better & ((fu <= fnfc) | (nfc == xf))
-        third = ~better & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
-        demote = better | second
-        state[:, live] = (
-            np.where(to_a, end, a), np.where(to_a, b, end),
-            np.where(better, x, xf), np.where(better, fu, fx),
-            np.where(better, xf, np.where(second, x, nfc)),
-            np.where(better, fx, np.where(second, fu, fnfc)),
-            np.where(demote, nfc, np.where(third, x, fulc)),
-            np.where(demote, fnfc, np.where(third, fu, ffulc)),
-            e, step,
-        )
-    return state[2], -state[3]
 
 
 def peak(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec, nu,
@@ -340,8 +279,7 @@ def region_bounds(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec
     def f(z, rows):
         return _log_h_z(z, spec, nu, pref[rows], k[rows], m[rows])
 
-    z_l = _level_crossings(f, level, z_star, z_lo, eps_bisec)[0]
-    z_r = _level_crossings(f, level, z_star, z_hi, eps_bisec)[0]
+    (z_l,), (z_r,) = _level_crossings(f, level, z_star, z_lo, z_hi, eps_bisec)
     return (0.0 if np.isnan(z_l) else float(expit(z_l)),
             1.0 if np.isnan(z_r) else float(expit(z_r)))
 
@@ -351,10 +289,11 @@ def _bracket_z(spec, nu, pref, k, m, knots):
     maximum less ``_K_TH`` decades.
 
     g peaks between the peak of h and z = 0 (outside, both h and the
-    Jacobian fall away from it); there it is maximized by bounded Brent
-    to an ``_EPS_BISEC`` z-tolerance, and each end of the region is found
-    by bisection.  ``closed`` is False when g still exceeds the threshold
-    at an end of the z range, i.e. mass lies beyond the doubles' reach.
+    Jacobian fall away from it); there its maximum is found by bisection
+    on the sign of its slope, down to a z-width of ``_EPS_BISEC``, and
+    both ends of the region by one bisection on the level.  ``closed`` is
+    False when g still exceeds the threshold at an end of the z range,
+    i.e. mass lies beyond the doubles' reach.
     """
     z_lo, z_hi = _z_range(spec)
     z_h, _ = _peak_z(spec, nu, pref, k, m, _EPS_BISEC, knots)
@@ -362,18 +301,19 @@ def _bracket_z(spec, nu, pref, k, m, knots):
     def f(z, rows):
         return _log_g(z, spec, nu, pref[rows], k[rows], m[rows])
 
-    a, b = np.minimum(z_h, 0.0), np.maximum(z_h, 0.0)
-    z_g, log_g_max = a.copy(), np.empty(len(m))
-    wide = b - a > _EPS_BISEC
-    rows = np.flatnonzero(wide)
-    if len(rows):
-        z_g[rows], log_g_max[rows] = _brent_max(f, a[rows], b[rows], _EPS_BISEC, rows)
-    rows = np.flatnonzero(~wide)
-    if len(rows):
-        log_g_max[rows] = f(a[rows], rows)
-    level = log_g_max - _K_TH * _LN10
-    z_l = _level_crossings(f, level, z_g, z_lo, _EPS_BISEC)
-    z_r = _level_crossings(f, level, z_g, z_hi, _EPS_BISEC)
+    def rises(z, rows):
+        # g a quarter of _EPS_BISEC either side of each midpoint, in one
+        # call; the bracket is still wider than _EPS_BISEC, so both points
+        # lie inside it.
+        zz = z[:, None] + np.array([-0.25, 0.25]) * _EPS_BISEC
+        log_g = _log_g(zz, spec, nu, pref[rows, None], k[rows, None], m[rows, None])
+        return log_g[:, 1] > log_g[:, 0]
+
+    rows = np.arange(len(m))
+    a, b = _bisect(rises, np.minimum(z_h, 0.0), np.maximum(z_h, 0.0), _EPS_BISEC, rows)
+    z_g = 0.5 * (a + b)
+    level = f(z_g, rows) - _K_TH * _LN10
+    z_l, z_r = _level_crossings(f, level, z_g, z_lo, z_hi, _EPS_BISEC)
     closed = ~np.isnan(z_l) & ~np.isnan(z_r)
     return np.where(np.isnan(z_l), z_lo, z_l), np.where(np.isnan(z_r), z_hi, z_r), closed
 
@@ -399,13 +339,15 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     zero Mahalanobis distance included, go through the adaptive path in
     the logit coordinate z = logit(u) (see the module docstring), all
     together: the peak search starts from the crude pass's quantile
-    knots, every bisection and the maximization of g stop at a z-width of
-    ``_EPS_BISEC``, the bracket ends where g falls ``_K_TH`` decades below
-    its maximum, and RQMC integrates g over the bracket, each input until
-    it meets the tolerance, tested every ``min(cfg.n0, _ADAPTIVE_STEP)``
-    points per randomization.  All adaptive inputs share one seed's ``B``
-    digital shifts (as the crude pass's inputs share another's), so every
-    input's result equals that of a call with this input alone: it does
+    knots, every bisection (the one on the slope of g that finds its
+    maximum, and the one that finds both ends of the bracket) stops at a
+    z-width of ``_EPS_BISEC``, the bracket ends where g falls ``_K_TH``
+    decades below its maximum, and RQMC integrates g over the bracket,
+    each input until it meets the tolerance, tested every
+    ``min(cfg.n0, _ADAPTIVE_STEP)`` points per randomization.  All
+    adaptive inputs share one seed's ``B`` digital shifts (as the crude
+    pass's inputs share another's), so every input's result equals that
+    of a call with this input alone: it does
     not depend on the other inputs or on its position among them.  Each
     step of these searches, and each RQMC step, evaluates the quantile
     once for all inputs still running, so the number of quantile calls
@@ -463,10 +405,13 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     pref, k, m = prefs[todo], ks[todo], ms[todo]
     z_l, z_r, closed = _bracket_z(spec, nu, pref, k, m, knots)
     width = z_r - z_l
+    # The bracket's width enters through the prefactor, so the RQMC's
+    # estimate, which its tolerance tests, is the reported one.
+    pref_w = pref + np.log(width)
 
     def mid_log_g(v, rows):
         z = z_l[rows, None] + width[rows, None] * v[:, 0]
-        return _log_g(z, spec, nu, pref[rows, None], k[rows, None], m[rows, None])
+        return _log_g(z, spec, nu, pref_w[rows, None], k[rows, None], m[rows, None])
 
     # The stream is extensible: a row sees the points of whole n0-point
     # batches, a step at a time, and the budget in points is unchanged.
@@ -476,7 +421,7 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     for j, (i, mid) in enumerate(zip(todo, mids)):
         n = crude.batches * cfg.n0 + mid.n_per_randomization
         results[i] = RqmcResult(
-            estimate=math.log(width[j]) + mid.estimate,
+            estimate=mid.estimate,
             error_estimate=mid.error_estimate,
             n_per_randomization=n,
             iterations_used=-(-n // cfg.n0),

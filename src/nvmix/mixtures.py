@@ -30,7 +30,6 @@ __all__ = [
     "blackbox",
     "quantile",
     "mean_sqrt_w",
-    "parse_mixture",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -183,31 +182,3 @@ def mean_sqrt_w(spec: MixtureSpec, nu, n_pilot: int = 1024) -> float:
     grid = (np.arange(n_pilot) + 0.5) / n_pilot
     w = quantile(spec, grid, nu)
     return float(np.mean(np.sqrt(w)))
-
-
-_CLI_KINDS = {
-    "constant": constant,
-    "inverse.gamma": inverse_gamma,
-    "pareto": pareto,
-    "inverse.burr": inverse_burr,
-}
-
-
-def parse_mixture(text: str) -> tuple[MixtureSpec, np.ndarray | None]:
-    """Parse CLI mixture syntax like ``inverse.gamma:2.5`` or ``pareto``.
-
-    Returns the family and the parameter vector, or ``None`` when no
-    parameters were given (e.g. for fitting).
-    """
-    name, _, params = text.partition(":")
-    name = name.strip()
-    if name not in _CLI_KINDS:
-        raise ValueError(
-            f"unknown mixture {name!r}; expected one of {sorted(_CLI_KINDS)}"
-        )
-    spec = _CLI_KINDS[name]()
-    if not params:
-        return spec, None
-    values = np.array([float(p) for p in params.split(",")], dtype=float)
-    _check_params(spec, values)
-    return spec, values

@@ -4,16 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import expit, gammaincc, gammaln
 
 from nvmix.density import (
     _BLOCK_VALUES,
-    _brent_max,
+    _EPS_BISEC,
+    _K_TH,
+    _bracket_z,
     _crude_log_means,
     _log_g,
     _log_h_of_w,
     _peak_z,
+    _z_range,
     closed_log_density,
     log_density_batch,
     log_integral_batch,
@@ -145,49 +148,37 @@ class TestPeak:
         assert h1[0] == h2
 
 
-def _scipy_brent_max(f, a, b, xatol):
-    from scipy.optimize import minimize_scalar
+@pytest.mark.parametrize("D2", [0.0, 0.5, 640.0, 1e8])
+@pytest.mark.parametrize("family", ["inverse_gamma", "pareto", "inverse_burr"])
+def test_bracket_ends_cross_the_level_of_a_reference_maximum(family, D2):
+    # The bracket's ends must sit within _EPS_BISEC of where log g crosses
+    # the level _K_TH decades below its maximum on [a, b] = [min(z_h, 0),
+    # max(z_h, 0)], the maximum here from scipy's bounded minimizer
+    # rather than the bisection on g's slope.  That minimizer only
+    # evaluates interior points, so g at a and b counts too: at
+    # inverse-Burr D2 = 0, g rises toward z_lo = a, and scipy stops 2e-5
+    # inside, 5e-6 nats below g(a).  An end that stays open must see g
+    # above the level at the end of the z range.
+    spec, nu = {"inverse_gamma": (inverse_gamma(), [4.0]), "pareto": (pareto(), [6.0]),
+                "inverse_burr": (inverse_burr(), [2.0, 2.0])}[family]
+    pref, k, m = np.array([gaussian_prefactor(10)]), np.array([5.0]), np.array([0.5 * D2])
 
-    opt = minimize_scalar(lambda z: -f(z), bounds=(a, b), method="bounded",
-                          options={"xatol": xatol})
-    return opt.x, -opt.fun
+    def log_g(z):
+        return _log_g(np.asarray(z, dtype=float), spec, nu, pref, k, m)
 
-
-def test_brent_mirror_matches_scipy():
-    # The batched maximization of g must end exactly where scipy's bounded
-    # Brent ends for each row alone: any other maximizer moves the bracket
-    # and with it every adaptive estimate.  Besides the density's g, rows
-    # with kinks, several local maxima and flat stretches exercise the
-    # golden-section, near-end and tie branches.
-    spec, nu = inverse_gamma(), [4.0]
-    D2 = np.array([0.5, 3.0, 640.0, 1.6e4, 1e8])
-    pref, k, m = np.full(len(D2), gaussian_prefactor(10)), np.full(len(D2), 5.0), 0.5 * D2
-
-    def log_g(z, rows):
-        return _log_g(z, spec, nu, pref[rows], k[rows], m[rows])
-
-    z_h, _ = _peak_z(spec, nu, pref, k, m, 1e-6)
-    shapes = [
-        lambda z: -np.abs(z - 0.3),
-        lambda z: np.sin(3.0 * z) - 0.1 * z * z,
-        lambda z: np.minimum(z, 1.0),
-        lambda z: np.floor(4.0 * np.cos(z)),
-        lambda z: z ** 3 - 3.0 * z,
-        lambda z: -np.exp(z),
-        lambda z: np.where(z > -1.18, -(z - 4.9) ** 2, -50.0),
-        lambda z: -(z - 4.99) ** 4,
-    ]
-    cases = [(log_g, np.minimum(z_h, 0.0), np.maximum(z_h, 0.0), 1e-6)] + [
-        (lambda z, rows: np.choose(rows, [s(z) for s in shapes]),
-         np.full(len(shapes), -5.0), np.full(len(shapes), 5.0), xatol)
-        for xatol in (1e-4, 1e-6)]
-    for f, a, b, xatol in cases:
-        rows = np.arange(len(a))
-        z_max, f_max = _brent_max(f, a, b, xatol, rows)
-        for i in rows:
-            want = _scipy_brent_max(lambda z: float(f(np.array([z]), rows[i:i + 1])[0]),
-                                    a[i], b[i], xatol)
-            assert (z_max[i], f_max[i]) == want
+    z_h, _ = _peak_z(spec, nu, pref, k, m, _EPS_BISEC)
+    a, b = min(z_h[0], 0.0), max(z_h[0], 0.0)
+    opt = minimize_scalar(lambda z: -log_g(z)[0], method="bounded", bounds=(a, b),
+                          options={"xatol": _EPS_BISEC})
+    level = max(-opt.fun, *log_g([a, b])) - _K_TH * math.log(10.0)
+    (z_l,), (z_r,), (closed,) = _bracket_z(spec, nu, pref, k, m, None)
+    z_lo, z_hi = _z_range(spec)
+    for z, outward, end in ((z_l, -1.0, z_lo), (z_r, 1.0, z_hi)):
+        if z == end:
+            assert not closed and log_g(z)[0] > level
+        else:
+            inside, outside = log_g([z - outward * _EPS_BISEC, z + outward * _EPS_BISEC])
+            assert inside > level > outside
 
 
 def symmetric_toy_quantile():
@@ -438,16 +429,18 @@ def test_adaptive_across_distances(spec, nu, D2):
 # came to share one seed's shifts were re-recorded then, each as the
 # row's one-row result, which that change kept.  The adaptive rows were
 # re-recorded again when the adaptive RQMC came to check its tolerance
-# every 32 points: each new value lies within its error estimate of the
-# old one.  512 points (four iterations) is a row the crude pass
-# settled, 544 one that took the adaptive path and met the tolerance
-# after its first 32 points.  Estimates pinned to 1e-14, everything
-# else exactly.
+# every 32 points, and four of them (IG at D2 = 0.5 and 3, Pareto at 0.5
+# and 25, by at most 5.2e-12) when bisection on g's slope replaced the
+# bounded Brent search for g's maximum: each new value lies within its
+# error estimate of the old one.  512 points (four iterations) is a row
+# the crude pass settled, 544 one that took the adaptive path and met
+# the tolerance after its first 32 points.  Estimates pinned to 1e-14,
+# everything else exactly.
 DENSITY_GOLDEN_D2 = [0.5, 3.0, 10.0, 25.0, 80.0, 640.0, 1.6e4]
 DENSITY_GOLDEN = {
     "inverse_gamma": [
-        (-6.900352151498413, 5, 544, True),
-        (-9.993180547517596, 5, 544, True),
+        (-6.9003521514980255, 5, 544, True),
+        (-9.993180547517637, 5, 544, True),
         (-14.84521080150147, 4, 512, True),
         (-19.942880305070958, 4, 512, True),
         (-27.38752886871452, 4, 512, True),
@@ -455,10 +448,10 @@ DENSITY_GOLDEN = {
         (-64.13596728485433, 5, 544, True),
     ],
     "pareto": [
-        (-10.024497222131274, 5, 544, True),
+        (-10.024497222126035, 5, 544, True),
         (-11.163566972730544, 4, 512, True),
         (-14.287787057903234, 4, 512, True),
-        (-20.428733191522415, 5, 544, True),
+        (-20.42873319152216, 5, 544, True),
         (-32.870887301231456, 5, 544, True),
         (-55.74474424348961, 5, 544, True),
         (-91.15237831703982, 5, 544, True),
@@ -493,12 +486,17 @@ def test_log_density_golden_values(family):
 def test_crude_pass_honours_relative_tolerance():
     # An estimate near 0.02 needs an error below 2e-5 in relative mode; a
     # 4-batch crude pass reaches about 4e-4, which only meets the absolute
-    # bound, so this row must go on to the adaptive path.
-    cfg = RqmcConfig(tol=1e-3, tol_type="relative")
-    res = log_integral_batch([1.0], 1.0, math.log(2.0), inverse_gamma(), [4.0], cfg, seed=0)[0]
-    assert res.converged
-    assert res.error_estimate <= cfg.tol * abs(res.estimate)
-    assert res.iterations_used > 4
+    # bound, so this row must go on to the adaptive path.  There the
+    # tolerance must be tested against the reported estimate, the log-mean
+    # over the bracket plus the log of its width: against the log-mean
+    # alone, near -3.6 here, tol 1e-4 passed an error estimate of 6.1e-6.
+    for tol in (1e-3, 1e-4, 1e-5):
+        cfg = RqmcConfig(tol=tol, tol_type="relative")
+        res = log_integral_batch([1.0], 1.0, math.log(2.0), inverse_gamma(), [4.0], cfg,
+                                 seed=0)[0]
+        assert res.converged
+        assert res.error_estimate <= cfg.tol * abs(res.estimate)
+        assert res.iterations_used > 4
 
 
 @pytest.mark.parametrize(
@@ -601,7 +599,7 @@ def test_atom_at_zero_diverges_at_center(u_atom, flat):
         log_density_batch(np.zeros((1, 2)), model, seed=0)
 
 
-@pytest.mark.parametrize("swap", [1e16, 0.0], ids=["far-tail", "center"])
+@pytest.mark.parametrize("swap", [1e14, 0.0], ids=["far-tail", "center"])
 @pytest.mark.parametrize(
     "cfg", [RqmcConfig(tol=1e-3), RqmcConfig(tol=1e-13, i_max=7),
             RqmcConfig(tol=1e-13, i_max=2)], ids=["default", "capped", "crude-only"])
@@ -615,13 +613,16 @@ def test_batch_rows_are_independent(cfg, swap):
     # stops early or runs on must not shift the others' points.  All
     # rows' errors then sit near the rounding floor of the folded
     # 32-point log-means, which is lowest at dyadic point counts: at 768
-    # points 4e-14 to 8e-14 (7.0e-14 at D2 = 0, 8.9e-14 at 1e16), while
-    # the replaced row, D2 = 1e14, reads 1.1e-13 there and 1.19e-13 at
-    # the cap.  The tolerance lies between.  A nearer row such as
-    # D2 = 1.6e4 reads 7.8e-14 at 768 points, below every error of the
-    # 1e16 row, so no tolerance would separate the two.  Under crude-only
-    # the crude pass uses up the whole budget.
-    D2s = [0.5, 3.0, 10.0, 640.0, 1e14, 2e5, 1e6]
+    # points 4e-14 to 8.3e-14 (7.0e-14 at D2 = 0, 8.3e-14 at 1e14), while
+    # the replaced row, D2 = 1e16, reads 1.02e-13 there and 1.25e-13 at
+    # the cap.  The tolerance lies between.  The two far rows had the
+    # opposite roles while g's maximum came from a bounded Brent search
+    # (1e14 read 1.1e-13 at 768 points, 1e16 8.9e-14): the bisection on
+    # g's slope moves the bracket by a few 1e-7 in z, and with it these
+    # last bits.  A nearer row such as D2 = 1.6e4 reads 8.0e-14 at 768
+    # points, so only a far-tail row sits above the tolerance.  Under
+    # crude-only the crude pass uses up the whole budget.
+    D2s = [0.5, 3.0, 10.0, 640.0, 1e16, 2e5, 1e6]
     spec, nu = inverse_gamma(), [4.0]
     ref = log_integral_batch(*density_args(D2s, 10), spec, nu, cfg, seed=2)
     got = log_integral_batch(*density_args(D2s[:4] + [swap] + D2s[5:], 10), spec, nu, cfg,

@@ -16,7 +16,6 @@ from nvmix.mixtures import (
     inverse_gamma,
     mean_sqrt_w,
     pareto,
-    parse_mixture,
     quantile,
 )
 
@@ -170,34 +169,6 @@ class TestMeanSqrtW:
     def test_rejects_bad_pilot(self):
         with pytest.raises(ValueError):
             mean_sqrt_w(pareto(), [2.0], n_pilot=0)
-
-
-class TestParseMixture:
-    def test_round_trips(self):
-        spec, nu = parse_mixture("inverse.gamma:2.5")
-        assert spec.kind == "inverse_gamma"
-        assert np.allclose(nu, [2.5])
-
-        spec, nu = parse_mixture("inverse.burr:2.15,3.61")
-        assert spec.kind == "inverse_burr"
-        assert np.allclose(nu, [2.15, 3.61])
-
-        spec, nu = parse_mixture("constant:1")
-        assert spec.kind == "constant"
-        assert np.allclose(nu, [1.0])
-
-        spec, nu = parse_mixture("pareto:1.6")
-        assert spec.kind == "pareto"
-        assert np.allclose(nu, [1.6])
-
-    def test_family_only(self):
-        spec, nu = parse_mixture("inverse.burr")
-        assert spec.kind == "inverse_burr"
-        assert nu is None
-
-    def test_unknown(self):
-        with pytest.raises(ValueError, match="unknown mixture"):
-            parse_mixture("weibull:2")
 
 
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6), st.floats(min_value=0.2, max_value=20))
