@@ -20,11 +20,12 @@ the maximum of g between that peak and z = 0 by bisection on the sign of
 its slope, brackets the region where g exceeds a threshold ten orders
 below its maximum by bisection on that level and integrates g over that
 bracket by RQMC; the error estimate does not count the mass outside the
-bracket.  All inputs the crude pass leaves unsettled take these steps
-together: each bisection step evaluates the quantile once for every
-input whose search still runs, and the RQMC runs as one block, each
-input until it meets the tolerance, tested every 32 points per
-randomization.  The number of quantile calls thus grows with the number
+bracket.  :func:`peak` and :func:`region_bounds` are one-input views of
+this search: the peak of h, and the bracket in z.  All inputs the crude
+pass leaves unsettled take these steps together: each bisection step
+evaluates the quantile once for every input whose search still runs,
+and the RQMC runs as one block, each input until it meets the
+tolerance, tested every 32 points per randomization.  The number of quantile calls thus grows with the number
 of steps, not with the number of inputs.  Both RQMC passes share one
 seed's digital shifts among all their inputs, so every input is
 integrated at the same points and its result does not depend on the
@@ -155,61 +156,53 @@ def _log_g(z, spec, nu, pref, k, m):
     return _log_h_z(z, spec, nu, pref, k, m) + log_expit(z) + log_expit(-z)
 
 
-def _bisect(goes_up, a, b, eps_bisec, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row bisection between ``a`` and ``b`` down to a width of
-    ``eps_bisec``, of the given rows only.
-
-    At each step the midpoint replaces ``a`` where ``goes_up(mid, rows)``
-    holds and ``b`` elsewhere; one call serves all rows still wider than
-    ``eps_bisec``.
-    """
+def _bisect(goes_up, a, b, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row bisection of the given rows between ``a`` and ``b`` down to
+    a width of ``_EPS_BISEC``: at each step the midpoint replaces ``a``
+    where ``goes_up(mid, rows)`` holds and ``b`` elsewhere, in one call
+    for all rows still running."""
     a, b = a.copy(), b.copy()
-    rows = rows[np.abs(b[rows] - a[rows]) > eps_bisec]
+    rows = rows[np.abs(b[rows] - a[rows]) > _EPS_BISEC]
     while len(rows):
         mid = 0.5 * (a[rows] + b[rows])
         up = goes_up(mid, rows)
         a[rows] = np.where(up, mid, a[rows])
         b[rows] = np.where(up, b[rows], mid)
-        rows = rows[np.abs(b[rows] - a[rows]) > eps_bisec]
+        rows = rows[np.abs(b[rows] - a[rows]) > _EPS_BISEC]
     return a, b
 
 
-def _level_crossings(f, level, z_in, z_lo: float, z_hi: float,
-                     eps_bisec) -> tuple[np.ndarray, np.ndarray]:
+def _level_crossings(f, level, z_in, z_lo: float, z_hi: float) -> tuple[np.ndarray, np.ndarray]:
     """``(z_l, z_r)`` per row: where ``f``, above ``level`` at ``z_in``,
     falls to it on the way to ``z_lo`` and on the way to ``z_hi``, by
-    bisection down to a z-width of ``eps_bisec``; NaN where ``f`` is still
-    above the level at that end.  ``f(z, rows)`` evaluates the rows'
-    integrands, one z each; both ends of all rows share each call."""
+    bisection; NaN where ``f`` is still above the level at that end.
+    ``f(z, rows)`` evaluates the rows' integrands, one z each; both ends
+    of all rows share each call."""
     n = len(z_in)
     rows = np.tile(np.arange(n), 2)
     level = np.tile(level, 2)
     z_end = np.repeat([z_lo, z_hi], n)
     open_end = f(z_end, rows) > level
-    a, b = _bisect(lambda z, r: f(z, rows[r]) > level[r], np.tile(z_in, 2), z_end, eps_bisec,
+    a, b = _bisect(lambda z, r: f(z, rows[r]) > level[r], np.tile(z_in, 2), z_end,
                    np.flatnonzero(~open_end))
     z = np.where(open_end, np.nan, 0.5 * (a + b))
     return z[:n], z[n:]
 
 
-def _peak_z(spec, nu, pref, k, m, eps_bisec, knots=None) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the logit of the peak location of h and the peak's log
-    height.
+def _peak_z(spec, nu, w_star, knots=None) -> np.ndarray:
+    """Per row, the logit of the peak location of h, where the quantile
+    reaches ``w_star`` = m / k.
 
-    Bisection in z for ``quantile(expit(z)) = m / k`` down to a z-width of
-    ``eps_bisec``, all rows together, each starting from the knots (sorted
-    u and their quantiles) around its target when ``knots`` is given.
-    When the quantile cannot reach the target (the mixing support is
-    bounded on that side, or the target lies beyond the doubles' range)
-    the peak collapses to that end of the z range and h is evaluated
-    there; otherwise the height has a closed form that does not depend on
-    the mixing distribution.  At D2 = 0 the target w* = 0 is unreachable
-    unless W has an atom at 0, so h is monotone and its peak is at the
-    left end.
+    Bisection in z for ``quantile(expit(z)) = w_star``, all rows together,
+    each starting from the knots (sorted u and their quantiles) around its
+    target when ``knots`` is given.  When the quantile cannot reach the
+    target (the mixing support is bounded on that side, or the target
+    lies beyond the doubles' range) the peak collapses to that end of the
+    z range.  At D2 = 0 the target w* = 0 is unreachable unless W has an
+    atom at 0, so h is monotone and its peak is at the left end.
     """
     z_lo, z_hi = _z_range(spec)
-    w_star = m / k
-    lo, hi = np.full(len(m), z_lo), np.full(len(m), z_hi)
+    lo, hi = np.full(len(w_star), z_lo), np.full(len(w_star), z_hi)
     if knots is not None:
         us, ws = knots
         idx = np.searchsorted(ws, w_star)
@@ -217,74 +210,52 @@ def _peak_z(spec, nu, pref, k, m, eps_bisec, knots=None) -> tuple[np.ndarray, np
         lo[below] = np.clip(logit(us[idx[below] - 1]), z_lo, z_hi)
         hi[above] = np.clip(logit(us[idx[above]]), z_lo, z_hi)
     lo, hi = _bisect(lambda z, r: _quantile_z(spec, z, nu) <= w_star[r],
-                     lo, hi, eps_bisec, np.arange(len(m)))
-    at_lo = lo == z_lo
-    at_hi = ~at_lo & (hi == z_hi)
-    z = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))
-    log_h_max = np.empty(len(m))
-    edge = np.flatnonzero(at_lo | at_hi)
-    if len(edge):
-        log_h_max[edge] = _log_h_z(z[edge], spec, nu, pref[edge], k[edge], m[edge])
-    inner = np.flatnonzero(~(at_lo | at_hi))
-    if np.any(m[inner] == 0.0):  # quantile(expit(lo)) <= w* = 0
+                     lo, hi, np.arange(len(w_star)))
+    at_lo, at_hi = lo == z_lo, hi == z_hi
+    if np.any(w_star[~at_lo & ~at_hi] == 0.0):  # quantile(expit(lo)) <= w* = 0
         raise ValueError(_DIVERGES)
-    # math.log per row: numpy's array log may differ from it in the last
-    # bit.  The adaptive path discards these heights; peak() returns them,
-    # and the tests pin them through it.
-    log_h_max[inner] = [p - kk * (math.log(mm) - math.log(kk)) - kk
-                        for p, kk, mm in zip(pref[inner], k[inner], m[inner])]
-    return z, log_h_max
+    return np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))
 
 
-def peak(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec, nu,
-         eps_bisec: float = _EPS_BISEC) -> tuple[float, float]:
-    """Location and height of the peak of one integrand of
+def peak(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec,
+         nu) -> tuple[float, float]:
+    """Location u* and log height of the peak of one integrand h of
     :func:`log_integral_batch`.
 
-    Solves ``quantile(u) = D2 / (2 shift_k)`` by bisection in
-    z = logit(u); this is the one-point case of the search that
-    :func:`log_integral_batch` runs for all its inputs at once.
-    ``eps_bisec`` bounds the final bracket's width in z, so u* is located
-    to a relative precision of about ``eps_bisec`` near 0, 1 - u*
-    likewise near 1, and u* to ``eps_bisec / 4`` in between.  u* is
+    u* comes from the one-row case of that function's search: it solves
+    ``quantile(u) = D2 / (2 shift_k)`` by bisection in z = logit(u) and is
     returned as the nearest double.  The interior peak height has a closed
     form independent of the mixing distribution; when the quantile cannot
     reach the target (the mixing support is bounded on that side) the peak
-    collapses to the boundary and the integrand is evaluated there
-    instead.
+    collapses to the boundary and h is evaluated there instead.
     """
     if D2 <= 0.0:
         raise ValueError("peak undefined for D2 = 0; use the crude path")
-    z_star, log_h_max = _peak_z(spec, nu, *_row_arrays([D2], shift_k, prefactor), eps_bisec)
-    return float(expit(z_star[0])), float(log_h_max[0])
-
-
-def region_bounds(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec, nu,
-                  u_star: float, log_h_max: float, k_th: float = _K_TH,
-                  eps_bisec: float = _EPS_BISEC) -> tuple[float, float]:
-    """Bracket {u : log h(u) > log_h_max - k_th * log 10} of one integrand
-    h of :func:`log_integral_batch`.
-
-    Each end is found by bisection in z = logit(u) between u_star and that
-    end of the z range, down to a z-width of ``eps_bisec`` (a relative
-    precision in u near 0 and in 1 - u near 1).  Returns ``(u_l, u_r)``
-    with ``u_l <= u_star <= u_r``; a side on which the integrand never
-    falls below the threshold collapses to 0 or 1.
-    """
-    z_lo, z_hi = _z_range(spec)
     pref, k, m = _row_arrays([D2], shift_k, prefactor)
-    level = np.array([log_h_max - k_th * _LN10])
-    z_star = np.clip(logit(np.array([u_star], dtype=float)), z_lo, z_hi)
-
-    def f(z, rows):
-        return _log_h_z(z, spec, nu, pref[rows], k[rows], m[rows])
-
-    (z_l,), (z_r,) = _level_crossings(f, level, z_star, z_lo, z_hi, eps_bisec)
-    return (0.0 if np.isnan(z_l) else float(expit(z_l)),
-            1.0 if np.isnan(z_r) else float(expit(z_r)))
+    z = _peak_z(spec, nu, m / k)
+    if z[0] in _z_range(spec):
+        log_h_max = _log_h_z(z, spec, nu, pref, k, m)[0]
+    else:
+        # math.log: numpy's array log may differ from it in the last bit.
+        log_h_max = pref[0] - k[0] * (math.log(m[0]) - math.log(k[0])) - k[0]
+    return float(expit(z[0])), float(log_h_max)
 
 
-def _bracket_z(spec, nu, pref, k, m, knots):
+def region_bounds(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec,
+                  nu) -> tuple[float, float, bool]:
+    """The bracket ``(z_l, z_r, closed)`` in z = logit(u) over which
+    :func:`log_integral_batch` integrates one integrand: the one-row case
+    of its search.  ``closed`` is False when the bracket stops at an end
+    of the z range with g still above the threshold.
+
+    The bracket is given in z because that is where the adaptive path
+    works: at Pareto(6), d = 10 and D2 = 1e8 both ends round to u = 1.
+    """
+    (z_l,), (z_r,), (closed,) = _bracket_z(spec, nu, *_row_arrays([D2], shift_k, prefactor))
+    return float(z_l), float(z_r), bool(closed)
+
+
+def _bracket_z(spec, nu, pref, k, m, knots=None):
     """``(z_l, z_r, closed)`` per row: the region where g exceeds its
     maximum less ``_K_TH`` decades.
 
@@ -296,7 +267,7 @@ def _bracket_z(spec, nu, pref, k, m, knots):
     i.e. mass lies beyond the doubles' reach.
     """
     z_lo, z_hi = _z_range(spec)
-    z_h, _ = _peak_z(spec, nu, pref, k, m, _EPS_BISEC, knots)
+    z_h = _peak_z(spec, nu, m / k, knots)
 
     def f(z, rows):
         return _log_g(z, spec, nu, pref[rows], k[rows], m[rows])
@@ -310,10 +281,10 @@ def _bracket_z(spec, nu, pref, k, m, knots):
         return log_g[:, 1] > log_g[:, 0]
 
     rows = np.arange(len(m))
-    a, b = _bisect(rises, np.minimum(z_h, 0.0), np.maximum(z_h, 0.0), _EPS_BISEC, rows)
+    a, b = _bisect(rises, np.minimum(z_h, 0.0), np.maximum(z_h, 0.0), rows)
     z_g = 0.5 * (a + b)
     level = f(z_g, rows) - _K_TH * _LN10
-    z_l, z_r = _level_crossings(f, level, z_g, z_lo, z_hi, _EPS_BISEC)
+    z_l, z_r = _level_crossings(f, level, z_g, z_lo, z_hi)
     closed = ~np.isnan(z_l) & ~np.isnan(z_r)
     return np.where(np.isnan(z_l), z_lo, z_l), np.where(np.isnan(z_r), z_hi, z_r), closed
 

@@ -89,21 +89,17 @@ def _check_square_symmetric(sigma: np.ndarray) -> None:
         raise ValueError("scale matrix must be symmetric")
 
 
-def cholesky(sigma: np.ndarray, *, allow_singular: bool = False) -> ScaleFactor:
-    """Cholesky factor of a symmetric positive-definite matrix.
-
-    With ``allow_singular=True`` a non-PD pivot routes the input to
-    :func:`singular_cholesky` instead of raising.
-    """
+def cholesky(sigma: np.ndarray) -> ScaleFactor:
+    """Cholesky factor of a symmetric positive-semidefinite matrix: a
+    matrix that is not positive definite goes to
+    :func:`singular_cholesky`."""
     sigma = np.asarray(sigma, dtype=float)
     _check_square_symmetric(sigma)
     d = sigma.shape[0]
     try:
         C = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        if allow_singular:
-            return singular_cholesky(sigma)
-        raise ValueError("scale matrix is not positive definite") from None
+        return singular_cholesky(sigma)
     return ScaleFactor(
         C=C,
         rank=d,
@@ -117,22 +113,25 @@ def singular_cholesky(sigma: np.ndarray) -> ScaleFactor:
     """Staircase factorization of a positive-semidefinite matrix.
 
     Rows are processed in natural order; a row whose residual variance
-    falls below 1e-10 times the largest diagonal entry is dependent and is
-    filed behind the pivot of the last column it loads on.  Each row is then scaled so its entry in
-    its block column equals one.  Full-rank inputs come out unpermuted
-    with unit-pivot scaling as the only difference from :func:`cholesky`.
+    falls below 1e-10 times the largest absolute diagonal entry is
+    dependent and is filed behind the pivot of the last column it loads
+    on.  Each row is then scaled so its entry in its block column equals
+    one.  Full-rank inputs come out unpermuted with unit-pivot scaling as
+    the only difference from :func:`cholesky`.  A residual variance below
+    minus that tolerance (a negative diagonal entry included) raises
+    ``ValueError``: the matrix is not positive semidefinite.
     """
     sigma = np.asarray(sigma, dtype=float)
     _check_square_symmetric(sigma)
     d = sigma.shape[0]
     diag = np.diag(sigma).astype(float)
-    diag_max = float(diag.max(initial=0.0))
+    diag_max = float(np.abs(diag).max(initial=0.0))
     if diag_max <= 0.0:
         raise ValueError("scale matrix has rank 0")
     tol_zero = 1e-10 * diag_max
 
-    zero_rows = np.flatnonzero(diag <= tol_zero)
-    active = np.flatnonzero(diag > tol_zero)
+    zero_rows = np.flatnonzero(np.abs(diag) <= tol_zero)
+    active = np.flatnonzero(np.abs(diag) > tol_zero)
     m = len(active)
     sub = sigma[np.ix_(active, active)]
 
@@ -152,6 +151,8 @@ def singular_cholesky(sigma: np.ndarray) -> ScaleFactor:
         else:
             c = np.zeros(0)
         resid = sub[i, i] - float(c @ c)
+        if resid < -tol_zero:
+            raise ValueError("scale matrix is not positive semidefinite")
         coeffs[i, :r] = c
         if resid > tol_zero:
             coeffs[i, r] = np.sqrt(resid)

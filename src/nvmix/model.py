@@ -35,7 +35,7 @@ class NvmModel:
         if loc.shape != (d,):
             raise ValueError(f"location must have length {d}, got {loc.shape}")
         nu = np.atleast_1d(np.asarray(nu, dtype=float))
-        factor = cholesky(scale, allow_singular=True)
+        factor = cholesky(scale)
         return cls(loc=loc, scale=scale, spec=spec, nu=nu, factor=factor)
 
     @property

@@ -142,6 +142,8 @@ class RqmcConfig:
     tol_type: str = "absolute"
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) for v in (self.B, self.n0, self.i_max)):
+            raise ValueError("B, n0 and i_max must be integers")
         if self.B < 2:
             raise ValueError("B must be >= 2 (sample sd over randomizations needs it)")
         if self.n0 < 1 or (self.n0 & (self.n0 - 1)) != 0:

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import expit, gammaincc, gammaln
 
+from nvmix import density
 from nvmix.density import (
     _BLOCK_VALUES,
     _EPS_BISEC,
@@ -75,11 +76,12 @@ class TestLogH:
 
 
 class TestPeak:
-    def test_inverse_gamma_location_oracle(self):
+    def test_inverse_gamma_location_oracle(self, monkeypatch):
         # u* = F_W(D2/d); independent CDF via the regularized upper
         # incomplete gamma: F_IG(w; a, a) = Q(a, a/w).
+        monkeypatch.setattr(density, "_EPS_BISEC", 1e-9)
         nu, d, D2 = 3.0, 5, 12.0
-        u_star, _ = peak(*density_args(D2, d), inverse_gamma(), [nu], eps_bisec=1e-9)
+        u_star, _ = peak(*density_args(D2, d), inverse_gamma(), [nu])
         a = nu / 2.0
         oracle = float(gammaincc(a, a / (D2 / d)))
         assert u_star == pytest.approx(oracle, abs=1e-8)
@@ -141,11 +143,28 @@ class TestPeak:
         spec, nu = inverse_gamma(), [3.0]
         u = np.linspace(0.01, 0.99, 99)
         knots = (u, quantile(spec, u, nu))
-        z1, h1 = _peak_z(spec, nu, np.array([pref]), np.array([k]), np.array([0.5 * D2]),
-                         1e-6, knots)
-        u2, h2 = peak(D2, k, pref, spec, nu)
+        z1 = _peak_z(spec, nu, np.array([0.5 * D2 / k]), knots)
+        u2, _ = peak(D2, k, pref, spec, nu)
         assert expit(z1[0]) == pytest.approx(u2, abs=2e-6)
-        assert h1[0] == h2
+
+    def test_edge_peak_costs_no_extra_quantile_call(self, monkeypatch):
+        # A D2 = 0 row's peak sits at the left end of the z range; finding
+        # it costs no quantile call beyond those of the bisection steps
+        # the other rows need anyway.
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return quantile(*args)
+
+        monkeypatch.setattr(density, "quantile", counted)
+        spec, nu = inverse_gamma(), [4.0]
+        counts = []
+        for D2 in ([0.0, 50.0, 60.0], [40.0, 50.0, 60.0]):
+            calls.clear()
+            _peak_z(spec, nu, 0.5 * np.array(D2) / 5.0)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("D2", [0.0, 0.5, 640.0, 1e8])
@@ -166,7 +185,7 @@ def test_bracket_ends_cross_the_level_of_a_reference_maximum(family, D2):
     def log_g(z):
         return _log_g(np.asarray(z, dtype=float), spec, nu, pref, k, m)
 
-    z_h, _ = _peak_z(spec, nu, pref, k, m, _EPS_BISEC)
+    z_h = _peak_z(spec, nu, m / k)
     a, b = min(z_h[0], 0.0), max(z_h[0], 0.0)
     opt = minimize_scalar(lambda z: -log_g(z)[0], method="bounded", bounds=(a, b),
                           options={"xatol": _EPS_BISEC})
@@ -199,33 +218,42 @@ def symmetric_toy_quantile():
     return blackbox(lambda u, nu: np.array([one(x) for x in np.atleast_1d(u)]), 0)
 
 
+def log_g1(z, D2, shift_k, prefactor, spec, nu):
+    """log of one integrand in the logit coordinate."""
+    return _log_g(np.asarray(z, dtype=float), spec, nu, prefactor, shift_k, 0.5 * D2)
+
+
 class TestRegionBounds:
-    def test_symmetric_toy(self):
+    def test_symmetric_toy(self, monkeypatch):
+        # h is symmetric about u = 1/2 and the Jacobian u (1 - u) too, so
+        # g is symmetric about z = 0.
+        monkeypatch.setattr(density, "_K_TH", 3.0)
         spec = symmetric_toy_quantile()
         p = 2.0, 1.0, gaussian_prefactor(2)  # m = 1, k = 1, w* = 1
-        eps = 1e-6
-        u_star, lh_max = peak(*p, spec, [], eps_bisec=eps)
+        eps = _EPS_BISEC
+        u_star, _ = peak(*p, spec, [])
         assert u_star == pytest.approx(0.5, abs=2 * eps)
-        u_l, u_r = region_bounds(*p, spec, [], u_star, lh_max, k_th=3.0, eps_bisec=eps)
-        assert 0.0 < u_l < u_star < u_r < 1.0
-        assert (0.5 - u_l) == pytest.approx(u_r - 0.5, abs=2 * eps + 1e-4)
+        z_l, z_r, closed = region_bounds(*p, spec, [])
+        assert closed and z_l < 0.0 < z_r
+        assert -z_l == pytest.approx(z_r, abs=2 * eps)
 
-    def test_bounds_sit_at_threshold(self):
+    def test_bounds_sit_at_threshold(self, monkeypatch):
+        monkeypatch.setattr(density, "_K_TH", 6.0)
         p = density_args(35.0, 5)
         spec, nu = inverse_gamma(), [2.0]
-        u_star, lh_max = peak(*p, spec, nu)
-        k_th = 6.0
-        u_l, u_r = region_bounds(*p, spec, nu, u_star, lh_max, k_th=k_th)
-        target = lh_max - k_th * math.log(10.0)
-        assert log_h(u_l, *p, spec, nu) == pytest.approx(target, abs=1e-2)
-        assert log_h(u_r, *p, spec, nu) == pytest.approx(target, abs=1e-2)
+        z_l, z_r, closed = region_bounds(*p, spec, nu)
+        assert closed
+        g_max = float(np.max(log_g1(np.linspace(z_l, z_r, 200001), *p, spec, nu)))
+        target = g_max - 6.0 * math.log(10.0)
+        assert log_g1(z_l, *p, spec, nu) == pytest.approx(target, abs=1e-2)
+        assert log_g1(z_r, *p, spec, nu) == pytest.approx(target, abs=1e-2)
 
-    def test_huge_threshold_collapses_to_unit_interval(self):
+    def test_huge_threshold_collapses_to_unit_interval(self, monkeypatch):
+        # g never falls 1e6 decades below its maximum: the bracket is the
+        # whole z range, and open.
+        monkeypatch.setattr(density, "_K_TH", 1e6)
         spec = symmetric_toy_quantile()
-        p = 2.0, 1.0, gaussian_prefactor(2)
-        u_star, lh_max = peak(*p, spec, [])
-        u_l, u_r = region_bounds(*p, spec, [], u_star, lh_max, k_th=1e6)
-        assert (u_l, u_r) == (0.0, 1.0)
+        assert region_bounds(2.0, 1.0, gaussian_prefactor(2), spec, []) == (*_z_range(spec), False)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from nvmix.linalg import ScaleFactor, cholesky, mahalanobis_sq, singular_cholesky
+from nvmix.mixtures import inverse_gamma
+from nvmix.model import NvmModel
 
 
 def random_wishart(d, seed):
@@ -29,13 +31,20 @@ class TestCholesky:
         assert np.allclose(f.C @ f.C.T, sigma, rtol=1e-10, atol=1e-12)
         assert f.log_det == pytest.approx(np.linalg.slogdet(sigma)[1], rel=1e-10)
 
-    def test_non_pd_raises(self):
-        with pytest.raises(ValueError, match="positive definite"):
-            cholesky(np.ones((2, 2)))
-
     def test_non_pd_routes_to_singular(self):
-        f = cholesky(np.ones((2, 2)), allow_singular=True)
+        f = cholesky(np.ones((2, 2)))
         assert f.rank == 1
+
+    @pytest.mark.parametrize(
+        "scale",
+        [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]],
+        ids=["negative-pivot-residual", "negative-diagonal"],
+    )
+    def test_indefinite_scale_rejected(self, scale):
+        # Neither matrix is a covariance: a factor of either would
+        # reconstruct some other matrix.
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            NvmModel.build(None, scale, inverse_gamma(), [3.0])
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -335,6 +335,10 @@ class TestInvariants:
 
 
 class TestConfigValidation:
+    def test_numpy_integers_accepted(self):
+        cfg = RqmcConfig(B=np.int64(4), n0=np.int32(64), i_max=np.int64(3))
+        assert (cfg.B, cfg.n0, cfg.i_max) == (4, 64, 3)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -345,6 +349,9 @@ class TestConfigValidation:
             {"tol_type": "weird"},
             {"i_max": 0},
             {"tol": float("nan")},
+            {"i_max": 1.5},
+            {"B": 2.5},
+            {"n0": 128.0},
         ],
     )
     def test_rejects(self, kwargs):
