@@ -11,14 +11,17 @@ Two parts, both at tol 1e-3 under the default ``RqmcConfig``:
   follows F(10, 1), as under the nu = 1 mixture (multivariate Cauchy),
   stratified below D2 = 1e8 as in the density-tail benchmark workload,
   on the identity scale, one call of 300 points per seed.  Prints the
-  share of adaptive rows, the rows that report converged while missing
-  tol against ``closed_log_density``, the quantiles of error over
-  error estimate of the adaptive rows and the quantile work per phase,
-  summed over the calls.
+  share of adaptive rows, the adaptive and the crude rows that report
+  converged while missing tol against ``closed_log_density``, the
+  quantiles of error over error estimate of the adaptive rows and the
+  quantile work per phase, summed over the calls.
 
 The phases are the crude pass, the search (``_bracket_z``: the peak of
 h, the maximum of g and the bracket's ends) and the adaptive RQMC
 (``_run``); the search's u-values are also given per adaptive row.
+Both parts also print the crude pass's values (rows times points per
+batch, summed over the batches it reduces) and the share of rows it has
+settled after each of its batches.
 
 Run from the root of a checkout (about 10 s)::
 
@@ -48,14 +51,21 @@ def _phase_counts(call):
     """``call()``'s result and the quantile calls and u-values it
     evaluates in each phase of ``log_integral_batch``: a quantile call
     belongs to the search while ``_bracket_z`` runs, to the RQMC while
-    ``_run`` runs and to the crude pass otherwise."""
+    ``_run`` runs and to the crude pass otherwise.  ``counts["values"]``
+    holds the crude pass's values: rows times points of each batch it
+    reduces."""
     counts = {p: [0, 0] for p in PHASES}
+    counts["values"] = 0
     phase = ["crude"]
 
     def counted(spec, u, *args, **kwargs):
         counts[phase[0]][0] += 1
         counts[phase[0]][1] += np.size(u)
         return quantile(spec, u, *args, **kwargs)
+
+    def crude_values(w, pref, k, m, B):
+        counts["values"] += len(m) * len(w)
+        return saved["_crude_log_means"](w, pref, k, m, B)
 
     def in_phase(name, fn):
         def wrapped(*args, **kwargs):
@@ -66,8 +76,10 @@ def _phase_counts(call):
                 phase[0] = outer
         return wrapped
 
-    saved = {name: getattr(density, name) for name in ("quantile", "_bracket_z", "_run")}
+    saved = {name: getattr(density, name)
+             for name in ("quantile", "_bracket_z", "_run", "_crude_log_means")}
     density.quantile = counted
+    density._crude_log_means = crude_values
     density._bracket_z = in_phase("search", saved["_bracket_z"])
     density._run = in_phase("rqmc", saved["_run"])
     try:
@@ -86,8 +98,20 @@ def _print_phases(counts, adaptive_rows: int) -> None:
               + (per_row if p == "search" else ""))
 
 
+def _print_crude(counts, results, cfg) -> None:
+    """The crude pass's values and the share of rows it has settled
+    after each of its batches: rows that report converged with at most
+    that many batches' points."""
+    n = np.array([r.n_per_randomization for r in results])
+    ok = np.array([r.converged for r in results])
+    shares = [np.mean(ok & (n <= j * cfg.n0)) for j in range(1, density._PILOT_BATCHES + 1)]
+    print(f"  crude pass: values {counts['values']}, rows settled after each batch "
+          + " ".join(f"{s:.1%}" for s in shares))
+
+
 def cost(n: int) -> None:
-    args = (np.linspace(0.5, 2.0, n), 5.0, 0.0, inverse_gamma(), [4.0], RqmcConfig(tol=TOL))
+    cfg = RqmcConfig(tol=TOL)
+    args = (np.linspace(0.5, 2.0, n), 5.0, 0.0, inverse_gamma(), [4.0], cfg)
     t0 = time.perf_counter()
     res = log_integral_batch(*args, seed=1)
     wall = time.perf_counter() - t0
@@ -100,18 +124,20 @@ def cost(n: int) -> None:
     _, counts = _phase_counts(lambda: log_integral_batch(*args, seed=1))
     points = sorted({r.n_per_randomization for r in res})
     print(f"N = {n:5d}: {wall:.3f} s, tracemalloc peak {peak / 2 ** 20:.1f} MiB, "
-          f"quantile calls {sum(c[0] for c in counts.values())}, "
-          f"u-values {sum(c[1] for c in counts.values())}, "
+          f"quantile calls {sum(counts[p][0] for p in PHASES)}, "
+          f"u-values {sum(counts[p][1] for p in PHASES)}, "
           f"converged {sum(r.converged for r in res)}/{n}, points per randomization {points}")
     _print_phases(counts, n)
+    _print_crude(counts, res, cfg)
 
 
 def calibration(n_seeds: int, n_points: int = 300, d: int = 10) -> None:
     cfg = RqmcConfig(tol=TOL)
     model = NvmModel.build(None, np.eye(d), inverse_gamma(), [4.0])
     u_max = fdtr(d, 1.0, 1e8 / d)
-    errors, estimates, unconverged = [], [], 0
+    errors, estimates, unconverged, results, crude_misses = [], [], 0, [], 0
     counts = {p: [0, 0] for p in PHASES}
+    counts["values"] = 0
     for seed in range(1, n_seeds + 1):
         rng = np.random.default_rng(seed)
         strata = (np.arange(n_points) + rng.uniform(size=n_points)) / n_points
@@ -122,8 +148,11 @@ def calibration(n_seeds: int, n_points: int = 300, d: int = 10) -> None:
         res, seed_counts = _phase_counts(lambda: log_density_batch(X, model, cfg, seed=seed))
         for p in PHASES:
             counts[p] = [c + s for c, s in zip(counts[p], seed_counts[p])]
+        counts["values"] += seed_counts["values"]
+        results += res
         for r, e in zip(res, exact):
             if r.n_per_randomization <= 4 * cfg.n0:
+                crude_misses += r.converged and abs(r.estimate - e) > TOL
                 continue
             if not r.converged:
                 unconverged += 1
@@ -135,17 +164,19 @@ def calibration(n_seeds: int, n_points: int = 300, d: int = 10) -> None:
     q = np.quantile(ratio, [0.5, 0.9, 0.99, 1.0])
     print(f"calibration, {n_seeds} x {n_points} points: adaptive rows {len(errors) + unconverged} "
           f"({(len(errors) + unconverged) / (n_seeds * n_points):.1%}), unconverged {unconverged}, "
-          f"converged but missing tol {np.sum(errors > TOL)}")
+          f"converged but missing tol {np.sum(errors > TOL)}; "
+          f"crude rows converged but missing tol {crude_misses}")
     print("  |error| / error estimate: median {:.3g}, 90% {:.3g}, 99% {:.3g}, max {:.3g}"
           .format(*q))
     _print_phases(counts, len(errors) + unconverged)
+    _print_crude(counts, results, cfg)
 
 
-def main(n_seeds: int = 10) -> None:
+def main(n_seeds: int = 10, sizes=(500, 2000), n_points: int = 300) -> None:
     log_integral_batch([0.5, 1e4], 5.0, 0.0, inverse_gamma(), [4.0], seed=0)  # lazy imports
-    for n in (500, 2000):
+    for n in sizes:
         cost(n)
-    calibration(n_seeds)
+    calibration(n_seeds, n_points)
 
 
 if __name__ == "__main__":

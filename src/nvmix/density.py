@@ -3,10 +3,11 @@
 The log-density is a one-dimensional integral over the mixing variable's
 probability scale u.  A crude log-space RQMC pass runs first on all
 inputs at once, over shared mixing realizations (one row per input of a
-single accumulator), and settles most small Mahalanobis distances.  Each
+single accumulator), and settles most small Mahalanobis distances; an
+input leaves it after the first batch that meets the tolerance.  Each
 of its batches evaluates the quantile once for all inputs and reduces
-the inputs' integrands block by block, a few dozen rows at a time, so
-its memory does not grow with the number of inputs.  For
+the remaining inputs' integrands block by block, a few dozen rows at a
+time, so its memory does not grow with the number of inputs.  For
 large ones the integrand collapses onto a narrow peak, which can sit
 within 1e-17 of u = 0 or u = 1, where the integrand decays only
 polynomially in u; at zero distance it is monotone with its peak at
@@ -17,19 +18,21 @@ both ends whenever h is bounded, and the quantile receives u = expit(z)
 and 1 - u = expit(-z), each computed directly.  The path locates the peak
 of h by bisection in z (only quantile evaluations are available), finds
 the maximum of g between that peak and z = 0 by bisection on the sign of
-its slope, brackets the region where g exceeds a threshold ten orders
-below its maximum by bisection on that level and integrates g over that
-bracket by RQMC; the error estimate does not count the mass outside the
-bracket.  :func:`peak` and :func:`region_bounds` are one-input views of
-this search: the peak of h, and the bracket in z.  All inputs the crude
+its slope, brackets the region where g exceeds a threshold
+5 + log10(1/tol) orders below its maximum (at least 5, at most 10) by
+bisection on that level and integrates g over that bracket by RQMC; the
+error estimate does not count the mass outside the bracket.
+:func:`peak` and :func:`region_bounds` are one-input views of this
+search (at ten orders): the peak of h, and the bracket in z.  All inputs the crude
 pass leaves unsettled take these steps together: each bisection step
 evaluates the quantile once for every input whose search still runs,
 and the RQMC runs as one block, each input until it meets the
-tolerance, tested every 32 points per randomization.  The number of quantile calls thus grows with the number
-of steps, not with the number of inputs.  Both RQMC passes share one
-seed's digital shifts among all their inputs, so every input is
-integrated at the same points and its result does not depend on the
-other inputs or on its position among them.  The same
+tolerance, tested every 16 points per randomization.  The number of
+quantile calls thus grows with the number of steps, not with the number
+of inputs.  Both RQMC passes share one seed's digital shifts among all
+their inputs, so every input is integrated at the same points and its
+result does not depend on the other inputs or on its position among
+them.  The same
 machinery integrates any integrand of the form c * w^(-k) * exp(-m/w),
 which covers the posterior weights needed for fitting and the
 Mahalanobis-distance density.
@@ -68,10 +71,10 @@ _DIVERGES = "integrand diverges at w = 0 when D2 = 0"
 # maximum; its searches stop at a z-width of _EPS_BISEC.
 _K_TH = 10.0
 _EPS_BISEC = 1e-6
-# Batches of the crude pass that every input of log_integral_batch gets.
+# Batches of the crude pass, which an input leaves once it meets tol.
 _PILOT_BATCHES = 4
 # Points per randomization between the adaptive RQMC's tolerance checks.
-_ADAPTIVE_STEP = 32
+_ADAPTIVE_STEP = 16
 # Range of the logit coordinate: expit(z) and expit(-z) are positive
 # normal doubles for |z| <= -_Z_LO.  A black box only receives
 # u = expit(z), which stays below 1 for z <= _Z_HI_BLACKBOX.
@@ -255,9 +258,9 @@ def region_bounds(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec
     return float(z_l), float(z_r), bool(closed)
 
 
-def _bracket_z(spec, nu, pref, k, m, knots=None):
+def _bracket_z(spec, nu, pref, k, m, knots=None, k_th=None):
     """``(z_l, z_r, closed)`` per row: the region where g exceeds its
-    maximum less ``_K_TH`` decades.
+    maximum less ``k_th`` decades (``_K_TH`` by default).
 
     g peaks between the peak of h and z = 0 (outside, both h and the
     Jacobian fall away from it); there its maximum is found by bisection
@@ -283,7 +286,7 @@ def _bracket_z(spec, nu, pref, k, m, knots=None):
     rows = np.arange(len(m))
     a, b = _bisect(rises, np.minimum(z_h, 0.0), np.maximum(z_h, 0.0), rows)
     z_g = 0.5 * (a + b)
-    level = f(z_g, rows) - _K_TH * _LN10
+    level = f(z_g, rows) - (_K_TH if k_th is None else k_th) * _LN10
     z_l, z_r = _level_crossings(f, level, z_g, z_lo, z_hi)
     closed = ~np.isnan(z_l) & ~np.isnan(z_r)
     return np.where(np.isnan(z_l), z_lo, z_l), np.where(np.isnan(z_r), z_hi, z_r), closed
@@ -300,22 +303,25 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     ``D2`` is 1-D and non-negative; ``shift_k`` (positive) and
     ``prefactor`` broadcast against it.
 
-    A crude log-space RQMC pass of ``_PILOT_BATCHES`` batches runs on all
-    inputs with shared mixing realizations (one accumulator row per
-    input); inputs that meet the tolerance return immediately.  Per batch
-    it forms ``prefactor - shift_k log w`` once per distinct
-    (``prefactor``, ``shift_k``) pair and reduces the rows in blocks of
-    about ``_BLOCK_VALUES`` values to their log-means per randomization.
-    The rest,
+    A crude log-space RQMC pass of up to ``_PILOT_BATCHES`` batches runs
+    on all inputs with shared mixing realizations (one accumulator row
+    per input).  The tolerance is tested after every batch, and an input
+    that meets it leaves the pass with that result; later batches are
+    folded only into the inputs that remain.  Per batch the pass
+    evaluates the quantile once, forms ``prefactor - shift_k log w`` once
+    per distinct (``prefactor``, ``shift_k``) pair and reduces the
+    remaining rows in blocks of about ``_BLOCK_VALUES`` values to their
+    log-means per randomization.  The inputs it leaves unsettled,
     zero Mahalanobis distance included, go through the adaptive path in
     the logit coordinate z = logit(u) (see the module docstring), all
     together: the peak search starts from the crude pass's quantile
     knots, every bisection (the one on the slope of g that finds its
     maximum, and the one that finds both ends of the bracket) stops at a
-    z-width of ``_EPS_BISEC``, the bracket ends where g falls ``_K_TH``
-    decades below its maximum, and RQMC integrates g over the bracket,
-    each input until it meets the tolerance, tested every
-    ``min(cfg.n0, _ADAPTIVE_STEP)`` points per randomization.  All
+    z-width of ``_EPS_BISEC``, the bracket ends where g falls
+    ``min(_K_TH, 5 + log10(1/tol))`` decades below its maximum (5 for
+    any tol >= 1), and RQMC integrates g over the bracket, each input
+    until it meets the tolerance, tested every
+    ``min(cfg.n0, _ADAPTIVE_STEP)`` (16) points per randomization.  All
     adaptive inputs share one seed's ``B`` digital shifts (as the crude
     pass's inputs share another's), so every input's result equals that
     of a call with this input alone: it does
@@ -328,8 +334,11 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     result, unconverged.  An adaptive result counts the crude pass's points
     and the adaptive points it used.  A result is unconverged when that
     RQMC misses the tolerance or when g is still above the threshold at an
-    end of the z range.  A mixing distribution with an atom at w = 0 makes
-    the integral diverge at D2 = 0, which raises ``ValueError``.
+    end of the z range.  At D2 = 0 the integral diverges when W has an
+    atom at w = 0, or when g is still above the threshold at the lower end
+    of the z range and no lower there than halfway to it (h grows at
+    least like 1/u as u -> 0, e.g. E[W^(-shift_k)] infinite without an
+    atom); either raises ``ValueError`` before any adaptive RQMC.
     """
     if cfg is None:
         cfg = RqmcConfig()
@@ -354,6 +363,9 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
 
     crude = RqmcAccumulator(1, cfg, child(0), log=True)
     us, ws = [], []
+    # Rows leave the crude pass once they meet the tolerance; each batch
+    # still makes one quantile call, shared by the rows that remain.
+    todo = np.arange(N)
     for _ in range(min(_PILOT_BATCHES, cfg.i_max)):
         u = np.clip(crude.draw()[:, 0], _U_EPS, 1.0 - _U_EPS)
         w = np.asarray(quantile(spec, u, nu), dtype=float)
@@ -361,10 +373,12 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
             raise ValueError(_DIVERGES)
         us.append(u)
         ws.append(w)
-        crude.fold(_crude_log_means(w, prefs, ks, ms, cfg.B))
+        crude.fold(_crude_log_means(w, prefs[todo], ks[todo], ms[todo], cfg.B), todo)
+        todo = todo[~crude.converged()[todo]]
+        if not len(todo):
+            break
 
     results = crude.results()
-    todo = np.flatnonzero(~crude.converged())
     # The adaptive path gets what the crude pass left of the i_max budget;
     # without any, an unsettled row keeps its unconverged crude result.
     budget = cfg.i_max - crude.batches
@@ -374,7 +388,19 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     order = np.argsort(us, kind="stable")
     knots = us[order], np.concatenate(ws)[order]
     pref, k, m = prefs[todo], ks[todo], ms[todo]
-    z_l, z_r, closed = _bracket_z(spec, nu, pref, k, m, knots)
+    # The bracket ends where g falls k_th decades below its maximum: five
+    # more than tol's, at most _K_TH; any tol >= 1 (inf included) gives 5.
+    k_th = min(_K_TH, 5.0 + max(0.0, -math.log10(cfg.tol)))
+    z_l, z_r, closed = _bracket_z(spec, nu, pref, k, m, knots, k_th)
+    # At D2 = 0, g still above the threshold at z_lo and no lower there than
+    # at z_lo / 2 means that h grows at least like 1/u as u -> 0: the
+    # integral diverges.
+    edge = np.flatnonzero((m == 0.0) & (z_l == _Z_LO))
+    if len(edge):
+        log_g = _log_g(np.array([_Z_LO, 0.5 * _Z_LO]), spec, nu, pref[edge, None],
+                       k[edge, None], m[edge, None])
+        if np.any(log_g[:, 0] >= log_g[:, 1]):
+            raise ValueError(_DIVERGES)
     width = z_r - z_l
     # The bracket's width enters through the prefactor, so the RQMC's
     # estimate, which its tolerance tests, is the reported one.

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ScaleFactor, cholesky
-from .mixtures import MixtureSpec
+from .mixtures import MixtureSpec, _check_params
 
 __all__ = ["NvmModel"]
 
@@ -25,6 +25,9 @@ class NvmModel:
 
     @classmethod
     def build(cls, loc, scale, spec: MixtureSpec, nu) -> "NvmModel":
+        """Model from a finite location (zeros when None), a scale matrix
+        and the family's parameters ``nu``, checked as its quantile checks
+        them; raises ``ValueError`` for any of these it cannot use."""
         scale = np.asarray(scale, dtype=float)
         if scale.ndim == 0:
             scale = scale.reshape(1, 1)
@@ -34,7 +37,9 @@ class NvmModel:
         loc = np.atleast_1d(np.asarray(loc, dtype=float))
         if loc.shape != (d,):
             raise ValueError(f"location must have length {d}, got {loc.shape}")
-        nu = np.atleast_1d(np.asarray(nu, dtype=float))
+        if not np.all(np.isfinite(loc)):
+            raise ValueError("location must be finite")
+        nu = _check_params(spec, nu)
         factor = cholesky(scale)
         return cls(loc=loc, scale=scale, spec=spec, nu=nu, factor=factor)
 

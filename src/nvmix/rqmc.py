@@ -129,10 +129,13 @@ class RqmcConfig:
     ``i_max`` caps the total number of batches per randomization, so at
     most ``B * n0 * i_max`` integrand evaluations are spent; for a
     log-density the crude pass's batches count against it too.  The
-    tolerance is tested after every batch, by the adaptive log-density
-    pass every ``min(n0, 32)`` points.  A relative tolerance is met only
-    by a nonzero estimate (in log space, where the estimate is a log, a
-    vanishing one falls back to the absolute test).
+    tolerance is tested after every batch: a log-density's crude pass
+    tests each input and stops the inputs that meet it, and its adaptive
+    pass tests every ``min(n0, 16)`` points, over a bracket that ends
+    ``5 + log10(1/tol)`` decades below the integrand's maximum (at least
+    5, at most 10).  A relative tolerance is met only by a nonzero
+    estimate (in log space, where the estimate is a log, a vanishing one
+    falls back to the absolute test).
     """
 
     B: int = 15

@@ -459,39 +459,45 @@ def test_adaptive_across_distances(spec, nu, D2):
 # re-recorded again when the adaptive RQMC came to check its tolerance
 # every 32 points, and four of them (IG at D2 = 0.5 and 3, Pareto at 0.5
 # and 25, by at most 5.2e-12) when bisection on g's slope replaced the
-# bounded Brent search for g's maximum: each new value lies within its
-# error estimate of the old one.  512 points (four iterations) is a row
-# the crude pass settled, 544 one that took the adaptive path and met
-# the tolerance after its first 32 points.  Estimates pinned to 1e-14,
-# everything else exactly.
+# bounded Brent search for g's maximum.  All rows but Pareto at D2 = 3
+# were re-recorded when rows came to leave the crude pass once settled,
+# the adaptive RQMC to check every 16 points and the bracket to end 8
+# decades (5 + log10(1/tol)) below g's maximum: each new value lies
+# within its own error estimate of the old one (Pareto at D2 = 0.5
+# within the old one's: it moved by 4.9e-6, from 5.1e-6 to 1.8e-7 off
+# the closed form).  A row of 128 to 512 points (one to four
+# iterations) is one the crude pass settled after that many batches,
+# 528 or 544 one that took the adaptive path and met the tolerance after
+# its first 16 or 32 points.
+# Estimates pinned to 1e-14, everything else exactly.
 DENSITY_GOLDEN_D2 = [0.5, 3.0, 10.0, 25.0, 80.0, 640.0, 1.6e4]
 DENSITY_GOLDEN = {
     "inverse_gamma": [
-        (-6.9003521514980255, 5, 544, True),
-        (-9.993180547517637, 5, 544, True),
-        (-14.84521080150147, 4, 512, True),
-        (-19.942880305070958, 4, 512, True),
-        (-27.38752886871452, 4, 512, True),
-        (-41.64570057774504, 5, 544, True),
-        (-64.13596728485433, 5, 544, True),
+        (-6.900568202630703, 5, 528, True),
+        (-9.993150687503713, 5, 528, True),
+        (-14.84521089868066, 1, 128, True),
+        (-19.942879241880437, 1, 128, True),
+        (-27.387416210404364, 2, 256, True),
+        (-41.645700583992294, 5, 528, True),
+        (-64.13596730738794, 5, 528, True),
     ],
     "pareto": [
-        (-10.024497222126035, 5, 544, True),
+        (-10.024502155798746, 5, 544, True),
         (-11.163566972730544, 4, 512, True),
-        (-14.287787057903234, 4, 512, True),
-        (-20.42873319152216, 5, 544, True),
-        (-32.870887301231456, 5, 544, True),
-        (-55.74474424348961, 5, 544, True),
-        (-91.15237831703982, 5, 544, True),
+        (-14.287924208666173, 3, 384, True),
+        (-20.428756197040638, 5, 528, True),
+        (-32.87088731505691, 5, 528, True),
+        (-55.74474424476006, 5, 528, True),
+        (-91.1523783183103, 5, 528, True),
     ],
     "inverse_burr": [
-        (-6.980970787223541, 5, 544, True),
-        (-10.586991500348633, 5, 544, True),
-        (-14.879609156675409, 4, 512, True),
-        (-19.64716487936917, 4, 512, True),
-        (-27.145355151234654, 4, 512, True),
-        (-41.603725819332915, 5, 544, True),
-        (-64.13422012856394, 5, 544, True),
+        (-6.980971248219575, 5, 528, True),
+        (-10.586991577743907, 5, 528, True),
+        (-14.879608529343203, 1, 128, True),
+        (-19.647164196266843, 1, 128, True),
+        (-27.145179182269768, 1, 128, True),
+        (-41.60372584343047, 5, 528, True),
+        (-64.13422015152513, 5, 528, True),
     ],
 }
 
@@ -589,9 +595,10 @@ def test_crude_log_means_match_whole_block(n, e_step, center, zero_w):
 
 
 def test_crude_pass_memory_stays_below_one_block():
-    # 2000 rows that the crude pass settles: it reduces them block by
-    # block, so the call's traced peak stays far below one (2000, B n0)
-    # float64 block of log-integrands (30.7 MB).
+    # 2000 rows that the crude pass settles, each after at most its four
+    # batches: it reduces them block by block, so the call's traced peak
+    # stays far below one (2000, B n0) float64 block of log-integrands
+    # (30.7 MB).
     cfg = RqmcConfig()
     D2, k, pref = density_args(np.linspace(10.0, 100.0, 2000), 10)
     spec, nu = inverse_gamma(), [4.0]
@@ -602,7 +609,7 @@ def test_crude_pass_memory_stays_below_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(r.iterations_used == 4 and r.converged for r in res)
+    assert all(r.iterations_used <= 4 and r.converged for r in res)
     assert peak < len(D2) * cfg.B * cfg.n0 * 8 / 4
 
 
@@ -629,26 +636,24 @@ def test_atom_at_zero_diverges_at_center(u_atom, flat):
 
 @pytest.mark.parametrize("swap", [1e14, 0.0], ids=["far-tail", "center"])
 @pytest.mark.parametrize(
-    "cfg", [RqmcConfig(tol=1e-3), RqmcConfig(tol=1e-13, i_max=7),
+    "cfg", [RqmcConfig(tol=1e-3), RqmcConfig(tol=8e-14, i_max=7),
             RqmcConfig(tol=1e-13, i_max=2)], ids=["default", "capped", "crude-only"])
 def test_batch_rows_are_independent(cfg, swap):
     # Rows share the crude pass's points, the adaptive path's points and
     # its quantile calls but nothing else: replacing one row leaves every
     # other row's result exactly as it was.  Under the capped
     # configuration the crude pass's four batches leave the adaptive RQMC
-    # three, checked every 32 points, and the rows stop at different
+    # three, checked every 16 points, and the rows stop at different
     # steps (at 768 points, or the cap of 896 unconverged), so a row that
     # stops early or runs on must not shift the others' points.  All
     # rows' errors then sit near the rounding floor of the folded
-    # 32-point log-means, which is lowest at dyadic point counts: at 768
-    # points 4e-14 to 8.3e-14 (7.0e-14 at D2 = 0, 8.3e-14 at 1e14), while
-    # the replaced row, D2 = 1e16, reads 1.02e-13 there and 1.25e-13 at
-    # the cap.  The tolerance lies between.  The two far rows had the
-    # opposite roles while g's maximum came from a bounded Brent search
-    # (1e14 read 1.1e-13 at 768 points, 1e16 8.9e-14): the bisection on
-    # g's slope moves the bracket by a few 1e-7 in z, and with it these
-    # last bits.  A nearer row such as D2 = 1.6e4 reads 8.0e-14 at 768
-    # points, so only a far-tail row sits above the tolerance.  Under
+    # 16-point log-means, which is lowest at dyadic point counts: at 768
+    # points 4.3e-14 to 7.7e-14 (7.0e-14 at D2 = 0, 7.7e-14 at 1e14 and
+    # at 1.6e4), while the replaced row, D2 = 1e16, reads 8.8e-14 there
+    # and 1.1e-13 at the cap.  The tolerance lies between.  With 32-point
+    # steps that tolerance was 1e-13 (rows at 768 points read 4e-14 to
+    # 8.3e-14, D2 = 1e16 1.02e-13); with 16-point steps every row reads
+    # below 1e-13 at 768 points, 1e16 included (8.8e-14).  Under
     # crude-only the crude pass uses up the whole budget.
     D2s = [0.5, 3.0, 10.0, 640.0, 1e16, 2e5, 1e6]
     spec, nu = inverse_gamma(), [4.0]
@@ -681,6 +686,13 @@ def test_rows_do_not_depend_on_their_batch(family, cfg):
     D2s = np.array([0.0, 0.5, 3.0, 640.0, 1.6e4, 2e5, 1e10])
     D2, k = np.concatenate([D2s, D2s]), np.repeat([5.0, 6.0], len(D2s))
     pref = gaussian_prefactor(10)
+    if family == "inverse_burr" and cfg.i_max > 4:
+        # E[W^(-k)] is infinite for k >= nu1 nu2 = 4, so the adaptive path,
+        # which runs once the four crude batches leave budget, rejects the
+        # rows at D2 = 0; the others are checked without them.
+        with pytest.raises(ValueError, match="diverges at w = 0"):
+            log_integral_batch(D2, k, pref, spec, nu, cfg, seed=5)
+        D2, k = D2[D2 > 0.0], k[D2 > 0.0]
     ref = log_integral_batch(D2, k, pref, spec, nu, cfg, seed=5)
     perm = np.random.default_rng(0).permutation(len(D2))
     got = log_integral_batch(D2[perm], k[perm], pref, spec, nu, cfg, seed=5)
@@ -715,13 +727,39 @@ def test_quantile_calls_do_not_grow_with_pending_points(monkeypatch):
 
 def test_adaptive_rows_stop_at_the_first_step_that_meets_tol():
     # Every row here takes the adaptive path, and the RQMC tests the
-    # tolerance every 32 points per randomization: at tol 1e-3 the first
-    # 32 points settle each row, on top of the crude pass's four batches.
+    # tolerance every 16 points per randomization: at tol 1e-3 the first
+    # 16 points settle each row, on top of the crude pass's four batches.
     cfg = RqmcConfig(tol=1e-3)
     res = log_integral_batch(*density_args(np.linspace(0.5, 2.0, 20), 10), inverse_gamma(),
                              [4.0], cfg, seed=1)
-    assert all(r.converged and r.n_per_randomization == 4 * cfg.n0 + 32
+    assert all(r.converged and r.n_per_randomization == 4 * cfg.n0 + 16
                and r.iterations_used == 5 for r in res)
+
+
+@pytest.mark.parametrize("tol,k_th", [(1e-13, 10.0), (1e-5, 10.0), (1e-4, 9.0), (1e-3, 8.0),
+                                      (1.0, 5.0), (100.0, 5.0)])
+def test_bracket_threshold_follows_tol(monkeypatch, tol, k_th):
+    # The adaptive path's bracket ends min(_K_TH, 5 + log10(1/tol))
+    # decades below g's maximum, and 5 decades for any tol >= 1.  The far
+    # rows here take that path at every one of these tolerances.
+    levels = []
+
+    def spy(*args):
+        levels.append(args[-1])
+        return _bracket_z(*args)
+
+    monkeypatch.setattr(density, "_bracket_z", spy)
+    res = log_integral_batch(*density_args([1e8, 1e10], 10), inverse_gamma(), [4.0],
+                             RqmcConfig(tol=tol), seed=1)
+    assert all(r.converged and r.iterations_used > 4 for r in res)
+    assert levels == [pytest.approx(k_th, abs=1e-12)]
+
+
+def test_infinite_tolerance_is_met_by_the_crude_pass():
+    # RqmcConfig accepts tol = inf; every row then settles after one batch.
+    res = log_integral_batch(*density_args([0.5, 1.6e4, 1e10], 10), inverse_gamma(), [4.0],
+                             RqmcConfig(tol=math.inf), seed=1)
+    assert all(r.converged and r.iterations_used == 1 for r in res)
 
 
 def test_adaptive_rows_meet_their_tolerance():
@@ -745,6 +783,58 @@ def test_adaptive_rows_meet_their_tolerance():
     assert len(errors) >= 200
     assert np.mean(errors > cfg.tol) <= 0.01
     assert np.max(errors) <= 3 * cfg.tol
+
+
+@pytest.mark.parametrize(
+    "cfg", [RqmcConfig(tol=1e-2), RqmcConfig(tol=1e-3), RqmcConfig(tol=1e-4),
+            RqmcConfig(tol=1e-3, tol_type="relative")],
+    ids=["abs-1e-2", "abs-1e-3", "abs-1e-4", "rel-1e-3"])
+def test_settled_rows_meet_their_tolerance(cfg):
+    # Calibration of both early stops: a row leaves the crude pass after
+    # the first batch that meets tol, and the adaptive path's bracket ends
+    # 5 + log10(1/tol) decades below g's maximum.  Of all converged rows,
+    # crude and adaptive, at most 1% may miss tol against the closed form
+    # (the 3.5-sd CI's own miss rate), none by more than 3 tol, and some
+    # must settle before the crude pass's fourth batch.
+    D2 = np.concatenate([[0.0], np.logspace(-8, 10, 37)])
+    misses, early = [], 0
+    for spec, nu in [(inverse_gamma(), 4.0), (pareto(), 6.0)]:
+        for d in (2, 10):
+            model = NvmModel.build(None, np.eye(d), spec, [nu])
+            X = np.zeros((len(D2), d))
+            X[:, 0] = np.sqrt(D2)
+            exact = closed_log_density(model, X)
+            tol = cfg.tol * (np.abs(exact) if cfg.tol_type == "relative" else 1.0)
+            for seed in (1, 2, 3):
+                res = log_density_batch(X, model, cfg, seed=seed)
+                misses += [abs(r.estimate - e) / t
+                           for r, e, t in zip(res, exact, np.broadcast_to(tol, exact.shape))
+                           if r.converged]
+                early += sum(r.iterations_used < 4 for r in res)
+    misses = np.array(misses)
+    assert len(misses) >= 400
+    assert np.mean(misses > 1.0) <= 0.01
+    assert np.max(misses) <= 3.0
+    assert early > 0
+
+
+def test_zero_distance_divergence_is_raised():
+    # At D2 = 0 inverse-Burr(2, 2) gives E[W^(-k)] = 2 B(2 - k/2, 1 + k/2)
+    # for k = d/2 < 4 and infinity from d = 8 on: near u = 0, g in the
+    # logit coordinate tends to a constant at d = 8 and grows at d = 10.
+    # These raise before any RQMC instead of returning unconverged
+    # estimates (169.3 at d = 10 after 63 batches, -0.79 at d = 8).
+    spec, nu = inverse_burr(), [2.0, 2.0]
+    for d in (8, 10):
+        with pytest.raises(ValueError, match="diverges at w = 0"):
+            log_integral_batch([0.0], d / 2.0, gaussian_prefactor(d), spec, nu, seed=1)
+    for d in (6, 7):
+        k = d / 2.0
+        exact = gaussian_prefactor(d) + math.log(2.0) + gammaln(2.0 - k / 2) + gammaln(
+            1.0 + k / 2) - gammaln(3.0)
+        res = log_integral_batch([0.0], k, gaussian_prefactor(d), spec, nu, seed=1)[0]
+        assert res.converged
+        assert abs(res.estimate - exact) <= 1e-3
 
 
 def test_remark_shift_generalization():

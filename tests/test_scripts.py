@@ -1,0 +1,30 @@
+"""The measurement scripts under ``scripts/`` run at tiny sizes.
+
+They reach into private names of ``nvmix.density`` (``_run``,
+``_bracket_z``, ``_crude_log_means``, ``_peak_z``, ``_log_g``,
+``_log_h_of_w``), so a change that renames or reshapes one of those
+must show up here rather than the next time someone measures.
+"""
+
+import runpy
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_main(name, *args, **kwargs):
+    runpy.run_path(str(SCRIPTS / name))["main"](*args, **kwargs)
+
+
+def test_adaptive_cost_runs(capsys):
+    run_main("adaptive_cost.py", 1, sizes=(20,), n_points=40)
+    out = capsys.readouterr().out
+    assert "N =    20:" in out and "calibration, 1 x 40 points" in out
+    assert out.count("crude pass: values") == 2
+    assert out.count("search: quantile calls") == 2
+
+
+def test_crude_bias_runs(capsys):
+    run_main("crude_bias.py", 2)
+    out = capsys.readouterr().out
+    assert out.count("crude error over 2 seeds") == 2
