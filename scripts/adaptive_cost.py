@@ -16,9 +16,14 @@ Two parts, both at tol 1e-3 under the default ``RqmcConfig``:
   quantiles of error over error estimate of the adaptive rows and the
   quantile work per phase, summed over the calls.
 
-The phases are the crude pass, the search (``_bracket_z``: the peak of
-h, the maximum of g and the bracket's ends) and the adaptive RQMC
-(``_run``); the search's u-values are also given per adaptive row.
+The phases are the crude pass, the table of the quantile
+(``_QuantileTable._build``: its nodes and midpoints, evaluated exactly),
+the search (``_bracket_z``: the peak of h, the maximum of g and the
+bracket's ends) and the adaptive RQMC (``_run``); the search's u-values
+are also given per adaptive row.  The table's line also gives the time
+spent building it and, for the search and for the RQMC rows, the levels
+read (as node counts, -1 for the quantile itself) with their bounds in
+log w.
 Both parts also print the crude pass's values (rows times points per
 batch, summed over the batches it reduces) and the share of rows it has
 settled after each of its batches.
@@ -44,19 +49,32 @@ from nvmix.rqmc import RqmcConfig
 TOL = 1e-3
 
 
-PHASES = ("crude", "search", "rqmc")
+PHASES = ("crude", "table", "search", "rqmc")
 
 
-def _phase_counts(call):
-    """``call()``'s result and the quantile calls and u-values it
-    evaluates in each phase of ``log_integral_batch``: a quantile call
-    belongs to the search while ``_bracket_z`` runs, to the RQMC while
-    ``_run`` runs and to the crude pass otherwise.  ``counts["values"]``
-    holds the crude pass's values: rows times points of each batch it
-    reduces."""
+def _new_counts():
     counts = {p: [0, 0] for p in PHASES}
-    counts["values"] = 0
+    counts.update(values=0, table_s=0.0, bounds={}, levels={"search": [], "rqmc": []})
+    return counts
+
+
+def _phase_counts(call, counts=None):
+    """``call()``'s result and the quantile calls and u-values it
+    evaluates in each phase of ``log_integral_batch``, added to
+    ``counts``: a quantile call belongs to the table while
+    ``_QuantileTable._build`` runs, to the search while ``_bracket_z``
+    runs, to the RQMC while ``_run`` runs and to the crude pass
+    otherwise.  ``counts["values"]`` holds the crude pass's values: rows
+    times points of each batch it reduces; ``counts["table_s"]`` the time
+    spent building the table, ``counts["levels"]`` the levels read (as
+    node counts, -1 for the quantile) by the search and by each adaptive
+    row's RQMC, as ``_QuantileTable.coarsest`` picks them (first for the
+    search, then for the rows), and ``counts["bounds"]`` the bound of each
+    level built."""
+    counts = _new_counts() if counts is None else counts
     phase = ["crude"]
+    table = density._QuantileTable
+    picked = []
 
     def counted(spec, u, *args, **kwargs):
         counts[phase[0]][0] += 1
@@ -76,17 +94,34 @@ def _phase_counts(call):
                 phase[0] = outer
         return wrapped
 
+    def build(self, j):
+        t0 = time.perf_counter()
+        level = in_phase("table", saved_build)(self, j)
+        counts["table_s"] += time.perf_counter() - t0
+        counts["bounds"][2 ** j + 1] = np.inf if level is None else level[-1]
+        return level
+
+    def coarsest(self, allowed):
+        levels = saved_coarsest(self, allowed)
+        stage = "rqmc" if picked else "search"
+        picked.append(stage)
+        counts["levels"][stage] += [2 ** j + 1 if j >= 0 else -1 for j in levels]
+        return levels
+
     saved = {name: getattr(density, name)
              for name in ("quantile", "_bracket_z", "_run", "_crude_log_means")}
+    saved_build, saved_coarsest = table._build, table.coarsest
     density.quantile = counted
     density._crude_log_means = crude_values
     density._bracket_z = in_phase("search", saved["_bracket_z"])
     density._run = in_phase("rqmc", saved["_run"])
+    table._build, table.coarsest = build, coarsest
     try:
         result = call()
     finally:
         for name, fn in saved.items():
             setattr(density, name, fn)
+        table._build, table.coarsest = saved_build, saved_coarsest
     return result, counts
 
 
@@ -95,7 +130,20 @@ def _print_phases(counts, adaptive_rows: int) -> None:
         calls, u_values = counts[p]
         per_row = f" ({u_values / max(adaptive_rows, 1):.1f} per adaptive row)"
         print(f"  {p:6s}: quantile calls {calls:4d}, u-values {u_values:9d}"
-              + (per_row if p == "search" else ""))
+              + (per_row if p == "search" else "")
+              + (_table_summary(counts) if p == "table" else ""))
+
+
+def _table_summary(counts) -> str:
+    """Build time, then the levels read by the searches and by the RQMC
+    rows, with their bounds."""
+    read = []
+    for stage, levels in counts["levels"].items():
+        nodes, n = np.unique(levels, return_counts=True)
+        read.append(f"{stage} " + ", ".join(
+            f"{c} x {v} nodes" + (f" (bound {counts['bounds'][v]:.2g})" if v > 0 else "")
+            for v, c in zip(nodes, n)))
+    return f", build {1e3 * counts['table_s']:.1f} ms; levels read: " + "; ".join(read)
 
 
 def _print_crude(counts, results, cfg) -> None:
@@ -136,8 +184,7 @@ def calibration(n_seeds: int, n_points: int = 300, d: int = 10) -> None:
     model = NvmModel.build(None, np.eye(d), inverse_gamma(), [4.0])
     u_max = fdtr(d, 1.0, 1e8 / d)
     errors, estimates, unconverged, results, crude_misses = [], [], 0, [], 0
-    counts = {p: [0, 0] for p in PHASES}
-    counts["values"] = 0
+    counts = _new_counts()
     for seed in range(1, n_seeds + 1):
         rng = np.random.default_rng(seed)
         strata = (np.arange(n_points) + rng.uniform(size=n_points)) / n_points
@@ -145,10 +192,7 @@ def calibration(n_seeds: int, n_points: int = 300, d: int = 10) -> None:
         X = np.zeros((n_points, d))
         X[:, 0] = np.sqrt(D2)
         exact = closed_log_density(model, X)
-        res, seed_counts = _phase_counts(lambda: log_density_batch(X, model, cfg, seed=seed))
-        for p in PHASES:
-            counts[p] = [c + s for c, s in zip(counts[p], seed_counts[p])]
-        counts["values"] += seed_counts["values"]
+        res, _ = _phase_counts(lambda: log_density_batch(X, model, cfg, seed=seed), counts)
         results += res
         for r, e in zip(res, exact):
             if r.n_per_randomization <= 4 * cfg.n0:

@@ -14,28 +14,39 @@ polynomially in u; at zero distance it is monotone with its peak at
 u = 0.  The adaptive path therefore works in the logit coordinate
 z = log(u / (1 - u)): there the integrand is
 g(z) = h(expit(z)) expit(z) expit(-z), which decays exponentially toward
-both ends whenever h is bounded, and the quantile receives u = expit(z)
-and 1 - u = expit(-z), each computed directly.  The path locates the peak
-of h by bisection in z (only quantile evaluations are available), finds
-the maximum of g between that peak and z = 0 by bisection on the sign of
-its slope, brackets the region where g exceeds a threshold
-5 + log10(1/tol) orders below its maximum (at least 5, at most 10) by
-bisection on that level and integrates g over that bracket by RQMC; the
-error estimate does not count the mass outside the bracket.
-:func:`peak` and :func:`region_bounds` are one-input views of this
-search (at ten orders): the peak of h, and the bracket in z.  All inputs the crude
-pass leaves unsettled take these steps together: each bisection step
-evaluates the quantile once for every input whose search still runs,
-and the RQMC runs as one block, each input until it meets the
-tolerance, tested every 16 points per randomization.  The number of
-quantile calls thus grows with the number of steps, not with the number
-of inputs.  Both RQMC passes share one seed's digital shifts among all
-their inputs, so every input is integrated at the same points and its
-result does not depend on the other inputs or on its position among
-them.  The same
-machinery integrates any integrand of the form c * w^(-k) * exp(-m/w),
-which covers the posterior weights needed for fitting and the
-Mahalanobis-distance density.
+both ends whenever h is bounded.  The path locates the peak of h by
+bisection in z, finds the maximum of g between that peak and z = 0 by
+bisection on the sign of its slope, brackets the region where g exceeds
+a threshold 5 + log10(1/tol) orders below its maximum (at least 5, at
+most 10) by bisection on that level and integrates g over that bracket
+by RQMC; the error estimate does not count the mass outside the
+bracket.  :func:`peak` and :func:`region_bounds` are one-input views of
+this search (at ten orders): the peak of h, and the bracket in z.
+
+Where the crude pass reads w from the quantile, the adaptive path reads
+it from a table of the call's one mixture: cubic interpolants L(z) of
+log w, with w = exp(L(z)), at 513 to 4097 nodes evenly spaced in
+asinh(z / 2), each with a bound on its error in log w checked at the
+midpoints between its nodes (numerical inversion after Hörmann &
+Leydold 2003 and Derflinger, Hörmann & Leydold 2010, applied in z).  A
+table lookup costs a few dozen nanoseconds per point, against several
+hundred for the inverse-gamma quantile, and building one costs one
+quantile call on about a thousand to eight thousand nodes.  The search
+reads the coarsest table whose bound is at most the z-width it bisects
+to, 1e-6; each input's RQMC reads the coarsest whose bound keeps the
+error of its log-integral within tol/10; either reads the quantile
+itself where no table does, as for a quantile that jumps or vanishes.
+All inputs the crude pass leaves unsettled take these steps together:
+each bisection step evaluates w once for every input whose search
+still runs, and the RQMC runs as one block, each input until it meets
+the tolerance, tested every 16 points per randomization.  Both RQMC
+passes share one seed's digital shifts among all their inputs, so
+every input is integrated at the same points, and, as its table
+follows from its own bracket, its result does not depend on the other
+inputs or on its position among them.  The same machinery integrates
+any integrand of the form c * w^(-k) * exp(-m/w), which covers the
+posterior weights needed for fitting and the Mahalanobis-distance
+density.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 from scipy.special import expit, gammainc, gammaln, log_expit, logit
 
 from .linalg import mahalanobis_sq
@@ -80,6 +92,9 @@ _ADAPTIVE_STEP = 16
 # u = expit(z), which stays below 1 for z <= _Z_HI_BLACKBOX.
 _Z_LO = math.log(np.finfo(float).tiny)
 _Z_HI_BLACKBOX = -math.log(np.finfo(float).eps)
+# Levels of the tabulated quantile: 2^j + 1 nodes, 513 to 4097.
+_TABLE_LEVELS = (9, 10, 11, 12)
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _log_h_of_w(w, pref, k, m) -> np.ndarray:
@@ -149,14 +164,156 @@ def _quantile_z(spec, z, nu):
     return quantile(spec, expit(flat), nu, expit(-flat)).reshape(z.shape)
 
 
-def _log_h_z(z, spec, nu, pref, k, m):
-    """log h at u = expit(z); the parameters broadcast against z."""
-    return _log_h_of_w(_quantile_z(spec, z, nu), pref, k, m)
+class _QuantileTable:
+    """The mixing quantile of one (family, nu) as a function of z, read
+    from cubic interpolants of log w or from the quantile itself.
+
+    Level j interpolates log w at 2^j + 1 nodes evenly spaced in
+    t = asinh(z / 2) over the z range, dense near z = 0 and sparse in the
+    tails, by a not-a-knot cubic spline in z; the levels are nested, so
+    each one's nodes are the previous one's plus its midpoints in t.  Its
+    bound is twice the largest error in log w at the midpoints, the next
+    level's new nodes (on a grid 25 times finer than the finest level,
+    the largest error of every built-in family's levels was at most 1.11
+    times the largest at their midpoints).  Where
+    log w grows past the doubles' range (IG(1), say) the interpolant ends
+    at the last finite node and continues along its tangent, so w
+    overflows to inf about where the quantile does.  A level with a
+    non-finite node below that (an atom of W at 0) has no interpolant, and
+    neither has any finer level.  Levels are built on first use, each
+    from one quantile call on the nodes not yet evaluated.  Level -1 is
+    the quantile itself.
+    """
+
+    def __init__(self, spec, nu):
+        self.spec, self.nu = spec, nu
+        self.z_lo, self.z_hi = _z_range(spec)
+        self._t_lo = math.asinh(0.5 * self.z_lo)
+        self._t_span = math.asinh(0.5 * self.z_hi) - self._t_lo
+        # log w at the 2^_j + 1 nodes of the finest level evaluated so far.
+        self._j, self._log_w = -1, None
+        self._levels = {}
+        self.u_values = 0  # quantile evaluations spent on nodes
+
+    def exact(self, z):
+        # A quantile beyond the doubles' range is inf, as it should be.
+        with np.errstate(over="ignore", divide="ignore"):
+            return _quantile_z(self.spec, z, self.nu)
+
+    def _nodes(self, j, start=0, step=1):
+        """z at the nodes ``start::step`` of level j."""
+        t = self._t_lo + self._t_span * (np.arange(start, 2 ** j + 1, step) * 2.0 ** -j)
+        return np.clip(2.0 * np.sinh(t), self.z_lo, self.z_hi)
+
+    def _exact_log_w(self, z):
+        self.u_values += len(z)
+        with np.errstate(divide="ignore"):
+            return np.log(self.exact(z))
+
+    def _node_log_w(self, j):
+        """log w at the nodes of level j, evaluating those not yet known."""
+        if self._log_w is None:
+            self._j, self._log_w = j, self._exact_log_w(self._nodes(j))
+        while self._j < j:
+            self._j += 1
+            finer = np.empty(2 ** self._j + 1)
+            finer[::2] = self._log_w
+            finer[1::2] = self._exact_log_w(self._nodes(self._j, 1, 2))
+            self._log_w = finer
+        return self._log_w[::2 ** (self._j - j)]
+
+    def level(self, j):
+        """``(z_nodes, c3, c2, c1, c0, bound)`` of level j, or None."""
+        if j not in self._levels:
+            self._levels[j] = self._build(j)
+        return self._levels[j]
+
+    def _build(self, j):
+        fine, z_fine = self._node_log_w(j + 1), self._nodes(j + 1)
+        log_w, z = fine[::2], z_fine[::2]
+        finite = np.isfinite(log_w)
+        n = len(log_w) if finite.all() else int(np.argmin(finite))
+        if n < 2 or np.any(log_w[n:] != np.inf):
+            return None
+        spline = CubicSpline(z[:n], log_w[:n])
+        # One more piece from the last finite node on: its tangent.
+        c3, c2, c1, c0 = (np.append(c, tail) for c, tail in
+                          zip(spline.c, (0.0, 0.0, spline(z[n - 1], 1), log_w[n - 1])))
+        piece = (z[:n], c3, c2, c1, c0)
+        err = np.abs(np.minimum(self._log_interp(piece, j, z_fine[1::2]), _LOG_MAX)
+                     - np.minimum(fine[1::2], _LOG_MAX))
+        return (*piece, 2.0 * float(np.max(err)))
+
+    def bound(self, j) -> float:
+        piece = self.level(j)
+        return np.inf if piece is None else piece[-1]
+
+    def _log_interp(self, piece, j, z):
+        """Interpolated log w at the flat array ``z``: the piece from the
+        index of z on the t-grid, then Horner, gathering one coefficient
+        at a time."""
+        z_nodes, *coef = piece[:5]
+        x = np.arcsinh(0.5 * z)
+        x -= self._t_lo
+        x *= 2 ** j / self._t_span
+        i = x.astype(np.intp)
+        np.clip(i, 0, len(z_nodes) - 1, out=i)
+        np.subtract(z, z_nodes[i], out=x)
+        out = coef[0][i]
+        for c in coef[1:]:
+            out *= x
+            out += c[i]
+        return out
+
+    def w(self, z, j):
+        """w at z (any shape) from level j, or from the quantile at j = -1."""
+        z = np.asarray(z, dtype=float)
+        if j < 0:
+            return self.exact(z)
+        log_w = self._log_interp(self.level(j), j, z.ravel())
+        with np.errstate(over="ignore"):
+            return np.exp(log_w, out=log_w).reshape(z.shape)
+
+    def coarsest(self, allowed) -> np.ndarray:
+        """Per entry of ``allowed``, the coarsest of ``_TABLE_LEVELS`` whose
+        bound is at most that entry; -1 (the quantile) where none is.  A
+        level without an interpolant ends the search: finer ones share
+        its nodes."""
+        out = np.full(len(allowed), -1)
+        for j in _TABLE_LEVELS:
+            if not np.any(out < 0) or self.level(j) is None:
+                break
+            out[(out < 0) & (self.bound(j) <= allowed)] = j
+        return out
+
+
+def _log_g_w(w, z, pref, k, m):
+    """log g at z from the quantile values w there."""
+    return _log_h_of_w(w, pref, k, m) + log_expit(z) + log_expit(-z)
 
 
 def _log_g(z, spec, nu, pref, k, m):
-    """log of the integrand in the logit coordinate, h(u) du/dz."""
-    return _log_h_z(z, spec, nu, pref, k, m) + log_expit(z) + log_expit(-z)
+    """log of the integrand in the logit coordinate, h(u) du/dz, from the
+    quantile itself."""
+    return _log_g_w(_quantile_z(spec, z, nu), z, pref, k, m)
+
+
+def _search_w(table):
+    """w(z) as the adaptive search reads it: from the coarsest level whose
+    bound is at most ``_EPS_BISEC``, the z-width it bisects to, or from
+    the quantile."""
+    j = table.coarsest(np.array([_EPS_BISEC]))[0]
+    return lambda z: table.w(z, j)
+
+
+def _rows_w(table, levels, z):
+    """w at ``z``, whose row i reads level ``levels[i]`` of the table."""
+    if np.all(levels == levels[0]):
+        return table.w(z, levels[0])
+    w = np.empty(z.shape)
+    for j in np.unique(levels):
+        w[levels == j] = table.w(z[levels == j], j)
+    return w
 
 
 def _bisect(goes_up, a, b, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -192,12 +349,13 @@ def _level_crossings(f, level, z_in, z_lo: float, z_hi: float) -> tuple[np.ndarr
     return z[:n], z[n:]
 
 
-def _peak_z(spec, nu, w_star, knots=None) -> np.ndarray:
+def _peak_z(spec, nu, w_star, knots=None, w_z=None) -> np.ndarray:
     """Per row, the logit of the peak location of h, where the quantile
     reaches ``w_star`` = m / k.
 
-    Bisection in z for ``quantile(expit(z)) = w_star``, all rows together,
-    each starting from the knots (sorted u and their quantiles) around its
+    Bisection in z for ``w(z) = w_star``, with w(z) from ``w_z`` (the
+    quantile at u = expit(z) by default), all rows together, each
+    starting from the knots (sorted u and their quantiles) around its
     target when ``knots`` is given.  When the quantile cannot reach the
     target (the mixing support is bounded on that side, or the target
     lies beyond the doubles' range) the peak collapses to that end of the
@@ -205,6 +363,8 @@ def _peak_z(spec, nu, w_star, knots=None) -> np.ndarray:
     atom at 0, so h is monotone and its peak is at the left end.
     """
     z_lo, z_hi = _z_range(spec)
+    if w_z is None:
+        w_z = _QuantileTable(spec, nu).exact
     lo, hi = np.full(len(w_star), z_lo), np.full(len(w_star), z_hi)
     if knots is not None:
         us, ws = knots
@@ -212,7 +372,7 @@ def _peak_z(spec, nu, w_star, knots=None) -> np.ndarray:
         below, above = idx > 0, idx < len(us)
         lo[below] = np.clip(logit(us[idx[below] - 1]), z_lo, z_hi)
         hi[above] = np.clip(logit(us[idx[above]]), z_lo, z_hi)
-    lo, hi = _bisect(lambda z, r: _quantile_z(spec, z, nu) <= w_star[r],
+    lo, hi = _bisect(lambda z, r: w_z(z) <= w_star[r],
                      lo, hi, np.arange(len(w_star)))
     at_lo, at_hi = lo == z_lo, hi == z_hi
     if np.any(w_star[~at_lo & ~at_hi] == 0.0):  # quantile(expit(lo)) <= w* = 0
@@ -226,8 +386,10 @@ def peak(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec,
     :func:`log_integral_batch`.
 
     u* comes from the one-row case of that function's search: it solves
-    ``quantile(u) = D2 / (2 shift_k)`` by bisection in z = logit(u) and is
-    returned as the nearest double.  The interior peak height has a closed
+    ``L(z) = log(D2 / (2 shift_k))`` by bisection in z = logit(u), with
+    L the tabulated log w that search reads (or the log of the quantile
+    where it reads that, see :func:`log_integral_batch`), and is returned
+    as the nearest double.  The interior peak height has a closed
     form independent of the mixing distribution; when the quantile cannot
     reach the target (the mixing support is bounded on that side) the peak
     collapses to the boundary and h is evaluated there instead.
@@ -235,9 +397,10 @@ def peak(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec,
     if D2 <= 0.0:
         raise ValueError("peak undefined for D2 = 0; use the crude path")
     pref, k, m = _row_arrays([D2], shift_k, prefactor)
-    z = _peak_z(spec, nu, m / k)
+    w_z = _search_w(_QuantileTable(spec, nu))
+    z = _peak_z(spec, nu, m / k, None, w_z)
     if z[0] in _z_range(spec):
-        log_h_max = _log_h_z(z, spec, nu, pref, k, m)[0]
+        log_h_max = _log_h_of_w(w_z(z), pref, k, m)[0]
     else:
         # math.log: numpy's array log may differ from it in the last bit.
         log_h_max = pref[0] - k[0] * (math.log(m[0]) - math.log(k[0])) - k[0]
@@ -254,13 +417,15 @@ def region_bounds(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec
     The bracket is given in z because that is where the adaptive path
     works: at Pareto(6), d = 10 and D2 = 1e8 both ends round to u = 1.
     """
-    (z_l,), (z_r,), (closed,) = _bracket_z(spec, nu, *_row_arrays([D2], shift_k, prefactor))
+    (z_l,), (z_r,), (closed,) = _bracket_z(spec, nu, *_row_arrays([D2], shift_k, prefactor),
+                                           None, _search_w(_QuantileTable(spec, nu)))
     return float(z_l), float(z_r), bool(closed)
 
 
-def _bracket_z(spec, nu, pref, k, m, knots=None, k_th=None):
+def _bracket_z(spec, nu, pref, k, m, knots=None, w_z=None, k_th=None):
     """``(z_l, z_r, closed)`` per row: the region where g exceeds its
-    maximum less ``k_th`` decades (``_K_TH`` by default).
+    maximum less ``k_th`` decades (``_K_TH`` by default), with w(z) from
+    ``w_z`` (the quantile at u = expit(z) by default).
 
     g peaks between the peak of h and z = 0 (outside, both h and the
     Jacobian fall away from it); there its maximum is found by bisection
@@ -270,17 +435,19 @@ def _bracket_z(spec, nu, pref, k, m, knots=None, k_th=None):
     i.e. mass lies beyond the doubles' reach.
     """
     z_lo, z_hi = _z_range(spec)
-    z_h = _peak_z(spec, nu, m / k, knots)
+    if w_z is None:
+        w_z = _QuantileTable(spec, nu).exact
+    z_h = _peak_z(spec, nu, m / k, knots, w_z)
 
     def f(z, rows):
-        return _log_g(z, spec, nu, pref[rows], k[rows], m[rows])
+        return _log_g_w(w_z(z), z, pref[rows], k[rows], m[rows])
 
     def rises(z, rows):
         # g a quarter of _EPS_BISEC either side of each midpoint, in one
         # call; the bracket is still wider than _EPS_BISEC, so both points
         # lie inside it.
         zz = z[:, None] + np.array([-0.25, 0.25]) * _EPS_BISEC
-        log_g = _log_g(zz, spec, nu, pref[rows, None], k[rows, None], m[rows, None])
+        log_g = _log_g_w(w_z(zz), zz, pref[rows, None], k[rows, None], m[rows, None])
         return log_g[:, 1] > log_g[:, 0]
 
     rows = np.arange(len(m))
@@ -324,17 +491,38 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     ``min(cfg.n0, _ADAPTIVE_STEP)`` (16) points per randomization.  All
     adaptive inputs share one seed's ``B`` digital shifts (as the crude
     pass's inputs share another's), so every input's result equals that
-    of a call with this input alone: it does
-    not depend on the other inputs or on its position among them.  Each
-    step of these searches, and each RQMC step, evaluates the quantile
-    once for all inputs still running, so the number of quantile calls
-    does not grow with the number of inputs.  The crude batches count against
-    ``cfg.i_max``: the adaptive RQMC gets the rest of that budget, and an
-    input the crude pass leaves unsettled with none left keeps its crude
-    result, unconverged.  An adaptive result counts the crude pass's points
-    and the adaptive points it used.  A result is unconverged when that
-    RQMC misses the tolerance or when g is still above the threshold at an
-    end of the z range.  At D2 = 0 the integral diverges when W has an
+    of a call with this input alone: it does not depend on the other
+    inputs or on its position among them.
+
+    Where w comes from: the crude pass evaluates the quantile.  The
+    adaptive path reads w = exp(L(z)) from a table of the mixture,
+    built within the call once some inputs take that path (see
+    ``_QuantileTable``): level j interpolates log w at 2^j + 1 nodes,
+    513 to 4097, and bounds its error in log w.  One rule picks the
+    level, or the quantile itself where none qualifies: the coarsest
+    level whose bound is within the budget.  The search's budget is
+    ``_EPS_BISEC``, the z-width it bisects to.  An error delta in log w
+    moves log h by (m/w - shift_k) delta, with m = D2/2, so an input's
+    RQMC has the budget tol/10 over the largest |m/w - shift_k| on its
+    bracket (under a relative tolerance, times the smaller of 1 and the
+    magnitude of its crude estimate): the table then moves its
+    log-integral by at most tol/10.  A quantile that jumps (a gap in the
+    support of W) or vanishes (an atom of W at 0) has no level within
+    either budget, nor has a tolerance near the doubles' resolution one
+    within the RQMC's, and the quantile itself is read.  Building a
+    level evaluates the quantile once on its nodes and their midpoints
+    not yet evaluated; each step of the searches, and each RQMC step,
+    reads the table once for all inputs still running (and evaluates the
+    quantile once for those that read it), so the number of quantile
+    calls does not grow with the number of inputs.
+
+    The crude batches count against ``cfg.i_max``: the adaptive RQMC
+    gets the rest of that budget, and an input the crude pass leaves
+    unsettled with none left keeps its crude result, unconverged.  An
+    adaptive result counts the crude pass's points and the adaptive
+    points it used.  A result is unconverged when that RQMC misses the
+    tolerance or when g is still above the threshold at an end of the z
+    range.  At D2 = 0 the integral diverges when W has an
     atom at w = 0, or when g is still above the threshold at the lower end
     of the z range and no lower there than halfway to it (h grows at
     least like 1/u as u -> 0, e.g. E[W^(-shift_k)] infinite without an
@@ -391,16 +579,29 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     # The bracket ends where g falls k_th decades below its maximum: five
     # more than tol's, at most _K_TH; any tol >= 1 (inf included) gives 5.
     k_th = min(_K_TH, 5.0 + max(0.0, -math.log10(cfg.tol)))
-    z_l, z_r, closed = _bracket_z(spec, nu, pref, k, m, knots, k_th)
+    table = _QuantileTable(spec, nu)
+    w_search = _search_w(table)
+    z_l, z_r, closed = _bracket_z(spec, nu, pref, k, m, knots, w_search, k_th)
     # At D2 = 0, g still above the threshold at z_lo and no lower there than
     # at z_lo / 2 means that h grows at least like 1/u as u -> 0: the
     # integral diverges.
     edge = np.flatnonzero((m == 0.0) & (z_l == _Z_LO))
     if len(edge):
-        log_g = _log_g(np.array([_Z_LO, 0.5 * _Z_LO]), spec, nu, pref[edge, None],
-                       k[edge, None], m[edge, None])
+        z_edge = np.array([_Z_LO, 0.5 * _Z_LO])
+        log_g = _log_g_w(w_search(z_edge), z_edge, pref[edge, None], k[edge, None],
+                         m[edge, None])
         if np.any(log_g[:, 0] >= log_g[:, 1]):
             raise ValueError(_DIVERGES)
+    # An error delta in log w moves log h by (m/w - k) delta.  Each row's
+    # RQMC reads the coarsest level whose bound times the largest
+    # |m/w - k| over the row's bracket (at one of its ends, as w is
+    # monotone) is at most tol/10; under a relative tolerance, tol/10
+    # times the smaller of 1 and the crude estimate's magnitude.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        allowed = 0.1 * cfg.tol / np.max(np.abs(m / w_search(np.stack([z_l, z_r])) - k), axis=0)
+    if cfg.tol_type == "relative":
+        allowed *= np.minimum(1.0, np.abs(crude.estimates()[todo]))
+    levels = table.coarsest(allowed)
     width = z_r - z_l
     # The bracket's width enters through the prefactor, so the RQMC's
     # estimate, which its tolerance tests, is the reported one.
@@ -408,7 +609,8 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
 
     def mid_log_g(v, rows):
         z = z_l[rows, None] + width[rows, None] * v[:, 0]
-        return _log_g(z, spec, nu, pref_w[rows, None], k[rows, None], m[rows, None])
+        return _log_g_w(_rows_w(table, levels[rows], z), z, pref_w[rows, None], k[rows, None],
+                        m[rows, None])
 
     # The stream is extensible: a row sees the points of whole n0-point
     # batches, a step at a time, and the budget in points is unchanged.

@@ -133,7 +133,8 @@ class RqmcConfig:
     tests each input and stops the inputs that meet it, and its adaptive
     pass tests every ``min(n0, 16)`` points, over a bracket that ends
     ``5 + log10(1/tol)`` decades below the integrand's maximum (at least
-    5, at most 10).  A relative tolerance is met only by a nonzero
+    5, at most 10), reading a table of the quantile whose error moves
+    the result by at most tol/10.  A relative tolerance is met only by a nonzero
     estimate (in log space, where the estimate is a log, a vanishing one
     falls back to the absolute test).
     """
@@ -261,10 +262,14 @@ class RqmcAccumulator:
 
     def errors(self) -> np.ndarray:
         """CI half widths over the randomizations (of the log-means when
-        ``log``)."""
-        sd = self.means.std(axis=1, ddof=1)
-        err = _CI_MULT * sd / math.sqrt(self.cfg.B)
-        return np.where(np.ptp(self.means, axis=1) == 0.0, 0.0, err)
+        ``log``).  A row whose means include a non-finite value, such as
+        a log-mean of -inf where no point of a randomization has reached
+        the integrand's mass, gets an infinite error: it meets no
+        tolerance."""
+        finite = np.all(np.isfinite(self.means), axis=1)
+        means = np.where(finite[:, None], self.means, 0.0)
+        err = _CI_MULT * means.std(axis=1, ddof=1) / math.sqrt(self.cfg.B)
+        return np.where(finite, np.where(np.ptp(means, axis=1) == 0.0, 0.0, err), np.inf)
 
     def converged(self) -> np.ndarray:
         """Per-row tolerance test."""

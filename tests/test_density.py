@@ -12,6 +12,8 @@ from nvmix.density import (
     _BLOCK_VALUES,
     _EPS_BISEC,
     _K_TH,
+    _TABLE_LEVELS,
+    _QuantileTable,
     _bracket_z,
     _crude_log_means,
     _log_g,
@@ -256,6 +258,66 @@ class TestRegionBounds:
         assert region_bounds(2.0, 1.0, gaussian_prefactor(2), spec, []) == (*_z_range(spec), False)
 
 
+LOG_MAX = math.log(np.finfo(float).max)
+
+
+@pytest.mark.parametrize(
+    "family,levels,n_points",
+    [("ig1", _TABLE_LEVELS, 100_000), ("ig4", _TABLE_LEVELS, 100_000),
+     ("pareto6", _TABLE_LEVELS, 100_000), ("inverse_burr22", _TABLE_LEVELS, 100_000),
+     ("symmetric_toy", _TABLE_LEVELS[:1], 10_000)])
+def test_table_meets_its_bound(family, levels, n_points):
+    # Every level's log w lies within its reported bound of the quantile's
+    # on a grid evenly spaced in asinh(z / 2), like the nodes, with about
+    # 25 points per interval of the finest level, and both ends of the z
+    # range.  Under IG(1) w overflows from z = 355 on: the table's w must
+    # overflow there too, so both sides are compared up to log(max double).
+    # The toy black box solves for each u by brentq, so its grid is
+    # smaller, and only the level its search reads is checked.
+    spec, nu = {"ig1": (inverse_gamma(), [1.0]), "ig4": (inverse_gamma(), [4.0]),
+                "pareto6": (pareto(), [6.0]), "inverse_burr22": (inverse_burr(), [2.0, 2.0]),
+                "symmetric_toy": (symmetric_toy_quantile(), [])}[family]
+    table = _QuantileTable(spec, nu)
+    z_lo, z_hi = _z_range(spec)
+    t = np.linspace(math.asinh(0.5 * z_lo), math.asinh(0.5 * z_hi), n_points)
+    z = np.concatenate([[z_lo, z_hi], np.clip(2.0 * np.sinh(t), z_lo, z_hi)])
+    with np.errstate(over="ignore", divide="ignore"):
+        exact = np.minimum(np.log(quantile(spec, expit(z), nu, uc=expit(-z))), LOG_MAX)
+    assert np.all(np.isfinite(exact))
+    if family == "ig1":
+        assert np.sum(exact == LOG_MAX) > n_points / 50
+    for j in levels:
+        with np.errstate(divide="ignore"):
+            tabulated = np.minimum(np.log(table.w(z, j)), LOG_MAX)
+        assert 0.0 < table.bound(j) < 1e-6
+        assert np.max(np.abs(tabulated - exact)) <= table.bound(j)
+    assert np.array_equal(table.coarsest(np.array([_EPS_BISEC])), [_TABLE_LEVELS[0]])
+
+
+def ig4_quantile(u):
+    return quantile(inverse_gamma(), u, [4.0])
+
+
+@pytest.mark.parametrize(
+    "q", [lambda u, nu: ig4_quantile(u) * np.where(u < 0.5, 1.0, 2.0),
+          lambda u, nu: np.where(u < 1e-200, 0.0, ig4_quantile(u))],
+    ids=["jump", "atom-at-zero"])
+def test_tableless_quantiles_are_read_exactly(monkeypatch, q):
+    # The IG(4) quantile with a jump has a bound near the jump in log w
+    # (log 2) at every level; with an atom of mass 1e-200 at 0, which the
+    # crude pass does not meet, it has no interpolant.  The search and
+    # the RQMC read the quantile itself, so the far rows, which take the
+    # adaptive path, give what a call with no table levels at all gives.
+    spec = blackbox(q, 0)
+    table = _QuantileTable(spec, [])
+    assert np.array_equal(table.coarsest(np.array([_EPS_BISEC, 1e-4, 1e-1])), [-1, -1, -1])
+    args = density_args([2e3, 2e5, 1e7], 10) + (spec, [], RqmcConfig(), 3)
+    res = log_integral_batch(*args)
+    assert all(r.iterations_used > 4 for r in res)
+    monkeypatch.setattr(density, "_TABLE_LEVELS", ())
+    assert log_integral_batch(*args) == res
+
+
 @pytest.mark.parametrize(
     "spec,nu",
     [
@@ -465,39 +527,43 @@ def test_adaptive_across_distances(spec, nu, D2):
 # decades (5 + log10(1/tol)) below g's maximum: each new value lies
 # within its own error estimate of the old one (Pareto at D2 = 0.5
 # within the old one's: it moved by 4.9e-6, from 5.1e-6 to 1.8e-7 off
-# the closed form).  A row of 128 to 512 points (one to four
-# iterations) is one the crude pass settled after that many batches,
-# 528 or 544 one that took the adaptive path and met the tolerance after
-# its first 16 or 32 points.
+# the closed form).  The adaptive rows were re-recorded when the search
+# and the adaptive RQMC came to read w from a table of log w (513 nodes,
+# bound 1.3e-7 in log w for IG(4)): they moved by at most 5.2e-9 (IG at
+# D2 = 0.5), each less than its error estimate, and Pareto at D2 = 1.6e4
+# not at all; the crude rows kept their values.  A row of 128 to 512
+# points (one to four iterations) is one the crude pass settled after
+# that many batches, 528 or 544 one that took the adaptive path and met
+# the tolerance after its first 16 or 32 points.
 # Estimates pinned to 1e-14, everything else exactly.
 DENSITY_GOLDEN_D2 = [0.5, 3.0, 10.0, 25.0, 80.0, 640.0, 1.6e4]
 DENSITY_GOLDEN = {
     "inverse_gamma": [
-        (-6.900568202630703, 5, 528, True),
-        (-9.993150687503713, 5, 528, True),
+        (-6.900568197407354, 5, 528, True),
+        (-9.993150687943782, 5, 528, True),
         (-14.84521089868066, 1, 128, True),
         (-19.942879241880437, 1, 128, True),
         (-27.387416210404364, 2, 256, True),
-        (-41.645700583992294, 5, 528, True),
-        (-64.13596730738794, 5, 528, True),
+        (-41.64570058233584, 5, 528, True),
+        (-64.13596730562013, 5, 528, True),
     ],
     "pareto": [
-        (-10.024502155798746, 5, 544, True),
+        (-10.02450215569469, 5, 544, True),
         (-11.163566972730544, 4, 512, True),
         (-14.287924208666173, 3, 384, True),
-        (-20.428756197040638, 5, 528, True),
-        (-32.87088731505691, 5, 528, True),
-        (-55.74474424476006, 5, 528, True),
+        (-20.428756197284414, 5, 528, True),
+        (-32.87088731658266, 5, 528, True),
+        (-55.74474424476072, 5, 528, True),
         (-91.1523783183103, 5, 528, True),
     ],
     "inverse_burr": [
-        (-6.980971248219575, 5, 528, True),
-        (-10.586991577743907, 5, 528, True),
+        (-6.980971243757171, 5, 528, True),
+        (-10.586991577717246, 5, 528, True),
         (-14.879608529343203, 1, 128, True),
         (-19.647164196266843, 1, 128, True),
         (-27.145179182269768, 1, 128, True),
-        (-41.60372584343047, 5, 528, True),
-        (-64.13422015152513, 5, 528, True),
+        (-41.60372584406181, 5, 528, True),
+        (-64.13422015153982, 5, 528, True),
     ],
 }
 
@@ -723,6 +789,48 @@ def test_quantile_calls_do_not_grow_with_pending_points(monkeypatch):
         counts[n] = len(calls)
     assert counts[200] == counts[10]
     assert counts[10] < 200
+
+
+def test_quantile_work_does_not_depend_on_the_number_of_points(monkeypatch):
+    # The u-values a call passes to the quantile are the crude pass's
+    # batches plus the table's nodes: the search and the RQMC read the
+    # table, however many points take the adaptive path.
+    u_values, tables, totals = [], [], {}
+
+    def counted(*args, **kwargs):
+        u_values.append(np.size(args[1]))
+        return quantile(*args, **kwargs)
+
+    class Recorded(_QuantileTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(density, "quantile", counted)
+    monkeypatch.setattr(density, "_QuantileTable", Recorded)
+    cfg = RqmcConfig()
+    for n in (10, 200):
+        u_values.clear()
+        tables.clear()
+        res = log_integral_batch(*density_args(np.logspace(5, 9, n), 10), inverse_gamma(), [4.0],
+                                 cfg, seed=1)
+        assert all(r.iterations_used > 4 and r.converged for r in res)
+        (table,) = tables
+        assert sum(u_values) <= 4 * cfg.B * cfg.n0 + table.u_values
+        totals[n] = sum(u_values)
+    assert totals[10] == totals[200]
+
+
+def test_row_without_crude_mass_takes_the_adaptive_path():
+    # Every crude point of this black box has w = 0, so every crude
+    # log-mean is -inf: the row's error is inf, not NaN (which raised under
+    # the warning filter), and the row goes on to the adaptive path, which
+    # finds the mass at u > 1 - 1e-9.  The bracket stays open at the end of
+    # the black box's z range, so the result is unconverged.
+    spec = blackbox(lambda u, nu: np.where(u < 1 - 1e-9, 0.0, 1.0), 0)
+    (res,) = log_integral_batch([1.0], 5.0, 0.0, spec, [], seed=1)
+    assert res.iterations_used > 4 and not res.converged
+    assert res.estimate == pytest.approx(math.log(1e-9) - 0.5, abs=1e-2)
 
 
 def test_adaptive_rows_stop_at_the_first_step_that_meets_tol():

@@ -276,6 +276,22 @@ class TestRowBatchedRun:
         assert len({r.iterations_used for r in batch}) > 1
 
 
+def test_rows_with_neg_inf_log_means_have_infinite_errors():
+    # A randomization whose points all miss a row's mass has log-mean
+    # -inf.  Such a row, all -inf or partly, gets an infinite error (not
+    # NaN, with a RuntimeWarning from np.std), so it meets no tolerance;
+    # the finite rows are as before.
+    cfg = RqmcConfig()
+    acc = RqmcAccumulator(1, cfg, seed=1, log=True)
+    finite = np.linspace(-1.0, 1.0, cfg.B)
+    acc.fold(np.array([np.full(cfg.B, -np.inf), np.r_[np.zeros(cfg.B - 1), -np.inf], finite,
+                       np.zeros(cfg.B)]))
+    err = acc.errors()
+    assert np.array_equal(err[:2], [np.inf, np.inf])
+    assert err[2] == 3.5 * np.std(finite, ddof=1) / math.sqrt(cfg.B) and err[3] == 0.0
+    assert list(acc.converged()) == [False, False, False, True]
+
+
 class TestInvariants:
     def test_extensible_iteration(self):
         # Continuing from iteration i is bit-identical to running straight
