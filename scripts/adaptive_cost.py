@@ -17,13 +17,12 @@ Two parts, both at tol 1e-3 under the default ``RqmcConfig``:
   quantile work per phase, summed over the calls.
 
 The phases are the crude pass, the table of the quantile
-(``_QuantileTable._build``: its nodes and midpoints, evaluated exactly),
-the search (``_bracket_z``: the peak of h, the maximum of g and the
+(``_QuantileTable``: its nodes and midpoints, evaluated exactly), the
+search (``_bracket_z``: the peak of h, the maximum of g and the
 bracket's ends) and the adaptive RQMC (``_run``); the search's u-values
 are also given per adaptive row.  The table's line also gives the time
-spent building it and, for the search and for the RQMC rows, the levels
-read (as node counts, -1 for the quantile itself) with their bounds in
-log w.
+spent building it, its node count and its largest bound in log w; the
+search and the RQMC make no quantile call where they read it.
 Both parts also print the crude pass's values (rows times points per
 batch, summed over the batches it reduces) and the share of rows it has
 settled after each of its batches.
@@ -54,27 +53,23 @@ PHASES = ("crude", "table", "search", "rqmc")
 
 def _new_counts():
     counts = {p: [0, 0] for p in PHASES}
-    counts.update(values=0, table_s=0.0, bounds={}, levels={"search": [], "rqmc": []})
+    counts.update(values=0, table_s=0.0, bound=0.0)
     return counts
 
 
 def _phase_counts(call, counts=None):
     """``call()``'s result and the quantile calls and u-values it
     evaluates in each phase of ``log_integral_batch``, added to
-    ``counts``: a quantile call belongs to the table while
-    ``_QuantileTable._build`` runs, to the search while ``_bracket_z``
+    ``counts``: a quantile call belongs to the table while a
+    ``_QuantileTable`` is built, to the search while ``_bracket_z``
     runs, to the RQMC while ``_run`` runs and to the crude pass
     otherwise.  ``counts["values"]`` holds the crude pass's values: rows
     times points of each batch it reduces; ``counts["table_s"]`` the time
-    spent building the table, ``counts["levels"]`` the levels read (as
-    node counts, -1 for the quantile) by the search and by each adaptive
-    row's RQMC, as ``_QuantileTable.coarsest`` picks them (first for the
-    search, then for the rows), and ``counts["bounds"]`` the bound of each
-    level built."""
+    spent building tables and ``counts["bound"]`` the largest of their
+    bounds."""
     counts = _new_counts() if counts is None else counts
     phase = ["crude"]
     table = density._QuantileTable
-    picked = []
 
     def counted(spec, u, *args, **kwargs):
         counts[phase[0]][0] += 1
@@ -94,34 +89,26 @@ def _phase_counts(call, counts=None):
                 phase[0] = outer
         return wrapped
 
-    def build(self, j):
+    def build(self, *args):
         t0 = time.perf_counter()
-        level = in_phase("table", saved_build)(self, j)
+        in_phase("table", saved_init)(self, *args)
         counts["table_s"] += time.perf_counter() - t0
-        counts["bounds"][2 ** j + 1] = np.inf if level is None else level[-1]
-        return level
-
-    def coarsest(self, allowed):
-        levels = saved_coarsest(self, allowed)
-        stage = "rqmc" if picked else "search"
-        picked.append(stage)
-        counts["levels"][stage] += [2 ** j + 1 if j >= 0 else -1 for j in levels]
-        return levels
+        counts["bound"] = max(counts["bound"], self.bound)
 
     saved = {name: getattr(density, name)
              for name in ("quantile", "_bracket_z", "_run", "_crude_log_means")}
-    saved_build, saved_coarsest = table._build, table.coarsest
+    saved_init = table.__init__
     density.quantile = counted
     density._crude_log_means = crude_values
     density._bracket_z = in_phase("search", saved["_bracket_z"])
     density._run = in_phase("rqmc", saved["_run"])
-    table._build, table.coarsest = build, coarsest
+    table.__init__ = build
     try:
         result = call()
     finally:
         for name, fn in saved.items():
             setattr(density, name, fn)
-        table._build, table.coarsest = saved_build, saved_coarsest
+        table.__init__ = saved_init
     return result, counts
 
 
@@ -135,15 +122,9 @@ def _print_phases(counts, adaptive_rows: int) -> None:
 
 
 def _table_summary(counts) -> str:
-    """Build time, then the levels read by the searches and by the RQMC
-    rows, with their bounds."""
-    read = []
-    for stage, levels in counts["levels"].items():
-        nodes, n = np.unique(levels, return_counts=True)
-        read.append(f"{stage} " + ", ".join(
-            f"{c} x {v} nodes" + (f" (bound {counts['bounds'][v]:.2g})" if v > 0 else "")
-            for v, c in zip(nodes, n)))
-    return f", build {1e3 * counts['table_s']:.1f} ms; levels read: " + "; ".join(read)
+    """Build time, node count and largest bound of the tables."""
+    return (f", build {1e3 * counts['table_s']:.1f} ms, {density._TABLE_INTERVALS + 1} nodes, "
+            f"bound {counts['bound']:.2g}")
 
 
 def _print_crude(counts, results, cfg) -> None:

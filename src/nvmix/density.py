@@ -24,18 +24,18 @@ bracket.  :func:`peak` and :func:`region_bounds` are one-input views of
 this search (at ten orders): the peak of h, and the bracket in z.
 
 Where the crude pass reads w from the quantile, the adaptive path reads
-it from a table of the call's one mixture: cubic interpolants L(z) of
-log w, with w = exp(L(z)), at 513 to 4097 nodes evenly spaced in
-asinh(z / 2), each with a bound on its error in log w checked at the
-midpoints between its nodes (numerical inversion after Hörmann &
-Leydold 2003 and Derflinger, Hörmann & Leydold 2010, applied in z).  A
-table lookup costs a few dozen nanoseconds per point, against several
-hundred for the inverse-gamma quantile, and building one costs one
-quantile call on about a thousand to eight thousand nodes.  The search
-reads the coarsest table whose bound is at most the z-width it bisects
-to, 1e-6; each input's RQMC reads the coarsest whose bound keeps the
-error of its log-integral within tol/10; either reads the quantile
-itself where no table does, as for a quantile that jumps or vanishes.
+it from a table of the call's one mixture: a cubic interpolant L(z) of
+log w, with w = exp(L(z)), at 513 nodes evenly spaced in asinh(z / 2),
+with a bound on its error in log w checked at the 512 midpoints between
+its nodes (numerical inversion after Hörmann & Leydold 2003 and
+Derflinger, Hörmann & Leydold 2010, applied in z).  A lookup costs a few
+dozen nanoseconds per point, against several hundred for the
+inverse-gamma quantile, and building the table costs one quantile call
+on 1025 points.  The search reads the table where its bound is at most
+1e-6 in log w; each input's RQMC where the bound keeps the error of its
+log-integral within tol/10; either reads the quantile itself otherwise,
+as for a quantile that jumps or vanishes or a tolerance the table cannot
+meet.
 All inputs the crude pass leaves unsettled take these steps together:
 each bisection step evaluates w once for every input whose search
 still runs, and the RQMC runs as one block, each input until it meets
@@ -92,8 +92,11 @@ _ADAPTIVE_STEP = 16
 # u = expit(z), which stays below 1 for z <= _Z_HI_BLACKBOX.
 _Z_LO = math.log(np.finfo(float).tiny)
 _Z_HI_BLACKBOX = -math.log(np.finfo(float).eps)
-# Levels of the tabulated quantile: 2^j + 1 nodes, 513 to 4097.
-_TABLE_LEVELS = (9, 10, 11, 12)
+# The tabulated quantile interpolates log w over _TABLE_INTERVALS
+# intervals; the search reads it where its bound in log w is at most
+# _SEARCH_LOG_W_ERR.
+_TABLE_INTERVALS = 512
+_SEARCH_LOG_W_ERR = 1e-6
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
@@ -166,96 +169,61 @@ def _quantile_z(spec, z, nu):
 
 class _QuantileTable:
     """The mixing quantile of one (family, nu) as a function of z, read
-    from cubic interpolants of log w or from the quantile itself.
+    from the quantile itself (``exact``) or from a cubic interpolant L of
+    log w (``w``).
 
-    Level j interpolates log w at 2^j + 1 nodes evenly spaced in
-    t = asinh(z / 2) over the z range, dense near z = 0 and sparse in the
-    tails, by a not-a-knot cubic spline in z; the levels are nested, so
-    each one's nodes are the previous one's plus its midpoints in t.  Its
-    bound is twice the largest error in log w at the midpoints, the next
-    level's new nodes (on a grid 25 times finer than the finest level,
-    the largest error of every built-in family's levels was at most 1.11
-    times the largest at their midpoints).  Where
-    log w grows past the doubles' range (IG(1), say) the interpolant ends
-    at the last finite node and continues along its tangent, so w
-    overflows to inf about where the quantile does.  A level with a
-    non-finite node below that (an atom of W at 0) has no interpolant, and
-    neither has any finer level.  Levels are built on first use, each
-    from one quantile call on the nodes not yet evaluated.  Level -1 is
-    the quantile itself.
+    L is the not-a-knot cubic spline in z through log w at
+    ``_TABLE_INTERVALS`` + 1 nodes evenly spaced in t = asinh(z / 2) over
+    the z range, dense near z = 0 and sparse in the tails.  ``bound`` is
+    twice its largest error in log w at the midpoints in t between the
+    nodes (on a grid of 1e5 points, the largest error of every built-in
+    family was at most 1.1 times the largest at the midpoints).  One
+    quantile call on the nodes and midpoints builds it.  Where log w grows
+    past the doubles' range (IG(1), say) L ends at the last finite node and
+    continues along its tangent, so w overflows to inf about where the
+    quantile does.  A non-finite node below that (an atom of W at 0)
+    leaves no interpolant, and the bound is inf.
     """
 
     def __init__(self, spec, nu):
         self.spec, self.nu = spec, nu
-        self.z_lo, self.z_hi = _z_range(spec)
-        self._t_lo = math.asinh(0.5 * self.z_lo)
-        self._t_span = math.asinh(0.5 * self.z_hi) - self._t_lo
-        # log w at the 2^_j + 1 nodes of the finest level evaluated so far.
-        self._j, self._log_w = -1, None
-        self._levels = {}
-        self.u_values = 0  # quantile evaluations spent on nodes
+        z_lo, z_hi = _z_range(spec)
+        self._t_lo = math.asinh(0.5 * z_lo)
+        self._t_span = math.asinh(0.5 * z_hi) - self._t_lo
+        # The nodes, then the midpoints between them.
+        t = self._t_lo + self._t_span * (np.arange(2 * _TABLE_INTERVALS + 1)
+                                         * (0.5 / _TABLE_INTERVALS))
+        z = np.clip(2.0 * np.sinh(t), z_lo, z_hi)
+        self.u_values = len(z)
+        with np.errstate(divide="ignore"):
+            log_w = np.log(self.exact(z))
+        nodes, at_nodes, at_mids = z[::2], log_w[::2], log_w[1::2]
+        finite = np.isfinite(at_nodes)
+        n = len(nodes) if finite.all() else int(np.argmin(finite))
+        self._piece, self.bound = None, np.inf
+        if n < 2 or np.any(at_nodes[n:] != np.inf):
+            return
+        spline = CubicSpline(nodes[:n], at_nodes[:n])
+        # One more piece from the last finite node on: its tangent.
+        c3, c2, c1, c0 = (np.append(c, tail) for c, tail in
+                          zip(spline.c, (0.0, 0.0, spline(nodes[n - 1], 1), at_nodes[n - 1])))
+        self._piece = (nodes[:n], c3, c2, c1, c0)
+        err = np.abs(np.minimum(self._log_interp(z[1::2]), _LOG_MAX)
+                     - np.minimum(at_mids, _LOG_MAX))
+        self.bound = 2.0 * float(np.max(err))
 
     def exact(self, z):
         # A quantile beyond the doubles' range is inf, as it should be.
         with np.errstate(over="ignore", divide="ignore"):
             return _quantile_z(self.spec, z, self.nu)
 
-    def _nodes(self, j, start=0, step=1):
-        """z at the nodes ``start::step`` of level j."""
-        t = self._t_lo + self._t_span * (np.arange(start, 2 ** j + 1, step) * 2.0 ** -j)
-        return np.clip(2.0 * np.sinh(t), self.z_lo, self.z_hi)
-
-    def _exact_log_w(self, z):
-        self.u_values += len(z)
-        with np.errstate(divide="ignore"):
-            return np.log(self.exact(z))
-
-    def _node_log_w(self, j):
-        """log w at the nodes of level j, evaluating those not yet known."""
-        if self._log_w is None:
-            self._j, self._log_w = j, self._exact_log_w(self._nodes(j))
-        while self._j < j:
-            self._j += 1
-            finer = np.empty(2 ** self._j + 1)
-            finer[::2] = self._log_w
-            finer[1::2] = self._exact_log_w(self._nodes(self._j, 1, 2))
-            self._log_w = finer
-        return self._log_w[::2 ** (self._j - j)]
-
-    def level(self, j):
-        """``(z_nodes, c3, c2, c1, c0, bound)`` of level j, or None."""
-        if j not in self._levels:
-            self._levels[j] = self._build(j)
-        return self._levels[j]
-
-    def _build(self, j):
-        fine, z_fine = self._node_log_w(j + 1), self._nodes(j + 1)
-        log_w, z = fine[::2], z_fine[::2]
-        finite = np.isfinite(log_w)
-        n = len(log_w) if finite.all() else int(np.argmin(finite))
-        if n < 2 or np.any(log_w[n:] != np.inf):
-            return None
-        spline = CubicSpline(z[:n], log_w[:n])
-        # One more piece from the last finite node on: its tangent.
-        c3, c2, c1, c0 = (np.append(c, tail) for c, tail in
-                          zip(spline.c, (0.0, 0.0, spline(z[n - 1], 1), log_w[n - 1])))
-        piece = (z[:n], c3, c2, c1, c0)
-        err = np.abs(np.minimum(self._log_interp(piece, j, z_fine[1::2]), _LOG_MAX)
-                     - np.minimum(fine[1::2], _LOG_MAX))
-        return (*piece, 2.0 * float(np.max(err)))
-
-    def bound(self, j) -> float:
-        piece = self.level(j)
-        return np.inf if piece is None else piece[-1]
-
-    def _log_interp(self, piece, j, z):
-        """Interpolated log w at the flat array ``z``: the piece from the
-        index of z on the t-grid, then Horner, gathering one coefficient
-        at a time."""
-        z_nodes, *coef = piece[:5]
+    def _log_interp(self, z):
+        """L at the flat array ``z``: the piece from the index of z on the
+        t-grid, then Horner, gathering one coefficient at a time."""
+        z_nodes, *coef = self._piece
         x = np.arcsinh(0.5 * z)
         x -= self._t_lo
-        x *= 2 ** j / self._t_span
+        x *= _TABLE_INTERVALS / self._t_span
         i = x.astype(np.intp)
         np.clip(i, 0, len(z_nodes) - 1, out=i)
         np.subtract(z, z_nodes[i], out=x)
@@ -265,26 +233,17 @@ class _QuantileTable:
             out += c[i]
         return out
 
-    def w(self, z, j):
-        """w at z (any shape) from level j, or from the quantile at j = -1."""
+    def w(self, z):
+        """w = exp(L(z)) at z of any shape."""
         z = np.asarray(z, dtype=float)
-        if j < 0:
-            return self.exact(z)
-        log_w = self._log_interp(self.level(j), j, z.ravel())
+        log_w = self._log_interp(z.ravel())
         with np.errstate(over="ignore"):
             return np.exp(log_w, out=log_w).reshape(z.shape)
 
-    def coarsest(self, allowed) -> np.ndarray:
-        """Per entry of ``allowed``, the coarsest of ``_TABLE_LEVELS`` whose
-        bound is at most that entry; -1 (the quantile) where none is.  A
-        level without an interpolant ends the search: finer ones share
-        its nodes."""
-        out = np.full(len(allowed), -1)
-        for j in _TABLE_LEVELS:
-            if not np.any(out < 0) or self.level(j) is None:
-                break
-            out[(out < 0) & (self.bound(j) <= allowed)] = j
-        return out
+    def read(self, budget):
+        """w(z) from L where its bound is within ``budget``, an error in
+        log w, and from the quantile otherwise."""
+        return self.w if self.bound <= budget else self.exact
 
 
 def _log_g_w(w, z, pref, k, m):
@@ -298,21 +257,14 @@ def _log_g(z, spec, nu, pref, k, m):
     return _log_g_w(_quantile_z(spec, z, nu), z, pref, k, m)
 
 
-def _search_w(table):
-    """w(z) as the adaptive search reads it: from the coarsest level whose
-    bound is at most ``_EPS_BISEC``, the z-width it bisects to, or from
-    the quantile."""
-    j = table.coarsest(np.array([_EPS_BISEC]))[0]
-    return lambda z: table.w(z, j)
-
-
-def _rows_w(table, levels, z):
-    """w at ``z``, whose row i reads level ``levels[i]`` of the table."""
-    if np.all(levels == levels[0]):
-        return table.w(z, levels[0])
+def _rows_w(table, tabled, z):
+    """w at ``z``, whose row i reads L where ``tabled[i]`` holds and the
+    quantile elsewhere."""
+    if np.all(tabled == tabled[0]):
+        return (table.w if tabled[0] else table.exact)(z)
     w = np.empty(z.shape)
-    for j in np.unique(levels):
-        w[levels == j] = table.w(z[levels == j], j)
+    w[tabled] = table.w(z[tabled])
+    w[~tabled] = table.exact(z[~tabled])
     return w
 
 
@@ -349,22 +301,26 @@ def _level_crossings(f, level, z_in, z_lo: float, z_hi: float) -> tuple[np.ndarr
     return z[:n], z[n:]
 
 
-def _peak_z(spec, nu, w_star, knots=None, w_z=None) -> np.ndarray:
+def _peak_z(spec, nu, w_star, knots=None, table=None) -> np.ndarray:
     """Per row, the logit of the peak location of h, where the quantile
     reaches ``w_star`` = m / k.
 
-    Bisection in z for ``w(z) = w_star``, with w(z) from ``w_z`` (the
-    quantile at u = expit(z) by default), all rows together, each
-    starting from the knots (sorted u and their quantiles) around its
-    target when ``knots`` is given.  When the quantile cannot reach the
-    target (the mixing support is bounded on that side, or the target
-    lies beyond the doubles' range) the peak collapses to that end of the
-    z range.  At D2 = 0 the target w* = 0 is unreachable unless W has an
-    atom at 0, so h is monotone and its peak is at the left end.
+    Bisection in z for ``w(z) = w_star`` down to a z-width of
+    ``_EPS_BISEC``, all rows together, with w(z) as the search reads it
+    from ``table`` (one of (spec, nu) is built when it is None): from L
+    where its bound is at most ``_SEARCH_LOG_W_ERR`` in log w, so the
+    root is that of L(z) = log w_star, which lies about bound / |L'(z)|
+    from the quantile's; from the quantile otherwise.  Each row starts
+    from the knots (sorted u and their quantiles) around its target when
+    ``knots`` is given.  When the quantile cannot reach the target (the
+    mixing support is bounded on that side, or the target lies beyond
+    the doubles' range) the peak collapses to that end of the z range.
+    At D2 = 0 the target w* = 0 is unreachable unless W has an atom at
+    0, so h is monotone and its peak is at the left end.
     """
     z_lo, z_hi = _z_range(spec)
-    if w_z is None:
-        w_z = _QuantileTable(spec, nu).exact
+    table = _QuantileTable(spec, nu) if table is None else table
+    w_z = table.read(_SEARCH_LOG_W_ERR)
     lo, hi = np.full(len(w_star), z_lo), np.full(len(w_star), z_hi)
     if knots is not None:
         us, ws = knots
@@ -386,10 +342,12 @@ def peak(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec,
     :func:`log_integral_batch`.
 
     u* comes from the one-row case of that function's search: it solves
-    ``L(z) = log(D2 / (2 shift_k))`` by bisection in z = logit(u), with
-    L the tabulated log w that search reads (or the log of the quantile
-    where it reads that, see :func:`log_integral_batch`), and is returned
-    as the nearest double.  The interior peak height has a closed
+    ``L(z) = log(D2 / (2 shift_k))`` to a z-width of ``_EPS_BISEC`` by
+    bisection in z = logit(u), with L the tabulated log w that search
+    reads (or the log of the quantile where it reads that, see
+    :func:`log_integral_batch`), and is returned as the nearest double.
+    An error delta of L in log w moves that root by about
+    delta / |L'(z)|.  The interior peak height has a closed
     form independent of the mixing distribution; when the quantile cannot
     reach the target (the mixing support is bounded on that side) the peak
     collapses to the boundary and h is evaluated there instead.
@@ -397,10 +355,10 @@ def peak(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec,
     if D2 <= 0.0:
         raise ValueError("peak undefined for D2 = 0; use the crude path")
     pref, k, m = _row_arrays([D2], shift_k, prefactor)
-    w_z = _search_w(_QuantileTable(spec, nu))
-    z = _peak_z(spec, nu, m / k, None, w_z)
+    table = _QuantileTable(spec, nu)
+    z = _peak_z(spec, nu, m / k, None, table)
     if z[0] in _z_range(spec):
-        log_h_max = _log_h_of_w(w_z(z), pref, k, m)[0]
+        log_h_max = _log_h_of_w(table.read(_SEARCH_LOG_W_ERR)(z), pref, k, m)[0]
     else:
         # math.log: numpy's array log may differ from it in the last bit.
         log_h_max = pref[0] - k[0] * (math.log(m[0]) - math.log(k[0])) - k[0]
@@ -417,15 +375,14 @@ def region_bounds(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec
     The bracket is given in z because that is where the adaptive path
     works: at Pareto(6), d = 10 and D2 = 1e8 both ends round to u = 1.
     """
-    (z_l,), (z_r,), (closed,) = _bracket_z(spec, nu, *_row_arrays([D2], shift_k, prefactor),
-                                           None, _search_w(_QuantileTable(spec, nu)))
+    (z_l,), (z_r,), (closed,) = _bracket_z(spec, nu, *_row_arrays([D2], shift_k, prefactor))
     return float(z_l), float(z_r), bool(closed)
 
 
-def _bracket_z(spec, nu, pref, k, m, knots=None, w_z=None, k_th=None):
+def _bracket_z(spec, nu, pref, k, m, knots=None, table=None, k_th=None):
     """``(z_l, z_r, closed)`` per row: the region where g exceeds its
-    maximum less ``k_th`` decades (``_K_TH`` by default), with w(z) from
-    ``w_z`` (the quantile at u = expit(z) by default).
+    maximum less ``k_th`` decades (``_K_TH`` by default), with w(z) read
+    from ``table`` as :func:`_peak_z` reads it.
 
     g peaks between the peak of h and z = 0 (outside, both h and the
     Jacobian fall away from it); there its maximum is found by bisection
@@ -435,9 +392,9 @@ def _bracket_z(spec, nu, pref, k, m, knots=None, w_z=None, k_th=None):
     i.e. mass lies beyond the doubles' reach.
     """
     z_lo, z_hi = _z_range(spec)
-    if w_z is None:
-        w_z = _QuantileTable(spec, nu).exact
-    z_h = _peak_z(spec, nu, m / k, knots, w_z)
+    table = _QuantileTable(spec, nu) if table is None else table
+    w_z = table.read(_SEARCH_LOG_W_ERR)
+    z_h = _peak_z(spec, nu, m / k, knots, table)
 
     def f(z, rows):
         return _log_g_w(w_z(z), z, pref[rows], k[rows], m[rows])
@@ -497,24 +454,24 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     Where w comes from: the crude pass evaluates the quantile.  The
     adaptive path reads w = exp(L(z)) from a table of the mixture,
     built within the call once some inputs take that path (see
-    ``_QuantileTable``): level j interpolates log w at 2^j + 1 nodes,
-    513 to 4097, and bounds its error in log w.  One rule picks the
-    level, or the quantile itself where none qualifies: the coarsest
-    level whose bound is within the budget.  The search's budget is
-    ``_EPS_BISEC``, the z-width it bisects to.  An error delta in log w
-    moves log h by (m/w - shift_k) delta, with m = D2/2, so an input's
-    RQMC has the budget tol/10 over the largest |m/w - shift_k| on its
-    bracket (under a relative tolerance, times the smaller of 1 and the
-    magnitude of its crude estimate): the table then moves its
+    ``_QuantileTable``): L interpolates log w at 513 nodes, and the
+    table bounds its error in log w.  One rule picks L or the quantile
+    itself: L where that bound is within the budget, an error in log w.
+    The search's budget is ``_SEARCH_LOG_W_ERR`` (1e-6).  An error delta
+    in log w moves log h by (m/w - shift_k) delta, with m = D2/2, so an
+    input's RQMC has the budget tol/10 over the largest |m/w - shift_k|
+    on its bracket (under a relative tolerance, times the smaller of 1
+    and the magnitude of its crude estimate): L then moves its
     log-integral by at most tol/10.  A quantile that jumps (a gap in the
-    support of W) or vanishes (an atom of W at 0) has no level within
-    either budget, nor has a tolerance near the doubles' resolution one
-    within the RQMC's, and the quantile itself is read.  Building a
-    level evaluates the quantile once on its nodes and their midpoints
-    not yet evaluated; each step of the searches, and each RQMC step,
-    reads the table once for all inputs still running (and evaluates the
-    quantile once for those that read it), so the number of quantile
-    calls does not grow with the number of inputs.
+    support of W) or vanishes (an atom of W at 0) has a bound within
+    neither budget, and a tight tolerance (for IG(4), about 1e-5 and
+    below) leaves the RQMC's budget under the bound: there the quantile
+    itself is read.
+    Building the table evaluates the quantile once, on its nodes and
+    midpoints; each step of the searches, and each RQMC step, reads the
+    table once for all inputs still running (and evaluates the quantile
+    once for those that read it), so the number of quantile calls does
+    not grow with the number of inputs.
 
     The crude batches count against ``cfg.i_max``: the adaptive RQMC
     gets the rest of that budget, and an input the crude pass leaves
@@ -580,8 +537,8 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     # more than tol's, at most _K_TH; any tol >= 1 (inf included) gives 5.
     k_th = min(_K_TH, 5.0 + max(0.0, -math.log10(cfg.tol)))
     table = _QuantileTable(spec, nu)
-    w_search = _search_w(table)
-    z_l, z_r, closed = _bracket_z(spec, nu, pref, k, m, knots, w_search, k_th)
+    z_l, z_r, closed = _bracket_z(spec, nu, pref, k, m, knots, table, k_th)
+    w_search = table.read(_SEARCH_LOG_W_ERR)
     # At D2 = 0, g still above the threshold at z_lo and no lower there than
     # at z_lo / 2 means that h grows at least like 1/u as u -> 0: the
     # integral diverges.
@@ -592,16 +549,16 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
                          m[edge, None])
         if np.any(log_g[:, 0] >= log_g[:, 1]):
             raise ValueError(_DIVERGES)
-    # An error delta in log w moves log h by (m/w - k) delta.  Each row's
-    # RQMC reads the coarsest level whose bound times the largest
-    # |m/w - k| over the row's bracket (at one of its ends, as w is
-    # monotone) is at most tol/10; under a relative tolerance, tol/10
-    # times the smaller of 1 and the crude estimate's magnitude.
+    # An error delta in log w moves log h by (m/w - k) delta.  A row's
+    # RQMC reads L where its bound times the largest |m/w - k| over the
+    # row's bracket (at one of its ends, as w is monotone) is at most
+    # tol/10; under a relative tolerance, tol/10 times the smaller of 1
+    # and the crude estimate's magnitude.
     with np.errstate(divide="ignore", invalid="ignore"):
         allowed = 0.1 * cfg.tol / np.max(np.abs(m / w_search(np.stack([z_l, z_r])) - k), axis=0)
     if cfg.tol_type == "relative":
         allowed *= np.minimum(1.0, np.abs(crude.estimates()[todo]))
-    levels = table.coarsest(allowed)
+    tabled = table.bound <= allowed
     width = z_r - z_l
     # The bracket's width enters through the prefactor, so the RQMC's
     # estimate, which its tolerance tests, is the reported one.
@@ -609,7 +566,7 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
 
     def mid_log_g(v, rows):
         z = z_l[rows, None] + width[rows, None] * v[:, 0]
-        return _log_g_w(_rows_w(table, levels[rows], z), z, pref_w[rows, None], k[rows, None],
+        return _log_g_w(_rows_w(table, tabled[rows], z), z, pref_w[rows, None], k[rows, None],
                         m[rows, None])
 
     # The stream is extensible: a row sees the points of whole n0-point

@@ -12,7 +12,7 @@ from nvmix.density import (
     _BLOCK_VALUES,
     _EPS_BISEC,
     _K_TH,
-    _TABLE_LEVELS,
+    _SEARCH_LOG_W_ERR,
     _QuantileTable,
     _bracket_z,
     _crude_log_means,
@@ -262,18 +262,17 @@ LOG_MAX = math.log(np.finfo(float).max)
 
 
 @pytest.mark.parametrize(
-    "family,levels,n_points",
-    [("ig1", _TABLE_LEVELS, 100_000), ("ig4", _TABLE_LEVELS, 100_000),
-     ("pareto6", _TABLE_LEVELS, 100_000), ("inverse_burr22", _TABLE_LEVELS, 100_000),
-     ("symmetric_toy", _TABLE_LEVELS[:1], 10_000)])
-def test_table_meets_its_bound(family, levels, n_points):
-    # Every level's log w lies within its reported bound of the quantile's
+    "family,n_points",
+    [("ig1", 100_000), ("ig4", 100_000), ("pareto6", 100_000), ("inverse_burr22", 100_000),
+     ("symmetric_toy", 10_000)])
+def test_table_meets_its_bound(family, n_points):
+    # The table's log w lies within its reported bound of the quantile's
     # on a grid evenly spaced in asinh(z / 2), like the nodes, with about
-    # 25 points per interval of the finest level, and both ends of the z
-    # range.  Under IG(1) w overflows from z = 355 on: the table's w must
-    # overflow there too, so both sides are compared up to log(max double).
-    # The toy black box solves for each u by brentq, so its grid is
-    # smaller, and only the level its search reads is checked.
+    # 200 points per interval, and both ends of the z range.  Under IG(1)
+    # w overflows from z = 355 on: the table's w must overflow there too,
+    # so both sides are compared up to log(max double).  The toy black box
+    # solves for each u by brentq, so its grid is smaller.  The search
+    # reads the table of every one of these.
     spec, nu = {"ig1": (inverse_gamma(), [1.0]), "ig4": (inverse_gamma(), [4.0]),
                 "pareto6": (pareto(), [6.0]), "inverse_burr22": (inverse_burr(), [2.0, 2.0]),
                 "symmetric_toy": (symmetric_toy_quantile(), [])}[family]
@@ -286,12 +285,11 @@ def test_table_meets_its_bound(family, levels, n_points):
     assert np.all(np.isfinite(exact))
     if family == "ig1":
         assert np.sum(exact == LOG_MAX) > n_points / 50
-    for j in levels:
-        with np.errstate(divide="ignore"):
-            tabulated = np.minimum(np.log(table.w(z, j)), LOG_MAX)
-        assert 0.0 < table.bound(j) < 1e-6
-        assert np.max(np.abs(tabulated - exact)) <= table.bound(j)
-    assert np.array_equal(table.coarsest(np.array([_EPS_BISEC])), [_TABLE_LEVELS[0]])
+    with np.errstate(divide="ignore"):
+        tabulated = np.minimum(np.log(table.w(z)), LOG_MAX)
+    assert 0.0 < table.bound <= _SEARCH_LOG_W_ERR
+    assert np.max(np.abs(tabulated - exact)) <= table.bound
+    assert table.read(_SEARCH_LOG_W_ERR) == table.w
 
 
 def ig4_quantile(u):
@@ -304,17 +302,18 @@ def ig4_quantile(u):
     ids=["jump", "atom-at-zero"])
 def test_tableless_quantiles_are_read_exactly(monkeypatch, q):
     # The IG(4) quantile with a jump has a bound near the jump in log w
-    # (log 2) at every level; with an atom of mass 1e-200 at 0, which the
-    # crude pass does not meet, it has no interpolant.  The search and
-    # the RQMC read the quantile itself, so the far rows, which take the
-    # adaptive path, give what a call with no table levels at all gives.
+    # (log 2); with an atom of mass 1e-200 at 0, which the crude pass does
+    # not meet, it has no interpolant.  The search and the RQMC read the
+    # quantile itself, so the far rows, which take the adaptive path, give
+    # what a call that never reads the table gives.
     spec = blackbox(q, 0)
     table = _QuantileTable(spec, [])
-    assert np.array_equal(table.coarsest(np.array([_EPS_BISEC, 1e-4, 1e-1])), [-1, -1, -1])
+    assert table.bound > 1e-1
+    assert table.read(1e-1) == table.exact
     args = density_args([2e3, 2e5, 1e7], 10) + (spec, [], RqmcConfig(), 3)
     res = log_integral_batch(*args)
     assert all(r.iterations_used > 4 for r in res)
-    monkeypatch.setattr(density, "_TABLE_LEVELS", ())
+    monkeypatch.setattr(_QuantileTable, "w", _QuantileTable.exact)
     assert log_integral_batch(*args) == res
 
 

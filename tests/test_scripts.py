@@ -1,8 +1,8 @@
 """The measurement scripts under ``scripts/`` run at tiny sizes.
 
 They reach into private names of ``nvmix.density`` (``_run``,
-``_bracket_z``, ``_crude_log_means``, ``_QuantileTable`` and its
-``_build`` and ``coarsest``, ``_peak_z``, ``_log_g``, ``_log_h_of_w``),
+``_bracket_z``, ``_crude_log_means``, ``_QuantileTable``,
+``_TABLE_INTERVALS``, ``_peak_z``, ``_log_g``, ``_log_h_of_w``),
 so a change that renames or reshapes one of those must show up here
 rather than the next time someone measures.
 """
@@ -23,10 +23,10 @@ def test_adaptive_cost_runs(capsys):
     assert "N =    20:" in out and "calibration, 1 x 40 points" in out
     assert out.count("crude pass: values") == 2
     assert out.count("search: quantile calls") == 2
-    # The table's line: its nodes' quantile work, build time and the
-    # levels read with their bounds; the search and RQMC then read it.
+    # The table's line: its nodes' quantile work, build time, node count
+    # and bound; the search and RQMC then read it.
     assert out.count("table : quantile calls    1, u-values      1025, build ") == 2
-    assert out.count("levels read: search 1 x 513 nodes (bound ") == 2
+    assert out.count(" ms, 513 nodes, bound 1.3e-07") == 2
     assert out.count("search: quantile calls    0,") == 2
     assert out.count("rqmc  : quantile calls    0,") == 2
 
