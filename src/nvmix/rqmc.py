@@ -133,10 +133,11 @@ class RqmcConfig:
     tests each input and stops the inputs that meet it, and its adaptive
     pass tests every ``min(n0, 16)`` points, over a bracket that ends
     ``5 + log10(1/tol)`` decades below the integrand's maximum (at least
-    5, at most 10), reading a table of the quantile whose error moves
-    the result by at most tol/10.  A relative tolerance is met only by a nonzero
-    estimate (in log space, where the estimate is a log, a vanishing one
-    falls back to the absolute test).
+    5, at most 10), reading a table of the quantile where its error
+    moves the result by at most tol/10 and the quantile elsewhere.  A
+    relative tolerance is met only by a nonzero estimate (in log space,
+    where the estimate is a log, a vanishing one falls back to the
+    absolute test).
     """
 
     B: int = 15
