@@ -790,6 +790,29 @@ def test_quantile_calls_do_not_grow_with_pending_points(monkeypatch):
     assert counts[10] < 200
 
 
+def test_rows_on_the_table_and_on_the_quantile_share_a_call(monkeypatch):
+    # At tol 3e-5 under IG(4), tol/10 over max |m/w - k| on the bracket
+    # covers the table's bound (1.3e-7) only at the smallest distances:
+    # one RQMC block holds rows that read the table and rows that read
+    # the quantile, and each row gives what it gives alone.
+    picks = []
+    rows_w = density._rows_w
+
+    def spy(table, tabled, z):
+        picks.append(tabled.copy())
+        return rows_w(table, tabled, z)
+
+    monkeypatch.setattr(density, "_rows_w", spy)
+    cfg = RqmcConfig(tol=3e-5)
+    D2 = [10 ** 0.5, 10 ** 0.6, 1e3, 1e5]
+    res = log_integral_batch(*density_args(D2, 10), inverse_gamma(), [4.0], cfg, seed=1)
+    assert all(r.converged and r.iterations_used > 4 for r in res)
+    assert list(picks[0]) == [True, True, False, False]
+    for d2, r in zip(D2, res):
+        assert log_integral_batch(*density_args([d2], 10), inverse_gamma(), [4.0], cfg,
+                                  seed=1) == [r]
+
+
 def test_quantile_work_does_not_depend_on_the_number_of_points(monkeypatch):
     # The u-values a call passes to the quantile are the crude pass's
     # batches plus the table's nodes: the search and the RQMC read the
