@@ -18,11 +18,13 @@ Two parts, both at tol 1e-3 under the default ``RqmcConfig``:
 
 The phases are the crude pass, the table of the quantile
 (``_QuantileTable``: its nodes and midpoints, evaluated exactly), the
-search (``_bracket_z``: the peak of h, the maximum of g and the
-bracket's ends) and the adaptive RQMC (``_run``); the search's u-values
-are also given per adaptive row.  The table's line also gives the time
-spent building it, its node count and its largest bound in log w; the
-search and the RQMC make no quantile call where they read it.
+search (``_bracket_z``: the maximum of g and the bracket's ends) and
+the adaptive RQMC (``_run``); the search's u-values are also given per
+adaptive row.  The table's line also gives the time spent building it,
+its node count and its largest bound in log w; the search and the RQMC
+make no quantile call where they read it.  The search's line also gives
+its bisection steps and row evaluations (rows summed over those steps)
+per call of ``_bracket_z``.
 Both parts also print the crude pass's values (rows times points per
 batch, summed over the batches it reduces) and the share of rows it has
 settled after each of its batches.
@@ -53,7 +55,7 @@ PHASES = ("crude", "table", "search", "rqmc")
 
 def _new_counts():
     counts = {p: [0, 0] for p in PHASES}
-    counts.update(values=0, table_s=0.0, bound=0.0)
+    counts.update(values=0, table_s=0.0, bound=0.0, searches=0, steps=0, row_evals=0)
     return counts
 
 
@@ -66,7 +68,9 @@ def _phase_counts(call, counts=None):
     otherwise.  ``counts["values"]`` holds the crude pass's values: rows
     times points of each batch it reduces; ``counts["table_s"]`` the time
     spent building tables and ``counts["bound"]`` the largest of their
-    bounds."""
+    bounds; ``counts["searches"]``, ``counts["steps"]`` and
+    ``counts["row_evals"]`` the calls of ``_bracket_z``, their bisection
+    steps and the rows those steps evaluate."""
     counts = _new_counts() if counts is None else counts
     phase = ["crude"]
     table = density._QuantileTable
@@ -89,6 +93,17 @@ def _phase_counts(call, counts=None):
                 phase[0] = outer
         return wrapped
 
+    def bisect(goes_up, *args):
+        def step(z, rows):
+            counts["steps"] += 1
+            counts["row_evals"] += len(rows)
+            return goes_up(z, rows)
+        return saved["_bisect"](step, *args)
+
+    def search(*args):
+        counts["searches"] += 1
+        return saved["_bracket_z"](*args)
+
     def build(self, *args):
         t0 = time.perf_counter()
         in_phase("table", saved_init)(self, *args)
@@ -96,11 +111,12 @@ def _phase_counts(call, counts=None):
         counts["bound"] = max(counts["bound"], self.bound)
 
     saved = {name: getattr(density, name)
-             for name in ("quantile", "_bracket_z", "_run", "_crude_log_means")}
+             for name in ("quantile", "_bracket_z", "_bisect", "_run", "_crude_log_means")}
     saved_init = table.__init__
     density.quantile = counted
     density._crude_log_means = crude_values
-    density._bracket_z = in_phase("search", saved["_bracket_z"])
+    density._bracket_z = in_phase("search", search)
+    density._bisect = bisect
     density._run = in_phase("rqmc", saved["_run"])
     table.__init__ = build
     try:
@@ -119,6 +135,10 @@ def _print_phases(counts, adaptive_rows: int) -> None:
         print(f"  {p:6s}: quantile calls {calls:4d}, u-values {u_values:9d}"
               + (per_row if p == "search" else "")
               + (_table_summary(counts) if p == "table" else ""))
+    searches = max(counts["searches"], 1)
+    print(f"  search: bisection steps {counts['steps'] / searches:.1f} per call, "
+          f"row evaluations {counts['row_evals'] / searches:.1f} per call "
+          f"({counts['searches']} calls)")
 
 
 def _table_summary(counts) -> str:

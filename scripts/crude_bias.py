@@ -16,7 +16,7 @@ import sys
 import numpy as np
 from scipy.special import expit
 
-from nvmix.density import _log_g, _log_h_of_w, _peak_z, closed_log_density
+from nvmix.density import _QuantileTable, _log_g, _log_h_of_w, _peak_z, closed_log_density
 from nvmix.mixtures import inverse_gamma, quantile
 from nvmix.model import NvmModel
 from nvmix.rqmc import RqmcConfig, rqmc_log_estimate
@@ -44,7 +44,7 @@ def main(n_seeds: int = 300) -> None:
 
         # Peak of h in 1 - u, and the width in u of the region where the
         # integrand in u is within 1 nat of its maximum.
-        z_star = float(_peak_z(spec, nu, m / k)[0])
+        z_star = float(_peak_z(spec, nu, m / k, _QuantileTable(spec, nu))[0])
         z = np.linspace(z_star - 10.0, z_star + 10.0, 20001)
         log_hu = _log_g(z, spec, nu, pref, k, m) - np.log(expit(z) * expit(-z))
         near = z[log_hu >= log_hu.max() - 1.0]

@@ -14,14 +14,14 @@ polynomially in u; at zero distance it is monotone with its peak at
 u = 0.  The adaptive path therefore works in the logit coordinate
 z = log(u / (1 - u)): there the integrand is
 g(z) = h(expit(z)) expit(z) expit(-z), which decays exponentially toward
-both ends whenever h is bounded.  The path locates the peak of h by
-bisection in z, finds the maximum of g between that peak and z = 0 by
-bisection on the sign of its slope, brackets the region where g exceeds
-a threshold 5 + log10(1/tol) orders below its maximum (at least 5, at
-most 10) by bisection on that level and integrates g over that bracket
-by RQMC; the error estimate does not count the mass outside the
-bracket.  :func:`peak` and :func:`region_bounds` are one-input views of
-this search (at ten orders): the peak of h, and the bracket in z.
+both ends whenever h is bounded.  The path finds the maximum of g by
+one bisection on the sign of its slope over the whole z range, brackets
+the region where g exceeds a threshold 5 + log10(1/tol) orders below
+its maximum (at least 5, at most 10) by bisection on that level and
+integrates g over that bracket by RQMC; the error estimate does not
+count the mass outside the bracket.  :func:`region_bounds` is the
+one-input view of this search (at ten orders), the bracket in z;
+:func:`peak` locates the peak of h, which the search does not need.
 
 Where the crude pass reads w from the quantile, the adaptive path reads
 it from a table of the call's one mixture: a cubic interpolant L(z) of
@@ -56,7 +56,7 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import expit, gammainc, gammaln, log_expit, logit
+from scipy.special import expit, gammainc, gammaln, log_expit
 
 from .linalg import mahalanobis_sq
 from .mixtures import MixtureSpec, quantile
@@ -72,7 +72,6 @@ __all__ = [
     "log_integral_batch",
     "log_density_batch",
     "closed_log_density",
-    "log_lower_incomplete_gamma",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -80,7 +79,7 @@ _LN10 = math.log(10.0)
 _U_EPS = 1e-16
 _DIVERGES = "integrand diverges at w = 0 when D2 = 0"
 # The adaptive path's bracket ends where g falls _K_TH decades below its
-# maximum; its searches stop at a z-width of _EPS_BISEC.
+# maximum; its bisections stop at a z-width of _EPS_BISEC.
 _K_TH = 10.0
 _EPS_BISEC = 1e-6
 # Batches of the crude pass, which an input leaves once it meets tol.
@@ -301,35 +300,25 @@ def _level_crossings(f, level, z_in, z_lo: float, z_hi: float) -> tuple[np.ndarr
     return z[:n], z[n:]
 
 
-def _peak_z(spec, nu, w_star, knots=None, table=None) -> np.ndarray:
+def _peak_z(spec, nu, w_star, table) -> np.ndarray:
     """Per row, the logit of the peak location of h, where the quantile
     reaches ``w_star`` = m / k.
 
     Bisection in z for ``w(z) = w_star`` down to a z-width of
-    ``_EPS_BISEC``, all rows together, with w(z) as the search reads it
-    from ``table`` (one of (spec, nu) is built when it is None): from L
-    where its bound is at most ``_SEARCH_LOG_W_ERR`` in log w, so the
-    root is that of L(z) = log w_star, which lies about bound / |L'(z)|
-    from the quantile's; from the quantile otherwise.  Each row starts
-    from the knots (sorted u and their quantiles) around its target when
-    ``knots`` is given.  When the quantile cannot reach the target (the
-    mixing support is bounded on that side, or the target lies beyond
-    the doubles' range) the peak collapses to that end of the z range.
-    At D2 = 0 the target w* = 0 is unreachable unless W has an atom at
-    0, so h is monotone and its peak is at the left end.
+    ``_EPS_BISEC``, all rows together, with w(z) read from ``table``:
+    from L where its bound is at most ``_SEARCH_LOG_W_ERR`` in log w, so
+    the root is that of L(z) = log w_star, which lies about
+    bound / |L'(z)| from the quantile's; from the quantile otherwise.
+    When the quantile cannot reach the target (the mixing support is
+    bounded on that side, or the target lies beyond the doubles' range)
+    the peak collapses to that end of the z range.  At D2 = 0 the target
+    w* = 0 is unreachable unless W has an atom at 0, so h is monotone and
+    its peak is at the left end.
     """
     z_lo, z_hi = _z_range(spec)
-    table = _QuantileTable(spec, nu) if table is None else table
     w_z = table.read(_SEARCH_LOG_W_ERR)
-    lo, hi = np.full(len(w_star), z_lo), np.full(len(w_star), z_hi)
-    if knots is not None:
-        us, ws = knots
-        idx = np.searchsorted(ws, w_star)
-        below, above = idx > 0, idx < len(us)
-        lo[below] = np.clip(logit(us[idx[below] - 1]), z_lo, z_hi)
-        hi[above] = np.clip(logit(us[idx[above]]), z_lo, z_hi)
-    lo, hi = _bisect(lambda z, r: w_z(z) <= w_star[r],
-                     lo, hi, np.arange(len(w_star)))
+    lo, hi = _bisect(lambda z, r: w_z(z) <= w_star[r], np.full(len(w_star), z_lo),
+                     np.full(len(w_star), z_hi), np.arange(len(w_star)))
     at_lo, at_hi = lo == z_lo, hi == z_hi
     if np.any(w_star[~at_lo & ~at_hi] == 0.0):  # quantile(expit(lo)) <= w* = 0
         raise ValueError(_DIVERGES)
@@ -341,12 +330,12 @@ def peak(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec,
     """Location u* and log height of the peak of one integrand h of
     :func:`log_integral_batch`.
 
-    u* comes from the one-row case of that function's search: it solves
-    ``L(z) = log(D2 / (2 shift_k))`` to a z-width of ``_EPS_BISEC`` by
-    bisection in z = logit(u), with L the tabulated log w that search
-    reads (or the log of the quantile where it reads that, see
-    :func:`log_integral_batch`), and is returned as the nearest double.
-    An error delta of L in log w moves that root by about
+    u* solves ``L(z) = log(D2 / (2 shift_k))`` to a z-width of
+    ``_EPS_BISEC`` by bisection in z = logit(u), with L the tabulated
+    log w that the adaptive path's search reads (or the log of the
+    quantile where it reads that, see :func:`log_integral_batch`), and is
+    returned as the nearest double.  That search itself needs no peak of
+    h.  An error delta of L in log w moves the root by about
     delta / |L'(z)|.  The interior peak height has a closed
     form independent of the mixing distribution; when the quantile cannot
     reach the target (the mixing support is bounded on that side) the peak
@@ -356,7 +345,7 @@ def peak(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec,
         raise ValueError("peak undefined for D2 = 0; use the crude path")
     pref, k, m = _row_arrays([D2], shift_k, prefactor)
     table = _QuantileTable(spec, nu)
-    z = _peak_z(spec, nu, m / k, None, table)
+    z = _peak_z(spec, nu, m / k, table)
     if z[0] in _z_range(spec):
         log_h_max = _log_h_of_w(table.read(_SEARCH_LOG_W_ERR)(z), pref, k, m)[0]
     else:
@@ -375,26 +364,29 @@ def region_bounds(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec
     The bracket is given in z because that is where the adaptive path
     works: at Pareto(6), d = 10 and D2 = 1e8 both ends round to u = 1.
     """
-    (z_l,), (z_r,), (closed,) = _bracket_z(spec, nu, *_row_arrays([D2], shift_k, prefactor))
+    (z_l,), (z_r,), (closed,) = _bracket_z(spec, nu, *_row_arrays([D2], shift_k, prefactor),
+                                           _QuantileTable(spec, nu), _K_TH)
     return float(z_l), float(z_r), bool(closed)
 
 
-def _bracket_z(spec, nu, pref, k, m, knots=None, table=None, k_th=None):
+def _bracket_z(spec, nu, pref, k, m, table, k_th):
     """``(z_l, z_r, closed)`` per row: the region where g exceeds its
-    maximum less ``k_th`` decades (``_K_TH`` by default), with w(z) read
-    from ``table`` as :func:`_peak_z` reads it.
+    maximum less ``k_th`` decades, with w(z) read from ``table`` as
+    :func:`_peak_z` reads it.
 
-    g peaks between the peak of h and z = 0 (outside, both h and the
-    Jacobian fall away from it); there its maximum is found by bisection
-    on the sign of its slope, down to a z-width of ``_EPS_BISEC``, and
-    both ends of the region by one bisection on the level.  ``closed`` is
-    False when g still exceeds the threshold at an end of the z range,
-    i.e. mass lies beyond the doubles' reach.
+    g's maximum is found by one bisection on the sign of its slope over
+    the whole z range, down to a z-width of ``_EPS_BISEC``: below
+    min(z_h, 0), with z_h the peak of h, log h and the log-Jacobian both
+    rise, and above max(z_h, 0) both fall, so the slope changes sign only
+    between them.  Where w is 0 at a step's right point g counts as
+    rising, as the mass lies to the right of where the nondecreasing w
+    is 0; the maximum is taken at the bisection's upper end, where g is
+    finite.  Both ends of the region then come from one bisection on the
+    level.  ``closed`` is False when g still exceeds the threshold at an
+    end of the z range, i.e. mass lies beyond the doubles' reach.
     """
     z_lo, z_hi = _z_range(spec)
-    table = _QuantileTable(spec, nu) if table is None else table
     w_z = table.read(_SEARCH_LOG_W_ERR)
-    z_h = _peak_z(spec, nu, m / k, knots, table)
 
     def f(z, rows):
         return _log_g_w(w_z(z), z, pref[rows], k[rows], m[rows])
@@ -404,13 +396,13 @@ def _bracket_z(spec, nu, pref, k, m, knots=None, table=None, k_th=None):
         # call; the bracket is still wider than _EPS_BISEC, so both points
         # lie inside it.
         zz = z[:, None] + np.array([-0.25, 0.25]) * _EPS_BISEC
-        log_g = _log_g_w(w_z(zz), zz, pref[rows, None], k[rows, None], m[rows, None])
-        return log_g[:, 1] > log_g[:, 0]
+        w = w_z(zz)
+        log_g = _log_g_w(w, zz, pref[rows, None], k[rows, None], m[rows, None])
+        return (log_g[:, 1] > log_g[:, 0]) | (w[:, 1] == 0.0)
 
     rows = np.arange(len(m))
-    a, b = _bisect(rises, np.minimum(z_h, 0.0), np.maximum(z_h, 0.0), rows)
-    z_g = 0.5 * (a + b)
-    level = f(z_g, rows) - (_K_TH if k_th is None else k_th) * _LN10
+    _, z_g = _bisect(rises, np.full(len(m), z_lo), np.full(len(m), z_hi), rows)
+    level = f(z_g, rows) - k_th * _LN10
     z_l, z_r = _level_crossings(f, level, z_g, z_lo, z_hi)
     closed = ~np.isnan(z_l) & ~np.isnan(z_r)
     return np.where(np.isnan(z_l), z_lo, z_l), np.where(np.isnan(z_r), z_hi, z_r), closed
@@ -438,13 +430,12 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     log-means per randomization.  The inputs it leaves unsettled,
     zero Mahalanobis distance included, go through the adaptive path in
     the logit coordinate z = logit(u) (see the module docstring), all
-    together: the peak search starts from the crude pass's quantile
-    knots, every bisection (the one on the slope of g that finds its
-    maximum, and the one that finds both ends of the bracket) stops at a
-    z-width of ``_EPS_BISEC``, the bracket ends where g falls
-    ``min(_K_TH, 5 + log10(1/tol))`` decades below its maximum (5 for
-    any tol >= 1), and RQMC integrates g over the bracket, each input
-    until it meets the tolerance, tested every
+    together: both bisections (the one on the slope of g that finds its
+    maximum over the whole z range, and the one that finds both ends of
+    the bracket) stop at a z-width of ``_EPS_BISEC``, the bracket ends
+    where g falls ``min(_K_TH, 5 + log10(1/tol))`` decades below its
+    maximum (5 for any tol >= 1), and RQMC integrates g over the
+    bracket, each input until it meets the tolerance, tested every
     ``min(cfg.n0, _ADAPTIVE_STEP)`` (16) points per randomization.  All
     adaptive inputs share one seed's ``B`` digital shifts (as the crude
     pass's inputs share another's), so every input's result equals that
@@ -468,7 +459,7 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     below) leaves the RQMC's budget under the bound: there the quantile
     itself is read.
     Building the table evaluates the quantile once, on its nodes and
-    midpoints; each step of the searches, and each RQMC step, reads the
+    midpoints; each step of the search, and each RQMC step, reads the
     table once for all inputs still running (and evaluates the quantile
     once for those that read it), so the number of quantile calls does
     not grow with the number of inputs.
@@ -507,7 +498,6 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
         return np.random.SeedSequence(root.entropy, spawn_key=(i,))
 
     crude = RqmcAccumulator(1, cfg, child(0), log=True)
-    us, ws = [], []
     # Rows leave the crude pass once they meet the tolerance; each batch
     # still makes one quantile call, shared by the rows that remain.
     todo = np.arange(N)
@@ -516,8 +506,6 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
         w = np.asarray(quantile(spec, u, nu), dtype=float)
         if np.any(w == 0.0) and np.any(ms == 0.0):
             raise ValueError(_DIVERGES)
-        us.append(u)
-        ws.append(w)
         crude.fold(_crude_log_means(w, prefs[todo], ks[todo], ms[todo], cfg.B), todo)
         todo = todo[~crude.converged()[todo]]
         if not len(todo):
@@ -529,15 +517,12 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     budget = cfg.i_max - crude.batches
     if not len(todo) or budget < 1:
         return results
-    us = np.concatenate(us)
-    order = np.argsort(us, kind="stable")
-    knots = us[order], np.concatenate(ws)[order]
     pref, k, m = prefs[todo], ks[todo], ms[todo]
     # The bracket ends where g falls k_th decades below its maximum: five
     # more than tol's, at most _K_TH; any tol >= 1 (inf included) gives 5.
     k_th = min(_K_TH, 5.0 + max(0.0, -math.log10(cfg.tol)))
     table = _QuantileTable(spec, nu)
-    z_l, z_r, closed = _bracket_z(spec, nu, pref, k, m, knots, table, k_th)
+    z_l, z_r, closed = _bracket_z(spec, nu, pref, k, m, table, k_th)
     w_search = table.read(_SEARCH_LOG_W_ERR)
     # At D2 = 0, g still above the threshold at z_lo and no lower there than
     # at z_lo / 2 means that h grows at least like 1/u as u -> 0: the
@@ -606,7 +591,7 @@ def log_density_batch(X, model: NvmModel, cfg: RqmcConfig | None = None,
     return log_integral_batch(d2, d / 2.0, prefactor, model.spec, model.nu, cfg, seed)
 
 
-def log_lower_incomplete_gamma(z: float, x) -> np.ndarray | float:
+def _log_lower_incomplete_gamma(z: float, x) -> np.ndarray | float:
     """log of the (unregularized) lower incomplete gamma function.
 
     Uses the regularized routine where it has mass and the leading series
@@ -664,7 +649,7 @@ def closed_log_density(model: NvmModel, x) -> np.ndarray | float:
         half = d2[pos] / 2.0
         out[pos] = (
             base + math.log(alpha) - z * np.log(half)
-            + log_lower_incomplete_gamma(z, half)
+            + _log_lower_incomplete_gamma(z, half)
         )
     else:
         raise ValueError(f"no closed-form density for mixture kind {kind!r}")

@@ -1,8 +1,9 @@
 """The measurement scripts under ``scripts/`` run at tiny sizes.
 
 They reach into private names of ``nvmix.density`` (``_run``,
-``_bracket_z``, ``_crude_log_means``, ``_QuantileTable``,
-``_TABLE_INTERVALS``, ``_peak_z``, ``_log_g``, ``_log_h_of_w``),
+``_bracket_z``, ``_bisect``, ``_crude_log_means``, ``_QuantileTable``,
+``_TABLE_INTERVALS``, ``_PILOT_BATCHES``, ``_peak_z``, ``_log_g``,
+``_log_h_of_w``),
 so a change that renames or reshapes one of those must show up here
 rather than the next time someone measures.
 """
@@ -29,6 +30,12 @@ def test_adaptive_cost_runs(capsys):
     assert out.count(" ms, 513 nodes, bound 1.3e-07") == 2
     assert out.count("search: quantile calls    0,") == 2
     assert out.count("rqmc  : quantile calls    0,") == 2
+    # One slope bisection halves the IG z range, 1417 wide, 31 times for
+    # every row, and the level bisection halves the 708 from g's maximum
+    # near z = 0 to each end 30 times: 61 steps, 20 x 31 + 40 x 30 row
+    # evaluations for the 20-row call.
+    assert out.count("search: bisection steps 61.0 per call, ") == 2
+    assert "search: bisection steps 61.0 per call, row evaluations 1820.0 per call (1 calls)" in out
 
 
 def test_crude_bias_runs(capsys):
