@@ -14,11 +14,11 @@ from nvmix.density import (
     _K_TH,
     _SEARCH_LOG_W_ERR,
     _QuantileTable,
-    _log_lower_incomplete_gamma,
     _bracket_z,
     _crude_log_means,
     _log_g,
     _log_h_of_w,
+    _log_lower_incomplete_gamma,
     _peak_z,
     _z_range,
     closed_log_density,
