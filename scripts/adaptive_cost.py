@@ -26,8 +26,10 @@ make no quantile call where they read it.  The search's line also gives
 its bisection steps and row evaluations (rows summed over those steps)
 per call of ``_bracket_z``.
 Both parts also print the crude pass's values (rows times points per
-batch, summed over the batches it reduces) and the share of rows it has
-settled after each of its batches.
+batch, summed over the batches it reduces) and, for each of its
+batches, the rows it settles there and the rows it sends on to the
+adaptive path from there.  A row takes the adaptive path when the crude
+pass sends it on, whatever the number of batches it ran.
 
 Run from the root of a checkout (about 10 s)::
 
@@ -55,25 +57,37 @@ PHASES = ("crude", "table", "search", "rqmc")
 
 def _new_counts():
     counts = {p: [0, 0] for p in PHASES}
-    counts.update(values=0, table_s=0.0, bound=0.0, searches=0, steps=0, row_evals=0)
+    counts.update(values=0, table_s=0.0, bound=0.0, searches=0, steps=0, row_evals=0,
+                  batches=[[0, 0] for _ in range(density._PILOT_BATCHES)])
     return counts
 
 
 def _phase_counts(call, counts=None):
-    """``call()``'s result and the quantile calls and u-values it
-    evaluates in each phase of ``log_integral_batch``, added to
-    ``counts``: a quantile call belongs to the table while a
-    ``_QuantileTable`` is built, to the search while ``_bracket_z``
-    runs, to the RQMC while ``_run`` runs and to the crude pass
-    otherwise.  ``counts["values"]`` holds the crude pass's values: rows
-    times points of each batch it reduces; ``counts["table_s"]`` the time
-    spent building tables and ``counts["bound"]`` the largest of their
-    bounds; ``counts["searches"]``, ``counts["steps"]`` and
-    ``counts["row_evals"]`` the calls of ``_bracket_z``, their bisection
-    steps and the rows those steps evaluate."""
+    """``call()``'s result, the quantile calls and u-values it evaluates
+    in each phase of ``log_integral_batch``, added to ``counts``, and
+    which of its rows the crude pass sends on to the adaptive path (one
+    call of ``log_integral_batch`` only): a quantile call belongs to the
+    table while a ``_QuantileTable`` is built, to the search while
+    ``_bracket_z`` runs, to the RQMC while ``_run`` runs and to the crude
+    pass otherwise.  ``counts["values"]`` holds the crude pass's values:
+    rows times points of each batch it reduces; ``counts["batches"][j]``
+    the rows it settles in its batch j + 1 and the rows it sends on from
+    there; ``counts["table_s"]`` the time spent building tables and
+    ``counts["bound"]`` the largest of their bounds;
+    ``counts["searches"]``, ``counts["steps"]`` and ``counts["row_evals"]``
+    the calls of ``_bracket_z``, their bisection steps and the rows those
+    steps evaluate."""
     counts = _new_counts() if counts is None else counts
     phase = ["crude"]
     table = density._QuantileTable
+    # (rows, converged) of each batch the crude pass folds.
+    folds = []
+    saved_accumulator = density.RqmcAccumulator
+
+    class Crude(saved_accumulator):
+        def fold(self, batch_means, rows=None):
+            super().fold(batch_means, rows)
+            folds.append((rows, self.converged()[rows]))
 
     def counted(spec, u, *args, **kwargs):
         counts[phase[0]][0] += 1
@@ -113,6 +127,7 @@ def _phase_counts(call, counts=None):
     saved = {name: getattr(density, name)
              for name in ("quantile", "_bracket_z", "_bisect", "_run", "_crude_log_means")}
     saved_init = table.__init__
+    density.RqmcAccumulator = Crude
     density.quantile = counted
     density._crude_log_means = crude_values
     density._bracket_z = in_phase("search", search)
@@ -125,7 +140,17 @@ def _phase_counts(call, counts=None):
         for name, fn in saved.items():
             setattr(density, name, fn)
         table.__init__ = saved_init
-    return result, counts
+        density.RqmcAccumulator = saved_accumulator
+    # A row is sent on from the batch after which it is neither settled
+    # nor folded again.
+    adaptive = np.zeros(len(folds[0][0]), dtype=bool)
+    for j, (rows, settled) in enumerate(folds):
+        later = folds[j + 1][0] if j + 1 < len(folds) else []
+        sent = np.setdiff1d(rows[~settled], later)
+        adaptive[sent] = True
+        counts["batches"][j][0] += int(np.sum(settled))
+        counts["batches"][j][1] += len(sent)
+    return result, counts, adaptive
 
 
 def _print_phases(counts, adaptive_rows: int) -> None:
@@ -147,15 +172,12 @@ def _table_summary(counts) -> str:
             f"bound {counts['bound']:.2g}")
 
 
-def _print_crude(counts, results, cfg) -> None:
-    """The crude pass's values and the share of rows it has settled
-    after each of its batches: rows that report converged with at most
-    that many batches' points."""
-    n = np.array([r.n_per_randomization for r in results])
-    ok = np.array([r.converged for r in results])
-    shares = [np.mean(ok & (n <= j * cfg.n0)) for j in range(1, density._PILOT_BATCHES + 1)]
-    print(f"  crude pass: values {counts['values']}, rows settled after each batch "
-          + " ".join(f"{s:.1%}" for s in shares))
+def _print_crude(counts) -> None:
+    """The crude pass's values and, per batch, the rows it settles and
+    the rows it sends on to the adaptive path."""
+    print(f"  crude pass: values {counts['values']}, rows settled / sent on per batch: "
+          + ", ".join(f"{j}: {settled}/{sent}"
+                      for j, (settled, sent) in enumerate(counts["batches"], 1)))
 
 
 def cost(n: int) -> None:
@@ -170,21 +192,21 @@ def cost(n: int) -> None:
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    _, counts = _phase_counts(lambda: log_integral_batch(*args, seed=1))
+    _, counts, _ = _phase_counts(lambda: log_integral_batch(*args, seed=1))
     points = sorted({r.n_per_randomization for r in res})
     print(f"N = {n:5d}: {wall:.3f} s, tracemalloc peak {peak / 2 ** 20:.1f} MiB, "
           f"quantile calls {sum(counts[p][0] for p in PHASES)}, "
           f"u-values {sum(counts[p][1] for p in PHASES)}, "
           f"converged {sum(r.converged for r in res)}/{n}, points per randomization {points}")
     _print_phases(counts, n)
-    _print_crude(counts, res, cfg)
+    _print_crude(counts)
 
 
 def calibration(n_seeds: int, n_points: int = 300, d: int = 10) -> None:
     cfg = RqmcConfig(tol=TOL)
     model = NvmModel.build(None, np.eye(d), inverse_gamma(), [4.0])
     u_max = fdtr(d, 1.0, 1e8 / d)
-    errors, estimates, unconverged, results, crude_misses = [], [], 0, [], 0
+    errors, estimates, unconverged, crude_misses = [], [], 0, 0
     counts = _new_counts()
     for seed in range(1, n_seeds + 1):
         rng = np.random.default_rng(seed)
@@ -193,10 +215,10 @@ def calibration(n_seeds: int, n_points: int = 300, d: int = 10) -> None:
         X = np.zeros((n_points, d))
         X[:, 0] = np.sqrt(D2)
         exact = closed_log_density(model, X)
-        res, _ = _phase_counts(lambda: log_density_batch(X, model, cfg, seed=seed), counts)
-        results += res
-        for r, e in zip(res, exact):
-            if r.n_per_randomization <= 4 * cfg.n0:
+        res, _, adaptive = _phase_counts(lambda: log_density_batch(X, model, cfg, seed=seed),
+                                         counts)
+        for r, e, a in zip(res, exact, adaptive):
+            if not a:
                 crude_misses += r.converged and abs(r.estimate - e) > TOL
                 continue
             if not r.converged:
@@ -214,7 +236,7 @@ def calibration(n_seeds: int, n_points: int = 300, d: int = 10) -> None:
     print("  |error| / error estimate: median {:.3g}, 90% {:.3g}, 99% {:.3g}, max {:.3g}"
           .format(*q))
     _print_phases(counts, len(errors) + unconverged)
-    _print_crude(counts, results, cfg)
+    _print_crude(counts)
 
 
 def main(n_seeds: int = 10, sizes=(500, 2000), n_points: int = 300) -> None:

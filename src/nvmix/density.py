@@ -4,10 +4,12 @@ The log-density is a one-dimensional integral over the mixing variable's
 probability scale u.  A crude log-space RQMC pass runs first on all
 inputs at once, over shared mixing realizations (one row per input of a
 single accumulator), and settles most small Mahalanobis distances; an
-input leaves it after the first batch that meets the tolerance.  Each
-of its batches evaluates the quantile once for all inputs and reduces
-the remaining inputs' integrands block by block, a few dozen rows at a
-time, so its memory does not grow with the number of inputs.  For
+input leaves it after the first batch that meets the tolerance, or, for
+the adaptive path below, after the first whose error is too large for
+the remaining batches to bring down to it.  Each of its batches reads w
+once for all inputs that remain and reduces their integrands block by
+block, a few dozen rows at a time, so its memory does not grow with the
+number of inputs.  For
 large ones the integrand collapses onto a narrow peak, which can sit
 within 1e-17 of u = 0 or u = 1, where the integrand decays only
 polynomially in u; at zero distance it is monotone with its peak at
@@ -23,8 +25,9 @@ count the mass outside the bracket.  :func:`region_bounds` is the
 one-input view of this search (at ten orders), the bracket in z;
 :func:`peak` locates the peak of h, which the search does not need.
 
-Where the crude pass reads w from the quantile, the adaptive path reads
-it from a table of the call's one mixture: a cubic interpolant L(z) of
+The crude pass's first batch reads w from the quantile.  Its later
+batches and the adaptive path read it from a table of the call's one
+mixture, built once per call: a cubic interpolant L(z) of
 log w, with w = exp(L(z)), at 513 nodes evenly spaced in asinh(z / 2),
 with a bound on its error in log w checked at the 512 midpoints between
 its nodes (numerical inversion after Hörmann & Leydold 2003 and
@@ -32,10 +35,10 @@ Derflinger, Hörmann & Leydold 2010, applied in z).  A lookup costs a few
 dozen nanoseconds per point, against several hundred for the
 inverse-gamma quantile, and building the table costs one quantile call
 on 1025 points.  The search reads the table where its bound is at most
-1e-6 in log w; each input's RQMC where the bound keeps the error of its
-log-integral within tol/10; either reads the quantile itself otherwise,
-as for a quantile that jumps or vanishes or a tolerance the table cannot
-meet.
+1e-6 in log w; each input's RQMC, crude batch or adaptive, where the
+bound keeps the error of its log-integral within tol/10; either reads
+the quantile itself otherwise, as for a quantile that jumps or vanishes
+or a tolerance the table cannot meet.
 All inputs the crude pass leaves unsettled take these steps together:
 each bisection step evaluates w once for every input whose search
 still runs, and the RQMC runs as one block, each input until it meets
@@ -56,7 +59,7 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import expit, gammainc, gammaln, log_expit
+from scipy.special import expit, gammainc, gammaln, log_expit, logit
 
 from .linalg import mahalanobis_sq
 from .mixtures import MixtureSpec, quantile
@@ -64,7 +67,7 @@ from .model import NvmModel
 # rqmc_log_estimate stays bound here for tools that trace this module's
 # estimator by name.
 from .rqmc import (_BLOCK_VALUES, RqmcAccumulator, RqmcConfig, RqmcResult, _run,  # noqa: F401
-                   log_mean_exp, rqmc_log_estimate)
+                   _tolerance_met, log_mean_exp, rqmc_log_estimate)
 
 __all__ = [
     "peak",
@@ -82,8 +85,11 @@ _DIVERGES = "integrand diverges at w = 0 when D2 = 0"
 # maximum; its bisections stop at a z-width of _EPS_BISEC.
 _K_TH = 10.0
 _EPS_BISEC = 1e-6
-# Batches of the crude pass, which an input leaves once it meets tol.
+# Batches of the crude pass, which an input leaves once it meets tol, or
+# for the adaptive path once its error exceeds _LEAVE_SLACK times what a
+# 1/n decay over the remaining batches could still bring down to tol.
 _PILOT_BATCHES = 4
+_LEAVE_SLACK = 2.0
 # Points per randomization between the adaptive RQMC's tolerance checks.
 _ADAPTIVE_STEP = 16
 # Range of the logit coordinate: expit(z) and expit(-z) are positive
@@ -256,6 +262,25 @@ def _log_g(z, spec, nu, pref, k, m):
     return _log_g_w(_quantile_z(spec, z, nu), z, pref, k, m)
 
 
+def _reads_table(table, z_ends, k, m, cfg, estimate) -> np.ndarray:
+    """Per row, whether its RQMC reads w from L rather than from the
+    quantile, for points between ``z_ends``: ``(2, rows)`` or ``(2, 1)``.
+
+    An error delta in log w moves log h by (m/w - k) delta.  A row reads
+    L where the table's bound times the largest |m/w - k| between the
+    ends (at one of them, as w is monotone) is at most tol/10; under a
+    relative tolerance, tol/10 times the smaller of 1 and the magnitude of
+    the row's crude ``estimate``.  w at the ends is read as the search
+    reads it.
+    """
+    w = table.read(_SEARCH_LOG_W_ERR)(z_ends)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        allowed = 0.1 * cfg.tol / np.max(np.abs(m / w - k), axis=0)
+    if cfg.tol_type == "relative":
+        allowed *= np.minimum(1.0, np.abs(estimate))
+    return table.bound <= allowed
+
+
 def _rows_w(table, tabled, z):
     """w at ``z``, whose row i reads L where ``tabled[i]`` holds and the
     quantile elsewhere."""
@@ -419,12 +444,17 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     ``D2`` is 1-D and non-negative; ``shift_k`` (positive) and
     ``prefactor`` broadcast against it.
 
-    A crude log-space RQMC pass of up to ``_PILOT_BATCHES`` batches runs
-    on all inputs with shared mixing realizations (one accumulator row
-    per input).  The tolerance is tested after every batch, and an input
-    that meets it leaves the pass with that result; later batches are
-    folded only into the inputs that remain.  Per batch the pass
-    evaluates the quantile once, forms ``prefactor - shift_k log w`` once
+    A crude log-space RQMC pass of J = min(``_PILOT_BATCHES``,
+    ``cfg.i_max``) batches at most runs on all inputs with shared mixing
+    realizations (one accumulator row per input).  The tolerance is tested
+    after every batch j, and an input that meets it leaves the pass with
+    that result.  An input whose error times j / (2 J) still misses it,
+    i.e. whose error is more than twice (``_LEAVE_SLACK``) what a 1/n
+    decay over the remaining batches could bring down to tol, leaves
+    early for the adaptive path; with no budget left for that path, none
+    does.  Later batches are folded only into the inputs that remain,
+    one fold per batch.  Per batch the pass reads w once for each source
+    its rows read (see below), forms ``prefactor - shift_k log w`` once
     per distinct (``prefactor``, ``shift_k``) pair and reduces the
     remaining rows in blocks of about ``_BLOCK_VALUES`` values to their
     log-means per randomization.  The inputs it leaves unsettled,
@@ -442,32 +472,35 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     of a call with this input alone: it does not depend on the other
     inputs or on its position among them.
 
-    Where w comes from: the crude pass evaluates the quantile.  The
-    adaptive path reads w = exp(L(z)) from a table of the mixture,
-    built within the call once some inputs take that path (see
-    ``_QuantileTable``): L interpolates log w at 513 nodes, and the
-    table bounds its error in log w.  One rule picks L or the quantile
+    Where w comes from: the crude pass's first batch evaluates the
+    quantile.  Its later batches and the adaptive path read w = exp(L(z))
+    from a table of the mixture, built once within the call when the
+    first batch leaves some input unsettled (see ``_QuantileTable``): L
+    interpolates log w at 513 nodes, and the table bounds its error in
+    log w.  One rule picks L or the quantile
     itself: L where that bound is within the budget, an error in log w.
     The search's budget is ``_SEARCH_LOG_W_ERR`` (1e-6).  An error delta
     in log w moves log h by (m/w - shift_k) delta, with m = D2/2, so an
     input's RQMC has the budget tol/10 over the largest |m/w - shift_k|
-    on its bracket (under a relative tolerance, times the smaller of 1
-    and the magnitude of its crude estimate): L then moves its
-    log-integral by at most tol/10.  A quantile that jumps (a gap in the
+    on its bracket, or for a crude batch over the batch's range of w
+    (under a relative tolerance, times the smaller of 1 and the magnitude
+    of its crude estimate): L then moves its log-integral by at most
+    tol/10.  A quantile that jumps (a gap in the
     support of W) or vanishes (an atom of W at 0) has a bound within
     neither budget, and a tight tolerance (for IG(4), about 1e-5 and
     below) leaves the RQMC's budget under the bound: there the quantile
     itself is read.
     Building the table evaluates the quantile once, on its nodes and
-    midpoints; each step of the search, and each RQMC step, reads the
-    table once for all inputs still running (and evaluates the quantile
-    once for those that read it), so the number of quantile calls does
-    not grow with the number of inputs.
+    midpoints; each step of the search, and each RQMC step, crude or
+    adaptive, reads the table once for all inputs still running (and
+    evaluates the quantile once for those that read it), so the number of
+    quantile calls does not grow with the number of inputs.
 
-    The crude batches count against ``cfg.i_max``: the adaptive RQMC
-    gets the rest of that budget, and an input the crude pass leaves
-    unsettled with none left keeps its crude result, unconverged.  An
-    adaptive result counts the crude pass's points and the adaptive
+    The J crude batches count against ``cfg.i_max``: every adaptive
+    input gets the rest of that budget, ``cfg.i_max - J`` batches,
+    however early it left, and an input the crude pass leaves unsettled
+    with none left keeps its crude result, unconverged.  An adaptive
+    result counts the points of its own crude batches and the adaptive
     points it used.  A result is unconverged when that RQMC misses the
     tolerance or when g is still above the threshold at an end of the z
     range.  At D2 = 0 the integral diverges when W has an
@@ -498,30 +531,53 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
         return np.random.SeedSequence(root.entropy, spawn_key=(i,))
 
     crude = RqmcAccumulator(1, cfg, child(0), log=True)
-    # Rows leave the crude pass once they meet the tolerance; each batch
-    # still makes one quantile call, shared by the rows that remain.
+    # Every adaptive row gets i_max less the crude pass's n_pilot batches,
+    # however many of them it ran; without any, an unsettled row keeps its
+    # unconverged crude result, and no row leaves the crude pass early.
+    n_pilot = min(_PILOT_BATCHES, cfg.i_max)
+    budget = cfg.i_max - n_pilot
+    table = None
     todo = np.arange(N)
-    for _ in range(min(_PILOT_BATCHES, cfg.i_max)):
+    for j in range(1, n_pilot + 1):
         u = np.clip(crude.draw()[:, 0], _U_EPS, 1.0 - _U_EPS)
-        w = np.asarray(quantile(spec, u, nu), dtype=float)
-        if np.any(w == 0.0) and np.any(ms == 0.0):
-            raise ValueError(_DIVERGES)
-        crude.fold(_crude_log_means(w, prefs[todo], ks[todo], ms[todo], cfg.B), todo)
-        todo = todo[~crude.converged()[todo]]
+        tabled = np.zeros(len(todo), dtype=bool)
+        if j > 1:
+            if table is None:
+                table = _QuantileTable(spec, nu)
+            z = logit(u)
+            tabled = _reads_table(table, np.array([[z.min()], [z.max()]]), ks[todo], ms[todo],
+                                  cfg, est)
+        means = np.empty((len(todo), cfg.B))
+        if np.any(tabled):
+            rows = todo[tabled]
+            means[tabled] = _crude_log_means(table.w(z), prefs[rows], ks[rows], ms[rows], cfg.B)
+        if not np.all(tabled):
+            w = np.asarray(quantile(spec, u, nu), dtype=float)
+            if np.any(w == 0.0) and np.any(ms == 0.0):
+                raise ValueError(_DIVERGES)
+            rows = todo[~tabled]
+            means[~tabled] = _crude_log_means(w, prefs[rows], ks[rows], ms[rows], cfg.B)
+        crude.fold(means, todo)
+        err, est = crude.errors()[todo], crude.estimates()[todo]
+        stay = ~_tolerance_met(err, est, cfg, log=True)
+        if budget:
+            # Leave for the adaptive path unless a 1/n decay of the error
+            # over the remaining batches would meet tol with room to spare.
+            stay &= _tolerance_met(err * j / (_LEAVE_SLACK * n_pilot), est, cfg, log=True)
+        todo, est = todo[stay], est[stay]
         if not len(todo):
             break
 
     results = crude.results()
-    # The adaptive path gets what the crude pass left of the i_max budget;
-    # without any, an unsettled row keeps its unconverged crude result.
-    budget = cfg.i_max - crude.batches
+    todo = np.flatnonzero([not r.converged for r in results])
     if not len(todo) or budget < 1:
         return results
     pref, k, m = prefs[todo], ks[todo], ms[todo]
     # The bracket ends where g falls k_th decades below its maximum: five
     # more than tol's, at most _K_TH; any tol >= 1 (inf included) gives 5.
     k_th = min(_K_TH, 5.0 + max(0.0, -math.log10(cfg.tol)))
-    table = _QuantileTable(spec, nu)
+    if table is None:
+        table = _QuantileTable(spec, nu)
     z_l, z_r, closed = _bracket_z(spec, nu, pref, k, m, table, k_th)
     w_search = table.read(_SEARCH_LOG_W_ERR)
     # At D2 = 0, g still above the threshold at z_lo and no lower there than
@@ -534,16 +590,7 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
                          m[edge, None])
         if np.any(log_g[:, 0] >= log_g[:, 1]):
             raise ValueError(_DIVERGES)
-    # An error delta in log w moves log h by (m/w - k) delta.  A row's
-    # RQMC reads L where its bound times the largest |m/w - k| over the
-    # row's bracket (at one of its ends, as w is monotone) is at most
-    # tol/10; under a relative tolerance, tol/10 times the smaller of 1
-    # and the crude estimate's magnitude.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        allowed = 0.1 * cfg.tol / np.max(np.abs(m / w_search(np.stack([z_l, z_r])) - k), axis=0)
-    if cfg.tol_type == "relative":
-        allowed *= np.minimum(1.0, np.abs(crude.estimates()[todo]))
-    tabled = table.bound <= allowed
+    tabled = _reads_table(table, np.stack([z_l, z_r]), k, m, cfg, crude.estimates()[todo])
     width = z_r - z_l
     # The bracket's width enters through the prefactor, so the RQMC's
     # estimate, which its tolerance tests, is the reported one.
@@ -560,7 +607,7 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     mids = _run(mid_log_g, 1, replace(cfg, n0=step, i_max=budget * cfg.n0 // step), child(2),
                 len(todo), log=True)
     for j, (i, mid) in enumerate(zip(todo, mids)):
-        n = crude.batches * cfg.n0 + mid.n_per_randomization
+        n = int(crude.counts[i]) * cfg.n0 + mid.n_per_randomization
         results[i] = RqmcResult(
             estimate=mid.estimate,
             error_estimate=mid.error_estimate,

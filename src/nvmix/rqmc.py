@@ -128,13 +128,17 @@ class RqmcConfig:
     A batch of ``n0`` points per randomization is the budget's unit:
     ``i_max`` caps the total number of batches per randomization, so at
     most ``B * n0 * i_max`` integrand evaluations are spent; for a
-    log-density the crude pass's batches count against it too.  The
-    tolerance is tested after every batch: a log-density's crude pass
-    tests each input and stops the inputs that meet it, and its adaptive
-    pass tests every ``min(n0, 16)`` points, over a bracket that ends
+    log-density the crude pass's batches (at most 4) count against it
+    too, and the adaptive pass gets the rest.  The tolerance is tested
+    after every batch: a log-density's crude pass tests each input and
+    stops the inputs that meet it, and sends on to its adaptive pass,
+    when that has a budget, those whose error is too large for the
+    remaining crude batches to bring down to tol.  The adaptive pass
+    tests every ``min(n0, 16)`` points, over a bracket that ends
     ``5 + log10(1/tol)`` decades below the integrand's maximum (at least
-    5, at most 10), reading a table of the quantile where its error
-    moves the result by at most tol/10 and the quantile elsewhere.  A
+    5, at most 10).  Both passes read a table of the quantile where its
+    error moves the result by at most tol/10 (the crude pass from its
+    second batch on) and the quantile elsewhere.  A
     relative tolerance is met only by a nonzero estimate (in log space,
     where the estimate is a log, a vanishing one falls back to the
     absolute test).
@@ -266,10 +270,12 @@ class RqmcAccumulator:
         ``log``).  A row whose means include a non-finite value, such as
         a log-mean of -inf where no point of a randomization has reached
         the integrand's mass, gets an infinite error: it meets no
-        tolerance."""
+        tolerance.  So does a row whose means spread so far (past about
+        1e154) that their variance overflows."""
         finite = np.all(np.isfinite(self.means), axis=1)
         means = np.where(finite[:, None], self.means, 0.0)
-        err = _CI_MULT * means.std(axis=1, ddof=1) / math.sqrt(self.cfg.B)
+        with np.errstate(over="ignore"):
+            err = _CI_MULT * means.std(axis=1, ddof=1) / math.sqrt(self.cfg.B)
         return np.where(finite, np.where(np.ptp(means, axis=1) == 0.0, 0.0, err), np.inf)
 
     def converged(self) -> np.ndarray:

@@ -27,6 +27,7 @@ from nvmix.density import (
     peak,
     region_bounds,
 )
+from nvmix.linalg import mahalanobis_sq
 from nvmix.mixtures import blackbox, constant, inverse_burr, inverse_gamma, pareto, quantile
 from nvmix.model import NvmModel
 from nvmix.rqmc import RqmcConfig, log_mean_exp, rqmc_log_estimate
@@ -45,6 +46,36 @@ def density_args(D2, d, log_det=0.0):
     """``(D2, shift_k, prefactor)`` of the log-density at distance D2 in
     d dimensions."""
     return D2, d / 2.0, gaussian_prefactor(d, log_det)
+
+
+def adaptive_rows(monkeypatch):
+    """A list to which each later call of ``log_integral_batch`` appends
+    the halved distances m = D2/2 of its rows that reach the adaptive
+    path's search, in row order: the rows that take that path, however
+    many crude batches they ran."""
+    seen = []
+
+    def spy(spec, nu, pref, k, m, *args):
+        seen.append(list(m))
+        return _bracket_z(spec, nu, pref, k, m, *args)
+
+    monkeypatch.setattr(density, "_bracket_z", spy)
+    return seen
+
+
+def adaptive_results(monkeypatch):
+    """A list to which each later call of ``log_integral_batch`` appends
+    the adaptive RQMC's own results, one per row that takes that path:
+    its points without the crude pass's."""
+    seen = []
+    run = density._run
+
+    def spy(*args, **kwargs):
+        seen.append(run(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(density, "_run", spy)
+    return seen
 
 
 def log_h(u, D2, shift_k, prefactor, spec, nu):
@@ -177,7 +208,7 @@ def test_bracket_reads_do_not_grow_with_the_rows(family):
     assert reads[0] == reads[1] <= 2 * math.ceil(math.log2((z_hi - z_lo) / _EPS_BISEC)) + 2
 
 
-def test_mass_beyond_a_jump_of_the_quantile_is_bracketed():
+def test_mass_beyond_a_jump_of_the_quantile_is_bracketed(monkeypatch):
     # w is 0 below u = 1 - 1e-9 and 1 above, so g is -inf left of the jump
     # at z = logit(1 - 1e-9) and h is constant right of it.  The slope
     # bisection counts a step whose right point has w = 0 as rising, so it
@@ -190,8 +221,9 @@ def test_mass_beyond_a_jump_of_the_quantile_is_bracketed():
     assert z_l == pytest.approx(math.log((1 - 1e-9) / 1e-9), abs=_EPS_BISEC)
     assert (z_r, closed) == (_z_range(spec)[1], False)
     cfg = RqmcConfig(tol=1e-3)
+    seen = adaptive_rows(monkeypatch)
     res = log_integral_batch([1.0], 5.0, 0.0, spec, [], cfg, seed=1)[0]
-    assert res.iterations_used > 4 and not res.converged
+    assert seen == [[0.5]] and not res.converged
     assert res.estimate == pytest.approx(math.log(1e-9) - 0.5, abs=cfg.tol)
 
 
@@ -338,8 +370,9 @@ def test_tableless_quantiles_are_read_exactly(monkeypatch, q):
     assert table.bound > 1e-1
     assert table.read(1e-1) == table.exact
     args = density_args([2e3, 2e5, 1e7], 10) + (spec, [], RqmcConfig(), 3)
+    seen = adaptive_rows(monkeypatch)
     res = log_integral_batch(*args)
-    assert all(r.iterations_used > 4 for r in res)
+    assert seen == [[1e3, 1e5, 5e6]]
     monkeypatch.setattr(_QuantileTable, "w", _QuantileTable.exact)
     assert log_integral_batch(*args) == res
 
@@ -560,39 +593,47 @@ def test_adaptive_across_distances(spec, nu, D2):
 # not at all; the crude rows kept their values.  The adaptive rows but
 # Pareto at D2 = 1.6e4 were re-recorded when the search came to find g's
 # maximum by one slope bisection over the whole z range: they moved by
-# at most 8.7e-11 (Pareto at D2 = 25), the crude rows not at all.  A row
-# of 128 to 512 points (one to four iterations) is one the crude pass
-# settled after that many batches, 528 or 544 one that took the adaptive
-# path and met the tolerance after its first 16 or 32 points.
+# at most 8.7e-11 (Pareto at D2 = 25), the crude rows not at all.  All
+# rows but Pareto at D2 = 0.5 and the crude rows that settle after their
+# first batch were re-recorded when rows came to leave the crude pass
+# early for the adaptive path and its later batches to read the table:
+# the adaptive rows kept their estimates with fewer crude batches, and
+# the crude rows that read the table from their second batch on moved
+# by at most 8.2e-10 (IG at D2 = 80, against an error estimate of
+# 1.1e-4).  A row of
+# 128 to 512 points (one to four iterations) is one the crude pass
+# settled after that many batches; 144, 400 or 544 one that took the
+# adaptive path after one, three or four crude batches and met the
+# tolerance after its first 16 or 32 points.
 # Estimates pinned to 1e-14, everything else exactly.
 DENSITY_GOLDEN_D2 = [0.5, 3.0, 10.0, 25.0, 80.0, 640.0, 1.6e4]
 DENSITY_GOLDEN = {
     "inverse_gamma": [
-        (-6.900568197350819, 5, 528, True),
-        (-9.993150688020947, 5, 528, True),
+        (-6.900568197350819, 2, 144, True),
+        (-9.993150688020947, 4, 400, True),
         (-14.84521089868066, 1, 128, True),
         (-19.942879241880437, 1, 128, True),
-        (-27.387416210404364, 2, 256, True),
-        (-41.645700582335664, 5, 528, True),
-        (-64.13596730562017, 5, 528, True),
+        (-27.387416211228363, 2, 256, True),
+        (-41.645700582335664, 2, 144, True),
+        (-64.13596730562017, 2, 144, True),
     ],
     "pareto": [
         (-10.024502155694535, 5, 544, True),
-        (-11.163566972730544, 4, 512, True),
-        (-14.287924208666173, 3, 384, True),
-        (-20.42875619719756, 5, 528, True),
-        (-32.87088731658264, 5, 528, True),
-        (-55.74474424476071, 5, 528, True),
-        (-91.1523783183103, 5, 528, True),
+        (-11.163566972651287, 4, 512, True),
+        (-14.287924208641149, 3, 384, True),
+        (-20.42875619719756, 2, 144, True),
+        (-32.87088731658264, 2, 144, True),
+        (-55.74474424476071, 2, 144, True),
+        (-91.1523783183103, 2, 144, True),
     ],
     "inverse_burr": [
-        (-6.980971243756983, 5, 528, True),
-        (-10.586991577717347, 5, 528, True),
+        (-6.980971243756983, 2, 144, True),
+        (-10.586991577717347, 2, 144, True),
         (-14.879608529343203, 1, 128, True),
         (-19.647164196266843, 1, 128, True),
         (-27.145179182269768, 1, 128, True),
-        (-41.60372584406193, 5, 528, True),
-        (-64.13422015153978, 5, 528, True),
+        (-41.60372584406193, 2, 144, True),
+        (-64.13422015153978, 2, 144, True),
     ],
 }
 
@@ -612,20 +653,21 @@ def test_log_density_golden_values(family):
             iterations, n, converged)
 
 
-def test_crude_pass_honours_relative_tolerance():
-    # An estimate near 0.02 needs an error below 2e-5 in relative mode; a
-    # 4-batch crude pass reaches about 4e-4, which only meets the absolute
-    # bound, so this row must go on to the adaptive path.  There the
+def test_crude_pass_honours_relative_tolerance(monkeypatch):
+    # An estimate near 0.02 needs an error below 2e-5 in relative mode;
+    # even a 4-batch crude pass reaches only about 4e-4, which meets just
+    # the absolute bound, so this row must go on to the adaptive path.  There the
     # tolerance must be tested against the reported estimate, the log-mean
     # over the bracket plus the log of its width: against the log-mean
     # alone, near -3.6 here, tol 1e-4 passed an error estimate of 6.1e-6.
+    seen = adaptive_rows(monkeypatch)
     for tol in (1e-3, 1e-4, 1e-5):
         cfg = RqmcConfig(tol=tol, tol_type="relative")
         res = log_integral_batch([1.0], 1.0, math.log(2.0), inverse_gamma(), [4.0], cfg,
                                  seed=0)[0]
         assert res.converged
         assert res.error_estimate <= cfg.tol * abs(res.estimate)
-        assert res.iterations_used > 4
+    assert seen == [[0.5]] * 3
 
 
 @pytest.mark.parametrize(
@@ -737,16 +779,19 @@ def test_batch_rows_are_independent(cfg, swap):
     # Rows share the crude pass's points, the adaptive path's points and
     # its quantile calls but nothing else: replacing one row leaves every
     # other row's result exactly as it was.  Under the capped
-    # configuration the crude pass's four batches leave the adaptive RQMC
-    # three, checked every 16 points, and the rows stop at different
-    # steps (at 768 points, or the cap of 896 unconverged), so a row that
-    # stops early or runs on must not shift the others' points.  All
-    # rows' errors then sit near the rounding floor of the folded
-    # 16-point log-means, which is lowest at dyadic point counts: at 768
-    # points 4.3e-14 to 7.7e-14 (7.0e-14 at D2 = 0, 7.7e-14 at 640 and
-    # at 1.6e4) and 8.3e-14 at 1e14, while the replaced row, D2 = 1e16,
-    # reads 9.9e-14 there and 1.1e-13 at the cap.  The tolerance lies
-    # between.  These floors move with the bracket's ends: with 32-point
+    # configuration no crude error comes near tol, so every row leaves
+    # the crude pass after its first batch, and the adaptive RQMC gets
+    # i_max less the crude pass's four batches: three, checked every 16
+    # points.  The rows stop at different steps (after 256 adaptive
+    # points, or at the cap of 384 unconverged), so a row that stops
+    # early or runs on must not shift the others' points.  They report
+    # their one crude batch on top: 384 or 512 points, 3 or 4
+    # iterations.  All rows' errors then sit near the rounding floor of
+    # the folded 16-point log-means, which is lowest at dyadic point
+    # counts: at 256 adaptive points 4.3e-14 to 7.7e-14 (7.0e-14 at
+    # D2 = 0, 7.7e-14 at 640 and at 1.6e4) and 8.3e-14 at 1e14, while the
+    # replaced row, D2 = 1e16, reads 9.9e-14 there and 1.1e-13 at the
+    # cap.  The tolerance lies between.  These floors move with the bracket's ends: with 32-point
     # steps the tolerance was 1e-13 (rows at 768 points read 4e-14 to
     # 8.3e-14, D2 = 1e16 1.02e-13), and it was 8e-14 while g's maximum
     # was searched between the peak of h and z = 0 (7.7e-14 at 1e14,
@@ -763,7 +808,7 @@ def test_batch_rows_are_independent(cfg, swap):
     assert all(r.iterations_used == -(-r.n_per_randomization // cfg.n0) <= cfg.i_max
                for r in ref + got)
     if cfg.i_max == 7:
-        assert {r.iterations_used for r in ref} == {6, 7}
+        assert {r.iterations_used for r in ref} == {3, 4}
         assert not ref[4].converged and got[4].converged
     if cfg.i_max == 2:
         assert {r.iterations_used for r in ref + got} == {2}
@@ -801,9 +846,8 @@ def test_rows_do_not_depend_on_their_batch(family, cfg):
 
 def test_quantile_calls_do_not_grow_with_pending_points(monkeypatch):
     # Far-tail points all take the adaptive path; each search step and
-    # each RQMC batch makes one quantile call for all of them.
-    import nvmix.density as density
-
+    # each RQMC batch reads w once for all of them.  The crude pass's first
+    # batch and the table make the call's only quantile calls.
     calls = []
 
     def counted(*args, **kwargs):
@@ -811,15 +855,16 @@ def test_quantile_calls_do_not_grow_with_pending_points(monkeypatch):
         return quantile(*args, **kwargs)
 
     monkeypatch.setattr(density, "quantile", counted)
+    seen = adaptive_rows(monkeypatch)
     counts = {}
     for n in (10, 200):
         calls.clear()
-        res = log_integral_batch(*density_args(np.logspace(5, 9, n), 10), inverse_gamma(), [4.0],
-                                 RqmcConfig(), seed=1)
-        assert all(r.iterations_used > 4 and r.converged for r in res)
+        D2 = np.logspace(5, 9, n)
+        res = log_integral_batch(*density_args(D2, 10), inverse_gamma(), [4.0], RqmcConfig(),
+                                 seed=1)
+        assert seen[-1] == list(0.5 * D2) and all(r.converged for r in res)
         counts[n] = len(calls)
-    assert counts[200] == counts[10]
-    assert counts[10] < 200
+    assert counts[200] == counts[10] == 2
 
 
 def test_rows_on_the_table_and_on_the_quantile_share_a_call(monkeypatch):
@@ -835,10 +880,11 @@ def test_rows_on_the_table_and_on_the_quantile_share_a_call(monkeypatch):
         return rows_w(table, tabled, z)
 
     monkeypatch.setattr(density, "_rows_w", spy)
+    seen = adaptive_rows(monkeypatch)
     cfg = RqmcConfig(tol=3e-5)
     D2 = [10 ** 0.5, 10 ** 0.6, 1e3, 1e5]
     res = log_integral_batch(*density_args(D2, 10), inverse_gamma(), [4.0], cfg, seed=1)
-    assert all(r.converged and r.iterations_used > 4 for r in res)
+    assert seen == [list(0.5 * np.array(D2))] and all(r.converged for r in res)
     assert list(picks[0]) == [True, True, False, False]
     for d2, r in zip(D2, res):
         assert log_integral_batch(*density_args([d2], 10), inverse_gamma(), [4.0], cfg,
@@ -847,9 +893,11 @@ def test_rows_on_the_table_and_on_the_quantile_share_a_call(monkeypatch):
 
 def test_quantile_work_does_not_depend_on_the_number_of_points(monkeypatch):
     # The u-values a call passes to the quantile are the crude pass's
-    # batches plus the table's nodes: the search and the RQMC read the
-    # table, however many points take the adaptive path.
-    u_values, tables, totals = [], [], {}
+    # first batch, which sends every far-tail row on to the adaptive path,
+    # plus the table's nodes and midpoints: the search and the RQMC read
+    # the table, however many points take that path.  Each row reports its
+    # one crude batch plus its adaptive points.
+    u_values, tables = [], []
 
     def counted(*args, **kwargs):
         u_values.append(np.size(args[1]))
@@ -862,40 +910,47 @@ def test_quantile_work_does_not_depend_on_the_number_of_points(monkeypatch):
 
     monkeypatch.setattr(density, "quantile", counted)
     monkeypatch.setattr(density, "_QuantileTable", Recorded)
+    mids = adaptive_results(monkeypatch)
     cfg = RqmcConfig()
     for n in (10, 200):
         u_values.clear()
         tables.clear()
         res = log_integral_batch(*density_args(np.logspace(5, 9, n), 10), inverse_gamma(), [4.0],
                                  cfg, seed=1)
-        assert all(r.iterations_used > 4 and r.converged for r in res)
         (table,) = tables
-        assert sum(u_values) <= 4 * cfg.B * cfg.n0 + table.u_values
-        totals[n] = sum(u_values)
-    assert totals[10] == totals[200]
+        assert u_values == [cfg.B * cfg.n0, table.u_values] == [1920, 1025]
+        assert len(mids[-1]) == n and all(r.converged for r in res)
+        assert [r.n_per_randomization for r in res] == [
+            cfg.n0 + mid.n_per_randomization for mid in mids[-1]]
 
 
-def test_row_without_crude_mass_takes_the_adaptive_path():
+def test_row_without_crude_mass_takes_the_adaptive_path(monkeypatch):
     # Every crude point of this black box has w = 0, so every crude
     # log-mean is -inf: the row's error is inf, not NaN (which raised under
     # the warning filter), and the row goes on to the adaptive path, which
     # finds the mass at u > 1 - 1e-9.  The bracket stays open at the end of
     # the black box's z range, so the result is unconverged.
     spec = blackbox(lambda u, nu: np.where(u < 1 - 1e-9, 0.0, 1.0), 0)
+    seen = adaptive_rows(monkeypatch)
     (res,) = log_integral_batch([1.0], 5.0, 0.0, spec, [], seed=1)
-    assert res.iterations_used > 4 and not res.converged
+    assert seen == [[0.5]] and not res.converged
     assert res.estimate == pytest.approx(math.log(1e-9) - 0.5, abs=1e-2)
 
 
-def test_adaptive_rows_stop_at_the_first_step_that_meets_tol():
+def test_adaptive_rows_stop_at_the_first_step_that_meets_tol(monkeypatch):
     # Every row here takes the adaptive path, and the RQMC tests the
     # tolerance every 16 points per randomization: at tol 1e-3 the first
-    # 16 points settle each row, on top of the crude pass's four batches.
+    # 16 points settle each row, on top of the crude batches it ran.
     cfg = RqmcConfig(tol=1e-3)
+    mids = adaptive_results(monkeypatch)
     res = log_integral_batch(*density_args(np.linspace(0.5, 2.0, 20), 10), inverse_gamma(),
                              [4.0], cfg, seed=1)
-    assert all(r.converged and r.n_per_randomization == 4 * cfg.n0 + 16
-               and r.iterations_used == 5 for r in res)
+    (mid,) = mids
+    assert len(mid) == 20 and all(r.converged and r.n_per_randomization == 16 for r in mid)
+    crude = [r.n_per_randomization - 16 for r in res]
+    assert all(n in (cfg.n0, 2 * cfg.n0, 3 * cfg.n0, 4 * cfg.n0) for n in crude)
+    assert all(r.converged and r.iterations_used == -(-r.n_per_randomization // cfg.n0)
+               for r in res)
 
 
 @pytest.mark.parametrize("tol,k_th", [(1e-13, 10.0), (1e-5, 10.0), (1e-4, 9.0), (1e-3, 8.0),
@@ -904,16 +959,17 @@ def test_bracket_threshold_follows_tol(monkeypatch, tol, k_th):
     # The adaptive path's bracket ends min(_K_TH, 5 + log10(1/tol))
     # decades below g's maximum, and 5 decades for any tol >= 1.  The far
     # rows here take that path at every one of these tolerances.
-    levels = []
+    levels, rows = [], []
 
     def spy(*args):
         levels.append(args[-1])
+        rows.append(list(args[4]))
         return _bracket_z(*args)
 
     monkeypatch.setattr(density, "_bracket_z", spy)
     res = log_integral_batch(*density_args([1e8, 1e10], 10), inverse_gamma(), [4.0],
                              RqmcConfig(tol=tol), seed=1)
-    assert all(r.converged and r.iterations_used > 4 for r in res)
+    assert rows == [[5e7, 5e9]] and all(r.converged for r in res)
     assert levels == [pytest.approx(k_th, abs=1e-12)]
 
 
@@ -924,12 +980,13 @@ def test_infinite_tolerance_is_met_by_the_crude_pass():
     assert all(r.converged and r.iterations_used == 1 for r in res)
 
 
-def test_adaptive_rows_meet_their_tolerance():
+def test_adaptive_rows_meet_their_tolerance(monkeypatch):
     # Calibration of the early stop: of the converged rows that take the
     # adaptive path, at most 1% may miss tol against the closed form (the
     # 3.5-sd CI's own miss rate), and none by more than 3 tol.
     cfg = RqmcConfig(tol=1e-3)
     D2 = np.concatenate([[0.0], np.logspace(-8, 10, 37)])
+    seen = adaptive_rows(monkeypatch)
     errors = []
     for spec, nu in [(inverse_gamma(), 4.0), (pareto(), 6.0)]:
         for d in (2, 10):
@@ -937,10 +994,12 @@ def test_adaptive_rows_meet_their_tolerance():
             X = np.zeros((len(D2), d))
             X[:, 0] = np.sqrt(D2)
             exact = closed_log_density(model, X)
+            m = 0.5 * mahalanobis_sq(X, model.loc, model.factor)
             for seed in (1, 2):
+                seen.clear()
                 res = log_density_batch(X, model, cfg, seed=seed)
-                errors += [abs(r.estimate - e) for r, e in zip(res, exact)
-                           if r.converged and r.n_per_randomization > 4 * cfg.n0]
+                errors += [abs(r.estimate - e) for r, e, adaptive in
+                           zip(res, exact, np.isin(m, sum(seen, []))) if r.converged and adaptive]
     errors = np.array(errors)
     assert len(errors) >= 200
     assert np.mean(errors > cfg.tol) <= 0.01
@@ -951,14 +1010,16 @@ def test_adaptive_rows_meet_their_tolerance():
     "cfg", [RqmcConfig(tol=1e-2), RqmcConfig(tol=1e-3), RqmcConfig(tol=1e-4),
             RqmcConfig(tol=1e-3, tol_type="relative")],
     ids=["abs-1e-2", "abs-1e-3", "abs-1e-4", "rel-1e-3"])
-def test_settled_rows_meet_their_tolerance(cfg):
+def test_settled_rows_meet_their_tolerance(monkeypatch, cfg):
     # Calibration of both early stops: a row leaves the crude pass after
     # the first batch that meets tol, and the adaptive path's bracket ends
     # 5 + log10(1/tol) decades below g's maximum.  Of all converged rows,
     # crude and adaptive, at most 1% may miss tol against the closed form
     # (the 3.5-sd CI's own miss rate), none by more than 3 tol, and some
-    # must settle before the crude pass's fourth batch.
+    # rows that never reach the adaptive path must settle before the crude
+    # pass's fourth batch.
     D2 = np.concatenate([[0.0], np.logspace(-8, 10, 37)])
+    seen = adaptive_rows(monkeypatch)
     misses, early = [], 0
     for spec, nu in [(inverse_gamma(), 4.0), (pareto(), 6.0)]:
         for d in (2, 10):
@@ -967,12 +1028,15 @@ def test_settled_rows_meet_their_tolerance(cfg):
             X[:, 0] = np.sqrt(D2)
             exact = closed_log_density(model, X)
             tol = cfg.tol * (np.abs(exact) if cfg.tol_type == "relative" else 1.0)
+            m = 0.5 * mahalanobis_sq(X, model.loc, model.factor)
             for seed in (1, 2, 3):
+                seen.clear()
                 res = log_density_batch(X, model, cfg, seed=seed)
                 misses += [abs(r.estimate - e) / t
                            for r, e, t in zip(res, exact, np.broadcast_to(tol, exact.shape))
                            if r.converged]
-                early += sum(r.iterations_used < 4 for r in res)
+                early += sum(r.iterations_used < 4 for r, adaptive in
+                             zip(res, np.isin(m, sum(seen, []))) if not adaptive)
     misses = np.array(misses)
     assert len(misses) >= 400
     assert np.mean(misses > 1.0) <= 0.01
@@ -1012,3 +1076,60 @@ def test_remark_shift_generalization():
     res = log_integral_batch([D2], d / 2.0 + 1.0, 0.0, spec, [nu_ig], RqmcConfig(tol=1e-3),
                              seed=2)[0]
     assert res.estimate == pytest.approx(math.log(oracle), abs=2e-3)
+
+
+def test_adaptive_rows_do_not_depend_on_the_crude_batches_they_ran(monkeypatch):
+    # A row that leaves the crude pass keeps the adaptive path's whole
+    # budget, i_max less the crude pass's batches, and under an absolute
+    # tolerance its crude estimate is not used: with one crude batch or
+    # four, the rows that take the adaptive path after four get the same
+    # estimates, errors and verdicts, and report the same adaptive points
+    # on top of their own crude batches.  Some rows that one batch leaves
+    # unsettled settle in the later ones.
+    D2, k, pref = density_args(np.logspace(-2, 8, 41), 10)
+    cfg = RqmcConfig()
+    seen = adaptive_rows(monkeypatch)
+    runs = []
+    for n_pilot in (1, 4):
+        monkeypatch.setattr(density, "_PILOT_BATCHES", n_pilot)
+        runs.append(log_integral_batch(D2, k, pref, inverse_gamma(), [4.0], cfg, seed=1))
+    assert set(seen[1]) < set(seen[0])
+    for i in np.flatnonzero(np.isin(0.5 * D2, seen[1])):
+        one, four = runs[0][i], runs[1][i]
+        assert (one.estimate, one.error_estimate, one.converged) == (
+            four.estimate, four.error_estimate, four.converged)
+        assert four.n_per_randomization - one.n_per_randomization in (0, 128, 256, 384)
+
+
+def test_crude_rows_that_read_the_table_stay_within_a_tenth_of_tol(monkeypatch):
+    # From its second batch on, the crude pass reads the table for a row
+    # whose tol/10 covers the table's bound times the largest |m/w - k|
+    # over the batch's w.  A row it settles there is within tol/10 of what
+    # the same call gives when the table's bound is inf, so that every row
+    # reads the quantile.
+    D2, k, pref = density_args(np.linspace(3.0, 300.0, 100), 10)
+    cfg = RqmcConfig(tol=1e-3)
+    seen = adaptive_rows(monkeypatch)
+    tabled = log_integral_batch(D2, k, pref, inverse_gamma(), [4.0], cfg, seed=17)
+
+    class Untabled(_QuantileTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.bound = math.inf
+
+    monkeypatch.setattr(density, "_QuantileTable", Untabled)
+    exact = log_integral_batch(D2, k, pref, inverse_gamma(), [4.0], cfg, seed=17)
+    crude = ~np.isin(0.5 * D2, sum(seen, []))
+    moved = [abs(a.estimate - b.estimate) for a, b, c in zip(tabled, exact, crude)
+             if c and a.n_per_randomization == b.n_per_randomization > cfg.n0]
+    assert len(moved) >= 10
+    assert 0.0 < max(moved) <= cfg.tol / 10
+
+
+def test_log_means_spread_past_the_doubles_range_meet_no_tolerance():
+    # At D2 = 1e300 the crude log-means lie near -1e301 and spread past
+    # 1e154, so their variance overflows: the row's error is inf, without
+    # a warning, it goes on to the adaptive path, and it stays
+    # unconverged.
+    (res,) = log_integral_batch([1e300], 5.0, 0.0, inverse_gamma(), [4.0], seed=1)
+    assert not res.converged

@@ -1,9 +1,9 @@
 """The measurement scripts under ``scripts/`` run at tiny sizes.
 
-They reach into private names of ``nvmix.density`` (``_run``,
-``_bracket_z``, ``_bisect``, ``_crude_log_means``, ``_QuantileTable``,
-``_TABLE_INTERVALS``, ``_PILOT_BATCHES``, ``_peak_z``, ``_log_g``,
-``_log_h_of_w``),
+They reach into names of ``nvmix.density`` (``_run``, ``_bracket_z``,
+``_bisect``, ``_crude_log_means``, ``_QuantileTable``,
+``_TABLE_INTERVALS``, ``_PILOT_BATCHES``, ``RqmcAccumulator``,
+``_peak_z``, ``_log_g``, ``_log_h_of_w``),
 so a change that renames or reshapes one of those must show up here
 rather than the next time someone measures.
 """
@@ -23,6 +23,10 @@ def test_adaptive_cost_runs(capsys):
     out = capsys.readouterr().out
     assert "N =    20:" in out and "calibration, 1 x 40 points" in out
     assert out.count("crude pass: values") == 2
+    # The crude pass's first batch sends every row of the all-adaptive
+    # call on, 20 rows of 1920 values, and runs no other batch.
+    assert ("crude pass: values 38400, rows settled / sent on per batch: "
+            "1: 0/20, 2: 0/0, 3: 0/0, 4: 0/0") in out
     assert out.count("search: quantile calls") == 2
     # The table's line: its nodes' quantile work, build time, node count
     # and bound; the search and RQMC then read it.
