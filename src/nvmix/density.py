@@ -1,55 +1,30 @@
 """Log-density estimation for normal variance mixtures.
 
 The log-density is a one-dimensional integral over the mixing variable's
-probability scale u.  A crude log-space RQMC pass runs first on all
-inputs at once, over shared mixing realizations (one row per input of a
-single accumulator), and settles most small Mahalanobis distances; an
-input leaves it after the first batch that meets the tolerance, or, for
-the adaptive path below, after the first whose error is too large for
-the remaining batches to bring down to it.  Each of its batches reads w
-once for all inputs that remain and reduces their integrands block by
-block, a few dozen rows at a time, so its memory does not grow with the
-number of inputs.  For
-large ones the integrand collapses onto a narrow peak, which can sit
-within 1e-17 of u = 0 or u = 1, where the integrand decays only
-polynomially in u; at zero distance it is monotone with its peak at
-u = 0.  The adaptive path therefore works in the logit coordinate
-z = log(u / (1 - u)): there the integrand is
-g(z) = h(expit(z)) expit(z) expit(-z), which decays exponentially toward
-both ends whenever h is bounded.  The path finds the maximum of g by
-one bisection on the sign of its slope over the whole z range, brackets
-the region where g exceeds a threshold 5 + log10(1/tol) orders below
-its maximum (at least 5, at most 10) by bisection on that level and
-integrates g over that bracket by RQMC; the error estimate does not
-count the mass outside the bracket.  :func:`region_bounds` is the
-one-input view of this search (at ten orders), the bracket in z;
-:func:`peak` locates the peak of h, which the search does not need.
+probability scale u.  For large Mahalanobis distances the integrand
+collapses onto a narrow peak, which can sit within 1e-17 of u = 0 or
+u = 1, where it decays only polynomially in u; at zero distance it is
+monotone with its peak at u = 0.  Every input is therefore integrated in
+the logit coordinate z = log(u / (1 - u)), where the integrand
+g(z) = h(expit(z)) expit(z) expit(-z) decays exponentially toward both
+ends whenever h is bounded: a search brackets the region where g exceeds
+a threshold below its maximum, and RQMC integrates g over that bracket
+(see :func:`log_integral_batch`).  The paper pairs such an adaptive RQMC
+with a crude RQMC in u, which settles small distances; here the one path
+in z serves every input.  :func:`region_bounds` is the one-input view of
+the search, the bracket in z; :func:`peak` locates the peak of h, which
+the search does not need.
 
-The crude pass's first batch reads w from the quantile.  Its later
-batches and the adaptive path read it from a table of the call's one
-mixture, built once per call: a cubic interpolant L(z) of
-log w, with w = exp(L(z)), at 513 nodes evenly spaced in asinh(z / 2),
-with a bound on its error in log w checked at the 512 midpoints between
-its nodes (numerical inversion after Hörmann & Leydold 2003 and
-Derflinger, Hörmann & Leydold 2010, applied in z).  A lookup costs a few
-dozen nanoseconds per point, against several hundred for the
-inverse-gamma quantile, and building the table costs one quantile call
-on 1025 points.  The search reads the table where its bound is at most
-1e-6 in log w; each input's RQMC, crude batch or adaptive, where the
-bound keeps the error of its log-integral within tol/10; either reads
-the quantile itself otherwise, as for a quantile that jumps or vanishes
-or a tolerance the table cannot meet.
-All inputs the crude pass leaves unsettled take these steps together:
-each bisection step evaluates w once for every input whose search
-still runs, and the RQMC runs as one block, each input until it meets
-the tolerance, tested every 16 points per randomization.  Both RQMC
-passes share one seed's digital shifts among all their inputs, so
-every input is integrated at the same points, and, as its table
-follows from its own bracket, its result does not depend on the other
-inputs or on its position among them.  The same machinery integrates
-any integrand of the form c * w^(-k) * exp(-m/w), which covers the
-posterior weights needed for fitting and the Mahalanobis-distance
-density.
+w is read from a table of the call's one mixture (``_QuantileTable``), a
+cubic interpolant L(z) of log w with a checked bound on its error
+(numerical inversion after Hörmann & Leydold 2003 and Derflinger,
+Hörmann & Leydold 2010, applied in z), where that bound allows.  A lookup
+costs a few dozen nanoseconds per point, against several hundred for the
+inverse-gamma quantile.  All inputs take each step together and share
+one seed's digital shifts, yet each input's result depends on that input
+alone.  The same machinery integrates any integrand of the form
+c * w^(-k) * exp(-m/w), which covers the posterior weights needed for
+fitting and the Mahalanobis-distance density.
 """
 
 from __future__ import annotations
@@ -59,15 +34,14 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import expit, gammainc, gammaln, log_expit, logit
+from scipy.special import expit, gammainc, gammaln, log_expit
 
 from .linalg import mahalanobis_sq
 from .mixtures import MixtureSpec, quantile
 from .model import NvmModel
 # rqmc_log_estimate stays bound here for tools that trace this module's
 # estimator by name.
-from .rqmc import (_BLOCK_VALUES, RqmcAccumulator, RqmcConfig, RqmcResult, _run,  # noqa: F401
-                   _tolerance_met, log_mean_exp, rqmc_log_estimate)
+from .rqmc import RqmcConfig, RqmcResult, _run, rqmc_log_estimate  # noqa: F401
 
 __all__ = [
     "peak",
@@ -79,18 +53,12 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LN10 = math.log(10.0)
-_U_EPS = 1e-16
 _DIVERGES = "integrand diverges at w = 0 when D2 = 0"
-# The adaptive path's bracket ends where g falls _K_TH decades below its
-# maximum; its bisections stop at a z-width of _EPS_BISEC.
+# The bracket ends where g falls _K_TH decades below its maximum; the
+# search's bisections stop at a z-width of _EPS_BISEC.
 _K_TH = 10.0
 _EPS_BISEC = 1e-6
-# Batches of the crude pass, which an input leaves once it meets tol, or
-# for the adaptive path once its error exceeds _LEAVE_SLACK times what a
-# 1/n decay over the remaining batches could still bring down to tol.
-_PILOT_BATCHES = 4
-_LEAVE_SLACK = 2.0
-# Points per randomization between the adaptive RQMC's tolerance checks.
+# Points per randomization between the RQMC's tolerance checks.
 _ADAPTIVE_STEP = 16
 # Range of the logit coordinate: expit(z) and expit(-z) are positive
 # normal doubles for |z| <= -_Z_LO.  A black box only receives
@@ -98,8 +66,8 @@ _ADAPTIVE_STEP = 16
 _Z_LO = math.log(np.finfo(float).tiny)
 _Z_HI_BLACKBOX = -math.log(np.finfo(float).eps)
 # The tabulated quantile interpolates log w over _TABLE_INTERVALS
-# intervals; the search reads it where its bound in log w is at most
-# _SEARCH_LOG_W_ERR.
+# intervals (four times as many in a call's finer table); the search
+# reads it where its bound in log w is at most _SEARCH_LOG_W_ERR.
 _TABLE_INTERVALS = 512
 _SEARCH_LOG_W_ERR = 1e-6
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -110,40 +78,6 @@ def _log_h_of_w(w, pref, k, m) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     safe = np.maximum(w, 1e-300)
     return np.where(w > 0.0, pref - k * np.log(safe) - m / safe, -np.inf)
-
-
-def _crude_log_means(w, pref, k, m, B) -> np.ndarray:
-    """Per-batch log-means of the integrands at the quantile values ``w``
-    of one crude batch (``B`` randomizations of equal length, one after
-    the other): row i of the ``(len(m), B)`` result equals
-    ``log_mean_exp(_log_h_of_w(w, pref[i], k[i], m[i]).reshape(B, -1),
-    axis=1)``.
-
-    ``pref - k log w`` is formed once per distinct (``pref``, ``k``)
-    pair; the rows sharing a pair are then walked in blocks of about
-    ``_BLOCK_VALUES`` values, each completed by ``- m / w`` and reduced
-    while it is still in cache.
-    """
-    positive = w > 0.0
-    # Where w = 0 the integrand is 0 (log -inf); dividing by 1 there keeps
-    # the block's arithmetic finite.
-    safe = np.where(positive, np.maximum(w, 1e-300), 1.0)
-    log_w = np.log(safe)
-    step = max(1, _BLOCK_VALUES // len(w))
-    out = np.empty((len(m), B))
-    # Each (pref, k) pair as one complex number, pref + k i, which makes
-    # the pairs one sortable array.
-    pairs, pair_of_row, counts = np.unique(pref + 1j * k, return_inverse=True,
-                                           return_counts=True)
-    rows_of_pair = np.split(np.argsort(pair_of_row, kind="stable"), np.cumsum(counts)[:-1])
-    for pair, rows in zip(pairs, rows_of_pair):
-        base = np.where(positive, pair.real - pair.imag * log_w, -np.inf)
-        for start in range(0, len(rows), step):
-            r = rows[start:start + step]
-            block = np.divide(m[r, None], safe)
-            np.subtract(base, block, out=block)
-            out[r] = log_mean_exp(block.reshape(len(r), B, -1), axis=2)
-    return out
 
 
 def _z_range(spec: MixtureSpec) -> tuple[float, float]:
@@ -175,12 +109,12 @@ def _quantile_z(spec, z, nu):
 class _QuantileTable:
     """The mixing quantile of one (family, nu) as a function of z, read
     from the quantile itself (``exact``) or from a cubic interpolant L of
-    log w (``w``).
+    log w (``log_w``, or ``w`` = exp(L)).
 
-    L is the not-a-knot cubic spline in z through log w at
-    ``_TABLE_INTERVALS`` + 1 nodes evenly spaced in t = asinh(z / 2) over
-    the z range, dense near z = 0 and sparse in the tails.  ``bound`` is
-    twice its largest error in log w at the midpoints in t between the
+    L is the not-a-knot cubic spline in z through log w at ``intervals``
+    + 1 nodes evenly spaced in t = asinh(z / 2) over the z range, dense
+    near z = 0 and sparse in the tails.  ``bound`` is twice its largest
+    error in log w at the midpoints in t between the
     nodes (on a grid of 1e5 points, the largest error of every built-in
     family was at most 1.1 times the largest at the midpoints).  One
     quantile call on the nodes and midpoints builds it.  Where log w grows
@@ -190,14 +124,13 @@ class _QuantileTable:
     leaves no interpolant, and the bound is inf.
     """
 
-    def __init__(self, spec, nu):
-        self.spec, self.nu = spec, nu
+    def __init__(self, spec, nu, intervals=_TABLE_INTERVALS):
+        self.spec, self.nu, self.intervals = spec, nu, intervals
         z_lo, z_hi = _z_range(spec)
         self._t_lo = math.asinh(0.5 * z_lo)
         self._t_span = math.asinh(0.5 * z_hi) - self._t_lo
         # The nodes, then the midpoints between them.
-        t = self._t_lo + self._t_span * (np.arange(2 * _TABLE_INTERVALS + 1)
-                                         * (0.5 / _TABLE_INTERVALS))
+        t = self._t_lo + self._t_span * (np.arange(2 * intervals + 1) * (0.5 / intervals))
         z = np.clip(2.0 * np.sinh(t), z_lo, z_hi)
         self.u_values = len(z)
         with np.errstate(divide="ignore"):
@@ -228,7 +161,7 @@ class _QuantileTable:
         z_nodes, *coef = self._piece
         x = np.arcsinh(0.5 * z)
         x -= self._t_lo
-        x *= _TABLE_INTERVALS / self._t_span
+        x *= self.intervals / self._t_span
         i = x.astype(np.intp)
         np.clip(i, 0, len(z_nodes) - 1, out=i)
         np.subtract(z, z_nodes[i], out=x)
@@ -238,12 +171,16 @@ class _QuantileTable:
             out += c[i]
         return out
 
+    def log_w(self, z):
+        """L(z) at z of any shape."""
+        z = np.asarray(z, dtype=float)
+        return self._log_interp(z.ravel()).reshape(z.shape)
+
     def w(self, z):
         """w = exp(L(z)) at z of any shape."""
-        z = np.asarray(z, dtype=float)
-        log_w = self._log_interp(z.ravel())
+        log_w = self.log_w(z)
         with np.errstate(over="ignore"):
-            return np.exp(log_w, out=log_w).reshape(z.shape)
+            return np.exp(log_w, out=log_w)
 
     def read(self, budget):
         """w(z) from L where its bound is within ``budget``, an error in
@@ -262,34 +199,60 @@ def _log_g(z, spec, nu, pref, k, m):
     return _log_g_w(_quantile_z(spec, z, nu), z, pref, k, m)
 
 
-def _reads_table(table, z_ends, k, m, cfg, estimate) -> np.ndarray:
-    """Per row, whether its RQMC reads w from L rather than from the
-    quantile, for points between ``z_ends``: ``(2, rows)`` or ``(2, 1)``.
+def _log_g_log_w(log_w, z, pref, k, m):
+    """log g at z from L = log w there, without forming w:
+    pref - k L - e^(log m - L) - |z| - 2 log1p(e^(-|z|)), whose m-term is
+    0 at m = 0.  Overwrites ``log_w``."""
+    out = k * log_w
+    np.subtract(pref, out, out=out)
+    a = np.abs(z)
+    out -= a
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    np.log1p(a, out=a)
+    a *= 2.0
+    out -= a
+    with np.errstate(divide="ignore", over="ignore"):
+        np.subtract(np.log(m), log_w, out=log_w)
+        np.exp(log_w, out=log_w)
+    out -= log_w
+    return out
 
-    An error delta in log w moves log h by (m/w - k) delta.  A row reads
-    L where the table's bound times the largest |m/w - k| between the
-    ends (at one of them, as w is monotone) is at most tol/10; under a
-    relative tolerance, tol/10 times the smaller of 1 and the magnitude of
-    the row's crude ``estimate``.  w at the ends is read as the search
-    reads it.
+
+def _table_budget(table, z_ends, k, m, cfg, log_bounds) -> np.ndarray:
+    """Per row, the largest bound in log w of a table that its RQMC may
+    read between ``z_ends``, ``(2, rows)``.
+
+    An error delta in log w moves log h by (m/w - k) delta, so tol/10
+    over the largest |m/w - k| between the ends (w is monotone; read as
+    the search reads it) keeps the table's error in the log-integral
+    within tol/10, times, under a relative tolerance, the log-integral's
+    least magnitude between its bounds ``log_bounds``, at most 1.
     """
     w = table.read(_SEARCH_LOG_W_ERR)(z_ends)
     with np.errstate(divide="ignore", invalid="ignore"):
-        allowed = 0.1 * cfg.tol / np.max(np.abs(m / w - k), axis=0)
-    if cfg.tol_type == "relative":
-        allowed *= np.minimum(1.0, np.abs(estimate))
-    return table.bound <= allowed
+        budget = 0.1 * cfg.tol / np.max(np.abs(m / w - k), axis=0)
+        if cfg.tol_type == "relative":
+            lo, hi = log_bounds
+            budget *= np.clip(np.maximum(lo, -hi), 0.0, 1.0)
+    return budget
 
 
-def _rows_w(table, tabled, z):
-    """w at ``z``, whose row i reads L where ``tabled[i]`` holds and the
-    quantile elsewhere."""
-    if np.all(tabled == tabled[0]):
-        return (table.w if tabled[0] else table.exact)(z)
-    w = np.empty(z.shape)
-    w[tabled] = table.w(z[tabled])
-    w[~tabled] = table.exact(z[~tabled])
-    return w
+def _rows_log_g(tables, reads, z, pref, k, m):
+    """log g at ``z``, whose row i reads L from ``tables[reads[i]]``, or
+    the quantile where ``reads[i]`` is -1."""
+    def one(j, z, pref, k, m):
+        if j < 0:
+            return _log_g_w(tables[0].exact(z), z, pref, k, m)
+        return _log_g_log_w(tables[j].log_w(z), z, pref, k, m)
+
+    if np.all(reads == reads[0]):
+        return one(reads[0], z, pref, k, m)
+    out = np.empty(z.shape)
+    for j in np.unique(reads):
+        on = reads == j
+        out[on] = one(j, z[on], pref[on], k[on], m[on])
+    return out
 
 
 def _bisect(goes_up, a, b, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -357,7 +320,7 @@ def peak(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec,
 
     u* solves ``L(z) = log(D2 / (2 shift_k))`` to a z-width of
     ``_EPS_BISEC`` by bisection in z = logit(u), with L the tabulated
-    log w that the adaptive path's search reads (or the log of the
+    log w that the density's search reads (or the log of the
     quantile where it reads that, see :func:`log_integral_batch`), and is
     returned as the nearest double.  That search itself needs no peak of
     h.  An error delta of L in log w moves the root by about
@@ -386,18 +349,19 @@ def region_bounds(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec
     of its search.  ``closed`` is False when the bracket stops at an end
     of the z range with g still above the threshold.
 
-    The bracket is given in z because that is where the adaptive path
-    works: at Pareto(6), d = 10 and D2 = 1e8 both ends round to u = 1.
+    The bracket is given in z because that is where the RQMC works: at
+    Pareto(6), d = 10 and D2 = 1e8 both ends round to u = 1.
     """
-    (z_l,), (z_r,), (closed,) = _bracket_z(spec, nu, *_row_arrays([D2], shift_k, prefactor),
-                                           _QuantileTable(spec, nu), _K_TH)
+    (z_l,), (z_r,), (closed,), _, _ = _bracket_z(
+        spec, nu, *_row_arrays([D2], shift_k, prefactor), _QuantileTable(spec, nu), _K_TH)
     return float(z_l), float(z_r), bool(closed)
 
 
 def _bracket_z(spec, nu, pref, k, m, table, k_th):
-    """``(z_l, z_r, closed)`` per row: the region where g exceeds its
-    maximum less ``k_th`` decades, with w(z) read from ``table`` as
-    :func:`_peak_z` reads it.
+    """``(z_l, z_r, closed, z_g, top)`` per row: the region where g
+    exceeds its maximum less ``k_th`` decades, with w(z) read from
+    ``table`` as :func:`_peak_z` reads it, and where g takes its maximum,
+    log g there being ``top``.
 
     g's maximum is found by one bisection on the sign of its slope over
     the whole z range, down to a z-width of ``_EPS_BISEC``: below
@@ -427,10 +391,11 @@ def _bracket_z(spec, nu, pref, k, m, table, k_th):
 
     rows = np.arange(len(m))
     _, z_g = _bisect(rises, np.full(len(m), z_lo), np.full(len(m), z_hi), rows)
-    level = f(z_g, rows) - k_th * _LN10
-    z_l, z_r = _level_crossings(f, level, z_g, z_lo, z_hi)
+    top = f(z_g, rows)
+    z_l, z_r = _level_crossings(f, top - k_th * _LN10, z_g, z_lo, z_hi)
     closed = ~np.isnan(z_l) & ~np.isnan(z_r)
-    return np.where(np.isnan(z_l), z_lo, z_l), np.where(np.isnan(z_r), z_hi, z_r), closed
+    return (np.where(np.isnan(z_l), z_lo, z_l), np.where(np.isnan(z_r), z_hi, z_r), closed,
+            z_g, top)
 
 
 def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
@@ -444,177 +409,110 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     ``D2`` is 1-D and non-negative; ``shift_k`` (positive) and
     ``prefactor`` broadcast against it.
 
-    A crude log-space RQMC pass of J = min(``_PILOT_BATCHES``,
-    ``cfg.i_max``) batches at most runs on all inputs with shared mixing
-    realizations (one accumulator row per input).  The tolerance is tested
-    after every batch j, and an input that meets it leaves the pass with
-    that result.  An input whose error times j / (2 J) still misses it,
-    i.e. whose error is more than twice (``_LEAVE_SLACK``) what a 1/n
-    decay over the remaining batches could bring down to tol, leaves
-    early for the adaptive path; with no budget left for that path, none
-    does.  Later batches are folded only into the inputs that remain,
-    one fold per batch.  Per batch the pass reads w once for each source
-    its rows read (see below), forms ``prefactor - shift_k log w`` once
-    per distinct (``prefactor``, ``shift_k``) pair and reduces the
-    remaining rows in blocks of about ``_BLOCK_VALUES`` values to their
-    log-means per randomization.  The inputs it leaves unsettled,
-    zero Mahalanobis distance included, go through the adaptive path in
-    the logit coordinate z = logit(u) (see the module docstring), all
-    together: both bisections (the one on the slope of g that finds its
-    maximum over the whole z range, and the one that finds both ends of
-    the bracket) stop at a z-width of ``_EPS_BISEC``, the bracket ends
-    where g falls ``min(_K_TH, 5 + log10(1/tol))`` decades below its
-    maximum (5 for any tol >= 1), and RQMC integrates g over the
-    bracket, each input until it meets the tolerance, tested every
-    ``min(cfg.n0, _ADAPTIVE_STEP)`` (16) points per randomization.  All
-    adaptive inputs share one seed's ``B`` digital shifts (as the crude
-    pass's inputs share another's), so every input's result equals that
-    of a call with this input alone: it does not depend on the other
-    inputs or on its position among them.
+    Every row takes one path in z = logit(u), all rows together.  One
+    bisection on the sign of g's slope finds its maximum over the whole z
+    range, and one on the level finds both ends of the bracket, where g
+    falls ``min(_K_TH, 5 + log10(1/tol))`` decades below its maximum (5
+    for any tol >= 1); both stop at a z-width of ``_EPS_BISEC``.  RQMC then
+    integrates g over the bracket with the whole budget of ``cfg.i_max``
+    batches of ``cfg.n0`` points, each row until it meets the tolerance,
+    tested every ``min(cfg.n0, _ADAPTIVE_STEP)`` points per randomization,
+    in blocks of rows of about ``_BLOCK_VALUES`` values.  The rows share
+    one seed's ``B`` digital shifts, and a row's result equals that of a
+    call with this row alone.
 
-    Where w comes from: the crude pass's first batch evaluates the
-    quantile.  Its later batches and the adaptive path read w = exp(L(z))
-    from a table of the mixture, built once within the call when the
-    first batch leaves some input unsettled (see ``_QuantileTable``): L
-    interpolates log w at 513 nodes, and the table bounds its error in
-    log w.  One rule picks L or the quantile
-    itself: L where that bound is within the budget, an error in log w.
-    The search's budget is ``_SEARCH_LOG_W_ERR`` (1e-6).  An error delta
-    in log w moves log h by (m/w - shift_k) delta, with m = D2/2, so an
-    input's RQMC has the budget tol/10 over the largest |m/w - shift_k|
-    on its bracket, or for a crude batch over the batch's range of w
-    (under a relative tolerance, times the smaller of 1 and the magnitude
-    of its crude estimate): L then moves its log-integral by at most
-    tol/10.  A quantile that jumps (a gap in the
-    support of W) or vanishes (an atom of W at 0) has a bound within
-    neither budget, and a tight tolerance (for IG(4), about 1e-5 and
-    below) leaves the RQMC's budget under the bound: there the quantile
-    itself is read.
-    Building the table evaluates the quantile once, on its nodes and
-    midpoints; each step of the search, and each RQMC step, crude or
-    adaptive, reads the table once for all inputs still running (and
-    evaluates the quantile once for those that read it), so the number of
-    quantile calls does not grow with the number of inputs.
+    w comes from a table of the mixture, with 513 nodes (see
+    ``_QuantileTable``), where its bound in log w is within the reader's
+    budget, and from the quantile itself otherwise (a quantile that jumps
+    or vanishes has no such bound).  The search's budget is
+    ``_SEARCH_LOG_W_ERR``; a row's RQMC has the budget of
+    ``_table_budget``, which keeps the table's error in its log-integral
+    within tol/10, and forms log g from L without forming w.  When some
+    row's positive budget is below the bound of a table that the search
+    reads, the call builds one table four times finer, once, and each row
+    reads the coarser of the two tables within its budget.  Each search
+    step reads w once for all rows still running and each RQMC step once
+    per block of rows, so a step that reads the quantile makes one
+    quantile call per row block.
 
-    The J crude batches count against ``cfg.i_max``: every adaptive
-    input gets the rest of that budget, ``cfg.i_max - J`` batches,
-    however early it left, and an input the crude pass leaves unsettled
-    with none left keeps its crude result, unconverged.  An adaptive
-    result counts the points of its own crude batches and the adaptive
-    points it used.  A result is unconverged when that RQMC misses the
-    tolerance or when g is still above the threshold at an end of the z
-    range.  At D2 = 0 the integral diverges when W has an
-    atom at w = 0, or when g is still above the threshold at the lower end
-    of the z range and no lower there than halfway to it (h grows at
-    least like 1/u as u -> 0, e.g. E[W^(-shift_k)] infinite without an
-    atom); either raises ``ValueError`` before any adaptive RQMC.
+    A result is unconverged when its RQMC misses the tolerance or when g
+    is still above the threshold at an end of the z range.  A row whose
+    g peaks at an end of the z range (within ``_EPS_BISEC``) has its mass
+    beyond the doubles' reach: it gets no RQMC points, an infinite error
+    estimate and, as its estimate, g's maximum plus the log of the
+    bracket's width.  At D2 = 0 the integral diverges when W has an atom
+    at w = 0, or when g is still above the threshold at the lower end of
+    the z range and no lower there than halfway to it (h grows at least
+    like 1/u as u -> 0); either raises ``ValueError`` before any RQMC.
+    ``iterations_used`` counts the points in batches of ``cfg.n0``.
     """
     if cfg is None:
         cfg = RqmcConfig()
-    prefs, ks, ms = _row_arrays(D2, shift_k, prefactor)
-    N = len(ms)
-    if N == 0:
+    pref, k, m = _row_arrays(D2, shift_k, prefactor)
+    if len(m) == 0:
         return []
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    # An atom of W at 0 may lie below every point of the crude pass; the
-    # smallest u of the logit path meets it.
-    if np.any(ms == 0.0) and _quantile_z(spec, _Z_LO, nu) == 0.0:
+    # An atom of W at 0 makes a D2 = 0 row diverge; the smallest u of the
+    # z range meets it.
+    if np.any(m == 0.0) and _quantile_z(spec, _Z_LO, nu) == 0.0:
         raise ValueError(_DIVERGES)
 
-    # Children 0 and 2 of the root seed, as SeedSequence(seed).spawn(3)
-    # gives them, randomize the crude pass and the adaptive RQMC.  Child 2
-    # was the first input's own when each input had its own shifts, so
-    # one-input calls keep their fixed-seed values.
-    root = np.random.SeedSequence(seed)
-
-    def child(i):
-        return np.random.SeedSequence(root.entropy, spawn_key=(i,))
-
-    crude = RqmcAccumulator(1, cfg, child(0), log=True)
-    # Every adaptive row gets i_max less the crude pass's n_pilot batches,
-    # however many of them it ran; without any, an unsettled row keeps its
-    # unconverged crude result, and no row leaves the crude pass early.
-    n_pilot = min(_PILOT_BATCHES, cfg.i_max)
-    budget = cfg.i_max - n_pilot
-    table = None
-    todo = np.arange(N)
-    for j in range(1, n_pilot + 1):
-        u = np.clip(crude.draw()[:, 0], _U_EPS, 1.0 - _U_EPS)
-        tabled = np.zeros(len(todo), dtype=bool)
-        if j > 1:
-            if table is None:
-                table = _QuantileTable(spec, nu)
-            z = logit(u)
-            tabled = _reads_table(table, np.array([[z.min()], [z.max()]]), ks[todo], ms[todo],
-                                  cfg, est)
-        means = np.empty((len(todo), cfg.B))
-        if np.any(tabled):
-            rows = todo[tabled]
-            means[tabled] = _crude_log_means(table.w(z), prefs[rows], ks[rows], ms[rows], cfg.B)
-        if not np.all(tabled):
-            w = np.asarray(quantile(spec, u, nu), dtype=float)
-            if np.any(w == 0.0) and np.any(ms == 0.0):
-                raise ValueError(_DIVERGES)
-            rows = todo[~tabled]
-            means[~tabled] = _crude_log_means(w, prefs[rows], ks[rows], ms[rows], cfg.B)
-        crude.fold(means, todo)
-        err, est = crude.errors()[todo], crude.estimates()[todo]
-        stay = ~_tolerance_met(err, est, cfg, log=True)
-        if budget:
-            # Leave for the adaptive path unless a 1/n decay of the error
-            # over the remaining batches would meet tol with room to spare.
-            stay &= _tolerance_met(err * j / (_LEAVE_SLACK * n_pilot), est, cfg, log=True)
-        todo, est = todo[stay], est[stay]
-        if not len(todo):
-            break
-
-    results = crude.results()
-    todo = np.flatnonzero([not r.converged for r in results])
-    if not len(todo) or budget < 1:
-        return results
-    pref, k, m = prefs[todo], ks[todo], ms[todo]
     # The bracket ends where g falls k_th decades below its maximum: five
     # more than tol's, at most _K_TH; any tol >= 1 (inf included) gives 5.
     k_th = min(_K_TH, 5.0 + max(0.0, -math.log10(cfg.tol)))
-    if table is None:
-        table = _QuantileTable(spec, nu)
-    z_l, z_r, closed = _bracket_z(spec, nu, pref, k, m, table, k_th)
-    w_search = table.read(_SEARCH_LOG_W_ERR)
+    table = _QuantileTable(spec, nu)
+    z_l, z_r, closed, z_g, top = _bracket_z(spec, nu, pref, k, m, table, k_th)
     # At D2 = 0, g still above the threshold at z_lo and no lower there than
     # at z_lo / 2 means that h grows at least like 1/u as u -> 0: the
     # integral diverges.
     edge = np.flatnonzero((m == 0.0) & (z_l == _Z_LO))
     if len(edge):
         z_edge = np.array([_Z_LO, 0.5 * _Z_LO])
-        log_g = _log_g_w(w_search(z_edge), z_edge, pref[edge, None], k[edge, None],
-                         m[edge, None])
+        log_g = _log_g_w(table.read(_SEARCH_LOG_W_ERR)(z_edge), z_edge, pref[edge, None],
+                         k[edge, None], m[edge, None])
         if np.any(log_g[:, 0] >= log_g[:, 1]):
             raise ValueError(_DIVERGES)
-    tabled = _reads_table(table, np.stack([z_l, z_r]), k, m, cfg, crude.estimates()[todo])
+    # A row whose g peaks at an end of the z range has its mass beyond
+    # the doubles' reach, which no RQMC inside the range can find.
+    z_lo, z_hi = _z_range(spec)
+    beyond = (z_g - z_lo <= _EPS_BISEC) | (z_hi - z_g <= _EPS_BISEC)
     width = z_r - z_l
+    log_width = np.log(width)
+    # The log-integral lies between g's threshold and maximum, plus log_width.
+    high = top + log_width
+    budget = _table_budget(table, np.stack([z_l, z_r]), k, m, cfg, (high - k_th * _LN10, high))
+    tables = [table]
+    if table.bound <= _SEARCH_LOG_W_ERR and np.any((budget > 0.0) & (budget < table.bound)):
+        tables.append(_QuantileTable(spec, nu, 4 * _TABLE_INTERVALS))
+    # Row i reads the coarsest table within its budget, or the quantile.
+    reads = np.full(len(m), -1)
+    for j in reversed(range(len(tables))):
+        reads[tables[j].bound <= budget] = j
+    run = np.flatnonzero(~beyond)
     # The bracket's width enters through the prefactor, so the RQMC's
     # estimate, which its tolerance tests, is the reported one.
-    pref_w = pref + np.log(width)
+    pref_w = pref + log_width
 
     def mid_log_g(v, rows):
+        rows = run[rows]
         z = z_l[rows, None] + width[rows, None] * v[:, 0]
-        return _log_g_w(_rows_w(table, tabled[rows], z), z, pref_w[rows, None], k[rows, None],
-                        m[rows, None])
+        return _rows_log_g(tables, reads[rows], z, pref_w[rows, None], k[rows, None],
+                           m[rows, None])
 
-    # The stream is extensible: a row sees the points of whole n0-point
-    # batches, a step at a time, and the budget in points is unchanged.
+    # Child 2 of the root seed, as SeedSequence(seed).spawn(3) gives it,
+    # randomizes the RQMC.  A row sees the extensible stream's points a
+    # step at a time, within a budget of i_max n0 points.
     step = min(cfg.n0, _ADAPTIVE_STEP)
-    mids = _run(mid_log_g, 1, replace(cfg, n0=step, i_max=budget * cfg.n0 // step), child(2),
-                len(todo), log=True)
-    for j, (i, mid) in enumerate(zip(todo, mids)):
-        n = int(crude.counts[i]) * cfg.n0 + mid.n_per_randomization
-        results[i] = RqmcResult(
-            estimate=mid.estimate,
-            error_estimate=mid.error_estimate,
-            n_per_randomization=n,
-            iterations_used=-(-n // cfg.n0),
-            converged=mid.converged and bool(closed[j]),
-        )
+    results = (_run(mid_log_g, 1, replace(cfg, n0=step, i_max=cfg.i_max * cfg.n0 // step),
+                    np.random.SeedSequence(seed).spawn(3)[2], len(run), log=True)
+               if len(run) else [])
+    # In place, so that the RQMC's results are not held twice.
+    for j, (i, mid) in enumerate(zip(run, results)):
+        n = mid.n_per_randomization
+        results[j] = RqmcResult(mid.estimate, mid.error_estimate, n, -(-n // cfg.n0),
+                                mid.converged and bool(closed[i]))
+    for i in np.flatnonzero(beyond):
+        results.insert(i, RqmcResult(float(high[i]), math.inf, 0, 0, False))
     return results
 
 

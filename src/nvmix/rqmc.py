@@ -41,8 +41,8 @@ __all__ = [
 _BITS = 32
 _SCALE = 2.0 ** -_BITS
 # Whole-array passes are walked in blocks of whole rows of about this many
-# values, so that a block's temporaries stay in cache (the crude density
-# pass, sampling).
+# values, so that a block's temporaries stay in cache and memory does not
+# grow with the rows (the integrand rows of ``_run``, sampling).
 _BLOCK_VALUES = 2 ** 16
 # Multiple of the standard error over the randomizations that makes the
 # CI half width.
@@ -127,18 +127,10 @@ class RqmcConfig:
 
     A batch of ``n0`` points per randomization is the budget's unit:
     ``i_max`` caps the total number of batches per randomization, so at
-    most ``B * n0 * i_max`` integrand evaluations are spent; for a
-    log-density the crude pass's batches (at most 4) count against it
-    too, and the adaptive pass gets the rest.  The tolerance is tested
-    after every batch: a log-density's crude pass tests each input and
-    stops the inputs that meet it, and sends on to its adaptive pass,
-    when that has a budget, those whose error is too large for the
-    remaining crude batches to bring down to tol.  The adaptive pass
-    tests every ``min(n0, 16)`` points, over a bracket that ends
-    ``5 + log10(1/tol)`` decades below the integrand's maximum (at least
-    5, at most 10).  Both passes read a table of the quantile where its
-    error moves the result by at most tol/10 (the crude pass from its
-    second batch on) and the quantile elsewhere.  A
+    most ``B * n0 * i_max`` integrand evaluations are spent.  The
+    tolerance is tested after every batch, or for a log-density every
+    ``min(n0, 16)`` points, over a bracket that ends ``5 + log10(1/tol)``
+    decades below the integrand's maximum (at least 5, at most 10).  A
     relative tolerance is met only by a nonzero estimate (in log space,
     where the estimate is a log, a vanishing one falls back to the
     absolute test).
@@ -219,7 +211,8 @@ class RqmcAccumulator:
     means of the given rows with equal batch weights, plainly or, with
     ``log=True``, as log-means (a "proper logarithm"), so that integrals
     as small as exp(-5000) are handled without underflow.  Errors,
-    estimates, the tolerance test and the batch count are per row.
+    estimates, the tolerance test and the batch count are per row;
+    ``batches`` counts the draws.
     """
 
     def __init__(self, dimension: int, cfg: RqmcConfig, seed, log: bool = False):
@@ -230,17 +223,21 @@ class RqmcAccumulator:
         self.means = self.counts = None
         self.batches = 0
 
+    def _start(self, n_rows: int) -> None:
+        self.means = np.full((n_rows, self.cfg.B), NEG_INF if self.log else 0.0)
+        self.counts = np.zeros(n_rows, dtype=int)
+
     def draw(self) -> np.ndarray:
         """Next batch of all randomizations, randomization-major, as a
         ``(B * n0, dimension)`` array."""
         pts = self._stream.take(self.cfg.n0)
+        self.batches += 1
         return pts.reshape(-1, pts.shape[-1])
 
     def add(self, vals: np.ndarray, rows=None) -> None:
         """Fold values at the last :meth:`draw` into the given rows (all by
         default), shape ``(len(rows), B * n0)``."""
-        batch = np.asarray(vals, dtype=float).reshape(-1, self.cfg.B, self.cfg.n0)
-        self.fold(log_mean_exp(batch, axis=2) if self.log else batch.mean(axis=2), rows)
+        self.fold(_batch_means(vals, self.cfg.B, self.log), rows)
 
     def fold(self, batch_means: np.ndarray, rows=None) -> None:
         """Fold one batch, given as its ``(len(rows), B)`` means per
@@ -248,8 +245,7 @@ class RqmcAccumulator:
         default).  A caller that reduces its values block by block folds
         them here without forming the whole batch."""
         if self.means is None:
-            self.means = np.full((len(batch_means), self.cfg.B), NEG_INF if self.log else 0.0)
-            self.counts = np.zeros(len(batch_means), dtype=int)
+            self._start(len(batch_means))
         if rows is None:
             rows = slice(None)
         n = self.counts[rows][:, None]
@@ -258,12 +254,9 @@ class RqmcAccumulator:
         else:
             self.means[rows] = (n * self.means[rows] + batch_means) / (n + 1)
         self.counts[rows] += 1
-        self.batches += 1
 
     def estimates(self) -> np.ndarray:
-        if self.log:
-            return log_mean_exp(self.means, axis=1)
-        return self.means.mean(axis=1)
+        return _estimates(self.means, self.log)
 
     def errors(self) -> np.ndarray:
         """CI half widths over the randomizations (of the log-means when
@@ -272,15 +265,11 @@ class RqmcAccumulator:
         the integrand's mass, gets an infinite error: it meets no
         tolerance.  So does a row whose means spread so far (past about
         1e154) that their variance overflows."""
-        finite = np.all(np.isfinite(self.means), axis=1)
-        means = np.where(finite[:, None], self.means, 0.0)
-        with np.errstate(over="ignore"):
-            err = _CI_MULT * means.std(axis=1, ddof=1) / math.sqrt(self.cfg.B)
-        return np.where(finite, np.where(np.ptp(means, axis=1) == 0.0, 0.0, err), np.inf)
+        return _errors(self.means)
 
     def converged(self) -> np.ndarray:
         """Per-row tolerance test."""
-        return _tolerance_met(self.errors(), self.estimates(), self.cfg, self.log)
+        return _converged(self.means, self.cfg, self.log)
 
     def results(self) -> list[RqmcResult]:
         """One result per row; ``converged`` is the tolerance test."""
@@ -290,6 +279,30 @@ class RqmcAccumulator:
             for e, x, c, ok in zip(est, err, self.counts,
                                    _tolerance_met(err, est, self.cfg, self.log))
         ]
+
+
+def _estimates(means: np.ndarray, log: bool) -> np.ndarray:
+    return log_mean_exp(means, axis=1) if log else means.mean(axis=1)
+
+
+def _errors(means: np.ndarray) -> np.ndarray:
+    finite = np.all(np.isfinite(means), axis=1)
+    means = np.where(finite[:, None], means, 0.0)
+    with np.errstate(over="ignore"):
+        err = _CI_MULT * means.std(axis=1, ddof=1) / math.sqrt(means.shape[1])
+    return np.where(finite, np.where(np.ptp(means, axis=1) == 0.0, 0.0, err), np.inf)
+
+
+def _converged(means: np.ndarray, cfg: RqmcConfig, log: bool) -> np.ndarray:
+    return _tolerance_met(_errors(means), _estimates(means, log), cfg, log)
+
+
+def _batch_means(vals: np.ndarray, B: int, log: bool) -> np.ndarray:
+    """``(rows, B)`` means (log-means when ``log``) per randomization of
+    the ``(rows, B * n0)`` or ``(B * n0,)`` values of one batch."""
+    vals = np.asarray(vals, dtype=float)
+    batch = vals.reshape(-1, B, vals.shape[-1] // B)
+    return log_mean_exp(batch, axis=2) if log else batch.mean(axis=2)
 
 
 def _tolerance_met(err: np.ndarray, estimate: np.ndarray, cfg: RqmcConfig,
@@ -312,24 +325,33 @@ def _run(g, dimension: int, cfg: RqmcConfig, seed, n_rows: int,
     the ``B`` shifts of ``seed``, each until it meets the tolerance or
     ``i_max`` batches are spent.
 
-    Each iteration calls ``g(pts, rows)`` once with the ``(B * n0,
-    dimension)`` points of the batch and the indices of the rows still
-    running; it must return a ``(len(rows), B * n0)`` array, one value per
-    row and point (NaN aborts with the offending point).
+    Each iteration draws the ``(B * n0, dimension)`` points of a batch and
+    walks the rows still running in blocks of about ``_BLOCK_VALUES``
+    values, each reduced, folded and tested at once: ``g(pts, rows)``
+    gets one block's row indices and returns a ``(len(rows), B * n0)``
+    array, one value per row and point (NaN aborts with the offending
+    point).
     """
     acc = RqmcAccumulator(dimension, cfg, seed, log)
+    acc._start(n_rows)
     rows = np.arange(n_rows)
     while len(rows):
         pts = acc.draw()
-        vals = np.asarray(g(pts, rows), dtype=float)
-        if vals.size != len(rows) * len(pts):
-            raise ValueError("integrand must return one value per point")
-        vals = vals.reshape(len(rows), len(pts))
-        bad = np.argwhere(np.isnan(vals))
-        if len(bad):
-            raise IntegrandNaNError(pts[bad[0, 1]])
-        acc.add(vals, rows)
-        rows = rows[~acc.converged()[rows]] if acc.batches < cfg.i_max else rows[:0]
+        step = max(1, _BLOCK_VALUES // len(pts))
+        keep = np.zeros(len(rows), dtype=bool)
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            vals = np.asarray(g(pts, block), dtype=float)
+            if vals.size != len(block) * len(pts):
+                raise ValueError("integrand must return one value per point")
+            vals = vals.reshape(len(block), len(pts))
+            bad = np.argwhere(np.isnan(vals))
+            if len(bad):
+                raise IntegrandNaNError(pts[bad[0, 1]])
+            acc.fold(_batch_means(vals, cfg.B, log), block)
+            if acc.batches < cfg.i_max:
+                keep[start:start + step] = ~_converged(acc.means[block], cfg, log)
+        rows = rows[keep]
     return acc.results()
 
 

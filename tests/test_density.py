@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
-from scipy.special import expit, gammaincc, gammaln
+from scipy.special import expit, gammaincc, gammaln, logsumexp
 
 from nvmix import density
 from nvmix.density import (
-    _BLOCK_VALUES,
     _EPS_BISEC,
     _K_TH,
     _SEARCH_LOG_W_ERR,
+    _TABLE_INTERVALS,
     _QuantileTable,
     _bracket_z,
-    _crude_log_means,
     _log_g,
     _log_h_of_w,
     _log_lower_incomplete_gamma,
@@ -27,10 +26,9 @@ from nvmix.density import (
     peak,
     region_bounds,
 )
-from nvmix.linalg import mahalanobis_sq
 from nvmix.mixtures import blackbox, constant, inverse_burr, inverse_gamma, pareto, quantile
 from nvmix.model import NvmModel
-from nvmix.rqmc import RqmcConfig, log_mean_exp, rqmc_log_estimate
+from nvmix.rqmc import RqmcConfig, rqmc_log_estimate
 from nvmix.sampling import rnvmix
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -50,9 +48,8 @@ def density_args(D2, d, log_det=0.0):
 
 def adaptive_rows(monkeypatch):
     """A list to which each later call of ``log_integral_batch`` appends
-    the halved distances m = D2/2 of its rows that reach the adaptive
-    path's search, in row order: the rows that take that path, however
-    many crude batches they ran."""
+    the halved distances m = D2/2 of the rows that its search brackets,
+    in row order: every row of the call."""
     seen = []
 
     def spy(spec, nu, pref, k, m, *args):
@@ -65,8 +62,8 @@ def adaptive_rows(monkeypatch):
 
 def adaptive_results(monkeypatch):
     """A list to which each later call of ``log_integral_batch`` appends
-    the adaptive RQMC's own results, one per row that takes that path:
-    its points without the crude pass's."""
+    the RQMC's own results, one per row that it integrates, with
+    ``iterations_used`` counted in its 16-point steps."""
     seen = []
     run = density._run
 
@@ -188,6 +185,56 @@ class CountedTable(_QuantileTable):
         return super().exact(z)
 
 
+class ExactTable(_QuantileTable):
+    """A table whose bound is inf, so that every reader reads the quantile."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.bound = math.inf
+
+
+def reference_log_integral(D2, shift_k, prefactor, spec, nu):
+    """Deterministic reference for ``log_integral_batch``: the trapezoid
+    rule in z on the exact quantile, which converges exponentially for
+    g, analytic in a strip and decaying exponentially (Trefethen &
+    Weideman 2014, SIAM Review 56(3)).  Per row of ``D2``, the 256-point
+    value and its difference from the 128-point one, over the bracket
+    that ``_bracket_z`` finds at 16 decades, widened by 20% at each end
+    within the z range.  For smooth quantiles only."""
+    m = 0.5 * np.asarray(D2, dtype=float)
+    pref, k = np.full(len(m), float(prefactor)), np.full(len(m), float(shift_k))
+    z_l, z_r, *_ = _bracket_z(spec, nu, pref, k, m, ExactTable(spec, nu), 16.0)
+    z_lo, z_hi = _z_range(spec)
+    pad = 0.2 * (z_r - z_l)
+    a, b = np.maximum(z_l - pad, z_lo), np.minimum(z_r + pad, z_hi)
+    values = []
+    for n in (128, 256):
+        z = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, n)
+        log_g = _log_g(z, spec, nu, pref[:, None], k[:, None], m[:, None])
+        weights = np.ones(n)
+        weights[[0, -1]] = 0.5
+        values.append(np.log((b - a) / (n - 1)) + logsumexp(log_g, b=weights, axis=1))
+    return values[1], values[1] - values[0]
+
+
+def test_reference_matches_the_closed_form():
+    # 256 points put the reference within 1e-13 of the closed form for
+    # IG(4) and Pareto(6), d = 10, from the center to the far tail; for
+    # inverse-Burr(2, 2), which has none, 128 and 256 points agree as
+    # closely (its D2 = 0 integral diverges at d = 10).
+    D2 = np.array([0.0, 0.5, 2.0, 1e4, 1e10])
+    d = 10
+    for spec, nu in ((inverse_gamma(), [4.0]), (pareto(), [6.0])):
+        X = np.zeros((len(D2), d))
+        X[:, 0] = np.sqrt(D2)
+        exact = closed_log_density(NvmModel.build(None, np.eye(d), spec, nu), X)
+        ref, _ = reference_log_integral(D2, *density_args(0.0, d)[1:], spec, nu)
+        assert np.max(np.abs(ref - exact)) <= 1e-13
+    _, diff = reference_log_integral(D2[1:], *density_args(0.0, d)[1:], inverse_burr(),
+                                     [2.0, 2.0])
+    assert np.max(np.abs(diff)) <= 1e-13
+
+
 @pytest.mark.parametrize("family", ["inverse_gamma", "pareto", "inverse_burr"])
 def test_bracket_reads_do_not_grow_with_the_rows(family):
     # Each step of the search reads w once for all rows still running:
@@ -223,7 +270,7 @@ def test_mass_beyond_a_jump_of_the_quantile_is_bracketed(monkeypatch):
     cfg = RqmcConfig(tol=1e-3)
     seen = adaptive_rows(monkeypatch)
     res = log_integral_batch([1.0], 5.0, 0.0, spec, [], cfg, seed=1)[0]
-    assert seen == [[0.5]] and not res.converged
+    assert seen == [[0.5]] and not res.converged and res.n_per_randomization > 0
     assert res.estimate == pytest.approx(math.log(1e-9) - 0.5, abs=cfg.tol)
 
 
@@ -251,7 +298,7 @@ def test_bracket_ends_cross_the_level_of_a_reference_maximum(family, D2):
     opt = minimize_scalar(lambda z: -log_g(z)[0], method="bounded", bounds=(a, b),
                           options={"xatol": _EPS_BISEC})
     level = max(-opt.fun, *log_g([a, b])) - _K_TH * math.log(10.0)
-    (z_l,), (z_r,), (closed,) = _bracket_z(spec, nu, pref, k, m, table, _K_TH)
+    (z_l,), (z_r,), (closed,), _, _ = _bracket_z(spec, nu, pref, k, m, table, _K_TH)
     z_lo, z_hi = _z_range(spec)
     for z, outward, end in ((z_l, -1.0, z_lo), (z_r, 1.0, z_hi)):
         if z == end:
@@ -361,9 +408,8 @@ def ig4_quantile(u):
     ids=["jump", "atom-at-zero"])
 def test_tableless_quantiles_are_read_exactly(monkeypatch, q):
     # The IG(4) quantile with a jump has a bound near the jump in log w
-    # (log 2); with an atom of mass 1e-200 at 0, which the crude pass does
-    # not meet, it has no interpolant.  The search and the RQMC read the
-    # quantile itself, so the far rows, which take the adaptive path, give
+    # (log 2); with an atom of mass 1e-200 at 0 it has no interpolant.
+    # The search and the RQMC read the quantile itself, so the rows give
     # what a call that never reads the table gives.
     spec = blackbox(q, 0)
     table = _QuantileTable(spec, [])
@@ -506,8 +552,7 @@ class TestLogDensityBatch:
         # randomization of a 4-batch crude pass seldom come near: over 300
         # randomizations 93% fall more than 1 below the truth and every
         # 8-seed mean is below -15.  (At D2 = 640 the crude pass is only
-        # noisy, with mean error -0.01 and sd 0.12.)  scripts/crude_bias.py
-        # reproduces these numbers.
+        # noisy, with mean error -0.01 and sd 0.12.)
         d = 10
         model = NvmModel.build(None, np.eye(d), inverse_gamma(), [4.0])
         x = np.full(d, 40.0)  # D2 = 16000: far tail
@@ -572,68 +617,41 @@ def test_adaptive_across_distances(spec, nu, D2):
 
 
 # (family, D2, estimate, iterations_used, n_per_randomization, converged)
-# of log_density_batch at x = sqrt(D2) e_1 in d = 10, tol 1e-3, seed 17,
-# recorded before the crude pass moved onto the shared RQMC accumulator;
-# the adaptive rows that moved by more than 1e-14 when all adaptive rows
-# came to share one seed's shifts were re-recorded then, each as the
-# row's one-row result, which that change kept.  The adaptive rows were
-# re-recorded again when the adaptive RQMC came to check its tolerance
-# every 32 points, and four of them (IG at D2 = 0.5 and 3, Pareto at 0.5
-# and 25, by at most 5.2e-12) when bisection on g's slope replaced the
-# bounded Brent search for g's maximum.  All rows but Pareto at D2 = 3
-# were re-recorded when rows came to leave the crude pass once settled,
-# the adaptive RQMC to check every 16 points and the bracket to end 8
-# decades (5 + log10(1/tol)) below g's maximum: each new value lies
-# within its own error estimate of the old one (Pareto at D2 = 0.5
-# within the old one's: it moved by 4.9e-6, from 5.1e-6 to 1.8e-7 off
-# the closed form).  The adaptive rows were re-recorded when the search
-# and the adaptive RQMC came to read w from a table of log w (513 nodes,
-# bound 1.3e-7 in log w for IG(4)): they moved by at most 5.2e-9 (IG at
-# D2 = 0.5), each less than its error estimate, and Pareto at D2 = 1.6e4
-# not at all; the crude rows kept their values.  The adaptive rows but
-# Pareto at D2 = 1.6e4 were re-recorded when the search came to find g's
-# maximum by one slope bisection over the whole z range: they moved by
-# at most 8.7e-11 (Pareto at D2 = 25), the crude rows not at all.  All
-# rows but Pareto at D2 = 0.5 and the crude rows that settle after their
-# first batch were re-recorded when rows came to leave the crude pass
-# early for the adaptive path and its later batches to read the table:
-# the adaptive rows kept their estimates with fewer crude batches, and
-# the crude rows that read the table from their second batch on moved
-# by at most 8.2e-10 (IG at D2 = 80, against an error estimate of
-# 1.1e-4).  A row of
-# 128 to 512 points (one to four iterations) is one the crude pass
-# settled after that many batches; 144, 400 or 544 one that took the
-# adaptive path after one, three or four crude batches and met the
-# tolerance after its first 16 or 32 points.
+# of log_density_batch at x = sqrt(D2) e_1 in d = 10, tol 1e-3, seed 17.
+# Re-recorded when every row came to take the one path in z: the rows
+# that had already taken it kept their estimates within 1e-15, and the
+# rest moved to within their error estimates of the trapezoid reference,
+# which each row also meets within tol.  Every row met the tolerance
+# after its first 16 or 32 points.  Earlier moves are in CHANGES.md.
 # Estimates pinned to 1e-14, everything else exactly.
 DENSITY_GOLDEN_D2 = [0.5, 3.0, 10.0, 25.0, 80.0, 640.0, 1.6e4]
 DENSITY_GOLDEN = {
     "inverse_gamma": [
-        (-6.900568197350819, 2, 144, True),
-        (-9.993150688020947, 4, 400, True),
-        (-14.84521089868066, 1, 128, True),
-        (-19.942879241880437, 1, 128, True),
-        (-27.387416211228363, 2, 256, True),
-        (-41.645700582335664, 2, 144, True),
-        (-64.13596730562017, 2, 144, True),
+        (-6.900568197350818, 1, 16, True),
+        (-9.993150688020947, 1, 16, True),
+        (-14.845210406402456, 1, 16, True),
+        (-19.942880421625464, 1, 16, True),
+        (-27.387527254418934, 1, 16, True),
+        (-41.645700582335664, 1, 16, True),
+        (-64.13596730562017, 1, 16, True),
     ],
     "pareto": [
-        (-10.024502155694535, 5, 544, True),
-        (-11.163566972651287, 4, 512, True),
-        (-14.287924208641149, 3, 384, True),
-        (-20.42875619719756, 2, 144, True),
-        (-32.87088731658264, 2, 144, True),
-        (-55.74474424476071, 2, 144, True),
-        (-91.1523783183103, 2, 144, True),
+        (-10.024502155694535, 1, 32, True),
+        (-11.163494426577019, 1, 32, True),
+        (-14.287735116677496, 1, 32, True),
+        (-20.42875619719756, 1, 16, True),
+        (-32.87088731658264, 1, 16, True),
+        (-55.74474424476071, 1, 16, True),
+        (-91.1523783183103, 1, 16, True),
     ],
     "inverse_burr": [
-        (-6.980971243756983, 2, 144, True),
-        (-10.586991577717347, 2, 144, True),
-        (-14.879608529343203, 1, 128, True),
-        (-19.647164196266843, 1, 128, True),
-        (-27.145179182269768, 1, 128, True),
-        (-41.60372584406193, 2, 144, True),
-        (-64.13422015153978, 2, 144, True),
+        (-6.980971243756983, 1, 16, True),
+        (-10.586991577717347, 1, 16, True),
+        (-14.879609201531284, 1, 16, True),
+        (-19.647164922473625, 1, 16, True),
+        (-27.14535372316109, 1, 16, True),
+        (-41.60372584406193, 1, 16, True),
+        (-64.13422015153978, 1, 16, True),
     ],
 }
 
@@ -646,21 +664,34 @@ def test_log_density_golden_values(family):
     X = np.zeros((len(DENSITY_GOLDEN_D2), d))
     X[:, 0] = np.sqrt(DENSITY_GOLDEN_D2)
     model = NvmModel.build(None, np.eye(d), spec, nu)
-    res = log_density_batch(X, model, RqmcConfig(tol=1e-3), seed=17)
-    for r, (estimate, iterations, n, converged) in zip(res, DENSITY_GOLDEN[family]):
+    cfg = RqmcConfig(tol=1e-3)
+    res = log_density_batch(X, model, cfg, seed=17)
+    reference, _ = reference_log_integral(DENSITY_GOLDEN_D2, *density_args(0.0, d)[1:], spec, nu)
+    for r, ref, (estimate, iterations, n, converged) in zip(res, reference,
+                                                            DENSITY_GOLDEN[family]):
         assert r.estimate == pytest.approx(estimate, rel=0.0, abs=1e-14)
         assert (r.iterations_used, r.n_per_randomization, r.converged) == (
             iterations, n, converged)
+        assert abs(estimate - ref) <= cfg.tol
 
 
-def test_crude_pass_honours_relative_tolerance(monkeypatch):
-    # An estimate near 0.02 needs an error below 2e-5 in relative mode;
-    # even a 4-batch crude pass reaches only about 4e-4, which meets just
-    # the absolute bound, so this row must go on to the adaptive path.  There the
-    # tolerance must be tested against the reported estimate, the log-mean
-    # over the bracket plus the log of its width: against the log-mean
-    # alone, near -3.6 here, tol 1e-4 passed an error estimate of 6.1e-6.
+def test_rows_honour_relative_tolerance(monkeypatch):
+    # An estimate near 0.02 needs an error below 2e-5 in relative mode.
+    # The tolerance must be tested against the reported estimate, the
+    # log-mean over the bracket plus the log of its width: against the
+    # log-mean alone, near -3.6 here, tol 1e-4 passed an error estimate of
+    # 6.1e-6.  The search's bounds on the log-integral enclose 0, so no
+    # table error is small enough against the estimate: the row reads the
+    # quantile itself.
     seen = adaptive_rows(monkeypatch)
+    reads = []
+    rows_log_g = density._rows_log_g
+
+    def spy(tables, rows_reads, *args):
+        reads.append(list(rows_reads))
+        return rows_log_g(tables, rows_reads, *args)
+
+    monkeypatch.setattr(density, "_rows_log_g", spy)
     for tol in (1e-3, 1e-4, 1e-5):
         cfg = RqmcConfig(tol=tol, tol_type="relative")
         res = log_integral_batch([1.0], 1.0, math.log(2.0), inverse_gamma(), [4.0], cfg,
@@ -668,6 +699,7 @@ def test_crude_pass_honours_relative_tolerance(monkeypatch):
         assert res.converged
         assert res.error_estimate <= cfg.tol * abs(res.estimate)
     assert seen == [[0.5]] * 3
+    assert all(r == [-1] for r in reads)
 
 
 @pytest.mark.parametrize(
@@ -695,59 +727,24 @@ def test_log_integral_batch_broadcasts_scalar_parameters():
     assert log_integral_batch(np.zeros(0), k, pref, spec, nu, seed=4) == []
 
 
-# Rows per block of the crude pass under the default configuration.
-_BLOCK_ROWS = _BLOCK_VALUES // (RqmcConfig().B * RqmcConfig().n0)
-
-
-@pytest.mark.parametrize(
-    "n,e_step,center,zero_w",
-    [(1, False, False, False), (_BLOCK_ROWS - 1, False, False, False),
-     (_BLOCK_ROWS, False, False, False), (_BLOCK_ROWS + 1, False, False, False),
-     (3 * _BLOCK_ROWS + 5, False, False, False), (_BLOCK_ROWS + 3, True, False, False),
-     (_BLOCK_ROWS + 3, True, True, False), (_BLOCK_ROWS + 3, True, True, True)],
-    ids=["one-row", "block-minus-one", "one-block", "block-plus-one", "several-blocks",
-         "e-step", "e-step-center", "zero-w"])
-def test_crude_log_means_match_whole_block(n, e_step, center, zero_w):
-    # The blocked crude pass gives the log-means of the whole (rows, B n0)
-    # block of log-integrands bit for bit: one or two (prefactor, shift_k)
-    # pairs, rows at D2 = 0 and quantile values w = 0 included.
-    cfg, d = RqmcConfig(), 10
-    rng = np.random.default_rng(n)
-    D2 = 10.0 ** rng.uniform(-3.0, 6.0, n)
-    if center:
-        D2[::5] = 0.0
-    k = np.full(n, d / 2.0)
-    if e_step:
-        D2, k = np.concatenate([D2, D2]), np.concatenate([k, k + 1.0])
-    pref, m = np.full(len(D2), gaussian_prefactor(d)), 0.5 * D2
-    w = quantile(inverse_gamma(), rng.uniform(size=cfg.B * cfg.n0), [4.0])
-    if zero_w:
-        w[[0, 700, -1]] = 0.0
-    # The whole-block form divides by 1e-300 where w = 0, which overflows
-    # for large D2 before np.where discards it.
-    with np.errstate(over="ignore"):
-        whole = _log_h_of_w(w[None], pref[:, None], k[:, None], m[:, None])
-    expected = log_mean_exp(whole.reshape(len(m), cfg.B, cfg.n0), axis=2)
-    assert np.array_equal(_crude_log_means(w, pref, k, m, cfg.B), expected)
-
-
 def test_crude_pass_memory_stays_below_one_block():
-    # 2000 rows that the crude pass settles, each after at most its four
-    # batches: it reduces them block by block, so the call's traced peak
-    # stays far below one (2000, B n0) float64 block of log-integrands
-    # (30.7 MB).
+    # 2000 rows at D2 in [10, 100] or in [0.5, 2], where the search and the
+    # RQMC of each row end well inside the z range: the RQMC evaluates and
+    # reduces them block by block, so the call's traced peak stays far
+    # below one (2000, B n0) float64 block of log-integrands (30.7 MB).
     cfg = RqmcConfig()
-    D2, k, pref = density_args(np.linspace(10.0, 100.0, 2000), 10)
     spec, nu = inverse_gamma(), [4.0]
-    log_integral_batch(D2[:10], k, pref, spec, nu, cfg, seed=3)  # lazy imports and tables
-    tracemalloc.start()
-    try:
-        res = log_integral_batch(D2, k, pref, spec, nu, cfg, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert all(r.iterations_used <= 4 and r.converged for r in res)
-    assert peak < len(D2) * cfg.B * cfg.n0 * 8 / 4
+    for lo, hi in ((10.0, 100.0), (0.5, 2.0)):
+        D2, k, pref = density_args(np.linspace(lo, hi, 2000), 10)
+        log_integral_batch(D2[:10], k, pref, spec, nu, cfg, seed=3)  # lazy imports
+        tracemalloc.start()
+        try:
+            res = log_integral_batch(D2, k, pref, spec, nu, cfg, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(r.iterations_used <= 4 and r.converged for r in res)
+        assert peak < len(D2) * cfg.B * cfg.n0 * 8 / 4
 
 
 @pytest.mark.parametrize(
@@ -756,13 +753,12 @@ def test_crude_pass_memory_stays_below_one_block():
     ids=["seen-by-crude-pass", "found-by-peak-search", "below-crude-resolution"],
 )
 def test_atom_at_zero_diverges_at_center(u_atom, flat):
-    # P(W = 0) > 0 makes the density at x = loc infinite.  An atom of mass
-    # 0.1 shows up among the crude pass's points; atoms of mass 1e-12 and
-    # 1e-9 do not.  Above the 1e-12 atom h = 1/w = 1/(10 u) is not
-    # integrable, so the crude pass cannot settle that row; above the 1e-9
-    # atom h is constant, which the crude pass would settle with zero
-    # spread.  Both are met by the quantile at the smallest u of the logit
-    # path.
+    # P(W = 0) > 0 makes the density at x = loc infinite, for an atom of
+    # mass 0.1 as for atoms of 1e-12 and 1e-9, below which an RQMC in u
+    # would rarely sample.  Above the 1e-12 atom h = 1/w = 1/(10 u) is not
+    # integrable; above the 1e-9 atom h is constant, which an RQMC would
+    # settle with zero spread.  Every atom is met by the quantile at the
+    # smallest u of the z range.
     def q(u, nu):
         return np.where(u < u_atom, 0.0, 1.0 if flat else np.minimum(u / 0.1, 1.0))
 
@@ -773,30 +769,27 @@ def test_atom_at_zero_diverges_at_center(u_atom, flat):
 
 @pytest.mark.parametrize("swap", [1e14, 0.0], ids=["far-tail", "center"])
 @pytest.mark.parametrize(
-    "cfg", [RqmcConfig(tol=1e-3), RqmcConfig(tol=9e-14, i_max=7),
+    "cfg", [RqmcConfig(tol=1e-3), RqmcConfig(tol=9e-14, i_max=3),
             RqmcConfig(tol=1e-13, i_max=2)], ids=["default", "capped", "crude-only"])
 def test_batch_rows_are_independent(cfg, swap):
-    # Rows share the crude pass's points, the adaptive path's points and
-    # its quantile calls but nothing else: replacing one row leaves every
-    # other row's result exactly as it was.  Under the capped
-    # configuration no crude error comes near tol, so every row leaves
-    # the crude pass after its first batch, and the adaptive RQMC gets
-    # i_max less the crude pass's four batches: three, checked every 16
-    # points.  The rows stop at different steps (after 256 adaptive
-    # points, or at the cap of 384 unconverged), so a row that stops
-    # early or runs on must not shift the others' points.  They report
-    # their one crude batch on top: 384 or 512 points, 3 or 4
+    # Rows share the RQMC's points and its quantile calls but nothing
+    # else: replacing one row leaves every other row's result exactly as
+    # it was.  Under the capped configuration the RQMC has i_max = 3
+    # batches, 384 points, checked every 16.  The rows stop at different
+    # steps (after 256 points, or at the cap unconverged), so a row that
+    # stops early or runs on must not shift the others' points: 2 or 3
     # iterations.  All rows' errors then sit near the rounding floor of
     # the folded 16-point log-means, which is lowest at dyadic point
-    # counts: at 256 adaptive points 4.3e-14 to 7.7e-14 (7.0e-14 at
-    # D2 = 0, 7.7e-14 at 640 and at 1.6e4) and 8.3e-14 at 1e14, while the
-    # replaced row, D2 = 1e16, reads 9.9e-14 there and 1.1e-13 at the
-    # cap.  The tolerance lies between.  These floors move with the bracket's ends: with 32-point
-    # steps the tolerance was 1e-13 (rows at 768 points read 4e-14 to
-    # 8.3e-14, D2 = 1e16 1.02e-13), and it was 8e-14 while g's maximum
-    # was searched between the peak of h and z = 0 (7.7e-14 at 1e14,
-    # 8.8e-14 at 1e16).  Under crude-only the crude pass uses up the
-    # whole budget.
+    # counts: at 256 points 4.3e-14 to 7.7e-14 (7.0e-14 at D2 = 0, 7.7e-14
+    # at 640 and at 1.6e4) and 8.3e-14 at 1e14, while the replaced row,
+    # D2 = 1e16, reads 9.9e-14 there and 1.1e-13 at the cap.  The
+    # tolerance lies between.  These floors move with the bracket's ends:
+    # with 32-point steps the tolerance was 1e-13 (rows at 768 points read
+    # 4e-14 to 8.3e-14, D2 = 1e16 1.02e-13), and it was 8e-14 while g's
+    # maximum was searched between the peak of h and z = 0 (7.7e-14 at
+    # 1e14, 8.8e-14 at 1e16).  Under crude-only (named for a budget once
+    # spent before the path in z ran) every row, D2 = 1e16 included, runs
+    # to the cap of 256 points and meets tol 1e-13 there.
     D2s = [0.5, 3.0, 10.0, 640.0, 1e16, 2e5, 1e6]
     spec, nu = inverse_gamma(), [4.0]
     ref = log_integral_batch(*density_args(D2s, 10), spec, nu, cfg, seed=2)
@@ -807,12 +800,11 @@ def test_batch_rows_are_independent(cfg, swap):
     # iterations_used counts n0-point batches, the last one partly used.
     assert all(r.iterations_used == -(-r.n_per_randomization // cfg.n0) <= cfg.i_max
                for r in ref + got)
-    if cfg.i_max == 7:
-        assert {r.iterations_used for r in ref} == {3, 4}
+    if cfg.i_max == 3:
+        assert {r.iterations_used for r in ref} == {2, 3}
         assert not ref[4].converged and got[4].converged
     if cfg.i_max == 2:
-        assert {r.iterations_used for r in ref + got} == {2}
-        assert not any(r.converged for r in ref + got)
+        assert {r.n_per_randomization for r in ref + got} == {256}
 
 
 @pytest.mark.parametrize(
@@ -828,10 +820,9 @@ def test_rows_do_not_depend_on_their_batch(family, cfg):
     D2s = np.array([0.0, 0.5, 3.0, 640.0, 1.6e4, 2e5, 1e10])
     D2, k = np.concatenate([D2s, D2s]), np.repeat([5.0, 6.0], len(D2s))
     pref = gaussian_prefactor(10)
-    if family == "inverse_burr" and cfg.i_max > 4:
-        # E[W^(-k)] is infinite for k >= nu1 nu2 = 4, so the adaptive path,
-        # which runs once the four crude batches leave budget, rejects the
-        # rows at D2 = 0; the others are checked without them.
+    if family == "inverse_burr":
+        # E[W^(-k)] is infinite for k >= nu1 nu2 = 4, so the search rejects
+        # the rows at D2 = 0; the others are checked without them.
         with pytest.raises(ValueError, match="diverges at w = 0"):
             log_integral_batch(D2, k, pref, spec, nu, cfg, seed=5)
         D2, k = D2[D2 > 0.0], k[D2 > 0.0]
@@ -845,9 +836,9 @@ def test_rows_do_not_depend_on_their_batch(family, cfg):
 
 
 def test_quantile_calls_do_not_grow_with_pending_points(monkeypatch):
-    # Far-tail points all take the adaptive path; each search step and
-    # each RQMC batch reads w once for all of them.  The crude pass's first
-    # batch and the table make the call's only quantile calls.
+    # Each search step and each RQMC step reads w once for all far-tail
+    # rows, from the table: building it makes the call's only quantile
+    # call.
     calls = []
 
     def counted(*args, **kwargs):
@@ -864,39 +855,75 @@ def test_quantile_calls_do_not_grow_with_pending_points(monkeypatch):
                                  seed=1)
         assert seen[-1] == list(0.5 * D2) and all(r.converged for r in res)
         counts[n] = len(calls)
-    assert counts[200] == counts[10] == 2
+    assert counts[200] == counts[10] == 1
 
 
 def test_rows_on_the_table_and_on_the_quantile_share_a_call(monkeypatch):
     # At tol 3e-5 under IG(4), tol/10 over max |m/w - k| on the bracket
-    # covers the table's bound (1.3e-7) only at the smallest distances:
-    # one RQMC block holds rows that read the table and rows that read
-    # the quantile, and each row gives what it gives alone.
+    # covers the 513-node table's bound (1.3e-7) only at the smallest
+    # distances, and the far rows read the call's finer table (5.1e-10);
+    # at tol 1e-7 the near rows read the finer table and the far rows the
+    # quantile.  Each RQMC block holds rows of both kinds, and each row
+    # gives what it gives alone.
     picks = []
-    rows_w = density._rows_w
+    rows_log_g = density._rows_log_g
 
-    def spy(table, tabled, z):
-        picks.append(tabled.copy())
-        return rows_w(table, tabled, z)
+    def spy(tables, reads, *args):
+        picks.append(list(reads))
+        return rows_log_g(tables, reads, *args)
 
-    monkeypatch.setattr(density, "_rows_w", spy)
+    monkeypatch.setattr(density, "_rows_log_g", spy)
     seen = adaptive_rows(monkeypatch)
-    cfg = RqmcConfig(tol=3e-5)
-    D2 = [10 ** 0.5, 10 ** 0.6, 1e3, 1e5]
-    res = log_integral_batch(*density_args(D2, 10), inverse_gamma(), [4.0], cfg, seed=1)
-    assert seen == [list(0.5 * np.array(D2))] and all(r.converged for r in res)
-    assert list(picks[0]) == [True, True, False, False]
-    for d2, r in zip(D2, res):
-        assert log_integral_batch(*density_args([d2], 10), inverse_gamma(), [4.0], cfg,
-                                  seed=1) == [r]
+    for tol, D2, reads in ((3e-5, [10 ** 0.5, 10 ** 0.6, 1e3, 1e5], [0, 0, 1, 1]),
+                           (1e-7, [0.1, 1.0, 1e3, 1e5], [1, 1, -1, -1])):
+        cfg = RqmcConfig(tol=tol)
+        picks.clear()
+        res = log_integral_batch(*density_args(D2, 10), inverse_gamma(), [4.0], cfg, seed=1)
+        assert seen[-1] == list(0.5 * np.array(D2)) and all(r.converged for r in res)
+        assert picks[0] == reads
+        for d2, r in zip(D2, res):
+            assert log_integral_batch(*density_args([d2], 10), inverse_gamma(), [4.0], cfg,
+                                      seed=1) == [r]
+
+
+def test_a_finer_table_is_built_only_when_the_tolerance_needs_it(monkeypatch):
+    # At tol 1e-3 every IG(4) row's budget covers the 513-node table's
+    # bound, and the call builds no other table.  At tol 1e-6 none does,
+    # and the call builds one table four times finer, which every row
+    # reads; they all still meet tol against the closed form.
+    tables, picks = [], []
+    rows_log_g = density._rows_log_g
+
+    class Recorded(_QuantileTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    def spy(tables, reads, *args):
+        picks.append(list(reads))
+        return rows_log_g(tables, reads, *args)
+
+    monkeypatch.setattr(density, "_QuantileTable", Recorded)
+    monkeypatch.setattr(density, "_rows_log_g", spy)
+    d = 10
+    model = NvmModel.build(None, np.eye(d), inverse_gamma(), [4.0])
+    X = np.zeros((21, d))
+    X[:, 0] = np.sqrt(np.logspace(-1, 9, 21))
+    exact = closed_log_density(model, X)
+    for tol, intervals, read in ((1e-3, [_TABLE_INTERVALS], 0),
+                                 (1e-6, [_TABLE_INTERVALS, 4 * _TABLE_INTERVALS], 1)):
+        tables.clear()
+        picks.clear()
+        res = log_density_batch(X, model, RqmcConfig(tol=tol), seed=1)
+        assert [t.intervals for t in tables] == intervals
+        assert picks[0] == [read] * len(X)
+        assert all(r.converged and abs(r.estimate - e) <= tol for r, e in zip(res, exact))
 
 
 def test_quantile_work_does_not_depend_on_the_number_of_points(monkeypatch):
-    # The u-values a call passes to the quantile are the crude pass's
-    # first batch, which sends every far-tail row on to the adaptive path,
-    # plus the table's nodes and midpoints: the search and the RQMC read
-    # the table, however many points take that path.  Each row reports its
-    # one crude batch plus its adaptive points.
+    # The u-values a call passes to the quantile are the table's nodes and
+    # midpoints: the search and the RQMC read the table, however many
+    # points the call has.  Each row reports the RQMC's points.
     u_values, tables = [], []
 
     def counted(*args, **kwargs):
@@ -918,18 +945,17 @@ def test_quantile_work_does_not_depend_on_the_number_of_points(monkeypatch):
         res = log_integral_batch(*density_args(np.logspace(5, 9, n), 10), inverse_gamma(), [4.0],
                                  cfg, seed=1)
         (table,) = tables
-        assert u_values == [cfg.B * cfg.n0, table.u_values] == [1920, 1025]
+        assert u_values == [table.u_values] == [1025]
         assert len(mids[-1]) == n and all(r.converged for r in res)
         assert [r.n_per_randomization for r in res] == [
-            cfg.n0 + mid.n_per_randomization for mid in mids[-1]]
+            mid.n_per_randomization for mid in mids[-1]]
 
 
 def test_row_without_crude_mass_takes_the_adaptive_path(monkeypatch):
-    # Every crude point of this black box has w = 0, so every crude
-    # log-mean is -inf: the row's error is inf, not NaN (which raised under
-    # the warning filter), and the row goes on to the adaptive path, which
-    # finds the mass at u > 1 - 1e-9.  The bracket stays open at the end of
-    # the black box's z range, so the result is unconverged.
+    # This black box has w = 0 below u = 1 - 1e-9, where an RQMC in u
+    # would rarely sample; under the default configuration the search finds
+    # the mass above.  The bracket stays open at the end of the black box's
+    # z range, so the result is unconverged.
     spec = blackbox(lambda u, nu: np.where(u < 1 - 1e-9, 0.0, 1.0), 0)
     seen = adaptive_rows(monkeypatch)
     (res,) = log_integral_batch([1.0], 5.0, 0.0, spec, [], seed=1)
@@ -938,27 +964,24 @@ def test_row_without_crude_mass_takes_the_adaptive_path(monkeypatch):
 
 
 def test_adaptive_rows_stop_at_the_first_step_that_meets_tol(monkeypatch):
-    # Every row here takes the adaptive path, and the RQMC tests the
-    # tolerance every 16 points per randomization: at tol 1e-3 the first
-    # 16 points settle each row, on top of the crude batches it ran.
+    # The RQMC tests the tolerance every 16 points per randomization: at
+    # tol 1e-3 the first 16 points settle each row, which reports them as
+    # one iteration of n0 = 128 points, partly used.
     cfg = RqmcConfig(tol=1e-3)
     mids = adaptive_results(monkeypatch)
     res = log_integral_batch(*density_args(np.linspace(0.5, 2.0, 20), 10), inverse_gamma(),
                              [4.0], cfg, seed=1)
     (mid,) = mids
     assert len(mid) == 20 and all(r.converged and r.n_per_randomization == 16 for r in mid)
-    crude = [r.n_per_randomization - 16 for r in res]
-    assert all(n in (cfg.n0, 2 * cfg.n0, 3 * cfg.n0, 4 * cfg.n0) for n in crude)
-    assert all(r.converged and r.iterations_used == -(-r.n_per_randomization // cfg.n0)
+    assert all(r.converged and (r.n_per_randomization, r.iterations_used) == (16, 1)
                for r in res)
 
 
 @pytest.mark.parametrize("tol,k_th", [(1e-13, 10.0), (1e-5, 10.0), (1e-4, 9.0), (1e-3, 8.0),
                                       (1.0, 5.0), (100.0, 5.0)])
 def test_bracket_threshold_follows_tol(monkeypatch, tol, k_th):
-    # The adaptive path's bracket ends min(_K_TH, 5 + log10(1/tol))
-    # decades below g's maximum, and 5 decades for any tol >= 1.  The far
-    # rows here take that path at every one of these tolerances.
+    # The bracket ends min(_K_TH, 5 + log10(1/tol)) decades below g's
+    # maximum, and 5 decades for any tol >= 1.
     levels, rows = [], []
 
     def spy(*args):
@@ -974,19 +997,19 @@ def test_bracket_threshold_follows_tol(monkeypatch, tol, k_th):
 
 
 def test_infinite_tolerance_is_met_by_the_crude_pass():
-    # RqmcConfig accepts tol = inf; every row then settles after one batch.
+    # RqmcConfig accepts tol = inf; every row then settles after its first
+    # RQMC step.
     res = log_integral_batch(*density_args([0.5, 1.6e4, 1e10], 10), inverse_gamma(), [4.0],
                              RqmcConfig(tol=math.inf), seed=1)
     assert all(r.converged and r.iterations_used == 1 for r in res)
 
 
 def test_adaptive_rows_meet_their_tolerance(monkeypatch):
-    # Calibration of the early stop: of the converged rows that take the
-    # adaptive path, at most 1% may miss tol against the closed form (the
-    # 3.5-sd CI's own miss rate), and none by more than 3 tol.
+    # Calibration of the early stop: of the converged rows, at most 1% may
+    # miss tol against the closed form (the 3.5-sd CI's own miss rate),
+    # and none by more than 3 tol.
     cfg = RqmcConfig(tol=1e-3)
     D2 = np.concatenate([[0.0], np.logspace(-8, 10, 37)])
-    seen = adaptive_rows(monkeypatch)
     errors = []
     for spec, nu in [(inverse_gamma(), 4.0), (pareto(), 6.0)]:
         for d in (2, 10):
@@ -994,12 +1017,9 @@ def test_adaptive_rows_meet_their_tolerance(monkeypatch):
             X = np.zeros((len(D2), d))
             X[:, 0] = np.sqrt(D2)
             exact = closed_log_density(model, X)
-            m = 0.5 * mahalanobis_sq(X, model.loc, model.factor)
             for seed in (1, 2):
-                seen.clear()
                 res = log_density_batch(X, model, cfg, seed=seed)
-                errors += [abs(r.estimate - e) for r, e, adaptive in
-                           zip(res, exact, np.isin(m, sum(seen, []))) if r.converged and adaptive]
+                errors += [abs(r.estimate - e) for r, e in zip(res, exact) if r.converged]
     errors = np.array(errors)
     assert len(errors) >= 200
     assert np.mean(errors > cfg.tol) <= 0.01
@@ -1010,17 +1030,13 @@ def test_adaptive_rows_meet_their_tolerance(monkeypatch):
     "cfg", [RqmcConfig(tol=1e-2), RqmcConfig(tol=1e-3), RqmcConfig(tol=1e-4),
             RqmcConfig(tol=1e-3, tol_type="relative")],
     ids=["abs-1e-2", "abs-1e-3", "abs-1e-4", "rel-1e-3"])
-def test_settled_rows_meet_their_tolerance(monkeypatch, cfg):
-    # Calibration of both early stops: a row leaves the crude pass after
-    # the first batch that meets tol, and the adaptive path's bracket ends
-    # 5 + log10(1/tol) decades below g's maximum.  Of all converged rows,
-    # crude and adaptive, at most 1% may miss tol against the closed form
-    # (the 3.5-sd CI's own miss rate), none by more than 3 tol, and some
-    # rows that never reach the adaptive path must settle before the crude
-    # pass's fourth batch.
+def test_settled_rows_meet_their_tolerance(cfg):
+    # Calibration of the early stop and of the bracket, which ends
+    # 5 + log10(1/tol) decades below g's maximum: of all converged rows at
+    # most 1% may miss tol against the closed form (the 3.5-sd CI's own
+    # miss rate), none by more than 3 tol.
     D2 = np.concatenate([[0.0], np.logspace(-8, 10, 37)])
-    seen = adaptive_rows(monkeypatch)
-    misses, early = [], 0
+    misses = []
     for spec, nu in [(inverse_gamma(), 4.0), (pareto(), 6.0)]:
         for d in (2, 10):
             model = NvmModel.build(None, np.eye(d), spec, [nu])
@@ -1028,20 +1044,15 @@ def test_settled_rows_meet_their_tolerance(monkeypatch, cfg):
             X[:, 0] = np.sqrt(D2)
             exact = closed_log_density(model, X)
             tol = cfg.tol * (np.abs(exact) if cfg.tol_type == "relative" else 1.0)
-            m = 0.5 * mahalanobis_sq(X, model.loc, model.factor)
             for seed in (1, 2, 3):
-                seen.clear()
                 res = log_density_batch(X, model, cfg, seed=seed)
                 misses += [abs(r.estimate - e) / t
                            for r, e, t in zip(res, exact, np.broadcast_to(tol, exact.shape))
                            if r.converged]
-                early += sum(r.iterations_used < 4 for r, adaptive in
-                             zip(res, np.isin(m, sum(seen, []))) if not adaptive)
     misses = np.array(misses)
     assert len(misses) >= 400
     assert np.mean(misses > 1.0) <= 0.01
     assert np.max(misses) <= 3.0
-    assert early > 0
 
 
 def test_zero_distance_divergence_is_raised():
@@ -1078,58 +1089,29 @@ def test_remark_shift_generalization():
     assert res.estimate == pytest.approx(math.log(oracle), abs=2e-3)
 
 
-def test_adaptive_rows_do_not_depend_on_the_crude_batches_they_ran(monkeypatch):
-    # A row that leaves the crude pass keeps the adaptive path's whole
-    # budget, i_max less the crude pass's batches, and under an absolute
-    # tolerance its crude estimate is not used: with one crude batch or
-    # four, the rows that take the adaptive path after four get the same
-    # estimates, errors and verdicts, and report the same adaptive points
-    # on top of their own crude batches.  Some rows that one batch leaves
-    # unsettled settle in the later ones.
-    D2, k, pref = density_args(np.logspace(-2, 8, 41), 10)
-    cfg = RqmcConfig()
-    seen = adaptive_rows(monkeypatch)
-    runs = []
-    for n_pilot in (1, 4):
-        monkeypatch.setattr(density, "_PILOT_BATCHES", n_pilot)
-        runs.append(log_integral_batch(D2, k, pref, inverse_gamma(), [4.0], cfg, seed=1))
-    assert set(seen[1]) < set(seen[0])
-    for i in np.flatnonzero(np.isin(0.5 * D2, seen[1])):
-        one, four = runs[0][i], runs[1][i]
-        assert (one.estimate, one.error_estimate, one.converged) == (
-            four.estimate, four.error_estimate, four.converged)
-        assert four.n_per_randomization - one.n_per_randomization in (0, 128, 256, 384)
-
-
 def test_crude_rows_that_read_the_table_stay_within_a_tenth_of_tol(monkeypatch):
-    # From its second batch on, the crude pass reads the table for a row
-    # whose tol/10 covers the table's bound times the largest |m/w - k|
-    # over the batch's w.  A row it settles there is within tol/10 of what
-    # the same call gives when the table's bound is inf, so that every row
-    # reads the quantile.
+    # A row's RQMC reads the table where its tol/10 covers the table's
+    # bound times the largest |m/w - k| on its bracket.  Such a row is
+    # within tol/10 of what the same call gives when the table's bound is
+    # inf, so that every row reads the quantile (IG(4): 100 rows that
+    # stop at the same step, moved by at most 2.3e-6 tol).
     D2, k, pref = density_args(np.linspace(3.0, 300.0, 100), 10)
     cfg = RqmcConfig(tol=1e-3)
-    seen = adaptive_rows(monkeypatch)
-    tabled = log_integral_batch(D2, k, pref, inverse_gamma(), [4.0], cfg, seed=17)
-
-    class Untabled(_QuantileTable):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.bound = math.inf
-
-    monkeypatch.setattr(density, "_QuantileTable", Untabled)
-    exact = log_integral_batch(D2, k, pref, inverse_gamma(), [4.0], cfg, seed=17)
-    crude = ~np.isin(0.5 * D2, sum(seen, []))
-    moved = [abs(a.estimate - b.estimate) for a, b, c in zip(tabled, exact, crude)
-             if c and a.n_per_randomization == b.n_per_randomization > cfg.n0]
-    assert len(moved) >= 10
-    assert 0.0 < max(moved) <= cfg.tol / 10
+    for spec, nu in ((inverse_gamma(), [4.0]), (pareto(), [6.0]), (inverse_burr(), [2.0, 2.0])):
+        monkeypatch.setattr(density, "_QuantileTable", _QuantileTable)
+        tabled = log_integral_batch(D2, k, pref, spec, nu, cfg, seed=17)
+        monkeypatch.setattr(density, "_QuantileTable", ExactTable)
+        exact = log_integral_batch(D2, k, pref, spec, nu, cfg, seed=17)
+        moved = [abs(a.estimate - b.estimate) for a, b in zip(tabled, exact)
+                 if a.n_per_randomization == b.n_per_randomization]
+        assert len(moved) >= 10
+        assert 0.0 < max(moved) <= cfg.tol / 10
 
 
 def test_log_means_spread_past_the_doubles_range_meet_no_tolerance():
-    # At D2 = 1e300 the crude log-means lie near -1e301 and spread past
-    # 1e154, so their variance overflows: the row's error is inf, without
-    # a warning, it goes on to the adaptive path, and it stays
-    # unconverged.
+    # At D2 = 1e300 g peaks beyond the upper end of the z range, where the
+    # log-integrand lies near -5e145: the row gets no RQMC points and an
+    # infinite error, without a warning, and stays unconverged.
     (res,) = log_integral_batch([1e300], 5.0, 0.0, inverse_gamma(), [4.0], seed=1)
     assert not res.converged
+    assert (res.n_per_randomization, res.iterations_used, res.error_estimate) == (0, 0, math.inf)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvmix import rqmc
 from nvmix.rqmc import (
     IntegrandNaNError,
     RqmcAccumulator,
@@ -274,6 +275,43 @@ class TestRowBatchedRun:
                  for s in range(4)]
         assert batch == alone
         assert len({r.iterations_used for r in batch}) > 1
+
+    @pytest.mark.parametrize("log", [False, True])
+    def test_row_blocks_match_one_block(self, monkeypatch, log):
+        # The rows are walked in blocks of about _BLOCK_VALUES values, each
+        # reduced, folded and tested at once: 50 rows in blocks of 7, some
+        # stopping early, give bit for bit what one block of all 50 gives,
+        # and the integrand never sees more rows than a block holds.
+        cfg = RqmcConfig(B=5, n0=32, tol=1e-5, i_max=12)
+        scales = np.linspace(0.0, 3.0, 50)
+        sizes = []
+
+        def g(pts, rows):
+            sizes.append(len(rows))
+            return (0.0 if log else 4.0) + scales[rows, None] * np.sin(7.0 * pts[None, :, 0])
+
+        monkeypatch.setattr(rqmc, "_BLOCK_VALUES", 7 * cfg.B * cfg.n0)
+        blocked = _run(g, 1, cfg, seed=3, n_rows=50, log=log)
+        assert max(sizes) == 7 and len(sizes) > 8
+        monkeypatch.setattr(rqmc, "_BLOCK_VALUES", 50 * cfg.B * cfg.n0)
+        assert _run(g, 1, cfg, seed=3, n_rows=50, log=log) == blocked
+        assert len({r.iterations_used for r in blocked}) > 1
+
+    def test_nan_in_a_later_block_names_its_point(self, monkeypatch):
+        cfg = RqmcConfig(B=3, n0=8)
+        seen = []
+
+        def g(pts, rows):
+            seen.append(pts.copy())
+            vals = np.tile(pts[:, 0], (len(rows), 1))
+            vals[rows == 8, 5] = np.nan
+            return vals
+
+        monkeypatch.setattr(rqmc, "_BLOCK_VALUES", 3 * cfg.B * cfg.n0)
+        with pytest.raises(IntegrandNaNError) as info:
+            _run(g, 2, cfg, seed=1, n_rows=10, log=True)
+        assert len(seen) == 3
+        assert np.array_equal(info.value.point, seen[0][5])
 
 
 def test_rows_with_neg_inf_log_means_have_infinite_errors():
