@@ -24,8 +24,11 @@ atom of W at 0 when a row has D2 = 0); the search's u-values are also
 given per row.  The table's line also gives the time spent building
 tables, their node counts and their largest bound in log w; the search
 and the RQMC make no quantile call where they read a table.  The
-search's line also gives its bisection steps and row evaluations (rows
-summed over those steps) per call of ``_bracket_z``.
+search's line also gives its steps and row evaluations (rows summed over
+those steps) per call of ``_bracket_z``: the Newton steps of its search
+on a table (``_newton``) or the bisection steps of its search on the
+quantile (``_bisect``), not counting the table search's one scan of g on
+the table's nodes or the evaluation of g at its maximum.
 
 Run from the root of a checkout (about 10 s)::
 
@@ -67,8 +70,8 @@ def _phase_counts(call, counts=None):
     ``counts["bound"]`` the largest of their bounds and
     ``counts["nodes"]`` their node counts; ``counts["searches"]``,
     ``counts["steps"]`` and ``counts["row_evals"]`` the calls of
-    ``_bracket_z``, their bisection steps and the rows those steps
-    evaluate."""
+    ``_bracket_z``, their Newton and bisection steps and the rows those
+    steps evaluate."""
     counts = _new_counts() if counts is None else counts
     phase = ["other"]
     table = density._QuantileTable
@@ -87,12 +90,14 @@ def _phase_counts(call, counts=None):
                 phase[0] = outer
         return wrapped
 
-    def bisect(goes_up, *args):
-        def step(z, rows):
-            counts["steps"] += 1
-            counts["row_evals"] += len(rows)
-            return goes_up(z, rows)
-        return saved["_bisect"](step, *args)
+    def stepped(name):
+        def solve(f, *args):
+            def step(z, rows):
+                counts["steps"] += 1
+                counts["row_evals"] += len(rows)
+                return f(z, rows)
+            return saved[name](step, *args)
+        return solve
 
     def search(*args):
         counts["searches"] += 1
@@ -106,12 +111,14 @@ def _phase_counts(call, counts=None):
         counts["nodes"].add(self.intervals + 1)
 
     saved = {name: getattr(density, name)
-             for name in ("quantile", "_bracket_z", "_table_budget", "_bisect", "_run")}
+             for name in ("quantile", "_bracket_z", "_table_budget", "_bisect", "_newton",
+                          "_run")}
     saved_init = table.__init__
     density.quantile = counted
     density._bracket_z = in_phase("search", search)
     density._table_budget = in_phase("search", saved["_table_budget"])
-    density._bisect = bisect
+    density._bisect = stepped("_bisect")
+    density._newton = stepped("_newton")
     density._run = in_phase("rqmc", saved["_run"])
     table.__init__ = build
     try:
@@ -131,7 +138,7 @@ def _print_phases(counts, rows: int) -> None:
               + (per_row if p == "search" else "")
               + (_table_summary(counts) if p == "table" else ""))
     searches = max(counts["searches"], 1)
-    print(f"  search: bisection steps {counts['steps'] / searches:.1f} per call, "
+    print(f"  search: steps {counts['steps'] / searches:.1f} per call, "
           f"row evaluations {counts['row_evals'] / searches:.1f} per call "
           f"({counts['searches']} calls)")
 

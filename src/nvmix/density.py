@@ -20,9 +20,12 @@ cubic interpolant L(z) of log w with a checked bound on its error
 (numerical inversion after Hörmann & Leydold 2003 and Derflinger,
 Hörmann & Leydold 2010, applied in z), where that bound allows.  A lookup
 costs a few dozen nanoseconds per point, against several hundred for the
-inverse-gamma quantile.  All inputs take each step together and share
-one seed's digital shifts, yet each input's result depends on that input
-alone.  The same machinery integrates any integrand of the form
+inverse-gamma quantile.  On the table the search takes Newton steps on L
+and its derivatives, from a scan of g on the table's nodes: about ten
+steps per call, against 61 for the bisection over the whole z range that
+it takes on the quantile itself.  All inputs take each step together and
+share one seed's digital shifts, yet each input's result depends on that
+input alone.  The same machinery integrates any integrand of the form
 c * w^(-k) * exp(-m/w), which covers the posterior weights needed for
 fitting and the Mahalanobis-distance density.
 """
@@ -41,7 +44,7 @@ from .mixtures import MixtureSpec, quantile
 from .model import NvmModel
 # rqmc_log_estimate stays bound here for tools that trace this module's
 # estimator by name.
-from .rqmc import RqmcConfig, RqmcResult, _run, rqmc_log_estimate  # noqa: F401
+from .rqmc import RqmcConfig, RqmcResult, _run, _tolerance_met, rqmc_log_estimate  # noqa: F401
 
 __all__ = [
     "peak",
@@ -53,9 +56,10 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LN10 = math.log(10.0)
+_LN2 = math.log(2.0)
 _DIVERGES = "integrand diverges at w = 0 when D2 = 0"
 # The bracket ends where g falls _K_TH decades below its maximum; the
-# search's bisections stop at a z-width of _EPS_BISEC.
+# search stops a row once its step in z is below _EPS_BISEC.
 _K_TH = 10.0
 _EPS_BISEC = 1e-6
 # Points per randomization between the RQMC's tolerance checks.
@@ -70,14 +74,18 @@ _Z_HI_BLACKBOX = -math.log(np.finfo(float).eps)
 # reads it where its bound in log w is at most _SEARCH_LOG_W_ERR.
 _TABLE_INTERVALS = 512
 _SEARCH_LOG_W_ERR = 1e-6
+# The search on a table starts from g on this many intervals of its nodes.
+_SCAN_INTERVALS = 64
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _log_h_of_w(w, pref, k, m) -> np.ndarray:
-    """log integrand from quantile values; broadcasts params against w."""
+    """log integrand from quantile values; broadcasts params against w.
+    Where m / w overflows, h is 0 and its log -inf."""
     w = np.asarray(w, dtype=float)
     safe = np.maximum(w, 1e-300)
-    return np.where(w > 0.0, pref - k * np.log(safe) - m / safe, -np.inf)
+    with np.errstate(over="ignore"):
+        return np.where(w > 0.0, pref - k * np.log(safe) - m / safe, -np.inf)
 
 
 def _z_range(spec: MixtureSpec) -> tuple[float, float]:
@@ -149,27 +157,48 @@ class _QuantileTable:
         err = np.abs(np.minimum(self._log_interp(z[1::2]), _LOG_MAX)
                      - np.minimum(at_mids, _LOG_MAX))
         self.bound = 2.0 * float(np.max(err))
+        # Every (intervals / _SCAN_INTERVALS)-th node, both ends included,
+        # and L there.
+        scan_z = nodes[::intervals // _SCAN_INTERVALS]
+        self.scan = scan_z, self._log_interp(scan_z)
 
     def exact(self, z):
         # A quantile beyond the doubles' range is inf, as it should be.
         with np.errstate(over="ignore", divide="ignore"):
             return _quantile_z(self.spec, z, self.nu)
 
-    def _log_interp(self, z):
-        """L at the flat array ``z``: the piece from the index of z on the
-        t-grid, then Horner, gathering one coefficient at a time."""
-        z_nodes, *coef = self._piece
+    def _locate(self, z):
+        """Index of the piece of each z of the flat array ``z``, from its
+        place on the t-grid, and z's offset from that piece's node."""
+        z_nodes = self._piece[0]
         x = np.arcsinh(0.5 * z)
         x -= self._t_lo
         x *= self.intervals / self._t_span
         i = x.astype(np.intp)
-        np.clip(i, 0, len(z_nodes) - 1, out=i)
+        # np.clip's own overhead is several times these two ufuncs'.
+        np.maximum(i, 0, out=i)
+        np.minimum(i, len(z_nodes) - 1, out=i)
         np.subtract(z, z_nodes[i], out=x)
+        return i, x
+
+    def _log_interp(self, z):
+        """L at the flat array ``z`` by Horner, gathering one coefficient
+        at a time."""
+        i, x = self._locate(z)
+        _, *coef = self._piece
         out = coef[0][i]
         for c in coef[1:]:
             out *= x
             out += c[i]
         return out
+
+    def log_w_slopes(self, z):
+        """L, L' and L'' at the flat array ``z``, from one piece each."""
+        i, x = self._locate(z)
+        _, c3, c2, c1, c0 = self._piece
+        c3x, c2, c1 = c3[i] * x, c2[i], c1[i]
+        log_w = ((c3x + c2) * x + c1) * x + c0[i]
+        return log_w, (3.0 * c3x + 2.0 * c2) * x + c1, 6.0 * c3x + 2.0 * c2
 
     def log_w(self, z):
         """L(z) at z of any shape."""
@@ -322,15 +351,16 @@ def peak(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec,
     ``_EPS_BISEC`` by bisection in z = logit(u), with L the tabulated
     log w that the density's search reads (or the log of the
     quantile where it reads that, see :func:`log_integral_batch`), and is
-    returned as the nearest double.  That search itself needs no peak of
-    h.  An error delta of L in log w moves the root by about
-    delta / |L'(z)|.  The interior peak height has a closed
-    form independent of the mixing distribution; when the quantile cannot
-    reach the target (the mixing support is bounded on that side) the peak
-    collapses to the boundary and h is evaluated there instead.
+    returned as the nearest double.  That search finds g's maximum by
+    Newton's method on g's slope and needs no peak of h.  An error delta
+    of L in log w moves the root by about delta / |L'(z)|.  The interior
+    peak height has a closed form independent of the mixing distribution;
+    when the quantile cannot reach the target (the mixing support is
+    bounded on that side) the peak collapses to the boundary and h is
+    evaluated there instead.
     """
     if D2 <= 0.0:
-        raise ValueError("peak undefined for D2 = 0; use the crude path")
+        raise ValueError("peak undefined for D2 = 0, where h = w^(-k) is monotone in u")
     pref, k, m = _row_arrays([D2], shift_k, prefactor)
     table = _QuantileTable(spec, nu)
     z = _peak_z(spec, nu, m / k, table)
@@ -346,8 +376,10 @@ def region_bounds(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec
                   nu) -> tuple[float, float, bool]:
     """The bracket ``(z_l, z_r, closed)`` in z = logit(u) over which
     :func:`log_integral_batch` integrates one integrand: the one-row case
-    of its search.  ``closed`` is False when the bracket stops at an end
-    of the z range with g still above the threshold.
+    of its search, by Newton's method on the table's L where the search
+    reads the table and by bisection on the quantile otherwise.
+    ``closed`` is False when the bracket stops at an end of the z range
+    with g still above the threshold.
 
     The bracket is given in z because that is where the RQMC works: at
     Pareto(6), d = 10 and D2 = 1e8 both ends round to u = 1.
@@ -357,25 +389,152 @@ def region_bounds(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec
     return float(z_l), float(z_r), bool(closed)
 
 
+def _log_g_slopes(table, z, pref, k, m):
+    """log g at the flat ``z`` from the table's L (:func:`_log_g_log_w`),
+    and its first and second derivatives in z.
+
+    With e = m e^(-L) and q = e^(-|z|), the slope of log g is
+    (e - k) L' - sign(z) (1 - q) / (1 + q) and its curvature
+    (e - k) L'' - e L'^2 - 2 q / (1 + q)^2.  Where e overflows, log g is
+    -inf and its slope +inf: w is too small there, and g rises toward
+    larger w.  Run under ``np.errstate`` that ignores division by zero,
+    overflow and invalid values.
+    """
+    log_w, l1, l2 = table.log_w_slopes(z)
+    e = np.exp(np.log(m) - log_w)
+    log_g = _log_g_log_w(log_w, z, pref, k, m)
+    q = np.exp(-np.abs(z))
+    r = 1.0 / (1.0 + q)
+    ek = e - k
+    slope = ek * l1 - np.copysign((1.0 - q) * r, z)
+    curvature = ek * l2 - e * l1 * l1 - 2.0 * q * r * r
+    return log_g, slope, curvature
+
+
+def _newton(f, a, b, x) -> np.ndarray:
+    """Per row, a zero of ``f`` between ``a`` <= ``b``, where f > 0 at
+    ``a`` and f <= 0 at ``b``, by Newton steps from ``x`` in [a, b].
+
+    Each evaluation moves ``a`` or ``b`` to its point by the sign of f
+    there (NaN counts as positive).  A step that would leave the bracket,
+    or that is not below half the step before last, is a bisection
+    instead (as in Numerical Recipes' rtsafe), which bounds the number of
+    steps.  A row stops when its step is below ``_EPS_BISEC``, at the
+    step's end.  ``f(z, rows)`` gives f and its derivative at one z
+    per row of ``rows``, in one call for all rows still running.  Run
+    under ``np.errstate`` that ignores division by zero, overflow and
+    invalid values.
+    """
+    roots = np.empty(len(x))
+    rows = np.arange(len(x))
+    a, b, x = a.copy(), b.copy(), x.copy()
+    step = before = b - a
+    while len(rows):
+        fx, dfx = f(x, rows)
+        up = ~(fx <= 0.0)
+        a = np.where(up, x, a)
+        b = np.where(up, b, x)
+        new = x - fx / dfx
+        newton = (new >= a) & (new <= b) & (2.0 * np.abs(fx) <= np.abs(before * dfx))
+        new = np.where(newton, new, 0.5 * (a + b))
+        before, step = step, np.abs(new - x)
+        x = new
+        done = step < _EPS_BISEC
+        if done.any():
+            roots[rows[done]] = x[done]
+            going = ~done
+            rows, a, b, x, step, before = (v[going] for v in (rows, a, b, x, step, before))
+    return roots
+
+
+def _table_bracket(table, z_lo, z_hi, pref, k, m, k_th):
+    """:func:`_bracket_z` on the table's L: safeguarded Newton steps
+    (:func:`_newton`) from a scan of g on the table's ``scan`` nodes,
+    which include both ends of the z range.
+
+    For g unimodal, the scan's best node and its neighbours bracket g's
+    maximum, which Newton's method on g's slope finds from that node (from
+    the end of the z range where that node is an end).  An end of the
+    region is open when g at that end of the range is above the level, as
+    for the bisection.  Otherwise it lies between the last node at or
+    below the level seen from the maximum (or the end of the range) and
+    the next point toward the maximum, a node or the maximum itself.
+    Newton's method finds it from where the chord between those two
+    points meets the level, on f = log1p(drop / fall) - log 2, with drop
+    = top - log g and fall = k_th ln 10: f is bounded near the maximum,
+    where drop vanishes, and nearly linear in L where m e^(-L) dominates
+    log g.
+    """
+    z_s, log_w_s = table.scan
+    log_g_s = _log_g_log_w(np.tile(log_w_s, (len(m), 1)), z_s, pref[:, None], k[:, None],
+                           m[:, None])
+    last = len(z_s) - 1
+    j = np.argmax(log_g_s, axis=1)
+    start = np.where(j == 0, z_lo, np.where(j == last, z_hi, z_s[j]))
+
+    def slope(z, rows):
+        return _log_g_slopes(table, z, pref[rows], k[rows], m[rows])[1:]
+
+    z_g = _newton(slope, z_s[np.maximum(j - 1, 0)], z_s[np.minimum(j + 1, last)], start)
+    top = _log_g_slopes(table, z_g, pref, k, m)[0]
+    fall = k_th * _LN10
+    below = log_g_s <= (top - fall)[:, None]
+    index = np.arange(last + 1)
+    left = np.max(np.where(below & (z_s < z_g[:, None]), index, 0), axis=1)
+    right = np.min(np.where(below & (z_s > z_g[:, None]), index, last), axis=1)
+    rows_l, rows_r = np.flatnonzero(below[:, 0]), np.flatnonzero(below[:, last])
+    # The left ends, then the right ends, of the closed rows; f is
+    # positive toward the smaller z on both sides.
+    ends = np.concatenate([rows_l, rows_r])
+    sign = np.repeat([1.0, -1.0], [len(rows_l), len(rows_r)])
+    out = np.concatenate([left[rows_l], right[rows_r]])
+    step_in = np.clip(out + sign.astype(np.intp), 0, last)
+    z_e, top_e = z_g[ends], top[ends]
+    at_max = sign * (z_s[step_in] - z_e) >= 0.0
+    z_in = np.where(at_max, z_e, z_s[step_in])
+    g_in = np.where(at_max, top_e, log_g_s[ends, step_in])
+    z_out, g_out = z_s[out], log_g_s[ends, out]
+    chord = z_out + (z_in - z_out) * ((top_e - fall - g_out) / (g_in - g_out))
+    chord = np.where(np.isfinite(chord), chord, 0.5 * (z_in + z_out))
+
+    def crossing(z, rows):
+        i = ends[rows]
+        log_g, s, _ = _log_g_slopes(table, z, pref[i], k[i], m[i])
+        drop = top_e[rows] - log_g
+        return sign[rows] * (np.log1p(drop / fall) - _LN2), sign[rows] * (-s / (drop + fall))
+
+    z = _newton(crossing, np.minimum(z_in, z_out), np.maximum(z_in, z_out), chord)
+    z_l, z_r = np.full(len(m), z_lo), np.full(len(m), z_hi)
+    z_l[rows_l], z_r[rows_r] = z[:len(rows_l)], z[len(rows_l):]
+    return z_l, z_r, below[:, 0] & below[:, last], z_g, top
+
+
 def _bracket_z(spec, nu, pref, k, m, table, k_th):
     """``(z_l, z_r, closed, z_g, top)`` per row: the region where g
-    exceeds its maximum less ``k_th`` decades, with w(z) read from
-    ``table`` as :func:`_peak_z` reads it, and where g takes its maximum,
-    log g there being ``top``.
+    exceeds its maximum less ``k_th`` decades, and where g takes its
+    maximum, log g there being ``top``.  ``closed`` is False when g still
+    exceeds the threshold at an end of the z range, i.e. mass lies beyond
+    the doubles' reach.  All rows take each step together.
 
-    g's maximum is found by one bisection on the sign of its slope over
-    the whole z range, down to a z-width of ``_EPS_BISEC``: below
+    Where the table's bound is at most ``_SEARCH_LOG_W_ERR`` in log w, the
+    search reads its L (:func:`_table_bracket`): Newton steps safeguarded
+    by bisection, from a scan of g on the table's nodes, down to a step
+    below ``_EPS_BISEC``.  Otherwise it reads the quantile, by bisection
+    down to a z-width of ``_EPS_BISEC``: g's maximum comes from one
+    bisection on the sign of its slope over the whole z range (below
     min(z_h, 0), with z_h the peak of h, log h and the log-Jacobian both
     rise, and above max(z_h, 0) both fall, so the slope changes sign only
-    between them.  Where w is 0 at a step's right point g counts as
+    between them).  Where w is 0 at a step's right point g counts as
     rising, as the mass lies to the right of where the nondecreasing w
     is 0; the maximum is taken at the bisection's upper end, where g is
     finite.  Both ends of the region then come from one bisection on the
-    level.  ``closed`` is False when g still exceeds the threshold at an
-    end of the z range, i.e. mass lies beyond the doubles' reach.
+    level.
     """
     z_lo, z_hi = _z_range(spec)
-    w_z = table.read(_SEARCH_LOG_W_ERR)
+    if table.bound <= _SEARCH_LOG_W_ERR:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return _table_bracket(table, z_lo, z_hi, pref, k, m, k_th)
+    w_z = table.exact
 
     def f(z, rows):
         return _log_g_w(w_z(z), z, pref[rows], k[rows], m[rows])
@@ -409,15 +568,17 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     ``D2`` is 1-D and non-negative; ``shift_k`` (positive) and
     ``prefactor`` broadcast against it.
 
-    Every row takes one path in z = logit(u), all rows together.  One
-    bisection on the sign of g's slope finds its maximum over the whole z
-    range, and one on the level finds both ends of the bracket, where g
-    falls ``min(_K_TH, 5 + log10(1/tol))`` decades below its maximum (5
-    for any tol >= 1); both stop at a z-width of ``_EPS_BISEC``.  RQMC then
-    integrates g over the bracket with the whole budget of ``cfg.i_max``
-    batches of ``cfg.n0`` points, each row until it meets the tolerance,
-    tested every ``min(cfg.n0, _ADAPTIVE_STEP)`` points per randomization,
-    in blocks of rows of about ``_BLOCK_VALUES`` values.  The rows share
+    Every row takes one path in z = logit(u), all rows together.  A
+    search (:func:`_bracket_z`) finds g's maximum and both ends of the
+    bracket, where g falls ``min(_K_TH, 5 + log10(1/tol))`` decades below
+    its maximum (5 for any tol >= 1): on the table, by Newton's method
+    safeguarded by bisection from a scan of g on the table's nodes, each
+    row until its step is below ``_EPS_BISEC``; on the quantile, by
+    bisection over the whole z range down to a z-width of ``_EPS_BISEC``.
+    RQMC then integrates g over the bracket with the whole budget of
+    ``cfg.i_max`` batches of ``cfg.n0`` points, each row until it meets
+    the tolerance, tested every ``min(cfg.n0, _ADAPTIVE_STEP)`` points per
+    randomization, in blocks of rows of about ``_BLOCK_VALUES`` values.  The rows share
     one seed's ``B`` digital shifts, and a row's result equals that of a
     call with this row alone.
 
@@ -430,20 +591,22 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     within tol/10, and forms log g from L without forming w.  When some
     row's positive budget is below the bound of a table that the search
     reads, the call builds one table four times finer, once, and each row
-    reads the coarser of the two tables within its budget.  Each search
-    step reads w once for all rows still running and each RQMC step once
-    per block of rows, so a step that reads the quantile makes one
-    quantile call per row block.
+    reads the coarser of the two tables within its budget; where no table
+    can be read (its bound is inf), every row reads the quantile.  Each
+    search step reads the table or the quantile once for all rows still
+    running and each RQMC step once per block of rows, so a step that
+    reads the quantile makes one quantile call per row block.
 
     A result is unconverged when its RQMC misses the tolerance or when g
     is still above the threshold at an end of the z range.  A row whose
     g peaks at an end of the z range (within ``_EPS_BISEC``) has its mass
     beyond the doubles' reach: it gets no RQMC points, an infinite error
     estimate and, as its estimate, g's maximum plus the log of the
-    bracket's width.  At D2 = 0 the integral diverges when W has an atom
-    at w = 0, or when g is still above the threshold at the lower end of
-    the z range and no lower there than halfway to it (h grows at least
-    like 1/u as u -> 0); either raises ``ValueError`` before any RQMC.
+    bracket's width, -inf where that width rounds to 0.  At D2 = 0 the
+    integral diverges when W has an atom at w = 0, or when g is still
+    above the threshold at the lower end of the z range and no lower
+    there than halfway to it (h grows at least like 1/u as u -> 0);
+    either raises ``ValueError`` before any RQMC.
     ``iterations_used`` counts the points in batches of ``cfg.n0``.
     """
     if cfg is None:
@@ -477,17 +640,24 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     z_lo, z_hi = _z_range(spec)
     beyond = (z_g - z_lo <= _EPS_BISEC) | (z_hi - z_g <= _EPS_BISEC)
     width = z_r - z_l
-    log_width = np.log(width)
+    # A bracket that rounds to a point, where g falls k_th decades within a
+    # rounding error of z (D2 = 1e300: log g near -5e145), has log width
+    # -inf.
+    with np.errstate(divide="ignore"):
+        log_width = np.log(width)
     # The log-integral lies between g's threshold and maximum, plus log_width.
     high = top + log_width
-    budget = _table_budget(table, np.stack([z_l, z_r]), k, m, cfg, (high - k_th * _LN10, high))
     tables = [table]
-    if table.bound <= _SEARCH_LOG_W_ERR and np.any((budget > 0.0) & (budget < table.bound)):
-        tables.append(_QuantileTable(spec, nu, 4 * _TABLE_INTERVALS))
-    # Row i reads the coarsest table within its budget, or the quantile.
     reads = np.full(len(m), -1)
-    for j in reversed(range(len(tables))):
-        reads[tables[j].bound <= budget] = j
+    # Where no table can be read, every row reads the quantile.
+    if table.bound < math.inf:
+        budget = _table_budget(table, np.stack([z_l, z_r]), k, m, cfg,
+                               (high - k_th * _LN10, high))
+        if table.bound <= _SEARCH_LOG_W_ERR and np.any((budget > 0.0) & (budget < table.bound)):
+            tables.append(_QuantileTable(spec, nu, 4 * _TABLE_INTERVALS))
+        # Row i reads the coarsest table within its budget, or the quantile.
+        for j in reversed(range(len(tables))):
+            reads[tables[j].bound <= budget] = j
     run = np.flatnonzero(~beyond)
     # The bracket's width enters through the prefactor, so the RQMC's
     # estimate, which its tolerance tests, is the reported one.
@@ -503,17 +673,18 @@ def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
     # randomizes the RQMC.  A row sees the extensible stream's points a
     # step at a time, within a budget of i_max n0 points.
     step = min(cfg.n0, _ADAPTIVE_STEP)
-    results = (_run(mid_log_g, 1, replace(cfg, n0=step, i_max=cfg.i_max * cfg.n0 // step),
-                    np.random.SeedSequence(seed).spawn(3)[2], len(run), log=True)
-               if len(run) else [])
-    # In place, so that the RQMC's results are not held twice.
-    for j, (i, mid) in enumerate(zip(run, results)):
-        n = mid.n_per_randomization
-        results[j] = RqmcResult(mid.estimate, mid.error_estimate, n, -(-n // cfg.n0),
-                                mid.converged and bool(closed[i]))
-    for i in np.flatnonzero(beyond):
-        results.insert(i, RqmcResult(float(high[i]), math.inf, 0, 0, False))
-    return results
+    # A row beyond the doubles' reach keeps ``high`` as its estimate.
+    estimate, error = high, np.full(len(m), math.inf)
+    n = np.zeros(len(m), dtype=int)
+    converged = np.zeros(len(m), dtype=bool)
+    if len(run):
+        acc = _run(mid_log_g, 1, replace(cfg, n0=step, i_max=cfg.i_max * cfg.n0 // step),
+                   np.random.SeedSequence(seed).spawn(3)[2], len(run), log=True)
+        estimate[run], error[run] = acc.estimates(), acc.errors()
+        n[run] = acc.counts * step
+        converged[run] = _tolerance_met(error[run], estimate[run], cfg, True) & closed[run]
+    return [RqmcResult(*row) for row in zip(estimate.tolist(), error.tolist(), n.tolist(),
+                                           (-(-n // cfg.n0)).tolist(), converged.tolist())]
 
 
 def log_density_batch(X, model: NvmModel, cfg: RqmcConfig | None = None,

@@ -86,7 +86,17 @@ def _q_inverse_burr(u, uc, nu):
     # W = (u^(-1/nu2) - 1)^(-1/nu1), with log u taken from 1 - u above 1/2.
     with np.errstate(divide="ignore"):
         log_u = np.where(u < 0.5, np.log(u), np.log1p(-uc))
-    return np.expm1(-log_u / float(nu[1])) ** (-1.0 / float(nu[0]))
+    y = -log_u / float(nu[1])
+    with np.errstate(over="ignore"):
+        e = np.expm1(y)
+    w = e ** (-1.0 / float(nu[0]))
+    # Where e^y - 1 overflows (nu2 below 1 and u below exp(-709.78 nu2)),
+    # W = exp(-(y + log(1 - e^(-y))) / nu1) may still be a normal double.
+    big = np.isinf(e)
+    if np.any(big):
+        y = y[big]
+        w[big] = np.exp(-(y + np.log1p(-np.exp(-y))) / float(nu[0]))
+    return w
 
 
 def constant() -> MixtureSpec:

@@ -320,10 +320,11 @@ def _tolerance_met(err: np.ndarray, estimate: np.ndarray, cfg: RqmcConfig,
 
 
 def _run(g, dimension: int, cfg: RqmcConfig, seed, n_rows: int,
-         log: bool) -> list[RqmcResult]:
+         log: bool) -> RqmcAccumulator:
     """Row-batched RQMC: ``n_rows`` integrands at the same points, under
     the ``B`` shifts of ``seed``, each until it meets the tolerance or
-    ``i_max`` batches are spent.
+    ``i_max`` batches are spent.  Returns the accumulator, whose
+    :meth:`~RqmcAccumulator.results` are the rows' results.
 
     Each iteration draws the ``(B * n0, dimension)`` points of a batch and
     walks the rows still running in blocks of about ``_BLOCK_VALUES``
@@ -352,7 +353,7 @@ def _run(g, dimension: int, cfg: RqmcConfig, seed, n_rows: int,
             if acc.batches < cfg.i_max:
                 keep[start:start + step] = ~_converged(acc.means[block], cfg, log)
         rows = rows[keep]
-    return acc.results()
+    return acc
 
 
 def rqmc_estimate(
@@ -369,7 +370,7 @@ def rqmc_estimate(
     batches of ``n0`` until the CI half width meets the tolerance or
     ``i_max`` batches are spent.
     """
-    return _run(lambda pts, rows: g(pts), dimension, cfg, seed, 1, log=False)[0]
+    return _run(lambda pts, rows: g(pts), dimension, cfg, seed, 1, log=False).results()[0]
 
 
 def rqmc_log_estimate(
@@ -385,4 +386,5 @@ def rqmc_log_estimate(
     estimated without underflow.  The error estimate is the CI half width
     of the per-randomization log means.
     """
-    return _run(lambda pts, rows: log_g(pts), dimension, cfg, seed, 1, log=True)[0]
+    return _run(lambda pts, rows: log_g(pts), dimension, cfg, seed, 1,
+                log=True).results()[0]

@@ -270,8 +270,8 @@ class TestRowBatchedRun:
         def g(pts, rows):
             return 1.0 + scales[rows, None] * np.sin(7.0 * pts[None, :, 0])
 
-        batch = _run(g, 1, cfg, seed=3, n_rows=4, log=False)
-        alone = [_run(lambda p, r, s=s: g(p, np.array([s])), 1, cfg, 3, 1, False)[0]
+        batch = _run(g, 1, cfg, seed=3, n_rows=4, log=False).results()
+        alone = [_run(lambda p, r, s=s: g(p, np.array([s])), 1, cfg, 3, 1, False).results()[0]
                  for s in range(4)]
         assert batch == alone
         assert len({r.iterations_used for r in batch}) > 1
@@ -291,10 +291,10 @@ class TestRowBatchedRun:
             return (0.0 if log else 4.0) + scales[rows, None] * np.sin(7.0 * pts[None, :, 0])
 
         monkeypatch.setattr(rqmc, "_BLOCK_VALUES", 7 * cfg.B * cfg.n0)
-        blocked = _run(g, 1, cfg, seed=3, n_rows=50, log=log)
+        blocked = _run(g, 1, cfg, seed=3, n_rows=50, log=log).results()
         assert max(sizes) == 7 and len(sizes) > 8
         monkeypatch.setattr(rqmc, "_BLOCK_VALUES", 50 * cfg.B * cfg.n0)
-        assert _run(g, 1, cfg, seed=3, n_rows=50, log=log) == blocked
+        assert _run(g, 1, cfg, seed=3, n_rows=50, log=log).results() == blocked
         assert len({r.iterations_used for r in blocked}) > 1
 
     def test_nan_in_a_later_block_names_its_point(self, monkeypatch):

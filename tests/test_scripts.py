@@ -1,10 +1,10 @@
 """The measurement scripts under ``scripts/`` run at tiny sizes.
 
 They reach into names of ``nvmix.density`` (``quantile``, ``_run``,
-``_bracket_z``, ``_table_budget``, ``_bisect``, ``_QuantileTable`` and
-its ``intervals`` and ``bound``), so a change that renames or reshapes
-one of those must show up here rather than the next time someone
-measures.
+``_bracket_z``, ``_table_budget``, ``_bisect``, ``_newton``,
+``_QuantileTable`` and its ``intervals`` and ``bound``), so a change
+that renames or reshapes one of those must show up here rather than the
+next time someone measures.
 """
 
 import runpy
@@ -33,9 +33,9 @@ def test_adaptive_cost_runs(capsys):
     assert out.count("search: quantile calls    0,") == 2
     assert out.count("rqmc  : quantile calls    0,") == 2
     assert out.count("other : quantile calls    0,") == 2
-    # One slope bisection halves the IG z range, 1417 wide, 31 times for
-    # every row, and the level bisection halves the 708 from g's maximum
-    # near z = 0 to each end 30 times: 61 steps, 20 x 31 + 40 x 30 row
-    # evaluations for the 20-row call.
-    assert out.count("search: bisection steps 61.0 per call, ") == 2
-    assert "search: bisection steps 61.0 per call, row evaluations 1820.0 per call (1 calls)" in out
+    # The search reads the table: Newton's method on g's slope from the
+    # scan's best node, then on both ends of the region at once, until
+    # every row's step is below _EPS_BISEC.  The 20 rows at D2 in [0.5, 2]
+    # take 7 steps, the 40 calibration rows, at D2 from near 0 to 1e8, 8.
+    assert "search: steps 7.0 per call, row evaluations 167.0 per call (1 calls)" in out
+    assert "search: steps 8.0 per call, row evaluations 337.0 per call (1 calls)" in out
