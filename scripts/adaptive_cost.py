@@ -43,6 +43,7 @@ import numpy as np
 from scipy.special import fdtr, fdtri
 
 import nvmix.density as density
+import nvmix.mixtures as mixtures
 from nvmix.density import closed_log_density, log_density_batch, log_integral_batch
 from nvmix.mixtures import inverse_gamma, quantile
 from nvmix.model import NvmModel
@@ -74,7 +75,7 @@ def _phase_counts(call, counts=None):
     steps evaluate."""
     counts = _new_counts() if counts is None else counts
     phase = ["other"]
-    table = density._QuantileTable
+    table = mixtures._QuantileTable
 
     def counted(spec, u, *args, **kwargs):
         counts[phase[0]][0] += 1
@@ -111,10 +112,10 @@ def _phase_counts(call, counts=None):
         counts["nodes"].add(self.intervals + 1)
 
     saved = {name: getattr(density, name)
-             for name in ("quantile", "_bracket_z", "_table_budget", "_bisect", "_newton",
-                          "_run")}
+             for name in ("_bracket_z", "_table_budget", "_bisect", "_newton", "_run")}
     saved_init = table.__init__
-    density.quantile = counted
+    # The density path calls the quantile through mixtures._quantile_z.
+    mixtures.quantile = counted
     density._bracket_z = in_phase("search", search)
     density._table_budget = in_phase("search", saved["_table_budget"])
     density._bisect = stepped("_bisect")
@@ -126,6 +127,7 @@ def _phase_counts(call, counts=None):
     finally:
         for name, fn in saved.items():
             setattr(density, name, fn)
+        mixtures.quantile = quantile
         table.__init__ = saved_init
     return result, counts
 

@@ -15,10 +15,12 @@ in z serves every input.  :func:`region_bounds` is the one-input view of
 the search, the bracket in z; :func:`peak` locates the peak of h, which
 the search does not need.
 
-w is read from a table of the call's one mixture (``_QuantileTable``), a
-cubic interpolant L(z) of log w with a checked bound on its error
-(numerical inversion after Hörmann & Leydold 2003 and Derflinger,
-Hörmann & Leydold 2010, applied in z), where that bound allows.  A lookup
+w is read from a table of the call's one mixture (``_QuantileTable``,
+kept beside ``quantile`` in :mod:`nvmix.mixtures`, where the box
+probabilities read it too), a cubic interpolant L(z) of log w with a
+checked bound on its error (numerical inversion after Hörmann & Leydold
+2003 and Derflinger, Hörmann & Leydold 2010, applied in z), where that
+bound allows.  A lookup
 costs a few dozen nanoseconds per point, against several hundred for the
 inverse-gamma quantile.  On the table the search takes Newton steps on L
 and its derivatives, from a scan of g on the table's nodes: about ten
@@ -36,11 +38,13 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import expit, gammainc, gammaln, log_expit
 
 from .linalg import mahalanobis_sq
-from .mixtures import MixtureSpec, quantile
+# quantile stays bound here for tools that patch it by name; the table in
+# mixtures makes the calls.
+from .mixtures import _TABLE_INTERVALS, _Z_LO, MixtureSpec, _QuantileTable, _quantile_z, _z_range
+from .mixtures import quantile  # noqa: F401
 from .model import NvmModel
 # rqmc_log_estimate stays bound here for tools that trace this module's
 # estimator by name.
@@ -64,19 +68,9 @@ _K_TH = 10.0
 _EPS_BISEC = 1e-6
 # Points per randomization between the RQMC's tolerance checks.
 _ADAPTIVE_STEP = 16
-# Range of the logit coordinate: expit(z) and expit(-z) are positive
-# normal doubles for |z| <= -_Z_LO.  A black box only receives
-# u = expit(z), which stays below 1 for z <= _Z_HI_BLACKBOX.
-_Z_LO = math.log(np.finfo(float).tiny)
-_Z_HI_BLACKBOX = -math.log(np.finfo(float).eps)
-# The tabulated quantile interpolates log w over _TABLE_INTERVALS
-# intervals (four times as many in a call's finer table); the search
-# reads it where its bound in log w is at most _SEARCH_LOG_W_ERR.
-_TABLE_INTERVALS = 512
+# The search reads the tabulated quantile where its bound in log w is at
+# most _SEARCH_LOG_W_ERR.
 _SEARCH_LOG_W_ERR = 1e-6
-# The search on a table starts from g on this many intervals of its nodes.
-_SCAN_INTERVALS = 64
-_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _log_h_of_w(w, pref, k, m) -> np.ndarray:
@@ -86,10 +80,6 @@ def _log_h_of_w(w, pref, k, m) -> np.ndarray:
     safe = np.maximum(w, 1e-300)
     with np.errstate(over="ignore"):
         return np.where(w > 0.0, pref - k * np.log(safe) - m / safe, -np.inf)
-
-
-def _z_range(spec: MixtureSpec) -> tuple[float, float]:
-    return _Z_LO, (_Z_HI_BLACKBOX if spec.kind == "blackbox" else -_Z_LO)
 
 
 def _row_arrays(D2, shift_k, prefactor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -104,117 +94,6 @@ def _row_arrays(D2, shift_k, prefactor) -> tuple[np.ndarray, np.ndarray, np.ndar
     if not np.all(k > 0.0):
         raise ValueError("shift_k must be positive")
     return np.broadcast_to(np.asarray(prefactor, dtype=float), D2.shape), k, 0.5 * D2
-
-
-def _quantile_z(spec, z, nu):
-    """Quantile at u = expit(z), with 1 - u = expit(-z), in one call for
-    z of any shape."""
-    z = np.asarray(z, dtype=float)
-    flat = z.ravel()
-    return quantile(spec, expit(flat), nu, expit(-flat)).reshape(z.shape)
-
-
-class _QuantileTable:
-    """The mixing quantile of one (family, nu) as a function of z, read
-    from the quantile itself (``exact``) or from a cubic interpolant L of
-    log w (``log_w``, or ``w`` = exp(L)).
-
-    L is the not-a-knot cubic spline in z through log w at ``intervals``
-    + 1 nodes evenly spaced in t = asinh(z / 2) over the z range, dense
-    near z = 0 and sparse in the tails.  ``bound`` is twice its largest
-    error in log w at the midpoints in t between the
-    nodes (on a grid of 1e5 points, the largest error of every built-in
-    family was at most 1.1 times the largest at the midpoints).  One
-    quantile call on the nodes and midpoints builds it.  Where log w grows
-    past the doubles' range (IG(1), say) L ends at the last finite node and
-    continues along its tangent, so w overflows to inf about where the
-    quantile does.  A non-finite node below that (an atom of W at 0)
-    leaves no interpolant, and the bound is inf.
-    """
-
-    def __init__(self, spec, nu, intervals=_TABLE_INTERVALS):
-        self.spec, self.nu, self.intervals = spec, nu, intervals
-        z_lo, z_hi = _z_range(spec)
-        self._t_lo = math.asinh(0.5 * z_lo)
-        self._t_span = math.asinh(0.5 * z_hi) - self._t_lo
-        # The nodes, then the midpoints between them.
-        t = self._t_lo + self._t_span * (np.arange(2 * intervals + 1) * (0.5 / intervals))
-        z = np.clip(2.0 * np.sinh(t), z_lo, z_hi)
-        self.u_values = len(z)
-        with np.errstate(divide="ignore"):
-            log_w = np.log(self.exact(z))
-        nodes, at_nodes, at_mids = z[::2], log_w[::2], log_w[1::2]
-        finite = np.isfinite(at_nodes)
-        n = len(nodes) if finite.all() else int(np.argmin(finite))
-        self._piece, self.bound = None, np.inf
-        if n < 2 or np.any(at_nodes[n:] != np.inf):
-            return
-        spline = CubicSpline(nodes[:n], at_nodes[:n])
-        # One more piece from the last finite node on: its tangent.
-        c3, c2, c1, c0 = (np.append(c, tail) for c, tail in
-                          zip(spline.c, (0.0, 0.0, spline(nodes[n - 1], 1), at_nodes[n - 1])))
-        self._piece = (nodes[:n], c3, c2, c1, c0)
-        err = np.abs(np.minimum(self._log_interp(z[1::2]), _LOG_MAX)
-                     - np.minimum(at_mids, _LOG_MAX))
-        self.bound = 2.0 * float(np.max(err))
-        # Every (intervals / _SCAN_INTERVALS)-th node, both ends included,
-        # and L there.
-        scan_z = nodes[::intervals // _SCAN_INTERVALS]
-        self.scan = scan_z, self._log_interp(scan_z)
-
-    def exact(self, z):
-        # A quantile beyond the doubles' range is inf, as it should be.
-        with np.errstate(over="ignore", divide="ignore"):
-            return _quantile_z(self.spec, z, self.nu)
-
-    def _locate(self, z):
-        """Index of the piece of each z of the flat array ``z``, from its
-        place on the t-grid, and z's offset from that piece's node."""
-        z_nodes = self._piece[0]
-        x = np.arcsinh(0.5 * z)
-        x -= self._t_lo
-        x *= self.intervals / self._t_span
-        i = x.astype(np.intp)
-        # np.clip's own overhead is several times these two ufuncs'.
-        np.maximum(i, 0, out=i)
-        np.minimum(i, len(z_nodes) - 1, out=i)
-        np.subtract(z, z_nodes[i], out=x)
-        return i, x
-
-    def _log_interp(self, z):
-        """L at the flat array ``z`` by Horner, gathering one coefficient
-        at a time."""
-        i, x = self._locate(z)
-        _, *coef = self._piece
-        out = coef[0][i]
-        for c in coef[1:]:
-            out *= x
-            out += c[i]
-        return out
-
-    def log_w_slopes(self, z):
-        """L, L' and L'' at the flat array ``z``, from one piece each."""
-        i, x = self._locate(z)
-        _, c3, c2, c1, c0 = self._piece
-        c3x, c2, c1 = c3[i] * x, c2[i], c1[i]
-        log_w = ((c3x + c2) * x + c1) * x + c0[i]
-        return log_w, (3.0 * c3x + 2.0 * c2) * x + c1, 6.0 * c3x + 2.0 * c2
-
-    def log_w(self, z):
-        """L(z) at z of any shape."""
-        z = np.asarray(z, dtype=float)
-        return self._log_interp(z.ravel()).reshape(z.shape)
-
-    def w(self, z):
-        """w = exp(L(z)) at z of any shape."""
-        log_w = self.log_w(z)
-        with np.errstate(over="ignore"):
-            return np.exp(log_w, out=log_w)
-
-    def read(self, budget):
-        """w(z) from L where its bound is within ``budget``, an error in
-        log w, and from the quantile otherwise."""
-        return self.w if self.bound <= budget else self.exact
 
 
 def _log_g_w(w, z, pref, k, m):

@@ -3,10 +3,11 @@
 The d+1 dimensional probability is rewritten as an integral over
 (0,1)^d: the first coordinate samples the mixing variable by inversion
 and the rest drive a separation-of-variables recursion of conditional
-normal probabilities.  A greedy variable reordering is applied first so
-that early variables have the smallest expected conditional ranges, then
-the integral is estimated by antithetic RQMC.  Rank-deficient scale
-matrices are handled with a reduced r-dimensional recursion whose blocks
+normal probabilities; W is read from a table of its quantile where the
+tolerance allows (:func:`_w_table`).  A greedy variable reordering is
+applied first so that early variables have the smallest expected
+conditional ranges, then the integral is estimated by antithetic RQMC.
+Rank-deficient scale matrices are handled with a reduced r-dimensional recursion whose blocks
 keep all d constraints active.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .linalg import ScaleFactor
-from .mixtures import MixtureSpec, mean_sqrt_w, quantile
+from .mixtures import MixtureSpec, _QuantileTable, mean_sqrt_w, quantile
 from .model import NvmModel
 from .rqmc import RqmcConfig, RqmcResult, rqmc_estimate
 
@@ -158,6 +159,10 @@ class BoxIntegrand:
     recursion, larger blocks take the max/min over their rows so that all
     d constraints stay active when the scale matrix is singular.
 
+    W comes from ``table``, if given, as exp(L(logit(u0))) with L its
+    interpolant of log w (a few dozen ns per point, against several
+    hundred for the inverse-gamma quantile), else from the quantile.
+
     Step l costs one BLAS product, the block's partial sums
     ``z[:, :l] @ coef[rows, :l].T`` over the conditional normal quantiles
     drawn so far, at most two ``ndtr`` and one ``ndtri``, all into a few
@@ -165,10 +170,12 @@ class BoxIntegrand:
     Fortran-ordered ``z``); a block's rows are reduced one by one with
     in-place ``np.maximum``/``np.minimum``, with no (n, k) temporary.  A
     block whose lower limits are all -inf (upper limits all +inf) skips
-    ``ndtr`` for that side, which is exactly 0 (1) there.
+    ``ndtr`` for that side, which is exactly 0 (1) there.  Only blocks of
+    several rows clamp their width at 0.
     """
 
-    def __init__(self, lower, upper, coef, block_heads, spec: MixtureSpec, nu):
+    def __init__(self, lower, upper, coef, block_heads, spec: MixtureSpec, nu,
+                 table: _QuantileTable | None = None):
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
         self.coef = np.asarray(coef, dtype=float)
@@ -179,6 +186,7 @@ class BoxIntegrand:
         self.open_upper = [bool(np.all(self.upper[r] == np.inf)) for r in self.blocks]
         self.spec = spec
         self.nu = np.atleast_1d(np.asarray(nu, dtype=float))
+        self.table = table
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = np.asfortranarray(np.atleast_2d(u), dtype=float)
@@ -186,8 +194,12 @@ class BoxIntegrand:
             raise ValueError(f"points must have {self.rank} coordinates")
         n = u.shape[0]
         u0 = np.clip(u[:, 0], _U_LO, _U_HI)
-        w = np.asarray(quantile(self.spec, u0, self.nu), dtype=float)
-        inv_sqrt_w = 1.0 / np.sqrt(np.maximum(w, 1e-300))
+        if self.table is None:
+            inv_sqrt_w = 1.0 / np.sqrt(np.maximum(quantile(self.spec, u0, self.nu), 1e-300))
+        else:
+            # logit(u0) by three ufuncs, which cost less than scipy's logit.
+            z0 = np.divide(u0, 1.0 - u0)
+            inv_sqrt_w = np.exp(-0.5 * self.table.log_w(np.log(z0, out=z0)))
 
         z = np.empty((n, self.rank), order="F")
         g = np.ones(n)
@@ -203,9 +215,12 @@ class BoxIntegrand:
                 if l + 1 < self.rank:
                     np.multiply(u[:, l + 1], width, out=t)
                     t += d_l
-                    np.clip(t, _P_LO, _P_HI, out=t)
+                    # np.clip's own overhead is several times these two ufuncs'.
+                    np.maximum(t, _P_LO, out=t)
+                    np.minimum(t, _P_HI, out=t)
                     ndtri(t, out=z[:, l])
-                np.clip(width, 0.0, 1.0, out=width)
+                if rows.stop - rows.start > 1:  # lower max may pass upper min
+                    np.maximum(width, 0.0, out=width)
                 g *= width
         return g
 
@@ -222,9 +237,25 @@ def _ndtr_of_bound(out, limits, partial, inv_sqrt_w, reduce, scratch) -> np.ndar
     return ndtr(out, out=out)
 
 
-def _box_integrand(a0, b0, factor: ScaleFactor, spec: MixtureSpec, nu) -> BoxIntegrand:
+def _w_table(spec: MixtureSpec, nu, cfg: RqmcConfig, rows: int) -> _QuantileTable | None:
+    """The call's tabulated quantile if the integrand may read W from it.
+
+    Given W = w, the probability of ``rows`` constraints on sqrt(w) Y, Y
+    normal, moves by at most phi(1) < 0.25 per constraint and unit of
+    log w (a face at x = limit / (sd(Y_i) sqrt(w)), by |x| phi(x) / 2), so
+    a bound within tol / (2.5 rows) moves the estimate by at most tol/10.
+    A relative tol gives no such budget; a constant W is cheaper to read.
+    """
+    if cfg.tol_type != "absolute" or spec.kind == "constant":
+        return None
+    table = _QuantileTable(spec, nu)
+    return table if 0.25 * rows * table.bound <= 0.1 * cfg.tol else None
+
+
+def _box_integrand(a0, b0, factor: ScaleFactor, spec: MixtureSpec, nu,
+                   table: _QuantileTable | None = None) -> BoxIntegrand:
     """Integrand for the box ``a0 < C z <= b0`` (limits centered and in
-    the factor's row order).
+    the factor's row order), reading W from ``table`` if one is given.
 
     Every row is divided by its entry in its block's column, so that entry
     becomes one (a staircase factor's rows already carry a unit entry but
@@ -247,6 +278,7 @@ def _box_integrand(a0, b0, factor: ScaleFactor, spec: MixtureSpec, nu) -> BoxInt
         block_heads=factor.block_heads,
         spec=spec,
         nu=nu,
+        table=table,
     )
 
 
@@ -275,7 +307,8 @@ def prob(a, b, model: NvmModel, cfg: RqmcConfig | None = None,
     Limits are shifted by the location, variables are greedily reordered,
     and the antithetic integrand (g(u) + g(1-u))/2 is fed to the
     iterative RQMC driver in dimension d.  Point counts in the result
-    refer to u-points; each costs two integrand evaluations.  A
+    refer to u-points; each costs two integrand evaluations.  W is read
+    from the call's tabulated quantile where :func:`_w_table` allows.  A
     rank-deficient scale matrix goes to :func:`prob_singular` unreordered:
     ``reorder`` builds a full-rank Cholesky factor.
     """
@@ -291,7 +324,8 @@ def prob(a, b, model: NvmModel, cfg: RqmcConfig | None = None,
     b0 = box.b - model.loc
     msw = mean_sqrt_w(model.spec, model.nu, n_pilot=1024)
     problem = reorder(a0, b0, model.scale, msw)
-    g = _box_integrand(problem.a, problem.b, problem.factor, model.spec, model.nu)
+    g = _box_integrand(problem.a, problem.b, problem.factor, model.spec, model.nu,
+                       _w_table(model.spec, model.nu, cfg, model.dim))
     return _clamped(rqmc_estimate(_antithetic(g), model.dim, cfg, seed))
 
 
@@ -303,7 +337,8 @@ def prob_singular(a, b, model: NvmModel, cfg: RqmcConfig | None = None,
     The integration runs over (0,1)^r; within each pivot block the lower
     limits enter through a max and the upper limits through a min, so all
     d constraints remain active.  Zero-variance variables reduce to a
-    feasibility check on their limits.
+    feasibility check on their limits.  W is read as in :func:`prob`, the
+    variables of nonzero variance being the constraints.
     """
     if cfg is None:
         cfg = RqmcConfig()
@@ -322,5 +357,6 @@ def prob_singular(a, b, model: NvmModel, cfg: RqmcConfig | None = None,
         if not (a0[i] < 0.0 <= b0[i]):
             return RqmcResult(0.0, 0.0, 0, 0, True)
 
-    g = _box_integrand(a0, b0, factor, model.spec, model.nu)
+    g = _box_integrand(a0, b0, factor, model.spec, model.nu,
+                       _w_table(model.spec, model.nu, cfg, n_blocked))
     return _clamped(rqmc_estimate(_antithetic(g), factor.rank, cfg, seed))

@@ -7,26 +7,33 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import expit, gammaincc, gammaln, logsumexp
 
-from nvmix import density
+from nvmix import density, mixtures
 from nvmix.density import (
     _EPS_BISEC,
     _K_TH,
     _SEARCH_LOG_W_ERR,
-    _TABLE_INTERVALS,
-    _QuantileTable,
     _bracket_z,
     _log_g,
     _log_h_of_w,
     _log_lower_incomplete_gamma,
     _peak_z,
-    _z_range,
     closed_log_density,
     log_density_batch,
     log_integral_batch,
     peak,
     region_bounds,
 )
-from nvmix.mixtures import blackbox, constant, inverse_burr, inverse_gamma, pareto, quantile
+from nvmix.mixtures import (
+    _TABLE_INTERVALS,
+    _QuantileTable,
+    _z_range,
+    blackbox,
+    constant,
+    inverse_burr,
+    inverse_gamma,
+    pareto,
+    quantile,
+)
 from nvmix.model import NvmModel
 from nvmix.rqmc import RqmcConfig, rqmc_log_estimate
 from nvmix.sampling import rnvmix
@@ -923,7 +930,7 @@ def test_quantile_calls_do_not_grow_with_pending_points(monkeypatch):
         calls.append(np.size(args[1]))
         return quantile(*args, **kwargs)
 
-    monkeypatch.setattr(density, "quantile", counted)
+    monkeypatch.setattr(mixtures, "quantile", counted)
     seen = adaptive_rows(monkeypatch)
     counts = {}
     for n in (10, 200):
@@ -1013,7 +1020,7 @@ def test_quantile_work_does_not_depend_on_the_number_of_points(monkeypatch):
             super().__init__(*args)
             tables.append(self)
 
-    monkeypatch.setattr(density, "quantile", counted)
+    monkeypatch.setattr(mixtures, "quantile", counted)
     monkeypatch.setattr(density, "_QuantileTable", Recorded)
     mids = adaptive_results(monkeypatch)
     cfg = RqmcConfig()

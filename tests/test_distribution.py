@@ -9,12 +9,21 @@ from nvmix.distribution import (
     Hyperrectangle,
     _antithetic,
     _box_integrand,
+    _w_table,
     prob,
     prob_singular,
     reorder,
 )
 from nvmix.linalg import singular_cholesky
-from nvmix.mixtures import blackbox, constant, inverse_burr, inverse_gamma, pareto, quantile
+from nvmix.mixtures import (
+    _QuantileTable,
+    blackbox,
+    constant,
+    inverse_burr,
+    inverse_gamma,
+    pareto,
+    quantile,
+)
 from nvmix.model import NvmModel
 from nvmix.rqmc import IntegrandNaNError, RqmcConfig, RqmcResult
 
@@ -120,16 +129,21 @@ def _std_normal_cdf(x):
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def scalar_recursion(u, A, a, b, spec, nu):
+def scalar_recursion(u, A, a, b, spec, nu, table=None):
     """Separation-of-variables integrand at one point, one scalar at a time.
 
     Row i of the box reads a_i < sqrt(W) * A[i] @ z <= b_i.  Its last
     nonzero loading A[i, l] names its block l and bounds z_l, from below
-    through a_i when positive and through b_i when negative.
+    through a_i when positive and through b_i when negative.  W is the
+    quantile at the clamped u[0], or, given a ``_QuantileTable``, exp(L)
+    at its logit.
     """
     nd = NormalDist()
-    w = quantile(spec, min(max(u[0], 1e-16), 1.0 - 1e-16), nu)
-    isw = 1.0 / math.sqrt(max(w, 1e-300))
+    u0 = min(max(u[0], 1e-16), 1.0 - 1e-16)
+    if table is None:
+        isw = 1.0 / math.sqrt(max(quantile(spec, u0, nu), 1e-300))
+    else:
+        isw = math.exp(-0.5 * float(table.log_w(math.log(u0 / (1.0 - u0)))))
     block = [int(np.flatnonzero(row)[-1]) for row in A]
     r = len(u)
     z = [0.0] * r
@@ -229,11 +243,14 @@ class TestScalarRecursion:
         prob_singular(a, b, model, seed=1)
         (pair_mean,) = captured
 
+        # At the default tol the integrand reads W from the table.
+        table = _w_table(model.spec, model.nu, RqmcConfig(), 6)
+        assert table is not None
         A = factor.mixing_matrix()
         u = _points(rng, 32, 3)
         want = [
-            0.5 * (scalar_recursion(p, A, a, b, model.spec, model.nu)
-                   + scalar_recursion(1.0 - p, A, a, b, model.spec, model.nu))
+            0.5 * (scalar_recursion(p, A, a, b, model.spec, model.nu, table)
+                   + scalar_recursion(1.0 - p, A, a, b, model.spec, model.nu, table))
             for p in u
         ]
         np.testing.assert_allclose(pair_mean(u), want, rtol=1e-12, atol=0.0)
@@ -527,20 +544,22 @@ def _golden_problems():
 # (family, problem, seed, estimate, iterations_used, n_per_randomization,
 # converged) at tol 1e-4, recorded before the integrand's partial sums
 # moved to BLAS products; the summation order changed, so estimates are
-# pinned to 1e-14 and everything else exactly.
+# pinned to 1e-14 and everything else exactly.  The box rows were
+# re-recorded when W came to be read from the tabulated quantile; the
+# orthant rows, whose limits are 0, do not depend on W.
 GOLDEN = [
     ("inverse_gamma", "orthant-5", 100, 0.16667616906168617, 2, 256, True),
     ("inverse_gamma", "orthant-20", 101, 0.04762441689286098, 8, 1024, True),
     ("inverse_gamma", "orthant-50", 102, 0.01962437431991434, 19, 2432, True),
-    ("inverse_gamma", "box-20", 103, 0.08719800848638318, 27, 3456, True),
+    ("inverse_gamma", "box-20", 103, 0.08719800848972531, 27, 3456, True),
     ("inverse_gamma", "singular-orthant-5", 104, 0.16667979634100397, 2, 256, True),
-    ("inverse_gamma", "singular-box-5", 105, 0.30473229704598315, 4, 512, True),
+    ("inverse_gamma", "singular-box-5", 105, 0.3047322970151419, 4, 512, True),
     ("inverse_burr", "orthant-5", 106, 0.16664917555983597, 2, 256, True),
     ("inverse_burr", "orthant-20", 107, 0.04756069986926436, 11, 1408, True),
     ("inverse_burr", "orthant-50", 108, 0.019576323180289255, 24, 3072, True),
-    ("inverse_burr", "box-20", 109, 0.04886889055144044, 29, 3712, True),
+    ("inverse_burr", "box-20", 109, 0.04886889056138869, 29, 3712, True),
     ("inverse_burr", "singular-orthant-5", 110, 0.1667002644134861, 2, 256, True),
-    ("inverse_burr", "singular-box-5", 111, 0.24951711970413204, 8, 1024, True),
+    ("inverse_burr", "singular-box-5", 111, 0.2495171196971139, 8, 1024, True),
 ]
 
 
@@ -559,3 +578,56 @@ class TestGoldenValues:
         assert res.estimate == pytest.approx(estimate, rel=0.0, abs=1e-14)
         assert (res.iterations_used, res.n_per_randomization, res.converged) == (
             iterations, n, converged)
+
+
+class UntabulatedTable(_QuantileTable):
+    """A table whose bound is inf, so that the integrand reads the quantile."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.bound = math.inf
+
+
+class TestTabulatedW:
+    """Under an absolute tol the integrand reads W from the call's table
+    where 0.25 d bound <= tol/10, and from the quantile otherwise."""
+
+    @pytest.mark.parametrize("d", [5, 20, 50])
+    @pytest.mark.parametrize("spec, nu", [(inverse_gamma(), [3.0]),
+                                          (inverse_burr(), [2.0, 2.0]), (pareto(), [2.5])],
+                             ids=["inverse_gamma", "inverse_burr", "pareto"])
+    def test_table_moves_the_estimate_within_its_budget(self, spec, nu, d, monkeypatch):
+        # |dp/d log w| <= phi(1) d < 0.25 d, so at the same points an error
+        # of at most bound in log w moves the estimate by 0.25 d bound.
+        a, b = _limits("mixed", np.random.default_rng(40 + d), d)
+        model = NvmModel.build(None, _equicorrelation(d), spec, nu)
+        cfg = RqmcConfig()
+        budget = 0.25 * d * _QuantileTable(spec, nu).bound
+        assert budget <= 0.1 * cfg.tol
+        tabulated = prob(a, b, model, cfg, seed=d)
+        monkeypatch.setattr(distribution, "_QuantileTable", UntabulatedTable)
+        exact = prob(a, b, model, cfg, seed=d)
+        assert tabulated.estimate != exact.estimate
+        assert abs(tabulated.estimate - exact.estimate) <= budget
+        assert (tabulated.n_per_randomization, tabulated.converged) == (
+            exact.n_per_randomization, exact.converged)
+
+    # Results of these calls before W was ever read from a table.
+    @pytest.mark.parametrize("case, estimate, n, converged", [
+        ("relative", 0.16214399147161906, 128, True),
+        ("below-budget", 0.16211449130788894, 512, False),
+        ("jump", 0.09701968920854141, 128, True),
+    ], ids=["relative", "below-budget", "jump"])
+    def test_the_quantile_is_read_where_the_table_is_not(self, case, estimate, n, converged):
+        spec, nu, cfg = {
+            "relative": (inverse_gamma(), [3.0], RqmcConfig(tol=1e-2, tol_type="relative")),
+            # 0.25 * 5 * 1.35e-7 exceeds tol/10.
+            "below-budget": (inverse_gamma(), [3.0], RqmcConfig(tol=1e-6, i_max=4)),
+            "jump": (blackbox(lambda u, nu: np.where(u < 0.5, 1.0, 4.0), 1), [1.0],
+                     RqmcConfig()),
+        }[case]
+        assert _w_table(spec, nu, cfg, 5) is None
+        a, b = _limits("finite", np.random.default_rng(30), 5)
+        res = prob(a, b, NvmModel.build(None, _equicorrelation(5), spec, nu), cfg, seed=11)
+        assert res.estimate == pytest.approx(estimate, rel=0.0, abs=1e-14)
+        assert (res.n_per_randomization, res.converged) == (n, converged)

@@ -1,8 +1,8 @@
 """The measurement scripts under ``scripts/`` run at tiny sizes.
 
-They reach into names of ``nvmix.density`` (``quantile``, ``_run``,
-``_bracket_z``, ``_table_budget``, ``_bisect``, ``_newton``,
-``_QuantileTable`` and its ``intervals`` and ``bound``), so a change
+They reach into names of ``nvmix.density`` (``_run``, ``_bracket_z``,
+``_table_budget``, ``_bisect``, ``_newton``) and of ``nvmix.mixtures``
+(``quantile``, ``_QuantileTable`` and its ``intervals`` and ``bound``), so a change
 that renames or reshapes one of those must show up here rather than the
 next time someone measures.
 """
