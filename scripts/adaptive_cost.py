@@ -44,10 +44,9 @@ from scipy.special import fdtr, fdtri
 
 import nvmix.density as density
 import nvmix.mixtures as mixtures
-from nvmix.density import closed_log_density, log_density_batch, log_integral_batch
-from nvmix.mixtures import inverse_gamma, quantile
-from nvmix.model import NvmModel
-from nvmix.rqmc import RqmcConfig
+from nvmix import NvmModel, RqmcConfig, closed_log_density, inverse_gamma, log_density_batch
+from nvmix.density import log_integral_batch
+from nvmix.mixtures import quantile
 
 TOL = 1e-3
 

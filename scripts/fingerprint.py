@@ -34,12 +34,9 @@ import struct
 
 import numpy as np
 
+from nvmix import NvmModel, RqmcConfig, constant, inverse_burr, inverse_gamma, pareto, prob, rnvmix
 from nvmix.density import log_integral_batch
-from nvmix.distribution import prob, prob_singular
-from nvmix.mixtures import constant, inverse_burr, inverse_gamma, pareto
-from nvmix.model import NvmModel
-from nvmix.rqmc import RqmcConfig
-from nvmix.sampling import rnvmix
+from nvmix.distribution import prob_singular
 
 INF = float("inf")
 SEEDS = (1, 17)

@@ -43,20 +43,14 @@ from scipy.special import expit, gammainc, gammaln, log_expit
 from .linalg import mahalanobis_sq
 # quantile stays bound here for tools that patch it by name; the table in
 # mixtures makes the calls.
-from .mixtures import _TABLE_INTERVALS, _Z_LO, MixtureSpec, _QuantileTable, _quantile_z, _z_range
+from .mixtures import _TABLE_INTERVALS, _Z_LO, _MixtureSpec, _QuantileTable, _quantile_z, _z_range
 from .mixtures import quantile  # noqa: F401
 from .model import NvmModel
 # rqmc_log_estimate stays bound here for tools that trace this module's
 # estimator by name.
 from .rqmc import RqmcConfig, RqmcResult, _run, _tolerance_met, rqmc_log_estimate  # noqa: F401
 
-__all__ = [
-    "peak",
-    "region_bounds",
-    "log_integral_batch",
-    "log_density_batch",
-    "closed_log_density",
-]
+__all__ = ["log_density_batch", "closed_log_density"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LN10 = math.log(10.0)
@@ -66,6 +60,11 @@ _DIVERGES = "integrand diverges at w = 0 when D2 = 0"
 # search stops a row once its step in z is below _EPS_BISEC.
 _K_TH = 10.0
 _EPS_BISEC = 1e-6
+# The bisection on the quantile reads g's slope from g this far either side
+# of a midpoint: far enough that rounding in log g does not flip its sign
+# where log g is flat, near enough that the central difference's own error
+# moves the maximum by much less than _EPS_BISEC.
+_RISE_H = 1e-4
 # Points per randomization between the RQMC's tolerance checks.
 _ADAPTIVE_STEP = 16
 # The search reads the tabulated quantile where its bound in log w is at
@@ -221,7 +220,7 @@ def _peak_z(spec, nu, w_star, table) -> np.ndarray:
     return np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))
 
 
-def peak(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec,
+def peak(D2: float, shift_k: float, prefactor: float, spec: _MixtureSpec,
          nu) -> tuple[float, float]:
     """Location u* and log height of the peak of one integrand h of
     :func:`log_integral_batch`.
@@ -251,7 +250,7 @@ def peak(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec,
     return float(expit(z[0])), float(log_h_max)
 
 
-def region_bounds(D2: float, shift_k: float, prefactor: float, spec: MixtureSpec,
+def region_bounds(D2: float, shift_k: float, prefactor: float, spec: _MixtureSpec,
                   nu) -> tuple[float, float, bool]:
     """The bracket ``(z_l, z_r, closed)`` in z = logit(u) over which
     :func:`log_integral_batch` integrates one integrand: the one-row case
@@ -419,10 +418,9 @@ def _bracket_z(spec, nu, pref, k, m, table, k_th):
         return _log_g_w(w_z(z), z, pref[rows], k[rows], m[rows])
 
     def rises(z, rows):
-        # g a quarter of _EPS_BISEC either side of each midpoint, in one
-        # call; the bracket is still wider than _EPS_BISEC, so both points
-        # lie inside it.
-        zz = z[:, None] + np.array([-0.25, 0.25]) * _EPS_BISEC
+        # g _RISE_H either side of each midpoint, in one call, within the
+        # z range.
+        zz = np.clip(z[:, None] + np.array([-_RISE_H, _RISE_H]), z_lo, z_hi)
         w = w_z(zz)
         log_g = _log_g_w(w, zz, pref[rows, None], k[rows, None], m[rows, None])
         return (log_g[:, 1] > log_g[:, 0]) | (w[:, 1] == 0.0)
@@ -436,7 +434,7 @@ def _bracket_z(spec, nu, pref, k, m, table, k_th):
             z_g, top)
 
 
-def log_integral_batch(D2, shift_k, prefactor, spec: MixtureSpec, nu,
+def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
                        cfg: RqmcConfig | None = None,
                        seed: int | None = None) -> list[RqmcResult]:
     """Estimate ``log int_0^1 h_i(u) du`` for a batch of mixing integrands.

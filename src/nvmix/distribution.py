@@ -4,11 +4,13 @@ The d+1 dimensional probability is rewritten as an integral over
 (0,1)^d: the first coordinate samples the mixing variable by inversion
 and the rest drive a separation-of-variables recursion of conditional
 normal probabilities; W is read from a table of its quantile where the
-tolerance allows (:func:`_w_table`).  A greedy variable reordering is
-applied first so that early variables have the smallest expected
-conditional ranges, then the integral is estimated by antithetic RQMC.
-Rank-deficient scale matrices are handled with a reduced r-dimensional recursion whose blocks
-keep all d constraints active.
+tolerance allows and a read costs less than the quantile
+(:func:`_w_table`).  A greedy variable reordering is applied first so
+that early variables have the smallest expected conditional ranges, then
+the integral is estimated by antithetic RQMC.  Rank-deficient scale
+matrices are handled with a reduced r-dimensional recursion whose blocks
+keep all d constraints active; :func:`prob` and :func:`prob_singular`
+share the steps from a factor to the estimate (:func:`_box_estimate`).
 """
 
 from __future__ import annotations
@@ -18,18 +20,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .linalg import ScaleFactor
-from .mixtures import MixtureSpec, _QuantileTable, mean_sqrt_w, quantile
+from .linalg import _ScaleFactor
+from .mixtures import _MixtureSpec, _QuantileTable, _mean_sqrt_w, quantile
 from .model import NvmModel
 from .rqmc import RqmcConfig, RqmcResult, rqmc_estimate
 
-__all__ = [
-    "Hyperrectangle",
-    "ReorderedProblem",
-    "reorder",
-    "prob",
-    "prob_singular",
-]
+__all__ = ["prob"]
 
 # Probability clamps for quantile-transform arguments; the recursion can
 # otherwise feed 0 or 1 into the normal quantile.
@@ -42,7 +38,7 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
-class Hyperrectangle:
+class _Hyperrectangle:
     """Integration limits; non-finite entries mean the one-sided limit."""
 
     a: np.ndarray
@@ -60,12 +56,12 @@ class Hyperrectangle:
 
 
 @dataclass(frozen=True)
-class ReorderedProblem:
+class _ReorderedProblem:
     """Limits and Cholesky factor after greedy variable reordering."""
 
     a: np.ndarray
     b: np.ndarray
-    factor: ScaleFactor
+    factor: _ScaleFactor
     perm: np.ndarray
     clamped_pivots: int = 0
 
@@ -78,7 +74,7 @@ def _phi(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def reorder(a, b, sigma, mu_sqrt_w: float) -> ReorderedProblem:
+def reorder(a, b, sigma, mu_sqrt_w: float) -> _ReorderedProblem:
     """Greedy variable reordering for the box-probability integrand.
 
     At stage j the variable with the smallest expected conditional
@@ -88,7 +84,7 @@ def reorder(a, b, sigma, mu_sqrt_w: float) -> ReorderedProblem:
     reordering changes only the integration order, never the value of
     the probability.
     """
-    box = Hyperrectangle(a, b)
+    box = _Hyperrectangle(a, b)
     a = box.a.copy()
     b = box.b.copy()
     sigma = np.asarray(sigma, dtype=float).copy()
@@ -141,14 +137,14 @@ def reorder(a, b, sigma, mu_sqrt_w: float) -> ReorderedProblem:
             mid = 0.5 * (lo + hi)
             y[j] = float(np.clip(mid if np.isfinite(mid) else 0.0, -37.0, 37.0))
 
-    factor = ScaleFactor(
+    factor = _ScaleFactor(
         C=C,
         rank=d,
         perm=np.arange(d),
         row_scales=np.ones(d),
         block_heads=np.arange(d),
     )
-    return ReorderedProblem(a=a, b=b, factor=factor, perm=perm, clamped_pivots=clamped)
+    return _ReorderedProblem(a=a, b=b, factor=factor, perm=perm, clamped_pivots=clamped)
 
 
 class BoxIntegrand:
@@ -174,7 +170,7 @@ class BoxIntegrand:
     several rows clamp their width at 0.
     """
 
-    def __init__(self, lower, upper, coef, block_heads, spec: MixtureSpec, nu,
+    def __init__(self, lower, upper, coef, block_heads, spec: _MixtureSpec, nu,
                  table: _QuantileTable | None = None):
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
@@ -237,22 +233,25 @@ def _ndtr_of_bound(out, limits, partial, inv_sqrt_w, reduce, scratch) -> np.ndar
     return ndtr(out, out=out)
 
 
-def _w_table(spec: MixtureSpec, nu, cfg: RqmcConfig, rows: int) -> _QuantileTable | None:
+def _w_table(spec: _MixtureSpec, nu, cfg: RqmcConfig, rows: int) -> _QuantileTable | None:
     """The call's tabulated quantile if the integrand may read W from it.
 
     Given W = w, the probability of ``rows`` constraints on sqrt(w) Y, Y
     normal, moves by at most phi(1) < 0.25 per constraint and unit of
     log w (a face at x = limit / (sd(Y_i) sqrt(w)), by |x| phi(x) / 2), so
     a bound within tol / (2.5 rows) moves the estimate by at most tol/10.
-    A relative tol gives no such budget; a constant W is cheaper to read.
+    A relative tol gives no such budget.  A read of L with its logit costs
+    20 to 60 ns per value: less than the inverse-gamma quantile (several
+    hundred) or a black box's Python callback, but more than the constant,
+    Pareto and inverse-Burr quantiles (6 to 44 ns), which are read instead.
     """
-    if cfg.tol_type != "absolute" or spec.kind == "constant":
+    if cfg.tol_type != "absolute" or spec.kind not in ("inverse_gamma", "blackbox"):
         return None
     table = _QuantileTable(spec, nu)
     return table if 0.25 * rows * table.bound <= 0.1 * cfg.tol else None
 
 
-def _box_integrand(a0, b0, factor: ScaleFactor, spec: MixtureSpec, nu,
+def _box_integrand(a0, b0, factor: _ScaleFactor, spec: _MixtureSpec, nu,
                    table: _QuantileTable | None = None) -> BoxIntegrand:
     """Integrand for the box ``a0 < C z <= b0`` (limits centered and in
     the factor's row order), reading W from ``table`` if one is given.
@@ -296,7 +295,26 @@ def _antithetic(f):
     return pair_mean
 
 
-def _clamped(result: RqmcResult) -> RqmcResult:
+def _centered(a, b, model: NvmModel) -> tuple[np.ndarray, np.ndarray]:
+    """The box's limits, checked against the model, less its location."""
+    box = _Hyperrectangle(a, b)
+    if len(box.a) != model.dim:
+        raise ValueError("limit length does not match model dimension")
+    return box.a - model.loc, box.b - model.loc
+
+
+def _box_estimate(a0, b0, factor: _ScaleFactor, model: NvmModel, cfg: RqmcConfig | None,
+                  seed) -> RqmcResult:
+    """Antithetic RQMC estimate, clamped to [0, 1], of the box ``a0 < C z
+    <= b0`` (limits centered and in the factor's row order), in the
+    factor's rank, reading W as :func:`_w_table` allows for the rows of
+    nonzero variance."""
+    if cfg is None:
+        cfg = RqmcConfig()
+    rows = factor.dim - len(factor.degenerate_rows)
+    g = _box_integrand(a0, b0, factor, model.spec, model.nu,
+                       _w_table(model.spec, model.nu, cfg, rows))
+    result = rqmc_estimate(_antithetic(g), factor.rank, cfg, seed)
     return replace(result, estimate=min(max(result.estimate, 0.0), 1.0))
 
 
@@ -312,21 +330,11 @@ def prob(a, b, model: NvmModel, cfg: RqmcConfig | None = None,
     rank-deficient scale matrix goes to :func:`prob_singular` unreordered:
     ``reorder`` builds a full-rank Cholesky factor.
     """
-    if cfg is None:
-        cfg = RqmcConfig()
-    box = Hyperrectangle(a, b)
-    if len(box.a) != model.dim:
-        raise ValueError("limit length does not match model dimension")
     if not model.is_full_rank:
         return prob_singular(a, b, model, cfg, seed)
-
-    a0 = box.a - model.loc
-    b0 = box.b - model.loc
-    msw = mean_sqrt_w(model.spec, model.nu, n_pilot=1024)
-    problem = reorder(a0, b0, model.scale, msw)
-    g = _box_integrand(problem.a, problem.b, problem.factor, model.spec, model.nu,
-                       _w_table(model.spec, model.nu, cfg, model.dim))
-    return _clamped(rqmc_estimate(_antithetic(g), model.dim, cfg, seed))
+    a0, b0 = _centered(a, b, model)
+    problem = reorder(a0, b0, model.scale, _mean_sqrt_w(model.spec, model.nu))
+    return _box_estimate(problem.a, problem.b, problem.factor, model, cfg, seed)
 
 
 def prob_singular(a, b, model: NvmModel, cfg: RqmcConfig | None = None,
@@ -340,23 +348,11 @@ def prob_singular(a, b, model: NvmModel, cfg: RqmcConfig | None = None,
     feasibility check on their limits.  W is read as in :func:`prob`, the
     variables of nonzero variance being the constraints.
     """
-    if cfg is None:
-        cfg = RqmcConfig()
-    box = Hyperrectangle(a, b)
-    if len(box.a) != model.dim:
-        raise ValueError("limit length does not match model dimension")
     factor = model.factor
-
-    a0 = (box.a - model.loc)[factor.perm]
-    b0 = (box.b - model.loc)[factor.perm]
-    n_blocked = model.dim - len(factor.degenerate_rows)
-
+    a0, b0 = (lim[factor.perm] for lim in _centered(a, b, model))
     # Point-mass variables: the box either contains them or the
     # probability is zero.
-    for i in range(n_blocked, model.dim):
-        if not (a0[i] < 0.0 <= b0[i]):
-            return RqmcResult(0.0, 0.0, 0, 0, True)
-
-    g = _box_integrand(a0, b0, factor, model.spec, model.nu,
-                       _w_table(model.spec, model.nu, cfg, n_blocked))
-    return _clamped(rqmc_estimate(_antithetic(g), factor.rank, cfg, seed))
+    degenerate = slice(model.dim - len(factor.degenerate_rows), None)
+    if not np.all((a0[degenerate] < 0.0) & (0.0 <= b0[degenerate])):
+        return RqmcResult(0.0, 0.0, 0, 0, True)
+    return _box_estimate(a0, b0, factor, model, cfg, seed)

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-__all__ = ["ScaleFactor", "cholesky", "singular_cholesky", "mahalanobis_sq"]
+__all__ = []
 
 
 @dataclass(frozen=True)
-class ScaleFactor:
+class _ScaleFactor:
     """Lower-triangular factor of a scale matrix, possibly rank-deficient.
 
     Attributes
@@ -89,18 +89,18 @@ def _check_square_symmetric(sigma: np.ndarray) -> None:
         raise ValueError("scale matrix must be symmetric")
 
 
-def cholesky(sigma: np.ndarray) -> ScaleFactor:
+def cholesky(sigma: np.ndarray) -> _ScaleFactor:
     """Cholesky factor of a symmetric positive-semidefinite matrix: a
     matrix that is not positive definite goes to
-    :func:`singular_cholesky`."""
+    :func:`_singular_cholesky`."""
     sigma = np.asarray(sigma, dtype=float)
     _check_square_symmetric(sigma)
     d = sigma.shape[0]
     try:
         C = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        return singular_cholesky(sigma)
-    return ScaleFactor(
+        return _singular_cholesky(sigma)
+    return _ScaleFactor(
         C=C,
         rank=d,
         perm=np.arange(d),
@@ -109,7 +109,7 @@ def cholesky(sigma: np.ndarray) -> ScaleFactor:
     )
 
 
-def singular_cholesky(sigma: np.ndarray) -> ScaleFactor:
+def _singular_cholesky(sigma: np.ndarray) -> _ScaleFactor:
     """Staircase factorization of a positive-semidefinite matrix.
 
     Rows are processed in natural order; a row whose residual variance
@@ -195,7 +195,7 @@ def singular_cholesky(sigma: np.ndarray) -> ScaleFactor:
         C[pos, : last_col[i] + 1] = coeffs[i, : last_col[i] + 1] / s
 
     perm = np.concatenate([active[order], zero_rows]).astype(int)
-    return ScaleFactor(
+    return _ScaleFactor(
         C=C,
         rank=rank,
         perm=perm,
@@ -205,7 +205,7 @@ def singular_cholesky(sigma: np.ndarray) -> ScaleFactor:
     )
 
 
-def mahalanobis_sq(x: np.ndarray, mu: np.ndarray, factor: ScaleFactor) -> np.ndarray | float:
+def mahalanobis_sq(x: np.ndarray, mu: np.ndarray, factor: _ScaleFactor) -> np.ndarray | float:
     """Squared Mahalanobis distance via a triangular solve.
 
     ``x`` may be a single d-vector or an (n, d) batch.  Requires a

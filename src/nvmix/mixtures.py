@@ -27,16 +27,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import expit, gammainccinv, gammaincinv
 
-__all__ = [
-    "MixtureSpec",
-    "constant",
-    "inverse_gamma",
-    "pareto",
-    "inverse_burr",
-    "blackbox",
-    "quantile",
-    "mean_sqrt_w",
-]
+__all__ = ["constant", "inverse_gamma", "pareto", "inverse_burr", "blackbox",
+           "InvalidMixtureError"]
 
 _EPS = float(np.finfo(float).eps)
 # |u + uc - 1| stays below 2 eps max(u, uc) for u = expit(z) and
@@ -60,7 +52,7 @@ class InvalidMixtureError(ValueError):
 
 
 @dataclass(frozen=True)
-class MixtureSpec:
+class _MixtureSpec:
     """A mixing-variable family; parameters are passed separately.
 
     Attributes
@@ -116,35 +108,35 @@ def _q_inverse_burr(u, uc, nu):
     return w
 
 
-def constant() -> MixtureSpec:
+def constant() -> _MixtureSpec:
     """W identically equal to nu[0]; the multivariate normal case."""
-    return MixtureSpec("constant", 1, (1.0,), _q_constant)
+    return _MixtureSpec("constant", 1, (1.0,), _q_constant)
 
 
-def inverse_gamma() -> MixtureSpec:
+def inverse_gamma() -> _MixtureSpec:
     """W ~ IG(nu/2, nu/2): the multivariate t with nu degrees of freedom."""
-    return MixtureSpec("inverse_gamma", 1, (5.0,), _q_inverse_gamma)
+    return _MixtureSpec("inverse_gamma", 1, (5.0,), _q_inverse_gamma)
 
 
-def pareto() -> MixtureSpec:
+def pareto() -> _MixtureSpec:
     """W ~ Par(alpha) with minimum 1; quantile (1-u)^(-1/alpha)."""
-    return MixtureSpec("pareto", 1, (2.0,), _q_pareto)
+    return _MixtureSpec("pareto", 1, (2.0,), _q_pareto)
 
 
-def inverse_burr() -> MixtureSpec:
+def inverse_burr() -> _MixtureSpec:
     """W with quantile (u^(-1/nu2) - 1)^(-1/nu1)."""
-    return MixtureSpec("inverse_burr", 2, (2.0, 2.0), _q_inverse_burr)
+    return _MixtureSpec("inverse_burr", 2, (2.0, 2.0), _q_inverse_burr)
 
 
-def blackbox(quantile_fn, n_params: int, default_nu: tuple | None = None) -> MixtureSpec:
+def blackbox(quantile_fn, n_params: int, default_nu: tuple | None = None) -> _MixtureSpec:
     """Wrap a user-supplied vectorized quantile function ``q(u, nu)``."""
     if default_nu is None:
         default_nu = (1.0,) * n_params
-    return MixtureSpec("blackbox", n_params, tuple(default_nu),
-                       lambda u, uc, nu: quantile_fn(u, nu))
+    return _MixtureSpec("blackbox", n_params, tuple(default_nu),
+                        lambda u, uc, nu: quantile_fn(u, nu))
 
 
-def _check_params(spec: MixtureSpec, nu) -> np.ndarray:
+def _check_params(spec: _MixtureSpec, nu) -> np.ndarray:
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     if nu.shape[0] != spec.n_params:
         raise ValueError(
@@ -155,7 +147,7 @@ def _check_params(spec: MixtureSpec, nu) -> np.ndarray:
     return nu
 
 
-def quantile(spec: MixtureSpec, u, nu, uc=None) -> np.ndarray | float:
+def quantile(spec: _MixtureSpec, u, nu, uc=None) -> np.ndarray | float:
     """Quantile of W at ``u`` in (0,1) for parameter vector ``nu``.
 
     ``uc`` is ``1 - u`` computed by the caller (e.g. ``expit(-z)`` for
@@ -194,7 +186,7 @@ def quantile(spec: MixtureSpec, u, nu, uc=None) -> np.ndarray | float:
     return w
 
 
-def mean_sqrt_w(spec: MixtureSpec, nu, n_pilot: int = 1024) -> float:
+def _mean_sqrt_w(spec: _MixtureSpec, nu, n_pilot: int = 1024) -> float:
     """E(sqrt(W)), exactly for the constant family, otherwise by a
     midpoint rule on the quantile.
 
@@ -211,7 +203,7 @@ def mean_sqrt_w(spec: MixtureSpec, nu, n_pilot: int = 1024) -> float:
     return float(np.mean(np.sqrt(w)))
 
 
-def _z_range(spec: MixtureSpec) -> tuple[float, float]:
+def _z_range(spec: _MixtureSpec) -> tuple[float, float]:
     return _Z_LO, (_Z_HI_BLACKBOX if spec.kind == "blackbox" else -_Z_LO)
 
 

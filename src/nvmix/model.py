@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ScaleFactor, cholesky
-from .mixtures import MixtureSpec, _check_params
+from .linalg import _ScaleFactor, cholesky
+from .mixtures import _MixtureSpec, _check_params
 
 __all__ = ["NvmModel"]
 
@@ -19,12 +19,12 @@ class NvmModel:
 
     loc: np.ndarray
     scale: np.ndarray
-    spec: MixtureSpec
+    spec: _MixtureSpec
     nu: np.ndarray
-    factor: ScaleFactor
+    factor: _ScaleFactor
 
     @classmethod
-    def build(cls, loc, scale, spec: MixtureSpec, nu) -> "NvmModel":
+    def build(cls, loc, scale, spec: _MixtureSpec, nu) -> "NvmModel":
         """Model from a finite location (zeros when None), a scale matrix
         and the family's parameters ``nu``, checked as its quantile checks
         them; raises ``ValueError`` for any of these it cannot use."""

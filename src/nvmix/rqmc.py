@@ -26,15 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy.stats import qmc
 
-__all__ = [
-    "SobolStream",
-    "RqmcConfig",
-    "RqmcResult",
-    "IntegrandNaNError",
-    "rqmc_estimate",
-    "rqmc_log_estimate",
-    "RqmcAccumulator",
-]
+__all__ = ["RqmcConfig", "RqmcResult", "IntegrandNaNError"]
 
 # Resolution of the digital shift; Sobol' integers live on a 2^-32 grid,
 # which float64 represents exactly.
@@ -47,8 +39,6 @@ _BLOCK_VALUES = 2 ** 16
 # Multiple of the standard error over the randomizations that makes the
 # CI half width.
 _CI_MULT = 3.5
-
-NEG_INF = -np.inf
 
 
 class IntegrandNaNError(ValueError):
@@ -85,7 +75,7 @@ def _draw_raw(engine: qmc.Sobol, n: int) -> np.ndarray:
     return pts.astype(np.uint32)
 
 
-class SobolStream:
+class _SobolStream:
     """Extensible Sobol' stream in ``[0,1)^dimension`` under ``n_random``
     independent digital shifts.
 
@@ -170,7 +160,7 @@ class RqmcResult:
     converged: bool
 
 
-def log_mean_exp(values: np.ndarray, axis=None) -> np.ndarray | float:
+def _log_mean_exp(values: np.ndarray, axis=None) -> np.ndarray | float:
     """log of the arithmetic mean of exp(values), stable and exact for
     constant input."""
     values = np.asarray(values, dtype=float)
@@ -198,7 +188,7 @@ def _combine_log_means(old: np.ndarray, n_old, batch: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(m), out, m)
 
 
-class RqmcAccumulator:
+class _RqmcAccumulator:
     """Running per-randomization means of iterative RQMC for one or more
     integrands (rows).
 
@@ -206,9 +196,9 @@ class RqmcAccumulator:
     randomizations of one Sobol' stream, whose ``B`` digital shifts come
     from the one ``seed`` and are shared by all rows: every row is
     evaluated at the same points, so a row's result depends on that row
-    alone.  :meth:`add` reduces the values there to one mean per
-    randomization and :meth:`fold` folds such batch means into the running
-    means of the given rows with equal batch weights, plainly or, with
+    alone.  :meth:`fold` folds a batch's means per randomization
+    (``_batch_means`` of the values there) into the running means of the
+    given rows with equal batch weights, plainly or, with
     ``log=True``, as log-means (a "proper logarithm"), so that integrals
     as small as exp(-5000) are handled without underflow.  Errors,
     estimates, the tolerance test and the batch count are per row;
@@ -218,13 +208,13 @@ class RqmcAccumulator:
     def __init__(self, dimension: int, cfg: RqmcConfig, seed, log: bool = False):
         self.cfg = cfg
         self.log = log
-        self._stream = SobolStream(dimension, seed, n_random=cfg.B)
+        self._stream = _SobolStream(dimension, seed, n_random=cfg.B)
         # (rows, B) means and per-row batch counts, set up by the first fold.
         self.means = self.counts = None
         self.batches = 0
 
     def _start(self, n_rows: int) -> None:
-        self.means = np.full((n_rows, self.cfg.B), NEG_INF if self.log else 0.0)
+        self.means = np.full((n_rows, self.cfg.B), -np.inf if self.log else 0.0)
         self.counts = np.zeros(n_rows, dtype=int)
 
     def draw(self) -> np.ndarray:
@@ -233,11 +223,6 @@ class RqmcAccumulator:
         pts = self._stream.take(self.cfg.n0)
         self.batches += 1
         return pts.reshape(-1, pts.shape[-1])
-
-    def add(self, vals: np.ndarray, rows=None) -> None:
-        """Fold values at the last :meth:`draw` into the given rows (all by
-        default), shape ``(len(rows), B * n0)``."""
-        self.fold(_batch_means(vals, self.cfg.B, self.log), rows)
 
     def fold(self, batch_means: np.ndarray, rows=None) -> None:
         """Fold one batch, given as its ``(len(rows), B)`` means per
@@ -267,10 +252,6 @@ class RqmcAccumulator:
         1e154) that their variance overflows."""
         return _errors(self.means)
 
-    def converged(self) -> np.ndarray:
-        """Per-row tolerance test."""
-        return _converged(self.means, self.cfg, self.log)
-
     def results(self) -> list[RqmcResult]:
         """One result per row; ``converged`` is the tolerance test."""
         est, err = self.estimates(), self.errors()
@@ -282,7 +263,7 @@ class RqmcAccumulator:
 
 
 def _estimates(means: np.ndarray, log: bool) -> np.ndarray:
-    return log_mean_exp(means, axis=1) if log else means.mean(axis=1)
+    return _log_mean_exp(means, axis=1) if log else means.mean(axis=1)
 
 
 def _errors(means: np.ndarray) -> np.ndarray:
@@ -302,7 +283,7 @@ def _batch_means(vals: np.ndarray, B: int, log: bool) -> np.ndarray:
     the ``(rows, B * n0)`` or ``(B * n0,)`` values of one batch."""
     vals = np.asarray(vals, dtype=float)
     batch = vals.reshape(-1, B, vals.shape[-1] // B)
-    return log_mean_exp(batch, axis=2) if log else batch.mean(axis=2)
+    return _log_mean_exp(batch, axis=2) if log else batch.mean(axis=2)
 
 
 def _tolerance_met(err: np.ndarray, estimate: np.ndarray, cfg: RqmcConfig,
@@ -320,11 +301,11 @@ def _tolerance_met(err: np.ndarray, estimate: np.ndarray, cfg: RqmcConfig,
 
 
 def _run(g, dimension: int, cfg: RqmcConfig, seed, n_rows: int,
-         log: bool) -> RqmcAccumulator:
+         log: bool) -> _RqmcAccumulator:
     """Row-batched RQMC: ``n_rows`` integrands at the same points, under
     the ``B`` shifts of ``seed``, each until it meets the tolerance or
     ``i_max`` batches are spent.  Returns the accumulator, whose
-    :meth:`~RqmcAccumulator.results` are the rows' results.
+    :meth:`~_RqmcAccumulator.results` are the rows' results.
 
     Each iteration draws the ``(B * n0, dimension)`` points of a batch and
     walks the rows still running in blocks of about ``_BLOCK_VALUES``
@@ -333,7 +314,7 @@ def _run(g, dimension: int, cfg: RqmcConfig, seed, n_rows: int,
     array, one value per row and point (NaN aborts with the offending
     point).
     """
-    acc = RqmcAccumulator(dimension, cfg, seed, log)
+    acc = _RqmcAccumulator(dimension, cfg, seed, log)
     acc._start(n_rows)
     rows = np.arange(n_rows)
     while len(rows):

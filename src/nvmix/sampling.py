@@ -15,7 +15,7 @@ from scipy.special import ndtri
 
 from .mixtures import quantile
 from .model import NvmModel
-from .rqmc import _BLOCK_VALUES, SobolStream
+from .rqmc import _BLOCK_VALUES, _SobolStream
 
 __all__ = ["rnvmix"]
 
@@ -44,7 +44,7 @@ def rnvmix(n: int, model: NvmModel, seed: int | None = None,
         rng = np.random.default_rng(seed)
         draw = lambda k: rng.random((k, r + 1))
     else:
-        stream = SobolStream(r + 1, seed=seed)
+        stream = _SobolStream(r + 1, seed=seed)
         draw = lambda k: stream.take(k)[0]
 
     x = np.empty((n, model.dim))

@@ -295,7 +295,7 @@ def test_table_search_matches_bisection_on_its_interpolant(family, shift_k):
     # itself: its log g is no lower than bisection's, which stops within
     # _EPS_BISEC of it.
     spec, nu = FAMILIES[family]
-    D2 = np.array([0.0, 0.5, 3.0, 640.0, 1e8, 1e10, 1e300])
+    D2 = np.array([0.0, 1e-50, 1e-40, 1e-30, 0.5, 3.0, 640.0, 1e8, 1e10, 1e49, 1e300])
     args = np.full(len(D2), gaussian_prefactor(10)), np.full(len(D2), shift_k), 0.5 * D2
     table = _QuantileTable(spec, nu)
     assert table.bound <= _SEARCH_LOG_W_ERR

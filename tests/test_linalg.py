@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nvmix.linalg import ScaleFactor, cholesky, mahalanobis_sq, singular_cholesky
+from nvmix.linalg import _singular_cholesky, cholesky, mahalanobis_sq
 from nvmix.mixtures import inverse_gamma
 from nvmix.model import NvmModel
 
@@ -53,7 +53,7 @@ class TestCholesky:
 
 class TestSingularCholesky:
     def test_all_ones(self):
-        f = singular_cholesky(np.ones((3, 3)))
+        f = _singular_cholesky(np.ones((3, 3)))
         assert f.rank == 1
         assert np.array_equal(f.block_heads, [0])
         assert np.array_equal(f.block_sizes(), [3])
@@ -64,7 +64,7 @@ class TestSingularCholesky:
 
     def test_full_rank_consistency(self):
         sigma = random_wishart(6, seed=3)
-        f = singular_cholesky(sigma)
+        f = _singular_cholesky(sigma)
         plain = cholesky(sigma)
         assert f.rank == 6
         assert np.array_equal(f.perm, np.arange(6))
@@ -73,7 +73,7 @@ class TestSingularCholesky:
         assert np.allclose(f.reconstruct(), sigma, atol=1e-8)
 
     def test_zero_variance_row_moved_last(self):
-        f = singular_cholesky(np.diag([1.0, 0.0, 1.0]))
+        f = _singular_cholesky(np.diag([1.0, 0.0, 1.0]))
         assert f.rank == 2
         assert np.array_equal(f.perm, [0, 2, 1])
         assert np.array_equal(f.degenerate_rows, [1])
@@ -81,7 +81,7 @@ class TestSingularCholesky:
 
     def test_negative_scale_handled(self):
         sigma = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        f = singular_cholesky(sigma)
+        f = _singular_cholesky(sigma)
         assert f.rank == 1
         assert f.row_scales[1] == pytest.approx(-1.0)
         assert np.allclose(f.C[:, 0], 1.0)  # scaled pivots are unit
@@ -92,23 +92,23 @@ class TestSingularCholesky:
         for r in (1, 2, 4):
             A = rng.standard_normal((6, r))
             sigma = A @ A.T
-            f = singular_cholesky(sigma)
+            f = _singular_cholesky(sigma)
             assert f.rank == r
             assert np.allclose(f.reconstruct(), sigma, atol=1e-8)
             assert f.block_sizes().sum() == 6
 
     def test_rank0_rejected(self):
         with pytest.raises(ValueError, match="rank 0"):
-            singular_cholesky(np.zeros((3, 3)))
+            _singular_cholesky(np.zeros((3, 3)))
 
     def test_permutation_consistency(self):
         # Factorizing the permuted matrix reproduces the permuted factor.
         sigma = np.ones((3, 3))
         sigma[2, 2] = 2.0
         sigma[0, 2] = sigma[2, 0] = 1.0
-        f = singular_cholesky(sigma)
+        f = _singular_cholesky(sigma)
         sig_perm = sigma[np.ix_(f.perm, f.perm)]
-        f2 = singular_cholesky(sig_perm)
+        f2 = _singular_cholesky(sig_perm)
         assert np.allclose(f2.C, f.C, atol=1e-12)
 
 
@@ -150,6 +150,6 @@ class TestMahalanobis:
         assert d2p == pytest.approx(d2, rel=1e-12)
 
     def test_singular_rejected(self):
-        f = singular_cholesky(np.ones((2, 2)))
+        f = _singular_cholesky(np.ones((2, 2)))
         with pytest.raises(ValueError, match="full-rank"):
             mahalanobis_sq(np.zeros(2), np.zeros(2), f)

@@ -14,7 +14,7 @@ from nvmix.mixtures import (
     constant,
     inverse_burr,
     inverse_gamma,
-    mean_sqrt_w,
+    _mean_sqrt_w,
     pareto,
     quantile,
 )
@@ -151,24 +151,24 @@ def test_uc_must_be_one_minus_u():
 
 class TestMeanSqrtW:
     def test_constant(self):
-        assert mean_sqrt_w(constant(), [4.0]) == 2.0
+        assert _mean_sqrt_w(constant(), [4.0]) == 2.0
 
     def test_inverse_gamma_moment(self):
         # Closed-form moment oracle: E(W^0.5) = sqrt(nu/2) G((nu-1)/2)/G(nu/2).
         nu = 4.0
         oracle = math.sqrt(nu / 2.0) * math.gamma((nu - 1) / 2.0) / math.gamma(nu / 2.0)
         assert oracle == pytest.approx(1.2533, abs=1e-4)
-        got = mean_sqrt_w(inverse_gamma(), [nu], n_pilot=10 ** 5)
+        got = _mean_sqrt_w(inverse_gamma(), [nu], n_pilot=10 ** 5)
         assert got == pytest.approx(oracle, rel=5e-3)
 
     def test_pareto_moment(self):
         # E(W^k) = alpha/(alpha-k) for k < alpha; k = 1/2, alpha = 2.
-        got = mean_sqrt_w(pareto(), [2.0], n_pilot=10 ** 5)
+        got = _mean_sqrt_w(pareto(), [2.0], n_pilot=10 ** 5)
         assert got == pytest.approx(4.0 / 3.0, rel=5e-3)
 
     def test_rejects_bad_pilot(self):
         with pytest.raises(ValueError):
-            mean_sqrt_w(pareto(), [2.0], n_pilot=0)
+            _mean_sqrt_w(pareto(), [2.0], n_pilot=0)
 
 
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6), st.floats(min_value=0.2, max_value=20))

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from nvmix import rqmc
 from nvmix.rqmc import (
     IntegrandNaNError,
-    RqmcAccumulator,
     RqmcConfig,
-    SobolStream,
+    _batch_means,
+    _converged,
     _draw_raw,
+    _log_mean_exp,
     _new_engine,
+    _RqmcAccumulator,
     _run,
-    log_mean_exp,
+    _SobolStream,
     rqmc_estimate,
     rqmc_log_estimate,
 )
@@ -52,9 +54,9 @@ class TestSobolStream:
         assert np.array_equal(pts, reference_sobol_1d(64))
 
     def test_extensible(self):
-        s1 = SobolStream(5, seed=7)
+        s1 = _SobolStream(5, seed=7)
         a = np.vstack([s1.take(4)[0], s1.take(4)[0]])
-        b = SobolStream(5, seed=7).take(8)[0]
+        b = _SobolStream(5, seed=7).take(8)[0]
         assert np.array_equal(a, b)
 
     @pytest.mark.filterwarnings("ignore:The balance properties")
@@ -71,21 +73,21 @@ class TestSobolStream:
             assert np.array_equal(_draw_raw(got, n), want)
 
     def test_same_seed_same_points(self):
-        a = SobolStream(4, seed=123).take(32)[0]
-        b = SobolStream(4, seed=123).take(32)[0]
+        a = _SobolStream(4, seed=123).take(32)[0]
+        b = _SobolStream(4, seed=123).take(32)[0]
         assert np.array_equal(a, b)
 
     def test_no_seed_draws_fresh_shifts(self):
         # seed=None randomizes as numpy.random.default_rng(None) does: two
         # streams differ, and neither is the unshifted sequence.
-        a, b = SobolStream(3, n_random=2).take(8), SobolStream(3, n_random=2).take(8)
+        a, b = _SobolStream(3, n_random=2).take(8), _SobolStream(3, n_random=2).take(8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a[0], raw_points(3, 8))
 
     def test_range_and_stratification(self):
         # One point per dyadic interval [k/1024, (k+1)/1024) in every
         # 1-D projection: a digital shift preserves the net property.
-        pts = SobolStream(5, seed=99).take(1024)[0]
+        pts = _SobolStream(5, seed=99).take(1024)[0]
         assert pts.min() >= 0.0 and pts.max() < 1.0
         for j in range(5):
             cells = np.floor(pts[:, j] * 1024).astype(int)
@@ -94,7 +96,7 @@ class TestSobolStream:
     def test_different_seeds_uniform_chisq(self):
         # Per-coordinate chi-square GOF against U(0,1), 20 cells.
         for seed in (1, 2, 3):
-            pts = SobolStream(3, seed=seed).take(4096)[0]
+            pts = _SobolStream(3, seed=seed).take(4096)[0]
             for j in range(3):
                 counts = np.bincount(
                     np.floor(pts[:, j] * 20).astype(int), minlength=20
@@ -105,30 +107,30 @@ class TestSobolStream:
 
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
-            SobolStream(30000)
+            _SobolStream(30000)
 
 
 class TestLse:
-    """Log-sum-exp properties of ``log_mean_exp``, which is log-sum-exp
+    """Log-sum-exp properties of ``_log_mean_exp``, which is log-sum-exp
     less log n."""
 
     def test_single(self):
-        assert log_mean_exp([0.0]) == 0.0
+        assert _log_mean_exp([0.0]) == 0.0
 
     def test_log2(self):
-        assert log_mean_exp([0.0, math.log(3.0)]) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert _log_mean_exp([0.0, math.log(3.0)]) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_shifted_does_not_underflow(self):
-        assert log_mean_exp([-1000.0, -1000.0]) == pytest.approx(-1000.0, abs=1e-12)
+        assert _log_mean_exp([-1000.0, -1000.0]) == pytest.approx(-1000.0, abs=1e-12)
         # naive evaluation underflows to log(0)
         assert math.exp(-1000.0) + math.exp(-1000.0) == 0.0
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            log_mean_exp([])
+            _log_mean_exp([])
 
     def test_all_neg_inf(self):
-        assert log_mean_exp([-np.inf, -np.inf]) == -np.inf
+        assert _log_mean_exp([-np.inf, -np.inf]) == -np.inf
 
     @given(
         st.lists(st.floats(min_value=-1e6, max_value=700), min_size=1, max_size=20),
@@ -136,22 +138,22 @@ class TestLse:
     )
     @settings(max_examples=200, deadline=None)
     def test_shift_identity(self, values, shift):
-        assert log_mean_exp(np.asarray(values) + shift) == pytest.approx(
-            log_mean_exp(values) + shift, rel=1e-12, abs=1e-9
+        assert _log_mean_exp(np.asarray(values) + shift) == pytest.approx(
+            _log_mean_exp(values) + shift, rel=1e-12, abs=1e-9
         )
 
     @pytest.mark.parametrize("c", [0.0, -1000.0, 3.7, 700.0, -np.inf])
     def test_exact_for_constant_input(self, c):
-        assert log_mean_exp(np.full(7, c)) == c
+        assert _log_mean_exp(np.full(7, c)) == c
 
     def test_axis_matches_row_by_row(self):
         rng = np.random.default_rng(5)
         values = rng.normal(scale=300.0, size=(4, 9))
         values[1, :3] = -np.inf
         values[2] = -np.inf
-        rows = log_mean_exp(values, axis=1)
+        rows = _log_mean_exp(values, axis=1)
         assert rows.shape == (4,)
-        assert list(rows) == [log_mean_exp(v) for v in values]
+        assert list(rows) == [_log_mean_exp(v) for v in values]
 
 
 class TestRqmcEstimate:
@@ -320,14 +322,14 @@ def test_rows_with_neg_inf_log_means_have_infinite_errors():
     # NaN, with a RuntimeWarning from np.std), so it meets no tolerance;
     # the finite rows are as before.
     cfg = RqmcConfig()
-    acc = RqmcAccumulator(1, cfg, seed=1, log=True)
+    acc = _RqmcAccumulator(1, cfg, seed=1, log=True)
     finite = np.linspace(-1.0, 1.0, cfg.B)
     acc.fold(np.array([np.full(cfg.B, -np.inf), np.r_[np.zeros(cfg.B - 1), -np.inf], finite,
                        np.zeros(cfg.B)]))
     err = acc.errors()
     assert np.array_equal(err[:2], [np.inf, np.inf])
     assert err[2] == 3.5 * np.std(finite, ddof=1) / math.sqrt(cfg.B) and err[3] == 0.0
-    assert list(acc.converged()) == [False, False, False, True]
+    assert list(_converged(acc.means, cfg, True)) == [False, False, False, True]
 
 
 class TestInvariants:
@@ -338,12 +340,12 @@ class TestInvariants:
         g = lambda u: np.cos(u[:, 0] * u[:, 1])
 
         def add_batch(acc):
-            acc.add(g(acc.draw()))
+            acc.fold(_batch_means(g(acc.draw()), cfg.B, False))
 
-        acc1 = RqmcAccumulator(2, cfg, seed=77)
+        acc1 = _RqmcAccumulator(2, cfg, seed=77)
         for _ in range(3):
             add_batch(acc1)
-        acc2 = RqmcAccumulator(2, cfg, seed=77)
+        acc2 = _RqmcAccumulator(2, cfg, seed=77)
         for _ in range(7):
             add_batch(acc2)
         for _ in range(4):

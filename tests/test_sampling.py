@@ -7,7 +7,7 @@ from scipy.special import fdtr, ndtri
 
 from nvmix.mixtures import inverse_gamma, pareto, quantile
 from nvmix.model import NvmModel
-from nvmix.rqmc import _BLOCK_VALUES, SobolStream
+from nvmix.rqmc import _BLOCK_VALUES, _SobolStream
 from nvmix.sampling import _U_EPS, rnvmix
 
 # Inversion-Sobol' draws recorded before the Sobol' stream became a bank
@@ -87,7 +87,7 @@ def test_blocks_equal_whole_array_pass(name, method):
         if method == "pseudo":
             u = np.random.default_rng(5).random((n, r + 1))
         else:
-            u = SobolStream(r + 1, seed=5).take(n)[0]
+            u = _SobolStream(r + 1, seed=5).take(n)[0]
         u = np.clip(u, _U_EPS, 1.0 - _U_EPS)
         w = quantile(model.spec, u[:, 0], model.nu)
         want = model.loc + np.sqrt(w)[:, None] * (ndtri(u[:, 1:]) @ A.T)
