@@ -6,29 +6,36 @@ Two parts, both at tol 1e-3 under the default ``RqmcConfig``:
   [0.5, 2], ``shift_k`` 5, prefactor 0, seed 1) for N = 500 and 2000.
   Prints the wall time of one untraced call, the tracemalloc peak of
   another, the number of quantile calls and u-values it evaluates, in
-  all and per phase, and the RQMC's points per row.
+  all and per phase, and the trapezoid rule's nodes and the RQMC's
+  points per row.
 * Calibration: IG(4) log-densities in d = 10 of points whose D2 / d
   follows F(10, 1), as under the nu = 1 mixture (multivariate Cauchy),
   stratified below D2 = 1e8 as in the density-tail benchmark workload,
   on the identity scale, one call of 300 points per seed.  Prints the
   rows that report converged while missing tol against
   ``closed_log_density``, the unconverged rows, the quantiles of error
-  over error estimate of the converged rows, the RQMC's points per row
-  and the quantile work per phase, summed over the calls.
+  over error estimate of the converged rows, the rule's nodes and the
+  RQMC's points per row and the quantile work per phase, summed over the
+  calls.
 
 The phases are the table of the quantile (``_QuantileTable``: its nodes
 and midpoints, evaluated exactly), the search (``_bracket_z``: the
 maximum of g and the bracket's ends, and ``_table_budget``'s reads of w
-at those ends), the RQMC (``_run``) and anything else (the check for an
-atom of W at 0 when a row has D2 = 0); the search's u-values are also
-given per row.  The table's line also gives the time spent building
-tables, their node counts and their largest bound in log w; the search
-and the RQMC make no quantile call where they read a table.  The
+at those ends), the trapezoid rule (``_nested_trapezoid``), which
+integrates the rows of a call whose search reads the table, the RQMC
+(``_run``), which integrates the others, and anything else (the check
+for an atom of W at 0 when a row has D2 = 0); the search's u-values are
+also given per row.  The table's line also gives the time spent building
+tables, their node counts and their largest bound in log w; the search,
+the rule and the RQMC make no quantile call where they read a table.  The
 search's line also gives its steps and row evaluations (rows summed over
 those steps) per call of ``_bracket_z``: the Newton steps of its search
 on a table (``_newton``) or the bisection steps of its search on the
 quantile (``_bisect``), not counting the table search's one scan of g on
-the table's nodes or the evaluation of g at its maximum.
+the table's nodes or the evaluation of g at its maximum.  The rule's
+line gives its values (the first and one per halving of its step), row
+blocks and nodes (row evaluations) per call and its rows' nodes, the
+RQMC's line its rows' points per randomization.
 
 Run from the root of a checkout (about 10 s)::
 
@@ -51,12 +58,13 @@ from nvmix.mixtures import quantile
 TOL = 1e-3
 
 
-PHASES = ("table", "search", "rqmc", "other")
+PHASES = ("table", "search", "rule", "rqmc", "other")
 
 
 def _new_counts():
     counts = {p: [0, 0] for p in PHASES}
-    counts.update(table_s=0.0, bound=0.0, nodes=set(), searches=0, steps=0, row_evals=0)
+    counts.update(table_s=0.0, bound=0.0, nodes=set(), searches=0, steps=0, row_evals=0,
+                  rules=0, rule_values=0, rule_blocks=0, rule_nodes=[], rqmc_points=[])
     return counts
 
 
@@ -65,13 +73,17 @@ def _phase_counts(call, counts=None):
     in each phase of ``log_integral_batch``, added to ``counts``: a
     quantile call belongs to the table while a ``_QuantileTable`` is
     built, to the search while ``_bracket_z`` or ``_table_budget`` runs,
-    to the RQMC while ``_run`` runs and to ``other`` otherwise.
+    to the rule while ``_nested_trapezoid`` runs, to the RQMC while
+    ``_run`` runs and to ``other`` otherwise.
     ``counts["table_s"]`` holds the time spent building tables,
     ``counts["bound"]`` the largest of their bounds and
     ``counts["nodes"]`` their node counts; ``counts["searches"]``,
     ``counts["steps"]`` and ``counts["row_evals"]`` the calls of
     ``_bracket_z``, their Newton and bisection steps and the rows those
-    steps evaluate."""
+    steps evaluate; ``counts["rules"]``, ``counts["rule_values"]`` and
+    ``counts["rule_blocks"]`` the rule's calls, values and row blocks,
+    ``counts["rule_nodes"]`` its rows' nodes and ``counts["rqmc_points"]``
+    the RQMC rows' points."""
     counts = _new_counts() if counts is None else counts
     phase = ["other"]
     table = mixtures._QuantileTable
@@ -103,6 +115,26 @@ def _phase_counts(call, counts=None):
         counts["searches"] += 1
         return saved["_bracket_z"](*args)
 
+    def rule(log_g, *args):
+        # Each value of the rule evaluates nodes of a new count per row.
+        sizes = set()
+
+        def blocks(v, rows):
+            sizes.add(len(v))
+            counts["rule_blocks"] += 1
+            return log_g(v, rows)
+
+        counts["rules"] += 1
+        out = saved["_nested_trapezoid"](blocks, *args)
+        counts["rule_values"] += len(sizes)
+        counts["rule_nodes"] += out[2].tolist()
+        return out
+
+    def rqmc(g, dimension, cfg, *args, **kwargs):
+        acc = saved["_run"](g, dimension, cfg, *args, **kwargs)
+        counts["rqmc_points"] += (acc.counts * cfg.n0).tolist()
+        return acc
+
     def build(self, *args):
         t0 = time.perf_counter()
         in_phase("table", saved_init)(self, *args)
@@ -111,7 +143,8 @@ def _phase_counts(call, counts=None):
         counts["nodes"].add(self.intervals + 1)
 
     saved = {name: getattr(density, name)
-             for name in ("_bracket_z", "_table_budget", "_bisect", "_newton", "_run")}
+             for name in ("_bracket_z", "_table_budget", "_bisect", "_newton",
+                          "_nested_trapezoid", "_run")}
     saved_init = table.__init__
     # The density path calls the quantile through mixtures._quantile_z.
     mixtures.quantile = counted
@@ -119,7 +152,8 @@ def _phase_counts(call, counts=None):
     density._table_budget = in_phase("search", saved["_table_budget"])
     density._bisect = stepped("_bisect")
     density._newton = stepped("_newton")
-    density._run = in_phase("rqmc", saved["_run"])
+    density._nested_trapezoid = in_phase("rule", rule)
+    density._run = in_phase("rqmc", rqmc)
     table.__init__ = build
     try:
         result = call()
@@ -142,6 +176,12 @@ def _print_phases(counts, rows: int) -> None:
     print(f"  search: steps {counts['steps'] / searches:.1f} per call, "
           f"row evaluations {counts['row_evals'] / searches:.1f} per call "
           f"({counts['searches']} calls)")
+    rules = max(counts["rules"], 1)
+    print(f"  rule  : values {counts['rule_values'] / rules:.1f} per call, "
+          f"row blocks {counts['rule_blocks'] / rules:.1f} per call, "
+          f"row evaluations {sum(counts['rule_nodes']) / rules:.1f} per call "
+          f"({counts['rules']} calls); nodes per row: {_histogram(counts['rule_nodes'])}")
+    print(f"  rqmc  : points per row: {_histogram(counts['rqmc_points'])}")
 
 
 def _table_summary(counts) -> str:
@@ -150,10 +190,10 @@ def _table_summary(counts) -> str:
     return f", build {1e3 * counts['table_s']:.1f} ms, {nodes} nodes, bound {counts['bound']:.2g}"
 
 
-def _print_points(points) -> None:
-    """The RQMC's points per randomization of each row, as counts."""
-    values, rows = np.unique(points, return_counts=True)
-    print("  points per row: " + ", ".join(f"{v}: {n}" for v, n in zip(values, rows)))
+def _histogram(counts) -> str:
+    """Each distinct count and its number of rows, or "none"."""
+    values, rows = np.unique(np.asarray(counts, dtype=int), return_counts=True)
+    return ", ".join(f"{v}: {n}" for v, n in zip(values, rows)) or "none"
 
 
 def cost(n: int) -> None:
@@ -174,14 +214,13 @@ def cost(n: int) -> None:
           f"u-values {sum(counts[p][1] for p in PHASES)}, "
           f"converged {sum(r.converged for r in res)}/{n}")
     _print_phases(counts, n)
-    _print_points([r.n_per_randomization for r in res])
 
 
 def calibration(n_seeds: int, n_points: int = 300, d: int = 10) -> None:
     cfg = RqmcConfig(tol=TOL)
     model = NvmModel.build(None, np.eye(d), inverse_gamma(), [4.0])
     u_max = fdtr(d, 1.0, 1e8 / d)
-    errors, estimates, points, unconverged = [], [], [], 0
+    errors, estimates, unconverged = [], [], 0
     counts = _new_counts()
     for seed in range(1, n_seeds + 1):
         rng = np.random.default_rng(seed)
@@ -192,7 +231,6 @@ def calibration(n_seeds: int, n_points: int = 300, d: int = 10) -> None:
         exact = closed_log_density(model, X)
         res, _ = _phase_counts(lambda: log_density_batch(X, model, cfg, seed=seed), counts)
         for r, e in zip(res, exact):
-            points.append(r.n_per_randomization)
             if not r.converged:
                 unconverged += 1
                 continue
@@ -206,7 +244,6 @@ def calibration(n_seeds: int, n_points: int = 300, d: int = 10) -> None:
     print("  |error| / error estimate: median {:.3g}, 90% {:.3g}, 99% {:.3g}, max {:.3g}"
           .format(*q))
     _print_phases(counts, n_seeds * n_points)
-    _print_points(points)
 
 
 def main(n_seeds: int = 10, sizes=(500, 2000), n_points: int = 300) -> None:

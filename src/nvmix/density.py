@@ -8,26 +8,25 @@ monotone with its peak at u = 0.  Every input is therefore integrated in
 the logit coordinate z = log(u / (1 - u)), where the integrand
 g(z) = h(expit(z)) expit(z) expit(-z) decays exponentially toward both
 ends whenever h is bounded: a search brackets the region where g exceeds
-a threshold below its maximum, and RQMC integrates g over that bracket
-(see :func:`log_integral_batch`).  The paper pairs such an adaptive RQMC
-with a crude RQMC in u, which settles small distances; here the one path
-in z serves every input.  :func:`region_bounds` is the one-input view of
-the search, the bracket in z; :func:`peak` locates the peak of h, which
-the search does not need.
+a threshold below its maximum, and g is integrated over that bracket
+(see :func:`log_integral_batch`): where w has a smooth table, by the
+nested trapezoid rule, which converges exponentially for g analytic in a
+strip (Trefethen & Weideman 2014, SIAM Review 56(3)), and by the paper's
+adaptive RQMC where the quantile jumps or vanishes.  :func:`region_bounds`
+is the one-input view of the search; :func:`peak` locates the peak of h.
 
 w is read from a table of the call's one mixture (``_QuantileTable``,
 kept beside ``quantile`` in :mod:`nvmix.mixtures`, where the box
 probabilities read it too), a cubic interpolant L(z) of log w with a
 checked bound on its error (numerical inversion after Hörmann & Leydold
 2003 and Derflinger, Hörmann & Leydold 2010, applied in z), where that
-bound allows.  A lookup
-costs a few dozen nanoseconds per point, against several hundred for the
-inverse-gamma quantile.  On the table the search takes Newton steps on L
-and its derivatives, from a scan of g on the table's nodes: about ten
-steps per call, against 61 for the bisection over the whole z range that
-it takes on the quantile itself.  All inputs take each step together and
-share one seed's digital shifts, yet each input's result depends on that
-input alone.  The same machinery integrates any integrand of the form
+bound allows.  A lookup costs a few dozen nanoseconds per point, against
+several hundred for the inverse-gamma quantile.  On the table the search
+takes Newton steps on L and its derivatives, from a scan of g on the
+table's nodes: about ten steps per call, against 61 for the bisection
+over the whole z range that it takes on the quantile itself.  All inputs
+take each step together, yet each input's result depends on that input
+alone.  The same machinery integrates any integrand of the form
 c * w^(-k) * exp(-m/w), which covers the posterior weights needed for
 fitting and the Mahalanobis-distance density.
 """
@@ -48,7 +47,8 @@ from .mixtures import quantile  # noqa: F401
 from .model import NvmModel
 # rqmc_log_estimate stays bound here for tools that trace this module's
 # estimator by name.
-from .rqmc import RqmcConfig, RqmcResult, _run, _tolerance_met, rqmc_log_estimate  # noqa: F401
+from .rqmc import (_BLOCK_VALUES, RqmcConfig, RqmcResult, _run, _tolerance_met,  # noqa: F401
+                   rqmc_log_estimate)
 
 __all__ = ["log_density_batch", "closed_log_density"]
 
@@ -56,16 +56,17 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
 _DIVERGES = "integrand diverges at w = 0 when D2 = 0"
-# The bracket ends where g falls _K_TH decades below its maximum; the
-# search stops a row once its step in z is below _EPS_BISEC.
+# The bracket ends at most _K_TH decades below g's maximum, _K_TH_RULE on
+# the trapezoid rule; the search stops a row once its z-step is below _EPS_BISEC.
 _K_TH = 10.0
+_K_TH_RULE = 16.0
 _EPS_BISEC = 1e-6
 # The bisection on the quantile reads g's slope from g this far either side
 # of a midpoint: far enough that rounding in log g does not flip its sign
 # where log g is flat, near enough that the central difference's own error
 # moves the maximum by much less than _EPS_BISEC.
 _RISE_H = 1e-4
-# Points per randomization between the RQMC's tolerance checks.
+# Points per randomization between the RQMC's checks; the rule's first intervals.
 _ADAPTIVE_STEP = 16
 # The search reads the tabulated quantile where its bound in log w is at
 # most _SEARCH_LOG_W_ERR.
@@ -98,12 +99,6 @@ def _row_arrays(D2, shift_k, prefactor) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _log_g_w(w, z, pref, k, m):
     """log g at z from the quantile values w there."""
     return _log_h_of_w(w, pref, k, m) + log_expit(z) + log_expit(-z)
-
-
-def _log_g(z, spec, nu, pref, k, m):
-    """log of the integrand in the logit coordinate, h(u) du/dz, from the
-    quantile itself."""
-    return _log_g_w(_quantile_z(spec, z, nu), z, pref, k, m)
 
 
 def _log_g_log_w(log_w, z, pref, k, m):
@@ -434,6 +429,38 @@ def _bracket_z(spec, nu, pref, k, m, table, k_th):
             z_g, top)
 
 
+def _nested_trapezoid(log_g, high, cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of ``high``, the log of the trapezoid rule over [0, 1] of
+    exp(``log_g(v, rows)``), the change in it at the last halving of the
+    step, and its nodes.  The rule starts at ``_ADAPTIVE_STEP`` intervals
+    and halves the step within ``i_max n0`` intervals; each halving
+    evaluates only the new midpoints of the rows still running, in row
+    blocks of about ``_BLOCK_VALUES`` values.  The ends, k_th decades
+    below g's maximum, count as 0: n intervals have n - 1 nodes.  The sums
+    add exp(log g - high), which lie in about [1e-16, 1].  A row stops
+    once the change is at most tol/10 (relative under a relative tol)."""
+    budget = cfg.i_max * cfg.n0
+    n = max(2, min(_ADAPTIVE_STEP, budget))
+    total, nodes = np.zeros(len(high)), np.zeros(len(high), dtype=int)
+    estimate, error = np.full(len(high), -math.inf), np.full(len(high), math.inf)
+    rows, v = np.arange(len(high)), np.arange(1, n) / n
+    while True:
+        block = max(1, _BLOCK_VALUES // len(v))
+        for start in range(0, len(rows), block):
+            r = rows[start:start + block]
+            total[r] += np.exp(log_g(v, r) - high[r, None]).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = high[rows] + np.log(total[rows] / n)
+            change = np.abs(new - estimate[rows])
+        estimate[rows], nodes[rows] = new, n - 1
+        error[rows] = np.where(np.isnan(change), math.inf, change)
+        rows = rows[~_tolerance_met(10.0 * error[rows], new, cfg, True)]
+        if not len(rows) or 2 * n > budget:
+            return estimate, error, nodes
+        v = (np.arange(n) + 0.5) / n
+        n *= 2
+
+
 def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
                        cfg: RqmcConfig | None = None,
                        seed: int | None = None) -> list[RqmcResult]:
@@ -447,23 +474,30 @@ def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
 
     Every row takes one path in z = logit(u), all rows together.  A
     search (:func:`_bracket_z`) finds g's maximum and both ends of the
-    bracket, where g falls ``min(_K_TH, 5 + log10(1/tol))`` decades below
-    its maximum (5 for any tol >= 1): on the table, by Newton's method
-    safeguarded by bisection from a scan of g on the table's nodes, each
-    row until its step is below ``_EPS_BISEC``; on the quantile, by
-    bisection over the whole z range down to a z-width of ``_EPS_BISEC``.
-    RQMC then integrates g over the bracket with the whole budget of
-    ``cfg.i_max`` batches of ``cfg.n0`` points, each row until it meets
-    the tolerance, tested every ``min(cfg.n0, _ADAPTIVE_STEP)`` points per
-    randomization, in blocks of rows of about ``_BLOCK_VALUES`` values.  The rows share
-    one seed's ``B`` digital shifts, and a row's result equals that of a
-    call with this row alone.
+    bracket, where g falls ``5 + log10(1/tol)`` decades below its maximum
+    (5 for any tol >= 1): on the table, by Newton's method safeguarded by
+    bisection from a scan of g on the table's nodes, each row until its
+    step is below ``_EPS_BISEC``; on the quantile, by bisection over the
+    whole z range down to a z-width of ``_EPS_BISEC``.
+
+    Where the search reads the table (every built-in family), the nested
+    trapezoid rule (:func:`_nested_trapezoid`) integrates g over at most
+    ``_K_TH_RULE`` decades, each row until two successive values differ by
+    at most tol/10, its error estimate, within ``cfg.i_max * cfg.n0``
+    intervals; its rows do not depend on ``seed``.  Otherwise (a quantile
+    that jumps or vanishes, where the rule converges only at first order)
+    RQMC integrates g over at most ``_K_TH`` decades within ``cfg.i_max``
+    batches of ``cfg.n0`` points, each row until it meets the tolerance,
+    tested every ``min(cfg.n0, _ADAPTIVE_STEP)`` points; its rows share
+    one seed's ``B`` digital shifts.  Both work in blocks of rows of about
+    ``_BLOCK_VALUES`` values, and a row's result equals that of a call
+    with this row alone.  ``n_per_randomization`` counts a row's RQMC
+    points or rule nodes, ``iterations_used`` them in batches of ``cfg.n0``.
 
     w comes from a table of the mixture, with 513 nodes (see
     ``_QuantileTable``), where its bound in log w is within the reader's
-    budget, and from the quantile itself otherwise (a quantile that jumps
-    or vanishes has no such bound).  The search's budget is
-    ``_SEARCH_LOG_W_ERR``; a row's RQMC has the budget of
+    budget, and from the quantile itself otherwise.  The search's budget
+    is ``_SEARCH_LOG_W_ERR``; a row's integration has the budget of
     ``_table_budget``, which keeps the table's error in its log-integral
     within tol/10, and forms log g from L without forming w.  When some
     row's positive budget is below the bound of a table that the search
@@ -471,20 +505,18 @@ def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
     reads the coarser of the two tables within its budget; where no table
     can be read (its bound is inf), every row reads the quantile.  Each
     search step reads the table or the quantile once for all rows still
-    running and each RQMC step once per block of rows, so a step that
-    reads the quantile makes one quantile call per row block.
+    running, and each integration step once per block of rows.
 
-    A result is unconverged when its RQMC misses the tolerance or when g
-    is still above the threshold at an end of the z range.  A row whose
-    g peaks at an end of the z range (within ``_EPS_BISEC``) has its mass
-    beyond the doubles' reach: it gets no RQMC points, an infinite error
+    A result is unconverged when it misses the tolerance or when g is
+    still above the threshold at an end of the z range.  A row whose g
+    peaks at an end of the z range (within ``_EPS_BISEC``) has its mass
+    beyond the doubles' reach: it gets no points, an infinite error
     estimate and, as its estimate, g's maximum plus the log of the
     bracket's width, -inf where that width rounds to 0.  At D2 = 0 the
     integral diverges when W has an atom at w = 0, or when g is still
     above the threshold at the lower end of the z range and no lower
     there than halfway to it (h grows at least like 1/u as u -> 0);
-    either raises ``ValueError`` before any RQMC.
-    ``iterations_used`` counts the points in batches of ``cfg.n0``.
+    either raises ``ValueError`` before any integration.
     """
     if cfg is None:
         cfg = RqmcConfig()
@@ -497,10 +529,10 @@ def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
     if np.any(m == 0.0) and _quantile_z(spec, _Z_LO, nu) == 0.0:
         raise ValueError(_DIVERGES)
 
-    # The bracket ends where g falls k_th decades below its maximum: five
-    # more than tol's, at most _K_TH; any tol >= 1 (inf included) gives 5.
-    k_th = min(_K_TH, 5.0 + max(0.0, -math.log10(cfg.tol)))
     table = _QuantileTable(spec, nu)
+    rule = table.bound <= _SEARCH_LOG_W_ERR
+    # Any tol >= 1 (inf included) gives k_th = 5.
+    k_th = min(_K_TH_RULE if rule else _K_TH, 5.0 + max(0.0, -math.log10(cfg.tol)))
     z_l, z_r, closed, z_g, top = _bracket_z(spec, nu, pref, k, m, table, k_th)
     # At D2 = 0, g still above the threshold at z_lo and no lower there than
     # at z_lo / 2 means that h grows at least like 1/u as u -> 0: the
@@ -513,7 +545,7 @@ def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
         if np.any(log_g[:, 0] >= log_g[:, 1]):
             raise ValueError(_DIVERGES)
     # A row whose g peaks at an end of the z range has its mass beyond
-    # the doubles' reach, which no RQMC inside the range can find.
+    # the doubles' reach, which no integration inside the range can find.
     z_lo, z_hi = _z_range(spec)
     beyond = (z_g - z_lo <= _EPS_BISEC) | (z_hi - z_g <= _EPS_BISEC)
     width = z_r - z_l
@@ -530,36 +562,39 @@ def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
     if table.bound < math.inf:
         budget = _table_budget(table, np.stack([z_l, z_r]), k, m, cfg,
                                (high - k_th * _LN10, high))
-        if table.bound <= _SEARCH_LOG_W_ERR and np.any((budget > 0.0) & (budget < table.bound)):
+        if rule and np.any((budget > 0.0) & (budget < table.bound)):
             tables.append(_QuantileTable(spec, nu, 4 * _TABLE_INTERVALS))
         # Row i reads the coarsest table within its budget, or the quantile.
         for j in reversed(range(len(tables))):
             reads[tables[j].bound <= budget] = j
     run = np.flatnonzero(~beyond)
-    # The bracket's width enters through the prefactor, so the RQMC's
-    # estimate, which its tolerance tests, is the reported one.
+    # The bracket's width enters through the prefactor, so the estimate
+    # that the tolerance tests is the reported one.
     pref_w = pref + log_width
 
     def mid_log_g(v, rows):
         rows = run[rows]
-        z = z_l[rows, None] + width[rows, None] * v[:, 0]
+        z = z_l[rows, None] + width[rows, None] * v
         return _rows_log_g(tables, reads[rows], z, pref_w[rows, None], k[rows, None],
                            m[rows, None])
 
-    # Child 2 of the root seed, as SeedSequence(seed).spawn(3) gives it,
-    # randomizes the RQMC.  A row sees the extensible stream's points a
-    # step at a time, within a budget of i_max n0 points.
-    step = min(cfg.n0, _ADAPTIVE_STEP)
     # A row beyond the doubles' reach keeps ``high`` as its estimate.
-    estimate, error = high, np.full(len(m), math.inf)
-    n = np.zeros(len(m), dtype=int)
-    converged = np.zeros(len(m), dtype=bool)
-    if len(run):
-        acc = _run(mid_log_g, 1, replace(cfg, n0=step, i_max=cfg.i_max * cfg.n0 // step),
+    estimate, error, n = high, np.full(len(m), math.inf), np.zeros(len(m), dtype=int)
+    if len(run) and rule:
+        estimate[run], error[run], n[run] = _nested_trapezoid(mid_log_g, high[run], cfg)
+    elif len(run):
+        # Child 2 of the root seed, as SeedSequence(seed).spawn(3) gives
+        # it, randomizes the RQMC.  A row sees the extensible stream's
+        # points a step at a time, within a budget of i_max n0 points.
+        step = min(cfg.n0, _ADAPTIVE_STEP)
+        acc = _run(lambda v, rows: mid_log_g(v[:, 0], rows), 1,
+                   replace(cfg, n0=step, i_max=cfg.i_max * cfg.n0 // step),
                    np.random.SeedSequence(seed).spawn(3)[2], len(run), log=True)
         estimate[run], error[run] = acc.estimates(), acc.errors()
         n[run] = acc.counts * step
-        converged[run] = _tolerance_met(error[run], estimate[run], cfg, True) & closed[run]
+    # The rule's rows meet tol/10 on their error estimates.
+    converged = ~beyond & closed & _tolerance_met((10.0 if rule else 1.0) * error, estimate,
+                                                  cfg, True)
     return [RqmcResult(*row) for row in zip(estimate.tolist(), error.tolist(), n.tolist(),
                                            (-(-n // cfg.n0)).tolist(), converged.tolist())]
 

@@ -120,7 +120,10 @@ class RqmcConfig:
     most ``B * n0 * i_max`` integrand evaluations are spent.  The
     tolerance is tested after every batch, or for a log-density every
     ``min(n0, 16)`` points, over a bracket that ends ``5 + log10(1/tol)``
-    decades below the integrand's maximum (at least 5, at most 10).  A
+    decades below the integrand's maximum (at least 5, at most 10).  Where
+    W has a smooth table, the log-density's rows take instead the
+    trapezoid rule, at most ``n0 * i_max`` intervals over at most 16
+    decades, which stops at tol/10 and ignores ``B`` and the seed.  A
     relative tolerance is met only by a nonzero estimate (in log space,
     where the estimate is a log, a vanishing one falls back to the
     absolute test).
@@ -151,7 +154,8 @@ class RqmcConfig:
 class RqmcResult:
     """Outcome of an iterative RQMC estimation: ``n_per_randomization`` is
     the exact number of points spent per randomization, ``iterations_used``
-    that number in batches of ``RqmcConfig.n0``, rounded up."""
+    that number in batches of ``RqmcConfig.n0``, rounded up.  A
+    log-density row on the trapezoid rule counts its nodes instead."""
 
     estimate: float
     error_estimate: float

@@ -1,7 +1,8 @@
 """The measurement scripts under ``scripts/`` run at tiny sizes.
 
-They reach into names of ``nvmix.density`` (``_run``, ``_bracket_z``,
-``_table_budget``, ``_bisect``, ``_newton``) and of ``nvmix.mixtures``
+They reach into names of ``nvmix.density`` (``_run``,
+``_nested_trapezoid``, ``_bracket_z``, ``_table_budget``, ``_bisect``,
+``_newton``) and of ``nvmix.mixtures``
 (``quantile``, ``_QuantileTable`` and its ``intervals`` and ``bound``), so a change
 that renames or reshapes one of those must show up here rather than the
 next time someone measures.
@@ -22,15 +23,23 @@ def test_adaptive_cost_runs(capsys):
     out = capsys.readouterr().out
     assert "N =    20:" in out and "calibration, 1 x 40 points" in out
     assert "calibration, 1 x 40 points: unconverged 0, converged but missing tol 0" in out
-    # Every row of both parts meets tol 1e-3 after the RQMC's first 16
-    # points.
-    assert "  points per row: 16: 20\n" in out and "  points per row: 16: 40\n" in out
+    # IG(4) has a table that the search reads, so the trapezoid rule
+    # integrates every row: each meets tol 1e-3 after 31 or 63 nodes,
+    # three values (15, 31 and 63 nodes), each one row block.  The RQMC
+    # integrates none.
+    assert ("  rule  : values 3.0 per call, row blocks 3.0 per call, row evaluations 1196.0"
+            " per call (1 calls); nodes per row: 31: 2, 63: 18\n") in out
+    assert ("  rule  : values 3.0 per call, row blocks 3.0 per call, row evaluations 1432.0"
+            " per call (1 calls); nodes per row: 31: 34, 63: 6\n") in out
+    assert out.count("  rqmc  : points per row: none\n") == 2
     assert out.count("search: quantile calls") == 2
     # The table's line: its nodes' quantile work, build time, node count
-    # and bound; the search and RQMC then read it, and no row has D2 = 0.
+    # and bound; the search and the rule then read it, and no row has
+    # D2 = 0.
     assert out.count("table : quantile calls    1, u-values      1025, build ") == 2
     assert out.count(" ms, 513 nodes, bound 1.3e-07") == 2
     assert out.count("search: quantile calls    0,") == 2
+    assert out.count("rule  : quantile calls    0,") == 2
     assert out.count("rqmc  : quantile calls    0,") == 2
     assert out.count("other : quantile calls    0,") == 2
     # The search reads the table: Newton's method on g's slope from the
