@@ -23,19 +23,21 @@ and midpoints, evaluated exactly), the search (``_bracket_z``: the
 maximum of g and the bracket's ends, and ``_table_budget``'s reads of w
 at those ends), the trapezoid rule (``_nested_trapezoid``), which
 integrates the rows of a call whose search reads the table, the RQMC
-(``_run``), which integrates the others, and anything else (the check
-for an atom of W at 0 when a row has D2 = 0); the search's u-values are
-also given per row.  The table's line also gives the time spent building
-tables, their node counts and their largest bound in log w; the search,
-the rule and the RQMC make no quantile call where they read a table.  The
-search's line also gives its steps and row evaluations (rows summed over
-those steps) per call of ``_bracket_z``: the Newton steps of its search
-on a table (``_newton``) or the bisection steps of its search on the
-quantile (``_bisect``), not counting the table search's one scan of g on
-the table's nodes or the evaluation of g at its maximum.  The rule's
-line gives its values (the first and one per halving of its step), row
-blocks and nodes (row evaluations) per call and its rows' nodes, the
-RQMC's line its rows' points per randomization.
+(``_run``, the one loop that keeps the rows' running means and returns
+them with each row's batch count), which integrates the others, and
+anything else (the check for an atom of W at 0 when a row has D2 = 0);
+the search's u-values are also given per row.  The table's line also
+gives the time spent building tables, their node counts and their
+largest bound in log w; the search, the rule and the RQMC make no
+quantile call where they read a table.  The search's line also gives its
+steps and row evaluations (rows summed over those steps) per call of
+``_bracket_z``: the Newton steps of its search on a table (``_newton``)
+or the bisection steps of its search on the quantile (``_bisect``), not
+counting the table search's one scan of g on the table's nodes or the
+evaluation of g at its maximum.  The rule's line gives its values (the
+first and one per halving of its step), row blocks and nodes (row
+evaluations) per call and its rows' nodes, the RQMC's line its rows'
+points per randomization.
 
 Run from the root of a checkout (about 10 s)::
 
@@ -131,9 +133,9 @@ def _phase_counts(call, counts=None):
         return out
 
     def rqmc(g, dimension, cfg, *args, **kwargs):
-        acc = saved["_run"](g, dimension, cfg, *args, **kwargs)
-        counts["rqmc_points"] += (acc.counts * cfg.n0).tolist()
-        return acc
+        means, batches = saved["_run"](g, dimension, cfg, *args, **kwargs)
+        counts["rqmc_points"] += (batches * cfg.n0).tolist()
+        return means, batches
 
     def build(self, *args):
         t0 = time.perf_counter()

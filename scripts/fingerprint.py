@@ -1,11 +1,13 @@
 """SHA-256 fingerprints of nvmix's fixed-seed results over a fixed sweep.
 
 Prints one digest each for ``prob``, ``prob_singular``,
-``log_integral_batch`` and ``rnvmix``.  A result digest hashes the bytes
-of ``estimate``, ``error_estimate``, ``n_per_randomization``,
-``iterations_used`` and ``converged`` of every call; the ``rnvmix``
-digest hashes the raw bytes of every draw.  Two checkouts whose digests
-agree computed bit-identical numbers over the sweep:
+``log_integral_batch`` (twice: on smooth mixtures, which take the
+trapezoid rule, and on a mixture without a table, which takes the RQMC)
+and ``rnvmix``.  A result digest hashes the bytes of ``estimate``,
+``error_estimate``, ``n_per_randomization``, ``iterations_used`` and
+``converged`` of every call; the ``rnvmix`` digest hashes the raw bytes
+of every draw.  Two checkouts whose digests agree computed bit-identical
+numbers over the sweep:
 
 * ``prob``: constant, IG(3), Pareto(2.5) and inverse-Burr(2, 2) mixtures
   with equicorrelation-0.5 scale at d in {1, 2, 5, 20, 50}, over orthant,
@@ -15,6 +17,9 @@ agree computed bit-identical numbers over the sweep:
 * ``log_integral_batch``: IG(4), Pareto(6) and inverse-Burr(2, 2) at
   d in {2, 10} over D2 in [0, 1e10], seeds 1 and 17 (a call that raises
   counts with its message, and its rows at D2 > 0 count as one call);
+* ``log_integral_rqmc``: ``log_integral_batch`` for a black box whose W
+  jumps from 1 to 4 at u = 0.3, which has no table that the search can
+  read, at d in {3, 10} over the same D2 and seeds;
 * ``rnvmix``: both drivers on a full-rank and a singular model.
 
 Run from the root of a checkout (under a minute)::
@@ -34,7 +39,8 @@ import struct
 
 import numpy as np
 
-from nvmix import NvmModel, RqmcConfig, constant, inverse_burr, inverse_gamma, pareto, prob, rnvmix
+from nvmix import (NvmModel, RqmcConfig, blackbox, constant, inverse_burr, inverse_gamma, pareto,
+                   prob, rnvmix)
 from nvmix.density import log_integral_batch
 from nvmix.distribution import prob_singular
 
@@ -45,6 +51,10 @@ KINDS = ("orthant", "upper", "finite", "mixed", "far")
 # relative error, as their probabilities are small.
 CFG = {kind: RqmcConfig(tol=1e-4) for kind in KINDS}
 CFG["far"] = RqmcConfig(tol=1e-2, tol_type="relative")
+D2 = np.array([0.0, 1e-8, 0.5, 640.0, 1.6e4, 2e5, 1e8, 1e10])
+# W = 1 below u = 0.3 and 4 above: a quantile that jumps, so that the
+# density's rows take the RQMC.
+JUMP = blackbox(lambda u, nu: np.where(u < 0.3, 1.0, 4.0), 0)
 
 
 def _equicorrelation(d, rho=0.5):
@@ -109,21 +119,32 @@ def prob_singular_digest():
     return h.hexdigest()
 
 
+def _log_integral_update(h, spec, nu, d, seed):
+    pref = -0.5 * d * np.log(2.0 * np.pi)
+    try:
+        results = log_integral_batch(D2, d / 2.0, pref, spec, nu, seed=seed)
+    except ValueError as exc:  # inverse-Burr diverges at D2 = 0, d = 10
+        h.update(str(exc).encode())
+        results = log_integral_batch(D2[1:], d / 2.0, pref, spec, nu, seed=seed)
+    for res in results:
+        _update(h, res)
+
+
 def log_integral_digest():
     h = hashlib.sha256()
-    D2 = np.array([0.0, 1e-8, 0.5, 640.0, 1.6e4, 2e5, 1e8, 1e10])
     for spec, nu in ((inverse_gamma(), [4.0]), (pareto(), [6.0]),
                      (inverse_burr(), [2.0, 2.0])):
         for d in (2, 10):
-            pref = -0.5 * d * np.log(2.0 * np.pi)
             for seed in SEEDS:
-                try:
-                    results = log_integral_batch(D2, d / 2.0, pref, spec, nu, seed=seed)
-                except ValueError as exc:  # inverse-Burr diverges at D2 = 0, d = 10
-                    h.update(str(exc).encode())
-                    results = log_integral_batch(D2[1:], d / 2.0, pref, spec, nu, seed=seed)
-                for res in results:
-                    _update(h, res)
+                _log_integral_update(h, spec, nu, d, seed)
+    return h.hexdigest()
+
+
+def log_integral_rqmc_digest():
+    h = hashlib.sha256()
+    for d in (3, 10):
+        for seed in SEEDS:
+            _log_integral_update(h, JUMP, [], d, seed)
     return h.hexdigest()
 
 
@@ -141,6 +162,7 @@ def rnvmix_digest():
 def main():
     for name, digest in (("prob", prob_digest), ("prob_singular", prob_singular_digest),
                          ("log_integral_batch", log_integral_digest),
+                         ("log_integral_rqmc", log_integral_rqmc_digest),
                          ("rnvmix", rnvmix_digest)):
         print(f"{name:20s} {digest()}", flush=True)
 

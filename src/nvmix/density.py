@@ -47,8 +47,8 @@ from .mixtures import quantile  # noqa: F401
 from .model import NvmModel
 # rqmc_log_estimate stays bound here for tools that trace this module's
 # estimator by name.
-from .rqmc import (_BLOCK_VALUES, RqmcConfig, RqmcResult, _run, _tolerance_met,  # noqa: F401
-                   rqmc_log_estimate)
+from .rqmc import (_BLOCK_VALUES, RqmcConfig, RqmcResult, _errors, _estimates, _run,  # noqa: F401
+                   _tolerance_met, rqmc_log_estimate)
 
 __all__ = ["log_density_batch", "closed_log_density"]
 
@@ -190,7 +190,7 @@ def _level_crossings(f, level, z_in, z_lo: float, z_hi: float) -> tuple[np.ndarr
     return z[:n], z[n:]
 
 
-def _peak_z(spec, nu, w_star, table) -> np.ndarray:
+def _peak_z(w_star, table) -> np.ndarray:
     """Per row, the logit of the peak location of h, where the quantile
     reaches ``w_star`` = m / k.
 
@@ -205,7 +205,7 @@ def _peak_z(spec, nu, w_star, table) -> np.ndarray:
     w* = 0 is unreachable unless W has an atom at 0, so h is monotone and
     its peak is at the left end.
     """
-    z_lo, z_hi = _z_range(spec)
+    z_lo, z_hi = _z_range(table.spec)
     w_z = table.read(_SEARCH_LOG_W_ERR)
     lo, hi = _bisect(lambda z, r: w_z(z) <= w_star[r], np.full(len(w_star), z_lo),
                      np.full(len(w_star), z_hi), np.arange(len(w_star)))
@@ -236,7 +236,7 @@ def peak(D2: float, shift_k: float, prefactor: float, spec: _MixtureSpec,
         raise ValueError("peak undefined for D2 = 0, where h = w^(-k) is monotone in u")
     pref, k, m = _row_arrays([D2], shift_k, prefactor)
     table = _QuantileTable(spec, nu)
-    z = _peak_z(spec, nu, m / k, table)
+    z = _peak_z(m / k, table)
     if z[0] in _z_range(spec):
         log_h_max = _log_h_of_w(table.read(_SEARCH_LOG_W_ERR)(z), pref, k, m)[0]
     else:
@@ -247,18 +247,21 @@ def peak(D2: float, shift_k: float, prefactor: float, spec: _MixtureSpec,
 
 def region_bounds(D2: float, shift_k: float, prefactor: float, spec: _MixtureSpec,
                   nu) -> tuple[float, float, bool]:
-    """The bracket ``(z_l, z_r, closed)`` in z = logit(u) over which
-    :func:`log_integral_batch` integrates one integrand: the one-row case
-    of its search, by Newton's method on the table's L where the search
-    reads the table and by bisection on the quantile otherwise.
-    ``closed`` is False when the bracket stops at an end of the z range
-    with g still above the threshold.
+    """The bracket ``(z_l, z_r, closed)`` in z = logit(u) where one
+    integrand g of :func:`log_integral_batch` exceeds its maximum less
+    ``_K_TH`` = 10 decades: the one-row case of that call's search, by
+    Newton's method on the table's L where the search reads the table and
+    by bisection on the quantile otherwise.  The call itself brackets
+    ``5 + log10(1/tol)`` decades, at most 10 on the RQMC and 16 on the
+    trapezoid rule, so it integrates over this bracket only on the RQMC
+    at tol <= 1e-5.  ``closed`` is False when the bracket stops at an end
+    of the z range with g still above the threshold.
 
     The bracket is given in z because that is where the RQMC works: at
     Pareto(6), d = 10 and D2 = 1e8 both ends round to u = 1.
     """
     (z_l,), (z_r,), (closed,), _, _ = _bracket_z(
-        spec, nu, *_row_arrays([D2], shift_k, prefactor), _QuantileTable(spec, nu), _K_TH)
+        *_row_arrays([D2], shift_k, prefactor), _QuantileTable(spec, nu), _K_TH)
     return float(z_l), float(z_r), bool(closed)
 
 
@@ -382,7 +385,7 @@ def _table_bracket(table, z_lo, z_hi, pref, k, m, k_th):
     return z_l, z_r, below[:, 0] & below[:, last], z_g, top
 
 
-def _bracket_z(spec, nu, pref, k, m, table, k_th):
+def _bracket_z(pref, k, m, table, k_th):
     """``(z_l, z_r, closed, z_g, top)`` per row: the region where g
     exceeds its maximum less ``k_th`` decades, and where g takes its
     maximum, log g there being ``top``.  ``closed`` is False when g still
@@ -403,7 +406,7 @@ def _bracket_z(spec, nu, pref, k, m, table, k_th):
     finite.  Both ends of the region then come from one bisection on the
     level.
     """
-    z_lo, z_hi = _z_range(spec)
+    z_lo, z_hi = _z_range(table.spec)
     if table.bound <= _SEARCH_LOG_W_ERR:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return _table_bracket(table, z_lo, z_hi, pref, k, m, k_th)
@@ -533,7 +536,7 @@ def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
     rule = table.bound <= _SEARCH_LOG_W_ERR
     # Any tol >= 1 (inf included) gives k_th = 5.
     k_th = min(_K_TH_RULE if rule else _K_TH, 5.0 + max(0.0, -math.log10(cfg.tol)))
-    z_l, z_r, closed, z_g, top = _bracket_z(spec, nu, pref, k, m, table, k_th)
+    z_l, z_r, closed, z_g, top = _bracket_z(pref, k, m, table, k_th)
     # At D2 = 0, g still above the threshold at z_lo and no lower there than
     # at z_lo / 2 means that h grows at least like 1/u as u -> 0: the
     # integral diverges.
@@ -587,11 +590,11 @@ def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
         # it, randomizes the RQMC.  A row sees the extensible stream's
         # points a step at a time, within a budget of i_max n0 points.
         step = min(cfg.n0, _ADAPTIVE_STEP)
-        acc = _run(lambda v, rows: mid_log_g(v[:, 0], rows), 1,
-                   replace(cfg, n0=step, i_max=cfg.i_max * cfg.n0 // step),
-                   np.random.SeedSequence(seed).spawn(3)[2], len(run), log=True)
-        estimate[run], error[run] = acc.estimates(), acc.errors()
-        n[run] = acc.counts * step
+        means, batches = _run(lambda v, rows: mid_log_g(v[:, 0], rows), 1,
+                              replace(cfg, n0=step, i_max=cfg.i_max * cfg.n0 // step),
+                              np.random.SeedSequence(seed).spawn(3)[2], len(run), log=True)
+        estimate[run], error[run] = _estimates(means, True), _errors(means)
+        n[run] = batches * step
     # The rule's rows meet tol/10 on their error estimates.
     converged = ~beyond & closed & _tolerance_met((10.0 if rule else 1.0) * error, estimate,
                                                   cfg, True)

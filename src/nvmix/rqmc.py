@@ -3,17 +3,18 @@
 The estimators here exploit extensibility of the Sobol' sequence: every
 iteration appends a fresh batch of points to each randomized stream and
 folds it into a running per-randomization mean, so no function evaluation
-is ever discarded.  One accumulator serves every integral in the package:
-B digital shifts of one Sobol' stream, running means kept either plainly
-or in logarithmic space (a "proper logarithm", so that integrals as small
-as exp(-5000) are handled without underflow), over one or several
-integrands, each with its own error and tolerance test.  A run has one
-randomization: the B shifts derived from its one seed, shared by all its
-integrands, which are thus evaluated at the same points (common random
-numbers), so each integrand's result depends on that integrand alone and
-not on the others in its batch.  One loop runs a batch of integrands,
-each until it meets the tolerance or the batch cap; ``rqmc_estimate``
-and ``rqmc_log_estimate`` are its one-integrand case.
+is ever discarded.  One loop, ``_run``, serves every integral in the
+package: it keeps the running means of B digital shifts of one Sobol'
+stream, either plainly or in logarithmic space (a "proper logarithm", so
+that integrals as small as exp(-5000) are handled without underflow),
+over one or several integrands, each with its own error and tolerance
+test, and returns those means with each integrand's batch count.  A run
+has one randomization: the B shifts derived from its one seed, shared by
+all its integrands, which are thus evaluated at the same points (common
+random numbers), so each integrand's result depends on that integrand
+alone and not on the others in its batch.  Each integrand runs until it
+meets the tolerance or the batch cap; ``rqmc_estimate`` and
+``rqmc_log_estimate`` are the loop's one-integrand case.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def _log_mean_exp(values: np.ndarray, axis=None) -> np.ndarray | float:
 
 def _combine_log_means(old: np.ndarray, n_old, batch: np.ndarray) -> np.ndarray:
     """Running log-mean update: log((n*e^old + e^batch)/(n+1)) elementwise,
-    ``n_old`` broadcasting against the means; ``batch`` itself when
+    with ``n_old`` = n the batches in ``old``; ``batch`` itself when
     ``n = 0``."""
     m = np.maximum(old, batch)
     safe_m = np.where(np.isfinite(m), m, 0.0)
@@ -192,94 +193,22 @@ def _combine_log_means(old: np.ndarray, n_old, batch: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(m), out, m)
 
 
-class _RqmcAccumulator:
-    """Running per-randomization means of iterative RQMC for one or more
-    integrands (rows).
-
-    Each :meth:`draw` appends ``n0`` fresh points to each of the ``B``
-    randomizations of one Sobol' stream, whose ``B`` digital shifts come
-    from the one ``seed`` and are shared by all rows: every row is
-    evaluated at the same points, so a row's result depends on that row
-    alone.  :meth:`fold` folds a batch's means per randomization
-    (``_batch_means`` of the values there) into the running means of the
-    given rows with equal batch weights, plainly or, with
-    ``log=True``, as log-means (a "proper logarithm"), so that integrals
-    as small as exp(-5000) are handled without underflow.  Errors,
-    estimates, the tolerance test and the batch count are per row;
-    ``batches`` counts the draws.
-    """
-
-    def __init__(self, dimension: int, cfg: RqmcConfig, seed, log: bool = False):
-        self.cfg = cfg
-        self.log = log
-        self._stream = _SobolStream(dimension, seed, n_random=cfg.B)
-        # (rows, B) means and per-row batch counts, set up by the first fold.
-        self.means = self.counts = None
-        self.batches = 0
-
-    def _start(self, n_rows: int) -> None:
-        self.means = np.full((n_rows, self.cfg.B), -np.inf if self.log else 0.0)
-        self.counts = np.zeros(n_rows, dtype=int)
-
-    def draw(self) -> np.ndarray:
-        """Next batch of all randomizations, randomization-major, as a
-        ``(B * n0, dimension)`` array."""
-        pts = self._stream.take(self.cfg.n0)
-        self.batches += 1
-        return pts.reshape(-1, pts.shape[-1])
-
-    def fold(self, batch_means: np.ndarray, rows=None) -> None:
-        """Fold one batch, given as its ``(len(rows), B)`` means per
-        randomization (log-means when ``log``), into the given rows (all by
-        default).  A caller that reduces its values block by block folds
-        them here without forming the whole batch."""
-        if self.means is None:
-            self._start(len(batch_means))
-        if rows is None:
-            rows = slice(None)
-        n = self.counts[rows][:, None]
-        if self.log:
-            self.means[rows] = _combine_log_means(self.means[rows], n, batch_means)
-        else:
-            self.means[rows] = (n * self.means[rows] + batch_means) / (n + 1)
-        self.counts[rows] += 1
-
-    def estimates(self) -> np.ndarray:
-        return _estimates(self.means, self.log)
-
-    def errors(self) -> np.ndarray:
-        """CI half widths over the randomizations (of the log-means when
-        ``log``).  A row whose means include a non-finite value, such as
-        a log-mean of -inf where no point of a randomization has reached
-        the integrand's mass, gets an infinite error: it meets no
-        tolerance.  So does a row whose means spread so far (past about
-        1e154) that their variance overflows."""
-        return _errors(self.means)
-
-    def results(self) -> list[RqmcResult]:
-        """One result per row; ``converged`` is the tolerance test."""
-        est, err = self.estimates(), self.errors()
-        return [
-            RqmcResult(float(e), float(x), int(c) * self.cfg.n0, int(c), bool(ok))
-            for e, x, c, ok in zip(est, err, self.counts,
-                                   _tolerance_met(err, est, self.cfg, self.log))
-        ]
-
-
 def _estimates(means: np.ndarray, log: bool) -> np.ndarray:
     return _log_mean_exp(means, axis=1) if log else means.mean(axis=1)
 
 
 def _errors(means: np.ndarray) -> np.ndarray:
+    """CI half widths over the randomizations of each row of ``(rows, B)``
+    means (of the log-means in log space).  A row whose means include a
+    non-finite value, such as a log-mean of -inf where no point of a
+    randomization has reached the integrand's mass, gets an infinite
+    error: it meets no tolerance.  So does a row whose means spread so far
+    (past about 1e154) that their variance overflows."""
     finite = np.all(np.isfinite(means), axis=1)
     means = np.where(finite[:, None], means, 0.0)
     with np.errstate(over="ignore"):
         err = _CI_MULT * means.std(axis=1, ddof=1) / math.sqrt(means.shape[1])
     return np.where(finite, np.where(np.ptp(means, axis=1) == 0.0, 0.0, err), np.inf)
-
-
-def _converged(means: np.ndarray, cfg: RqmcConfig, log: bool) -> np.ndarray:
-    return _tolerance_met(_errors(means), _estimates(means, log), cfg, log)
 
 
 def _batch_means(vals: np.ndarray, B: int, log: bool) -> np.ndarray:
@@ -305,24 +234,29 @@ def _tolerance_met(err: np.ndarray, estimate: np.ndarray, cfg: RqmcConfig,
 
 
 def _run(g, dimension: int, cfg: RqmcConfig, seed, n_rows: int,
-         log: bool) -> _RqmcAccumulator:
+         log: bool) -> tuple[np.ndarray, np.ndarray]:
     """Row-batched RQMC: ``n_rows`` integrands at the same points, under
     the ``B`` shifts of ``seed``, each until it meets the tolerance or
-    ``i_max`` batches are spent.  Returns the accumulator, whose
-    :meth:`~_RqmcAccumulator.results` are the rows' results.
+    ``i_max`` batches are spent.  Returns the rows' ``(n_rows, B)``
+    running means per randomization (log-means when ``log``) and the
+    number of batches each row took.
 
     Each iteration draws the ``(B * n0, dimension)`` points of a batch and
     walks the rows still running in blocks of about ``_BLOCK_VALUES``
     values, each reduced, folded and tested at once: ``g(pts, rows)``
     gets one block's row indices and returns a ``(len(rows), B * n0)``
     array, one value per row and point (NaN aborts with the offending
-    point).
+    point).  A row still running has seen every batch so far, so each
+    fold weighs the running means by the number of batches before it.
     """
-    acc = _RqmcAccumulator(dimension, cfg, seed, log)
-    acc._start(n_rows)
+    stream = _SobolStream(dimension, seed, n_random=cfg.B)
+    means = np.full((n_rows, cfg.B), -np.inf if log else 0.0)
+    batches = np.zeros(n_rows, dtype=int)
     rows = np.arange(n_rows)
-    while len(rows):
-        pts = acc.draw()
+    for n in range(cfg.i_max):
+        if not len(rows):
+            break
+        pts = stream.take(cfg.n0).reshape(-1, dimension)
         step = max(1, _BLOCK_VALUES // len(pts))
         keep = np.zeros(len(rows), dtype=bool)
         for start in range(0, len(rows), step):
@@ -334,11 +268,23 @@ def _run(g, dimension: int, cfg: RqmcConfig, seed, n_rows: int,
             bad = np.argwhere(np.isnan(vals))
             if len(bad):
                 raise IntegrandNaNError(pts[bad[0, 1]])
-            acc.fold(_batch_means(vals, cfg.B, log), block)
-            if acc.batches < cfg.i_max:
-                keep[start:start + step] = ~_converged(acc.means[block], cfg, log)
+            new = _batch_means(vals, cfg.B, log)
+            if log:
+                means[block] = _combine_log_means(means[block], n, new)
+            else:
+                means[block] = (n * means[block] + new) / (n + 1)
+            keep[start:start + step] = ~_tolerance_met(
+                _errors(means[block]), _estimates(means[block], log), cfg, log)
+        batches[rows] = n + 1
         rows = rows[keep]
-    return acc
+    return means, batches
+
+
+def _one_row(g, dimension: int, cfg: RqmcConfig, seed, log: bool) -> RqmcResult:
+    means, (batches,) = _run(lambda pts, rows: g(pts), dimension, cfg, seed, 1, log)
+    est, err = _estimates(means, log), _errors(means)
+    return RqmcResult(float(est[0]), float(err[0]), int(batches) * cfg.n0, int(batches),
+                      bool(_tolerance_met(err, est, cfg, log)[0]))
 
 
 def rqmc_estimate(
@@ -355,7 +301,7 @@ def rqmc_estimate(
     batches of ``n0`` until the CI half width meets the tolerance or
     ``i_max`` batches are spent.
     """
-    return _run(lambda pts, rows: g(pts), dimension, cfg, seed, 1, log=False).results()[0]
+    return _one_row(g, dimension, cfg, seed, log=False)
 
 
 def rqmc_log_estimate(
@@ -371,5 +317,4 @@ def rqmc_log_estimate(
     estimated without underflow.  The error estimate is the CI half width
     of the per-randomization log means.
     """
-    return _run(lambda pts, rows: log_g(pts), dimension, cfg, seed, 1,
-                log=True).results()[0]
+    return _one_row(log_g, dimension, cfg, seed, log=True)

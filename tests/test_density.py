@@ -61,9 +61,9 @@ def adaptive_rows(monkeypatch):
     in row order: every row of the call."""
     seen = []
 
-    def spy(spec, nu, pref, k, m, *args):
+    def spy(pref, k, m, *args):
         seen.append(list(m))
-        return _bracket_z(spec, nu, pref, k, m, *args)
+        return _bracket_z(pref, k, m, *args)
 
     monkeypatch.setattr(density, "_bracket_z", spy)
     return seen
@@ -233,7 +233,7 @@ def reference_log_integral(D2, shift_k, prefactor, spec, nu):
     within the z range.  For smooth quantiles only."""
     m = 0.5 * np.asarray(D2, dtype=float)
     pref, k = np.full(len(m), float(prefactor)), np.full(len(m), float(shift_k))
-    z_l, z_r, *_ = _bracket_z(spec, nu, pref, k, m, ExactTable(spec, nu), 16.0)
+    z_l, z_r, *_ = _bracket_z(pref, k, m, ExactTable(spec, nu), 16.0)
     z_lo, z_hi = _z_range(spec)
     pad = 0.2 * (z_r - z_l)
     a, b = np.maximum(z_l - pad, z_lo), np.minimum(z_r + pad, z_hi)
@@ -279,8 +279,7 @@ def test_bracket_reads_do_not_grow_with_the_rows(family):
     for D2 in (np.zeros(1), np.concatenate([[0.0], np.logspace(-8, 10, 199)])):
         table = CountedTable(spec, nu)
         n = len(D2)
-        _bracket_z(spec, nu, np.full(n, gaussian_prefactor(10)), np.full(n, 5.0), 0.5 * D2,
-                   table, _K_TH)
+        _bracket_z(np.full(n, gaussian_prefactor(10)), np.full(n, 5.0), 0.5 * D2, table, _K_TH)
         reads.append(table.reads)
     assert reads[0] <= reads[1] <= 15
 
@@ -306,9 +305,8 @@ def test_table_search_matches_bisection_on_its_interpolant(family, shift_k):
     args = np.full(len(D2), gaussian_prefactor(10)), np.full(len(D2), shift_k), 0.5 * D2
     table = _QuantileTable(spec, nu)
     assert table.bound <= _SEARCH_LOG_W_ERR
-    z_l, z_r, closed, z_g, top = _bracket_z(spec, nu, *args, table, _K_TH)
-    b_l, b_r, b_closed, b_g, b_top = _bracket_z(spec, nu, *args, InterpolantTable(spec, nu),
-                                                _K_TH)
+    z_l, z_r, closed, z_g, top = _bracket_z(*args, table, _K_TH)
+    b_l, b_r, b_closed, b_g, b_top = _bracket_z(*args, InterpolantTable(spec, nu), _K_TH)
     for z, b in ((z_l, b_l), (z_r, b_r), (z_g, b_g)):
         assert np.max(np.abs(z - b)) <= _EPS_BISEC
     assert np.array_equal(closed, b_closed)
@@ -379,12 +377,12 @@ def test_bracket_ends_cross_the_level_of_a_reference_maximum(family, D2):
         return _log_g(np.asarray(z, dtype=float), spec, nu, pref, k, m)
 
     table = _QuantileTable(spec, nu)
-    z_h = _peak_z(spec, nu, m / k, table)
+    z_h = _peak_z(m / k, table)
     a, b = min(z_h[0], 0.0), max(z_h[0], 0.0)
     opt = minimize_scalar(lambda z: -log_g(z)[0], method="bounded", bounds=(a, b),
                           options={"xatol": _EPS_BISEC})
     level = max(-opt.fun, *log_g([a, b])) - _K_TH * math.log(10.0)
-    (z_l,), (z_r,), (closed,), _, _ = _bracket_z(spec, nu, pref, k, m, table, _K_TH)
+    (z_l,), (z_r,), (closed,), _, _ = _bracket_z(pref, k, m, table, _K_TH)
     z_lo, z_hi = _z_range(spec)
     for z, outward, end in ((z_l, -1.0, z_lo), (z_r, 1.0, z_hi)):
         if z == end:
@@ -660,7 +658,7 @@ class TestLogDensityBatch:
         assert abs(adaptive.estimate - truth) <= 1e-3
         assert all(adaptive.estimate != c.estimate for c in crude)
 
-    def test_center_point_crude_branch(self):
+    def test_center_point_matches_closed_form(self):
         model = NvmModel.build(None, np.eye(10), inverse_gamma(), [4.0])
         res = log_density_batch(np.zeros((1, 10)), model, RqmcConfig(i_max=256), seed=5)[0]
         expected = gammaln(7.0) - gammaln(2.0) - 5.0 * math.log(4.0 * math.pi)
@@ -818,7 +816,7 @@ def test_log_integral_batch_broadcasts_scalar_parameters():
     assert log_integral_batch(np.zeros(0), k, pref, spec, nu, seed=4) == []
 
 
-def test_crude_pass_memory_stays_below_one_block():
+def test_call_memory_stays_below_one_block():
     # 2000 rows at D2 in [10, 100] or in [0.5, 2], where the search and the
     # RQMC of each row end well inside the z range: the RQMC evaluates and
     # reduces them block by block, so the call's traced peak stays far
@@ -841,7 +839,7 @@ def test_crude_pass_memory_stays_below_one_block():
 @pytest.mark.parametrize(
     "u_atom,flat",
     [(0.1, False), (1e-12, False), (1e-9, True)],
-    ids=["seen-by-crude-pass", "found-by-peak-search", "below-crude-resolution"],
+    ids=["mass-0.1", "found-by-peak-search", "flat-above-mass-1e-9"],
 )
 def test_atom_at_zero_diverges_at_center(u_atom, flat):
     # P(W = 0) > 0 makes the density at x = loc infinite, for an atom of
@@ -862,7 +860,7 @@ def test_atom_at_zero_diverges_at_center(u_atom, flat):
 @pytest.mark.parametrize(
     "cfg", [RqmcConfig(tol=1e-3), RqmcConfig(tol=8.5e-14, i_max=3),
             RqmcConfig(tol=1e-13, i_max=2), RqmcConfig(tol=1e-13, n0=64, i_max=2)],
-    ids=["default", "capped", "crude-only", "cap-binds"])
+    ids=["default", "capped", "two-batches", "cap-binds"])
 def test_batch_rows_are_independent(cfg, swap):
     # Rows share the trapezoid rule's halvings and its table reads but
     # nothing else: replacing one row leaves every other row's result
@@ -899,7 +897,7 @@ def test_batch_rows_are_independent(cfg, swap):
 
 @pytest.mark.parametrize(
     "cfg", [RqmcConfig(), RqmcConfig(tol=1e-13, i_max=7), RqmcConfig(tol=1e-13, i_max=2)],
-    ids=["default", "tight", "crude-only"])
+    ids=["default", "tight", "two-batches"])
 @pytest.mark.parametrize("family", ["inverse_gamma", "pareto", "inverse_burr"])
 def test_rows_do_not_depend_on_their_batch(family, cfg):
     # All rows share one seed's shifts, so a row's result is what the row
@@ -1041,7 +1039,7 @@ def test_quantile_work_does_not_depend_on_the_number_of_points(monkeypatch):
         assert [r.n_per_randomization for r in res] == list(nodes)
 
 
-def test_row_without_crude_mass_takes_the_adaptive_path(monkeypatch):
+def test_search_finds_mass_that_lies_only_near_u_1(monkeypatch):
     # This black box has w = 0 below u = 1 - 1e-9, where an RQMC in u
     # would rarely sample; under the default configuration the search finds
     # the mass above.  The bracket stays open at the end of the black box's
@@ -1094,7 +1092,7 @@ def test_bracket_threshold_follows_tol(monkeypatch, tol, k_th):
 
     def spy(*args):
         levels.append(args[-1])
-        rows.append(list(args[4]))
+        rows.append(list(args[2]))
         return _bracket_z(*args)
 
     monkeypatch.setattr(density, "_bracket_z", spy)
@@ -1105,9 +1103,9 @@ def test_bracket_threshold_follows_tol(monkeypatch, tol, k_th):
     assert levels == [pytest.approx(k_th, abs=1e-12), pytest.approx(min(k_th, _K_TH), abs=1e-12)]
 
 
-def test_infinite_tolerance_is_met_by_the_crude_pass():
-    # RqmcConfig accepts tol = inf; every row then settles after its first
-    # RQMC step.
+def test_infinite_tolerance_is_met_at_the_first_step():
+    # RqmcConfig accepts tol = inf; every row then settles at its first
+    # step, the trapezoid rule's first value.
     res = log_integral_batch(*density_args([0.5, 1.6e4, 1e10], 10), inverse_gamma(), [4.0],
                              RqmcConfig(tol=math.inf), seed=1)
     assert all(r.converged and r.iterations_used == 1 for r in res)
@@ -1198,7 +1196,7 @@ def test_remark_shift_generalization():
     assert res.estimate == pytest.approx(math.log(oracle), abs=2e-3)
 
 
-def test_crude_rows_that_read_the_table_stay_within_a_tenth_of_tol(monkeypatch):
+def test_rows_that_read_the_table_stay_within_a_tenth_of_tol(monkeypatch):
     # A row's integration reads the table where its tol/10 covers the
     # table's bound times the largest |m/w - k| on its bracket.  Such a
     # row is within tol/10 of what the same call gives when no row's

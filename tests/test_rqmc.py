@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from nvmix.rqmc import (
     IntegrandNaNError,
     RqmcConfig,
     _batch_means,
-    _converged,
     _draw_raw,
+    _errors,
+    _estimates,
     _log_mean_exp,
     _new_engine,
-    _RqmcAccumulator,
     _run,
     _SobolStream,
+    _tolerance_met,
     rqmc_estimate,
     rqmc_log_estimate,
 )
@@ -272,11 +274,12 @@ class TestRowBatchedRun:
         def g(pts, rows):
             return 1.0 + scales[rows, None] * np.sin(7.0 * pts[None, :, 0])
 
-        batch = _run(g, 1, cfg, seed=3, n_rows=4, log=False).results()
-        alone = [_run(lambda p, r, s=s: g(p, np.array([s])), 1, cfg, 3, 1, False).results()[0]
+        means, batches = _run(g, 1, cfg, seed=3, n_rows=4, log=False)
+        alone = [_run(lambda p, r, s=s: g(p, np.array([s])), 1, cfg, 3, 1, False)
                  for s in range(4)]
-        assert batch == alone
-        assert len({r.iterations_used for r in batch}) > 1
+        assert np.array_equal(means, np.vstack([m for m, _ in alone]))
+        assert np.array_equal(batches, np.concatenate([b for _, b in alone]))
+        assert len(set(batches)) > 1
 
     @pytest.mark.parametrize("log", [False, True])
     def test_row_blocks_match_one_block(self, monkeypatch, log):
@@ -293,11 +296,12 @@ class TestRowBatchedRun:
             return (0.0 if log else 4.0) + scales[rows, None] * np.sin(7.0 * pts[None, :, 0])
 
         monkeypatch.setattr(rqmc, "_BLOCK_VALUES", 7 * cfg.B * cfg.n0)
-        blocked = _run(g, 1, cfg, seed=3, n_rows=50, log=log).results()
+        means, batches = _run(g, 1, cfg, seed=3, n_rows=50, log=log)
         assert max(sizes) == 7 and len(sizes) > 8
         monkeypatch.setattr(rqmc, "_BLOCK_VALUES", 50 * cfg.B * cfg.n0)
-        assert _run(g, 1, cfg, seed=3, n_rows=50, log=log).results() == blocked
-        assert len({r.iterations_used for r in blocked}) > 1
+        one_means, one_batches = _run(g, 1, cfg, seed=3, n_rows=50, log=log)
+        assert np.array_equal(one_means, means) and np.array_equal(one_batches, batches)
+        assert len(set(batches)) > 1
 
     def test_nan_in_a_later_block_names_its_point(self, monkeypatch):
         cfg = RqmcConfig(B=3, n0=8)
@@ -322,35 +326,32 @@ def test_rows_with_neg_inf_log_means_have_infinite_errors():
     # NaN, with a RuntimeWarning from np.std), so it meets no tolerance;
     # the finite rows are as before.
     cfg = RqmcConfig()
-    acc = _RqmcAccumulator(1, cfg, seed=1, log=True)
     finite = np.linspace(-1.0, 1.0, cfg.B)
-    acc.fold(np.array([np.full(cfg.B, -np.inf), np.r_[np.zeros(cfg.B - 1), -np.inf], finite,
-                       np.zeros(cfg.B)]))
-    err = acc.errors()
+    means = np.array([np.full(cfg.B, -np.inf), np.r_[np.zeros(cfg.B - 1), -np.inf], finite,
+                      np.zeros(cfg.B)])
+    err = _errors(means)
     assert np.array_equal(err[:2], [np.inf, np.inf])
     assert err[2] == 3.5 * np.std(finite, ddof=1) / math.sqrt(cfg.B) and err[3] == 0.0
-    assert list(_converged(acc.means, cfg, True)) == [False, False, False, True]
+    met = _tolerance_met(err, _estimates(means, True), cfg, True)
+    assert list(met) == [False, False, False, True]
 
 
 class TestInvariants:
     def test_extensible_iteration(self):
-        # Continuing from iteration i is bit-identical to running straight
-        # through, for the same seed.
-        cfg = RqmcConfig(B=5, n0=64)
+        # Each iteration folds the next batch of the same extensible
+        # stream: after 3 and after 7 batches, the running means equal
+        # those folded from the stream's batches drawn one by one.
+        cfg = RqmcConfig(B=5, n0=64, tol=1e-300)
         g = lambda u: np.cos(u[:, 0] * u[:, 1])
-
-        def add_batch(acc):
-            acc.fold(_batch_means(g(acc.draw()), cfg.B, False))
-
-        acc1 = _RqmcAccumulator(2, cfg, seed=77)
-        for _ in range(3):
-            add_batch(acc1)
-        acc2 = _RqmcAccumulator(2, cfg, seed=77)
-        for _ in range(7):
-            add_batch(acc2)
-        for _ in range(4):
-            add_batch(acc1)
-        assert np.array_equal(acc1.means, acc2.means)
+        stream = _SobolStream(2, seed=77, n_random=cfg.B)
+        expected = np.zeros(cfg.B)
+        for n in range(7):
+            batch = _batch_means(g(stream.take(cfg.n0).reshape(-1, 2)), cfg.B, False)[0]
+            expected = (n * expected + batch) / (n + 1)
+            if n + 1 in (3, 7):
+                means, batches = _run(lambda pts, rows: g(pts), 2, replace(cfg, i_max=n + 1),
+                                      77, 1, False)
+                assert np.array_equal(means[0], expected) and list(batches) == [n + 1]
 
     def test_plain_and_log_agree(self):
         cfg = RqmcConfig(B=10, n0=128, i_max=6, tol=1e-300)

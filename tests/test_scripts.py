@@ -1,15 +1,21 @@
 """The measurement scripts under ``scripts/`` run at tiny sizes.
 
-They reach into names of ``nvmix.density`` (``_run``,
-``_nested_trapezoid``, ``_bracket_z``, ``_table_budget``, ``_bisect``,
-``_newton``) and of ``nvmix.mixtures``
-(``quantile``, ``_QuantileTable`` and its ``intervals`` and ``bound``), so a change
-that renames or reshapes one of those must show up here rather than the
-next time someone measures.
+They reach into names of ``nvmix.density`` (``_run``, the one RQMC loop,
+which keeps the rows' running means and returns them with each row's
+batch count; ``_nested_trapezoid``, ``_bracket_z``, ``_table_budget``,
+``_bisect``, ``_newton``) and of ``nvmix.mixtures`` (``quantile``,
+``_QuantileTable`` and its ``intervals`` and ``bound``), so a change that
+renames or reshapes one of those must show up here rather than the next
+time someone measures.
 """
 
 import runpy
 from pathlib import Path
+
+import numpy as np
+
+from nvmix import blackbox
+from nvmix.density import log_integral_batch
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -48,3 +54,15 @@ def test_adaptive_cost_runs(capsys):
     # take 7 steps, the 40 calibration rows, at D2 from near 0 to 1e8, 8.
     assert "search: steps 7.0 per call, row evaluations 167.0 per call (1 calls)" in out
     assert "search: steps 8.0 per call, row evaluations 337.0 per call (1 calls)" in out
+
+
+def test_adaptive_cost_counts_the_rqmc_points():
+    # A quantile that jumps has no table that the search reads, so the
+    # RQMC integrates its rows; the RQMC phase reads each row's points
+    # from the batch counts that _run returns.
+    script = runpy.run_path(str(SCRIPTS / "adaptive_cost.py"))
+    jump = blackbox(lambda u, nu: np.where(u < 0.3, 1.0, 4.0), 0)
+    res, counts = script["_phase_counts"](
+        lambda: log_integral_batch([0.1, 20.0], 1.5, 0.0, jump, [], seed=1))
+    assert counts["rqmc_points"] == [r.n_per_randomization for r in res]
+    assert counts["rule_nodes"] == [] and len(set(counts["rqmc_points"])) == 2
