@@ -9,13 +9,16 @@ tolerance allows and a read costs less than the quantile
 that early variables have the smallest expected conditional ranges, then
 the integral is estimated by antithetic RQMC.  Rank-deficient scale
 matrices are handled with a reduced r-dimensional recursion whose blocks
-keep all d constraints active; :func:`prob` and :func:`prob_singular`
-share the steps from a factor to the estimate (:func:`_box_estimate`).
+keep all d constraints active.  :func:`prob` and :func:`prob_singular`
+share the steps from a factor to the estimate (:func:`_box_estimate`):
+limits centered and in the original order, and a ``_ScaleFactor`` whose
+``perm`` carries the integration order (:func:`reorder`'s, or the
+model's staircase factor).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -37,33 +40,16 @@ _U_HI = 1.0 - 1e-16
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
-@dataclass(frozen=True)
-class _Hyperrectangle:
-    """Integration limits; non-finite entries mean the one-sided limit."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        if a.shape != b.shape or a.ndim != 1:
-            raise ValueError("limits must be vectors of equal length")
-        if not np.all(a < b):
-            raise ValueError("lower limits must be strictly below upper limits")
-
-
-@dataclass(frozen=True)
-class _ReorderedProblem:
-    """Limits and Cholesky factor after greedy variable reordering."""
-
-    a: np.ndarray
-    b: np.ndarray
-    factor: _ScaleFactor
-    perm: np.ndarray
-    clamped_pivots: int = 0
+def _checked_limits(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh float vectors of the integration limits; non-finite entries
+    mean the one-sided limit."""
+    a = np.array(a, dtype=float, ndmin=1)
+    b = np.array(b, dtype=float, ndmin=1)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError("limits must be vectors of equal length")
+    if not np.all(a < b):
+        raise ValueError("lower limits must be strictly below upper limits")
+    return a, b
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
@@ -74,19 +60,19 @@ def _phi(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def reorder(a, b, sigma, mu_sqrt_w: float) -> _ReorderedProblem:
+def reorder(a, b, sigma, mu_sqrt_w: float) -> _ScaleFactor:
     """Greedy variable reordering for the box-probability integrand.
 
-    At stage j the variable with the smallest expected conditional
+    ``a`` and ``b`` are the centered limits in the original order.  At
+    stage j the variable with the smallest expected conditional
     probability mass Phi(b_hat) - Phi(a_hat) is selected, the partial
     Cholesky factor is extended, and the conditioned value of the chosen
-    variable is replaced by its truncated-normal expectation.  The
-    reordering changes only the integration order, never the value of
-    the probability.
+    variable is replaced by its truncated-normal expectation.  Returns the
+    Cholesky factor of the reordered scale matrix with the order chosen as
+    its ``perm``, so its ``reconstruct()`` is ``sigma``.  The reordering
+    changes only the integration order, never the value of the probability.
     """
-    box = _Hyperrectangle(a, b)
-    a = box.a.copy()
-    b = box.b.copy()
+    a, b = _checked_limits(a, b)
     sigma = np.asarray(sigma, dtype=float).copy()
     d = len(a)
     if sigma.shape != (d, d):
@@ -97,7 +83,6 @@ def reorder(a, b, sigma, mu_sqrt_w: float) -> _ReorderedProblem:
     C = np.zeros((d, d))
     y = np.zeros(d)
     perm = np.arange(d)
-    clamped = 0
 
     for j in range(d):
         # Expected conditional range for each remaining candidate.
@@ -118,8 +103,6 @@ def reorder(a, b, sigma, mu_sqrt_w: float) -> _ReorderedProblem:
             C[[i, j], :] = C[[j, i], :]
 
         resid = sigma[j, j] - C[j, :j] @ C[j, :j]
-        if resid <= 0.0:
-            clamped += 1
         C[j, j] = np.sqrt(max(resid, 1e-12))
         if j + 1 < d:
             C[j + 1 :, j] = (sigma[j + 1 :, j] - C[j + 1 :, :j] @ C[j, :j]) / C[j, j]
@@ -137,23 +120,20 @@ def reorder(a, b, sigma, mu_sqrt_w: float) -> _ReorderedProblem:
             mid = 0.5 * (lo + hi)
             y[j] = float(np.clip(mid if np.isfinite(mid) else 0.0, -37.0, 37.0))
 
-    factor = _ScaleFactor(
-        C=C,
-        rank=d,
-        perm=np.arange(d),
-        row_scales=np.ones(d),
-        block_heads=np.arange(d),
-    )
-    return _ReorderedProblem(a=a, b=b, factor=factor, perm=perm, clamped_pivots=clamped)
+    return _ScaleFactor(C=C, rank=d, perm=perm, row_scales=np.ones(d), block_heads=np.arange(d))
 
 
 class BoxIntegrand:
-    """Vectorized separation-of-variables integrand on (0,1)^r.
+    """Vectorized separation-of-variables integrand on (0,1)^r of the box
+    ``a0 < X - loc <= b0`` (limits centered, in the original order) under
+    ``factor``, whose ``perm`` gives the integration order.
 
-    Rows are pre-scaled so each carries a unit coefficient on its block's
-    pivot column; a block of size one per pivot reproduces the full-rank
-    recursion, larger blocks take the max/min over their rows so that all
-    d constraints stay active when the scale matrix is singular.
+    The box's rows of nonzero variance are read in that order, each
+    divided by its entry in its block's column so that entry becomes one
+    (a negative ``row_scales`` of a staircase row flips its limits).  A
+    block of size one per pivot reproduces the full-rank recursion, larger
+    blocks take the max/min over their rows so that all d constraints stay
+    active when the scale matrix is singular.
 
     W comes from ``table``, if given, as exp(L(logit(u0))) with L its
     interpolant of log w (a few dozen ns per point, against several
@@ -170,14 +150,22 @@ class BoxIntegrand:
     several rows clamp their width at 0.
     """
 
-    def __init__(self, lower, upper, coef, block_heads, spec: _MixtureSpec, nu,
+    def __init__(self, a0, b0, factor: _ScaleFactor, spec: _MixtureSpec, nu,
                  table: _QuantileTable | None = None):
-        self.lower = np.asarray(lower, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
-        self.coef = np.asarray(coef, dtype=float)
-        heads = [int(h) for h in block_heads]
-        self.rank = len(heads)
-        self.blocks = [slice(h, e) for h, e in zip(heads, heads[1:] + [len(self.coef)])]
+        self.rank = factor.rank
+        sizes = factor.block_sizes()
+        n_blocked = int(sizes.sum())
+        rows = factor.perm[:n_blocked]
+        pivot_entries = factor.C[np.arange(n_blocked), np.repeat(np.arange(self.rank), sizes)]
+        divisors = factor.row_scales[:n_blocked] * pivot_entries
+        with np.errstate(invalid="ignore"):
+            self.lower = np.asarray(a0, dtype=float)[rows] / divisors
+            self.upper = np.asarray(b0, dtype=float)[rows] / divisors
+        neg = divisors < 0
+        self.lower[neg], self.upper[neg] = self.upper[neg], self.lower[neg]
+        self.coef = factor.C[:n_blocked, : self.rank] / pivot_entries[:, None]
+        heads = factor.block_heads.tolist()
+        self.blocks = [slice(h, h + k) for h, k in zip(heads, sizes.tolist())]
         self.open_lower = [bool(np.all(self.lower[r] == -np.inf)) for r in self.blocks]
         self.open_upper = [bool(np.all(self.upper[r] == np.inf)) for r in self.blocks]
         self.spec = spec
@@ -251,36 +239,6 @@ def _w_table(spec: _MixtureSpec, nu, cfg: RqmcConfig, rows: int) -> _QuantileTab
     return table if 0.25 * rows * table.bound <= 0.1 * cfg.tol else None
 
 
-def _box_integrand(a0, b0, factor: _ScaleFactor, spec: _MixtureSpec, nu,
-                   table: _QuantileTable | None = None) -> BoxIntegrand:
-    """Integrand for the box ``a0 < C z <= b0`` (limits centered and in
-    the factor's row order), reading W from ``table`` if one is given.
-
-    Every row is divided by its entry in its block's column, so that entry
-    becomes one (a staircase factor's rows already carry a unit entry but
-    may have been scaled by a negative ``row_scales``, which flips the
-    limits); zero-variance rows are left out.
-    """
-    n_blocked = factor.dim - len(factor.degenerate_rows)
-    block_of_row = np.repeat(np.arange(factor.rank), factor.block_sizes())
-    pivot_entries = factor.C[np.arange(n_blocked), block_of_row]
-    divisors = factor.row_scales[:n_blocked] * pivot_entries
-    with np.errstate(invalid="ignore"):
-        lo = a0[:n_blocked] / divisors
-        hi = b0[:n_blocked] / divisors
-    neg = divisors < 0
-    lo[neg], hi[neg] = hi[neg], lo[neg]
-    return BoxIntegrand(
-        lower=lo,
-        upper=hi,
-        coef=factor.C[:n_blocked, : factor.rank] / pivot_entries[:, None],
-        block_heads=factor.block_heads,
-        spec=spec,
-        nu=nu,
-        table=table,
-    )
-
-
 def _antithetic(f):
     """``u -> (f(u) + f(1 - u)) / 2`` by one call of ``f`` on ``u`` stacked
     over ``1 - u`` in one Fortran-ordered array."""
@@ -297,23 +255,24 @@ def _antithetic(f):
 
 def _centered(a, b, model: NvmModel) -> tuple[np.ndarray, np.ndarray]:
     """The box's limits, checked against the model, less its location."""
-    box = _Hyperrectangle(a, b)
-    if len(box.a) != model.dim:
+    a, b = _checked_limits(a, b)
+    if len(a) != model.dim:
         raise ValueError("limit length does not match model dimension")
-    return box.a - model.loc, box.b - model.loc
+    return a - model.loc, b - model.loc
 
 
 def _box_estimate(a0, b0, factor: _ScaleFactor, model: NvmModel, cfg: RqmcConfig | None,
                   seed) -> RqmcResult:
-    """Antithetic RQMC estimate, clamped to [0, 1], of the box ``a0 < C z
-    <= b0`` (limits centered and in the factor's row order), in the
-    factor's rank, reading W as :func:`_w_table` allows for the rows of
-    nonzero variance."""
+    """Antithetic RQMC estimate, clamped to [0, 1], of the box ``a0 < X -
+    loc <= b0`` (limits centered and in the original order) under
+    ``factor``, which carries the integration order, in the factor's
+    rank, reading W as :func:`_w_table` allows for the rows of nonzero
+    variance."""
     if cfg is None:
         cfg = RqmcConfig()
     rows = factor.dim - len(factor.degenerate_rows)
-    g = _box_integrand(a0, b0, factor, model.spec, model.nu,
-                       _w_table(model.spec, model.nu, cfg, rows))
+    g = BoxIntegrand(a0, b0, factor, model.spec, model.nu,
+                     _w_table(model.spec, model.nu, cfg, rows))
     result = rqmc_estimate(_antithetic(g), factor.rank, cfg, seed)
     return replace(result, estimate=min(max(result.estimate, 0.0), 1.0))
 
@@ -333,8 +292,8 @@ def prob(a, b, model: NvmModel, cfg: RqmcConfig | None = None,
     if not model.is_full_rank:
         return prob_singular(a, b, model, cfg, seed)
     a0, b0 = _centered(a, b, model)
-    problem = reorder(a0, b0, model.scale, _mean_sqrt_w(model.spec, model.nu))
-    return _box_estimate(problem.a, problem.b, problem.factor, model, cfg, seed)
+    factor = reorder(a0, b0, model.scale, _mean_sqrt_w(model.spec, model.nu))
+    return _box_estimate(a0, b0, factor, model, cfg, seed)
 
 
 def prob_singular(a, b, model: NvmModel, cfg: RqmcConfig | None = None,
@@ -348,11 +307,10 @@ def prob_singular(a, b, model: NvmModel, cfg: RqmcConfig | None = None,
     feasibility check on their limits.  W is read as in :func:`prob`, the
     variables of nonzero variance being the constraints.
     """
-    factor = model.factor
-    a0, b0 = (lim[factor.perm] for lim in _centered(a, b, model))
+    a0, b0 = _centered(a, b, model)
     # Point-mass variables: the box either contains them or the
     # probability is zero.
-    degenerate = slice(model.dim - len(factor.degenerate_rows), None)
-    if not np.all((a0[degenerate] < 0.0) & (0.0 <= b0[degenerate])):
+    point = model.factor.degenerate_rows
+    if not np.all((a0[point] < 0.0) & (0.0 <= b0[point])):
         return RqmcResult(0.0, 0.0, 0, 0, True)
-    return _box_estimate(a0, b0, factor, model, cfg, seed)
+    return _box_estimate(a0, b0, model.factor, model, cfg, seed)

@@ -85,6 +85,8 @@ class _ScaleFactor:
 def _check_square_symmetric(sigma: np.ndarray) -> None:
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError("scale matrix must be square")
+    if not np.all(np.isfinite(sigma)):
+        raise ValueError("scale matrix must be finite")
     if not np.allclose(sigma, sigma.T, rtol=1e-10, atol=1e-12):
         raise ValueError("scale matrix must be symmetric")
 
@@ -208,12 +210,16 @@ def _singular_cholesky(sigma: np.ndarray) -> _ScaleFactor:
 def mahalanobis_sq(x: np.ndarray, mu: np.ndarray, factor: _ScaleFactor) -> np.ndarray | float:
     """Squared Mahalanobis distance via a triangular solve.
 
-    ``x`` may be a single d-vector or an (n, d) batch.  Requires a
-    full-rank factor: the quadratic form does not exist otherwise.
+    ``x`` may be a single d-vector or an (n, d) batch; any other shape
+    raises ``ValueError``.  Requires a full-rank factor: the quadratic
+    form does not exist otherwise.
     """
     if not factor.is_full_rank:
         raise ValueError("mahalanobis_sq requires a full-rank scale factor")
     x = np.asarray(x, dtype=float)
+    d = factor.dim
+    if x.ndim not in (1, 2) or x.shape[-1] != d:
+        raise ValueError(f"points must be a {d}-vector or an (n, {d}) array, not shape {x.shape}")
     mu = np.asarray(mu, dtype=float)
     single = x.ndim == 1
     diff = np.atleast_2d(x) - mu[None, :]

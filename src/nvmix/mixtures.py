@@ -241,7 +241,6 @@ class _QuantileTable:
         # The nodes, then the midpoints between them.
         t = self._t_lo + self._t_span * (np.arange(2 * intervals + 1) * (0.5 / intervals))
         z = np.clip(2.0 * np.sinh(t), z_lo, z_hi)
-        self.u_values = len(z)
         with np.errstate(divide="ignore"):
             log_w = np.log(self.exact(z))
         nodes, at_nodes, at_mids = z[::2], log_w[::2], log_w[1::2]

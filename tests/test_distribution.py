@@ -6,9 +6,9 @@ import pytest
 
 from nvmix import distribution
 from nvmix.distribution import (
-    _Hyperrectangle,
+    BoxIntegrand,
     _antithetic,
-    _box_integrand,
+    _checked_limits,
     _w_table,
     prob,
     prob_singular,
@@ -46,80 +46,94 @@ def orthant_2d(rho):
 
 class TestHyperrectangle:
     def test_valid(self):
-        _Hyperrectangle([-INF, 0.0], [0.0, 1.0])
+        _checked_limits([-INF, 0.0], [0.0, 1.0])
 
     def test_rejects_touching(self):
         with pytest.raises(ValueError):
-            _Hyperrectangle([0.0, 0.0], [1.0, 0.0])
+            _checked_limits([0.0, 0.0], [1.0, 0.0])
 
 
 class TestReorder:
     def test_smallest_range_first(self):
         # Phi(0.1) ~ 0.540 < Phi(5) ~ 1, so the 0.1-limit variable leads.
-        res = reorder([-INF, -INF], [5.0, 0.1], np.eye(2), mu_sqrt_w=1.0)
-        assert list(res.perm) == [1, 0]
-        assert np.allclose(res.b, [0.1, 5.0])
+        b = np.array([5.0, 0.1])
+        factor = reorder([-INF, -INF], b, np.eye(2), mu_sqrt_w=1.0)
+        assert list(factor.perm) == [1, 0]
+        assert np.allclose(b[factor.perm], [0.1, 5.0])
+        # The caller's limits stay in the original order.
+        assert np.array_equal(b, [5.0, 0.1])
 
-        res2 = reorder([-INF, -INF], [0.1, 5.0], np.eye(2), mu_sqrt_w=1.0)
-        assert list(res2.perm) == [0, 1]
+        factor2 = reorder([-INF, -INF], [0.1, 5.0], np.eye(2), mu_sqrt_w=1.0)
+        assert list(factor2.perm) == [0, 1]
 
     def test_d1_identity(self):
-        res = reorder([-1.0], [1.0], np.array([[2.0]]), mu_sqrt_w=1.3)
-        assert list(res.perm) == [0]
-        assert res.factor.C[0, 0] == pytest.approx(math.sqrt(2.0))
+        factor = reorder([-1.0], [1.0], np.array([[2.0]]), mu_sqrt_w=1.3)
+        assert list(factor.perm) == [0]
+        assert factor.C[0, 0] == pytest.approx(math.sqrt(2.0))
 
     def test_factor_matches_permuted_cholesky(self):
         rng = np.random.default_rng(5)
         G = rng.standard_normal((4, 6))
         sigma = G @ G.T
         b = rng.uniform(0.5, 3.0, size=4)
-        res = reorder(np.full(4, -INF), b, sigma, mu_sqrt_w=1.0)
-        sig_perm = sigma[np.ix_(res.perm, res.perm)]
-        assert np.allclose(res.factor.C @ res.factor.C.T, sig_perm, atol=1e-10)
+        factor = reorder(np.full(4, -INF), b, sigma, mu_sqrt_w=1.0)
+        sig_perm = sigma[np.ix_(factor.perm, factor.perm)]
+        assert np.allclose(factor.C @ factor.C.T, sig_perm, atol=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 5, 20])
+    def test_factor_in_original_order(self, d):
+        # The factor carries the order it chose, so it reads as a factor
+        # of sigma itself.
+        rng = np.random.default_rng(40 + d)
+        G = rng.standard_normal((d, d + 2))
+        sigma = G @ G.T
+        factor = reorder(*_limits("mixed", rng, d), sigma, mu_sqrt_w=1.3)
+        assert sorted(factor.perm) == list(range(d))
+        np.testing.assert_allclose(factor.reconstruct(), sigma, rtol=0.0, atol=1e-10)
+        assert factor.log_det == pytest.approx(np.linalg.slogdet(sigma)[1], rel=1e-12)
 
     def test_finite_limits(self):
-        res = reorder([-1.0, -2.0], [1.0, 2.0], np.eye(2), mu_sqrt_w=1.0)
-        assert sorted(res.perm) == [0, 1]
+        factor = reorder([-1.0, -2.0], [1.0, 2.0], np.eye(2), mu_sqrt_w=1.0)
+        assert sorted(factor.perm) == [0, 1]
 
 
 class TestIntegrandG:
     def test_d1_half(self):
-        res = reorder([-INF], [0.0], np.eye(1), 1.0)
+        factor = reorder([-INF], [0.0], np.eye(1), 1.0)
         for u in ([0.3], [0.7]):
-            f = _box_integrand(res.a, res.b, res.factor, constant(), [1.0])
+            f = BoxIntegrand([-INF], [0.0], factor, constant(), [1.0])
             assert f(np.array([u]))[0] == pytest.approx(0.5)
 
     def test_d2_independent(self):
-        res = reorder([-INF, -INF], [0.0, 0.0], np.eye(2), 1.0)
+        factor = reorder([-INF, -INF], [0.0, 0.0], np.eye(2), 1.0)
         rng = np.random.default_rng(0)
         u = rng.random((50, 2))
-        vals = _box_integrand(res.a, res.b, res.factor, constant(), [1.0])(u)
+        vals = BoxIntegrand([-INF, -INF], [0.0, 0.0], factor, constant(), [1.0])(u)
         assert np.allclose(vals, 0.25, atol=1e-14)
 
     def test_correlated_matches_scalar_recursion(self):
         # Independent scalar oracle using the stdlib normal distribution.
         nd = NormalDist()
         sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
-        b = np.array([0.4, -0.3])
-        res = reorder([-INF, -INF], b, sigma, 1.0)
+        a, b = np.full(2, -INF), np.array([0.4, -0.3])
+        factor = reorder(a, b, sigma, 1.0)
 
         def scalar_oracle(u1):
-            C11 = math.sqrt(sigma[res.perm[0], res.perm[0]])
-            b1, b2 = res.b
-            C = res.factor.C
+            b1, b2 = b[factor.perm]
+            C = factor.C
             e1 = nd.cdf(b1 / C[0, 0])
             z = nd.inv_cdf(u1 * e1)
             e2 = nd.cdf((b2 - C[1, 0] * z) / C[1, 1])
             return e1 * e2
 
-        f = _box_integrand(res.a, res.b, res.factor, constant(), [1.0])
+        f = BoxIntegrand(a, b, factor, constant(), [1.0])
         for u1 in (0.2, 0.5, 0.9):
             got = f(np.array([[0.5, u1]]))[0]
             assert got == pytest.approx(scalar_oracle(u1), rel=1e-9)
 
     def test_mixing_coordinate_changes_value(self):
-        res = reorder([-INF, -INF], [0.0, 1.0], np.eye(2), 1.0)
-        f = _box_integrand(res.a, res.b, res.factor, inverse_gamma(), [3.0])
+        factor = reorder([-INF, -INF], [0.0, 1.0], np.eye(2), 1.0)
+        f = BoxIntegrand([-INF, -INF], [0.0, 1.0], factor, inverse_gamma(), [3.0])
         v1, v2 = f(np.array([[0.1, 0.5], [0.9, 0.5]]))
         assert v1 != v2
 
@@ -203,11 +217,12 @@ class TestScalarRecursion:
         G = rng.standard_normal((d, d + 2))
         sigma = G @ G.T
         a, b = _limits(kind, rng, d)
-        res = reorder(a, b, sigma, mu_sqrt_w=1.3)
+        factor = reorder(a, b, sigma, mu_sqrt_w=1.3)
         spec, nu = _FAMILIES[d % 2]
         u = _points(rng, 24, d)
-        got = _box_integrand(res.a, res.b, res.factor, spec, nu)(u)
-        want = [scalar_recursion(p, res.factor.C, res.a, res.b, spec, nu) for p in u]
+        got = BoxIntegrand(a, b, factor, spec, nu)(u)
+        want = [scalar_recursion(p, factor.C, a[factor.perm], b[factor.perm], spec, nu)
+                for p in u]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         if kind == "whole":
             assert np.all(got == 1.0)
@@ -258,8 +273,8 @@ class TestScalarRecursion:
     def test_antithetic_pairs_u_with_one_minus_u(self):
         rng = np.random.default_rng(3)
         G = rng.standard_normal((5, 7))
-        res = reorder(np.full(5, -INF), rng.uniform(0.0, 2.0, 5), G @ G.T, 1.0)
-        f = _box_integrand(res.a, res.b, res.factor, inverse_gamma(), [3.0])
+        a, b = np.full(5, -INF), rng.uniform(0.0, 2.0, 5)
+        f = BoxIntegrand(a, b, reorder(a, b, G @ G.T, 1.0), inverse_gamma(), [3.0])
         u = rng.random((40, 5))
         np.testing.assert_allclose(
             _antithetic(f)(u), 0.5 * (f(u) + f(1.0 - u)), rtol=1e-15, atol=0.0
@@ -299,8 +314,9 @@ class TestPointLayout:
     def test_full_rank(self, kind):
         rng = np.random.default_rng(20)
         G = rng.standard_normal((20, 22))
-        res = reorder(*_limits(kind, rng, 20), G @ G.T, mu_sqrt_w=1.3)
-        f = _box_integrand(res.a, res.b, res.factor, inverse_gamma(), [3.0])
+        a, b = _limits(kind, rng, 20)
+        factor = reorder(a, b, G @ G.T, mu_sqrt_w=1.3)
+        f = BoxIntegrand(a, b, factor, inverse_gamma(), [3.0])
         self._assert_layout_free(f, _points(rng, 64, 20))
 
     @pytest.mark.parametrize("kind", _KINDS)
@@ -309,7 +325,7 @@ class TestPointLayout:
         factor = model.factor
         rng = np.random.default_rng(7)
         a, b = _limits(kind, rng, 6)
-        f = _box_integrand(a[factor.perm], b[factor.perm], factor, model.spec, model.nu)
+        f = BoxIntegrand(a, b, factor, model.spec, model.nu)
         self._assert_layout_free(f, _points(rng, 64, 3))
 
 
@@ -505,9 +521,8 @@ class TestVarianceReduction:
             from nvmix.linalg import cholesky
 
             u = rng.random((4000, d))
-            v_plain = np.var(_box_integrand(a, b, cholesky(sigma), spec, [nu])(u))
-            v_reord = np.var(_box_integrand(reordered.a, reordered.b, reordered.factor,
-                                            spec, [nu])(u))
+            v_plain = np.var(BoxIntegrand(a, b, cholesky(sigma), spec, [nu])(u))
+            v_reord = np.var(BoxIntegrand(a, b, reordered, spec, [nu])(u))
             if v_reord < v_plain:
                 wins += 1
         assert wins >= 0.8 * trials

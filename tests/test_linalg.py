@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nvmix.density import closed_log_density, log_density_batch
 from nvmix.linalg import _singular_cholesky, cholesky, mahalanobis_sq
 from nvmix.mixtures import inverse_gamma
 from nvmix.model import NvmModel
@@ -49,6 +50,15 @@ class TestCholesky:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             cholesky(np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "scale",
+        [[[np.inf]], [[1.0, np.inf], [np.inf, 1.0]], [[np.nan]]],
+        ids=["inf-diagonal", "inf-off-diagonal", "nan-diagonal"],
+    )
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale matrix must be finite"):
+            NvmModel.build(None, scale, inverse_gamma(), [3.0])
 
 
 class TestSingularCholesky:
@@ -153,3 +163,18 @@ class TestMahalanobis:
         f = _singular_cholesky(np.ones((2, 2)))
         with pytest.raises(ValueError, match="full-rank"):
             mahalanobis_sq(np.zeros(2), np.zeros(2), f)
+
+    @pytest.mark.parametrize("shape", [(), (3, 2), (2, 1, 1)])
+    def test_points_of_the_wrong_shape_rejected(self, shape):
+        f = cholesky(np.eye(1))
+        with pytest.raises(ValueError, match=r"points must be a 1-vector or an \(n, 1\) array"):
+            mahalanobis_sq(np.zeros(shape), np.zeros(1), f)
+
+    @pytest.mark.parametrize("caller", [
+        log_density_batch,
+        lambda X, model: closed_log_density(model, X),
+    ], ids=["log_density_batch", "closed_log_density"])
+    def test_callers_reject_points_of_rank_three(self, caller):
+        model = NvmModel.build(None, [[1.0]], inverse_gamma(), [3.0])
+        with pytest.raises(ValueError, match=r"points must be a 1-vector or an \(n, 1\) array"):
+            caller(np.zeros((2, 1, 1)), model)
