@@ -1,6 +1,6 @@
 """Cost and calibration of the log-density path in z.
 
-Two parts, both at tol 1e-3 under the default ``RqmcConfig``:
+Three parts, the first two at tol 1e-3 under the default ``RqmcConfig``:
 
 * Cost: ``log_integral_batch`` on N rows (IG(4), D2 evenly spaced in
   [0.5, 2], ``shift_k`` 5, prefactor 0, seed 1) for N = 500 and 2000.
@@ -17,14 +17,23 @@ Two parts, both at tol 1e-3 under the default ``RqmcConfig``:
   over error estimate of the converged rows, the rule's nodes and the
   RQMC's points per row and the quantile work per phase, summed over the
   calls.
+* Jump sweep: log-densities of the mixture 0.3 N_d(0, I) + 0.7 N_d(0, 4 I),
+  given as a black box whose W jumps from 1 to 4 at u = 0.3, so that the
+  RQMC integrates every row.  One call per d in {3, 10}, tol in {1e-3,
+  1e-5}, absolute and relative, and seed in {1, 3, 17}, each on 12 rows
+  with D2 from 0 to 1e10.  Prints the rows, the converged rows, those
+  that miss tol against the exact log-density, the largest |error| / tol
+  of a converged row and the points per randomization summed over the
+  rows.
 
 The phases are the table of the quantile (``_QuantileTable``: its nodes
 and midpoints, evaluated exactly), the search (``_bracket_z``: the
 maximum of g and the bracket's ends, and ``_table_budget``'s reads of w
 at those ends), the trapezoid rule (``_nested_trapezoid``), which
 integrates the rows of a call whose search reads the table, the RQMC
-(``_run``, the one loop that keeps the rows' running means and returns
-them with each row's batch count), which integrates the others, and
+(``_run``, the one loop, which keeps plain running means, under a
+running scale for rows of logs, and returns each row's estimate, error
+and batch count), which integrates the others, and
 anything else (the check for an atom of W at 0 when a row has D2 = 0);
 the search's u-values are also given per row.  The table's line also
 gives the time spent building tables, their node counts and their
@@ -44,6 +53,8 @@ Run from the root of a checkout (about 10 s)::
     PYTHONPATH=src python3 scripts/adaptive_cost.py [n_seeds]
 """
 
+import itertools
+import math
 import sys
 import time
 import tracemalloc
@@ -53,7 +64,8 @@ from scipy.special import fdtr, fdtri
 
 import nvmix.density as density
 import nvmix.mixtures as mixtures
-from nvmix import NvmModel, RqmcConfig, closed_log_density, inverse_gamma, log_density_batch
+from nvmix import (NvmModel, RqmcConfig, blackbox, closed_log_density, inverse_gamma,
+                   log_density_batch)
 from nvmix.density import log_integral_batch
 from nvmix.mixtures import quantile
 
@@ -133,9 +145,9 @@ def _phase_counts(call, counts=None):
         return out
 
     def rqmc(g, dimension, cfg, *args, **kwargs):
-        means, batches = saved["_run"](g, dimension, cfg, *args, **kwargs)
+        estimate, error, batches = saved["_run"](g, dimension, cfg, *args, **kwargs)
         counts["rqmc_points"] += (batches * cfg.n0).tolist()
-        return means, batches
+        return estimate, error, batches
 
     def build(self, *args):
         t0 = time.perf_counter()
@@ -248,11 +260,44 @@ def calibration(n_seeds: int, n_points: int = 300, d: int = 10) -> None:
     _print_phases(counts, n_seeds * n_points)
 
 
-def main(n_seeds: int = 10, sizes=(500, 2000), n_points: int = 300) -> None:
+# W = 1 with probability 0.3 and 4 otherwise: the quantile jumps, so no
+# table is read and the RQMC integrates every row.
+JUMP = blackbox(lambda u, nu: np.where(u < 0.3, 1.0, 4.0), 0)
+JUMP_D2 = np.array([0.0, 1e-8, 0.5, 3.0, 10.0, 30.0, 80.0, 640.0, 1.6e4, 2e5, 1e8, 1e10])
+
+
+def jump_sweep(seeds=(1, 3, 17), tols=(1e-3, 1e-5)) -> None:
+    counts = {"rows": 0, "converged": 0, "misses": 0, "worst": 0.0, "points": 0}
+    for d in (3, 10):
+        # log(0.3 N_d(x; 0, I) + 0.7 N_d(x; 0, 4 I)), formed in logs: its
+        # exp underflows from D2 = 1.6e4 on.
+        exact = np.logaddexp(
+            math.log(0.3) - 0.5 * d * math.log(2.0 * math.pi) - JUMP_D2 / 2.0,
+            math.log(0.7) - 0.5 * d * math.log(8.0 * math.pi) - JUMP_D2 / 8.0)
+        for tol, tol_type, seed in itertools.product(tols, ("absolute", "relative"), seeds):
+            cfg = RqmcConfig(tol=tol, tol_type=tol_type)
+            res = log_integral_batch(JUMP_D2, d / 2.0, -0.5 * d * math.log(2.0 * math.pi),
+                                     JUMP, [], cfg, seed=seed)
+            bound = tol * (np.abs(exact) if tol_type == "relative" else 1.0)
+            ratio = np.array([abs(r.estimate - e) for r, e in zip(res, exact)]) / bound
+            converged = np.array([r.converged for r in res])
+            counts["rows"] += len(res)
+            counts["converged"] += int(converged.sum())
+            counts["misses"] += int(np.sum(converged & (ratio > 1.0)))
+            counts["worst"] = max(counts["worst"], ratio[converged].max(initial=0.0))
+            counts["points"] += sum(r.n_per_randomization for r in res)
+    print("jump sweep, {rows} rows: converged {converged}, converged but missing tol "
+          "{misses}, largest |error| / tol of a converged row {worst:.3g}, "
+          "points per randomization {points}".format(**counts))
+
+
+def main(n_seeds: int = 10, sizes=(500, 2000), n_points: int = 300, jump_seeds=(1, 3, 17),
+         jump_tols=(1e-3, 1e-5)) -> None:
     log_integral_batch([0.5, 1e4], 5.0, 0.0, inverse_gamma(), [4.0], seed=0)  # lazy imports
     for n in sizes:
         cost(n)
     calibration(n_seeds, n_points)
+    jump_sweep(jump_seeds, jump_tols)
 
 
 if __name__ == "__main__":

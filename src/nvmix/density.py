@@ -47,8 +47,8 @@ from .mixtures import quantile  # noqa: F401
 from .model import NvmModel
 # rqmc_log_estimate stays bound here for tools that trace this module's
 # estimator by name.
-from .rqmc import (_BLOCK_VALUES, RqmcConfig, RqmcResult, _errors, _estimates, _run,  # noqa: F401
-                   _tolerance_met, rqmc_log_estimate)
+from .rqmc import (_BLOCK_VALUES, RqmcConfig, RqmcResult, _run, _tolerance_met,  # noqa: F401
+                   rqmc_log_estimate)
 
 __all__ = ["log_density_batch", "closed_log_density"]
 
@@ -513,13 +513,14 @@ def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
     A result is unconverged when it misses the tolerance or when g is
     still above the threshold at an end of the z range.  A row whose g
     peaks at an end of the z range (within ``_EPS_BISEC``) has its mass
-    beyond the doubles' reach: it gets no points, an infinite error
-    estimate and, as its estimate, g's maximum plus the log of the
-    bracket's width, -inf where that width rounds to 0.  At D2 = 0 the
-    integral diverges when W has an atom at w = 0, or when g is still
-    above the threshold at the lower end of the z range and no lower
-    there than halfway to it (h grows at least like 1/u as u -> 0);
-    either raises ``ValueError`` before any integration.
+    beyond the doubles' reach, as does a row whose g is -inf at its peak
+    (D2 = inf): it gets no points, an infinite error estimate and, as its
+    estimate, g's maximum plus the log of the bracket's width, -inf where
+    that width rounds to 0.  At D2 = 0 the integral diverges when W has an
+    atom at w = 0, or when g is still above the threshold at the lower end
+    of the z range and no lower there than halfway to it (h grows at least
+    like 1/u as u -> 0); either raises ``ValueError`` before any
+    integration.
     """
     if cfg is None:
         cfg = RqmcConfig()
@@ -547,10 +548,11 @@ def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
                          k[edge, None], m[edge, None])
         if np.any(log_g[:, 0] >= log_g[:, 1]):
             raise ValueError(_DIVERGES)
-    # A row whose g peaks at an end of the z range has its mass beyond
-    # the doubles' reach, which no integration inside the range can find.
+    # A row whose g peaks at an end of the z range, or is -inf at its
+    # peak (D2 = inf), has its mass beyond the doubles' reach, which no
+    # integration inside the range can find.
     z_lo, z_hi = _z_range(spec)
-    beyond = (z_g - z_lo <= _EPS_BISEC) | (z_hi - z_g <= _EPS_BISEC)
+    beyond = (z_g - z_lo <= _EPS_BISEC) | (z_hi - z_g <= _EPS_BISEC) | (top == -math.inf)
     width = z_r - z_l
     # A bracket that rounds to a point, where g falls k_th decades within a
     # rounding error of z (D2 = 1e300: log g near -5e145), has log width
@@ -590,10 +592,10 @@ def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
         # it, randomizes the RQMC.  A row sees the extensible stream's
         # points a step at a time, within a budget of i_max n0 points.
         step = min(cfg.n0, _ADAPTIVE_STEP)
-        means, batches = _run(lambda v, rows: mid_log_g(v[:, 0], rows), 1,
-                              replace(cfg, n0=step, i_max=cfg.i_max * cfg.n0 // step),
-                              np.random.SeedSequence(seed).spawn(3)[2], len(run), log=True)
-        estimate[run], error[run] = _estimates(means, True), _errors(means)
+        estimate[run], error[run], batches = _run(
+            lambda v, rows: mid_log_g(v[:, 0], rows), 1,
+            replace(cfg, n0=step, i_max=cfg.i_max * cfg.n0 // step),
+            np.random.SeedSequence(seed).spawn(3)[2], len(run), log=True)
         n[run] = batches * step
     # The rule's rows meet tol/10 on their error estimates.
     converged = ~beyond & closed & _tolerance_met((10.0 if rule else 1.0) * error, estimate,
@@ -610,14 +612,12 @@ def log_density_batch(X, model: NvmModel, cfg: RqmcConfig | None = None,
     """
     if not model.is_full_rank:
         raise ValueError("log-density requires a full-rank scale matrix")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    d = model.dim
-    if X.shape[1] != d:
-        raise ValueError(f"points must have {d} columns")
     if model.spec.kind == "constant":
-        return [RqmcResult(float(v), 0.0, 0, 0, True) for v in closed_log_density(model, X)]
+        return [RqmcResult(float(v), 0.0, 0, 0, True)
+                for v in np.atleast_1d(closed_log_density(model, X))]
 
-    d2 = np.asarray(mahalanobis_sq(X, model.loc, model.factor), dtype=float)
+    d = model.dim
+    d2 = np.atleast_1d(mahalanobis_sq(X, model.loc, model.factor))
     prefactor = -0.5 * d * _LOG_2PI - 0.5 * model.log_det
     return log_integral_batch(d2, d / 2.0, prefactor, model.spec, model.nu, cfg, seed)
 
@@ -648,11 +648,10 @@ def closed_log_density(model: NvmModel, x) -> np.ndarray | float:
     families."""
     if not model.is_full_rank:
         raise ValueError("density requires a full-rank scale matrix")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
+    d2 = mahalanobis_sq(x, model.loc, model.factor)
+    single = np.ndim(d2) == 0
+    d2 = np.atleast_1d(d2)
     d = model.dim
-    d2 = np.asarray(mahalanobis_sq(X, model.loc, model.factor), dtype=float)
     log_det = model.log_det
     kind = model.spec.kind
 

@@ -45,6 +45,8 @@ _Z_HI_BLACKBOX = -math.log(np.finfo(float).eps)
 _TABLE_INTERVALS = 512
 _SCAN_INTERVALS = 64
 _LOG_MAX = math.log(np.finfo(float).max)
+# Midpoints of the rule that estimates E(sqrt(W)) for the reordering.
+_PILOT_POINTS = 1024
 
 
 class InvalidMixtureError(ValueError):
@@ -186,7 +188,7 @@ def quantile(spec: _MixtureSpec, u, nu, uc=None) -> np.ndarray | float:
     return w
 
 
-def _mean_sqrt_w(spec: _MixtureSpec, nu, n_pilot: int = 1024) -> float:
+def _mean_sqrt_w(spec: _MixtureSpec, nu) -> float:
     """E(sqrt(W)), exactly for the constant family, otherwise by a
     midpoint rule on the quantile.
 
@@ -196,9 +198,7 @@ def _mean_sqrt_w(spec: _MixtureSpec, nu, n_pilot: int = 1024) -> float:
     nu = _check_params(spec, nu)
     if spec.kind == "constant":
         return float(np.sqrt(nu[0]))
-    if n_pilot < 1:
-        raise ValueError("n_pilot must be >= 1")
-    grid = (np.arange(n_pilot) + 0.5) / n_pilot
+    grid = (np.arange(_PILOT_POINTS) + 0.5) / _PILOT_POINTS
     w = quantile(spec, grid, nu)
     return float(np.mean(np.sqrt(w)))
 

@@ -4,17 +4,18 @@ The estimators here exploit extensibility of the Sobol' sequence: every
 iteration appends a fresh batch of points to each randomized stream and
 folds it into a running per-randomization mean, so no function evaluation
 is ever discarded.  One loop, ``_run``, serves every integral in the
-package: it keeps the running means of B digital shifts of one Sobol'
-stream, either plainly or in logarithmic space (a "proper logarithm", so
-that integrals as small as exp(-5000) are handled without underflow),
-over one or several integrands, each with its own error and tolerance
-test, and returns those means with each integrand's batch count.  A run
-has one randomization: the B shifts derived from its one seed, shared by
-all its integrands, which are thus evaluated at the same points (common
-random numbers), so each integrand's result depends on that integrand
-alone and not on the others in its batch.  Each integrand runs until it
-meets the tolerance or the batch cap; ``rqmc_estimate`` and
-``rqmc_log_estimate`` are the loop's one-integrand case.
+package: it keeps plain running means over the B digital shifts of one
+Sobol' stream for one or several integrands, each with its own error and
+tolerance test, and returns each integrand's estimate, error and batch
+count.  An integrand that returns logs keeps its means under a running
+scale, its largest value so far (a "proper logarithm", so that integrals
+as small as exp(-5000) are handled without underflow).  A run has one
+randomization: the B shifts derived from its one seed, shared by all its
+integrands, which are thus evaluated at the same points (common random
+numbers), so each integrand's result depends on that integrand alone and
+not on the others in its batch.  Each integrand runs until it meets the
+tolerance or the batch cap; ``rqmc_estimate`` and ``rqmc_log_estimate``
+are the loop's one-integrand case.
 """
 
 from __future__ import annotations
@@ -165,45 +166,11 @@ class RqmcResult:
     converged: bool
 
 
-def _log_mean_exp(values: np.ndarray, axis=None) -> np.ndarray | float:
-    """log of the arithmetic mean of exp(values), stable and exact for
-    constant input."""
-    values = np.asarray(values, dtype=float)
-    m = np.max(values, axis=axis, keepdims=True)
-    safe_m = np.where(np.isfinite(m), m, 0.0)
-    scaled = np.asarray(values - safe_m)
-    np.exp(scaled, out=scaled)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.mean(scaled, axis=axis)) + np.squeeze(safe_m, axis=axis)
-    out = np.where(np.isfinite(np.squeeze(m, axis=axis)), out, np.squeeze(m, axis=axis))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _combine_log_means(old: np.ndarray, n_old, batch: np.ndarray) -> np.ndarray:
-    """Running log-mean update: log((n*e^old + e^batch)/(n+1)) elementwise,
-    with ``n_old`` = n the batches in ``old``; ``batch`` itself when
-    ``n = 0``."""
-    m = np.maximum(old, batch)
-    safe_m = np.where(np.isfinite(m), m, 0.0)
-    mixed = (n_old * np.exp(old - safe_m) + np.exp(batch - safe_m)) / (n_old + 1)
-    with np.errstate(divide="ignore"):
-        out = safe_m + np.log(mixed)
-    return np.where(np.isfinite(m), out, m)
-
-
-def _estimates(means: np.ndarray, log: bool) -> np.ndarray:
-    return _log_mean_exp(means, axis=1) if log else means.mean(axis=1)
-
-
 def _errors(means: np.ndarray) -> np.ndarray:
     """CI half widths over the randomizations of each row of ``(rows, B)``
-    means (of the log-means in log space).  A row whose means include a
-    non-finite value, such as a log-mean of -inf where no point of a
-    randomization has reached the integrand's mass, gets an infinite
-    error: it meets no tolerance.  So does a row whose means spread so far
-    (past about 1e154) that their variance overflows."""
+    plain means.  A row whose means include a non-finite value, or spread
+    so far (past about 1e154) that their variance overflows, gets an
+    infinite error: it meets no tolerance."""
     finite = np.all(np.isfinite(means), axis=1)
     means = np.where(finite[:, None], means, 0.0)
     with np.errstate(over="ignore"):
@@ -211,12 +178,23 @@ def _errors(means: np.ndarray) -> np.ndarray:
     return np.where(finite, np.where(np.ptp(means, axis=1) == 0.0, 0.0, err), np.inf)
 
 
-def _batch_means(vals: np.ndarray, B: int, log: bool) -> np.ndarray:
-    """``(rows, B)`` means (log-means when ``log``) per randomization of
-    the ``(rows, B * n0)`` or ``(B * n0,)`` values of one batch."""
-    vals = np.asarray(vals, dtype=float)
-    batch = vals.reshape(-1, B, vals.shape[-1] // B)
-    return _log_mean_exp(batch, axis=2) if log else batch.mean(axis=2)
+def _batch_means(vals: np.ndarray, B: int) -> np.ndarray:
+    """``(rows, B)`` means per randomization of the ``(rows, B * n0)`` or
+    ``(B * n0,)`` values of one batch."""
+    return vals.reshape(-1, B, vals.shape[-1] // B).mean(axis=2)
+
+
+def _summary(means: np.ndarray, scale, log: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's estimate and error from its ``(rows, B)`` means: their
+    mean and ``_errors``, or for a log row, whose means are of exp(value -
+    scale), scale + log(mean) and ``_errors`` / mean, inf where the mean
+    is 0 or that ratio is not finite."""
+    mean, err = means.mean(axis=1), _errors(means)
+    if not log:
+        return mean, err
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = err / mean
+        return scale + np.log(mean), np.where((mean > 0.0) & np.isfinite(err), err, np.inf)
 
 
 def _tolerance_met(err: np.ndarray, estimate: np.ndarray, cfg: RqmcConfig,
@@ -234,12 +212,11 @@ def _tolerance_met(err: np.ndarray, estimate: np.ndarray, cfg: RqmcConfig,
 
 
 def _run(g, dimension: int, cfg: RqmcConfig, seed, n_rows: int,
-         log: bool) -> tuple[np.ndarray, np.ndarray]:
+         log: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-batched RQMC: ``n_rows`` integrands at the same points, under
     the ``B`` shifts of ``seed``, each until it meets the tolerance or
-    ``i_max`` batches are spent.  Returns the rows' ``(n_rows, B)``
-    running means per randomization (log-means when ``log``) and the
-    number of batches each row took.
+    ``i_max`` batches are spent.  Returns each row's estimate and error
+    and the number of batches it took.
 
     Each iteration draws the ``(B * n0, dimension)`` points of a batch and
     walks the rows still running in blocks of about ``_BLOCK_VALUES``
@@ -248,9 +225,16 @@ def _run(g, dimension: int, cfg: RqmcConfig, seed, n_rows: int,
     array, one value per row and point (NaN aborts with the offending
     point).  A row still running has seen every batch so far, so each
     fold weighs the running means by the number of batches before it.
+
+    Every row keeps plain ``(rows, B)`` means.  When ``log`` is set, ``g``
+    returns logs and a row's means are of exp(value - c), c its running
+    scale: the largest finite value it has seen, the most negative double
+    before any (its means are then 0).  A batch that raises c first
+    multiplies the row's means by exp(c_old - c_new).
     """
     stream = _SobolStream(dimension, seed, n_random=cfg.B)
-    means = np.full((n_rows, cfg.B), -np.inf if log else 0.0)
+    means, scale = np.zeros((n_rows, cfg.B)), np.full(n_rows, -np.finfo(float).max)
+    estimate, error = np.zeros(n_rows), np.zeros(n_rows)
     batches = np.zeros(n_rows, dtype=int)
     rows = np.arange(n_rows)
     for n in range(cfg.i_max):
@@ -268,21 +252,23 @@ def _run(g, dimension: int, cfg: RqmcConfig, seed, n_rows: int,
             bad = np.argwhere(np.isnan(vals))
             if len(bad):
                 raise IntegrandNaNError(pts[bad[0, 1]])
-            new = _batch_means(vals, cfg.B, log)
+            old = means[block]
             if log:
-                means[block] = _combine_log_means(means[block], n, new)
-            else:
-                means[block] = (n * means[block] + new) / (n + 1)
-            keep[start:start + step] = ~_tolerance_met(
-                _errors(means[block]), _estimates(means[block], log), cfg, log)
+                c = np.maximum(scale[block],
+                               vals.max(axis=1, initial=-np.inf, where=np.isfinite(vals)))
+                old *= np.exp(scale[block] - c)[:, None]
+                scale[block] = c
+                vals = np.exp(vals - c[:, None])
+            means[block] = old = (n * old + _batch_means(vals, cfg.B)) / (n + 1)
+            estimate[block], error[block] = _summary(old, scale[block], log)
+            keep[start:start + step] = ~_tolerance_met(error[block], estimate[block], cfg, log)
         batches[rows] = n + 1
         rows = rows[keep]
-    return means, batches
+    return estimate, error, batches
 
 
 def _one_row(g, dimension: int, cfg: RqmcConfig, seed, log: bool) -> RqmcResult:
-    means, (batches,) = _run(lambda pts, rows: g(pts), dimension, cfg, seed, 1, log)
-    est, err = _estimates(means, log), _errors(means)
+    est, err, (batches,) = _run(lambda pts, rows: g(pts), dimension, cfg, seed, 1, log)
     return RqmcResult(float(est[0]), float(err[0]), int(batches) * cfg.n0, int(batches),
                       bool(_tolerance_met(err, est, cfg, log)[0]))
 
@@ -312,9 +298,11 @@ def rqmc_log_estimate(
 ) -> RqmcResult:
     """Estimate ``log int exp(log_g(u)) du`` via a proper logarithm.
 
-    Same iteration scheme as :func:`rqmc_estimate` but every running mean
-    is maintained in log space, so integrands as small as exp(-5000) are
-    estimated without underflow.  The error estimate is the CI half width
-    of the per-randomization log means.
+    Same iteration scheme as :func:`rqmc_estimate`, but the running
+    means are of exp(log_g - c), c the largest value of ``log_g`` seen so
+    far, so integrands as small as exp(-5000) are estimated without
+    underflow.  The estimate is c plus the log of the means' mean, and the
+    error estimate is the means' CI half width over their mean, infinite
+    where that mean is 0.
     """
     return _one_row(log_g, dimension, cfg, seed, log=True)

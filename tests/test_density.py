@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -1218,13 +1219,30 @@ def test_rows_that_read_the_table_stay_within_a_tenth_of_tol(monkeypatch):
         assert 0.0 < max(moved) <= cfg.tol / 10
 
 
-def test_log_means_spread_past_the_doubles_range_meet_no_tolerance():
+@pytest.mark.parametrize("spec, nu", [(inverse_gamma(), [4.0]), (pareto(), [2.5])],
+                         ids=["inverse_gamma", "pareto"])
+@pytest.mark.parametrize("D2", [1e300, math.inf])
+def test_log_means_spread_past_the_doubles_range_meet_no_tolerance(spec, nu, D2):
     # At D2 = 1e300 g peaks beyond the upper end of the z range, where the
-    # log-integrand lies near -5e145: the row gets no RQMC points and an
-    # infinite error, without a warning, and stays unconverged.
-    (res,) = log_integral_batch([1e300], 5.0, 0.0, inverse_gamma(), [4.0], seed=1)
-    assert not res.converged
-    assert (res.n_per_randomization, res.iterations_used, res.error_estimate) == (0, 0, math.inf)
+    # log-integrand lies near -5e145; at D2 = inf g is -inf everywhere.
+    # Either row gets no points, estimate -inf and an infinite error,
+    # without a warning, and stays unconverged; the other rows of the call
+    # are those of a call without it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = log_integral_batch([1.0, D2, 30.0], 5.0, 0.0, spec, nu, seed=1)
+    assert astuple(res[1]) == (-math.inf, math.inf, 0, 0, False)
+    assert [res[0], res[2]] == log_integral_batch([1.0, 30.0], 5.0, 0.0, spec, nu, seed=1)
+
+
+def test_a_point_whose_distance_overflows_has_no_density_estimate():
+    # The D2 of [1e200, 0, 0] overflows to inf.
+    model = NvmModel.build(None, np.eye(3), inverse_gamma(), [4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = log_density_batch([[1e200, 0.0, 0.0], [1.0, 0.0, 0.0]], model, seed=1)
+    assert astuple(res[0]) == (-math.inf, math.inf, 0, 0, False)
+    assert res[1] == log_density_batch([[1.0, 0.0, 0.0]], model, seed=1)[0]
 
 
 def test_smooth_rows_meet_tight_tolerances():
@@ -1277,21 +1295,21 @@ def test_rule_rows_do_not_depend_on_the_seed(monkeypatch):
     assert engines == [1]
 
 
-# log_integral_batch's results for JUMP at d = 3, tol 1e-3, seed 1, as
-# recorded before the trapezoid rule came in, which the RQMC still gives.
+# log_integral_batch's results for JUMP at d = 3, tol 1e-3, seed 1, which
+# the RQMC gives.
 JUMP_D2 = [0.1, 1.0, 5.0, 20.0, 80.0]
 JUMP_RESULTS = [
-    (-3.746869678731996, 0.000987552370924913, 4736, 37, True),
-    (-4.106715776104748, 0.0009749987783049111, 4064, 32, True),
-    (-5.394875946760508, 0.0009159016997263094, 528, 5, True),
-    (-7.691196726359983, 0.0009120386296997663, 3072, 24, True),
-    (-15.19292231609956, 0.000697700604666893, 2048, 16, True),
+    (-3.7468696787319953, 0.0009875746340093756, 4736, 37, True),
+    (-4.106715776104748, 0.0009754720952048693, 4064, 32, True),
+    (-5.394875946760509, 0.0009160053010572859, 528, 5, True),
+    (-7.691196726359984, 0.0009123608513966689, 3072, 24, True),
+    (-15.192922316099558, 0.0006975452253214759, 2048, 16, True),
 ]
 
 
 def test_a_jump_of_w_stays_on_the_rqmc():
     # The search cannot read the table of a quantile that jumps, so the
-    # RQMC integrates these rows, bit for bit as before, each within tol
+    # RQMC integrates these rows, bit for bit as recorded, each within tol
     # of log(0.3 N_3(x; 0, I) + 0.7 N_3(x; 0, 4 I)).
     d = 3
     assert _QuantileTable(JUMP, np.array([])).bound == pytest.approx(1.38, abs=5e-3)

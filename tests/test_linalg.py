@@ -175,6 +175,8 @@ class TestMahalanobis:
         lambda X, model: closed_log_density(model, X),
     ], ids=["log_density_batch", "closed_log_density"])
     def test_callers_reject_points_of_rank_three(self, caller):
+        # A 0-d x is not a point either, not even at d = 1.
         model = NvmModel.build(None, [[1.0]], inverse_gamma(), [3.0])
-        with pytest.raises(ValueError, match=r"points must be a 1-vector or an \(n, 1\) array"):
-            caller(np.zeros((2, 1, 1)), model)
+        for shape in ((2, 1, 1), ()):
+            with pytest.raises(ValueError, match=r"points must be a 1-vector or an \(n, 1\) arr"):
+                caller(np.zeros(shape), model)

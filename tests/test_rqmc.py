@@ -13,8 +13,6 @@ from nvmix.rqmc import (
     _batch_means,
     _draw_raw,
     _errors,
-    _estimates,
-    _log_mean_exp,
     _new_engine,
     _run,
     _SobolStream,
@@ -113,49 +111,99 @@ class TestSobolStream:
 
 
 class TestLse:
-    """Log-sum-exp properties of ``_log_mean_exp``, which is log-sum-exp
-    less log n."""
+    """Log-sum-exp properties of the log loop: plain means of exp(value -
+    c), c the largest finite value a row has seen, make the log-estimate
+    exact for constants and equivariant under a shift, at any magnitude."""
 
-    def test_single(self):
-        assert _log_mean_exp([0.0]) == 0.0
+    @pytest.mark.parametrize("c", [0.0, -1000.0, 3.7, 700.0, -5000.0])
+    def test_exact_for_constant_input(self, c):
+        res = rqmc_log_estimate(lambda u: np.full(len(u), c), 1, RqmcConfig(), seed=1)
+        assert (res.estimate, res.error_estimate) == (c, 0.0)
+        assert res.converged and res.iterations_used == 1
 
     def test_log2(self):
-        assert _log_mean_exp([0.0, math.log(3.0)]) == pytest.approx(math.log(2.0), abs=1e-15)
-
-    def test_shifted_does_not_underflow(self):
-        assert _log_mean_exp([-1000.0, -1000.0]) == pytest.approx(-1000.0, abs=1e-12)
-        # naive evaluation underflows to log(0)
-        assert math.exp(-1000.0) + math.exp(-1000.0) == 0.0
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            _log_mean_exp([])
-
-    def test_all_neg_inf(self):
-        assert _log_mean_exp([-np.inf, -np.inf]) == -np.inf
-
-    @given(
-        st.lists(st.floats(min_value=-1e6, max_value=700), min_size=1, max_size=20),
-        st.floats(min_value=-1e6, max_value=1e6),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_shift_identity(self, values, shift):
-        assert _log_mean_exp(np.asarray(values) + shift) == pytest.approx(
-            _log_mean_exp(values) + shift, rel=1e-12, abs=1e-9
-        )
-
-    @pytest.mark.parametrize("c", [0.0, -1000.0, 3.7, 700.0, -np.inf])
-    def test_exact_for_constant_input(self, c):
-        assert _log_mean_exp(np.full(7, c)) == c
+        # Each randomization puts half of every batch's points below u =
+        # 0.5, so its mean of exp is (1 + 3) / 2 exactly.
+        res = rqmc_log_estimate(lambda u: np.where(u[:, 0] < 0.5, 0.0, math.log(3.0)), 1,
+                                RqmcConfig(), seed=1)
+        assert res.estimate == pytest.approx(math.log(2.0), abs=1e-15)
+        assert res.error_estimate <= 1e-15 and res.iterations_used == 1
 
     def test_axis_matches_row_by_row(self):
-        rng = np.random.default_rng(5)
-        values = rng.normal(scale=300.0, size=(4, 9))
-        values[1, :3] = -np.inf
-        values[2] = -np.inf
-        rows = _log_mean_exp(values, axis=1)
-        assert rows.shape == (4,)
-        assert list(rows) == [_log_mean_exp(v) for v in values]
+        # Rows of one log run, some partly or wholly -inf, give what each
+        # gives run alone.
+        cfg = RqmcConfig(B=5, n0=32, tol=1e-4, i_max=8)
+        scales = np.array([300.0, 1.0, 0.0, -700.0])
+
+        def g(pts, rows):
+            vals = scales[rows, None] * np.sin(9.0 * pts[None, :, 0])
+            vals[rows == 1, ::3] = -np.inf
+            vals[rows == 2] = -np.inf
+            return vals
+
+        rows = _run(g, 1, cfg, seed=5, n_rows=4, log=True)
+        alone = [_run(lambda p, r, s=s: g(p, np.array([s])), 1, cfg, 5, 1, True)
+                 for s in range(4)]
+        for got, want in zip(rows, zip(*alone)):
+            assert np.array_equal(got, np.concatenate(want))
+        assert rows[0][2] == -np.inf and rows[1][2] == np.inf
+
+    def test_all_neg_inf(self):
+        # No point reaches any mass: the estimate is log 0 and meets no
+        # tolerance, however many batches are spent.
+        cfg = RqmcConfig(i_max=3)
+        res = rqmc_log_estimate(lambda u: np.full(len(u), -np.inf), 1, cfg, seed=1)
+        assert (res.estimate, res.error_estimate) == (-np.inf, np.inf)
+        assert not res.converged and res.iterations_used == 3
+
+    @given(st.floats(min_value=-1e6, max_value=1e6))
+    @settings(max_examples=25, deadline=None)
+    def test_shift_identity(self, shift):
+        cfg = RqmcConfig(B=5, n0=32, tol=1e-4)
+        base = rqmc_log_estimate(_golden_log_g, 3, cfg, seed=2)
+        moved = rqmc_log_estimate(lambda u: _golden_log_g(u) + shift, 3, cfg, seed=2)
+        assert moved.estimate == pytest.approx(base.estimate + shift, rel=1e-12, abs=1e-9)
+        assert moved.n_per_randomization == base.n_per_randomization
+
+    def test_first_batch_of_neg_inf_counts_as_zeros(self):
+        # A row sees only -inf in its first batch and log(1 + u) after:
+        # its estimate is the log of the means folded by hand, with the
+        # first batch's means 0.  (A plain run is no oracle: its all-zero
+        # first batch has zero spread and stops at once.)
+        cfg = RqmcConfig(B=5, n0=32, i_max=4, tol=1e-300)
+        calls = []
+
+        def log_g(u):
+            calls.append(len(u))
+            return np.full(len(u), -np.inf) if len(calls) == 1 else np.log1p(u[:, 0])
+
+        res = rqmc_log_estimate(log_g, 1, cfg, seed=6)
+        stream = _SobolStream(1, seed=6, n_random=cfg.B)
+        means = np.zeros(cfg.B)
+        stream.take(cfg.n0)
+        for n in range(1, cfg.i_max):
+            batch = _batch_means(1.0 + stream.take(cfg.n0).reshape(-1), cfg.B)[0]
+            means = (n * means + batch) / (n + 1)
+        assert res.estimate == pytest.approx(math.log(means.mean()), rel=1e-14)
+        assert res.error_estimate == pytest.approx(_errors(means[None])[0] / means.mean(),
+                                                   rel=1e-12)
+        assert res.iterations_used == cfg.i_max
+
+    def test_a_scale_that_rises_rescales_the_means(self):
+        # Values that rise 800 above the first batch's, beyond exp's
+        # range, leave the first batch's means 0 against the later ones:
+        # after 25 batches the estimate is about 800 + log(24/25) and its
+        # error finite, where a scale fixed by the first batch overflows.
+        cfg = RqmcConfig(B=5, n0=32, i_max=25, tol=1e-300)
+        calls = []
+
+        def log_g(u):
+            calls.append(len(u))
+            return np.log(2.0 * u[:, 0]) + (800.0 if len(calls) > 1 else 0.0)
+
+        res = rqmc_log_estimate(log_g, 1, cfg, seed=6)
+        assert res.estimate == pytest.approx(800.0 + math.log(24 / 25), abs=1e-3)
+        assert 0.0 < res.error_estimate < 1.0 and res.iterations_used == 25
 
 
 class TestRqmcEstimate:
@@ -274,12 +322,12 @@ class TestRowBatchedRun:
         def g(pts, rows):
             return 1.0 + scales[rows, None] * np.sin(7.0 * pts[None, :, 0])
 
-        means, batches = _run(g, 1, cfg, seed=3, n_rows=4, log=False)
+        rows = _run(g, 1, cfg, seed=3, n_rows=4, log=False)
         alone = [_run(lambda p, r, s=s: g(p, np.array([s])), 1, cfg, 3, 1, False)
                  for s in range(4)]
-        assert np.array_equal(means, np.vstack([m for m, _ in alone]))
-        assert np.array_equal(batches, np.concatenate([b for _, b in alone]))
-        assert len(set(batches)) > 1
+        for got, want in zip(rows, zip(*alone)):
+            assert np.array_equal(got, np.concatenate(want))
+        assert len(set(rows[2])) > 1
 
     @pytest.mark.parametrize("log", [False, True])
     def test_row_blocks_match_one_block(self, monkeypatch, log):
@@ -296,12 +344,12 @@ class TestRowBatchedRun:
             return (0.0 if log else 4.0) + scales[rows, None] * np.sin(7.0 * pts[None, :, 0])
 
         monkeypatch.setattr(rqmc, "_BLOCK_VALUES", 7 * cfg.B * cfg.n0)
-        means, batches = _run(g, 1, cfg, seed=3, n_rows=50, log=log)
+        blocks = _run(g, 1, cfg, seed=3, n_rows=50, log=log)
         assert max(sizes) == 7 and len(sizes) > 8
         monkeypatch.setattr(rqmc, "_BLOCK_VALUES", 50 * cfg.B * cfg.n0)
-        one_means, one_batches = _run(g, 1, cfg, seed=3, n_rows=50, log=log)
-        assert np.array_equal(one_means, means) and np.array_equal(one_batches, batches)
-        assert len(set(batches)) > 1
+        one = _run(g, 1, cfg, seed=3, n_rows=50, log=log)
+        assert all(np.array_equal(a, b) for a, b in zip(one, blocks))
+        assert len(set(blocks[2])) > 1
 
     def test_nan_in_a_later_block_names_its_point(self, monkeypatch):
         cfg = RqmcConfig(B=3, n0=8)
@@ -321,37 +369,52 @@ class TestRowBatchedRun:
 
 
 def test_rows_with_neg_inf_log_means_have_infinite_errors():
-    # A randomization whose points all miss a row's mass has log-mean
-    # -inf.  Such a row, all -inf or partly, gets an infinite error (not
-    # NaN, with a RuntimeWarning from np.std), so it meets no tolerance;
-    # the finite rows are as before.
-    cfg = RqmcConfig()
+    # A randomization whose points all miss a log row's mass has mean 0.
+    # A row whose means are all 0 gets estimate -inf and an infinite
+    # error (not NaN); a row with some means 0 gets the plain CI over its
+    # means, relative to their mean, which a zero among positive means
+    # makes large.  Either meets no tight tolerance; the finite rows are
+    # as before.
+    cfg = RqmcConfig(B=5, n0=8, i_max=1, tol=1e-3)
     finite = np.linspace(-1.0, 1.0, cfg.B)
-    means = np.array([np.full(cfg.B, -np.inf), np.r_[np.zeros(cfg.B - 1), -np.inf], finite,
-                      np.zeros(cfg.B)])
-    err = _errors(means)
-    assert np.array_equal(err[:2], [np.inf, np.inf])
-    assert err[2] == 3.5 * np.std(finite, ddof=1) / math.sqrt(cfg.B) and err[3] == 0.0
-    met = _tolerance_met(err, _estimates(means, True), cfg, True)
-    assert list(met) == [False, False, False, True]
+
+    def g(pts, rows):
+        # Points come randomization by randomization, n0 each.
+        randomization = np.arange(len(pts)) // cfg.n0
+        return np.array([np.full(len(pts), -np.inf),
+                         np.where(randomization == 0, -np.inf, 0.0),
+                         finite[randomization],
+                         np.zeros(len(pts))])[rows]
+
+    estimate, err, _ = _run(g, 1, cfg, seed=1, n_rows=4, log=True)
+    some = np.r_[0.0, np.ones(cfg.B - 1)]
+    assert estimate[0] == -np.inf and err[0] == np.inf
+    assert estimate[1] == math.log(some.mean())
+    assert err[1] == _errors(some[None])[0] / some.mean() and 0.2 < err[1] < np.inf
+    assert estimate[2] == pytest.approx(math.log(np.exp(finite).mean()), rel=1e-14)
+    assert err[2] == pytest.approx(_errors(np.exp(finite - 1.0)[None])[0]
+                                   / np.exp(finite - 1.0).mean(), rel=1e-14)
+    assert (estimate[3], err[3]) == (0.0, 0.0)
+    assert list(_tolerance_met(err, estimate, cfg, True)) == [False, False, False, True]
 
 
 class TestInvariants:
     def test_extensible_iteration(self):
         # Each iteration folds the next batch of the same extensible
-        # stream: after 3 and after 7 batches, the running means equal
-        # those folded from the stream's batches drawn one by one.
+        # stream: after 3 and after 7 batches, the estimate and error are
+        # those of the means folded from the stream's batches drawn one by
+        # one.
         cfg = RqmcConfig(B=5, n0=64, tol=1e-300)
         g = lambda u: np.cos(u[:, 0] * u[:, 1])
         stream = _SobolStream(2, seed=77, n_random=cfg.B)
         expected = np.zeros(cfg.B)
         for n in range(7):
-            batch = _batch_means(g(stream.take(cfg.n0).reshape(-1, 2)), cfg.B, False)[0]
+            batch = _batch_means(g(stream.take(cfg.n0).reshape(-1, 2)), cfg.B)[0]
             expected = (n * expected + batch) / (n + 1)
             if n + 1 in (3, 7):
-                means, batches = _run(lambda pts, rows: g(pts), 2, replace(cfg, i_max=n + 1),
-                                      77, 1, False)
-                assert np.array_equal(means[0], expected) and list(batches) == [n + 1]
+                got = _run(lambda pts, rows: g(pts), 2, replace(cfg, i_max=n + 1), 77, 1, False)
+                want = ([expected.mean()], _errors(expected[None]), [n + 1])
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_plain_and_log_agree(self):
         cfg = RqmcConfig(B=10, n0=128, i_max=6, tol=1e-300)

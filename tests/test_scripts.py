@@ -1,9 +1,10 @@
 """The measurement scripts under ``scripts/`` run at tiny sizes.
 
 They reach into names of ``nvmix.density`` (``_run``, the one RQMC loop,
-which keeps the rows' running means and returns them with each row's
-batch count; ``_nested_trapezoid``, ``_bracket_z``, ``_table_budget``,
-``_bisect``, ``_newton``) and of ``nvmix.mixtures`` (``quantile``,
+which keeps plain running means, under a running scale for rows of logs,
+and returns each row's estimate, error and batch count;
+``_nested_trapezoid``, ``_bracket_z``, ``_table_budget``, ``_bisect``,
+``_newton``) and of ``nvmix.mixtures`` (``quantile``,
 ``_QuantileTable`` and its ``intervals`` and ``bound``), so a change that
 renames or reshapes one of those must show up here rather than the next
 time someone measures.
@@ -25,7 +26,8 @@ def run_main(name, *args, **kwargs):
 
 
 def test_adaptive_cost_runs(capsys):
-    run_main("adaptive_cost.py", 1, sizes=(20,), n_points=40)
+    run_main("adaptive_cost.py", 1, sizes=(20,), n_points=40, jump_seeds=(1,),
+             jump_tols=(1e-3,))
     out = capsys.readouterr().out
     assert "N =    20:" in out and "calibration, 1 x 40 points" in out
     assert "calibration, 1 x 40 points: unconverged 0, converged but missing tol 0" in out
@@ -54,12 +56,17 @@ def test_adaptive_cost_runs(capsys):
     # take 7 steps, the 40 calibration rows, at D2 from near 0 to 1e8, 8.
     assert "search: steps 7.0 per call, row evaluations 167.0 per call (1 calls)" in out
     assert "search: steps 8.0 per call, row evaluations 337.0 per call (1 calls)" in out
+    # The jump sweep: d = 3 and 10, tol 1e-3 absolute and relative, seed
+    # 1, 12 rows each, all on the RQMC.
+    assert ("jump sweep, 48 rows: converged 48, converged but missing tol 0, largest"
+            " |error| / tol of a converged row 0.834, points per randomization 106192\n") in out
 
 
 def test_adaptive_cost_counts_the_rqmc_points():
     # A quantile that jumps has no table that the search reads, so the
     # RQMC integrates its rows; the RQMC phase reads each row's points
-    # from the batch counts that _run returns.
+    # from the batch counts that _run returns with its estimates and
+    # errors.
     script = runpy.run_path(str(SCRIPTS / "adaptive_cost.py"))
     jump = blackbox(lambda u, nu: np.where(u < 0.3, 1.0, 4.0), 0)
     res, counts = script["_phase_counts"](
