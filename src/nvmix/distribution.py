@@ -146,8 +146,9 @@ class BoxIntegrand:
     Fortran-ordered ``z``); a block's rows are reduced one by one with
     in-place ``np.maximum``/``np.minimum``, with no (n, k) temporary.  A
     block whose lower limits are all -inf (upper limits all +inf) skips
-    ``ndtr`` for that side, which is exactly 0 (1) there.  Only blocks of
-    several rows clamp their width at 0.
+    ``ndtr`` for that side, which is exactly 0 (1) there; with the lower
+    side open, the upper bound itself is the width.  Only blocks of
+    several rows with a lower bound clamp their width at 0.
     """
 
     def __init__(self, a0, b0, factor: _ScaleFactor, spec: _MixtureSpec, nu,
@@ -187,24 +188,26 @@ class BoxIntegrand:
 
         z = np.empty((n, self.rank), order="F")
         g = np.ones(n)
-        d_buf, e_buf, width, t = (np.empty(n) for _ in range(4))
+        d_buf, e_buf, w_buf, t = (np.empty(n) for _ in range(4))
         with np.errstate(invalid="ignore"):
             for l, rows in enumerate(self.blocks):
                 partial = z[:, :l] @ self.coef[rows, :l].T
-                d_l = 0.0 if self.open_lower[l] else _ndtr_of_bound(
+                open_lower = self.open_lower[l]
+                d_l = 0.0 if open_lower else _ndtr_of_bound(
                     d_buf, self.lower[rows], partial, inv_sqrt_w, np.maximum, t)
                 e_l = 1.0 if self.open_upper[l] else _ndtr_of_bound(
                     e_buf, self.upper[rows], partial, inv_sqrt_w, np.minimum, t)
-                np.subtract(e_l, d_l, out=width)
+                width = e_l if open_lower else np.subtract(e_l, d_l, out=w_buf)
                 if l + 1 < self.rank:
                     np.multiply(u[:, l + 1], width, out=t)
-                    t += d_l
+                    if not open_lower:
+                        t += d_l
                     # np.clip's own overhead is several times these two ufuncs'.
                     np.maximum(t, _P_LO, out=t)
                     np.minimum(t, _P_HI, out=t)
                     ndtri(t, out=z[:, l])
-                if rows.stop - rows.start > 1:  # lower max may pass upper min
-                    np.maximum(width, 0.0, out=width)
+                if rows.stop - rows.start > 1 and not open_lower:
+                    np.maximum(width, 0.0, out=width)  # lower max may pass upper min
                 g *= width
         return g
 
