@@ -18,6 +18,7 @@ model's staircase factor).
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -52,73 +53,63 @@ def _checked_limits(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    # Standard normal density with phi(+-inf) = 0.
-    out = np.zeros_like(x)
-    finite = np.isfinite(x)
-    out[finite] = np.exp(-0.5 * x[finite] ** 2) / _SQRT_2PI
-    return out
+def _phi(x: float) -> float:
+    # Standard normal density; exp(-inf) = 0 gives phi(+-inf) = 0.
+    return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
 def reorder(a, b, sigma, mu_sqrt_w: float) -> _ScaleFactor:
     """Greedy variable reordering for the box-probability integrand.
 
     ``a`` and ``b`` are the centered limits in the original order.  At
-    stage j the variable with the smallest expected conditional
-    probability mass Phi(b_hat) - Phi(a_hat) is selected, the partial
-    Cholesky factor is extended, and the conditioned value of the chosen
-    variable is replaced by its truncated-normal expectation.  Returns the
-    Cholesky factor of the reordered scale matrix with the order chosen as
-    its ``perm``, so its ``reconstruct()`` is ``sigma``.  The reordering
-    changes only the integration order, never the value of the probability.
+    stage j the candidate with the smallest expected conditional mass
+    Phi(b_hat) - Phi(a_hat) is pivoted in, the Cholesky factor gains a
+    column (one matrix-vector product), and the running conditional
+    variances and means of the remaining candidates take one rank-1 step
+    with the pivot's truncated-normal expectation, so pivot j costs that
+    product plus O(d - j) work.  ``sigma`` is read through the order and
+    never copied; where candidates tie in exact arithmetic, rounding picks
+    the pivot.  Returns the factor with the order as its ``perm``, so its
+    ``reconstruct()`` is ``sigma``: only the integration order changes.
     """
     a, b = _checked_limits(a, b)
-    sigma = np.asarray(sigma, dtype=float).copy()
+    sigma = np.asarray(sigma, dtype=float)
     d = len(a)
     if sigma.shape != (d, d):
         raise ValueError("scale matrix does not match limit length")
     if not mu_sqrt_w > 0:
         raise ValueError("mu_sqrt_w must be positive")
 
+    a, b = a / mu_sqrt_w, b / mu_sqrt_w
+    var = np.diag(sigma).copy()
+    mean = np.zeros(d)
     C = np.zeros((d, d))
-    y = np.zeros(d)
     perm = np.arange(d)
-
     for j in range(d):
-        # Expected conditional range for each remaining candidate.
-        partial = C[j:, :j] @ y[:j]
-        denom_sq = np.diag(sigma)[j:] - np.sum(C[j:, :j] ** 2, axis=1)
-        denom = np.sqrt(np.clip(denom_sq, 1e-12, None))
+        denom = np.sqrt(np.maximum(var[j:], 1e-12))
         with np.errstate(invalid="ignore"):
-            a_hat = (a[j:] / mu_sqrt_w - partial) / denom
-            b_hat = (b[j:] / mu_sqrt_w - partial) / denom
-        crit = ndtr(b_hat) - ndtr(a_hat)
+            crit = ndtr((b[j:] - mean[j:]) / denom) - ndtr((a[j:] - mean[j:]) / denom)
         i = j + int(np.argmin(crit))
-
         if i != j:
-            for arr in (a, b, y, perm):
+            for arr in (a, b, var, mean, perm):
                 arr[[i, j]] = arr[[j, i]]
-            sigma[[i, j], :] = sigma[[j, i], :]
-            sigma[:, [i, j]] = sigma[:, [j, i]]
-            C[[i, j], :] = C[[j, i], :]
+            C[[i, j], :j] = C[[j, i], :j]
 
-        resid = sigma[j, j] - C[j, :j] @ C[j, :j]
-        C[j, j] = np.sqrt(max(resid, 1e-12))
-        if j + 1 < d:
-            C[j + 1 :, j] = (sigma[j + 1 :, j] - C[j + 1 :, :j] @ C[j, :j]) / C[j, j]
-
-        a_hat_j = (a[j] / mu_sqrt_w - C[j, :j] @ y[:j]) / C[j, j]
-        b_hat_j = (b[j] / mu_sqrt_w - C[j, :j] @ y[:j]) / C[j, j]
-        width = ndtr(b_hat_j) - ndtr(a_hat_j)
+        p = perm[j]
+        C[j, j] = np.sqrt(max(sigma[p, p] - C[j, :j] @ C[j, :j], 1e-12))
+        col = C[j + 1 :, j] = (sigma[perm[j + 1 :], p] - C[j + 1 :, :j] @ C[j, :j]) / C[j, j]
+        lo, hi = (a[j] - mean[j]) / C[j, j], (b[j] - mean[j]) / C[j, j]
+        width = ndtr(hi) - ndtr(lo)
         if width > 1e-300:
-            num = _phi(np.array([a_hat_j]))[0] - _phi(np.array([b_hat_j]))[0]
-            y[j] = num / width
+            y = (_phi(lo) - _phi(hi)) / width
         else:
             # Numerically empty slice: fall back to a clamped midpoint.
-            lo = a_hat_j if np.isfinite(a_hat_j) else b_hat_j
-            hi = b_hat_j if np.isfinite(b_hat_j) else a_hat_j
-            mid = 0.5 * (lo + hi)
-            y[j] = float(np.clip(mid if np.isfinite(mid) else 0.0, -37.0, 37.0))
+            finite_lo = lo if np.isfinite(lo) else hi
+            finite_hi = hi if np.isfinite(hi) else lo
+            mid = 0.5 * (finite_lo + finite_hi)
+            y = float(np.clip(mid if np.isfinite(mid) else 0.0, -37.0, 37.0))
+        var[j + 1 :] -= col**2
+        mean[j + 1 :] += col * y
 
     return _ScaleFactor(C=C, rank=d, perm=perm, row_scales=np.ones(d), block_heads=np.arange(d))
 

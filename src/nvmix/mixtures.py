@@ -189,15 +189,19 @@ def quantile(spec: _MixtureSpec, u, nu, uc=None) -> np.ndarray | float:
 
 
 def _mean_sqrt_w(spec: _MixtureSpec, nu) -> float:
-    """E(sqrt(W)), exactly for the constant family, otherwise by a
-    midpoint rule on the quantile.
-
-    The value only steers the variable-reordering heuristic, so a crude
-    estimate is acceptable.
+    """E(sqrt(W)) for the reordering: exactly for the constant family,
+    inverse-gamma with nu > 1 (sqrt(nu/2) Gamma((nu-1)/2) / Gamma(nu/2))
+    and Pareto with nu > 1/2 (nu / (nu - 1/2)), otherwise by a midpoint
+    rule on the quantile, a crude value that only steers the heuristic.
     """
     nu = _check_params(spec, nu)
     if spec.kind == "constant":
         return float(np.sqrt(nu[0]))
+    if spec.kind == "inverse_gamma" and nu[0] > 1.0:
+        return math.sqrt(nu[0] / 2.0) * math.exp(math.lgamma((nu[0] - 1.0) / 2.0)
+                                                 - math.lgamma(nu[0] / 2.0))
+    if spec.kind == "pareto" and nu[0] > 0.5:
+        return float(nu[0] / (nu[0] - 0.5))
     grid = (np.arange(_PILOT_POINTS) + 0.5) / _PILOT_POINTS
     w = quantile(spec, grid, nu)
     return float(np.mean(np.sqrt(w)))

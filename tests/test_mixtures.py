@@ -159,12 +159,12 @@ class TestMeanSqrtW:
         oracle = math.sqrt(nu / 2.0) * math.gamma((nu - 1) / 2.0) / math.gamma(nu / 2.0)
         assert oracle == pytest.approx(1.2533, abs=1e-4)
         got = _mean_sqrt_w(inverse_gamma(), [nu])
-        assert got == pytest.approx(oracle, rel=5e-3)
+        assert got == pytest.approx(oracle, rel=1e-12)
 
     def test_pareto_moment(self):
         # E(W^k) = alpha/(alpha-k) for k < alpha; k = 1/2, alpha = 2.
         got = _mean_sqrt_w(pareto(), [2.0])
-        assert got == pytest.approx(4.0 / 3.0, rel=5e-3)
+        assert got == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6), st.floats(min_value=0.2, max_value=20))

@@ -5,9 +5,10 @@ which keeps plain running means, under a running scale for rows of logs,
 and returns each row's estimate, error and batch count;
 ``_nested_trapezoid``, ``_bracket_z``, ``_table_budget``, ``_bisect``,
 ``_newton``) and of ``nvmix.mixtures`` (``quantile``,
-``_QuantileTable`` and its ``intervals`` and ``bound``), so a change that
-renames or reshapes one of those must show up here rather than the next
-time someone measures.
+``_QuantileTable`` and its ``intervals`` and ``bound``) and time
+``nvmix.distribution.reorder`` by its name, so a change that renames or
+reshapes one of those must show up here rather than the next time
+someone measures.
 """
 
 import runpy
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nvmix import blackbox
+from nvmix import blackbox, distribution
 from nvmix.density import log_integral_batch
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -73,3 +74,13 @@ def test_adaptive_cost_counts_the_rqmc_points():
         lambda: log_integral_batch([0.1, 20.0], 1.5, 0.0, jump, [], seed=1))
     assert counts["rqmc_points"] == [r.n_per_randomization for r in res]
     assert counts["rule_nodes"] == [] and len(set(counts["rqmc_points"])) == 2
+
+
+def test_paper_claims_runs(capsys):
+    reorder = distribution.reorder
+    run_main("paper_claims.py", d=20)
+    out = capsys.readouterr().out
+    assert "d = 20, b ~ U(0, 3), a = -inf, tol 0.001, seed 1\n" in out
+    assert "estimate 0.255478, error 0.00058, batches 1, converged True\n" in out
+    assert "under 5 s and converged: holds\n" in out
+    assert distribution.reorder is reorder
