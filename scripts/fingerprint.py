@@ -1,9 +1,9 @@
 """SHA-256 fingerprints of nvmix's fixed-seed results over a fixed sweep.
 
 Prints one digest each for ``prob``, ``prob_singular``,
-``log_integral_batch`` (twice: on smooth mixtures, which take the
-trapezoid rule, and on a mixture without a table, which takes the RQMC)
-and ``rnvmix``.  A result digest hashes the bytes of ``estimate``,
+``log_integral_batch`` (twice: on smooth mixtures, one piece each, and on
+a mixture whose quantile jumps, which is split into two pieces) and
+``rnvmix``.  A result digest hashes the bytes of ``estimate``,
 ``error_estimate``, ``n_per_randomization``, ``iterations_used`` and
 ``converged`` of every call; the ``rnvmix`` digest hashes the raw bytes
 of every draw.  Two checkouts whose digests agree computed bit-identical
@@ -15,11 +15,13 @@ numbers over the sweep:
 * ``prob_singular``: rank 3, 5 and 8 staircases with negative loadings,
   IG(3) and inverse-Burr(2, 2), the same boxes and seeds;
 * ``log_integral_batch``: IG(4), Pareto(6) and inverse-Burr(2, 2) at
-  d in {2, 10} over D2 in [0, 1e10], seeds 1 and 17 (a call that raises
-  counts with its message, and its rows at D2 > 0 count as one call);
-* ``log_integral_rqmc``: ``log_integral_batch`` for a black box whose W
-  jumps from 1 to 4 at u = 0.3, which has no table that the search can
-  read, at d in {3, 10} over the same D2 and seeds;
+  d in {2, 10} over D2 in [0, 1e10], each call twice, as for the two
+  seeds that the log-density took before it drew no points (a call that
+  raises counts with its message, and its rows at D2 > 0 count as one
+  call);
+* ``log_integral_pieces``: ``log_integral_batch`` for a black box whose W
+  jumps from 1 to 4 at u = 0.3, whose pieces meet at the jump, at d in
+  {3, 10} over the same D2, each call twice;
 * ``rnvmix``: both drivers on a full-rank and a singular model.
 
 Run from the root of a checkout (under a minute)::
@@ -53,7 +55,7 @@ CFG = {kind: RqmcConfig(tol=1e-4) for kind in KINDS}
 CFG["far"] = RqmcConfig(tol=1e-2, tol_type="relative")
 D2 = np.array([0.0, 1e-8, 0.5, 640.0, 1.6e4, 2e5, 1e8, 1e10])
 # W = 1 below u = 0.3 and 4 above: a quantile that jumps, so that the
-# density's rows take the RQMC.
+# density's rows are integrated on two pieces.
 JUMP = blackbox(lambda u, nu: np.where(u < 0.3, 1.0, 4.0), 0)
 
 
@@ -119,13 +121,13 @@ def prob_singular_digest():
     return h.hexdigest()
 
 
-def _log_integral_update(h, spec, nu, d, seed):
+def _log_integral_update(h, spec, nu, d):
     pref = -0.5 * d * np.log(2.0 * np.pi)
     try:
-        results = log_integral_batch(D2, d / 2.0, pref, spec, nu, seed=seed)
+        results = log_integral_batch(D2, d / 2.0, pref, spec, nu)
     except ValueError as exc:  # inverse-Burr diverges at D2 = 0, d = 10
         h.update(str(exc).encode())
-        results = log_integral_batch(D2[1:], d / 2.0, pref, spec, nu, seed=seed)
+        results = log_integral_batch(D2[1:], d / 2.0, pref, spec, nu)
     for res in results:
         _update(h, res)
 
@@ -135,16 +137,16 @@ def log_integral_digest():
     for spec, nu in ((inverse_gamma(), [4.0]), (pareto(), [6.0]),
                      (inverse_burr(), [2.0, 2.0])):
         for d in (2, 10):
-            for seed in SEEDS:
-                _log_integral_update(h, spec, nu, d, seed)
+            for _ in SEEDS:
+                _log_integral_update(h, spec, nu, d)
     return h.hexdigest()
 
 
-def log_integral_rqmc_digest():
+def log_integral_pieces_digest():
     h = hashlib.sha256()
     for d in (3, 10):
-        for seed in SEEDS:
-            _log_integral_update(h, JUMP, [], d, seed)
+        for _ in SEEDS:
+            _log_integral_update(h, JUMP, [], d)
     return h.hexdigest()
 
 
@@ -162,7 +164,7 @@ def rnvmix_digest():
 def main():
     for name, digest in (("prob", prob_digest), ("prob_singular", prob_singular_digest),
                          ("log_integral_batch", log_integral_digest),
-                         ("log_integral_rqmc", log_integral_rqmc_digest),
+                         ("log_integral_pieces", log_integral_pieces_digest),
                          ("rnvmix", rnvmix_digest)):
         print(f"{name:20s} {digest()}", flush=True)
 

@@ -3,38 +3,29 @@
 The log-density is a one-dimensional integral over the mixing variable's
 probability scale u.  For large Mahalanobis distances the integrand
 collapses onto a narrow peak, which can sit within 1e-17 of u = 0 or
-u = 1, where it decays only polynomially in u; at zero distance it is
-monotone with its peak at u = 0.  Every input is therefore integrated in
-the logit coordinate z = log(u / (1 - u)), where the integrand
-g(z) = h(expit(z)) expit(z) expit(-z) decays exponentially toward both
-ends whenever h is bounded: a search brackets the region where g exceeds
-a threshold below its maximum, and g is integrated over that bracket
-(see :func:`log_integral_batch`): where w has a smooth table, by the
-nested trapezoid rule, which converges exponentially for g analytic in a
-strip (Trefethen & Weideman 2014, SIAM Review 56(3)), and by the paper's
-adaptive RQMC where the quantile jumps or vanishes.  :func:`region_bounds`
-is the one-input view of the search; :func:`peak` locates the peak of h.
+u = 1, where it decays only polynomially in u.  Every input is therefore
+integrated in the logit coordinate z = log(u / (1 - u)), where the
+integrand g(z) = h(expit(z)) expit(z) expit(-z) decays exponentially
+toward both ends whenever h is bounded: a search brackets the region
+where g exceeds a threshold below its maximum, and the nested trapezoid
+rule, exponentially convergent for g analytic in a strip (Trefethen &
+Weideman 2014, SIAM Review 56(3)), integrates g over that bracket (see
+:func:`log_integral_batch`); the paper uses adaptive RQMC instead.
 
-w is read from a table of the call's one mixture (``_QuantileTable``,
-kept beside ``quantile`` in :mod:`nvmix.mixtures`, where the box
-probabilities read it too), a cubic interpolant L(z) of log w with a
-checked bound on its error (numerical inversion after Hörmann & Leydold
-2003 and Derflinger, Hörmann & Leydold 2010, applied in z), where that
-bound allows.  A lookup costs a few dozen nanoseconds per point, against
-several hundred for the inverse-gamma quantile.  On the table the search
-takes Newton steps on L and its derivatives, from a scan of g on the
-table's nodes: about ten steps per call, against 61 for the bisection
-over the whole z range that it takes on the quantile itself.  All inputs
-take each step together, yet each input's result depends on that input
-alone.  The same machinery integrates any integrand of the form
-c * w^(-k) * exp(-m/w), which covers the posterior weights needed for
-fitting and the Mahalanobis-distance density.
+w is read from cubic interpolants L(z) of log w with checked error bounds
+(numerical inversion after Hörmann & Leydold 2003 and Derflinger, Hörmann
+& Leydold 2010, applied in z), one per piece of the z range between the
+breaks of w (``_pieces`` in :mod:`nvmix.mixtures`); a smooth W is one
+piece.  On each piece the search takes Newton steps on L, and where a
+piece meets a break the rule works in the logit of the place in the
+piece's bracket, as z = logit(u) does for u.  The same machinery
+integrates any integrand c * w^(-k) * exp(-m/w), which covers the
+posterior weights needed for fitting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 from scipy.special import expit, gammainc, gammaln, log_expit
@@ -42,12 +33,13 @@ from scipy.special import expit, gammainc, gammaln, log_expit
 from .linalg import mahalanobis_sq
 # quantile stays bound here for tools that patch it by name; the table in
 # mixtures makes the calls.
-from .mixtures import _TABLE_INTERVALS, _Z_LO, _MixtureSpec, _QuantileTable, _quantile_z, _z_range
+from .mixtures import (_EPS, _SEARCH_LOG_W_ERR, _TABLE_INTERVALS, _Z_LO, _MixtureSpec,
+                       _pieces, _QuantileTable, _quantile_z, _z_range)
 from .mixtures import quantile  # noqa: F401
 from .model import NvmModel
 # rqmc_log_estimate stays bound here for tools that trace this module's
 # estimator by name.
-from .rqmc import (_BLOCK_VALUES, RqmcConfig, RqmcResult, _run, _tolerance_met,  # noqa: F401
+from .rqmc import (_BLOCK_VALUES, RqmcConfig, RqmcResult, _tolerance_met,  # noqa: F401
                    rqmc_log_estimate)
 
 __all__ = ["log_density_batch", "closed_log_density"]
@@ -56,21 +48,14 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
 _DIVERGES = "integrand diverges at w = 0 when D2 = 0"
-# The bracket ends at most _K_TH decades below g's maximum, _K_TH_RULE on
-# the trapezoid rule; the search stops a row once its z-step is below _EPS_BISEC.
+# The bracket ends at most _K_TH_RULE decades below g's maximum, and
+# region_bounds' _K_TH decades; the search stops a row once its z-step is
+# below _EPS_BISEC.
 _K_TH = 10.0
 _K_TH_RULE = 16.0
 _EPS_BISEC = 1e-6
-# The bisection on the quantile reads g's slope from g this far either side
-# of a midpoint: far enough that rounding in log g does not flip its sign
-# where log g is flat, near enough that the central difference's own error
-# moves the maximum by much less than _EPS_BISEC.
-_RISE_H = 1e-4
-# Points per randomization between the RQMC's checks; the rule's first intervals.
+# The rule's first intervals.
 _ADAPTIVE_STEP = 16
-# The search reads the tabulated quantile where its bound in log w is at
-# most _SEARCH_LOG_W_ERR.
-_SEARCH_LOG_W_ERR = 1e-6
 
 
 def _log_h_of_w(w, pref, k, m) -> np.ndarray:
@@ -122,22 +107,24 @@ def _log_g_log_w(log_w, z, pref, k, m):
 
 
 def _table_budget(table, z_ends, k, m, cfg, log_bounds) -> np.ndarray:
-    """Per row, the largest bound in log w of a table that its RQMC may
-    read between ``z_ends``, ``(2, rows)``.
-
-    An error delta in log w moves log h by (m/w - k) delta, so tol/10
-    over the largest |m/w - k| between the ends (w is monotone; read as
-    the search reads it) keeps the table's error in the log-integral
-    within tol/10, times, under a relative tolerance, the log-integral's
-    least magnitude between its bounds ``log_bounds``, at most 1.
+    """Per row, the largest bound in log w of a table that its
+    integration may read between ``z_ends``, ``(2, rows)``.  An error
+    delta in log w moves log h by (m/w - k) delta, so tol/10 over the
+    largest |m/w - k| between the ends (w is monotone) keeps the table's
+    error in the log-integral within tol/10, times, under a relative
+    tolerance, the log-integral's least magnitude between its bounds
+    ``log_bounds``, at most 1.  A read of L forms m/w as e^(log m - L),
+    which rounds it as an error of eps |log m - L| in L would; the budget
+    leaves room for that.
     """
     w = table.read(_SEARCH_LOG_W_ERR)(z_ends)
     with np.errstate(divide="ignore", invalid="ignore"):
-        budget = 0.1 * cfg.tol / np.max(np.abs(m / w - k), axis=0)
+        e = m / w
+        budget = 0.1 * cfg.tol / np.max(np.abs(e - k), axis=0)
         if cfg.tol_type == "relative":
             lo, hi = log_bounds
             budget *= np.clip(np.maximum(lo, -hi), 0.0, 1.0)
-    return budget
+        return budget - _EPS * np.max(np.nan_to_num(np.abs(np.log(e)), posinf=0.0), axis=0)
 
 
 def _rows_log_g(tables, reads, z, pref, k, m):
@@ -173,38 +160,12 @@ def _bisect(goes_up, a, b, rows) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _level_crossings(f, level, z_in, z_lo: float, z_hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(z_l, z_r)`` per row: where ``f``, above ``level`` at ``z_in``,
-    falls to it on the way to ``z_lo`` and on the way to ``z_hi``, by
-    bisection; NaN where ``f`` is still above the level at that end.
-    ``f(z, rows)`` evaluates the rows' integrands, one z each; both ends
-    of all rows share each call."""
-    n = len(z_in)
-    rows = np.tile(np.arange(n), 2)
-    level = np.tile(level, 2)
-    z_end = np.repeat([z_lo, z_hi], n)
-    open_end = f(z_end, rows) > level
-    a, b = _bisect(lambda z, r: f(z, rows[r]) > level[r], np.tile(z_in, 2), z_end,
-                   np.flatnonzero(~open_end))
-    z = np.where(open_end, np.nan, 0.5 * (a + b))
-    return z[:n], z[n:]
-
-
 def _peak_z(w_star, table) -> np.ndarray:
-    """Per row, the logit of the peak location of h, where the quantile
-    reaches ``w_star`` = m / k.
-
-    Bisection in z for ``w(z) = w_star`` down to a z-width of
-    ``_EPS_BISEC``, all rows together, with w(z) read from ``table``:
-    from L where its bound is at most ``_SEARCH_LOG_W_ERR`` in log w, so
-    the root is that of L(z) = log w_star, which lies about
-    bound / |L'(z)| from the quantile's; from the quantile otherwise.
-    When the quantile cannot reach the target (the mixing support is
-    bounded on that side, or the target lies beyond the doubles' range)
-    the peak collapses to that end of the z range.  At D2 = 0 the target
-    w* = 0 is unreachable unless W has an atom at 0, so h is monotone and
-    its peak is at the left end.
-    """
+    """Per row, the logit of the peak of h, where w (``table`` read within
+    ``_SEARCH_LOG_W_ERR``) reaches ``w_star`` = m / k, by bisection in z
+    down to ``_EPS_BISEC``; where w cannot reach it (W bounded on that
+    side, or the target beyond the doubles' range), that end of the z
+    range."""
     z_lo, z_hi = _z_range(table.spec)
     w_z = table.read(_SEARCH_LOG_W_ERR)
     lo, hi = _bisect(lambda z, r: w_z(z) <= w_star[r], np.full(len(w_star), z_lo),
@@ -217,21 +178,11 @@ def _peak_z(w_star, table) -> np.ndarray:
 
 def peak(D2: float, shift_k: float, prefactor: float, spec: _MixtureSpec,
          nu) -> tuple[float, float]:
-    """Location u* and log height of the peak of one integrand h of
-    :func:`log_integral_batch`.
-
-    u* solves ``L(z) = log(D2 / (2 shift_k))`` to a z-width of
-    ``_EPS_BISEC`` by bisection in z = logit(u), with L the tabulated
-    log w that the density's search reads (or the log of the
-    quantile where it reads that, see :func:`log_integral_batch`), and is
-    returned as the nearest double.  That search finds g's maximum by
-    Newton's method on g's slope and needs no peak of h.  An error delta
-    of L in log w moves the root by about delta / |L'(z)|.  The interior
-    peak height has a closed form independent of the mixing distribution;
-    when the quantile cannot reach the target (the mixing support is
-    bounded on that side) the peak collapses to the boundary and h is
-    evaluated there instead.
-    """
+    """Deprecated, kept for tools that trace it by name: the location u*
+    (the nearest double) and log height of the peak of one integrand h of
+    :func:`log_integral_batch`, where w = D2 / (2 shift_k) (:func:`_peak_z`).
+    An interior peak's height has a closed form free of W; at an end of
+    the z range h is evaluated there."""
     if D2 <= 0.0:
         raise ValueError("peak undefined for D2 = 0, where h = w^(-k) is monotone in u")
     pref, k, m = _row_arrays([D2], shift_k, prefactor)
@@ -247,34 +198,25 @@ def peak(D2: float, shift_k: float, prefactor: float, spec: _MixtureSpec,
 
 def region_bounds(D2: float, shift_k: float, prefactor: float, spec: _MixtureSpec,
                   nu) -> tuple[float, float, bool]:
-    """The bracket ``(z_l, z_r, closed)`` in z = logit(u) where one
-    integrand g of :func:`log_integral_batch` exceeds its maximum less
-    ``_K_TH`` = 10 decades: the one-row case of that call's search, by
-    Newton's method on the table's L where the search reads the table and
-    by bisection on the quantile otherwise.  The call itself brackets
-    ``5 + log10(1/tol)`` decades, at most 10 on the RQMC and 16 on the
-    trapezoid rule, so it integrates over this bracket only on the RQMC
-    at tol <= 1e-5.  ``closed`` is False when the bracket stops at an end
-    of the z range with g still above the threshold.
-
-    The bracket is given in z because that is where the RQMC works: at
-    Pareto(6), d = 10 and D2 = 1e8 both ends round to u = 1.
-    """
-    (z_l,), (z_r,), (closed,), _, _ = _bracket_z(
-        *_row_arrays([D2], shift_k, prefactor), _QuantileTable(spec, nu), _K_TH)
-    return float(z_l), float(z_r), bool(closed)
+    """Deprecated, kept for tools that trace it by name: the bracket
+    ``(z_l, z_r, closed)`` in z = logit(u) where one integrand g of
+    :func:`log_integral_batch` exceeds its maximum less ``_K_TH`` = 10
+    decades, the union of its pieces' brackets; ``closed`` is False when g
+    is still above that level at an end of the z range."""
+    z_l, z_r, _, tops, ends = _bracket_z(*_row_arrays([D2], shift_k, prefactor),
+                                         _pieces(spec, nu), _K_TH)
+    closed = np.all(ends <= tops.max(axis=0) - _K_TH * _LN10)
+    return float(np.nanmin(z_l)), float(np.nanmax(z_r)), bool(closed)
 
 
 def _log_g_slopes(table, z, pref, k, m):
     """log g at the flat ``z`` from the table's L (:func:`_log_g_log_w`),
-    and its first and second derivatives in z.
-
-    With e = m e^(-L) and q = e^(-|z|), the slope of log g is
-    (e - k) L' - sign(z) (1 - q) / (1 + q) and its curvature
+    and its first and second derivatives in z: with e = m e^(-L) and
+    q = e^(-|z|), (e - k) L' - sign(z) (1 - q) / (1 + q) and
     (e - k) L'' - e L'^2 - 2 q / (1 + q)^2.  Where e overflows, log g is
-    -inf and its slope +inf: w is too small there, and g rises toward
-    larger w.  Run under ``np.errstate`` that ignores division by zero,
-    overflow and invalid values.
+    -inf and its slope +inf: g rises toward larger w.  Run under
+    ``np.errstate`` that ignores division by zero, overflow and invalid
+    values.
     """
     log_w, l1, l2 = table.log_w_slopes(z)
     e = np.exp(np.log(m) - log_w)
@@ -294,12 +236,11 @@ def _newton(f, a, b, x) -> np.ndarray:
     Each evaluation moves ``a`` or ``b`` to its point by the sign of f
     there (NaN counts as positive).  A step that would leave the bracket,
     or that is not below half the step before last, is a bisection
-    instead (as in Numerical Recipes' rtsafe), which bounds the number of
-    steps.  A row stops when its step is below ``_EPS_BISEC``, at the
-    step's end.  ``f(z, rows)`` gives f and its derivative at one z
-    per row of ``rows``, in one call for all rows still running.  Run
-    under ``np.errstate`` that ignores division by zero, overflow and
-    invalid values.
+    instead (as in Numerical Recipes' rtsafe).  A row stops when its step
+    is below ``_EPS_BISEC``.  ``f(z, rows)`` gives f and its derivative at
+    one z per row, in one call for all rows still running.  Run under
+    ``np.errstate`` that ignores division by zero, overflow and invalid
+    values.
     """
     roots = np.empty(len(x))
     rows = np.arange(len(x))
@@ -323,37 +264,20 @@ def _newton(f, a, b, x) -> np.ndarray:
     return roots
 
 
-def _table_bracket(table, z_lo, z_hi, pref, k, m, k_th):
-    """:func:`_bracket_z` on the table's L: safeguarded Newton steps
-    (:func:`_newton`) from a scan of g on the table's ``scan`` nodes,
-    which include both ends of the z range.
-
-    For g unimodal, the scan's best node and its neighbours bracket g's
-    maximum, which Newton's method on g's slope finds from that node (from
-    the end of the z range where that node is an end).  An end of the
-    region is open when g at that end of the range is above the level, as
-    for the bisection.  Otherwise it lies between the last node at or
-    below the level seen from the maximum (or the end of the range) and
-    the next point toward the maximum, a node or the maximum itself.
-    Newton's method finds it from where the chord between those two
-    points meets the level, on f = log1p(drop / fall) - log 2, with drop
-    = top - log g and fall = k_th ln 10: f is bounded near the maximum,
-    where drop vanishes, and nearly linear in L where m e^(-L) dominates
-    log g.
+def _table_bracket(table, pref, k, m, z_g, g_max, log_g_s, top, fall):
+    """Per row, the ends ``(z_l, z_r)`` on the table's z range of the
+    region where g exceeds ``top - fall``, from g's maximum ``g_max`` (at
+    least that level) at ``z_g`` and log g on the scan's nodes ``log_g_s``.
+    An end is the end of the range where g there is above the level.
+    Otherwise it lies between the last node at or below the level seen
+    from the maximum and the next point toward it, a node or the maximum.
+    Newton's method finds it from where the chord between those points
+    meets the level, on f = log1p(drop / fall) - log 2, drop = top - log g:
+    f is bounded near the level, and nearly linear in L where m e^(-L)
+    dominates log g.  Run under ``np.errstate`` as :func:`_newton`.
     """
-    z_s, log_w_s = table.scan
-    log_g_s = _log_g_log_w(np.tile(log_w_s, (len(m), 1)), z_s, pref[:, None], k[:, None],
-                           m[:, None])
+    z_s = table.scan[0]
     last = len(z_s) - 1
-    j = np.argmax(log_g_s, axis=1)
-    start = np.where(j == 0, z_lo, np.where(j == last, z_hi, z_s[j]))
-
-    def slope(z, rows):
-        return _log_g_slopes(table, z, pref[rows], k[rows], m[rows])[1:]
-
-    z_g = _newton(slope, z_s[np.maximum(j - 1, 0)], z_s[np.minimum(j + 1, last)], start)
-    top = _log_g_slopes(table, z_g, pref, k, m)[0]
-    fall = k_th * _LN10
     below = log_g_s <= (top - fall)[:, None]
     index = np.arange(last + 1)
     left = np.max(np.where(below & (z_s < z_g[:, None]), index, 0), axis=1)
@@ -368,7 +292,7 @@ def _table_bracket(table, z_lo, z_hi, pref, k, m, k_th):
     z_e, top_e = z_g[ends], top[ends]
     at_max = sign * (z_s[step_in] - z_e) >= 0.0
     z_in = np.where(at_max, z_e, z_s[step_in])
-    g_in = np.where(at_max, top_e, log_g_s[ends, step_in])
+    g_in = np.where(at_max, g_max[ends], log_g_s[ends, step_in])
     z_out, g_out = z_s[out], log_g_s[ends, out]
     chord = z_out + (z_in - z_out) * ((top_e - fall - g_out) / (g_in - g_out))
     chord = np.where(np.isfinite(chord), chord, 0.5 * (z_in + z_out))
@@ -380,56 +304,53 @@ def _table_bracket(table, z_lo, z_hi, pref, k, m, k_th):
         return sign[rows] * (np.log1p(drop / fall) - _LN2), sign[rows] * (-s / (drop + fall))
 
     z = _newton(crossing, np.minimum(z_in, z_out), np.maximum(z_in, z_out), chord)
-    z_l, z_r = np.full(len(m), z_lo), np.full(len(m), z_hi)
+    z_l, z_r = np.full(len(m), table.z_range[0]), np.full(len(m), table.z_range[1])
     z_l[rows_l], z_r[rows_r] = z[:len(rows_l)], z[len(rows_l):]
-    return z_l, z_r, below[:, 0] & below[:, last], z_g, top
+    return z_l, z_r
 
 
-def _bracket_z(pref, k, m, table, k_th):
-    """``(z_l, z_r, closed, z_g, top)`` per row: the region where g
-    exceeds its maximum less ``k_th`` decades, and where g takes its
-    maximum, log g there being ``top``.  ``closed`` is False when g still
-    exceeds the threshold at an end of the z range, i.e. mass lies beyond
-    the doubles' reach.  All rows take each step together.
-
-    Where the table's bound is at most ``_SEARCH_LOG_W_ERR`` in log w, the
-    search reads its L (:func:`_table_bracket`): Newton steps safeguarded
-    by bisection, from a scan of g on the table's nodes, down to a step
-    below ``_EPS_BISEC``.  Otherwise it reads the quantile, by bisection
-    down to a z-width of ``_EPS_BISEC``: g's maximum comes from one
-    bisection on the sign of its slope over the whole z range (below
-    min(z_h, 0), with z_h the peak of h, log h and the log-Jacobian both
-    rise, and above max(z_h, 0) both fall, so the slope changes sign only
-    between them).  Where w is 0 at a step's right point g counts as
-    rising, as the mass lies to the right of where the nondecreasing w
-    is 0; the maximum is taken at the bisection's upper end, where g is
-    finite.  Both ends of the region then come from one bisection on the
-    level.
+def _bracket_z(pref, k, m, pieces, k_th):
+    """``(z_l, z_r, z_g, tops, ends)``: per piece of W (``pieces``, the
+    tables of ``_pieces``) and row, ``(pieces, rows)`` each, the bracket
+    [z_l, z_r] where g exceeds the row's maximum (the largest of its
+    pieces') less ``k_th`` decades, NaN where g stays below that level on
+    the piece, and where g takes its maximum on the piece and log g there;
+    and log g at the two ends of the whole z range, ``(2, rows)``, -inf at
+    an end that no piece holds (where w is 0).  On each piece, Newton
+    steps on the table's L (:func:`_newton`) find g's maximum from the
+    best of the table's ``scan`` nodes (for g unimodal, it and its
+    neighbours bracket the maximum), then both ends of the bracket
+    (:func:`_table_bracket`), all rows together.
     """
-    z_lo, z_hi = _z_range(table.spec)
-    if table.bound <= _SEARCH_LOG_W_ERR:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _table_bracket(table, z_lo, z_hi, pref, k, m, k_th)
-    w_z = table.exact
-
-    def f(z, rows):
-        return _log_g_w(w_z(z), z, pref[rows], k[rows], m[rows])
-
-    def rises(z, rows):
-        # g _RISE_H either side of each midpoint, in one call, within the
-        # z range.
-        zz = np.clip(z[:, None] + np.array([-_RISE_H, _RISE_H]), z_lo, z_hi)
-        w = w_z(zz)
-        log_g = _log_g_w(w, zz, pref[rows, None], k[rows, None], m[rows, None])
-        return (log_g[:, 1] > log_g[:, 0]) | (w[:, 1] == 0.0)
-
-    rows = np.arange(len(m))
-    _, z_g = _bisect(rises, np.full(len(m), z_lo), np.full(len(m), z_hi), rows)
-    top = f(z_g, rows)
-    z_l, z_r = _level_crossings(f, top - k_th * _LN10, z_g, z_lo, z_hi)
-    closed = ~np.isnan(z_l) & ~np.isnan(z_r)
-    return (np.where(np.isnan(z_l), z_lo, z_l), np.where(np.isnan(z_r), z_hi, z_r), closed,
-            z_g, top)
+    z_lo, z_hi = _z_range(pieces[0].spec)
+    fall = k_th * _LN10
+    peaks = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for table in pieces:
+            z_s, log_w_s = table.scan
+            log_g_s = _log_g_log_w(np.tile(log_w_s, (len(m), 1)), z_s, pref[:, None],
+                                   k[:, None], m[:, None])
+            j, last = np.argmax(log_g_s, axis=1), len(z_s) - 1
+            # From the end of the range where the best node is an end.
+            start = np.where(j == 0, table.z_range[0],
+                             np.where(j == last, table.z_range[1], z_s[j]))
+            z_g = _newton(lambda z, rows: _log_g_slopes(table, z, pref[rows], k[rows],
+                                                        m[rows])[1:],
+                          z_s[np.maximum(j - 1, 0)], z_s[np.minimum(j + 1, last)], start)
+            peaks.append((z_g, _log_g_slopes(table, z_g, pref, k, m)[0], log_g_s))
+        z_g, tops = np.array([p[0] for p in peaks]), np.array([p[1] for p in peaks])
+        top = tops.max(axis=0)
+        z_l, z_r = np.full(tops.shape, np.nan), np.full(tops.shape, np.nan)
+        for i, (table, (_, g_max, log_g_s)) in enumerate(zip(pieces, peaks)):
+            r = np.flatnonzero(g_max >= top - fall)
+            z_l[i, r], z_r[i, r] = _table_bracket(table, pref[r], k[r], m[r], z_g[i, r],
+                                                  g_max[r], log_g_s[r], top[r], fall)
+    ends = np.full((2, len(m)), -np.inf)
+    if pieces[0].z_range[0] == z_lo:
+        ends[0] = peaks[0][2][:, 0]
+    if pieces[-1].z_range[1] == z_hi:
+        ends[1] = peaks[-1][2][:, -1]
+    return z_l, z_r, z_g, tops, ends
 
 
 def _nested_trapezoid(log_g, high, cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -438,10 +359,11 @@ def _nested_trapezoid(log_g, high, cfg) -> tuple[np.ndarray, np.ndarray, np.ndar
     step, and its nodes.  The rule starts at ``_ADAPTIVE_STEP`` intervals
     and halves the step within ``i_max n0`` intervals; each halving
     evaluates only the new midpoints of the rows still running, in row
-    blocks of about ``_BLOCK_VALUES`` values.  The ends, k_th decades
-    below g's maximum, count as 0: n intervals have n - 1 nodes.  The sums
-    add exp(log g - high), which lie in about [1e-16, 1].  A row stops
-    once the change is at most tol/10 (relative under a relative tol)."""
+    blocks of about ``_BLOCK_VALUES`` values.  The ends, where the
+    integrand is k_th decades below its maximum, count as 0: n intervals
+    have n - 1 nodes.  The sums add exp(log g - high), about [1e-16, 1].
+    A row stops once the change is at most tol/10 (relative under a
+    relative tol)."""
     budget = cfg.i_max * cfg.n0
     n = max(2, min(_ADAPTIVE_STEP, budget))
     total, nodes = np.zeros(len(high)), np.zeros(len(high), dtype=int)
@@ -465,8 +387,7 @@ def _nested_trapezoid(log_g, high, cfg) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
-                       cfg: RqmcConfig | None = None,
-                       seed: int | None = None) -> list[RqmcResult]:
+                       cfg: RqmcConfig | None = None) -> list[RqmcResult]:
     """Estimate ``log int_0^1 h_i(u) du`` for a batch of mixing integrands.
 
     Row i integrates ``exp(prefactor) w^(-shift_k) exp(-D2/(2w))`` with
@@ -476,51 +397,39 @@ def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
     ``prefactor`` broadcast against it.
 
     Every row takes one path in z = logit(u), all rows together.  A
-    search (:func:`_bracket_z`) finds g's maximum and both ends of the
-    bracket, where g falls ``5 + log10(1/tol)`` decades below its maximum
-    (5 for any tol >= 1): on the table, by Newton's method safeguarded by
-    bisection from a scan of g on the table's nodes, each row until its
-    step is below ``_EPS_BISEC``; on the quantile, by bisection over the
-    whole z range down to a z-width of ``_EPS_BISEC``.
+    search (:func:`_bracket_z`) brackets, on each piece of W (``_pieces``),
+    where g exceeds the row's maximum less ``5 + log10(1/tol)`` decades (5
+    for any tol >= 1, at most ``_K_TH_RULE``).  Each pair of a row and a
+    piece with a bracket is one row of the nested trapezoid rule
+    (:func:`_nested_trapezoid`), which stops once two successive values
+    differ by at most tol/10, its error estimate, within ``cfg.i_max *
+    cfg.n0`` intervals: in z on a W of one piece, and on a split W, where
+    g need not vanish at a break, in s = logit of the place in the
+    bracket, over |s| <= k_th ln 10 + 5.  A row's estimate is the log of
+    the sum of its pieces' integrals, its error their errors weighted by
+    their shares of that sum (inf on a piece whose table misses the
+    search's budget), ``n_per_randomization`` their nodes and
+    ``iterations_used`` that count in batches of ``cfg.n0``.  A row's
+    result equals that of a call with this row alone.
 
-    Where the search reads the table (every built-in family), the nested
-    trapezoid rule (:func:`_nested_trapezoid`) integrates g over at most
-    ``_K_TH_RULE`` decades, each row until two successive values differ by
-    at most tol/10, its error estimate, within ``cfg.i_max * cfg.n0``
-    intervals; its rows do not depend on ``seed``.  Otherwise (a quantile
-    that jumps or vanishes, where the rule converges only at first order)
-    RQMC integrates g over at most ``_K_TH`` decades within ``cfg.i_max``
-    batches of ``cfg.n0`` points, each row until it meets the tolerance,
-    tested every ``min(cfg.n0, _ADAPTIVE_STEP)`` points; its rows share
-    one seed's ``B`` digital shifts.  Both work in blocks of rows of about
-    ``_BLOCK_VALUES`` values, and a row's result equals that of a call
-    with this row alone.  ``n_per_randomization`` counts a row's RQMC
-    points or rule nodes, ``iterations_used`` them in batches of ``cfg.n0``.
+    The search reads the pieces' tables, and so does a row's integration
+    where a table's bound is within the budget of ``_table_budget``, which
+    keeps the table's error in the log-integral within tol/10; below a
+    piece's bound the call builds it a table four times finer, once, and
+    the row reads the coarser table within its budget, or the quantile.
 
-    w comes from a table of the mixture, with 513 nodes (see
-    ``_QuantileTable``), where its bound in log w is within the reader's
-    budget, and from the quantile itself otherwise.  The search's budget
-    is ``_SEARCH_LOG_W_ERR``; a row's integration has the budget of
-    ``_table_budget``, which keeps the table's error in its log-integral
-    within tol/10, and forms log g from L without forming w.  When some
-    row's positive budget is below the bound of a table that the search
-    reads, the call builds one table four times finer, once, and each row
-    reads the coarser of the two tables within its budget; where no table
-    can be read (its bound is inf), every row reads the quantile.  Each
-    search step reads the table or the quantile once for all rows still
-    running, and each integration step once per block of rows.
-
-    A result is unconverged when it misses the tolerance or when g is
-    still above the threshold at an end of the z range.  A row whose g
-    peaks at an end of the z range (within ``_EPS_BISEC``) has its mass
-    beyond the doubles' reach, as does a row whose g is -inf at its peak
-    (D2 = inf): it gets no points, an infinite error estimate and, as its
-    estimate, g's maximum plus the log of the bracket's width, -inf where
-    that width rounds to 0.  At D2 = 0 the integral diverges when W has an
-    atom at w = 0, or when g is still above the threshold at the lower end
-    of the z range and no lower there than halfway to it (h grows at least
-    like 1/u as u -> 0); either raises ``ValueError`` before any
-    integration.
+    A result is unconverged when it misses the tolerance, or when g is
+    still above the threshold at an end of the z range, unless h falls on
+    the way out there (w >= m/k on the right, w <= m/k on the left) and
+    the mass beyond, at most g there times 1 + e^(-|z|), is within tol/10
+    of the estimate.  A row whose g peaks at an end of the z range (within
+    ``_EPS_BISEC``) or is -inf at its peak (D2 = inf) has its mass beyond
+    the doubles' reach: it gets no nodes, an infinite error and, as its
+    estimate, g's maximum plus the log of its brackets' width.  At D2 = 0
+    the integral diverges when W has an atom at w = 0, or when g is still
+    above the threshold at the lower end of the z range and no lower there
+    than halfway to it (h grows at least like 1/u as u -> 0); either
+    raises ``ValueError``.
     """
     if cfg is None:
         cfg = RqmcConfig()
@@ -533,18 +442,19 @@ def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
     if np.any(m == 0.0) and _quantile_z(spec, _Z_LO, nu) == 0.0:
         raise ValueError(_DIVERGES)
 
-    table = _QuantileTable(spec, nu)
-    rule = table.bound <= _SEARCH_LOG_W_ERR
+    pieces = _pieces(spec, nu)
     # Any tol >= 1 (inf included) gives k_th = 5.
-    k_th = min(_K_TH_RULE if rule else _K_TH, 5.0 + max(0.0, -math.log10(cfg.tol)))
-    z_l, z_r, closed, z_g, top = _bracket_z(pref, k, m, table, k_th)
-    # At D2 = 0, g still above the threshold at z_lo and no lower there than
-    # at z_lo / 2 means that h grows at least like 1/u as u -> 0: the
-    # integral diverges.
-    edge = np.flatnonzero((m == 0.0) & (z_l == _Z_LO))
+    k_th = min(_K_TH_RULE, 5.0 + max(0.0, -math.log10(cfg.tol)))
+    fall = k_th * _LN10
+    z_l, z_r, z_g, tops, ends = _bracket_z(pref, k, m, pieces, k_th)
+    top = tops.max(axis=0)
+    level = top - fall
+    # At D2 = 0, g above the threshold at z_lo and no lower there than at
+    # z_lo / 2 means that h grows at least like 1/u as u -> 0: divergence.
+    edge = np.flatnonzero((m == 0.0) & (ends[0] > level))
     if len(edge):
         z_edge = np.array([_Z_LO, 0.5 * _Z_LO])
-        log_g = _log_g_w(table.read(_SEARCH_LOG_W_ERR)(z_edge), z_edge, pref[edge, None],
+        log_g = _log_g_w(pieces[0].read(_SEARCH_LOG_W_ERR)(z_edge), z_edge, pref[edge, None],
                          k[edge, None], m[edge, None])
         if np.any(log_g[:, 0] >= log_g[:, 1]):
             raise ValueError(_DIVERGES)
@@ -552,54 +462,76 @@ def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
     # peak (D2 = inf), has its mass beyond the doubles' reach, which no
     # integration inside the range can find.
     z_lo, z_hi = _z_range(spec)
-    beyond = (z_g - z_lo <= _EPS_BISEC) | (z_hi - z_g <= _EPS_BISEC) | (top == -math.inf)
-    width = z_r - z_l
-    # A bracket that rounds to a point, where g falls k_th decades within a
-    # rounding error of z (D2 = 1e300: log g near -5e145), has log width
-    # -inf.
+    at_end = (z_g - z_lo <= _EPS_BISEC) | (z_hi - z_g <= _EPS_BISEC)
+    beyond = np.any(at_end & (tops == top), axis=0) | (top == -math.inf)
+    widths = z_r - z_l
+    # A bracket that rounds to a point (D2 = 1e300, where g falls k_th
+    # decades within a rounding error of z) has log width -inf.
     with np.errstate(divide="ignore"):
-        log_width = np.log(width)
+        log_width = np.log(np.nansum(widths, axis=0))
     # The log-integral lies between g's threshold and maximum, plus log_width.
     high = top + log_width
-    tables = [table]
-    reads = np.full(len(m), -1)
-    # Where no table can be read, every row reads the quantile.
-    if table.bound < math.inf:
-        budget = _table_budget(table, np.stack([z_l, z_r]), k, m, cfg,
-                               (high - k_th * _LN10, high))
-        if rule and np.any((budget > 0.0) & (budget < table.bound)):
-            tables.append(_QuantileTable(spec, nu, 4 * _TABLE_INTERVALS))
-        # Row i reads the coarsest table within its budget, or the quantile.
-        for j in reversed(range(len(tables))):
-            reads[tables[j].bound <= budget] = j
-    run = np.flatnonzero(~beyond)
+    # The pairs of a row and a piece that the rule integrates, piece by piece.
+    on = (widths > 0.0) & ~beyond
+    piece, row = np.nonzero(on)
+    z_a, z_b, width = z_l[on], z_r[on], widths[on]
+    log_width_p = np.log(width)
+    tables, reads = [], np.full(len(row), -1)
+    for i, table in enumerate(pieces):
+        at = np.flatnonzero(piece == i)
+        r = row[at]
+        budget = _table_budget(table, np.stack([z_a[at], z_b[at]]), k[r], m[r], cfg,
+                               (high[r] - fall, high[r]))
+        own = [table]
+        if np.any((budget > 0.0) & (budget < table.bound)):
+            own.append(_QuantileTable(spec, nu, 4 * _TABLE_INTERVALS, table.z_range))
+        # A pair reads the coarsest table within its budget, or the quantile.
+        for j in reversed(range(len(own))):
+            reads[at[own[j].bound <= budget]] = len(tables) + j
+        tables += own
     # The bracket's width enters through the prefactor, so the estimate
     # that the tolerance tests is the reported one.
-    pref_w = pref + log_width
+    pref_w, k_p, m_p = pref[row] + log_width_p, k[row], m[row]
+    split = pieces[0].z_range != (z_lo, z_hi)
+    s_max = fall + 5.0
 
     def mid_log_g(v, rows):
-        rows = run[rows]
-        z = z_l[rows, None] + width[rows, None] * v
-        return _rows_log_g(tables, reads[rows], z, pref_w[rows, None], k[rows, None],
-                           m[rows, None])
+        pref_v = pref_w[rows, None]
+        if split:
+            s = s_max * (2.0 * v - 1.0)
+            v = expit(s)
+            pref_v = pref_v + (math.log(2.0 * s_max) + log_expit(s) + log_expit(-s))
+        # A node past a piece's end would read the other side of a jump.
+        z = np.minimum(z_a[rows, None] + width[rows, None] * v, z_b[rows, None])
+        return _rows_log_g(tables, reads[rows], z, pref_v, k_p[rows, None], m_p[rows, None])
 
+    # Each pair's log-integral, error and nodes, and the row's sum of them.
+    pairs = np.zeros((3,) + on.shape)
+    pairs[0] = -math.inf
+    est, err, nodes = _nested_trapezoid(mid_log_g, tops[on] + log_width_p, cfg)
+    certified = np.array([t.bound <= _SEARCH_LOG_W_ERR for t in pieces])
+    pairs[:, on] = est, np.where(certified[piece], err, math.inf), nodes
+    runs = on.any(axis=0)
+    with np.errstate(invalid="ignore"):
+        total = np.logaddexp.reduce(pairs[0], axis=0)
+        weighted = np.sum(np.exp(pairs[0] - total) * pairs[1], axis=0)
     # A row beyond the doubles' reach keeps ``high`` as its estimate.
-    estimate, error, n = high, np.full(len(m), math.inf), np.zeros(len(m), dtype=int)
-    if len(run) and rule:
-        estimate[run], error[run], n[run] = _nested_trapezoid(mid_log_g, high[run], cfg)
-    elif len(run):
-        # Child 2 of the root seed, as SeedSequence(seed).spawn(3) gives
-        # it, randomizes the RQMC.  A row sees the extensible stream's
-        # points a step at a time, within a budget of i_max n0 points.
-        step = min(cfg.n0, _ADAPTIVE_STEP)
-        estimate[run], error[run], batches = _run(
-            lambda v, rows: mid_log_g(v[:, 0], rows), 1,
-            replace(cfg, n0=step, i_max=cfg.i_max * cfg.n0 // step),
-            np.random.SeedSequence(seed).spawn(3)[2], len(run), log=True)
-        n[run] = batches * step
+    estimate = np.where(runs, total, high)
+    error = np.where(runs & ~np.isnan(weighted), weighted, math.inf)
+    n = pairs[2].sum(axis=0).astype(int)
+    # An end of the z range where g is still above the threshold is open,
+    # unless h falls on the way out and bounds the mass beyond.
+    open_end = ~(ends <= level)
+    if np.any(open_end):
+        z_end = np.array([[z_lo], [z_hi]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_k = np.exp([pieces[0].scan[1][0], pieces[-1].scan[1][-1]])[:, None] * k
+            cut = np.exp(ends + np.log1p(np.exp(-np.abs(z_end))) - estimate)
+        falls = np.stack([w_k[0] <= m, w_k[1] >= m])
+        open_end &= ~(falls & _tolerance_met(10.0 * cut, estimate, cfg, True))
     # The rule's rows meet tol/10 on their error estimates.
-    converged = ~beyond & closed & _tolerance_met((10.0 if rule else 1.0) * error, estimate,
-                                                  cfg, True)
+    converged = ~beyond & ~open_end.any(axis=0) & _tolerance_met(10.0 * error, estimate, cfg,
+                                                                  True)
     return [RqmcResult(*row) for row in zip(estimate.tolist(), error.tolist(), n.tolist(),
                                            (-(-n // cfg.n0)).tolist(), converged.tolist())]
 
@@ -609,6 +541,8 @@ def log_density_batch(X, model: NvmModel, cfg: RqmcConfig | None = None,
     """Estimate log f(x_i) for the rows of ``X`` under the mixture model.
 
     Constant mixtures short-circuit to the exact Gaussian log-density.
+    The trapezoid rule of :func:`log_integral_batch` draws no points, so
+    ``seed`` is ignored.
     """
     if not model.is_full_rank:
         raise ValueError("log-density requires a full-rank scale matrix")
@@ -619,7 +553,7 @@ def log_density_batch(X, model: NvmModel, cfg: RqmcConfig | None = None,
     d = model.dim
     d2 = np.atleast_1d(mahalanobis_sq(X, model.loc, model.factor))
     prefactor = -0.5 * d * _LOG_2PI - 0.5 * model.log_det
-    return log_integral_batch(d2, d / 2.0, prefactor, model.spec, model.nu, cfg, seed)
+    return log_integral_batch(d2, d / 2.0, prefactor, model.spec, model.nu, cfg)
 
 
 def _log_lower_incomplete_gamma(z: float, x) -> np.ndarray | float:

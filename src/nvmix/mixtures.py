@@ -14,7 +14,8 @@ unit interval.  A black-box quantile only receives ``u``.
 
 ``_QuantileTable`` tabulates one quantile in z = logit(u), with a checked
 error bound; box probabilities and log-densities read W from it where
-their tolerance allows that bound.
+their tolerance allows that bound.  ``_pieces`` splits the z range at the
+breaks of w (jumps, kinks, or where w leaves 0).
 """
 
 from __future__ import annotations
@@ -44,6 +45,15 @@ _Z_HI_BLACKBOX = -math.log(np.finfo(float).eps)
 # for the density's search to scan.
 _TABLE_INTERVALS = 512
 _SCAN_INTERVALS = 64
+# The log-density's search reads tables whose bound in log w is at most
+# _SEARCH_LOG_W_ERR, on at most _MAX_PIECES pieces.  Above _Z_ROUND the
+# doubles of u = expit(z) resolve 1 - u only to that budget, so a black
+# box's w is a staircase of rounding there: its bound leaves out a miss
+# within the change of w over _ROUND_ULPS doubles of u.
+_SEARCH_LOG_W_ERR = 1e-6
+_Z_ROUND = math.log(_SEARCH_LOG_W_ERR / _EPS)
+_ROUND_ULPS = 4
+_MAX_PIECES = 16
 _LOG_MAX = math.log(np.finfo(float).max)
 # Midpoints of the rule that estimates E(sqrt(W)) for the reordering.
 _PILOT_POINTS = 1024
@@ -225,21 +235,24 @@ class _QuantileTable:
     log w (``log_w``, or ``w`` = exp(L)).
 
     L is the not-a-knot cubic spline in z through log w at ``intervals``
-    + 1 nodes evenly spaced in t = asinh(z / 2) over the z range, dense
-    near z = 0 and sparse in the tails.  ``bound`` is twice its largest
-    error in log w at the midpoints in t between the
-    nodes (on a grid of 1e5 points, the largest error of every built-in
-    family was at most 1.1 times the largest at the midpoints).  One
-    quantile call on the nodes and midpoints builds it.  Where log w grows
-    past the doubles' range (IG(1), say) L ends at the last finite node and
-    continues along its tangent, so w overflows to inf about where the
-    quantile does.  A non-finite node below that (an atom of W at 0)
-    leaves no interpolant, and the bound is inf.
+    + 1 nodes evenly spaced in t = asinh(z / 2) over ``z_range`` (the whole
+    z range by default).  ``bound`` is twice its largest error in log w at
+    the midpoints in t between the nodes (on a grid of 1e5 points, the
+    largest error of every built-in family was at most 1.1 times the
+    largest at the midpoints), leaving out a black box's misses above
+    ``_Z_ROUND`` that u's rounding explains; ``worst`` spans the interval
+    of that midpoint and its neighbours.  One quantile call on the nodes
+    and midpoints builds it, and for a black box one more on the midpoints
+    above ``_Z_ROUND``, each moved ``_ROUND_ULPS`` doubles of u down.
+    Where log w grows past the doubles' range (IG(1), say) L continues
+    along its tangent from the last finite node.  A non-finite node below
+    that (an atom of W at 0) leaves no interpolant, the bound inf, and
+    ``worst`` the first interval where the nodes' finiteness changes.
     """
 
-    def __init__(self, spec, nu, intervals=_TABLE_INTERVALS):
+    def __init__(self, spec, nu, intervals=_TABLE_INTERVALS, z_range=None):
         self.spec, self.nu, self.intervals = spec, nu, intervals
-        z_lo, z_hi = _z_range(spec)
+        self.z_range = z_lo, z_hi = _z_range(spec) if z_range is None else z_range
         self._t_lo = math.asinh(0.5 * z_lo)
         self._t_span = math.asinh(0.5 * z_hi) - self._t_lo
         # The nodes, then the midpoints between them.
@@ -252,6 +265,8 @@ class _QuantileTable:
         n = len(nodes) if finite.all() else int(np.argmin(finite))
         self._piece, self.bound = None, np.inf
         if n < 2 or np.any(at_nodes[n:] != np.inf):
+            i = int(np.argmax(finite[1:] != finite[:-1]))
+            self.worst = nodes[i], nodes[i + 1]
             return
         spline = CubicSpline(nodes[:n], at_nodes[:n])
         # One more piece from the last finite node on: its tangent.
@@ -260,7 +275,19 @@ class _QuantileTable:
         self._piece = (nodes[:n], c3, c2, c1, c0)
         err = np.abs(np.minimum(self._log_interp(z[1::2]), _LOG_MAX)
                      - np.minimum(at_mids, _LOG_MAX))
-        self.bound = 2.0 * float(np.max(err))
+        # Above _Z_ROUND a black box's miss within the change of log w
+        # over _ROUND_ULPS doubles of u is u's rounding.
+        far = np.flatnonzero(z[1::2] > _Z_ROUND) if spec.kind == "blackbox" else []
+        if len(far):
+            u = expit(z[1::2][far])
+            with np.errstate(divide="ignore"):
+                step = np.abs(np.minimum(at_mids[far], _LOG_MAX) - np.minimum(
+                    np.log(quantile(spec, u - _ROUND_ULPS * 0.5 * _EPS, nu)), _LOG_MAX))
+            err[far[err[far] <= step]] = 0.0
+        i = int(np.argmax(err))
+        # A spline's error spills into the intervals next to a break.
+        self.bound = 2.0 * float(err[i])
+        self.worst = nodes[max(i - 1, 0)], nodes[min(i + 2, len(nodes) - 1)]
         # Every (intervals / _SCAN_INTERVALS)-th node, both ends included,
         # and L there.
         scan_z = nodes[::intervals // _SCAN_INTERVALS]
@@ -319,3 +346,43 @@ class _QuantileTable:
         """w(z) from L where its bound is within ``budget``, an error in
         log w, and from the quantile otherwise."""
         return self.w if self.bound <= budget else self.exact
+
+
+def _break(table) -> tuple[float, float]:
+    """``(a, b)``, at most eps max(1, |z|) apart, around the break of w in
+    ``table``'s worst interval, by bisection on the quantile: each step
+    keeps the half whose midpoint lies farther from the chord of log w,
+    infinitely far where w is 0 at one end only.  At a jump, a keeps w's
+    value below it and b the one above.  The pieces leave out the mass
+    between a and b: a gap of 1e-12 in z would leave 1e-12 of it out."""
+    a, b = table.worst
+    while b - a > _EPS * max(1.0, abs(a), abs(b)):
+        z = np.linspace(a, b, 5)
+        w = table.exact(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_w = np.log(w)
+            chord = np.abs(log_w[[1, 3]] - 0.5 * (log_w[[0, 2]] + log_w[[2, 4]]))
+        zero = w == 0.0
+        chord = np.where(zero[[0, 2]] != zero[[2, 4]], np.inf, np.fmax(chord, 0.0))
+        a, b = (z[0], z[2]) if chord[0] >= chord[1] else (z[2], z[4])
+    return a, b
+
+
+def _pieces(spec: _MixtureSpec, nu) -> list[_QuantileTable]:
+    """Tables of w on the pieces of the z range between its breaks, in
+    order.  While the largest bound exceeds ``_SEARCH_LOG_W_ERR`` and there
+    are fewer than ``_MAX_PIECES``, that piece is split at :func:`_break`
+    into two with their own tables; a side where w is 0 throughout is
+    dropped (g vanishes there when D2 > 0).  A smooth W stays one piece,
+    the table of the whole z range.
+    """
+    pieces = [_QuantileTable(spec, nu)]
+    while len(pieces) < _MAX_PIECES:
+        i = max(range(len(pieces)), key=lambda j: pieces[j].bound)
+        table = pieces[i]
+        if table.bound <= _SEARCH_LOG_W_ERR:
+            break
+        (lo, hi), (a, b) = table.z_range, _break(table)
+        sides = (_QuantileTable(spec, nu, z_range=r) for r in ((lo, a), (b, hi)))
+        pieces[i:i + 1] = [t for t in sides if t.exact(t.z_range[1]) > 0.0]
+    return pieces

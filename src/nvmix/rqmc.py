@@ -3,19 +3,19 @@
 The estimators here exploit extensibility of the Sobol' sequence: every
 iteration appends a fresh batch of points to each randomized stream and
 folds it into a running per-randomization mean, so no function evaluation
-is ever discarded.  One loop, ``_run``, serves every integral in the
-package: it keeps plain running means over the B digital shifts of one
-Sobol' stream for one or several integrands, each with its own error and
-tolerance test, and returns each integrand's estimate, error and batch
-count.  An integrand that returns logs keeps its means under a running
-scale, its largest value so far (a "proper logarithm", so that integrals
-as small as exp(-5000) are handled without underflow).  A run has one
-randomization: the B shifts derived from its one seed, shared by all its
-integrands, which are thus evaluated at the same points (common random
-numbers), so each integrand's result depends on that integrand alone and
-not on the others in its batch.  Each integrand runs until it meets the
-tolerance or the batch cap; ``rqmc_estimate`` and ``rqmc_log_estimate``
-are the loop's one-integrand case.
+is ever discarded.  One loop, ``_run``, serves the box probabilities and
+``rqmc_log_estimate`` (log-densities take a trapezoid rule): it keeps
+plain running means over the B digital shifts of one Sobol' stream for
+one or several integrands, each with its own error and tolerance test,
+and returns each integrand's estimate, error and batch count.  An
+integrand that returns logs keeps its means under a running scale, its
+largest value so far (a "proper logarithm", so that integrals as small as
+exp(-5000) are handled without underflow).  A run has one randomization:
+the B shifts derived from its one seed, shared by all its integrands,
+which are thus evaluated at the same points (common random numbers), so
+each integrand's result depends on that integrand alone.  Each integrand
+runs until it meets the tolerance or the batch cap; ``rqmc_estimate`` and
+``rqmc_log_estimate`` are the loop's one-integrand case.
 """
 
 from __future__ import annotations
@@ -120,15 +120,13 @@ class RqmcConfig:
     A batch of ``n0`` points per randomization is the budget's unit:
     ``i_max`` caps the total number of batches per randomization, so at
     most ``B * n0 * i_max`` integrand evaluations are spent.  The
-    tolerance is tested after every batch, or for a log-density every
-    ``min(n0, 16)`` points, over a bracket that ends ``5 + log10(1/tol)``
-    decades below the integrand's maximum (at least 5, at most 10).  Where
-    W has a smooth table, the log-density's rows take instead the
-    trapezoid rule, at most ``n0 * i_max`` intervals over at most 16
-    decades, which stops at tol/10 and ignores ``B`` and the seed.  A
-    relative tolerance is met only by a nonzero estimate (in log space,
-    where the estimate is a log, a vanishing one falls back to the
-    absolute test).
+    tolerance is tested after every batch.  A log-density's rows take the
+    trapezoid rule instead, at most ``n0 * i_max`` intervals on each piece
+    of W, over a bracket that ends ``5 + log10(1/tol)`` decades below the
+    integrand's maximum (at least 5, at most 16); the rule stops at tol/10
+    and ignores ``B``.  A relative tolerance is met only by a nonzero
+    estimate (in log space, where the estimate is a log, a vanishing one
+    falls back to the absolute test).
     """
 
     B: int = 15
@@ -156,8 +154,9 @@ class RqmcConfig:
 class RqmcResult:
     """Outcome of an iterative RQMC estimation: ``n_per_randomization`` is
     the exact number of points spent per randomization, ``iterations_used``
-    that number in batches of ``RqmcConfig.n0``, rounded up.  A
-    log-density row on the trapezoid rule counts its nodes instead."""
+    that number in batches of ``RqmcConfig.n0``, rounded up.  Every
+    log-density row counts the trapezoid rule's nodes instead, summed over
+    the pieces of W."""
 
     estimate: float
     error_estimate: float

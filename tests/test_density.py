@@ -14,6 +14,7 @@ from nvmix.density import (
     _EPS_BISEC,
     _K_TH,
     _SEARCH_LOG_W_ERR,
+    _bisect,
     _bracket_z,
     _log_g_w,
     _log_h_of_w,
@@ -26,7 +27,9 @@ from nvmix.density import (
     region_bounds,
 )
 from nvmix.mixtures import (
+    _MAX_PIECES,
     _TABLE_INTERVALS,
+    _pieces,
     _QuantileTable,
     _quantile_z,
     _z_range,
@@ -42,6 +45,7 @@ from nvmix.rqmc import RqmcConfig, rqmc_log_estimate
 from nvmix.sampling import rnvmix
 
 LOG_2PI = math.log(2.0 * math.pi)
+LN10 = math.log(10.0)
 
 
 def gaussian_prefactor(d, log_det=0.0):
@@ -206,22 +210,50 @@ class CountedTable(_QuantileTable):
         return super().exact(z)
 
 
-class ExactTable(_QuantileTable):
-    """A table whose bound is inf, so that every reader reads the quantile."""
+def one_piece_bracket(pref, k, m, table, k_th):
+    """``(z_l, z_r, closed, z_g, top)`` per row: ``_bracket_z`` on the one
+    piece ``table``, with ``closed`` False where g is still above the
+    level at an end of the z range."""
+    z_l, z_r, z_g, tops, ends = _bracket_z(pref, k, m, [table], k_th)
+    return z_l[0], z_r[0], np.all(ends <= tops[0] - k_th * LN10, axis=0), z_g[0], tops[0]
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.bound = math.inf
 
+def bisection_bracket(pref, k, m, w_z, z_range, k_th):
+    """Reference for the search: ``(z_l, z_r, closed, z_g, top)`` per row
+    by bisection on ``w_z`` over ``z_range``, down to a z-width of
+    ``_EPS_BISEC``.
 
-class InterpolantTable(_QuantileTable):
-    """A table whose bound is inf and whose quantile is its own
-    interpolant: the search bisects on the L that a table's search reads."""
+    g's maximum comes from one bisection on the sign of its slope (below
+    min(z_h, 0), with z_h the peak of h, log h and the log-Jacobian both
+    rise, and above max(z_h, 0) both fall), read from g 1e-4 either side of
+    each midpoint: far enough that rounding in log g does not flip its
+    sign where log g is flat.  Where w is 0 at a step's right point g
+    counts as rising.  Both ends of the region then come from one
+    bisection on the level; an end where g is still above it is the end of
+    the range, and open.
+    """
+    z_lo, z_hi = z_range
+    n = len(m)
+    rows = np.arange(n)
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.bound = math.inf
-        self.exact = self.w
+    def f(z, rows):
+        return _log_g_w(w_z(z), z, pref[rows], k[rows], m[rows])
+
+    def rises(z, rows):
+        zz = np.clip(z[:, None] + np.array([-1e-4, 1e-4]), z_lo, z_hi)
+        w = w_z(zz)
+        log_g = _log_g_w(w, zz, pref[rows, None], k[rows, None], m[rows, None])
+        return (log_g[:, 1] > log_g[:, 0]) | (w[:, 1] == 0.0)
+
+    _, z_g = _bisect(rises, np.full(n, z_lo), np.full(n, z_hi), rows)
+    top = f(z_g, rows)
+    level, both = np.tile(top - k_th * LN10, 2), np.tile(rows, 2)
+    z_end = np.repeat([z_lo, z_hi], n)
+    open_end = f(z_end, both) > level
+    a, b = _bisect(lambda z, r: f(z, both[r]) > level[r], np.tile(z_g, 2), z_end,
+                   np.flatnonzero(~open_end))
+    z = np.where(open_end, z_end, 0.5 * (a + b))
+    return z[:n], z[n:], ~open_end[:n] & ~open_end[n:], z_g, top
 
 
 def reference_log_integral(D2, shift_k, prefactor, spec, nu):
@@ -230,12 +262,13 @@ def reference_log_integral(D2, shift_k, prefactor, spec, nu):
     g, analytic in a strip and decaying exponentially (Trefethen &
     Weideman 2014, SIAM Review 56(3)).  Per row of ``D2``, the 256-point
     value and its difference from the 128-point one, over the bracket
-    that ``_bracket_z`` finds at 16 decades, widened by 20% at each end
-    within the z range.  For smooth quantiles only."""
+    that bisection on the quantile finds at 16 decades, widened by 20% at
+    each end within the z range.  For smooth quantiles only."""
     m = 0.5 * np.asarray(D2, dtype=float)
     pref, k = np.full(len(m), float(prefactor)), np.full(len(m), float(shift_k))
-    z_l, z_r, *_ = _bracket_z(pref, k, m, ExactTable(spec, nu), 16.0)
     z_lo, z_hi = _z_range(spec)
+    z_l, z_r, *_ = bisection_bracket(pref, k, m, lambda z: _quantile_z(spec, z, nu),
+                                     (z_lo, z_hi), 16.0)
     pad = 0.2 * (z_r - z_l)
     a, b = np.maximum(z_l - pad, z_lo), np.minimum(z_r + pad, z_hi)
     values = []
@@ -280,7 +313,7 @@ def test_bracket_reads_do_not_grow_with_the_rows(family):
     for D2 in (np.zeros(1), np.concatenate([[0.0], np.logspace(-8, 10, 199)])):
         table = CountedTable(spec, nu)
         n = len(D2)
-        _bracket_z(np.full(n, gaussian_prefactor(10)), np.full(n, 5.0), 0.5 * D2, table, _K_TH)
+        _bracket_z(np.full(n, gaussian_prefactor(10)), np.full(n, 5.0), 0.5 * D2, [table], _K_TH)
         reads.append(table.reads)
     assert reads[0] <= reads[1] <= 15
 
@@ -294,7 +327,8 @@ FAMILIES = {"ig1": (inverse_gamma(), [1.0]), "ig4": (inverse_gamma(), [4.0]),
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_table_search_matches_bisection_on_its_interpolant(family, shift_k):
     # Newton's method on the table's L finds what bisection on the same L
-    # finds: ends and maximum within _EPS_BISEC, the same closed flags,
+    # (bisection_bracket) finds: ends and maximum within _EPS_BISEC, the
+    # same closed flags,
     # and log g at an interior maximum within 1e-9 (relative, past 1 in
     # size).  A maximum at an end of the z range (D2 = 1e300, where log g
     # is near -5e145 and the level is lost to rounding, and inverse-Burr
@@ -306,8 +340,8 @@ def test_table_search_matches_bisection_on_its_interpolant(family, shift_k):
     args = np.full(len(D2), gaussian_prefactor(10)), np.full(len(D2), shift_k), 0.5 * D2
     table = _QuantileTable(spec, nu)
     assert table.bound <= _SEARCH_LOG_W_ERR
-    z_l, z_r, closed, z_g, top = _bracket_z(*args, table, _K_TH)
-    b_l, b_r, b_closed, b_g, b_top = _bracket_z(*args, InterpolantTable(spec, nu), _K_TH)
+    z_l, z_r, closed, z_g, top = one_piece_bracket(*args, table, _K_TH)
+    b_l, b_r, b_closed, b_g, b_top = bisection_bracket(*args, table.w, table.z_range, _K_TH)
     for z, b in ((z_l, b_l), (z_r, b_r), (z_g, b_g)):
         assert np.max(np.abs(z - b)) <= _EPS_BISEC
     assert np.array_equal(closed, b_closed)
@@ -335,28 +369,31 @@ def test_inverse_burr_below_nu2_one_is_tabulated():
     nu = [2.0, 0.9]
     assert _QuantileTable(spec, nu).bound <= _SEARCH_LOG_W_ERR
     cfg = RqmcConfig(tol=1e-3)
-    (res,) = log_integral_batch([0.0], *density_args(0.0, 2)[1:], spec, nu, cfg, seed=1)
+    (res,) = log_integral_batch([0.0], *density_args(0.0, 2)[1:], spec, nu, cfg)
     ref, _ = reference_log_integral([0.0], *density_args(0.0, 2)[1:], spec, nu)
     assert res.converged and abs(res.estimate - ref[0]) <= cfg.tol
 
 
 def test_mass_beyond_a_jump_of_the_quantile_is_bracketed(monkeypatch):
-    # w is 0 below u = 1 - 1e-9 and 1 above, so g is -inf left of the jump
-    # at z = logit(1 - 1e-9) and h is constant right of it.  The slope
-    # bisection counts a step whose right point has w = 0 as rising, so it
-    # ends at the jump, and the bracket starts there.  It stays open on
-    # the right: a black box's z range ends at -log(eps) = 36.04, where g
-    # is still above the threshold, so the result is unconverged although
-    # its estimate is within tol of log(1e-9 exp(-1/2)).
+    # w is 0 below u = 1 - 1e-9 and 1 above, so g is 0 left of the jump at
+    # z = logit(1 - 1e-9) and h is constant right of it.  The piece where w
+    # is 0 is dropped, and the bracket starts at the jump.  It stays open
+    # on the right: a black box's z range ends at -log(eps) = 36.04, where
+    # g is still above the threshold.  h falls on the way out there (w = 1
+    # >= m/k = 0.1), so the mass beyond is at most g there times
+    # 1 + e^(-36.04), 2.2e-7 of the estimate: within tol/10 at tol 1e-3,
+    # where the row converges within tol of log(1e-9 exp(-1/2)), and not at
+    # tol 1e-6, where it does not.
     spec = blackbox(lambda u, nu: np.where(u < 1 - 1e-9, 0.0, 1.0), 0)
     z_l, z_r, closed = region_bounds(1.0, 5.0, 0.0, spec, [])
     assert z_l == pytest.approx(math.log((1 - 1e-9) / 1e-9), abs=_EPS_BISEC)
     assert (z_r, closed) == (_z_range(spec)[1], False)
-    cfg = RqmcConfig(tol=1e-3)
     seen = adaptive_rows(monkeypatch)
-    res = log_integral_batch([1.0], 5.0, 0.0, spec, [], cfg, seed=1)[0]
-    assert seen == [[0.5]] and not res.converged and res.n_per_randomization > 0
-    assert res.estimate == pytest.approx(math.log(1e-9) - 0.5, abs=cfg.tol)
+    loose, tight = (log_integral_batch([1.0], 5.0, 0.0, spec, [], RqmcConfig(tol=tol))[0]
+                    for tol in (1e-3, 1e-6))
+    assert seen == [[0.5]] * 2 and loose.converged
+    assert not tight.converged and tight.n_per_randomization > 0
+    assert loose.estimate == pytest.approx(math.log(1e-9) - 0.5, abs=1e-3)
 
 
 @pytest.mark.parametrize("D2", [0.0, 0.5, 640.0, 1e8])
@@ -383,7 +420,7 @@ def test_bracket_ends_cross_the_level_of_a_reference_maximum(family, D2):
     opt = minimize_scalar(lambda z: -log_g(z)[0], method="bounded", bounds=(a, b),
                           options={"xatol": _EPS_BISEC})
     level = max(-opt.fun, *log_g([a, b])) - _K_TH * math.log(10.0)
-    (z_l,), (z_r,), (closed,), _, _ = _bracket_z(pref, k, m, table, _K_TH)
+    (z_l,), (z_r,), (closed,), _, _ = one_piece_bracket(pref, k, m, table, _K_TH)
     z_lo, z_hi = _z_range(spec)
     for z, outward, end in ((z_l, -1.0, z_lo), (z_r, 1.0, z_hi)):
         if z == end:
@@ -488,28 +525,148 @@ def ig4_quantile(u):
 
 
 @pytest.mark.parametrize(
-    "q", [lambda u, nu: ig4_quantile(u) * np.where(u < 0.5, 1.0, 2.0),
-          lambda u, nu: np.where(u < 1e-200, 0.0, ig4_quantile(u))],
+    "q,n_pieces", [(lambda u, nu: ig4_quantile(u) * np.where(u < 0.5, 1.0, 2.0), 2),
+                   (lambda u, nu: np.where(u < 1e-200, 0.0, ig4_quantile(u)), 1)],
     ids=["jump", "atom-at-zero"])
-def test_tableless_quantiles_are_read_exactly(monkeypatch, q):
+def test_tableless_quantiles_are_read_exactly(monkeypatch, q, n_pieces):
     # The IG(4) quantile with a jump has a bound near the jump in log w
-    # (log 2); with an atom of mass 1e-200 at 0 it has no interpolant.
-    # The search and the RQMC read the quantile itself, so the rows give
-    # what a call that never reads the table gives.  Under tol = inf every
-    # row's budget is inf, and a table without an interpolant must still
-    # not be read: the call gives finite estimates.
+    # (log 2); with an atom of mass 1e-200 at 0 it has no interpolant: no
+    # reader reads the table of the whole z range.  Split at the jump, and
+    # where w leaves 0 (the piece below, where w is 0, dropped), the
+    # pieces' tables meet the search's budget; above z = 22.2 the black
+    # box's w is a staircase of u's rounding, which their bounds leave out.
+    # Under tol = inf every row's budget is inf, and the call gives finite
+    # estimates.  At the default tol the rows converge, each within tol/10
+    # of what the same call gives when every row's integration reads the
+    # quantile itself at the same nodes.
     spec = blackbox(q, 0)
     table = _QuantileTable(spec, [])
     assert table.bound > 1e-1
     assert table.read(1e-1) == table.exact
-    args = density_args([2e3, 2e5, 1e7], 10) + (spec, [], RqmcConfig(), 3)
-    loose = log_integral_batch(*args[:5], RqmcConfig(tol=math.inf), 3)
+    pieces = _pieces(spec, [])
+    assert len(pieces) == n_pieces and all(p.bound <= _SEARCH_LOG_W_ERR for p in pieces)
+    args = density_args([2e3, 2e5, 1e7], 10) + (spec, [])
+    loose = log_integral_batch(*args, RqmcConfig(tol=math.inf))
     assert len(loose) == 3 and all(math.isfinite(r.estimate) for r in loose)
     seen = adaptive_rows(monkeypatch)
     res = log_integral_batch(*args)
-    assert seen == [[1e3, 1e5, 5e6]]
-    monkeypatch.setattr(_QuantileTable, "w", _QuantileTable.exact)
-    assert log_integral_batch(*args) == res
+    assert seen == [[1e3, 1e5, 5e6]] and all(r.converged for r in res)
+    monkeypatch.setattr(density, "_table_budget", lambda table, ends, k, *rest: np.zeros(len(k)))
+    exact = log_integral_batch(*args)
+    assert all(a.n_per_randomization == b.n_per_randomization
+               and abs(a.estimate - b.estimate) <= 1e-4 for a, b in zip(res, exact))
+
+
+# W whose quantiles break, as black boxes, and the logits of their breaks:
+# a jump, three jumps, an atom at 0 below a uniform part (w leaves 0 at
+# the break), and a kink between two uniform parts.
+BREAKS = {
+    "jump": (lambda u, nu: np.where(u < 0.3, 1.0, 4.0), [math.log(0.3 / 0.7)]),
+    "staircase": (lambda u, nu: np.select([u < 0.2, u < 0.5, u < 0.9], [0.5, 1.0, 3.0], 10.0),
+                  [math.log(0.2 / 0.8), 0.0, math.log(0.9 / 0.1)]),
+    "atom-at-zero": (lambda u, nu: np.where(u < 0.1, 0.0, 1.0 + 2.0 * (u - 0.1) / 0.9),
+                     [math.log(0.1 / 0.9)]),
+    "kink": (lambda u, nu: np.where(u < 0.5, 1.0 + 2.0 * u, 2.0 + 8.0 * (u - 0.5)), [0.0]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BREAKS))
+def test_pieces_split_w_at_its_breaks(family):
+    # The pieces cover the z range in order, each meeting the search's
+    # budget, and meet at each break, both sides within 1e-12 of its logit
+    # relative to max(1, |z|).  Below the atom at 0 w is 0, and that piece
+    # is dropped: the first piece starts at the break.
+    q, breaks = BREAKS[family]
+    spec = blackbox(q, 0)
+    pieces = _pieces(spec, [])
+    assert all(p.bound <= _SEARCH_LOG_W_ERR for p in pieces)
+    z_lo, z_hi = _z_range(spec)
+    ends = np.ravel([p.z_range for p in pieces])
+    if family == "atom-at-zero":
+        ends = np.concatenate([[z_lo], ends[:1], ends])
+    assert ends[0] == z_lo and ends[-1] == z_hi and len(ends) == 2 * len(breaks) + 2
+    for z, at in zip(breaks, ends[1:-1].reshape(-1, 2)):
+        assert np.all(np.abs(at - z) <= 1e-12 * max(1.0, abs(z)))
+
+
+@pytest.mark.parametrize("family", ["ig4", "symmetric_toy"])
+def test_a_smooth_w_is_one_piece(family):
+    # A W without breaks is one piece, the table of the whole z range.
+    spec, nu = {"ig4": (inverse_gamma(), [4.0]),
+                "symmetric_toy": (symmetric_toy_quantile(), [])}[family]
+    (piece,) = _pieces(spec, nu)
+    whole = _QuantileTable(spec, nu)
+    z = np.linspace(*_z_range(spec), 1001)
+    assert piece.z_range == whole.z_range == _z_range(spec)
+    assert piece.bound == whole.bound and np.array_equal(piece.log_w(z), whole.log_w(z))
+
+
+def test_a_heavy_tailed_black_box_is_one_piece():
+    # A black box that wraps the IG(4) quantile sees u only, so above
+    # z = 22.2 its w is a staircase of u's rounding, which its table's
+    # bound leaves out: it is one piece, and its rows meet tol 1e-3 against
+    # the closed form, out to D2 = 1e6, where h peaks at 1 - u near 2e-12.
+    spec = blackbox(lambda u, nu: ig4_quantile(u), 0)
+    assert len(_pieces(spec, [])) == 1
+    d = 10
+    D2 = np.array([0.0, 0.5, 10.0, 640.0, 1.6e4, 1e6])
+    X = np.zeros((len(D2), d))
+    X[:, 0] = np.sqrt(D2)
+    exact = closed_log_density(NvmModel.build(None, np.eye(d), inverse_gamma(), [4.0]), X)
+    res = log_integral_batch(*density_args(D2, d), spec, [], RqmcConfig(tol=1e-3))
+    assert all(r.converged and abs(r.estimate - e) <= 1e-3 for r, e in zip(res, exact))
+
+
+def test_a_rare_jump_in_the_rounding_zone_splits_w():
+    # Above z = 22.2 a black box's table leaves out only the misses that a
+    # change of u by a few doubles explains.  W = 1e4 with probability
+    # 1e-13, and 1 otherwise, jumps at z = 29.9, where the doubles of u
+    # resolve 1 - u to about 1e-3 of itself: W still splits there, between
+    # two neighbouring doubles of u.  From D2 = 200 on the rare part
+    # dominates f.  Every row is within 1e-2 of the exact mixture, a
+    # converged row within tol, and the rows that the common part dominates
+    # converge.  (The z range ends at u = 1 - eps, which cuts 2.2e-3 of the
+    # rare part's mass, so the rows it dominates report unconverged.)
+    u_jump = 1.0 - 1e-13
+    spec = blackbox(lambda u, nu: np.where(u < u_jump, 1.0, 1e4), 0)
+    lower, upper = _pieces(spec, [])
+    a, b = lower.z_range[1], upper.z_range[0]
+    assert list(quantile(spec, expit([a, b]), [])) == [1.0, 1e4] and b - a <= 1e-12 * b
+    p = 1.0 - u_jump
+    D2 = np.array([0.5, 50.0, 200.0, 1e3, 1e4])
+    for d in (3, 10):
+        exact = np.logaddexp(math.log1p(-p) - 0.5 * d * LOG_2PI - 0.5 * D2,
+                             math.log(p) - 0.5 * d * (LOG_2PI + math.log(1e4)) - D2 / 2e4)
+        res = log_integral_batch(*density_args(D2, d), spec, [], RqmcConfig(tol=1e-3))
+        assert all(abs(r.estimate - e) <= 1e-2 for r, e in zip(res, exact))
+        assert all(abs(r.estimate - e) <= 1e-3 for r, e in zip(res, exact) if r.converged)
+        assert res[0].converged and res[1].converged
+
+
+def test_a_bounded_w_far_out_meets_a_tolerance_below_its_ulp():
+    # At D2 = 1e10 the staircase's mass sits on its top piece, where w = 10
+    # and |log f| is near 5e8, whose doubles lie 6e-8 apart.  That piece's
+    # table is exact up to rounding (bound 0), but a read of L forms m/w =
+    # 5e8 as e^(log m - L), 20 ulp off; the budget leaves room for that, so
+    # the rows read w itself and give the double nearest log f.
+    spec = blackbox(BREAKS["staircase"][0], 0)
+    assert _pieces(spec, [])[-1].bound == 0.0
+    for d in (3, 10):
+        exact = math.log(0.1) - 0.5 * d * (LOG_2PI + math.log(10.0)) - 5e8
+        (res,) = log_integral_batch(*density_args([1e10], d), spec, [], RqmcConfig(tol=1e-8))
+        assert res.converged and res.estimate == exact
+
+
+def test_a_w_with_more_breaks_than_pieces_is_not_certified():
+    # W uniform on the atoms 1, ..., 20 jumps 19 times, more often than
+    # _MAX_PIECES pieces can split.  A piece at the cap still holds a jump
+    # and misses the search's budget, so the rows that reach it are
+    # unconverged with an infinite error.
+    spec = blackbox(lambda u, nu: np.floor(20.0 * u) + 1.0, 0)
+    pieces = _pieces(spec, [])
+    assert len(pieces) == _MAX_PIECES and max(p.bound for p in pieces) > _SEARCH_LOG_W_ERR
+    res = log_integral_batch(*density_args([0.5, 30.0], 3), spec, [])
+    assert all(not r.converged and r.error_estimate == math.inf for r in res)
 
 
 @pytest.mark.parametrize(
@@ -604,7 +761,7 @@ class TestLogDensityBatch:
         model = NvmModel.build(None, np.eye(3), constant(), [1.0])
         rng = np.random.default_rng(1)
         X = rng.standard_normal((5, 3))
-        res = log_density_batch(X, model, seed=0)
+        res = log_density_batch(X, model)
         want = closed_log_density(model, X)
         for r, w in zip(res, want):
             assert r.estimate == pytest.approx(w, rel=1e-14)
@@ -617,7 +774,7 @@ class TestLogDensityBatch:
         heavy = NvmModel.build(None, np.eye(d), inverse_gamma(), [1.0])
         X = rnvmix(60, heavy, seed=42)
         truth = closed_log_density(model, X)
-        res = log_density_batch(X, model, RqmcConfig(tol=1e-3), seed=7)
+        res = log_density_batch(X, model, RqmcConfig(tol=1e-3))
         errs = np.array([r.estimate for r in res]) - truth
         assert np.all([r.converged for r in res])
         assert np.max(np.abs(errs)) <= 1e-3
@@ -630,7 +787,7 @@ class TestLogDensityBatch:
         heavy = NvmModel.build(None, np.eye(d), pareto(), [2.0])
         X = rnvmix(60, heavy, seed=43)
         truth = closed_log_density(model, X)
-        res = log_density_batch(X, model, RqmcConfig(tol=1e-3), seed=8)
+        res = log_density_batch(X, model, RqmcConfig(tol=1e-3))
         errs = np.array([r.estimate for r in res]) - truth
         assert np.all([r.converged for r in res])
         assert np.max(np.abs(errs)) <= 1e-3
@@ -653,7 +810,7 @@ class TestLogDensityBatch:
             return log_h(np.clip(v[:, 0], 1e-16, 1 - 1e-16), *p, inverse_gamma(), [4.0])
 
         crude = [rqmc_log_estimate(crude_log_g, 1, RqmcConfig(i_max=4), seed=s) for s in range(8)]
-        adaptive = log_density_batch(x[None, :], model, RqmcConfig(tol=1e-3), seed=3)[0]
+        adaptive = log_density_batch(x[None, :], model, RqmcConfig(tol=1e-3))[0]
         assert np.mean([c.estimate for c in crude]) - truth < -1.0
         assert not any(c.converged for c in crude)
         assert abs(adaptive.estimate - truth) <= 1e-3
@@ -661,7 +818,7 @@ class TestLogDensityBatch:
 
     def test_center_point_matches_closed_form(self):
         model = NvmModel.build(None, np.eye(10), inverse_gamma(), [4.0])
-        res = log_density_batch(np.zeros((1, 10)), model, RqmcConfig(i_max=256), seed=5)[0]
+        res = log_density_batch(np.zeros((1, 10)), model, RqmcConfig(i_max=256))[0]
         expected = gammaln(7.0) - gammaln(2.0) - 5.0 * math.log(4.0 * math.pi)
         assert res.estimate == pytest.approx(expected, abs=max(3 * res.error_estimate, 1e-3))
 
@@ -677,7 +834,7 @@ class TestLogDensityBatch:
             return (2 * math.pi * w) ** (-d / 2) * math.exp(-D2 / (2 * w))
 
         oracle, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=200)
-        res = log_density_batch(x[None, :], model, RqmcConfig(tol=1e-3), seed=11)[0]
+        res = log_density_batch(x[None, :], model, RqmcConfig(tol=1e-3))[0]
         assert res.estimate == pytest.approx(math.log(oracle), abs=2e-3)
 
     def test_requires_full_rank(self):
@@ -700,7 +857,7 @@ def test_adaptive_across_distances(spec, nu, D2):
     model = NvmModel.build(None, np.eye(d), spec, [nu])
     x = np.zeros(d)
     x[0] = math.sqrt(D2)
-    res = log_density_batch(x[None, :], model, RqmcConfig(tol=1e-3), seed=1)[0]
+    res = log_density_batch(x[None, :], model, RqmcConfig(tol=1e-3))[0]
     assert res.converged
     assert abs(res.estimate - closed_log_density(model, x)) <= 1e-3
 
@@ -755,7 +912,7 @@ def test_log_density_golden_values(family):
     X[:, 0] = np.sqrt(DENSITY_GOLDEN_D2)
     model = NvmModel.build(None, np.eye(d), spec, nu)
     cfg = RqmcConfig(tol=1e-3)
-    res = log_density_batch(X, model, cfg, seed=17)
+    res = log_density_batch(X, model, cfg)
     reference, _ = reference_log_integral(DENSITY_GOLDEN_D2, *density_args(0.0, d)[1:], spec, nu)
     for r, ref, (estimate, iterations, n, converged) in zip(res, reference,
                                                             DENSITY_GOLDEN[family]):
@@ -784,8 +941,7 @@ def test_rows_honour_relative_tolerance(monkeypatch):
     monkeypatch.setattr(density, "_rows_log_g", spy)
     for tol in (1e-3, 1e-4, 1e-5):
         cfg = RqmcConfig(tol=tol, tol_type="relative")
-        res = log_integral_batch([1.0], 1.0, math.log(2.0), inverse_gamma(), [4.0], cfg,
-                                 seed=0)[0]
+        res = log_integral_batch([1.0], 1.0, math.log(2.0), inverse_gamma(), [4.0], cfg)[0]
         assert res.converged
         assert res.error_estimate <= cfg.tol * abs(res.estimate)
     assert seen == [[0.5]] * 3
@@ -804,7 +960,7 @@ def test_rows_honour_relative_tolerance(monkeypatch):
          "prefactor-length"])
 def test_log_integral_batch_rejects_bad_rows(D2, shift_k, prefactor, match):
     with pytest.raises(ValueError, match=match):
-        log_integral_batch(D2, shift_k, prefactor, inverse_gamma(), [4.0], seed=0)
+        log_integral_batch(D2, shift_k, prefactor, inverse_gamma(), [4.0])
 
 
 def test_log_integral_batch_broadcasts_scalar_parameters():
@@ -812,24 +968,24 @@ def test_log_integral_batch_broadcasts_scalar_parameters():
     # no results.
     D2, k, pref = density_args([0.5, 640.0, 1.6e4], 10)
     spec, nu = inverse_gamma(), [4.0]
-    full = log_integral_batch(D2, np.full(3, k), np.full(3, pref), spec, nu, seed=4)
-    assert log_integral_batch(D2, k, pref, spec, nu, seed=4) == full
-    assert log_integral_batch(np.zeros(0), k, pref, spec, nu, seed=4) == []
+    full = log_integral_batch(D2, np.full(3, k), np.full(3, pref), spec, nu)
+    assert log_integral_batch(D2, k, pref, spec, nu) == full
+    assert log_integral_batch(np.zeros(0), k, pref, spec, nu) == []
 
 
 def test_call_memory_stays_below_one_block():
     # 2000 rows at D2 in [10, 100] or in [0.5, 2], where the search and the
-    # RQMC of each row end well inside the z range: the RQMC evaluates and
+    # rule of each row end well inside the z range: the rule evaluates and
     # reduces them block by block, so the call's traced peak stays far
     # below one (2000, B n0) float64 block of log-integrands (30.7 MB).
     cfg = RqmcConfig()
     spec, nu = inverse_gamma(), [4.0]
     for lo, hi in ((10.0, 100.0), (0.5, 2.0)):
         D2, k, pref = density_args(np.linspace(lo, hi, 2000), 10)
-        log_integral_batch(D2[:10], k, pref, spec, nu, cfg, seed=3)  # lazy imports
+        log_integral_batch(D2[:10], k, pref, spec, nu, cfg)  # lazy imports
         tracemalloc.start()
         try:
-            res = log_integral_batch(D2, k, pref, spec, nu, cfg, seed=3)
+            res = log_integral_batch(D2, k, pref, spec, nu, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -854,7 +1010,7 @@ def test_atom_at_zero_diverges_at_center(u_atom, flat):
 
     model = NvmModel.build(None, np.eye(2), blackbox(q, 0), [])
     with pytest.raises(ValueError, match="diverges at w = 0"):
-        log_density_batch(np.zeros((1, 2)), model, seed=0)
+        log_density_batch(np.zeros((1, 2)), model)
 
 
 @pytest.mark.parametrize("swap", [1e14, 0.0], ids=["far-tail", "center"])
@@ -874,9 +1030,8 @@ def test_batch_rows_are_independent(cfg, swap):
     # cap-binds stops those near rows at 127 nodes, unconverged.
     D2s = [0.5, 3.0, 10.0, 640.0, 1e16, 2e5, 1e6]
     spec, nu = inverse_gamma(), [4.0]
-    ref = log_integral_batch(*density_args(D2s, 10), spec, nu, cfg, seed=2)
-    got = log_integral_batch(*density_args(D2s[:4] + [swap] + D2s[5:], 10), spec, nu, cfg,
-                             seed=2)
+    ref = log_integral_batch(*density_args(D2s, 10), spec, nu, cfg)
+    got = log_integral_batch(*density_args(D2s[:4] + [swap] + D2s[5:], 10), spec, nu, cfg)
     assert [r for i, r in enumerate(got) if i != 4] == [r for i, r in enumerate(ref) if i != 4]
     assert got[4] != ref[4]
     # iterations_used counts nodes in batches of n0, the last one partly
@@ -901,8 +1056,8 @@ def test_batch_rows_are_independent(cfg, swap):
     ids=["default", "tight", "two-batches"])
 @pytest.mark.parametrize("family", ["inverse_gamma", "pareto", "inverse_burr"])
 def test_rows_do_not_depend_on_their_batch(family, cfg):
-    # All rows share one seed's shifts, so a row's result is what the row
-    # gives alone, wherever it sits in the batch: rows in the E-step shape
+    # Rows share the rule's halvings but nothing else, so a row's result is
+    # what the row gives alone, wherever it sits in the batch: rows in the E-step shape
     # (shift_k = d/2 and d/2 + 1), permuted, and each called by itself.
     spec, nu = {"inverse_gamma": (inverse_gamma(), [4.0]), "pareto": (pareto(), [6.0]),
                 "inverse_burr": (inverse_burr(), [2.0, 2.0])}[family]
@@ -913,20 +1068,20 @@ def test_rows_do_not_depend_on_their_batch(family, cfg):
         # E[W^(-k)] is infinite for k >= nu1 nu2 = 4, so the search rejects
         # the rows at D2 = 0; the others are checked without them.
         with pytest.raises(ValueError, match="diverges at w = 0"):
-            log_integral_batch(D2, k, pref, spec, nu, cfg, seed=5)
+            log_integral_batch(D2, k, pref, spec, nu, cfg)
         D2, k = D2[D2 > 0.0], k[D2 > 0.0]
-    ref = log_integral_batch(D2, k, pref, spec, nu, cfg, seed=5)
+    ref = log_integral_batch(D2, k, pref, spec, nu, cfg)
     perm = np.random.default_rng(0).permutation(len(D2))
-    got = log_integral_batch(D2[perm], k[perm], pref, spec, nu, cfg, seed=5)
+    got = log_integral_batch(D2[perm], k[perm], pref, spec, nu, cfg)
     assert got == [ref[i] for i in perm]
-    alone = [log_integral_batch(D2[i:i + 1], k[i], pref, spec, nu, cfg, seed=5)[0]
+    alone = [log_integral_batch(D2[i:i + 1], k[i], pref, spec, nu, cfg)[0]
              for i in range(len(D2))]
     assert alone == ref
 
 
 def test_quantile_calls_do_not_grow_with_pending_points(monkeypatch):
-    # Each search step and each RQMC step reads w once for all far-tail
-    # rows, from the table: building it makes the call's only quantile
+    # Each search step and each step of the rule reads w once for all
+    # far-tail rows, from the table: building it makes the call's only quantile
     # call.
     calls = []
 
@@ -940,8 +1095,7 @@ def test_quantile_calls_do_not_grow_with_pending_points(monkeypatch):
     for n in (10, 200):
         calls.clear()
         D2 = np.logspace(5, 9, n)
-        res = log_integral_batch(*density_args(D2, 10), inverse_gamma(), [4.0], RqmcConfig(),
-                                 seed=1)
+        res = log_integral_batch(*density_args(D2, 10), inverse_gamma(), [4.0], RqmcConfig())
         assert seen[-1] == list(0.5 * D2) and all(r.converged for r in res)
         counts[n] = len(calls)
     assert counts[200] == counts[10] == 1
@@ -967,12 +1121,11 @@ def test_rows_on_the_table_and_on_the_quantile_share_a_call(monkeypatch):
                            (1e-7, [0.1, 1.0, 1e3, 1e5], [1, 1, -1, -1])):
         cfg = RqmcConfig(tol=tol)
         picks.clear()
-        res = log_integral_batch(*density_args(D2, 10), inverse_gamma(), [4.0], cfg, seed=1)
+        res = log_integral_batch(*density_args(D2, 10), inverse_gamma(), [4.0], cfg)
         assert seen[-1] == list(0.5 * np.array(D2)) and all(r.converged for r in res)
         assert picks[0] == picks[1] == reads
         for d2, r in zip(D2, res):
-            assert log_integral_batch(*density_args([d2], 10), inverse_gamma(), [4.0], cfg,
-                                      seed=1) == [r]
+            assert log_integral_batch(*density_args([d2], 10), inverse_gamma(), [4.0], cfg) == [r]
 
 
 def test_a_finer_table_is_built_only_when_the_tolerance_needs_it(monkeypatch):
@@ -992,6 +1145,8 @@ def test_a_finer_table_is_built_only_when_the_tolerance_needs_it(monkeypatch):
         picks.append(list(reads))
         return rows_log_g(tables, reads, *args)
 
+    # _pieces builds a call's tables, log_integral_batch the finer ones.
+    monkeypatch.setattr(mixtures, "_QuantileTable", Recorded)
     monkeypatch.setattr(density, "_QuantileTable", Recorded)
     monkeypatch.setattr(density, "_rows_log_g", spy)
     d = 10
@@ -1003,7 +1158,7 @@ def test_a_finer_table_is_built_only_when_the_tolerance_needs_it(monkeypatch):
                                  (1e-6, [_TABLE_INTERVALS, 4 * _TABLE_INTERVALS], 1)):
         tables.clear()
         picks.clear()
-        res = log_density_batch(X, model, RqmcConfig(tol=tol), seed=1)
+        res = log_density_batch(X, model, RqmcConfig(tol=tol))
         assert [t.intervals for t in tables] == intervals
         assert picks[0] == [read] * len(X)
         assert all(r.converged and abs(r.estimate - e) <= tol for r, e in zip(res, exact))
@@ -1025,6 +1180,7 @@ def test_quantile_work_does_not_depend_on_the_number_of_points(monkeypatch):
             tables.append(self)
 
     monkeypatch.setattr(mixtures, "quantile", counted)
+    monkeypatch.setattr(mixtures, "_QuantileTable", Recorded)
     monkeypatch.setattr(density, "_QuantileTable", Recorded)
     rules = rule_results(monkeypatch)
     cfg = RqmcConfig()
@@ -1032,7 +1188,7 @@ def test_quantile_work_does_not_depend_on_the_number_of_points(monkeypatch):
         u_values.clear()
         tables.clear()
         res = log_integral_batch(*density_args(np.logspace(5, 9, n), 10), inverse_gamma(), [4.0],
-                                 cfg, seed=1)
+                                 cfg)
         (table,) = tables
         assert u_values == [2 * table.intervals + 1] == [1025]
         _, _, nodes = rules[-1]
@@ -1044,12 +1200,13 @@ def test_search_finds_mass_that_lies_only_near_u_1(monkeypatch):
     # This black box has w = 0 below u = 1 - 1e-9, where an RQMC in u
     # would rarely sample; under the default configuration the search finds
     # the mass above.  The bracket stays open at the end of the black box's
-    # z range, so the result is unconverged.
+    # z range, but the mass beyond it is within tol/10 of the estimate, so
+    # the result converges.
     spec = blackbox(lambda u, nu: np.where(u < 1 - 1e-9, 0.0, 1.0), 0)
     seen = adaptive_rows(monkeypatch)
-    (res,) = log_integral_batch([1.0], 5.0, 0.0, spec, [], seed=1)
-    assert seen == [[0.5]] and not res.converged
-    assert res.estimate == pytest.approx(math.log(1e-9) - 0.5, abs=1e-2)
+    (res,) = log_integral_batch([1.0], 5.0, 0.0, spec, [])
+    assert seen == [[0.5]] and res.converged
+    assert res.estimate == pytest.approx(math.log(1e-9) - 0.5, abs=1e-3)
 
 
 def test_adaptive_rows_stop_at_the_first_step_that_meets_tol(monkeypatch):
@@ -1062,23 +1219,23 @@ def test_adaptive_rows_stop_at_the_first_step_that_meets_tol(monkeypatch):
     # at tol 1e-12 run on to 255 nodes.
     D2, k, pref = density_args(np.linspace(0.5, 2.0, 20), 10)
     rules = rule_results(monkeypatch)
-    res = log_integral_batch(D2, k, pref, inverse_gamma(), [4.0], RqmcConfig(tol=1e-3), seed=1)
+    res = log_integral_batch(D2, k, pref, inverse_gamma(), [4.0], RqmcConfig(tol=1e-3))
     ((estimate, error, nodes),) = rules
     assert set(nodes) == {31, 63} and np.all(error <= 1e-4)
     assert [r.estimate for r in res] == list(estimate)
     assert all(r.converged and r.iterations_used == 1 for r in res)
     short = log_integral_batch(D2, k, pref, inverse_gamma(), [4.0],
-                               RqmcConfig(tol=1e-3, n0=32, i_max=1), seed=1)
+                               RqmcConfig(tol=1e-3, n0=32, i_max=1))
     for r, s in zip(res, short):
         assert s.n_per_randomization == 31 and s.converged == (r.n_per_randomization == 31)
         assert s == r if s.converged else s.error_estimate > 1e-4
-    tight = log_integral_batch(D2, k, pref, inverse_gamma(), [4.0], RqmcConfig(tol=1e-12),
-                               seed=1)
+    tight = log_integral_batch(D2, k, pref, inverse_gamma(), [4.0], RqmcConfig(tol=1e-12))
     assert all(r.converged and r.n_per_randomization == 255 for r in tight)
 
 
-# W = 1 below u = 0.3 and 4 above: the quantile jumps, so the search
-# cannot read its table (bound 1.38) and the RQMC integrates its rows.
+# W = 1 below u = 0.3 and 4 above: the quantile jumps, so the table of the
+# whole z range misses the search's budget (bound 1.38), and the rule
+# integrates its rows on the pieces either side of the jump.
 JUMP = blackbox(lambda u, nu: np.where(u < 0.3, 1.0, 4.0), 0)
 
 
@@ -1086,9 +1243,8 @@ JUMP = blackbox(lambda u, nu: np.where(u < 0.3, 1.0, 4.0), 0)
                                       (1e-3, 8.0), (1.0, 5.0), (100.0, 5.0)])
 def test_bracket_threshold_follows_tol(monkeypatch, tol, k_th):
     # The bracket ends 5 + log10(1/tol) decades below g's maximum, and 5
-    # decades for any tol >= 1: at most 16 where the trapezoid rule
-    # integrates (IG(4)) and at most _K_TH = 10 where the RQMC does (a
-    # jump of W).
+    # decades for any tol >= 1, at most 16, on a smooth W (IG(4)) as on a
+    # W that jumps.
     levels, rows = [], []
 
     def spy(*args):
@@ -1098,26 +1254,27 @@ def test_bracket_threshold_follows_tol(monkeypatch, tol, k_th):
 
     monkeypatch.setattr(density, "_bracket_z", spy)
     res = log_integral_batch(*density_args([1e8, 1e10], 10), inverse_gamma(), [4.0],
-                             RqmcConfig(tol=tol), seed=1)
+                             RqmcConfig(tol=tol))
     assert rows == [[5e7, 5e9]] and all(r.converged for r in res)
-    log_integral_batch([1.0], 1.5, 0.0, JUMP, [], RqmcConfig(tol=tol, i_max=1), seed=1)
-    assert levels == [pytest.approx(k_th, abs=1e-12), pytest.approx(min(k_th, _K_TH), abs=1e-12)]
+    log_integral_batch([1.0], 1.5, 0.0, JUMP, [], RqmcConfig(tol=tol, i_max=1))
+    assert levels == [pytest.approx(k_th, abs=1e-12)] * 2
 
 
 def test_infinite_tolerance_is_met_at_the_first_step():
     # RqmcConfig accepts tol = inf; every row then settles at its first
     # step, the trapezoid rule's first value.
     res = log_integral_batch(*density_args([0.5, 1.6e4, 1e10], 10), inverse_gamma(), [4.0],
-                             RqmcConfig(tol=math.inf), seed=1)
+                             RqmcConfig(tol=math.inf))
     assert all(r.converged and r.iterations_used == 1 for r in res)
 
 
 def test_adaptive_rows_meet_their_tolerance(monkeypatch):
     # Calibration of the early stop: of the converged rows, at most 1% may
-    # miss tol against the closed form (the 3.5-sd CI's own miss rate),
-    # and none by more than 3 tol.
+    # miss tol against the closed form, and none by more than 3 tol.  The
+    # rule does not depend on the seed, so the rows come from a grid of D2
+    # as large as two seeds' calls on half of it gave.
     cfg = RqmcConfig(tol=1e-3)
-    D2 = np.concatenate([[0.0], np.logspace(-8, 10, 37)])
+    D2 = np.concatenate([[0.0], np.logspace(-8, 10, 73)])
     errors = []
     for spec, nu in [(inverse_gamma(), 4.0), (pareto(), 6.0)]:
         for d in (2, 10):
@@ -1125,9 +1282,8 @@ def test_adaptive_rows_meet_their_tolerance(monkeypatch):
             X = np.zeros((len(D2), d))
             X[:, 0] = np.sqrt(D2)
             exact = closed_log_density(model, X)
-            for seed in (1, 2):
-                res = log_density_batch(X, model, cfg, seed=seed)
-                errors += [abs(r.estimate - e) for r, e in zip(res, exact) if r.converged]
+            res = log_density_batch(X, model, cfg)
+            errors += [abs(r.estimate - e) for r, e in zip(res, exact) if r.converged]
     errors = np.array(errors)
     assert len(errors) >= 200
     assert np.mean(errors > cfg.tol) <= 0.01
@@ -1141,9 +1297,10 @@ def test_adaptive_rows_meet_their_tolerance(monkeypatch):
 def test_settled_rows_meet_their_tolerance(cfg):
     # Calibration of the early stop and of the bracket, which ends
     # 5 + log10(1/tol) decades below g's maximum: of all converged rows at
-    # most 1% may miss tol against the closed form (the 3.5-sd CI's own
-    # miss rate), none by more than 3 tol.
-    D2 = np.concatenate([[0.0], np.logspace(-8, 10, 37)])
+    # most 1% may miss tol against the closed form, none by more than
+    # 3 tol.  The rule does not depend on the seed, so the rows come from a
+    # grid of D2 as large as three seeds' calls on a third of it gave.
+    D2 = np.concatenate([[0.0], np.logspace(-8, 10, 109)])
     misses = []
     for spec, nu in [(inverse_gamma(), 4.0), (pareto(), 6.0)]:
         for d in (2, 10):
@@ -1152,11 +1309,10 @@ def test_settled_rows_meet_their_tolerance(cfg):
             X[:, 0] = np.sqrt(D2)
             exact = closed_log_density(model, X)
             tol = cfg.tol * (np.abs(exact) if cfg.tol_type == "relative" else 1.0)
-            for seed in (1, 2, 3):
-                res = log_density_batch(X, model, cfg, seed=seed)
-                misses += [abs(r.estimate - e) / t
-                           for r, e, t in zip(res, exact, np.broadcast_to(tol, exact.shape))
-                           if r.converged]
+            res = log_density_batch(X, model, cfg)
+            misses += [abs(r.estimate - e) / t
+                       for r, e, t in zip(res, exact, np.broadcast_to(tol, exact.shape))
+                       if r.converged]
     misses = np.array(misses)
     assert len(misses) >= 400
     assert np.mean(misses > 1.0) <= 0.01
@@ -1167,17 +1323,17 @@ def test_zero_distance_divergence_is_raised():
     # At D2 = 0 inverse-Burr(2, 2) gives E[W^(-k)] = 2 B(2 - k/2, 1 + k/2)
     # for k = d/2 < 4 and infinity from d = 8 on: near u = 0, g in the
     # logit coordinate tends to a constant at d = 8 and grows at d = 10.
-    # These raise before any RQMC instead of returning unconverged
-    # estimates (169.3 at d = 10 after 63 batches, -0.79 at d = 8).
+    # These raise before any integration instead of returning unconverged
+    # estimates (169.3 at d = 10 and -0.79 at d = 8 on an earlier RQMC).
     spec, nu = inverse_burr(), [2.0, 2.0]
     for d in (8, 10):
         with pytest.raises(ValueError, match="diverges at w = 0"):
-            log_integral_batch([0.0], d / 2.0, gaussian_prefactor(d), spec, nu, seed=1)
+            log_integral_batch([0.0], d / 2.0, gaussian_prefactor(d), spec, nu)
     for d in (6, 7):
         k = d / 2.0
         exact = gaussian_prefactor(d) + math.log(2.0) + gammaln(2.0 - k / 2) + gammaln(
             1.0 + k / 2) - gammaln(3.0)
-        res = log_integral_batch([0.0], k, gaussian_prefactor(d), spec, nu, seed=1)[0]
+        res = log_integral_batch([0.0], k, gaussian_prefactor(d), spec, nu)[0]
         assert res.converged
         assert abs(res.estimate - exact) <= 1e-3
 
@@ -1192,8 +1348,7 @@ def test_remark_shift_generalization():
         return w ** (-(d / 2.0 + 1.0)) * math.exp(-D2 / (2 * w))
 
     oracle, _ = quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-11, limit=400)
-    res = log_integral_batch([D2], d / 2.0 + 1.0, 0.0, spec, [nu_ig], RqmcConfig(tol=1e-3),
-                             seed=2)[0]
+    res = log_integral_batch([D2], d / 2.0 + 1.0, 0.0, spec, [nu_ig], RqmcConfig(tol=1e-3))[0]
     assert res.estimate == pytest.approx(math.log(oracle), abs=2e-3)
 
 
@@ -1210,9 +1365,9 @@ def test_rows_that_read_the_table_stay_within_a_tenth_of_tol(monkeypatch):
     budget = density._table_budget
     for spec, nu in ((inverse_gamma(), [4.0]), (pareto(), [6.0]), (inverse_burr(), [2.0, 2.0])):
         monkeypatch.setattr(density, "_table_budget", budget)
-        tabled = log_integral_batch(D2, k, pref, spec, nu, cfg, seed=17)
+        tabled = log_integral_batch(D2, k, pref, spec, nu, cfg)
         monkeypatch.setattr(density, "_table_budget", lambda *args: np.zeros(len(D2)))
-        exact = log_integral_batch(D2, k, pref, spec, nu, cfg, seed=17)
+        exact = log_integral_batch(D2, k, pref, spec, nu, cfg)
         moved = [abs(a.estimate - b.estimate) for a, b in zip(tabled, exact)
                  if a.n_per_randomization == b.n_per_randomization]
         assert len(moved) == len(D2)
@@ -1230,9 +1385,9 @@ def test_log_means_spread_past_the_doubles_range_meet_no_tolerance(spec, nu, D2)
     # are those of a call without it.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = log_integral_batch([1.0, D2, 30.0], 5.0, 0.0, spec, nu, seed=1)
+        res = log_integral_batch([1.0, D2, 30.0], 5.0, 0.0, spec, nu)
     assert astuple(res[1]) == (-math.inf, math.inf, 0, 0, False)
-    assert [res[0], res[2]] == log_integral_batch([1.0, 30.0], 5.0, 0.0, spec, nu, seed=1)
+    assert [res[0], res[2]] == log_integral_batch([1.0, 30.0], 5.0, 0.0, spec, nu)
 
 
 def test_a_point_whose_distance_overflows_has_no_density_estimate():
@@ -1240,9 +1395,9 @@ def test_a_point_whose_distance_overflows_has_no_density_estimate():
     model = NvmModel.build(None, np.eye(3), inverse_gamma(), [4.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = log_density_batch([[1e200, 0.0, 0.0], [1.0, 0.0, 0.0]], model, seed=1)
+        res = log_density_batch([[1e200, 0.0, 0.0], [1.0, 0.0, 0.0]], model)
     assert astuple(res[0]) == (-math.inf, math.inf, 0, 0, False)
-    assert res[1] == log_density_batch([[1.0, 0.0, 0.0]], model, seed=1)[0]
+    assert res[1] == log_density_batch([[1.0, 0.0, 0.0]], model)[0]
 
 
 def test_smooth_rows_meet_tight_tolerances():
@@ -1264,57 +1419,60 @@ def test_smooth_rows_meet_tight_tolerances():
                 X[:, 0] = np.sqrt(D2s)
                 exact = closed_log_density(NvmModel.build(None, np.eye(d), spec, nu), X)
             for tol in (1e-3, 1e-8, 1e-12):
-                res = log_integral_batch(*density_args(D2, d), spec, nu, RqmcConfig(tol=tol),
-                                         seed=1)
+                res = log_integral_batch(*density_args(D2, d), spec, nu, RqmcConfig(tol=tol))
                 assert all(r.converged and abs(r.estimate - e) <= tol
                            for r, e in zip(res, exact))
 
 
 def test_rule_rows_do_not_depend_on_the_seed(monkeypatch):
-    # The trapezoid rule draws no points: seeds 1, 2 and None give the
-    # same rows, no Sobol' engine is built, and each row equals the row
-    # alone.  A call that takes the RQMC builds one.
-    engines = []
-    new_engine = rqmc._new_engine
+    # The trapezoid rule draws no points: log_density_batch gives the same
+    # rows under seeds 1, 2 and None, each equal to the row alone, and no
+    # W, smooth or with a jump, builds a Sobol' engine or runs the RQMC
+    # loop.
+    calls = []
 
-    def spy(dimension):
-        engines.append(dimension)
-        return new_engine(dimension)
+    def spy(name, fn):
+        def traced(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return traced
 
-    monkeypatch.setattr(rqmc, "_new_engine", spy)
-    D2s = np.array([0.0, 0.5, 3.0, 640.0, 1.6e4, 1e10])
-    D2, k = np.concatenate([D2s, D2s]), np.repeat([5.0, 6.0], len(D2s))
-    pref = gaussian_prefactor(10)
-    for spec, nu in ((inverse_gamma(), [4.0]), (pareto(), [6.0])):
-        by_seed = [log_integral_batch(D2, k, pref, spec, nu, seed=s) for s in (1, 2, None)]
+    monkeypatch.setattr(rqmc, "_new_engine", spy("engine", rqmc._new_engine))
+    monkeypatch.setattr(rqmc, "_run", spy("run", rqmc._run))
+    d = 10
+    X = np.zeros((6, d))
+    X[:, 0] = np.sqrt([0.0, 0.5, 3.0, 640.0, 1.6e4, 1e10])
+    for spec, nu in ((inverse_gamma(), [4.0]), (pareto(), [6.0]), (JUMP, [])):
+        model = NvmModel.build(None, np.eye(d), spec, nu)
+        by_seed = [log_density_batch(X, model, None, s) for s in (1, 2, None)]
         assert by_seed[0] == by_seed[1] == by_seed[2]
-        assert all(log_integral_batch(D2[i:i + 1], k[i], pref, spec, nu)[0] == r
+        assert all(log_density_batch(X[i:i + 1], model)[0] == r
                    for i, r in enumerate(by_seed[0]))
-    assert engines == []
-    log_integral_batch([1.0], 1.5, 0.0, JUMP, [], seed=1)
-    assert engines == [1]
+    assert calls == []
 
 
-# log_integral_batch's results for JUMP at d = 3, tol 1e-3, seed 1, which
-# the RQMC gives.
+# log_integral_batch's results for JUMP at d = 3, tol 1e-3, which the rule
+# gives on the pieces either side of the jump.
 JUMP_D2 = [0.1, 1.0, 5.0, 20.0, 80.0]
 JUMP_RESULTS = [
-    (-3.7468696787319953, 0.0009875746340093756, 4736, 37, True),
-    (-4.106715776104748, 0.0009754720952048693, 4064, 32, True),
-    (-5.394875946760509, 0.0009160053010572859, 528, 5, True),
-    (-7.691196726359984, 0.0009123608513966689, 3072, 24, True),
-    (-15.192922316099558, 0.0006975452253214759, 2048, 16, True),
+    (-3.746263538883621, 4.413693622362632e-08, 382, 3, True),
+    (-4.107057051648156, 4.048114127799155e-08, 382, 3, True),
+    (-5.395420792372767, 5.602587795131402e-05, 254, 2, True),
+    (-7.691037598608804, 8.35816704718359e-05, 254, 2, True),
+    (-15.192932088631443, 8.373850510956515e-05, 127, 1, True),
 ]
 
 
-def test_a_jump_of_w_stays_on_the_rqmc():
-    # The search cannot read the table of a quantile that jumps, so the
-    # RQMC integrates these rows, bit for bit as recorded, each within tol
-    # of log(0.3 N_3(x; 0, I) + 0.7 N_3(x; 0, 4 I)).
+def test_a_jump_of_w_is_split_at_the_jump():
+    # The table of the whole z range cannot be read near the jump, so W is
+    # split there into two pieces, on which the rule integrates these rows
+    # in s, bit for bit as recorded, each within tol of
+    # log(0.3 N_3(x; 0, I) + 0.7 N_3(x; 0, 4 I)).
     d = 3
     assert _QuantileTable(JUMP, np.array([])).bound == pytest.approx(1.38, abs=5e-3)
+    assert len(_pieces(JUMP, [])) == 2
     res = log_integral_batch(JUMP_D2, d / 2.0, gaussian_prefactor(d), JUMP, [],
-                             RqmcConfig(tol=1e-3), seed=1)
+                             RqmcConfig(tol=1e-3))
     D2 = np.array(JUMP_D2)
     exact = np.log(0.3 * np.exp(-D2 / 2.0) / (2.0 * np.pi) ** 1.5
                    + 0.7 * np.exp(-D2 / 8.0) / (8.0 * np.pi) ** 1.5)

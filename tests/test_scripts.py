@@ -1,11 +1,9 @@
 """The measurement scripts under ``scripts/`` run at tiny sizes.
 
-They reach into names of ``nvmix.density`` (``_run``, the one RQMC loop,
-which keeps plain running means, under a running scale for rows of logs,
-and returns each row's estimate, error and batch count;
-``_nested_trapezoid``, ``_bracket_z``, ``_table_budget``, ``_bisect``,
-``_newton``) and of ``nvmix.mixtures`` (``quantile``,
-``_QuantileTable`` and its ``intervals`` and ``bound``) and time
+They reach into names of ``nvmix.density`` (``_pieces``,
+``_nested_trapezoid``, ``_bracket_z``, ``_table_budget``, ``_newton``)
+and of ``nvmix.mixtures`` (``quantile``, ``_QuantileTable`` and its
+``intervals`` and ``bound``) and time
 ``nvmix.distribution.reorder`` by its name, so a change that renames or
 reshapes one of those must show up here rather than the next time
 someone measures.
@@ -27,20 +25,18 @@ def run_main(name, *args, **kwargs):
 
 
 def test_adaptive_cost_runs(capsys):
-    run_main("adaptive_cost.py", 1, sizes=(20,), n_points=40, jump_seeds=(1,),
-             jump_tols=(1e-3,))
+    run_main("adaptive_cost.py", 1, sizes=(20,), n_points=40, tols=(1e-3,),
+             black_box_tols=(1e-3,))
     out = capsys.readouterr().out
     assert "N =    20:" in out and "calibration, 1 x 40 points" in out
     assert "calibration, 1 x 40 points: unconverged 0, converged but missing tol 0" in out
     # IG(4) has a table that the search reads, so the trapezoid rule
     # integrates every row: each meets tol 1e-3 after 31 or 63 nodes,
-    # three values (15, 31 and 63 nodes), each one row block.  The RQMC
-    # integrates none.
+    # three values (15, 31 and 63 nodes), each one row block.
     assert ("  rule  : values 3.0 per call, row blocks 3.0 per call, row evaluations 1196.0"
             " per call (1 calls); nodes per row: 31: 2, 63: 18\n") in out
     assert ("  rule  : values 3.0 per call, row blocks 3.0 per call, row evaluations 1432.0"
             " per call (1 calls); nodes per row: 31: 34, 63: 6\n") in out
-    assert out.count("  rqmc  : points per row: none\n") == 2
     assert out.count("search: quantile calls") == 2
     # The table's line: its nodes' quantile work, build time, node count
     # and bound; the search and the rule then read it, and no row has
@@ -49,7 +45,6 @@ def test_adaptive_cost_runs(capsys):
     assert out.count(" ms, 513 nodes, bound 1.3e-07") == 2
     assert out.count("search: quantile calls    0,") == 2
     assert out.count("rule  : quantile calls    0,") == 2
-    assert out.count("rqmc  : quantile calls    0,") == 2
     assert out.count("other : quantile calls    0,") == 2
     # The search reads the table: Newton's method on g's slope from the
     # scan's best node, then on both ends of the region at once, until
@@ -57,23 +52,34 @@ def test_adaptive_cost_runs(capsys):
     # take 7 steps, the 40 calibration rows, at D2 from near 0 to 1e8, 8.
     assert "search: steps 7.0 per call, row evaluations 167.0 per call (1 calls)" in out
     assert "search: steps 8.0 per call, row evaluations 337.0 per call (1 calls)" in out
-    # The jump sweep: d = 3 and 10, tol 1e-3 absolute and relative, seed
-    # 1, 12 rows each, all on the RQMC.
-    assert ("jump sweep, 48 rows: converged 48, converged but missing tol 0, largest"
-            " |error| / tol of a converged row 0.834, points per randomization 106192\n") in out
+    # The sweeps of W without a table of the whole z range, at tol 1e-3:
+    # no row that reports converged misses its bound.  Every row of the
+    # jump and the staircase converges; under the atom at 0 the 4 rows at
+    # D2 = 0 raise, and under it and the kink the 4 rows at D2 = 1e10 have
+    # g above the level where h still rises at the end of the z range.  Of
+    # the black boxes' 11 rows, the one at D2 = 1e10 (and under Pareto(2.5)
+    # the one at D2 = 1e8) peaks beyond u's doubles.
+    lines = [line for line in out.splitlines() if " tol 0.001: rows " in line]
+    assert len(lines) == 6
+    for line, name, rows, converged in zip(
+            lines, ["jump", "staircase", "atom at 0", "kink", "IG(4)", "Pareto(2.5)"],
+            [48, 48, 48, 48, 11, 11], [48, 48, 40, 44, 10, 9]):
+        assert line.startswith(f"  {name:11s} tol 0.001: rows {rows}, converged {converged}, "
+                               "converged but missing tol 0,")
 
 
-def test_adaptive_cost_counts_the_rqmc_points():
-    # A quantile that jumps has no table that the search reads, so the
-    # RQMC integrates its rows; the RQMC phase reads each row's points
-    # from the batch counts that _run returns with its estimates and
-    # errors.
+def test_adaptive_cost_counts_the_rule_nodes():
+    # A quantile that jumps is split at the jump, and the rule integrates
+    # each row on both pieces; the rule's phase reads the nodes of each
+    # row and piece from those that _nested_trapezoid returns, and a row's
+    # nodes are the sum over its pieces.
     script = runpy.run_path(str(SCRIPTS / "adaptive_cost.py"))
     jump = blackbox(lambda u, nu: np.where(u < 0.3, 1.0, 4.0), 0)
     res, counts = script["_phase_counts"](
-        lambda: log_integral_batch([0.1, 20.0], 1.5, 0.0, jump, [], seed=1))
-    assert counts["rqmc_points"] == [r.n_per_randomization for r in res]
-    assert counts["rule_nodes"] == [] and len(set(counts["rqmc_points"])) == 2
+        lambda: log_integral_batch([0.1, 20.0], 1.5, 0.0, jump, []))
+    nodes = counts["rule_nodes"]
+    assert len(nodes) == 4 and counts["rules"] == 1
+    assert [nodes[0] + nodes[2], nodes[1] + nodes[3]] == [r.n_per_randomization for r in res]
 
 
 def test_paper_claims_runs(capsys):
