@@ -15,13 +15,11 @@ numbers over the sweep:
 * ``prob_singular``: rank 3, 5 and 8 staircases with negative loadings,
   IG(3) and inverse-Burr(2, 2), the same boxes and seeds;
 * ``log_integral_batch``: IG(4), Pareto(6) and inverse-Burr(2, 2) at
-  d in {2, 10} over D2 in [0, 1e10], each call twice, as for the two
-  seeds that the log-density took before it drew no points (a call that
-  raises counts with its message, and its rows at D2 > 0 count as one
-  call);
+  d in {2, 10} over D2 in [0, 1e10] (a call that raises counts with its
+  message, and its rows at D2 > 0 count as one call);
 * ``log_integral_pieces``: ``log_integral_batch`` for a black box whose W
   jumps from 1 to 4 at u = 0.3, whose pieces meet at the jump, at d in
-  {3, 10} over the same D2, each call twice;
+  {3, 10} over the same D2;
 * ``rnvmix``: both drivers on a full-rank and a singular model.
 
 Run from the root of a checkout (under a minute)::
@@ -137,16 +135,14 @@ def log_integral_digest():
     for spec, nu in ((inverse_gamma(), [4.0]), (pareto(), [6.0]),
                      (inverse_burr(), [2.0, 2.0])):
         for d in (2, 10):
-            for _ in SEEDS:
-                _log_integral_update(h, spec, nu, d)
+            _log_integral_update(h, spec, nu, d)
     return h.hexdigest()
 
 
 def log_integral_pieces_digest():
     h = hashlib.sha256()
     for d in (3, 10):
-        for _ in SEEDS:
-            _log_integral_update(h, JUMP, [], d)
+        _log_integral_update(h, JUMP, [], d)
     return h.hexdigest()
 
 

@@ -3,19 +3,13 @@
 The estimators here exploit extensibility of the Sobol' sequence: every
 iteration appends a fresh batch of points to each randomized stream and
 folds it into a running per-randomization mean, so no function evaluation
-is ever discarded.  One loop, ``_run``, serves the box probabilities and
-``rqmc_log_estimate`` (log-densities take a trapezoid rule): it keeps
-plain running means over the B digital shifts of one Sobol' stream for
-one or several integrands, each with its own error and tolerance test,
-and returns each integrand's estimate, error and batch count.  An
-integrand that returns logs keeps its means under a running scale, its
-largest value so far (a "proper logarithm", so that integrals as small as
-exp(-5000) are handled without underflow).  A run has one randomization:
-the B shifts derived from its one seed, shared by all its integrands,
-which are thus evaluated at the same points (common random numbers), so
-each integrand's result depends on that integrand alone.  Each integrand
-runs until it meets the tolerance or the batch cap; ``rqmc_estimate`` and
-``rqmc_log_estimate`` are the loop's one-integrand case.
+is ever discarded.  One loop, ``_run``, estimates one integrand per run:
+it keeps plain running means over the B digital shifts of one Sobol'
+stream, derived from the run's seed, and stops once their CI half width
+meets the tolerance or the batch cap is reached.  ``rqmc_estimate`` runs
+it on plain values; ``rqmc_log_estimate`` on logs, whose means are kept
+under a running scale, the largest value so far (a "proper logarithm", so
+that integrals as small as exp(-5000) are handled without underflow).
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ _BITS = 32
 _SCALE = 2.0 ** -_BITS
 # Whole-array passes are walked in blocks of whole rows of about this many
 # values, so that a block's temporaries stay in cache and memory does not
-# grow with the rows (the integrand rows of ``_run``, sampling).
+# grow with the rows (the log-density rule's rows, sampling).
 _BLOCK_VALUES = 2 ** 16
 # Multiple of the standard error over the randomizations that makes the
 # CI half width.
@@ -165,111 +159,79 @@ class RqmcResult:
     converged: bool
 
 
-def _errors(means: np.ndarray) -> np.ndarray:
-    """CI half widths over the randomizations of each row of ``(rows, B)``
-    plain means.  A row whose means include a non-finite value, or spread
-    so far (past about 1e154) that their variance overflows, gets an
-    infinite error: it meets no tolerance."""
-    finite = np.all(np.isfinite(means), axis=1)
-    means = np.where(finite[:, None], means, 0.0)
+def _errors(means: np.ndarray) -> float:
+    """CI half width over the randomizations of the ``(B,)`` plain means.
+    Means that include a non-finite value, or spread so far (past about
+    1e154) that their variance overflows, get an infinite error: it meets
+    no tolerance."""
+    if not np.all(np.isfinite(means)):
+        return math.inf
+    if np.ptp(means) == 0.0:
+        return 0.0
     with np.errstate(over="ignore"):
-        err = _CI_MULT * means.std(axis=1, ddof=1) / math.sqrt(means.shape[1])
-    return np.where(finite, np.where(np.ptp(means, axis=1) == 0.0, 0.0, err), np.inf)
+        return _CI_MULT * means.std(ddof=1) / math.sqrt(len(means))
 
 
-def _batch_means(vals: np.ndarray, B: int) -> np.ndarray:
-    """``(rows, B)`` means per randomization of the ``(rows, B * n0)`` or
-    ``(B * n0,)`` values of one batch."""
-    return vals.reshape(-1, B, vals.shape[-1] // B).mean(axis=2)
-
-
-def _summary(means: np.ndarray, scale, log: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's estimate and error from its ``(rows, B)`` means: their
-    mean and ``_errors``, or for a log row, whose means are of exp(value -
-    scale), scale + log(mean) and ``_errors`` / mean, inf where the mean
-    is 0 or that ratio is not finite."""
-    mean, err = means.mean(axis=1), _errors(means)
-    if not log:
-        return mean, err
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = err / mean
-        return scale + np.log(mean), np.where((mean > 0.0) & np.isfinite(err), err, np.inf)
-
-
-def _tolerance_met(err: np.ndarray, estimate: np.ndarray, cfg: RqmcConfig,
-                   log: bool) -> np.ndarray:
-    if cfg.tol_type == "absolute":
-        return err <= cfg.tol
+def _tolerance_met(err, estimate, cfg: RqmcConfig, log: bool):
+    """Whether each error meets ``cfg``'s tolerance at its estimate, which
+    is a log when ``log`` is set.  Three rules: an infinite error meets no
+    tolerance; a plain estimate of 0 meets no relative tolerance (it is
+    what a far tail returns when no point has reached its mass); and a
+    log-estimate within 1e-16 of 0 (an integral near 1) is held to the
+    absolute tolerance instead of the relative one."""
     scale = np.abs(estimate)
-    if not log:
-        # A zero estimate meets no relative tolerance: it is what a far
-        # tail returns when no point has reached its mass.
-        return (err <= cfg.tol * scale) & (scale > 0.0)
-    # A log-estimate near 0 (an integral near 1) falls back to the
-    # absolute check.
-    return err <= np.where(scale >= 1e-16, cfg.tol * scale, cfg.tol)
+    if cfg.tol_type == "absolute":
+        met = err <= cfg.tol
+    elif not log:
+        met = (err <= cfg.tol * scale) & (scale > 0.0)
+    else:
+        met = err <= np.where(scale >= 1e-16, cfg.tol * scale, cfg.tol)
+    return np.isfinite(err) & met
 
 
-def _run(g, dimension: int, cfg: RqmcConfig, seed, n_rows: int,
-         log: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-batched RQMC: ``n_rows`` integrands at the same points, under
-    the ``B`` shifts of ``seed``, each until it meets the tolerance or
-    ``i_max`` batches are spent.  Returns each row's estimate and error
-    and the number of batches it took.
+def _run(g, dimension: int, cfg: RqmcConfig, seed, log: bool) -> RqmcResult:
+    """RQMC for one integrand under the ``B`` shifts of ``seed``, until it
+    meets the tolerance or ``i_max`` batches are spent.
 
-    Each iteration draws the ``(B * n0, dimension)`` points of a batch and
-    walks the rows still running in blocks of about ``_BLOCK_VALUES``
-    values, each reduced, folded and tested at once: ``g(pts, rows)``
-    gets one block's row indices and returns a ``(len(rows), B * n0)``
-    array, one value per row and point (NaN aborts with the offending
-    point).  A row still running has seen every batch so far, so each
-    fold weighs the running means by the number of batches before it.
+    Each iteration draws the ``(B * n0, dimension)`` points of a batch,
+    randomization by randomization, and calls ``g`` on them once; ``g``
+    returns one value per point (NaN aborts with the offending point).
+    The batch's mean under each shift is folded into the ``(B,)`` running
+    means, weighed by the number of batches before it.
 
-    Every row keeps plain ``(rows, B)`` means.  When ``log`` is set, ``g``
-    returns logs and a row's means are of exp(value - c), c its running
-    scale: the largest finite value it has seen, the most negative double
-    before any (its means are then 0).  A batch that raises c first
-    multiplies the row's means by exp(c_old - c_new).
+    When ``log`` is set, ``g`` returns logs and the means are of exp(value
+    - c), c the running scale: the largest finite value seen so far, the
+    most negative double before any (the means are then 0).  A batch that
+    raises c first multiplies the means by exp(c_old - c_new).  The
+    estimate is then c + log(mean) and the error the CI half width over
+    the mean, infinite where the mean is 0.
     """
     stream = _SobolStream(dimension, seed, n_random=cfg.B)
-    means, scale = np.zeros((n_rows, cfg.B)), np.full(n_rows, -np.finfo(float).max)
-    estimate, error = np.zeros(n_rows), np.zeros(n_rows)
-    batches = np.zeros(n_rows, dtype=int)
-    rows = np.arange(n_rows)
+    means, scale = np.zeros(cfg.B), -np.finfo(float).max
     for n in range(cfg.i_max):
-        if not len(rows):
-            break
         pts = stream.take(cfg.n0).reshape(-1, dimension)
-        step = max(1, _BLOCK_VALUES // len(pts))
-        keep = np.zeros(len(rows), dtype=bool)
-        for start in range(0, len(rows), step):
-            block = rows[start:start + step]
-            vals = np.asarray(g(pts, block), dtype=float)
-            if vals.size != len(block) * len(pts):
-                raise ValueError("integrand must return one value per point")
-            vals = vals.reshape(len(block), len(pts))
-            bad = np.argwhere(np.isnan(vals))
-            if len(bad):
-                raise IntegrandNaNError(pts[bad[0, 1]])
-            old = means[block]
-            if log:
-                c = np.maximum(scale[block],
-                               vals.max(axis=1, initial=-np.inf, where=np.isfinite(vals)))
-                old *= np.exp(scale[block] - c)[:, None]
-                scale[block] = c
-                vals = np.exp(vals - c[:, None])
-            means[block] = old = (n * old + _batch_means(vals, cfg.B)) / (n + 1)
-            estimate[block], error[block] = _summary(old, scale[block], log)
-            keep[start:start + step] = ~_tolerance_met(error[block], estimate[block], cfg, log)
-        batches[rows] = n + 1
-        rows = rows[keep]
-    return estimate, error, batches
-
-
-def _one_row(g, dimension: int, cfg: RqmcConfig, seed, log: bool) -> RqmcResult:
-    est, err, (batches,) = _run(lambda pts, rows: g(pts), dimension, cfg, seed, 1, log)
-    return RqmcResult(float(est[0]), float(err[0]), int(batches) * cfg.n0, int(batches),
-                      bool(_tolerance_met(err, est, cfg, log)[0]))
+        vals = np.asarray(g(pts), dtype=float)
+        if vals.size != len(pts):
+            raise ValueError("integrand must return one value per point")
+        vals = vals.reshape(cfg.B, cfg.n0)
+        bad = np.flatnonzero(np.isnan(vals))
+        if len(bad):
+            raise IntegrandNaNError(pts[bad[0]])
+        if log:
+            c = np.maximum(scale, vals.max(initial=-np.inf, where=np.isfinite(vals)))
+            means *= np.exp(scale - c)
+            scale = c
+            vals = np.exp(vals - c)
+        means = (n * means + vals.mean(axis=1)) / (n + 1)
+        estimate, error = means.mean(), _errors(means)
+        if log:
+            error = error / estimate if estimate > 0.0 else math.inf
+            with np.errstate(divide="ignore"):
+                estimate = scale + np.log(estimate)
+        converged = bool(_tolerance_met(error, estimate, cfg, log))
+        if converged:
+            break
+    return RqmcResult(float(estimate), float(error), (n + 1) * cfg.n0, n + 1, converged)
 
 
 def rqmc_estimate(
@@ -286,7 +248,7 @@ def rqmc_estimate(
     batches of ``n0`` until the CI half width meets the tolerance or
     ``i_max`` batches are spent.
     """
-    return _one_row(g, dimension, cfg, seed, log=False)
+    return _run(g, dimension, cfg, seed, log=False)
 
 
 def rqmc_log_estimate(
@@ -304,4 +266,4 @@ def rqmc_log_estimate(
     error estimate is the means' CI half width over their mean, infinite
     where that mean is 0.
     """
-    return _one_row(log_g, dimension, cfg, seed, log=True)
+    return _run(log_g, dimension, cfg, seed, log=True)

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvmix import rqmc
 from nvmix.rqmc import (
     IntegrandNaNError,
     RqmcConfig,
-    _batch_means,
     _draw_raw,
     _errors,
     _new_engine,
@@ -112,7 +110,7 @@ class TestSobolStream:
 
 class TestLse:
     """Log-sum-exp properties of the log loop: plain means of exp(value -
-    c), c the largest finite value a row has seen, make the log-estimate
+    c), c the largest finite value the loop has seen, make the log-estimate
     exact for constants and equivariant under a shift, at any magnitude."""
 
     @pytest.mark.parametrize("c", [0.0, -1000.0, 3.7, 700.0, -5000.0])
@@ -129,29 +127,18 @@ class TestLse:
         assert res.estimate == pytest.approx(math.log(2.0), abs=1e-15)
         assert res.error_estimate <= 1e-15 and res.iterations_used == 1
 
-    def test_axis_matches_row_by_row(self):
-        # Rows of one log run, some partly or wholly -inf, give what each
-        # gives run alone.
-        cfg = RqmcConfig(B=5, n0=32, tol=1e-4, i_max=8)
-        scales = np.array([300.0, 1.0, 0.0, -700.0])
-
-        def g(pts, rows):
-            vals = scales[rows, None] * np.sin(9.0 * pts[None, :, 0])
-            vals[rows == 1, ::3] = -np.inf
-            vals[rows == 2] = -np.inf
-            return vals
-
-        rows = _run(g, 1, cfg, seed=5, n_rows=4, log=True)
-        alone = [_run(lambda p, r, s=s: g(p, np.array([s])), 1, cfg, 5, 1, True)
-                 for s in range(4)]
-        for got, want in zip(rows, zip(*alone)):
-            assert np.array_equal(got, np.concatenate(want))
-        assert rows[0][2] == -np.inf and rows[1][2] == np.inf
-
     def test_all_neg_inf(self):
         # No point reaches any mass: the estimate is log 0 and meets no
         # tolerance, however many batches are spent.
         cfg = RqmcConfig(i_max=3)
+        res = rqmc_log_estimate(lambda u: np.full(len(u), -np.inf), 1, cfg, seed=1)
+        assert (res.estimate, res.error_estimate) == (-np.inf, np.inf)
+        assert not res.converged and res.iterations_used == 3
+
+    def test_all_neg_inf_meets_no_relative_tolerance(self):
+        # inf <= tol * |-inf| holds, yet an infinite error meets no
+        # tolerance, relative ones included.
+        cfg = RqmcConfig(i_max=3, tol_type="relative")
         res = rqmc_log_estimate(lambda u: np.full(len(u), -np.inf), 1, cfg, seed=1)
         assert (res.estimate, res.error_estimate) == (-np.inf, np.inf)
         assert not res.converged and res.iterations_used == 3
@@ -166,9 +153,9 @@ class TestLse:
         assert moved.n_per_randomization == base.n_per_randomization
 
     def test_first_batch_of_neg_inf_counts_as_zeros(self):
-        # A row sees only -inf in its first batch and log(1 + u) after:
-        # its estimate is the log of the means folded by hand, with the
-        # first batch's means 0.  (A plain run is no oracle: its all-zero
+        # An integrand that is -inf on its first batch and log(1 + u)
+        # after: its estimate is the log of the means folded by hand, with
+        # the first batch's means 0.  (A plain run is no oracle: its all-zero
         # first batch has zero spread and stops at once.)
         cfg = RqmcConfig(B=5, n0=32, i_max=4, tol=1e-300)
         calls = []
@@ -182,11 +169,10 @@ class TestLse:
         means = np.zeros(cfg.B)
         stream.take(cfg.n0)
         for n in range(1, cfg.i_max):
-            batch = _batch_means(1.0 + stream.take(cfg.n0).reshape(-1), cfg.B)[0]
+            batch = (1.0 + stream.take(cfg.n0)[:, :, 0]).mean(axis=1)
             means = (n * means + batch) / (n + 1)
         assert res.estimate == pytest.approx(math.log(means.mean()), rel=1e-14)
-        assert res.error_estimate == pytest.approx(_errors(means[None])[0] / means.mean(),
-                                                   rel=1e-12)
+        assert res.error_estimate == pytest.approx(_errors(means) / means.mean(), rel=1e-12)
         assert res.iterations_used == cfg.i_max
 
     def test_a_scale_that_rises_rescales_the_means(self):
@@ -295,104 +281,76 @@ class TestRqmcLogEstimate:
         assert res.estimate == pytest.approx(math.log(0.125), abs=5e-3)
 
 
-class TestRowBatchedRun:
-    def test_nan_in_second_row_reports_shared_point(self):
-        # Rows share the batch's points: a NaN in row 1 aborts the run and
-        # names the point where that row returned it.
-        cfg = RqmcConfig(B=3, n0=8)
+class TestRun:
+    def test_one_call_per_batch(self):
+        # The integrand sees each batch's B * n0 points at once, one call
+        # per batch, randomization by randomization: the shifted points of
+        # the same stream drawn one batch at a time.
+        cfg = RqmcConfig(B=3, n0=16, i_max=4, tol=1e-300)
         seen = []
 
-        def g(pts, rows):
+        def g(pts):
             seen.append(pts.copy())
-            vals = np.tile(pts[:, 0], (len(rows), 1))
-            vals[1, 5] = np.nan
-            return vals
+            return pts[:, 0] * pts[:, 1]
 
-        with pytest.raises(IntegrandNaNError) as info:
-            _run(g, 2, cfg, seed=1, n_rows=3, log=False)
-        assert len(seen) == 1 and seen[0].shape == (cfg.B * cfg.n0, 2)
-        assert np.array_equal(info.value.point, seen[0][5])
-
-    def test_rows_equal_their_one_row_runs(self):
-        # Each row's result depends on that row alone: rows that stop at
-        # different batches give what each gives run alone.
-        cfg = RqmcConfig(B=5, n0=32, tol=1e-5, i_max=12)
-        scales = np.array([0.0, 1.0, 3.0, 0.2])
-
-        def g(pts, rows):
-            return 1.0 + scales[rows, None] * np.sin(7.0 * pts[None, :, 0])
-
-        rows = _run(g, 1, cfg, seed=3, n_rows=4, log=False)
-        alone = [_run(lambda p, r, s=s: g(p, np.array([s])), 1, cfg, 3, 1, False)
-                 for s in range(4)]
-        for got, want in zip(rows, zip(*alone)):
-            assert np.array_equal(got, np.concatenate(want))
-        assert len(set(rows[2])) > 1
+        res = _run(g, 2, cfg, seed=8, log=False)
+        stream = _SobolStream(2, seed=8, n_random=cfg.B)
+        assert len(seen) == res.iterations_used == cfg.i_max
+        for pts in seen:
+            assert np.array_equal(pts, stream.take(cfg.n0).reshape(-1, 2))
 
     @pytest.mark.parametrize("log", [False, True])
-    def test_row_blocks_match_one_block(self, monkeypatch, log):
-        # The rows are walked in blocks of about _BLOCK_VALUES values, each
-        # reduced, folded and tested at once: 50 rows in blocks of 7, some
-        # stopping early, give bit for bit what one block of all 50 gives,
-        # and the integrand never sees more rows than a block holds.
-        cfg = RqmcConfig(B=5, n0=32, tol=1e-5, i_max=12)
-        scales = np.linspace(0.0, 3.0, 50)
-        sizes = []
-
-        def g(pts, rows):
-            sizes.append(len(rows))
-            return (0.0 if log else 4.0) + scales[rows, None] * np.sin(7.0 * pts[None, :, 0])
-
-        monkeypatch.setattr(rqmc, "_BLOCK_VALUES", 7 * cfg.B * cfg.n0)
-        blocks = _run(g, 1, cfg, seed=3, n_rows=50, log=log)
-        assert max(sizes) == 7 and len(sizes) > 8
-        monkeypatch.setattr(rqmc, "_BLOCK_VALUES", 50 * cfg.B * cfg.n0)
-        one = _run(g, 1, cfg, seed=3, n_rows=50, log=log)
-        assert all(np.array_equal(a, b) for a, b in zip(one, blocks))
-        assert len(set(blocks[2])) > 1
-
-    def test_nan_in_a_later_block_names_its_point(self, monkeypatch):
-        cfg = RqmcConfig(B=3, n0=8)
+    def test_nan_names_its_point(self, log):
+        # A NaN in the second batch aborts the run and names the point
+        # where the integrand returned it.
+        cfg = RqmcConfig(B=3, n0=8, tol=1e-300)
         seen = []
 
-        def g(pts, rows):
+        def g(pts):
             seen.append(pts.copy())
-            vals = np.tile(pts[:, 0], (len(rows), 1))
-            vals[rows == 8, 5] = np.nan
+            vals = pts[:, 0].copy()
+            if len(seen) == 2:
+                vals[13] = np.nan
             return vals
 
-        monkeypatch.setattr(rqmc, "_BLOCK_VALUES", 3 * cfg.B * cfg.n0)
         with pytest.raises(IntegrandNaNError) as info:
-            _run(g, 2, cfg, seed=1, n_rows=10, log=True)
-        assert len(seen) == 3
-        assert np.array_equal(info.value.point, seen[0][5])
+            _run(g, 2, cfg, seed=1, log=log)
+        assert len(seen) == 2 and seen[1].shape == (cfg.B * cfg.n0, 2)
+        assert np.array_equal(info.value.point, seen[1][13])
+
+    @pytest.mark.parametrize("size", [0, 1, 23, 25, 48])
+    def test_one_value_per_point(self, size):
+        with pytest.raises(ValueError, match="one value per point"):
+            _run(lambda pts: np.zeros(size), 1, RqmcConfig(B=3, n0=8), seed=1, log=False)
 
 
 def test_rows_with_neg_inf_log_means_have_infinite_errors():
-    # A randomization whose points all miss a log row's mass has mean 0.
-    # A row whose means are all 0 gets estimate -inf and an infinite
-    # error (not NaN); a row with some means 0 gets the plain CI over its
-    # means, relative to their mean, which a zero among positive means
-    # makes large.  Either meets no tight tolerance; the finite rows are
-    # as before.
+    # A randomization whose points all miss a log integrand's mass has
+    # mean 0.  An integrand whose means are all 0 gets estimate -inf and
+    # an infinite error (not NaN); one with some means 0 gets the plain
+    # CI over its means, relative to their mean, which a zero among
+    # positive means makes large.  Either meets no tight tolerance; the
+    # finite integrands are as before.
     cfg = RqmcConfig(B=5, n0=8, i_max=1, tol=1e-3)
     finite = np.linspace(-1.0, 1.0, cfg.B)
 
-    def g(pts, rows):
+    def randomization(pts):
         # Points come randomization by randomization, n0 each.
-        randomization = np.arange(len(pts)) // cfg.n0
-        return np.array([np.full(len(pts), -np.inf),
-                         np.where(randomization == 0, -np.inf, 0.0),
-                         finite[randomization],
-                         np.zeros(len(pts))])[rows]
+        return np.arange(len(pts)) // cfg.n0
 
-    estimate, err, _ = _run(g, 1, cfg, seed=1, n_rows=4, log=True)
+    integrands = [lambda pts: np.full(len(pts), -np.inf),
+                  lambda pts: np.where(randomization(pts) == 0, -np.inf, 0.0),
+                  lambda pts: finite[randomization(pts)],
+                  lambda pts: np.zeros(len(pts))]
+    results = [_run(g, 1, cfg, seed=1, log=True) for g in integrands]
+    estimate = np.array([r.estimate for r in results])
+    err = np.array([r.error_estimate for r in results])
     some = np.r_[0.0, np.ones(cfg.B - 1)]
     assert estimate[0] == -np.inf and err[0] == np.inf
     assert estimate[1] == math.log(some.mean())
-    assert err[1] == _errors(some[None])[0] / some.mean() and 0.2 < err[1] < np.inf
+    assert err[1] == _errors(some) / some.mean() and 0.2 < err[1] < np.inf
     assert estimate[2] == pytest.approx(math.log(np.exp(finite).mean()), rel=1e-14)
-    assert err[2] == pytest.approx(_errors(np.exp(finite - 1.0)[None])[0]
+    assert err[2] == pytest.approx(_errors(np.exp(finite - 1.0))
                                    / np.exp(finite - 1.0).mean(), rel=1e-14)
     assert (estimate[3], err[3]) == (0.0, 0.0)
     assert list(_tolerance_met(err, estimate, cfg, True)) == [False, False, False, True]
@@ -409,12 +367,12 @@ class TestInvariants:
         stream = _SobolStream(2, seed=77, n_random=cfg.B)
         expected = np.zeros(cfg.B)
         for n in range(7):
-            batch = _batch_means(g(stream.take(cfg.n0).reshape(-1, 2)), cfg.B)[0]
+            batch = g(stream.take(cfg.n0).reshape(-1, 2)).reshape(cfg.B, cfg.n0).mean(axis=1)
             expected = (n * expected + batch) / (n + 1)
             if n + 1 in (3, 7):
-                got = _run(lambda pts, rows: g(pts), 2, replace(cfg, i_max=n + 1), 77, 1, False)
-                want = ([expected.mean()], _errors(expected[None]), [n + 1])
-                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                got = _run(g, 2, replace(cfg, i_max=n + 1), 77, False)
+                want = (expected.mean(), _errors(expected), n + 1)
+                assert (got.estimate, got.error_estimate, got.iterations_used) == want
 
     def test_plain_and_log_agree(self):
         cfg = RqmcConfig(B=10, n0=128, i_max=6, tol=1e-300)
