@@ -111,7 +111,7 @@ def reorder(a, b, sigma, mu_sqrt_w: float) -> _ScaleFactor:
         var[j + 1 :] -= col**2
         mean[j + 1 :] += col * y
 
-    return _ScaleFactor(C=C, rank=d, perm=perm, row_scales=np.ones(d), block_heads=np.arange(d))
+    return _ScaleFactor(C=C, rank=d, perm=perm, block_heads=np.arange(d))
 
 
 class BoxIntegrand:
@@ -121,10 +121,10 @@ class BoxIntegrand:
 
     The box's rows of nonzero variance are read in that order, each
     divided by its entry in its block's column so that entry becomes one
-    (a negative ``row_scales`` of a staircase row flips its limits).  A
-    block of size one per pivot reproduces the full-rank recursion, larger
-    blocks take the max/min over their rows so that all d constraints stay
-    active when the scale matrix is singular.
+    (a negative entry flips the row's limits).  A block of size one per
+    pivot reproduces the full-rank recursion, larger blocks take the
+    max/min over their rows so that all d constraints stay active when the
+    scale matrix is singular.
 
     W comes from ``table``, if given, as exp(L(logit(u0))) with L its
     interpolant of log w (a few dozen ns per point, against several
@@ -149,11 +149,10 @@ class BoxIntegrand:
         n_blocked = int(sizes.sum())
         rows = factor.perm[:n_blocked]
         pivot_entries = factor.C[np.arange(n_blocked), np.repeat(np.arange(self.rank), sizes)]
-        divisors = factor.row_scales[:n_blocked] * pivot_entries
         with np.errstate(invalid="ignore"):
-            self.lower = np.asarray(a0, dtype=float)[rows] / divisors
-            self.upper = np.asarray(b0, dtype=float)[rows] / divisors
-        neg = divisors < 0
+            self.lower = np.asarray(a0, dtype=float)[rows] / pivot_entries
+            self.upper = np.asarray(b0, dtype=float)[rows] / pivot_entries
+        neg = pivot_entries < 0
         self.lower[neg], self.upper[neg] = self.upper[neg], self.lower[neg]
         self.coef = factor.C[:n_blocked, : self.rank] / pivot_entries[:, None]
         heads = factor.block_heads.tolist()

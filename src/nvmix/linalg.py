@@ -1,11 +1,10 @@
 """Cholesky factorizations (full-rank and rank-deficient) and Mahalanobis
 distances.
 
-The rank-deficient path produces the permuted, row-scaled staircase form
-needed by the singular box-probability integrand: rows are grouped into
-blocks by the last pivot column they load on, and every row is scaled so
-that entry equals one.  Variables with zero variance carry no pivot at
-all and are reported separately.
+The rank-deficient path produces the permuted staircase form needed by
+the singular box-probability integrand: rows are grouped into blocks by
+the last pivot column they load on.  Variables with zero variance carry
+no pivot at all and are reported separately.
 """
 
 from __future__ import annotations
@@ -25,16 +24,15 @@ class _ScaleFactor:
     Attributes
     ----------
     C : ndarray, shape (d, d)
-        Lower-triangular factor.  In the singular case rows are permuted
-        and scaled into staircase form with unit pivots.
+        Lower-triangular factor: ``C @ C.T`` is the scale matrix in
+        ``perm`` order.  In the singular case its rows are in staircase
+        form: each row's last nonzero entry lies in its block's column
+        (that entry may be negative), and only the first ``rank`` columns
+        are nonzero.
     rank : int
         Number of pivot columns r (= d when full rank).
     perm : ndarray
         ``perm[i]`` is the original index of permuted row ``i``.
-    row_scales : ndarray
-        Scalar each permuted row of the unscaled factor was divided by;
-        all ones in the full-rank case.  A negative entry means the
-        corresponding constraint flips orientation when limits are scaled.
     block_heads : ndarray, shape (rank,)
         First (permuted) row index of each pivot block.
     degenerate_rows : ndarray
@@ -46,7 +44,6 @@ class _ScaleFactor:
     C: np.ndarray
     rank: int
     perm: np.ndarray
-    row_scales: np.ndarray
     block_heads: np.ndarray
     degenerate_rows: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
 
@@ -73,8 +70,7 @@ class _ScaleFactor:
     def mixing_matrix(self) -> np.ndarray:
         """d x rank matrix A with A A^T equal to the scale matrix, rows in
         original order (the sampling factor)."""
-        A = self.C[:, : self.rank] * self.row_scales[:, None]
-        return A[np.argsort(self.perm)]
+        return self.C[np.argsort(self.perm), : self.rank]
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the scale matrix from the factor."""
@@ -106,7 +102,6 @@ def cholesky(sigma: np.ndarray) -> _ScaleFactor:
         C=C,
         rank=d,
         perm=np.arange(d),
-        row_scales=np.ones(d),
         block_heads=np.arange(d),
     )
 
@@ -114,23 +109,24 @@ def cholesky(sigma: np.ndarray) -> _ScaleFactor:
 def _singular_cholesky(sigma: np.ndarray) -> _ScaleFactor:
     """Staircase factorization of a positive-semidefinite matrix.
 
-    Rows are processed in natural order; a row whose residual variance
-    falls below 1e-10 times the largest absolute diagonal entry is
-    dependent and is filed behind the pivot of the last column it loads
-    on.  Each row is then scaled so its entry in its block column equals
-    one.  Full-rank inputs come out unpermuted with unit-pivot scaling as
-    the only difference from :func:`cholesky`.  A residual variance below
-    minus that tolerance (a negative diagonal entry included) raises
-    ``ValueError``: the matrix is not positive semidefinite.
+    A matrix with an eigenvalue below minus 1e-10 times its largest
+    absolute diagonal entry raises ``ValueError``: it is not positive
+    semidefinite.  Rows are then processed in natural order; a row whose
+    residual variance is at most that tolerance is dependent and is filed
+    behind the pivot of the last column it loads on, its block column,
+    with its entries after that column set to zero.  Full-rank inputs come
+    out unpermuted, a factor of the matrix as :func:`cholesky` makes it.
     """
     sigma = np.asarray(sigma, dtype=float)
     _check_square_symmetric(sigma)
     d = sigma.shape[0]
-    diag = np.diag(sigma).astype(float)
+    diag = np.diag(sigma)
     diag_max = float(np.abs(diag).max(initial=0.0))
     if diag_max <= 0.0:
         raise ValueError("scale matrix has rank 0")
     tol_zero = 1e-10 * diag_max
+    if np.linalg.eigvalsh(sigma)[0] < -tol_zero:
+        raise ValueError("scale matrix is not positive semidefinite")
 
     zero_rows = np.flatnonzero(np.abs(diag) <= tol_zero)
     active = np.flatnonzero(np.abs(diag) > tol_zero)
@@ -138,72 +134,40 @@ def _singular_cholesky(sigma: np.ndarray) -> _ScaleFactor:
     sub = sigma[np.ix_(active, active)]
 
     # One pass in natural order: each row's coefficients on the pivots
-    # found so far come from a triangular solve; positive residual
-    # variance creates a new pivot.
+    # found so far come from a triangular solve; residual variance above
+    # the tolerance creates a new pivot.
     pivots: list[int] = []
     coeffs = np.zeros((m, m))
-    pivot_variance = np.zeros(m)
-    is_pivot = np.zeros(m, dtype=bool)
     for i in range(m):
         r = len(pivots)
-        if r:
-            c = solve_triangular(
-                coeffs[np.ix_(pivots, range(r))], sub[pivots, i], lower=True
-            )
-        else:
-            c = np.zeros(0)
+        c = solve_triangular(coeffs[np.ix_(pivots, range(r))], sub[pivots, i], lower=True)
         resid = sub[i, i] - float(c @ c)
-        if resid < -tol_zero:
-            raise ValueError("scale matrix is not positive semidefinite")
         coeffs[i, :r] = c
         if resid > tol_zero:
             coeffs[i, r] = np.sqrt(resid)
-            pivot_variance[i] = resid
-            is_pivot[i] = True
             pivots.append(i)
     rank = len(pivots)
 
-    # Last pivot column each row loads on; the column floor guarantees a
-    # nonzero entry exists for every active row.
-    tol_col = np.sqrt(tol_zero / max(d, 1))
-    last_col = np.empty(m, dtype=int)
-    for i in range(m):
-        if is_pivot[i]:
-            last_col[i] = pivots.index(i)
-        else:
-            nz = np.flatnonzero(np.abs(coeffs[i, :rank]) > tol_col)
-            if len(nz) == 0:
-                raise ValueError(
-                    "dependent row with no resolvable pivot column; "
-                    "input is not positive semidefinite to tolerance"
-                )
-            last_col[i] = nz[-1]
-            coeffs[i, last_col[i] + 1 :] = 0.0
+    # A row's block column is the last whose entry clears the floor; a
+    # pivot's own entry, above sqrt(tol_zero), always does.
+    loads = np.abs(coeffs[:, :rank]) > np.sqrt(tol_zero / d)
+    if not np.all(loads.any(axis=1)):
+        raise ValueError("dependent row with no resolvable pivot column; "
+                         "input is not positive semidefinite to tolerance")
+    last_col = rank - 1 - np.argmax(loads[:, ::-1], axis=1)
+    coeffs[np.arange(m) > last_col[:, None]] = 0.0
 
-    # Staircase order: pivot row first within each block, dependents after.
-    order = []
-    block_heads = []
-    for l in range(rank):
-        block_heads.append(len(order))
-        order.append(pivots[l])
-        order.extend(i for i in range(m) if not is_pivot[i] and last_col[i] == l)
-    order = np.array(order, dtype=int)
-
-    row_scales = np.ones(d)
+    # Staircase order: a block's pivot precedes the rows that load on it,
+    # since a row loads only on pivots found before it.
+    order = np.argsort(last_col, kind="stable")
     C = np.zeros((d, d))
-    for pos, i in enumerate(order):
-        s = coeffs[i, last_col[i]]
-        row_scales[pos] = s
-        C[pos, : last_col[i] + 1] = coeffs[i, : last_col[i] + 1] / s
-
-    perm = np.concatenate([active[order], zero_rows]).astype(int)
+    C[:m, :m] = coeffs[order]
     return _ScaleFactor(
         C=C,
         rank=rank,
-        perm=perm,
-        row_scales=row_scales,
-        block_heads=np.array(block_heads, dtype=int),
-        degenerate_rows=zero_rows.astype(int),
+        perm=np.concatenate([active[order], zero_rows]),
+        block_heads=np.searchsorted(last_col[order], np.arange(rank)),
+        degenerate_rows=zero_rows,
     )
 
 

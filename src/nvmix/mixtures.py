@@ -154,8 +154,8 @@ def _check_params(spec: _MixtureSpec, nu) -> np.ndarray:
         raise ValueError(
             f"{spec.kind} expects {spec.n_params} parameter(s), got {nu.shape[0]}"
         )
-    if spec.kind != "blackbox" and not np.all(nu > 0):
-        raise ValueError(f"{spec.kind} parameters must be positive, got {nu}")
+    if spec.kind != "blackbox" and not np.all((nu > 0) & (nu < np.inf)):
+        raise ValueError(f"{spec.kind} parameters must be positive and finite, got {nu}")
     return nu
 
 
@@ -373,8 +373,9 @@ def _pieces(spec: _MixtureSpec, nu) -> list[_QuantileTable]:
     order.  While the largest bound exceeds ``_SEARCH_LOG_W_ERR`` and there
     are fewer than ``_MAX_PIECES``, that piece is split at :func:`_break`
     into two with their own tables; a side where w is 0 throughout is
-    dropped (g vanishes there when D2 > 0).  A smooth W stays one piece,
-    the table of the whole z range.
+    dropped (g vanishes there when D2 > 0), and ``ValueError`` is raised
+    when no side is left.  A smooth W stays one piece, the table of the
+    whole z range.
     """
     pieces = [_QuantileTable(spec, nu)]
     while len(pieces) < _MAX_PIECES:
@@ -385,4 +386,6 @@ def _pieces(spec: _MixtureSpec, nu) -> list[_QuantileTable]:
         (lo, hi), (a, b) = table.z_range, _break(table)
         sides = (_QuantileTable(spec, nu, z_range=r) for r in ((lo, a), (b, hi)))
         pieces[i:i + 1] = [t for t in sides if t.exact(t.z_range[1]) > 0.0]
+        if not pieces:
+            raise ValueError("w is 0 on the whole z range, so X has no density")
     return pieces

@@ -1013,6 +1013,14 @@ def test_atom_at_zero_diverges_at_center(u_atom, flat):
         log_density_batch(np.zeros((1, 2)), model)
 
 
+def test_w_zero_everywhere_is_rejected():
+    # A black box whose w is 0 on the whole z range leaves no piece to
+    # integrate: X sits at loc and has no density.
+    model = NvmModel.build(None, np.eye(2), blackbox(lambda u, nu: np.zeros_like(u), 1), [1.0])
+    with pytest.raises(ValueError, match="w is 0 on the whole z range"):
+        log_density_batch(np.ones((1, 2)), model)
+
+
 @pytest.mark.parametrize("swap", [1e14, 0.0], ids=["far-tail", "center"])
 @pytest.mark.parametrize(
     "cfg", [RqmcConfig(tol=1e-3), RqmcConfig(tol=8.5e-14, i_max=3),

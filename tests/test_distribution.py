@@ -335,7 +335,8 @@ class TestScalarRecursion:
         model = NvmModel.build(None, T @ R @ T.T, inverse_gamma(), [3.0])
         factor = model.factor
         assert factor.rank == 3 and list(factor.block_sizes()) == [2, 2, 2]
-        assert np.sum(factor.row_scales < 0) == 2
+        cols = np.repeat(np.arange(3), factor.block_sizes())
+        assert np.sum(factor.C[np.arange(6), cols] < 0) == 2
 
         rng = np.random.default_rng(7)
         a, b = _limits(kind, rng, 6)

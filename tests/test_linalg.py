@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from scipy.linalg import solve_triangular
+
 from nvmix.density import closed_log_density, log_density_batch
 from nvmix.linalg import _singular_cholesky, cholesky, mahalanobis_sq
 from nvmix.mixtures import inverse_gamma
@@ -47,6 +49,20 @@ class TestCholesky:
         with pytest.raises(ValueError, match="not positive semidefinite"):
             NvmModel.build(None, scale, inverse_gamma(), [3.0])
 
+    def test_low_rank_with_near_dependent_rows_accepted(self):
+        # Rows 0 and 1 of this rank-2 scale nearly coincide: after the
+        # small but real pivot of row 1, rounding leaves the residuals of
+        # rows 2 and 3 below minus the zero tolerance, though no
+        # eigenvalue is below -2e-16.
+        rng = np.random.default_rng(2)
+        A = rng.standard_normal((4, 2))
+        A[1] = A[0] + 1e-3 * rng.standard_normal(2)
+        sigma = A @ A.T
+        model = NvmModel.build(None, sigma, inverse_gamma(), [3.0])
+        assert model.factor.rank == 2
+        err = np.abs(model.factor.reconstruct() - sigma).max()
+        assert err <= 1e-8 * np.abs(sigma).max()
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             cholesky(np.array([[1.0, 0.5], [0.2, 1.0]]))
@@ -67,9 +83,9 @@ class TestSingularCholesky:
         assert f.rank == 1
         assert np.array_equal(f.block_heads, [0])
         assert np.array_equal(f.block_sizes(), [3])
-        # Single column of ones (unit scaling leaves it unchanged).
+        # Single column of ones: every row's block-column entry is one.
         assert np.allclose(f.C[:, 0], 1.0)
-        assert np.allclose(f.row_scales, 1.0)
+        assert not f.C[:, 1:].any()
         assert np.allclose(f.reconstruct(), np.ones((3, 3)), atol=1e-8)
 
     def test_full_rank_consistency(self):
@@ -78,9 +94,21 @@ class TestSingularCholesky:
         plain = cholesky(sigma)
         assert f.rank == 6
         assert np.array_equal(f.perm, np.arange(6))
-        # Identical up to the unit-pivot row scaling.
-        assert np.allclose(f.C * f.row_scales[:, None], plain.C, rtol=1e-9, atol=1e-12)
+        assert np.allclose(f.C, plain.C, rtol=1e-9, atol=1e-12)
         assert np.allclose(f.reconstruct(), sigma, atol=1e-8)
+
+    def test_full_rank_log_det_and_distances_match_cholesky(self):
+        # A full-rank staircase is a factor of sigma itself, so the
+        # quantities read from it agree with the plain factor's.
+        sigma = random_wishart(6, seed=3)
+        f = _singular_cholesky(sigma)
+        plain = cholesky(sigma)
+        assert f.is_full_rank
+        assert f.log_det == pytest.approx(plain.log_det, rel=1e-12)
+        X = np.random.default_rng(4).standard_normal((4, 6))
+        mu = np.zeros(6)
+        np.testing.assert_allclose(mahalanobis_sq(X, mu, f), mahalanobis_sq(X, mu, plain),
+                                   rtol=1e-10)
 
     def test_zero_variance_row_moved_last(self):
         f = _singular_cholesky(np.diag([1.0, 0.0, 1.0]))
@@ -93,8 +121,9 @@ class TestSingularCholesky:
         sigma = np.array([[1.0, -1.0], [-1.0, 1.0]])
         f = _singular_cholesky(sigma)
         assert f.rank == 1
-        assert f.row_scales[1] == pytest.approx(-1.0)
-        assert np.allclose(f.C[:, 0], 1.0)  # scaled pivots are unit
+        # Row 1 loads on the pivot with entry -1, which flips its limits.
+        assert f.C[1, 0] == pytest.approx(-1.0)
+        assert f.C[0, 0] == pytest.approx(1.0)
         assert np.allclose(f.reconstruct(), sigma, atol=1e-10)
 
     def test_random_low_rank_reconstruction(self):
@@ -120,6 +149,89 @@ class TestSingularCholesky:
         sig_perm = sigma[np.ix_(f.perm, f.perm)]
         f2 = _singular_cholesky(sig_perm)
         assert np.allclose(f2.C, f.C, atol=1e-12)
+
+
+    def test_matches_the_reference(self):
+        # The staircase keeps each row's coefficients, where the reference
+        # divided each row by its block-column entry and kept that entry
+        # as a row scale: the same pass otherwise, so rank, order, blocks,
+        # entries and scaled rows agree bit for bit.
+        for sigma in _staircase_problems():
+            f = _singular_cholesky(sigma)
+            C_ref, rank, perm, scales, heads, zero_rows = _reference_staircase(sigma)
+            assert f.rank == rank
+            assert np.array_equal(f.perm, perm)
+            assert np.array_equal(f.block_heads, heads)
+            assert np.array_equal(f.degenerate_rows, zero_rows)
+            n = f.dim - len(zero_rows)
+            entries = f.C[np.arange(n), np.repeat(np.arange(rank), f.block_sizes())]
+            assert np.array_equal(entries, scales[:n])
+            assert np.array_equal(f.C[:n] / entries[:, None], C_ref[:n])
+            assert not f.C[n:].any()
+
+
+def _staircase_problems():
+    """Seeded PSD matrices at d from 2 to 39 and random rank, with zero
+    rows and rows that are a negative multiple of an earlier row."""
+    rng = np.random.default_rng(33)
+    for _ in range(150):
+        d = int(rng.integers(2, 40))
+        A = rng.standard_normal((d, int(rng.integers(1, d + 1))))
+        for i in range(1, d):
+            u = rng.random()
+            if u < 0.1:
+                A[i] = 0.0
+            elif u < 0.3:
+                A[i] = -rng.uniform(0.2, 3.0) * A[rng.integers(0, i)]
+        yield A @ A.T
+
+
+def _reference_staircase(sigma):
+    """``_singular_cholesky`` as first written, with a Python loop per
+    step: every row divided by its block-column entry, which it returns
+    as that row's scale.  Returns the scaled factor, the rank, the order,
+    the scales, the block heads and the zero rows."""
+    sigma = np.asarray(sigma, dtype=float)
+    d = sigma.shape[0]
+    diag = np.diag(sigma).astype(float)
+    tol_zero = 1e-10 * float(np.abs(diag).max(initial=0.0))
+    zero_rows = np.flatnonzero(np.abs(diag) <= tol_zero)
+    active = np.flatnonzero(np.abs(diag) > tol_zero)
+    m = len(active)
+    sub = sigma[np.ix_(active, active)]
+    pivots, coeffs, is_pivot = [], np.zeros((m, m)), np.zeros(m, dtype=bool)
+    for i in range(m):
+        r = len(pivots)
+        if r:
+            c = solve_triangular(coeffs[np.ix_(pivots, range(r))], sub[pivots, i], lower=True)
+        else:
+            c = np.zeros(0)
+        resid = sub[i, i] - float(c @ c)
+        assert resid >= -tol_zero
+        coeffs[i, :r] = c
+        if resid > tol_zero:
+            coeffs[i, r] = np.sqrt(resid)
+            is_pivot[i] = True
+            pivots.append(i)
+    rank = len(pivots)
+    tol_col = np.sqrt(tol_zero / max(d, 1))
+    last_col = np.empty(m, dtype=int)
+    for i in range(m):
+        if is_pivot[i]:
+            last_col[i] = pivots.index(i)
+        else:
+            last_col[i] = np.flatnonzero(np.abs(coeffs[i, :rank]) > tol_col)[-1]
+            coeffs[i, last_col[i] + 1:] = 0.0
+    order, heads = [], []
+    for l in range(rank):
+        heads.append(len(order))
+        order.append(pivots[l])
+        order.extend(i for i in range(m) if not is_pivot[i] and last_col[i] == l)
+    scales, C = np.ones(d), np.zeros((d, d))
+    for pos, i in enumerate(order):
+        scales[pos] = coeffs[i, last_col[i]]
+        C[pos, :last_col[i] + 1] = coeffs[i, :last_col[i] + 1] / scales[pos]
+    return C, rank, np.concatenate([active[order], zero_rows]), scales, heads, zero_rows
 
 
 class TestMahalanobis:
