@@ -3,8 +3,8 @@ distances.
 
 The rank-deficient path produces the permuted staircase form needed by
 the singular box-probability integrand: rows are grouped into blocks by
-the last pivot column they load on.  Variables with zero variance carry
-no pivot at all and are reported separately.
+the last pivot column they load on.  Variables of zero variance, to the
+tolerance, carry no pivot at all and are reported separately.
 """
 
 from __future__ import annotations
@@ -15,6 +15,10 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 __all__ = []
+
+# A squared pivot at most this times the largest absolute diagonal entry
+# is zero.
+_REL_TOL_ZERO = 1e-10
 
 
 @dataclass(frozen=True)
@@ -36,8 +40,11 @@ class _ScaleFactor:
     block_heads : ndarray, shape (rank,)
         First (permuted) row index of each pivot block.
     degenerate_rows : ndarray
-        Original indices of zero-variance variables (empty unless the
-        input had all-zero rows); they sit as zero rows at the bottom of
+        Original indices, in increasing order, of the variables taken as
+        of zero variance: a variance at most the zero tolerance, or a
+        dependent row that loads on no pivot above the floor, whose
+        variance is at most about twice that tolerance.  Empty unless
+        the input had such rows; they sit as zero rows at the bottom of
         ``C`` outside any block.
     """
 
@@ -89,14 +96,18 @@ def _check_square_symmetric(sigma: np.ndarray) -> None:
 
 def cholesky(sigma: np.ndarray) -> _ScaleFactor:
     """Cholesky factor of a symmetric positive-semidefinite matrix: a
-    matrix that is not positive definite goes to
-    :func:`_singular_cholesky`."""
+    matrix that is not positive definite, or whose factor has a squared
+    pivot at most the zero tolerance of :func:`_singular_cholesky`, goes
+    to :func:`_singular_cholesky`.  A pivot that small is rounding: the
+    scale is singular."""
     sigma = np.asarray(sigma, dtype=float)
     _check_square_symmetric(sigma)
     d = sigma.shape[0]
     try:
         C = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
+        return _singular_cholesky(sigma)
+    if np.min(np.diag(C)) ** 2 <= _REL_TOL_ZERO * np.abs(np.diag(sigma)).max():
         return _singular_cholesky(sigma)
     return _ScaleFactor(
         C=C,
@@ -114,7 +125,8 @@ def _singular_cholesky(sigma: np.ndarray) -> _ScaleFactor:
     semidefinite.  Rows are then processed in natural order; a row whose
     residual variance is at most that tolerance is dependent and is filed
     behind the pivot of the last column it loads on, its block column,
-    with its entries after that column set to zero.  Full-rank inputs come
+    with its entries after that column set to zero.  A dependent row that
+    loads on no pivot joins the degenerate rows.  Full-rank inputs come
     out unpermuted, a factor of the matrix as :func:`cholesky` makes it.
     """
     sigma = np.asarray(sigma, dtype=float)
@@ -124,7 +136,7 @@ def _singular_cholesky(sigma: np.ndarray) -> _ScaleFactor:
     diag_max = float(np.abs(diag).max(initial=0.0))
     if diag_max <= 0.0:
         raise ValueError("scale matrix has rank 0")
-    tol_zero = 1e-10 * diag_max
+    tol_zero = _REL_TOL_ZERO * diag_max
     if np.linalg.eigvalsh(sigma)[0] < -tol_zero:
         raise ValueError("scale matrix is not positive semidefinite")
 
@@ -149,25 +161,28 @@ def _singular_cholesky(sigma: np.ndarray) -> _ScaleFactor:
     rank = len(pivots)
 
     # A row's block column is the last whose entry clears the floor; a
-    # pivot's own entry, above sqrt(tol_zero), always does.
+    # pivot's own entry, above sqrt(tol_zero), always does.  A dependent
+    # row that clears it on no pivot is degenerate: its residual is at
+    # most tol_zero and its squared entries sum to less, so its variance
+    # is at most about 2 tol_zero.
     loads = np.abs(coeffs[:, :rank]) > np.sqrt(tol_zero / d)
-    if not np.all(loads.any(axis=1)):
-        raise ValueError("dependent row with no resolvable pivot column; "
-                         "input is not positive semidefinite to tolerance")
+    blocked = loads.any(axis=1)
     last_col = rank - 1 - np.argmax(loads[:, ::-1], axis=1)
     coeffs[np.arange(m) > last_col[:, None]] = 0.0
+    degenerate = np.union1d(zero_rows, active[~blocked])
 
     # Staircase order: a block's pivot precedes the rows that load on it,
     # since a row loads only on pivots found before it.
-    order = np.argsort(last_col, kind="stable")
+    rows = np.flatnonzero(blocked)
+    order = rows[np.argsort(last_col[rows], kind="stable")]
     C = np.zeros((d, d))
-    C[:m, :m] = coeffs[order]
+    C[:len(order), :m] = coeffs[order]
     return _ScaleFactor(
         C=C,
         rank=rank,
-        perm=np.concatenate([active[order], zero_rows]),
+        perm=np.concatenate([active[order], degenerate]),
         block_heads=np.searchsorted(last_col[order], np.arange(rank)),
-        degenerate_rows=zero_rows,
+        degenerate_rows=degenerate,
     )
 
 

@@ -1,14 +1,31 @@
 """Sampling from normal variance mixtures via the stochastic
 representation: X = loc + sqrt(W) A Z.
 
-The draws are formed in blocks of rows whose uniforms fit in cache: each
-block draws its uniforms, inverts them and writes its rows of the output,
-so a call needs the output plus one block of memory.  Both drivers
-continue one stream from block to block, so the draws do not depend on
-the block size.
+The draws are formed in blocks of rows whose uniforms fit in cache.  The
+calling thread draws each block in stream order, clips it and inverts its
+first column to the mixing variable W.  Both drivers continue one stream
+from block to block, so the draws do not depend on the block size.  The
+rest of a block turns it into its rows of the output: ``ndtri`` of the
+other columns, the product with ``A.T``, the sqrt(W) scale and the
+location.  That step runs on a thread pool created for the call and
+sized by the CPUs the process may use, with at most two blocks per
+worker in flight, so a call needs the output plus a few blocks of
+memory.  A worker multiplies in equal row slices small enough that
+OpenBLAS keeps each to one thread.
+
+The pool is skipped, and every block is finished on the calling thread,
+when there is one block or one CPU, or when a row's product has more
+than ``_POOL_MAX_MACS_PER_ROW`` multiply-adds: there the product
+dominates and OpenBLAS already spreads it over the cores.  Every row is
+computed by the same arithmetic on either path, so the draws do not
+depend on the CPU count.
 """
 
 from __future__ import annotations
+
+import numbers
+import os
+from collections import deque
 
 import numpy as np
 from scipy.special import ndtri
@@ -20,6 +37,32 @@ from .rqmc import _BLOCK_VALUES, _SobolStream
 __all__ = ["rnvmix"]
 
 _U_EPS = 1e-16
+# OpenBLAS runs a product of at most this many multiply-adds on one thread.
+_SLICE_MACS = 2 ** 18
+# Above this many multiply-adds per row the product dominates a block,
+# and OpenBLAS already spreads it over the cores.
+_POOL_MAX_MACS_PER_ROW = 2 ** 12
+
+
+def _spans(n: int, size: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` bounds of the fewest equal spans of at most ``size``
+    covering ``range(n)``.  Equal spans keep every one large: BLAS takes
+    another path for a one-row product, which may round differently."""
+    k = -(-n // size)
+    bounds = [i * n // k for i in range(k + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _finish(out: np.ndarray, u: np.ndarray, w: np.ndarray, A: np.ndarray,
+            loc: np.ndarray, rows: int) -> None:
+    """Write a block's rows of the draws into ``out`` from its clipped
+    uniforms ``u`` and mixing draws ``w``, multiplying ``rows`` rows at a
+    time."""
+    z = ndtri(u[:, 1:])
+    for lo, hi in _spans(len(z), rows):
+        np.matmul(z[lo:hi], A.T, out=out[lo:hi])
+    out *= np.sqrt(w)[:, None]
+    out += loc
 
 
 def rnvmix(n: int, model: NvmModel, seed: int | None = None,
@@ -30,11 +73,18 @@ def rnvmix(n: int, model: NvmModel, seed: int | None = None,
     (rows, rank+1) are generated block by block (pseudo-random or
     digitally-shifted Sobol'), the first column is inverted to the mixing
     variable and the rest to standard normals.  The blocks continue one
-    stream, so the draws equal those of a single whole-array pass, and
-    memory is the output plus one block.  Deterministic for a fixed seed.
+    stream, so the draws equal those of a single whole-array pass.
+
+    The calling thread draws the blocks in order and computes their
+    mixing draws.  Their normals, products, scales and locations run on
+    a pool of threads, one per usable CPU, that lives for the call, with
+    at most two blocks per thread in flight: memory is the output plus a
+    few blocks.  With one block, one CPU or a rank times dimension above
+    ``_POOL_MAX_MACS_PER_ROW``, the calling thread does it all.  The
+    draws are the same either way and deterministic for a fixed seed.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if method not in ("pseudo", "inversion-sobol"):
         raise ValueError("method must be 'pseudo' or 'inversion-sobol'")
     A = model.factor.mixing_matrix()
@@ -48,16 +98,31 @@ def rnvmix(n: int, model: NvmModel, seed: int | None = None,
         draw = lambda k: stream.take(k)[0]
 
     x = np.empty((n, model.dim))
-    # Blocks of equal size: BLAS takes another path for a one-row product,
-    # which may round differently, so no block is tiny unless n is.
-    blocks = -(-n // max(1, _BLOCK_VALUES // (r + 1)))
-    bounds = [i * n // blocks for i in range(blocks + 1)]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+
+    def block(lo: int, hi: int):
         u = draw(hi - lo)
         np.clip(u, _U_EPS, 1.0 - _U_EPS, out=u)
-        w = quantile(model.spec, u[:, 0], model.nu)
-        out = x[lo:hi]
-        np.matmul(ndtri(u[:, 1:]), A.T, out=out)
-        out *= np.sqrt(w)[:, None]
-        out += model.loc
+        return x[lo:hi], u, quantile(model.spec, u[:, 0], model.nu)
+
+    blocks = _spans(n, max(1, _BLOCK_VALUES // (r + 1)))
+    workers = len(os.sched_getaffinity(0))
+    macs_per_row = r * model.dim
+    if len(blocks) < 2 or workers < 2 or macs_per_row > _POOL_MAX_MACS_PER_ROW:
+        for lo, hi in blocks:
+            _finish(*block(lo, hi), A, model.loc, hi - lo)
+        return x
+
+    # Imported here: it takes about 1 ms, which callers that never sample
+    # need not pay when they import nvmix.
+    from concurrent.futures import ThreadPoolExecutor
+
+    rows = _SLICE_MACS // macs_per_row
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        for lo, hi in blocks:
+            if len(pending) == 2 * workers:
+                pending.popleft().result()
+            pending.append(pool.submit(_finish, *block(lo, hi), A, model.loc, rows))
+        for future in pending:
+            future.result()
     return x

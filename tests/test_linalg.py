@@ -63,6 +63,20 @@ class TestCholesky:
         err = np.abs(model.factor.reconstruct() - sigma).max()
         assert err <= 1e-8 * np.abs(sigma).max()
 
+    def test_a_rounding_pivot_is_not_full_rank(self):
+        # Rows 0 and 1 of this rank-2 scale nearly coincide, and
+        # np.linalg.cholesky succeeds on rounding: its smallest squared
+        # pivot is 2.2e-16 of the largest diagonal entry.
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((4, 2))
+        A[1] = A[0] + 1e-2 * rng.standard_normal(2)
+        sigma = A @ A.T
+        np.linalg.cholesky(sigma)
+        f = cholesky(sigma)
+        assert not f.is_full_rank
+        assert f.rank == 2
+        assert np.abs(f.reconstruct() - sigma).max() <= 1e-8 * np.abs(sigma).max()
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             cholesky(np.array([[1.0, 0.5], [0.2, 1.0]]))
@@ -116,6 +130,23 @@ class TestSingularCholesky:
         assert np.array_equal(f.perm, [0, 2, 1])
         assert np.array_equal(f.degenerate_rows, [1])
         assert np.allclose(f.reconstruct(), np.diag([1.0, 0.0, 1.0]), atol=1e-10)
+
+    def test_a_row_below_the_load_floor_is_degenerate(self):
+        # Row 2 has variance 1.3e-10 (just above the zero tolerance 1e-10),
+        # a residual of 1e-10 and a load of 5.5e-6 on the one pivot, below
+        # the floor sqrt(1e-10 / 3): it is taken as of zero variance.
+        a = np.sqrt(3e-11)
+        sigma = np.array([[1.0, 1.0, a], [1.0, 1.0, a], [a, a, 1.3e-10]])
+        f = cholesky(sigma)
+        assert f.rank == 1
+        assert np.array_equal(f.degenerate_rows, [2])
+        assert np.array_equal(f.perm, [0, 1, 2])
+        assert np.array_equal(f.block_sizes(), [2])
+        # Dropping it errs by its variance and, at most, by covariances of
+        # size sqrt(2e-10 * 1).
+        err = np.abs(f.reconstruct() - sigma)
+        assert np.diag(err).max() <= 2e-10
+        assert err.max() <= np.sqrt(2e-10)
 
     def test_negative_scale_handled(self):
         sigma = np.array([[1.0, -1.0], [-1.0, 1.0]])

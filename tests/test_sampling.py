@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from scipy.linalg import null_space
 from scipy.special import fdtr, ndtri
 
+from nvmix import sampling
 from nvmix.mixtures import inverse_gamma, pareto, quantile
 from nvmix.model import NvmModel
 from nvmix.rqmc import _BLOCK_VALUES, _SobolStream
@@ -58,6 +61,17 @@ def test_pseudo_golden_values():
     for seed, want in GOLDEN_PSEUDO.items():
         got = rnvmix(4, golden_model(), seed=seed, method="pseudo")
         assert np.array_equal(got, np.array(want)), seed
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, 3.0, True, "4"])
+def test_n_must_be_an_integer_of_at_least_one(n):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        rnvmix(n, golden_model(), seed=7)
+
+
+def test_a_numpy_integer_n_is_accepted():
+    assert np.array_equal(rnvmix(np.int64(4), golden_model(), seed=7),
+                          rnvmix(4, golden_model(), seed=7))
 
 
 def random_scale(d, rank, seed):
@@ -135,3 +149,66 @@ def test_rank_deficient_draws_lie_in_the_column_space(method):
     y = rnvmix(5000, model, seed=9, method=method) - model.loc
     size = np.linalg.norm(y, axis=1) + np.linalg.norm(model.loc)
     assert np.all(np.abs(y @ N).max(axis=1) <= 64 * np.finfo(float).eps * size)
+
+
+def cpus(monkeypatch, k):
+    monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_draws_do_not_depend_on_the_cpu_count(monkeypatch, method):
+    # About 17 blocks: one CPU finishes them on the calling thread, two or
+    # more on a pool with slices of the product.
+    model, n = MODELS["full-d10"](), 100_003
+    draws = []
+    for k in (1, 2, 5):
+        cpus(monkeypatch, k)
+        draws.append(rnvmix(n, model, seed=3, method=method))
+    assert np.array_equal(draws[0], draws[1])
+    assert np.array_equal(draws[0], draws[2])
+
+
+def test_the_pool_lives_for_the_call_and_quantile_stays_on_the_caller(monkeypatch):
+    # The mixing draws come from the calling thread while the pool's
+    # threads are up; after the call every pool thread has been joined.
+    cpus(monkeypatch, 2)
+    seen = []
+
+    def traced_quantile(*args, **kwargs):
+        seen.append((threading.get_ident(), threading.active_count()))
+        return quantile(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "quantile", traced_quantile)
+    before = threading.active_count()
+    rnvmix(100_000, MODELS["full-d10"](), seed=4)
+    assert threading.active_count() == before
+    assert {ident for ident, _ in seen} == {threading.get_ident()}
+    assert max(count for _, count in seen) > before
+
+
+def test_concurrent_calls_return_the_draws_of_sequential_calls(monkeypatch):
+    # More calling threads than CPUs, each with its own pool, switching
+    # often: every call returns exactly its sequential draws.
+    cpus(monkeypatch, 2)
+    model, n = MODELS["full-d10"](), 40_000
+    jobs = [(seed, method) for seed in (1, 2) for method in METHODS]
+    want = [rnvmix(n, model, seed=seed, method=method) for seed, method in jobs]
+    got = [None] * len(jobs)
+
+    def run(i):
+        seed, method = jobs[i]
+        got[i] = rnvmix(n, model, seed=seed, method=method)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(len(jobs)):
+        assert np.array_equal(got[i], want[i]), jobs[i]
