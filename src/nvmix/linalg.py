@@ -16,8 +16,10 @@ from scipy.linalg import solve_triangular
 
 __all__ = []
 
-# A squared pivot at most this times the largest absolute diagonal entry
-# is zero.
+# The staircase factorization takes a residual variance of at most this
+# times the largest absolute diagonal entry as zero; a full Cholesky
+# factor is kept only while every squared pivot exceeds this times its
+# own row's variance.
 _REL_TOL_ZERO = 1e-10
 
 
@@ -96,10 +98,13 @@ def _check_square_symmetric(sigma: np.ndarray) -> None:
 
 def cholesky(sigma: np.ndarray) -> _ScaleFactor:
     """Cholesky factor of a symmetric positive-semidefinite matrix: a
-    matrix that is not positive definite, or whose factor has a squared
-    pivot at most the zero tolerance of :func:`_singular_cholesky`, goes
-    to :func:`_singular_cholesky`.  A pivot that small is rounding: the
-    scale is singular."""
+    matrix that is not positive definite goes to
+    :func:`_singular_cholesky`, and so does one whose factor has a
+    squared pivot at most ``_REL_TOL_ZERO`` times its row's variance.
+    Such a pivot, the share of a variable the earlier ones leave
+    unexplained, is rounding: the scale is singular.  The test does not
+    depend on the variables' units, and a pivot it rejects is also below
+    the staircase's zero tolerance."""
     sigma = np.asarray(sigma, dtype=float)
     _check_square_symmetric(sigma)
     d = sigma.shape[0]
@@ -107,7 +112,7 @@ def cholesky(sigma: np.ndarray) -> _ScaleFactor:
         C = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         return _singular_cholesky(sigma)
-    if np.min(np.diag(C)) ** 2 <= _REL_TOL_ZERO * np.abs(np.diag(sigma)).max():
+    if np.any(np.diag(C) ** 2 <= _REL_TOL_ZERO * np.diag(sigma)):
         return _singular_cholesky(sigma)
     return _ScaleFactor(
         C=C,

@@ -7,18 +7,17 @@ first column to the mixing variable W.  Both drivers continue one stream
 from block to block, so the draws do not depend on the block size.  The
 rest of a block turns it into its rows of the output: ``ndtri`` of the
 other columns, the product with ``A.T``, the sqrt(W) scale and the
-location.  That step runs on a thread pool created for the call and
-sized by the CPUs the process may use, with at most two blocks per
-worker in flight, so a call needs the output plus a few blocks of
-memory.  A worker multiplies in equal row slices small enough that
-OpenBLAS keeps each to one thread.
+location.
 
-The pool is skipped, and every block is finished on the calling thread,
-when there is one block or one CPU, or when a row's product has more
-than ``_POOL_MAX_MACS_PER_ROW`` multiply-adds: there the product
-dominates and OpenBLAS already spreads it over the cores.  Every row is
-computed by the same arithmetic on either path, so the draws do not
-depend on the CPU count.
+When a row's product has at most ``_POOL_MAX_MACS_PER_ROW``
+multiply-adds, that step runs on a thread pool created for the call and
+sized by the CPUs the process may use, with at most two blocks per
+worker in flight: a call needs the output plus about 2 MB per worker.
+The product is taken in equal row slices small enough that OpenBLAS
+keeps each to one thread.  With one block or one CPU the calling thread
+finishes the blocks itself, in the same slices, so the draws do not
+depend on the CPU count.  Larger rows take one product per block on the
+calling thread, which OpenBLAS spreads over the cores.
 """
 
 from __future__ import annotations
@@ -37,11 +36,16 @@ from .rqmc import _BLOCK_VALUES, _SobolStream
 __all__ = ["rnvmix"]
 
 _U_EPS = 1e-16
-# OpenBLAS runs a product of at most this many multiply-adds on one thread.
+# The OpenBLAS in numpy's wheels runs a product of at most this many
+# multiply-adds on one thread.  Another BLAS may thread it inside each
+# worker and oversubscribe the CPUs; that the draws do not depend on the
+# CPU count is checked on OpenBLAS only.
 _SLICE_MACS = 2 ** 18
 # Above this many multiply-adds per row the product dominates a block,
-# and OpenBLAS already spreads it over the cores.
-_POOL_MAX_MACS_PER_ROW = 2 ** 12
+# and OpenBLAS spreads one product per block over the cores faster than
+# the pool runs its slices (measured on two cores: the pool gained at
+# d <= 128 and lost at d = 176).
+_POOL_MAX_MACS_PER_ROW = 2 ** 14
 
 
 def _spans(n: int, size: int) -> list[tuple[int, int]]:
@@ -51,6 +55,14 @@ def _spans(n: int, size: int) -> list[tuple[int, int]]:
     k = -(-n // size)
     bounds = [i * n // k for i in range(k + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of them where the
+    platform does not say.  A CPU quota is not seen."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _finish(out: np.ndarray, u: np.ndarray, w: np.ndarray, A: np.ndarray,
@@ -78,10 +90,11 @@ def rnvmix(n: int, model: NvmModel, seed: int | None = None,
     The calling thread draws the blocks in order and computes their
     mixing draws.  Their normals, products, scales and locations run on
     a pool of threads, one per usable CPU, that lives for the call, with
-    at most two blocks per thread in flight: memory is the output plus a
-    few blocks.  With one block, one CPU or a rank times dimension above
-    ``_POOL_MAX_MACS_PER_ROW``, the calling thread does it all.  The
-    draws are the same either way and deterministic for a fixed seed.
+    at most two blocks per thread in flight: memory is the output plus
+    about 2 MB per thread.  With one block, one CPU or a rank times
+    dimension above ``_POOL_MAX_MACS_PER_ROW``, the calling thread does
+    it all.  The draws do not depend on the CPU count and are
+    deterministic for a fixed seed.
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
@@ -105,18 +118,21 @@ def rnvmix(n: int, model: NvmModel, seed: int | None = None,
         return x[lo:hi], u, quantile(model.spec, u[:, 0], model.nu)
 
     blocks = _spans(n, max(1, _BLOCK_VALUES // (r + 1)))
-    workers = len(os.sched_getaffinity(0))
+    # The slicing follows from the shape alone, never from the CPU count:
+    # BLAS may round a slice's rows otherwise than a whole block's.
     macs_per_row = r * model.dim
-    if len(blocks) < 2 or workers < 2 or macs_per_row > _POOL_MAX_MACS_PER_ROW:
+    sliced = macs_per_row <= _POOL_MAX_MACS_PER_ROW
+    rows = _SLICE_MACS // macs_per_row if sliced else n
+    workers = _usable_cpus()
+    if not sliced or len(blocks) < 2 or workers < 2:
         for lo, hi in blocks:
-            _finish(*block(lo, hi), A, model.loc, hi - lo)
+            _finish(*block(lo, hi), A, model.loc, rows)
         return x
 
     # Imported here: it takes about 1 ms, which callers that never sample
     # need not pay when they import nvmix.
     from concurrent.futures import ThreadPoolExecutor
 
-    rows = _SLICE_MACS // macs_per_row
     with ThreadPoolExecutor(workers) as pool:
         pending = deque()
         for lo, hi in blocks:

@@ -4,6 +4,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from nvmix.density import closed_log_density, log_density_batch
+from nvmix.distribution import prob
 from nvmix.linalg import _singular_cholesky, cholesky, mahalanobis_sq
 from nvmix.mixtures import inverse_gamma
 from nvmix.model import NvmModel
@@ -76,6 +77,18 @@ class TestCholesky:
         assert not f.is_full_rank
         assert f.rank == 2
         assert np.abs(f.reconstruct() - sigma).max() <= 1e-8 * np.abs(sigma).max()
+
+    @pytest.mark.parametrize("variances", [[1.0, 1e-11], [1e6, 1e-5]])
+    def test_variables_of_very_different_size_stay_full_rank(self, variances):
+        # Each pivot is its variable's whole standard deviation, far below
+        # the zero tolerance of the largest variance but not of its own.
+        model = NvmModel.build(None, np.diag(variances), inverse_gamma(), [3.0])
+        assert model.is_full_rank
+        assert np.array_equal(model.factor.reconstruct(), np.diag(variances))
+        res = prob([-np.inf, 0.0], [np.inf, np.inf], model, seed=1)
+        assert abs(res.estimate - 0.5) <= 1e-3
+        x = np.sqrt(variances)[None, :]
+        assert np.isfinite(closed_log_density(model, x)).all()
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -152,14 +152,30 @@ def test_rank_deficient_draws_lie_in_the_column_space(method):
 
 
 def cpus(monkeypatch, k):
-    monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: set(range(k)))
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: k)
+
+
+CPU_COUNT_CASES = {
+    # About 17 blocks.
+    "full-d10": lambda: (MODELS["full-d10"](), 100_003),
+    # Three blocks of rows whose products, 5957 rows at a time, OpenBLAS
+    # rounds otherwise than in slices of 87 rows.
+    "rank10-d300": lambda: (NvmModel.build(None, random_scale(300, 10, 3), pareto(), [2.5]),
+                            11_919),
+}
+
+
+def test_usable_cpus_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(sampling.os, "sched_getaffinity", raising=False)
+    assert sampling._usable_cpus() == (sampling.os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_draws_do_not_depend_on_the_cpu_count(monkeypatch, method):
-    # About 17 blocks: one CPU finishes them on the calling thread, two or
-    # more on a pool with slices of the product.
-    model, n = MODELS["full-d10"](), 100_003
+@pytest.mark.parametrize("case", CPU_COUNT_CASES)
+def test_draws_do_not_depend_on_the_cpu_count(monkeypatch, case, method):
+    # One CPU finishes the blocks on the calling thread, two or more on a
+    # pool; both multiply in the same slices.
+    model, n = CPU_COUNT_CASES[case]()
     draws = []
     for k in (1, 2, 5):
         cpus(monkeypatch, k)
