@@ -3,14 +3,16 @@
 Four parts, the first two at tol 1e-3 under the default ``RqmcConfig``:
 
 * Cost: ``log_integral_batch`` on N rows (IG(4), D2 evenly spaced in
-  [0.5, 2], ``shift_k`` 5, prefactor 0) for N = 500 and 2000.  Prints
+  [0.5, 2], ``shift_k`` 5, prefactor 0) for N = 500 and 2000, each call
+  on a new reader of W, which builds its table.  Prints
   the wall time of one untraced call, the tracemalloc peak of another,
   the number of quantile calls and u-values it evaluates, in all and per
   phase, and the trapezoid rule's nodes per row.
 * Calibration: IG(4) log-densities in d = 10 of points whose D2 / d
   follows F(10, 1), as under the nu = 1 mixture (multivariate Cauchy),
   stratified below D2 = 1e8 as in the density-tail benchmark workload,
-  on the identity scale, one call of 300 points per seed.  Prints the
+  on the identity scale, one call of 300 points per seed, all on one
+  model, whose reader of W builds its table on the first call.  Prints the
   rows that report converged while missing tol against
   ``closed_log_density``, the unconverged rows, the quantiles of error
   over error estimate of the converged rows, the rule's nodes per row and
@@ -23,7 +25,8 @@ Four parts, the first two at tol 1e-3 under the default ``RqmcConfig``:
   (W uniform on [1, 2] or on [2, 6], probability 1/2 each).  One call per
   d in {3, 10}, tol in {1e-3, 1e-8, 1e-12}, absolute and relative, each
   on 12 rows with D2 from 0 to 1e10; a D2 = 0 row under the atom at 0,
-  where the density is infinite, raises, and counts as unconverged.
+  where the density is infinite, raises, and counts as unconverged.  The
+  calls on one W share its reader.
 * Heavy-tailed black boxes: IG(4) and Pareto(2.5) quantiles wrapped in
   ``blackbox``, which see u only, at d = 10 on 11 rows with D2 from 0 to
   1e10, one call per tol in {1e-3, 1e-6, 1e-8} (absolute).
@@ -36,7 +39,7 @@ The exact log-densities are mixtures of normals, and for the uniform
 parts mpmath's generalized incomplete gamma function; the black boxes'
 come from ``closed_log_density``.
 
-The phases are the table of the quantile (``_pieces``: the nodes and
+The phases are the table of the quantile (``_WReader.pieces``: the nodes and
 midpoints of each piece's table, evaluated exactly, and the bisection
 that locates each break), the search (``_bracket_z``: the maximum of g
 and the bracket's ends on each piece, and ``_table_budget``'s reads of w
@@ -73,7 +76,7 @@ import nvmix.mixtures as mixtures
 from nvmix import (NvmModel, RqmcConfig, blackbox, closed_log_density, inverse_gamma, pareto,
                    log_density_batch)
 from nvmix.density import log_integral_batch
-from nvmix.mixtures import quantile
+from nvmix.mixtures import _WReader, quantile
 
 TOL = 1e-3
 
@@ -91,8 +94,9 @@ def _new_counts():
 def _phase_counts(call, counts=None):
     """``call()``'s result and the quantile calls and u-values it evaluates
     in each phase of ``log_integral_batch``, added to ``counts``: a
-    quantile call belongs to the table while ``_pieces`` runs or a
-    ``_QuantileTable`` is built, to the search while ``_bracket_z`` or
+    quantile call belongs to the table while a reader of W builds its
+    pieces (``_WReader.pieces``) or a ``_QuantileTable`` is built, to the
+    search while ``_bracket_z`` or
     ``_table_budget`` runs, to the rule while ``_nested_trapezoid`` runs
     and to ``other`` otherwise.  ``counts["table_s"]`` holds the time spent
     building tables, ``counts["bound"]`` the largest of their bounds and
@@ -154,12 +158,14 @@ def _phase_counts(call, counts=None):
         counts["nodes"].add(self.intervals + 1)
 
     saved = {name: getattr(density, name)
-             for name in ("_pieces", "_bracket_z", "_table_budget", "_newton",
-                          "_nested_trapezoid")}
+             for name in ("_bracket_z", "_table_budget", "_newton", "_nested_trapezoid")}
     saved_init = table.__init__
+    # A cached_property: its getter calls .func on the first read.
+    pieces = mixtures._WReader.pieces
+    saved_pieces = pieces.func
     # The density path calls the quantile through mixtures._quantile_z.
     mixtures.quantile = counted
-    density._pieces = in_phase("table", saved["_pieces"])
+    pieces.func = in_phase("table", saved_pieces)
     density._bracket_z = in_phase("search", search)
     density._table_budget = in_phase("search", saved["_table_budget"])
     density._newton = newton
@@ -171,6 +177,7 @@ def _phase_counts(call, counts=None):
         for name, fn in saved.items():
             setattr(density, name, fn)
         mixtures.quantile = quantile
+        pieces.func = saved_pieces
         table.__init__ = saved_init
     return result, counts
 
@@ -207,17 +214,22 @@ def _histogram(counts) -> str:
 
 def cost(n: int) -> None:
     cfg = RqmcConfig(tol=TOL)
-    args = (np.linspace(0.5, 2.0, n), 5.0, 0.0, inverse_gamma(), [4.0], cfg)
+
+    def call():
+        # A new reader of W, so that each call builds its table.
+        return log_integral_batch(np.linspace(0.5, 2.0, n), 5.0, 0.0,
+                                  _WReader(inverse_gamma(), [4.0]), cfg)
+
     t0 = time.perf_counter()
-    res = log_integral_batch(*args)
+    res = call()
     wall = time.perf_counter() - t0
     tracemalloc.start()
     try:
-        log_integral_batch(*args)
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    _, counts = _phase_counts(lambda: log_integral_batch(*args))
+    _, counts = _phase_counts(call)
     print(f"N = {n:5d}: {wall:.3f} s, tracemalloc peak {peak / 2 ** 20:.1f} MiB, "
           f"quantile calls {sum(counts[p][0] for p in PHASES)}, "
           f"u-values {sum(counts[p][1] for p in PHASES)}, "
@@ -313,12 +325,12 @@ def _print_tally(name, tol, counts) -> None:
 def table_less_sweep(tols=(1e-3, 1e-8, 1e-12)) -> None:
     print(f"table-less sweep, {len(TABLE_LESS_D2)} D2 x d in (3, 10) x absolute and relative:")
     for name, (q, atoms, uniforms) in TABLE_LESS.items():
-        spec = blackbox(q, 0)
+        w = _WReader(blackbox(q, 0), [])
         for tol in tols:
             counts = {"rows": 0, "converged": 0, "misses": 0, "worst": 0.0, "nodes": 0}
             for d, tol_type in itertools.product((3, 10), ("absolute", "relative")):
                 exact = [_exact_log_density(atoms, uniforms, d, x) for x in TABLE_LESS_D2]
-                args = (d / 2.0, -0.5 * d * math.log(2.0 * math.pi), spec, [],
+                args = (d / 2.0, -0.5 * d * math.log(2.0 * math.pi), w,
                         RqmcConfig(tol=tol, tol_type=tol_type))
                 try:
                     res = log_integral_batch(TABLE_LESS_D2, *args)
@@ -333,19 +345,19 @@ def black_box_sweep(tols=(1e-3, 1e-6, 1e-8), d: int = 10) -> None:
     X = np.zeros((len(BLACK_BOX_D2), d))
     X[:, 0] = np.sqrt(BLACK_BOX_D2)
     for name, family, nu in (("IG(4)", inverse_gamma(), [4.0]), ("Pareto(2.5)", pareto(), [2.5])):
-        spec = blackbox(lambda u, _, family=family, nu=nu: quantile(family, u, nu), 0)
+        w = _WReader(blackbox(lambda u, _, family=family, nu=nu: quantile(family, u, nu), 0), [])
         exact = closed_log_density(NvmModel.build(None, np.eye(d), family, nu), X)
         for tol in tols:
             counts = {"rows": 0, "converged": 0, "misses": 0, "worst": 0.0, "nodes": 0}
             res = log_integral_batch(BLACK_BOX_D2, d / 2.0, -0.5 * d * math.log(2.0 * math.pi),
-                                     spec, [], RqmcConfig(tol=tol))
+                                     w, RqmcConfig(tol=tol))
             _tally(counts, res, exact, tol, "absolute")
             _print_tally(name, tol, counts)
 
 
 def main(n_seeds: int = 10, sizes=(500, 2000), n_points: int = 300,
          tols=(1e-3, 1e-8, 1e-12), black_box_tols=(1e-3, 1e-6, 1e-8)) -> None:
-    log_integral_batch([0.5, 1e4], 5.0, 0.0, inverse_gamma(), [4.0])  # lazy imports
+    log_integral_batch([0.5, 1e4], 5.0, 0.0, _WReader(inverse_gamma(), [4.0]))  # lazy imports
     for n in sizes:
         cost(n)
     calibration(n_seeds, n_points)

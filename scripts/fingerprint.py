@@ -43,6 +43,7 @@ from nvmix import (NvmModel, RqmcConfig, blackbox, constant, inverse_burr, inver
                    prob, rnvmix)
 from nvmix.density import log_integral_batch
 from nvmix.distribution import prob_singular
+from nvmix.mixtures import _WReader
 
 INF = float("inf")
 SEEDS = (1, 17)
@@ -119,13 +120,13 @@ def prob_singular_digest():
     return h.hexdigest()
 
 
-def _log_integral_update(h, spec, nu, d):
+def _log_integral_update(h, w, d):
     pref = -0.5 * d * np.log(2.0 * np.pi)
     try:
-        results = log_integral_batch(D2, d / 2.0, pref, spec, nu)
+        results = log_integral_batch(D2, d / 2.0, pref, w)
     except ValueError as exc:  # inverse-Burr diverges at D2 = 0, d = 10
         h.update(str(exc).encode())
-        results = log_integral_batch(D2[1:], d / 2.0, pref, spec, nu)
+        results = log_integral_batch(D2[1:], d / 2.0, pref, w)
     for res in results:
         _update(h, res)
 
@@ -135,14 +136,14 @@ def log_integral_digest():
     for spec, nu in ((inverse_gamma(), [4.0]), (pareto(), [6.0]),
                      (inverse_burr(), [2.0, 2.0])):
         for d in (2, 10):
-            _log_integral_update(h, spec, nu, d)
+            _log_integral_update(h, _WReader(spec, nu), d)
     return h.hexdigest()
 
 
 def log_integral_pieces_digest():
     h = hashlib.sha256()
     for d in (3, 10):
-        _log_integral_update(h, JUMP, [], d)
+        _log_integral_update(h, _WReader(JUMP, []), d)
     return h.hexdigest()
 
 

@@ -15,10 +15,11 @@ Weideman 2014, SIAM Review 56(3)), integrates g over that bracket (see
 w is read from cubic interpolants L(z) of log w with checked error bounds
 (numerical inversion after Hörmann & Leydold 2003 and Derflinger, Hörmann
 & Leydold 2010, applied in z), one per piece of the z range between the
-breaks of w (``_pieces`` in :mod:`nvmix.mixtures`); a smooth W is one
-piece.  On each piece the search takes Newton steps on L, and where a
-piece meets a break the rule works in the logit of the place in the
-piece's bracket, as z = logit(u) does for u.  The same machinery
+breaks of w; a smooth W is one piece.  A model's reader of W
+(``_WReader`` in :mod:`nvmix.mixtures`) builds these tables once, on first
+use.  On each piece the search takes Newton steps on L, and where a piece
+meets a break the rule works in the logit of the place in the piece's
+bracket, as z = logit(u) does for u.  The same machinery
 integrates any integrand c * w^(-k) * exp(-m/w), which covers the
 posterior weights needed for fitting.
 """
@@ -33,8 +34,8 @@ from scipy.special import expit, gammainc, gammaln, log_expit
 from .linalg import mahalanobis_sq
 # quantile stays bound here for tools that patch it by name; the table in
 # mixtures makes the calls.
-from .mixtures import (_EPS, _SEARCH_LOG_W_ERR, _TABLE_INTERVALS, _Z_LO, _MixtureSpec,
-                       _pieces, _QuantileTable, _quantile_z, _z_range)
+from .mixtures import (_EPS, _SEARCH_LOG_W_ERR, _Z_LO, _MixtureSpec, _quantile_z, _WReader,
+                       _z_range)
 from .mixtures import quantile  # noqa: F401
 from .model import NvmModel
 # rqmc_log_estimate stays bound here for tools that trace this module's
@@ -186,7 +187,7 @@ def peak(D2: float, shift_k: float, prefactor: float, spec: _MixtureSpec,
     if D2 <= 0.0:
         raise ValueError("peak undefined for D2 = 0, where h = w^(-k) is monotone in u")
     pref, k, m = _row_arrays([D2], shift_k, prefactor)
-    table = _QuantileTable(spec, nu)
+    table = _WReader(spec, nu).table
     z = _peak_z(m / k, table)
     if z[0] in _z_range(spec):
         log_h_max = _log_h_of_w(table.read(_SEARCH_LOG_W_ERR)(z), pref, k, m)[0]
@@ -204,7 +205,7 @@ def region_bounds(D2: float, shift_k: float, prefactor: float, spec: _MixtureSpe
     decades, the union of its pieces' brackets; ``closed`` is False when g
     is still above that level at an end of the z range."""
     z_l, z_r, _, tops, ends = _bracket_z(*_row_arrays([D2], shift_k, prefactor),
-                                         _pieces(spec, nu), _K_TH)
+                                         _WReader(spec, nu).pieces, _K_TH)
     closed = np.all(ends <= tops.max(axis=0) - _K_TH * _LN10)
     return float(np.nanmin(z_l)), float(np.nanmax(z_r)), bool(closed)
 
@@ -311,8 +312,8 @@ def _table_bracket(table, pref, k, m, z_g, g_max, log_g_s, top, fall):
 
 def _bracket_z(pref, k, m, pieces, k_th):
     """``(z_l, z_r, z_g, tops, ends)``: per piece of W (``pieces``, the
-    tables of ``_pieces``) and row, ``(pieces, rows)`` each, the bracket
-    [z_l, z_r] where g exceeds the row's maximum (the largest of its
+    tables of ``_WReader.pieces``) and row, ``(pieces, rows)`` each, the
+    bracket [z_l, z_r] where g exceeds the row's maximum (the largest of its
     pieces') less ``k_th`` decades, NaN where g stays below that level on
     the piece, and where g takes its maximum on the piece and log g there;
     and log g at the two ends of the whole z range, ``(2, rows)``, -inf at
@@ -386,18 +387,19 @@ def _nested_trapezoid(log_g, high, cfg) -> tuple[np.ndarray, np.ndarray, np.ndar
         n *= 2
 
 
-def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
+def log_integral_batch(D2, shift_k, prefactor, w: _WReader,
                        cfg: RqmcConfig | None = None) -> list[RqmcResult]:
     """Estimate ``log int_0^1 h_i(u) du`` for a batch of mixing integrands.
 
     Row i integrates ``exp(prefactor) w^(-shift_k) exp(-D2/(2w))`` with
-    ``w`` the mixing quantile at u: ``shift_k = d/2`` gives the density,
+    w the mixing quantile at u, read through ``w``, W's reader (a model's,
+    or ``_WReader(spec, nu)``): ``shift_k = d/2`` gives the density,
     ``d/2 + 1`` the numerator of E[1/W | x] used by the fitting algorithm.
     ``D2`` is 1-D and non-negative; ``shift_k`` (positive) and
     ``prefactor`` broadcast against it.
 
     Every row takes one path in z = logit(u), all rows together.  A
-    search (:func:`_bracket_z`) brackets, on each piece of W (``_pieces``),
+    search (:func:`_bracket_z`) brackets, on each piece of W (``w.pieces``),
     where g exceeds the row's maximum less ``5 + log10(1/tol)`` decades (5
     for any tol >= 1, at most ``_K_TH_RULE``).  Each pair of a row and a
     piece with a bracket is one row of the nested trapezoid rule
@@ -415,8 +417,9 @@ def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
     The search reads the pieces' tables, and so does a row's integration
     where a table's bound is within the budget of ``_table_budget``, which
     keeps the table's error in the log-integral within tol/10; below a
-    piece's bound the call builds it a table four times finer, once, and
-    the row reads the coarser table within its budget, or the quantile.
+    piece's bound the row reads the piece's table four times finer
+    (``w.finer``) within its budget, or else the quantile.  ``w`` builds
+    each table on the first call that needs it and keeps it for the next.
 
     A result is unconverged when it misses the tolerance, or when g is
     still above the threshold at an end of the z range, unless h falls on
@@ -436,13 +439,12 @@ def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
     pref, k, m = _row_arrays(D2, shift_k, prefactor)
     if len(m) == 0:
         return []
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
     # An atom of W at 0 makes a D2 = 0 row diverge; the smallest u of the
     # z range meets it.
-    if np.any(m == 0.0) and _quantile_z(spec, _Z_LO, nu) == 0.0:
+    if np.any(m == 0.0) and _quantile_z(w.spec, _Z_LO, w.nu) == 0.0:
         raise ValueError(_DIVERGES)
 
-    pieces = _pieces(spec, nu)
+    pieces = w.pieces
     # Any tol >= 1 (inf included) gives k_th = 5.
     k_th = min(_K_TH_RULE, 5.0 + max(0.0, -math.log10(cfg.tol)))
     fall = k_th * _LN10
@@ -461,7 +463,7 @@ def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
     # A row whose g peaks at an end of the z range, or is -inf at its
     # peak (D2 = inf), has its mass beyond the doubles' reach, which no
     # integration inside the range can find.
-    z_lo, z_hi = _z_range(spec)
+    z_lo, z_hi = _z_range(w.spec)
     at_end = (z_g - z_lo <= _EPS_BISEC) | (z_hi - z_g <= _EPS_BISEC)
     beyond = np.any(at_end & (tops == top), axis=0) | (top == -math.inf)
     widths = z_r - z_l
@@ -482,9 +484,8 @@ def log_integral_batch(D2, shift_k, prefactor, spec: _MixtureSpec, nu,
         r = row[at]
         budget = _table_budget(table, np.stack([z_a[at], z_b[at]]), k[r], m[r], cfg,
                                (high[r] - fall, high[r]))
-        own = [table]
-        if np.any((budget > 0.0) & (budget < table.bound)):
-            own.append(_QuantileTable(spec, nu, 4 * _TABLE_INTERVALS, table.z_range))
+        finer = np.any((budget > 0.0) & (budget < table.bound))
+        own = [table, w.finer(i)] if finer else [table]
         # A pair reads the coarsest table within its budget, or the quantile.
         for j in reversed(range(len(own))):
             reads[at[own[j].bound <= budget]] = len(tables) + j
@@ -553,7 +554,7 @@ def log_density_batch(X, model: NvmModel, cfg: RqmcConfig | None = None,
     d = model.dim
     d2 = np.atleast_1d(mahalanobis_sq(X, model.loc, model.factor))
     prefactor = -0.5 * d * _LOG_2PI - 0.5 * model.log_det
-    return log_integral_batch(d2, d / 2.0, prefactor, model.spec, model.nu, cfg)
+    return log_integral_batch(d2, d / 2.0, prefactor, model._w, cfg)
 
 
 def _log_lower_incomplete_gamma(z: float, x) -> np.ndarray | float:

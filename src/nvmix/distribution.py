@@ -5,9 +5,11 @@ The d+1 dimensional probability is rewritten as an integral over
 and the rest drive a separation-of-variables recursion of conditional
 normal probabilities; W is read from a table of its quantile where the
 tolerance allows and a read costs less than the quantile
-(:func:`_w_table`).  A greedy variable reordering is applied first so
-that early variables have the smallest expected conditional ranges, then
-the integral is estimated by antithetic RQMC.  Rank-deficient scale
+(:func:`_w_table`); the model's reader of W (``_WReader`` in
+:mod:`nvmix.mixtures`) builds that table, and E(sqrt(W)) for the
+reordering, once, on first use.  A greedy variable reordering is applied
+first so that early variables have the smallest expected conditional
+ranges, then the integral is estimated by antithetic RQMC.  Rank-deficient scale
 matrices are handled with a reduced r-dimensional recursion whose blocks
 keep all d constraints active.  :func:`prob` and :func:`prob_singular`
 share the steps from a factor to the estimate (:func:`_box_estimate`):
@@ -25,7 +27,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .linalg import _ScaleFactor
-from .mixtures import _MixtureSpec, _QuantileTable, _mean_sqrt_w, quantile
+from .mixtures import _MixtureSpec, _QuantileTable, _WReader, quantile
 from .model import NvmModel
 from .rqmc import RqmcConfig, RqmcResult, rqmc_estimate
 
@@ -214,8 +216,8 @@ def _ndtr_of_bound(out, limits, partial, inv_sqrt_w, reduce, scratch) -> np.ndar
     return ndtr(out, out=out)
 
 
-def _w_table(spec: _MixtureSpec, nu, cfg: RqmcConfig, rows: int) -> _QuantileTable | None:
-    """The call's tabulated quantile if the integrand may read W from it.
+def _w_table(w: _WReader, cfg: RqmcConfig, rows: int) -> _QuantileTable | None:
+    """``w``'s table if the integrand may read W from it.
 
     Given W = w, the probability of ``rows`` constraints on sqrt(w) Y, Y
     normal, moves by at most phi(1) < 0.25 per constraint and unit of
@@ -226,10 +228,9 @@ def _w_table(spec: _MixtureSpec, nu, cfg: RqmcConfig, rows: int) -> _QuantileTab
     hundred) or a black box's Python callback, but more than the constant,
     Pareto and inverse-Burr quantiles (6 to 44 ns), which are read instead.
     """
-    if cfg.tol_type != "absolute" or spec.kind not in ("inverse_gamma", "blackbox"):
+    if cfg.tol_type != "absolute" or w.spec.kind not in ("inverse_gamma", "blackbox"):
         return None
-    table = _QuantileTable(spec, nu)
-    return table if 0.25 * rows * table.bound <= 0.1 * cfg.tol else None
+    return w.table if 0.25 * rows * w.table.bound <= 0.1 * cfg.tol else None
 
 
 def _antithetic(f):
@@ -264,8 +265,7 @@ def _box_estimate(a0, b0, factor: _ScaleFactor, model: NvmModel, cfg: RqmcConfig
     if cfg is None:
         cfg = RqmcConfig()
     rows = factor.dim - len(factor.degenerate_rows)
-    g = BoxIntegrand(a0, b0, factor, model.spec, model.nu,
-                     _w_table(model.spec, model.nu, cfg, rows))
+    g = BoxIntegrand(a0, b0, factor, model.spec, model.nu, _w_table(model._w, cfg, rows))
     result = rqmc_estimate(_antithetic(g), factor.rank, cfg, seed)
     return replace(result, estimate=min(max(result.estimate, 0.0), 1.0))
 
@@ -278,14 +278,14 @@ def prob(a, b, model: NvmModel, cfg: RqmcConfig | None = None,
     and the antithetic integrand (g(u) + g(1-u))/2 is fed to the
     iterative RQMC driver in dimension d.  Point counts in the result
     refer to u-points; each costs two integrand evaluations.  W is read
-    from the call's tabulated quantile where :func:`_w_table` allows.  A
+    from the model's tabulated quantile where :func:`_w_table` allows.  A
     rank-deficient scale matrix goes to :func:`prob_singular` unreordered:
     ``reorder`` builds a full-rank Cholesky factor.
     """
     if not model.is_full_rank:
         return prob_singular(a, b, model, cfg, seed)
     a0, b0 = _centered(a, b, model)
-    factor = reorder(a0, b0, model.scale, _mean_sqrt_w(model.spec, model.nu))
+    factor = reorder(a0, b0, model.scale, model._w.mean_sqrt_w)
     return _box_estimate(a0, b0, factor, model, cfg, seed)
 
 

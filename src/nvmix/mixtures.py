@@ -14,7 +14,8 @@ unit interval.  A black-box quantile only receives ``u``.
 
 ``_QuantileTable`` tabulates one quantile in z = logit(u), with a checked
 error bound; box probabilities and log-densities read W from it where
-their tolerance allows that bound.  ``_pieces`` splits the z range at the
+their tolerance allows that bound.  ``_WReader`` builds each table of one
+(family, nu) once, among them those of the z range's pieces between the
 breaks of w (jumps, kinks, or where w leaves 0).
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -198,25 +200,6 @@ def quantile(spec: _MixtureSpec, u, nu, uc=None) -> np.ndarray | float:
     return w
 
 
-def _mean_sqrt_w(spec: _MixtureSpec, nu) -> float:
-    """E(sqrt(W)) for the reordering: exactly for the constant family,
-    inverse-gamma with nu > 1 (sqrt(nu/2) Gamma((nu-1)/2) / Gamma(nu/2))
-    and Pareto with nu > 1/2 (nu / (nu - 1/2)), otherwise by a midpoint
-    rule on the quantile, a crude value that only steers the heuristic.
-    """
-    nu = _check_params(spec, nu)
-    if spec.kind == "constant":
-        return float(np.sqrt(nu[0]))
-    if spec.kind == "inverse_gamma" and nu[0] > 1.0:
-        return math.sqrt(nu[0] / 2.0) * math.exp(math.lgamma((nu[0] - 1.0) / 2.0)
-                                                 - math.lgamma(nu[0] / 2.0))
-    if spec.kind == "pareto" and nu[0] > 0.5:
-        return float(nu[0] / (nu[0] - 0.5))
-    grid = (np.arange(_PILOT_POINTS) + 0.5) / _PILOT_POINTS
-    w = quantile(spec, grid, nu)
-    return float(np.mean(np.sqrt(w)))
-
-
 def _z_range(spec: _MixtureSpec) -> tuple[float, float]:
     return _Z_LO, (_Z_HI_BLACKBOX if spec.kind == "blackbox" else -_Z_LO)
 
@@ -368,24 +351,63 @@ def _break(table) -> tuple[float, float]:
     return a, b
 
 
-def _pieces(spec: _MixtureSpec, nu) -> list[_QuantileTable]:
-    """Tables of w on the pieces of the z range between its breaks, in
-    order.  While the largest bound exceeds ``_SEARCH_LOG_W_ERR`` and there
-    are fewer than ``_MAX_PIECES``, that piece is split at :func:`_break`
-    into two with their own tables; a side where w is 0 throughout is
-    dropped (g vanishes there when D2 > 0), and ``ValueError`` is raised
-    when no side is left.  A smooth W stays one piece, the table of the
-    whole z range.
-    """
-    pieces = [_QuantileTable(spec, nu)]
-    while len(pieces) < _MAX_PIECES:
-        i = max(range(len(pieces)), key=lambda j: pieces[j].bound)
-        table = pieces[i]
-        if table.bound <= _SEARCH_LOG_W_ERR:
-            break
-        (lo, hi), (a, b) = table.z_range, _break(table)
-        sides = (_QuantileTable(spec, nu, z_range=r) for r in ((lo, a), (b, hi)))
-        pieces[i:i + 1] = [t for t in sides if t.exact(t.z_range[1]) > 0.0]
-        if not pieces:
-            raise ValueError("w is 0 on the whole z range, so X has no density")
-    return pieces
+class _WReader:
+    """W of one (family, nu), set up once and read many times: each of its
+    tables and ``mean_sqrt_w`` is built on first use and kept.  So the
+    quantile must give the same w for the same u."""
+
+    def __init__(self, spec: _MixtureSpec, nu):
+        self.spec, self.nu, self._finer = spec, _check_params(spec, nu), {}
+
+    @cached_property
+    def table(self) -> _QuantileTable:
+        """The table of the whole z range."""
+        return _QuantileTable(self.spec, self.nu)
+
+    @cached_property
+    def pieces(self) -> list[_QuantileTable]:
+        """Tables of w on the pieces of the z range between its breaks, in
+        order.  While the largest bound exceeds ``_SEARCH_LOG_W_ERR`` and
+        there are fewer than ``_MAX_PIECES``, that piece is split at
+        :func:`_break` into two with their own tables; a side where w is 0
+        throughout is dropped (g vanishes there when D2 > 0), and
+        ``ValueError`` is raised when no side is left.  A smooth W stays
+        one piece, ``table``.
+        """
+        pieces = [self.table]
+        while len(pieces) < _MAX_PIECES:
+            i = max(range(len(pieces)), key=lambda j: pieces[j].bound)
+            table = pieces[i]
+            if table.bound <= _SEARCH_LOG_W_ERR:
+                break
+            (lo, hi), (a, b) = table.z_range, _break(table)
+            sides = (_QuantileTable(self.spec, self.nu, z_range=r) for r in ((lo, a), (b, hi)))
+            pieces[i:i + 1] = [t for t in sides if t.exact(t.z_range[1]) > 0.0]
+            if not pieces:
+                raise ValueError("w is 0 on the whole z range, so X has no density")
+        return pieces
+
+    def finer(self, i: int) -> _QuantileTable:
+        """Piece i's table with four times the intervals."""
+        if i not in self._finer:
+            self._finer[i] = _QuantileTable(self.spec, self.nu, 4 * _TABLE_INTERVALS,
+                                            self.pieces[i].z_range)
+        return self._finer[i]
+
+    @cached_property
+    def mean_sqrt_w(self) -> float:
+        """E(sqrt(W)) for the reordering: exactly for the constant family,
+        inverse-gamma with nu > 1 (sqrt(nu/2) Gamma((nu-1)/2) / Gamma(nu/2))
+        and Pareto with nu > 1/2 (nu / (nu - 1/2)), otherwise by a midpoint
+        rule on the quantile, a crude value that only steers the heuristic.
+        """
+        kind, nu = self.spec.kind, self.nu
+        if kind == "constant":
+            return float(np.sqrt(nu[0]))
+        if kind == "inverse_gamma" and nu[0] > 1.0:
+            return math.sqrt(nu[0] / 2.0) * math.exp(math.lgamma((nu[0] - 1.0) / 2.0)
+                                                     - math.lgamma(nu[0] / 2.0))
+        if kind == "pareto" and nu[0] > 0.5:
+            return float(nu[0] / (nu[0] - 0.5))
+        grid = (np.arange(_PILOT_POINTS) + 0.5) / _PILOT_POINTS
+        return float(np.mean(np.sqrt(quantile(self.spec, grid, nu))))

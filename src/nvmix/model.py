@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import _ScaleFactor, cholesky
-from .mixtures import _MixtureSpec, _check_params
+from .mixtures import _MixtureSpec, _WReader, _check_params
 
 __all__ = ["NvmModel"]
 
@@ -42,6 +43,11 @@ class NvmModel:
         nu = _check_params(spec, nu)
         factor = cholesky(scale)
         return cls(loc=loc, scale=scale, spec=spec, nu=nu, factor=factor)
+
+    @cached_property
+    def _w(self) -> _WReader:
+        # Built on first use; not a field, so == does not look at it.
+        return _WReader(self.spec, self.nu)
 
     @property
     def dim(self) -> int:

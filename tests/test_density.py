@@ -29,9 +29,9 @@ from nvmix.density import (
 from nvmix.mixtures import (
     _MAX_PIECES,
     _TABLE_INTERVALS,
-    _pieces,
     _QuantileTable,
     _quantile_z,
+    _WReader,
     _z_range,
     blackbox,
     constant,
@@ -369,7 +369,7 @@ def test_inverse_burr_below_nu2_one_is_tabulated():
     nu = [2.0, 0.9]
     assert _QuantileTable(spec, nu).bound <= _SEARCH_LOG_W_ERR
     cfg = RqmcConfig(tol=1e-3)
-    (res,) = log_integral_batch([0.0], *density_args(0.0, 2)[1:], spec, nu, cfg)
+    (res,) = log_integral_batch([0.0], *density_args(0.0, 2)[1:], _WReader(spec, nu), cfg)
     ref, _ = reference_log_integral([0.0], *density_args(0.0, 2)[1:], spec, nu)
     assert res.converged and abs(res.estimate - ref[0]) <= cfg.tol
 
@@ -389,7 +389,7 @@ def test_mass_beyond_a_jump_of_the_quantile_is_bracketed(monkeypatch):
     assert z_l == pytest.approx(math.log((1 - 1e-9) / 1e-9), abs=_EPS_BISEC)
     assert (z_r, closed) == (_z_range(spec)[1], False)
     seen = adaptive_rows(monkeypatch)
-    loose, tight = (log_integral_batch([1.0], 5.0, 0.0, spec, [], RqmcConfig(tol=tol))[0]
+    loose, tight = (log_integral_batch([1.0], 5.0, 0.0, _WReader(spec, []), RqmcConfig(tol=tol))[0]
                     for tol in (1e-3, 1e-6))
     assert seen == [[0.5]] * 2 and loose.converged
     assert not tight.converged and tight.n_per_randomization > 0
@@ -543,9 +543,9 @@ def test_tableless_quantiles_are_read_exactly(monkeypatch, q, n_pieces):
     table = _QuantileTable(spec, [])
     assert table.bound > 1e-1
     assert table.read(1e-1) == table.exact
-    pieces = _pieces(spec, [])
+    pieces = _WReader(spec, []).pieces
     assert len(pieces) == n_pieces and all(p.bound <= _SEARCH_LOG_W_ERR for p in pieces)
-    args = density_args([2e3, 2e5, 1e7], 10) + (spec, [])
+    args = density_args([2e3, 2e5, 1e7], 10) + (_WReader(spec, []),)
     loose = log_integral_batch(*args, RqmcConfig(tol=math.inf))
     assert len(loose) == 3 and all(math.isfinite(r.estimate) for r in loose)
     seen = adaptive_rows(monkeypatch)
@@ -578,7 +578,7 @@ def test_pieces_split_w_at_its_breaks(family):
     # is dropped: the first piece starts at the break.
     q, breaks = BREAKS[family]
     spec = blackbox(q, 0)
-    pieces = _pieces(spec, [])
+    pieces = _WReader(spec, []).pieces
     assert all(p.bound <= _SEARCH_LOG_W_ERR for p in pieces)
     z_lo, z_hi = _z_range(spec)
     ends = np.ravel([p.z_range for p in pieces])
@@ -594,7 +594,7 @@ def test_a_smooth_w_is_one_piece(family):
     # A W without breaks is one piece, the table of the whole z range.
     spec, nu = {"ig4": (inverse_gamma(), [4.0]),
                 "symmetric_toy": (symmetric_toy_quantile(), [])}[family]
-    (piece,) = _pieces(spec, nu)
+    (piece,) = _WReader(spec, nu).pieces
     whole = _QuantileTable(spec, nu)
     z = np.linspace(*_z_range(spec), 1001)
     assert piece.z_range == whole.z_range == _z_range(spec)
@@ -607,13 +607,13 @@ def test_a_heavy_tailed_black_box_is_one_piece():
     # bound leaves out: it is one piece, and its rows meet tol 1e-3 against
     # the closed form, out to D2 = 1e6, where h peaks at 1 - u near 2e-12.
     spec = blackbox(lambda u, nu: ig4_quantile(u), 0)
-    assert len(_pieces(spec, [])) == 1
+    assert len(_WReader(spec, []).pieces) == 1
     d = 10
     D2 = np.array([0.0, 0.5, 10.0, 640.0, 1.6e4, 1e6])
     X = np.zeros((len(D2), d))
     X[:, 0] = np.sqrt(D2)
     exact = closed_log_density(NvmModel.build(None, np.eye(d), inverse_gamma(), [4.0]), X)
-    res = log_integral_batch(*density_args(D2, d), spec, [], RqmcConfig(tol=1e-3))
+    res = log_integral_batch(*density_args(D2, d), _WReader(spec, []), RqmcConfig(tol=1e-3))
     assert all(r.converged and abs(r.estimate - e) <= 1e-3 for r, e in zip(res, exact))
 
 
@@ -629,7 +629,7 @@ def test_a_rare_jump_in_the_rounding_zone_splits_w():
     # rare part's mass, so the rows it dominates report unconverged.)
     u_jump = 1.0 - 1e-13
     spec = blackbox(lambda u, nu: np.where(u < u_jump, 1.0, 1e4), 0)
-    lower, upper = _pieces(spec, [])
+    lower, upper = _WReader(spec, []).pieces
     a, b = lower.z_range[1], upper.z_range[0]
     assert list(quantile(spec, expit([a, b]), [])) == [1.0, 1e4] and b - a <= 1e-12 * b
     p = 1.0 - u_jump
@@ -637,7 +637,7 @@ def test_a_rare_jump_in_the_rounding_zone_splits_w():
     for d in (3, 10):
         exact = np.logaddexp(math.log1p(-p) - 0.5 * d * LOG_2PI - 0.5 * D2,
                              math.log(p) - 0.5 * d * (LOG_2PI + math.log(1e4)) - D2 / 2e4)
-        res = log_integral_batch(*density_args(D2, d), spec, [], RqmcConfig(tol=1e-3))
+        res = log_integral_batch(*density_args(D2, d), _WReader(spec, []), RqmcConfig(tol=1e-3))
         assert all(abs(r.estimate - e) <= 1e-2 for r, e in zip(res, exact))
         assert all(abs(r.estimate - e) <= 1e-3 for r, e in zip(res, exact) if r.converged)
         assert res[0].converged and res[1].converged
@@ -650,10 +650,11 @@ def test_a_bounded_w_far_out_meets_a_tolerance_below_its_ulp():
     # 5e8 as e^(log m - L), 20 ulp off; the budget leaves room for that, so
     # the rows read w itself and give the double nearest log f.
     spec = blackbox(BREAKS["staircase"][0], 0)
-    assert _pieces(spec, [])[-1].bound == 0.0
+    assert _WReader(spec, []).pieces[-1].bound == 0.0
     for d in (3, 10):
         exact = math.log(0.1) - 0.5 * d * (LOG_2PI + math.log(10.0)) - 5e8
-        (res,) = log_integral_batch(*density_args([1e10], d), spec, [], RqmcConfig(tol=1e-8))
+        (res,) = log_integral_batch(*density_args([1e10], d), _WReader(spec, []),
+                                    RqmcConfig(tol=1e-8))
         assert res.converged and res.estimate == exact
 
 
@@ -663,9 +664,9 @@ def test_a_w_with_more_breaks_than_pieces_is_not_certified():
     # and misses the search's budget, so the rows that reach it are
     # unconverged with an infinite error.
     spec = blackbox(lambda u, nu: np.floor(20.0 * u) + 1.0, 0)
-    pieces = _pieces(spec, [])
+    pieces = _WReader(spec, []).pieces
     assert len(pieces) == _MAX_PIECES and max(p.bound for p in pieces) > _SEARCH_LOG_W_ERR
-    res = log_integral_batch(*density_args([0.5, 30.0], 3), spec, [])
+    res = log_integral_batch(*density_args([0.5, 30.0], 3), _WReader(spec, []))
     assert all(not r.converged and r.error_estimate == math.inf for r in res)
 
 
@@ -941,7 +942,8 @@ def test_rows_honour_relative_tolerance(monkeypatch):
     monkeypatch.setattr(density, "_rows_log_g", spy)
     for tol in (1e-3, 1e-4, 1e-5):
         cfg = RqmcConfig(tol=tol, tol_type="relative")
-        res = log_integral_batch([1.0], 1.0, math.log(2.0), inverse_gamma(), [4.0], cfg)[0]
+        res = log_integral_batch([1.0], 1.0, math.log(2.0), _WReader(inverse_gamma(), [4.0]),
+                                 cfg)[0]
         assert res.converged
         assert res.error_estimate <= cfg.tol * abs(res.estimate)
     assert seen == [[0.5]] * 3
@@ -960,7 +962,7 @@ def test_rows_honour_relative_tolerance(monkeypatch):
          "prefactor-length"])
 def test_log_integral_batch_rejects_bad_rows(D2, shift_k, prefactor, match):
     with pytest.raises(ValueError, match=match):
-        log_integral_batch(D2, shift_k, prefactor, inverse_gamma(), [4.0])
+        log_integral_batch(D2, shift_k, prefactor, _WReader(inverse_gamma(), [4.0]))
 
 
 def test_log_integral_batch_broadcasts_scalar_parameters():
@@ -968,9 +970,9 @@ def test_log_integral_batch_broadcasts_scalar_parameters():
     # no results.
     D2, k, pref = density_args([0.5, 640.0, 1.6e4], 10)
     spec, nu = inverse_gamma(), [4.0]
-    full = log_integral_batch(D2, np.full(3, k), np.full(3, pref), spec, nu)
-    assert log_integral_batch(D2, k, pref, spec, nu) == full
-    assert log_integral_batch(np.zeros(0), k, pref, spec, nu) == []
+    full = log_integral_batch(D2, np.full(3, k), np.full(3, pref), _WReader(spec, nu))
+    assert log_integral_batch(D2, k, pref, _WReader(spec, nu)) == full
+    assert log_integral_batch(np.zeros(0), k, pref, _WReader(spec, nu)) == []
 
 
 def test_call_memory_stays_below_one_block():
@@ -982,10 +984,10 @@ def test_call_memory_stays_below_one_block():
     spec, nu = inverse_gamma(), [4.0]
     for lo, hi in ((10.0, 100.0), (0.5, 2.0)):
         D2, k, pref = density_args(np.linspace(lo, hi, 2000), 10)
-        log_integral_batch(D2[:10], k, pref, spec, nu, cfg)  # lazy imports
+        log_integral_batch(D2[:10], k, pref, _WReader(spec, nu), cfg)  # lazy imports
         tracemalloc.start()
         try:
-            res = log_integral_batch(D2, k, pref, spec, nu, cfg)
+            res = log_integral_batch(D2, k, pref, _WReader(spec, nu), cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1038,8 +1040,9 @@ def test_batch_rows_are_independent(cfg, swap):
     # cap-binds stops those near rows at 127 nodes, unconverged.
     D2s = [0.5, 3.0, 10.0, 640.0, 1e16, 2e5, 1e6]
     spec, nu = inverse_gamma(), [4.0]
-    ref = log_integral_batch(*density_args(D2s, 10), spec, nu, cfg)
-    got = log_integral_batch(*density_args(D2s[:4] + [swap] + D2s[5:], 10), spec, nu, cfg)
+    ref = log_integral_batch(*density_args(D2s, 10), _WReader(spec, nu), cfg)
+    got = log_integral_batch(*density_args(D2s[:4] + [swap] + D2s[5:], 10), _WReader(spec, nu),
+                             cfg)
     assert [r for i, r in enumerate(got) if i != 4] == [r for i, r in enumerate(ref) if i != 4]
     assert got[4] != ref[4]
     # iterations_used counts nodes in batches of n0, the last one partly
@@ -1076,13 +1079,13 @@ def test_rows_do_not_depend_on_their_batch(family, cfg):
         # E[W^(-k)] is infinite for k >= nu1 nu2 = 4, so the search rejects
         # the rows at D2 = 0; the others are checked without them.
         with pytest.raises(ValueError, match="diverges at w = 0"):
-            log_integral_batch(D2, k, pref, spec, nu, cfg)
+            log_integral_batch(D2, k, pref, _WReader(spec, nu), cfg)
         D2, k = D2[D2 > 0.0], k[D2 > 0.0]
-    ref = log_integral_batch(D2, k, pref, spec, nu, cfg)
+    ref = log_integral_batch(D2, k, pref, _WReader(spec, nu), cfg)
     perm = np.random.default_rng(0).permutation(len(D2))
-    got = log_integral_batch(D2[perm], k[perm], pref, spec, nu, cfg)
+    got = log_integral_batch(D2[perm], k[perm], pref, _WReader(spec, nu), cfg)
     assert got == [ref[i] for i in perm]
-    alone = [log_integral_batch(D2[i:i + 1], k[i], pref, spec, nu, cfg)[0]
+    alone = [log_integral_batch(D2[i:i + 1], k[i], pref, _WReader(spec, nu), cfg)[0]
              for i in range(len(D2))]
     assert alone == ref
 
@@ -1103,7 +1106,8 @@ def test_quantile_calls_do_not_grow_with_pending_points(monkeypatch):
     for n in (10, 200):
         calls.clear()
         D2 = np.logspace(5, 9, n)
-        res = log_integral_batch(*density_args(D2, 10), inverse_gamma(), [4.0], RqmcConfig())
+        res = log_integral_batch(*density_args(D2, 10), _WReader(inverse_gamma(), [4.0]),
+                                 RqmcConfig())
         assert seen[-1] == list(0.5 * D2) and all(r.converged for r in res)
         counts[n] = len(calls)
     assert counts[200] == counts[10] == 1
@@ -1129,18 +1133,21 @@ def test_rows_on_the_table_and_on_the_quantile_share_a_call(monkeypatch):
                            (1e-7, [0.1, 1.0, 1e3, 1e5], [1, 1, -1, -1])):
         cfg = RqmcConfig(tol=tol)
         picks.clear()
-        res = log_integral_batch(*density_args(D2, 10), inverse_gamma(), [4.0], cfg)
+        res = log_integral_batch(*density_args(D2, 10), _WReader(inverse_gamma(), [4.0]), cfg)
         assert seen[-1] == list(0.5 * np.array(D2)) and all(r.converged for r in res)
         assert picks[0] == picks[1] == reads
         for d2, r in zip(D2, res):
-            assert log_integral_batch(*density_args([d2], 10), inverse_gamma(), [4.0], cfg) == [r]
+            alone = log_integral_batch(*density_args([d2], 10), _WReader(inverse_gamma(), [4.0]),
+                                       cfg)
+            assert alone == [r]
 
 
 def test_a_finer_table_is_built_only_when_the_tolerance_needs_it(monkeypatch):
     # At tol 1e-3 every IG(4) row's budget covers the 513-node table's
-    # bound, and the call builds no other table.  At tol 1e-6 none does,
-    # and the call builds one table four times finer, which every row
-    # reads; they all still meet tol against the closed form.
+    # bound, and the first call on the model builds that table alone.  At
+    # tol 1e-6 none does, and the next call on the same model builds only
+    # the table four times finer, which every row reads; they all still
+    # meet tol against the closed form.
     tables, picks = [], []
     rows_log_g = density._rows_log_g
 
@@ -1153,9 +1160,7 @@ def test_a_finer_table_is_built_only_when_the_tolerance_needs_it(monkeypatch):
         picks.append(list(reads))
         return rows_log_g(tables, reads, *args)
 
-    # _pieces builds a call's tables, log_integral_batch the finer ones.
     monkeypatch.setattr(mixtures, "_QuantileTable", Recorded)
-    monkeypatch.setattr(density, "_QuantileTable", Recorded)
     monkeypatch.setattr(density, "_rows_log_g", spy)
     d = 10
     model = NvmModel.build(None, np.eye(d), inverse_gamma(), [4.0])
@@ -1163,13 +1168,37 @@ def test_a_finer_table_is_built_only_when_the_tolerance_needs_it(monkeypatch):
     X[:, 0] = np.sqrt(np.logspace(-1, 9, 21))
     exact = closed_log_density(model, X)
     for tol, intervals, read in ((1e-3, [_TABLE_INTERVALS], 0),
-                                 (1e-6, [_TABLE_INTERVALS, 4 * _TABLE_INTERVALS], 1)):
+                                 (1e-6, [4 * _TABLE_INTERVALS], 1)):
         tables.clear()
         picks.clear()
         res = log_density_batch(X, model, RqmcConfig(tol=tol))
         assert [t.intervals for t in tables] == intervals
         assert picks[0] == [read] * len(X)
         assert all(r.converged and abs(r.estimate - e) <= tol for r, e in zip(res, exact))
+
+
+def test_a_second_call_on_one_model_builds_no_table(monkeypatch):
+    # The model's reader of W keeps its tables: a second call on the same
+    # IG(4) model, at the same tolerance, builds none and gives the same
+    # results.  At tol 1e-6 the first call builds the finer table too.
+    tables = []
+
+    class Recorded(_QuantileTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(mixtures, "_QuantileTable", Recorded)
+    d = 10
+    model = NvmModel.build(None, np.eye(d), inverse_gamma(), [4.0])
+    X = np.zeros((30, d))
+    X[:, 0] = np.sqrt(np.logspace(-1, 9, 30))
+    cfg = RqmcConfig(tol=1e-6)
+    first = log_density_batch(X, model, cfg)
+    assert [t.intervals for t in tables] == [_TABLE_INTERVALS, 4 * _TABLE_INTERVALS]
+    tables.clear()
+    assert log_density_batch(X, model, cfg) == first
+    assert tables == []
 
 
 def test_quantile_work_does_not_depend_on_the_number_of_points(monkeypatch):
@@ -1189,14 +1218,13 @@ def test_quantile_work_does_not_depend_on_the_number_of_points(monkeypatch):
 
     monkeypatch.setattr(mixtures, "quantile", counted)
     monkeypatch.setattr(mixtures, "_QuantileTable", Recorded)
-    monkeypatch.setattr(density, "_QuantileTable", Recorded)
     rules = rule_results(monkeypatch)
     cfg = RqmcConfig()
     for n in (10, 200):
         u_values.clear()
         tables.clear()
-        res = log_integral_batch(*density_args(np.logspace(5, 9, n), 10), inverse_gamma(), [4.0],
-                                 cfg)
+        res = log_integral_batch(*density_args(np.logspace(5, 9, n), 10),
+                                 _WReader(inverse_gamma(), [4.0]), cfg)
         (table,) = tables
         assert u_values == [2 * table.intervals + 1] == [1025]
         _, _, nodes = rules[-1]
@@ -1212,7 +1240,7 @@ def test_search_finds_mass_that_lies_only_near_u_1(monkeypatch):
     # the result converges.
     spec = blackbox(lambda u, nu: np.where(u < 1 - 1e-9, 0.0, 1.0), 0)
     seen = adaptive_rows(monkeypatch)
-    (res,) = log_integral_batch([1.0], 5.0, 0.0, spec, [])
+    (res,) = log_integral_batch([1.0], 5.0, 0.0, _WReader(spec, []))
     assert seen == [[0.5]] and res.converged
     assert res.estimate == pytest.approx(math.log(1e-9) - 0.5, abs=1e-3)
 
@@ -1227,17 +1255,18 @@ def test_adaptive_rows_stop_at_the_first_step_that_meets_tol(monkeypatch):
     # at tol 1e-12 run on to 255 nodes.
     D2, k, pref = density_args(np.linspace(0.5, 2.0, 20), 10)
     rules = rule_results(monkeypatch)
-    res = log_integral_batch(D2, k, pref, inverse_gamma(), [4.0], RqmcConfig(tol=1e-3))
+    res = log_integral_batch(D2, k, pref, _WReader(inverse_gamma(), [4.0]), RqmcConfig(tol=1e-3))
     ((estimate, error, nodes),) = rules
     assert set(nodes) == {31, 63} and np.all(error <= 1e-4)
     assert [r.estimate for r in res] == list(estimate)
     assert all(r.converged and r.iterations_used == 1 for r in res)
-    short = log_integral_batch(D2, k, pref, inverse_gamma(), [4.0],
+    short = log_integral_batch(D2, k, pref, _WReader(inverse_gamma(), [4.0]),
                                RqmcConfig(tol=1e-3, n0=32, i_max=1))
     for r, s in zip(res, short):
         assert s.n_per_randomization == 31 and s.converged == (r.n_per_randomization == 31)
         assert s == r if s.converged else s.error_estimate > 1e-4
-    tight = log_integral_batch(D2, k, pref, inverse_gamma(), [4.0], RqmcConfig(tol=1e-12))
+    tight = log_integral_batch(D2, k, pref, _WReader(inverse_gamma(), [4.0]),
+                               RqmcConfig(tol=1e-12))
     assert all(r.converged and r.n_per_randomization == 255 for r in tight)
 
 
@@ -1261,18 +1290,18 @@ def test_bracket_threshold_follows_tol(monkeypatch, tol, k_th):
         return _bracket_z(*args)
 
     monkeypatch.setattr(density, "_bracket_z", spy)
-    res = log_integral_batch(*density_args([1e8, 1e10], 10), inverse_gamma(), [4.0],
+    res = log_integral_batch(*density_args([1e8, 1e10], 10), _WReader(inverse_gamma(), [4.0]),
                              RqmcConfig(tol=tol))
     assert rows == [[5e7, 5e9]] and all(r.converged for r in res)
-    log_integral_batch([1.0], 1.5, 0.0, JUMP, [], RqmcConfig(tol=tol, i_max=1))
+    log_integral_batch([1.0], 1.5, 0.0, _WReader(JUMP, []), RqmcConfig(tol=tol, i_max=1))
     assert levels == [pytest.approx(k_th, abs=1e-12)] * 2
 
 
 def test_infinite_tolerance_is_met_at_the_first_step():
     # RqmcConfig accepts tol = inf; every row then settles at its first
     # step, the trapezoid rule's first value.
-    res = log_integral_batch(*density_args([0.5, 1.6e4, 1e10], 10), inverse_gamma(), [4.0],
-                             RqmcConfig(tol=math.inf))
+    res = log_integral_batch(*density_args([0.5, 1.6e4, 1e10], 10),
+                             _WReader(inverse_gamma(), [4.0]), RqmcConfig(tol=math.inf))
     assert all(r.converged and r.iterations_used == 1 for r in res)
 
 
@@ -1336,12 +1365,12 @@ def test_zero_distance_divergence_is_raised():
     spec, nu = inverse_burr(), [2.0, 2.0]
     for d in (8, 10):
         with pytest.raises(ValueError, match="diverges at w = 0"):
-            log_integral_batch([0.0], d / 2.0, gaussian_prefactor(d), spec, nu)
+            log_integral_batch([0.0], d / 2.0, gaussian_prefactor(d), _WReader(spec, nu))
     for d in (6, 7):
         k = d / 2.0
         exact = gaussian_prefactor(d) + math.log(2.0) + gammaln(2.0 - k / 2) + gammaln(
             1.0 + k / 2) - gammaln(3.0)
-        res = log_integral_batch([0.0], k, gaussian_prefactor(d), spec, nu)[0]
+        res = log_integral_batch([0.0], k, gaussian_prefactor(d), _WReader(spec, nu))[0]
         assert res.converged
         assert abs(res.estimate - exact) <= 1e-3
 
@@ -1356,7 +1385,8 @@ def test_remark_shift_generalization():
         return w ** (-(d / 2.0 + 1.0)) * math.exp(-D2 / (2 * w))
 
     oracle, _ = quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-11, limit=400)
-    res = log_integral_batch([D2], d / 2.0 + 1.0, 0.0, spec, [nu_ig], RqmcConfig(tol=1e-3))[0]
+    res = log_integral_batch([D2], d / 2.0 + 1.0, 0.0, _WReader(spec, [nu_ig]),
+                             RqmcConfig(tol=1e-3))[0]
     assert res.estimate == pytest.approx(math.log(oracle), abs=2e-3)
 
 
@@ -1373,9 +1403,9 @@ def test_rows_that_read_the_table_stay_within_a_tenth_of_tol(monkeypatch):
     budget = density._table_budget
     for spec, nu in ((inverse_gamma(), [4.0]), (pareto(), [6.0]), (inverse_burr(), [2.0, 2.0])):
         monkeypatch.setattr(density, "_table_budget", budget)
-        tabled = log_integral_batch(D2, k, pref, spec, nu, cfg)
+        tabled = log_integral_batch(D2, k, pref, _WReader(spec, nu), cfg)
         monkeypatch.setattr(density, "_table_budget", lambda *args: np.zeros(len(D2)))
-        exact = log_integral_batch(D2, k, pref, spec, nu, cfg)
+        exact = log_integral_batch(D2, k, pref, _WReader(spec, nu), cfg)
         moved = [abs(a.estimate - b.estimate) for a, b in zip(tabled, exact)
                  if a.n_per_randomization == b.n_per_randomization]
         assert len(moved) == len(D2)
@@ -1393,9 +1423,9 @@ def test_log_means_spread_past_the_doubles_range_meet_no_tolerance(spec, nu, D2)
     # are those of a call without it.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = log_integral_batch([1.0, D2, 30.0], 5.0, 0.0, spec, nu)
+        res = log_integral_batch([1.0, D2, 30.0], 5.0, 0.0, _WReader(spec, nu))
     assert astuple(res[1]) == (-math.inf, math.inf, 0, 0, False)
-    assert [res[0], res[2]] == log_integral_batch([1.0, 30.0], 5.0, 0.0, spec, nu)
+    assert [res[0], res[2]] == log_integral_batch([1.0, 30.0], 5.0, 0.0, _WReader(spec, nu))
 
 
 def test_a_point_whose_distance_overflows_has_no_density_estimate():
@@ -1427,7 +1457,8 @@ def test_smooth_rows_meet_tight_tolerances():
                 X[:, 0] = np.sqrt(D2s)
                 exact = closed_log_density(NvmModel.build(None, np.eye(d), spec, nu), X)
             for tol in (1e-3, 1e-8, 1e-12):
-                res = log_integral_batch(*density_args(D2, d), spec, nu, RqmcConfig(tol=tol))
+                res = log_integral_batch(*density_args(D2, d), _WReader(spec, nu),
+                                         RqmcConfig(tol=tol))
                 assert all(r.converged and abs(r.estimate - e) <= tol
                            for r, e in zip(res, exact))
 
@@ -1478,8 +1509,8 @@ def test_a_jump_of_w_is_split_at_the_jump():
     # log(0.3 N_3(x; 0, I) + 0.7 N_3(x; 0, 4 I)).
     d = 3
     assert _QuantileTable(JUMP, np.array([])).bound == pytest.approx(1.38, abs=5e-3)
-    assert len(_pieces(JUMP, [])) == 2
-    res = log_integral_batch(JUMP_D2, d / 2.0, gaussian_prefactor(d), JUMP, [],
+    assert len(_WReader(JUMP, []).pieces) == 2
+    res = log_integral_batch(JUMP_D2, d / 2.0, gaussian_prefactor(d), _WReader(JUMP, []),
                              RqmcConfig(tol=1e-3))
     D2 = np.array(JUMP_D2)
     exact = np.log(0.3 * np.exp(-D2 / 2.0) / (2.0 * np.pi) ** 1.5

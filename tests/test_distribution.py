@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from nvmix import distribution
+from nvmix import distribution, mixtures
 from nvmix.distribution import (
     BoxIntegrand,
     _antithetic,
@@ -18,6 +18,7 @@ from nvmix.distribution import (
 from nvmix.linalg import _singular_cholesky
 from nvmix.mixtures import (
     _QuantileTable,
+    _WReader,
     blackbox,
     constant,
     inverse_burr,
@@ -351,7 +352,7 @@ class TestScalarRecursion:
         (pair_mean,) = captured
 
         # At the default tol the integrand reads W from the table.
-        table = _w_table(model.spec, model.nu, RqmcConfig(), 6)
+        table = _w_table(model._w, RqmcConfig(), 6)
         assert table is not None
         A = factor.mixing_matrix()
         u = _points(rng, 32, 3)
@@ -591,7 +592,6 @@ class TestProbSingular:
 class TestVarianceReduction:
     def test_reordering_reduces_variance_mostly(self):
         # Desk-scale version of the randomized reordering experiment.
-        from nvmix.mixtures import _mean_sqrt_w
 
         rng = np.random.default_rng(100)
         wins = 0
@@ -606,7 +606,7 @@ class TestVarianceReduction:
             b = rng.uniform(0.0, 3.0 * math.sqrt(d), size=d)
             a = np.full(d, -INF)
             spec = inverse_gamma()
-            msw = _mean_sqrt_w(spec, [nu])
+            msw = _WReader(spec, [nu]).mean_sqrt_w
 
             reordered = reorder(a, b, sigma, msw)
             # Variance without reordering: the identity-order factor.
@@ -729,12 +729,32 @@ class TestTabulatedW:
         budget = 0.25 * d * _QuantileTable(spec, nu).bound
         assert budget <= 0.1 * cfg.tol
         tabulated = prob(a, b, model, cfg, seed=d)
-        monkeypatch.setattr(distribution, "_QuantileTable", UntabulatedTable)
+        # A new model's reader builds the table that the integrand skips.
+        monkeypatch.setattr(mixtures, "_QuantileTable", UntabulatedTable)
+        model = NvmModel.build(None, _equicorrelation(d), spec, nu)
         exact = prob(a, b, model, cfg, seed=d)
         assert tabulated.estimate != exact.estimate
         assert abs(tabulated.estimate - exact.estimate) <= budget
         assert (tabulated.n_per_randomization, tabulated.converged) == (
             exact.n_per_randomization, exact.converged)
+
+    def test_a_second_call_on_one_model_builds_no_table(self, monkeypatch):
+        # The model's reader of W builds the IG table on the first prob
+        # call at an absolute tol and keeps it for the next.
+        tables = []
+
+        class Recorded(_QuantileTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        monkeypatch.setattr(mixtures, "_QuantileTable", Recorded)
+        a, b = _limits("mixed", np.random.default_rng(45), 5)
+        model = NvmModel.build(None, _equicorrelation(5), inverse_gamma(), [3.0])
+        first = prob(a, b, model, seed=5)
+        assert len(tables) == 1
+        assert prob(a, b, model, seed=5) == first
+        assert len(tables) == 1
 
     @pytest.mark.parametrize("case, estimate, n, converged", UNTABULATED,
                              ids=[c[0] for c in UNTABULATED])
@@ -756,7 +776,7 @@ class TestTabulatedW:
                          RqmcConfig()),
             }[case]
             d, (a, b), seed = 5, _limits("finite", np.random.default_rng(30), 5), 11
-        assert _w_table(spec, nu, cfg, d) is None
+        assert _w_table(_WReader(spec, nu), cfg, d) is None
         res = prob(a, b, NvmModel.build(None, _equicorrelation(d), spec, nu), cfg, seed=seed)
         assert res.estimate == pytest.approx(estimate, rel=0.0, abs=1e-14)
         assert (res.n_per_randomization, res.converged) == (n, converged)

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from nvmix import mixtures
+from nvmix import NvmModel, RqmcConfig, mixtures, prob
 from nvmix.mixtures import (
     InvalidMixtureError,
     blackbox,
     constant,
     inverse_burr,
     inverse_gamma,
-    _mean_sqrt_w,
+    _WReader,
     pareto,
     quantile,
 )
@@ -151,20 +151,36 @@ def test_uc_must_be_one_minus_u():
 
 class TestMeanSqrtW:
     def test_constant(self):
-        assert _mean_sqrt_w(constant(), [4.0]) == 2.0
+        assert _WReader(constant(), [4.0]).mean_sqrt_w == 2.0
 
     def test_inverse_gamma_moment(self):
         # Closed-form moment oracle: E(W^0.5) = sqrt(nu/2) G((nu-1)/2)/G(nu/2).
         nu = 4.0
         oracle = math.sqrt(nu / 2.0) * math.gamma((nu - 1) / 2.0) / math.gamma(nu / 2.0)
         assert oracle == pytest.approx(1.2533, abs=1e-4)
-        got = _mean_sqrt_w(inverse_gamma(), [nu])
+        got = _WReader(inverse_gamma(), [nu]).mean_sqrt_w
         assert got == pytest.approx(oracle, rel=1e-12)
 
     def test_pareto_moment(self):
         # E(W^k) = alpha/(alpha-k) for k < alpha; k = 1/2, alpha = 2.
-        got = _mean_sqrt_w(pareto(), [2.0])
+        got = _WReader(pareto(), [2.0]).mean_sqrt_w
         assert got == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+    def test_a_black_box_model_computes_it_once(self):
+        # The midpoint rule calls the black box once, on the model's first
+        # prob call; the model's reader keeps the value.
+        calls = []
+
+        def q(u, nu):
+            calls.append(len(u))
+            return np.full(len(u), 4.0)
+
+        model = NvmModel.build(None, np.eye(2), blackbox(q, 0), [])
+        cfg = RqmcConfig(tol=1e-2, tol_type="relative")
+        for _ in range(2):
+            prob([-1.0, -1.0], [1.0, 1.0], model, cfg, seed=1)
+        assert model._w.mean_sqrt_w == 2.0
+        assert calls.count(mixtures._PILOT_POINTS) == 1
 
 
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6), st.floats(min_value=0.2, max_value=20))

@@ -1,8 +1,8 @@
 """The measurement scripts under ``scripts/`` run at tiny sizes.
 
-They reach into names of ``nvmix.density`` (``_pieces``,
-``_nested_trapezoid``, ``_bracket_z``, ``_table_budget``, ``_newton``)
-and of ``nvmix.mixtures`` (``quantile``, ``_QuantileTable`` and its
+They reach into names of ``nvmix.density`` (``_nested_trapezoid``,
+``_bracket_z``, ``_table_budget``, ``_newton``) and of ``nvmix.mixtures``
+(``quantile``, ``_WReader.pieces``, ``_QuantileTable`` and its
 ``intervals`` and ``bound``) and time
 ``nvmix.distribution.reorder`` by its name, so a change that renames or
 reshapes one of those must show up here rather than the next time
@@ -16,6 +16,7 @@ import numpy as np
 
 from nvmix import blackbox, distribution
 from nvmix.density import log_integral_batch
+from nvmix.mixtures import _WReader
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -76,7 +77,7 @@ def test_adaptive_cost_counts_the_rule_nodes():
     script = runpy.run_path(str(SCRIPTS / "adaptive_cost.py"))
     jump = blackbox(lambda u, nu: np.where(u < 0.3, 1.0, 4.0), 0)
     res, counts = script["_phase_counts"](
-        lambda: log_integral_batch([0.1, 20.0], 1.5, 0.0, jump, []))
+        lambda: log_integral_batch([0.1, 20.0], 1.5, 0.0, _WReader(jump, [])))
     nodes = counts["rule_nodes"]
     assert len(nodes) == 4 and counts["rules"] == 1
     assert [nodes[0] + nodes[2], nodes[1] + nodes[3]] == [r.n_per_randomization for r in res]
