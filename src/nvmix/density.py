@@ -204,8 +204,8 @@ def region_bounds(D2: float, shift_k: float, prefactor: float, spec: _MixtureSpe
     :func:`log_integral_batch` exceeds its maximum less ``_K_TH`` = 10
     decades, the union of its pieces' brackets; ``closed`` is False when g
     is still above that level at an end of the z range."""
-    z_l, z_r, _, tops, ends = _bracket_z(*_row_arrays([D2], shift_k, prefactor),
-                                         _WReader(spec, nu).pieces, _K_TH)
+    z_l, z_r, _, tops, ends, _ = _bracket_z(*_row_arrays([D2], shift_k, prefactor),
+                                            _WReader(spec, nu).pieces, _K_TH)
     closed = np.all(ends <= tops.max(axis=0) - _K_TH * _LN10)
     return float(np.nanmin(z_l)), float(np.nanmax(z_r)), bool(closed)
 
@@ -311,12 +311,13 @@ def _table_bracket(table, pref, k, m, z_g, g_max, log_g_s, top, fall):
 
 
 def _bracket_z(pref, k, m, pieces, k_th):
-    """``(z_l, z_r, z_g, tops, ends)``: per piece of W (``pieces``, the
-    tables of ``_WReader.pieces``) and row, ``(pieces, rows)`` each, the
-    bracket [z_l, z_r] where g exceeds the row's maximum (the largest of its
-    pieces') less ``k_th`` decades, NaN where g stays below that level on
-    the piece, and where g takes its maximum on the piece and log g there;
-    and log g at the two ends of the whole z range, ``(2, rows)``, -inf at
+    """``(z_l, z_r, z_g, tops, ends, curvs)``: per piece of W (``pieces``,
+    the tables of ``_WReader.pieces``) and row, ``(pieces, rows)`` each,
+    the bracket [z_l, z_r] where g exceeds the row's maximum (the largest
+    of its pieces') less ``k_th`` decades, NaN where g stays below that
+    level on the piece, where g takes its maximum on the piece, and log g
+    and its second derivative in z there; and log g at the two ends of the
+    whole z range, ``(2, rows)``, -inf at
     an end that no piece holds (where w is 0).  On each piece, Newton
     steps on the table's L (:func:`_newton`) find g's maximum from the
     best of the table's ``scan`` nodes (for g unimodal, it and its
@@ -338,11 +339,12 @@ def _bracket_z(pref, k, m, pieces, k_th):
             z_g = _newton(lambda z, rows: _log_g_slopes(table, z, pref[rows], k[rows],
                                                         m[rows])[1:],
                           z_s[np.maximum(j - 1, 0)], z_s[np.minimum(j + 1, last)], start)
-            peaks.append((z_g, _log_g_slopes(table, z_g, pref, k, m)[0], log_g_s))
-        z_g, tops = np.array([p[0] for p in peaks]), np.array([p[1] for p in peaks])
+            log_g, _, curv = _log_g_slopes(table, z_g, pref, k, m)
+            peaks.append((z_g, log_g, log_g_s, curv))
+        z_g, tops, curvs = (np.array([p[i] for p in peaks]) for i in (0, 1, 3))
         top = tops.max(axis=0)
         z_l, z_r = np.full(tops.shape, np.nan), np.full(tops.shape, np.nan)
-        for i, (table, (_, g_max, log_g_s)) in enumerate(zip(pieces, peaks)):
+        for i, (table, (_, g_max, log_g_s, _)) in enumerate(zip(pieces, peaks)):
             r = np.flatnonzero(g_max >= top - fall)
             z_l[i, r], z_r[i, r] = _table_bracket(table, pref[r], k[r], m[r], z_g[i, r],
                                                   g_max[r], log_g_s[r], top[r], fall)
@@ -351,10 +353,10 @@ def _bracket_z(pref, k, m, pieces, k_th):
         ends[0] = peaks[0][2][:, 0]
     if pieces[-1].z_range[1] == z_hi:
         ends[1] = peaks[-1][2][:, -1]
-    return z_l, z_r, z_g, tops, ends
+    return z_l, z_r, z_g, tops, ends, curvs
 
 
-def _nested_trapezoid(log_g, high, cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _nested_trapezoid(log_g, high, need, cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of ``high``, the log of the trapezoid rule over [0, 1] of
     exp(``log_g(v, rows)``), the change in it at the last halving of the
     step, and its nodes.  The rule starts at ``_ADAPTIVE_STEP`` intervals
@@ -363,8 +365,9 @@ def _nested_trapezoid(log_g, high, cfg) -> tuple[np.ndarray, np.ndarray, np.ndar
     blocks of about ``_BLOCK_VALUES`` values.  The ends, where the
     integrand is k_th decades below its maximum, count as 0: n intervals
     have n - 1 nodes.  The sums add exp(log g - high), about [1e-16, 1].
-    A row stops once the change is at most tol/10 (relative under a
-    relative tol)."""
+    A change is a row's error only once the coarser of its two rules has
+    at least ``need`` intervals, per row (inf before), and a row stops
+    once its error is at most tol/10 (relative under a relative tol)."""
     budget = cfg.i_max * cfg.n0
     n = max(2, min(_ADAPTIVE_STEP, budget))
     total, nodes = np.zeros(len(high)), np.zeros(len(high), dtype=int)
@@ -379,7 +382,7 @@ def _nested_trapezoid(log_g, high, cfg) -> tuple[np.ndarray, np.ndarray, np.ndar
             new = high[rows] + np.log(total[rows] / n)
             change = np.abs(new - estimate[rows])
         estimate[rows], nodes[rows] = new, n - 1
-        error[rows] = np.where(np.isnan(change), math.inf, change)
+        error[rows] = np.where(np.isnan(change) | (n < 2.0 * need[rows]), math.inf, change)
         rows = rows[~_tolerance_met(10.0 * error[rows], new, cfg, True)]
         if not len(rows) or 2 * n > budget:
             return estimate, error, nodes
@@ -407,7 +410,11 @@ def log_integral_batch(D2, shift_k, prefactor, w: _WReader,
     differ by at most tol/10, its error estimate, within ``cfg.i_max *
     cfg.n0`` intervals: in z on a W of one piece, and on a split W, where
     g need not vanish at a break, in s = logit of the place in the
-    bracket, over |s| <= k_th ln 10 + 5.  A row's estimate is the log of
+    bracket, over |s| <= k_th ln 10 + 5.  In z, two values count only
+    once the coarser one's step is at most sigma_z = (-(log g)'')^(-1/2)
+    at g's maximum, so that steps wider than g's peak cannot agree by
+    chance; a pair whose budget cannot reach that step gets an infinite
+    error.  A row's estimate is the log of
     the sum of its pieces' integrals, its error their errors weighted by
     their shares of that sum (inf on a piece whose table misses the
     search's budget), ``n_per_randomization`` their nodes and
@@ -448,7 +455,7 @@ def log_integral_batch(D2, shift_k, prefactor, w: _WReader,
     # Any tol >= 1 (inf included) gives k_th = 5.
     k_th = min(_K_TH_RULE, 5.0 + max(0.0, -math.log10(cfg.tol)))
     fall = k_th * _LN10
-    z_l, z_r, z_g, tops, ends = _bracket_z(pref, k, m, pieces, k_th)
+    z_l, z_r, z_g, tops, ends, curvs = _bracket_z(pref, k, m, pieces, k_th)
     top = tops.max(axis=0)
     level = top - fall
     # At D2 = 0, g above the threshold at z_lo and no lower there than at
@@ -495,6 +502,11 @@ def log_integral_batch(D2, shift_k, prefactor, w: _WReader,
     pref_w, k_p, m_p = pref[row] + log_width_p, k[row], m[row]
     split = pieces[0].z_range != (z_lo, z_hi)
     s_max = fall + 5.0
+    # On the z-map, two rules whose steps exceed g's width at its maximum,
+    # sigma_z = (-(log g)'')^(-1/2), can agree by chance: a pair's change
+    # counts from the first rule whose step is at most sigma_z on.
+    with np.errstate(invalid="ignore"):
+        need = np.zeros(len(row)) if split else np.nan_to_num(width * np.sqrt(-curvs[on]))
 
     def mid_log_g(v, rows):
         pref_v = pref_w[rows, None]
@@ -509,7 +521,7 @@ def log_integral_batch(D2, shift_k, prefactor, w: _WReader,
     # Each pair's log-integral, error and nodes, and the row's sum of them.
     pairs = np.zeros((3,) + on.shape)
     pairs[0] = -math.inf
-    est, err, nodes = _nested_trapezoid(mid_log_g, tops[on] + log_width_p, cfg)
+    est, err, nodes = _nested_trapezoid(mid_log_g, tops[on] + log_width_p, need, cfg)
     certified = np.array([t.bound <= _SEARCH_LOG_W_ERR for t in pieces])
     pairs[:, on] = est, np.where(certified[piece], err, math.inf), nodes
     runs = on.any(axis=0)
