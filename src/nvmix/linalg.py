@@ -4,7 +4,7 @@ distances.
 The rank-deficient path produces the permuted staircase form needed by
 the singular box-probability integrand: rows are grouped into blocks by
 the last pivot column they load on.  Variables of zero variance, to the
-tolerance, carry no pivot at all and are reported separately.
+doubles' resolution, carry no pivot at all and are reported separately.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from scipy.linalg import solve_triangular
 __all__ = []
 
 # The staircase factorization takes a residual variance of at most this
-# times the largest absolute diagonal entry as zero; a full Cholesky
-# factor is kept only while every squared pivot exceeds this times its
-# own row's variance.
+# times its own row's variance as zero, and a full Cholesky factor is kept
+# only while every squared pivot exceeds it.  A variance of at most eps
+# times the largest absolute diagonal entry is a point mass.
 _REL_TOL_ZERO = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -43,11 +44,10 @@ class _ScaleFactor:
         First (permuted) row index of each pivot block.
     degenerate_rows : ndarray
         Original indices, in increasing order, of the variables taken as
-        of zero variance: a variance at most the zero tolerance, or a
-        dependent row that loads on no pivot above the floor, whose
-        variance is at most about twice that tolerance.  Empty unless
-        the input had such rows; they sit as zero rows at the bottom of
-        ``C`` outside any block.
+        of zero variance: a variance at most eps times the largest, or a
+        dependent row that loads on no pivot above its floor.  Empty
+        unless the input had such rows; they sit as zero rows at the
+        bottom of ``C`` outside any block.
     """
 
     C: np.ndarray
@@ -127,12 +127,16 @@ def _singular_cholesky(sigma: np.ndarray) -> _ScaleFactor:
 
     A matrix with an eigenvalue below minus 1e-10 times its largest
     absolute diagonal entry raises ``ValueError``: it is not positive
-    semidefinite.  Rows are then processed in natural order; a row whose
-    residual variance is at most that tolerance is dependent and is filed
-    behind the pivot of the last column it loads on, its block column,
-    with its entries after that column set to zero.  A dependent row that
-    loads on no pivot joins the degenerate rows.  Full-rank inputs come
-    out unpermuted, a factor of the matrix as :func:`cholesky` makes it.
+    semidefinite.  A variable whose variance is at most eps times that
+    entry is a point mass.  The other rows are then processed in natural
+    order, each judged against its own variance sigma_ii, so that a small
+    variable is not taken for rounding: a row whose residual variance is
+    at most 1e-10 sigma_ii is dependent and is filed behind the pivot of
+    the last column it loads on by more than sqrt(1e-10 sigma_ii / d),
+    its block column, with its entries after that column set to zero.  A
+    dependent row that loads on no pivot joins the degenerate rows.
+    Full-rank inputs come out unpermuted, a factor of the matrix as
+    :func:`cholesky` makes it.
     """
     sigma = np.asarray(sigma, dtype=float)
     _check_square_symmetric(sigma)
@@ -141,18 +145,18 @@ def _singular_cholesky(sigma: np.ndarray) -> _ScaleFactor:
     diag_max = float(np.abs(diag).max(initial=0.0))
     if diag_max <= 0.0:
         raise ValueError("scale matrix has rank 0")
-    tol_zero = _REL_TOL_ZERO * diag_max
-    if np.linalg.eigvalsh(sigma)[0] < -tol_zero:
+    if np.linalg.eigvalsh(sigma)[0] < -_REL_TOL_ZERO * diag_max:
         raise ValueError("scale matrix is not positive semidefinite")
 
-    zero_rows = np.flatnonzero(np.abs(diag) <= tol_zero)
-    active = np.flatnonzero(np.abs(diag) > tol_zero)
+    zero_rows = np.flatnonzero(np.abs(diag) <= _EPS * diag_max)
+    active = np.flatnonzero(np.abs(diag) > _EPS * diag_max)
     m = len(active)
     sub = sigma[np.ix_(active, active)]
+    tol_zero = _REL_TOL_ZERO * np.diag(sub)
 
     # One pass in natural order: each row's coefficients on the pivots
     # found so far come from a triangular solve; residual variance above
-    # the tolerance creates a new pivot.
+    # the row's tolerance creates a new pivot.
     pivots: list[int] = []
     coeffs = np.zeros((m, m))
     for i in range(m):
@@ -160,17 +164,15 @@ def _singular_cholesky(sigma: np.ndarray) -> _ScaleFactor:
         c = solve_triangular(coeffs[np.ix_(pivots, range(r))], sub[pivots, i], lower=True)
         resid = sub[i, i] - float(c @ c)
         coeffs[i, :r] = c
-        if resid > tol_zero:
+        if resid > tol_zero[i]:
             coeffs[i, r] = np.sqrt(resid)
             pivots.append(i)
     rank = len(pivots)
 
-    # A row's block column is the last whose entry clears the floor; a
-    # pivot's own entry, above sqrt(tol_zero), always does.  A dependent
-    # row that clears it on no pivot is degenerate: its residual is at
-    # most tol_zero and its squared entries sum to less, so its variance
-    # is at most about 2 tol_zero.
-    loads = np.abs(coeffs[:, :rank]) > np.sqrt(tol_zero / d)
+    # A row's block column is the last whose entry clears the row's floor;
+    # a pivot's own entry, above sqrt(tol_zero), always does.  A dependent
+    # row that clears it on no pivot is degenerate.
+    loads = np.abs(coeffs[:, :rank]) > np.sqrt(tol_zero / d)[:, None]
     blocked = loads.any(axis=1)
     last_col = rank - 1 - np.argmax(loads[:, ::-1], axis=1)
     coeffs[np.arange(m) > last_col[:, None]] = 0.0

@@ -144,22 +144,27 @@ class TestSingularCholesky:
         assert np.array_equal(f.degenerate_rows, [1])
         assert np.allclose(f.reconstruct(), np.diag([1.0, 0.0, 1.0]), atol=1e-10)
 
-    def test_a_row_below_the_load_floor_is_degenerate(self):
-        # Row 2 has variance 1.3e-10 (just above the zero tolerance 1e-10),
-        # a residual of 1e-10 and a load of 5.5e-6 on the one pivot, below
-        # the floor sqrt(1e-10 / 3): it is taken as of zero variance.
+    def test_a_small_independent_row_is_a_pivot(self):
+        # Row 2 has variance 1.3e-10, of which its load of 5.5e-6 on the
+        # first pivot explains 3e-11: its residual, 1e-10, is most of its
+        # own variance, so it is a variable of its own, however small next
+        # to the others.
         a = np.sqrt(3e-11)
         sigma = np.array([[1.0, 1.0, a], [1.0, 1.0, a], [a, a, 1.3e-10]])
         f = cholesky(sigma)
-        assert f.rank == 1
-        assert np.array_equal(f.degenerate_rows, [2])
+        assert f.rank == 2 and len(f.degenerate_rows) == 0
         assert np.array_equal(f.perm, [0, 1, 2])
-        assert np.array_equal(f.block_sizes(), [2])
-        # Dropping it errs by its variance and, at most, by covariances of
-        # size sqrt(2e-10 * 1).
-        err = np.abs(f.reconstruct() - sigma)
-        assert np.diag(err).max() <= 2e-10
-        assert err.max() <= np.sqrt(2e-10)
+        assert np.array_equal(f.block_sizes(), [2, 1])
+        assert np.abs(f.reconstruct() - sigma).max() <= 1e-20
+
+    def test_a_small_variable_in_a_singular_scale_stays_a_variable(self):
+        # X3's variance, 1e-11, is far below the others' but not rounding:
+        # X3 is its own pivot, not a point mass, and P(X3 > 0) = 1/2.
+        model = NvmModel.build(None, [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1e-11]],
+                               inverse_gamma(), [4.0])
+        assert model.factor.rank == 2 and len(model.factor.degenerate_rows) == 0
+        res = prob([-np.inf, -np.inf, 0.0], [np.inf, np.inf, np.inf], model, seed=1)
+        assert abs(res.estimate - 0.5) <= 1e-3
 
     def test_negative_scale_handled(self):
         sigma = np.array([[1.0, -1.0], [-1.0, 1.0]])
