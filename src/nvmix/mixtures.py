@@ -143,7 +143,10 @@ def inverse_burr() -> _MixtureSpec:
 
 
 def blackbox(quantile_fn, n_params: int, default_nu: tuple | None = None) -> _MixtureSpec:
-    """Wrap a user-supplied vectorized quantile function ``q(u, nu)``."""
+    """Wrap a user-supplied vectorized quantile function ``q(u, nu)``.
+
+    ``q`` must return the same w for the same u: a model tabulates it, and
+    estimates E(sqrt(W)) from it, once, and keeps what it read."""
     if default_nu is None:
         default_nu = (1.0,) * n_params
     return _MixtureSpec("blackbox", n_params, tuple(default_nu),
