@@ -19,9 +19,9 @@ breaks of w; a smooth W is one piece.  A model's reader of W
 (``_WReader`` in :mod:`nvmix.mixtures`) builds these tables once, on first
 use.  On each piece the search takes Newton steps on L, and where a piece
 meets a break the rule works in the logit of the place in the piece's
-bracket, as z = logit(u) does for u.  The same machinery
-integrates any integrand c * w^(-k) * exp(-m/w), which covers the
-posterior weights needed for fitting.
+bracket, as z = logit(u) does for u.  The same machinery integrates any
+integrand c * w^(-k) * exp(-m/w), which covers the posterior weights
+needed for fitting.
 """
 
 from __future__ import annotations
@@ -317,12 +317,12 @@ def _bracket_z(pref, k, m, pieces, k_th):
     of its pieces') less ``k_th`` decades, NaN where g stays below that
     level on the piece, where g takes its maximum on the piece, and log g
     and its second derivative in z there; and log g at the two ends of the
-    whole z range, ``(2, rows)``, -inf at
-    an end that no piece holds (where w is 0).  On each piece, Newton
-    steps on the table's L (:func:`_newton`) find g's maximum from the
-    best of the table's ``scan`` nodes (for g unimodal, it and its
-    neighbours bracket the maximum), then both ends of the bracket
-    (:func:`_table_bracket`), all rows together.
+    whole z range, ``(2, rows)``, -inf at an end that no piece holds
+    (where w is 0).  On each piece, Newton steps on the table's L
+    (:func:`_newton`) find g's maximum from the best of the table's
+    ``scan`` nodes (for g unimodal, it and its neighbours bracket the
+    maximum), then both ends of the bracket (:func:`_table_bracket`), all
+    rows together.
     """
     z_lo, z_hi = _z_range(pieces[0].spec)
     fall = k_th * _LN10
@@ -382,7 +382,7 @@ def _nested_trapezoid(log_g, high, need, cfg) -> tuple[np.ndarray, np.ndarray, n
             new = high[rows] + np.log(total[rows] / n)
             change = np.abs(new - estimate[rows])
         estimate[rows], nodes[rows] = new, n - 1
-        error[rows] = np.where(np.isnan(change) | (n < 2.0 * need[rows]), math.inf, change)
+        error[rows] = np.where(np.isnan(change) | (0.5 * n < need[rows]), math.inf, change)
         rows = rows[~_tolerance_met(10.0 * error[rows], new, cfg, True)]
         if not len(rows) or 2 * n > budget:
             return estimate, error, nodes
@@ -414,12 +414,12 @@ def log_integral_batch(D2, shift_k, prefactor, w: _WReader,
     once the coarser one's step is at most sigma_z = (-(log g)'')^(-1/2)
     at g's maximum, so that steps wider than g's peak cannot agree by
     chance; a pair whose budget cannot reach that step gets an infinite
-    error.  A row's estimate is the log of
-    the sum of its pieces' integrals, its error their errors weighted by
-    their shares of that sum (inf on a piece whose table misses the
-    search's budget), ``n_per_randomization`` their nodes and
-    ``iterations_used`` that count in batches of ``cfg.n0``.  A row's
-    result equals that of a call with this row alone.
+    error.  A row's estimate is the log of the sum of its pieces'
+    integrals, its error their errors weighted by their shares of that sum
+    (inf on a piece whose table misses the search's budget),
+    ``n_per_randomization`` their nodes and ``iterations_used`` that count
+    in batches of ``cfg.n0``.  A row's result equals that of a call with
+    this row alone.
 
     The search reads the pieces' tables, and so does a row's integration
     where a table's bound is within the budget of ``_table_budget``, which

@@ -9,13 +9,13 @@ tolerance allows and a read costs less than the quantile
 :mod:`nvmix.mixtures`) builds that table, and E(sqrt(W)) for the
 reordering, once, on first use.  A greedy variable reordering is applied
 first so that early variables have the smallest expected conditional
-ranges, then the integral is estimated by antithetic RQMC.  Rank-deficient scale
-matrices are handled with a reduced r-dimensional recursion whose blocks
-keep all d constraints active.  :func:`prob` and :func:`prob_singular`
-share the steps from a factor to the estimate (:func:`_box_estimate`):
-limits centered and in the original order, and a ``_ScaleFactor`` whose
-``perm`` carries the integration order (:func:`reorder`'s, or the
-model's staircase factor).
+ranges, then the integral is estimated by antithetic RQMC.
+Rank-deficient scale matrices are handled with a reduced r-dimensional
+recursion whose blocks keep all d constraints active.  :func:`prob` and
+:func:`prob_singular` share the steps from a factor to the estimate
+(:func:`_box_estimate`): limits centered and in the original order, and
+a ``_ScaleFactor`` whose ``perm`` carries the integration order
+(:func:`reorder`'s, or the model's staircase factor).
 """
 
 from __future__ import annotations
