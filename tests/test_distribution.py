@@ -592,7 +592,6 @@ class TestProbSingular:
 class TestVarianceReduction:
     def test_reordering_reduces_variance_mostly(self):
         # Desk-scale version of the randomized reordering experiment.
-
         rng = np.random.default_rng(100)
         wins = 0
         trials = 40
