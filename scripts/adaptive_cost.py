@@ -233,7 +233,7 @@ def cost(n: int) -> None:
     print(f"N = {n:5d}: {wall:.3f} s, tracemalloc peak {peak / 2 ** 20:.1f} MiB, "
           f"quantile calls {sum(counts[p][0] for p in PHASES)}, "
           f"u-values {sum(counts[p][1] for p in PHASES)}, "
-          f"converged {sum(r.converged for r in res)}/{n}")
+          f"converged {res.converged.sum()}/{n}")
     _print_phases(counts, n)
 
 
@@ -251,13 +251,11 @@ def calibration(n_seeds: int, n_points: int = 300, d: int = 10) -> None:
         X[:, 0] = np.sqrt(D2)
         exact = closed_log_density(model, X)
         res, _ = _phase_counts(lambda: log_density_batch(X, model, cfg), counts)
-        for r, e in zip(res, exact):
-            if not r.converged:
-                unconverged += 1
-                continue
-            errors.append(abs(r.estimate - e))
-            estimates.append(r.error_estimate)
-    errors = np.array(errors)
+        ok = res.converged
+        unconverged += int(np.sum(~ok))
+        errors.append(np.abs(res.estimate - exact)[ok])
+        estimates.append(res.error_estimate[ok])
+    errors, estimates = np.concatenate(errors), np.concatenate(estimates)
     ratio = errors / np.maximum(estimates, np.finfo(float).tiny)
     q = np.quantile(ratio, [0.5, 0.9, 0.99, 1.0])
     print(f"calibration, {n_seeds} x {n_points} points: unconverged {unconverged}, "
@@ -302,18 +300,15 @@ def _exact_log_density(atoms, uniforms, d, D2) -> float:
 
 
 def _tally(counts, res, exact, tol, tol_type) -> None:
-    """Adds the rows ``res`` (None where the call raised) against ``exact``
-    to ``counts``."""
-    for r, e in zip(res, exact):
-        counts["rows"] += 1
-        if r is None:
-            continue
-        counts["nodes"] += r.n_per_randomization
-        if r.converged:
-            bound = tol * (abs(e) if tol_type == "relative" else 1.0)
-            counts["converged"] += 1
-            counts["misses"] += abs(r.estimate - e) > bound
-            counts["worst"] = max(counts["worst"], abs(r.estimate - e) / bound)
+    """Adds the rows of ``res`` against ``exact`` to ``counts``."""
+    ok = res.converged
+    error = np.abs(res.estimate - exact)[ok]
+    bound = tol * (np.abs(exact)[ok] if tol_type == "relative" else 1.0)
+    counts["rows"] += len(ok)
+    counts["nodes"] += int(res.n_per_randomization.sum())
+    counts["converged"] += int(ok.sum())
+    counts["misses"] += int(np.sum(error > bound))
+    counts["worst"] = max(counts["worst"], float(np.max(error / bound, initial=0.0)))
 
 
 def _print_tally(name, tol, counts) -> None:
@@ -329,13 +324,16 @@ def table_less_sweep(tols=(1e-3, 1e-8, 1e-12)) -> None:
         for tol in tols:
             counts = {"rows": 0, "converged": 0, "misses": 0, "worst": 0.0, "nodes": 0}
             for d, tol_type in itertools.product((3, 10), ("absolute", "relative")):
-                exact = [_exact_log_density(atoms, uniforms, d, x) for x in TABLE_LESS_D2]
+                exact = np.array([_exact_log_density(atoms, uniforms, d, x)
+                                  for x in TABLE_LESS_D2])
                 args = (d / 2.0, -0.5 * d * math.log(2.0 * math.pi), w,
                         RqmcConfig(tol=tol, tol_type=tol_type))
                 try:
                     res = log_integral_batch(TABLE_LESS_D2, *args)
-                except ValueError:  # the atom at 0 at D2 = 0
-                    res = [None] + log_integral_batch(TABLE_LESS_D2[1:], *args)
+                except ValueError:  # the atom at 0 at D2 = 0: a row, unconverged
+                    counts["rows"] += 1
+                    exact = exact[1:]
+                    res = log_integral_batch(TABLE_LESS_D2[1:], *args)
                 _tally(counts, res, exact, tol, tol_type)
             _print_tally(name, tol, counts)
 

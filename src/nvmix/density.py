@@ -391,7 +391,7 @@ def _nested_trapezoid(log_g, high, need, cfg) -> tuple[np.ndarray, np.ndarray, n
 
 
 def log_integral_batch(D2, shift_k, prefactor, w: _WReader,
-                       cfg: RqmcConfig | None = None) -> list[RqmcResult]:
+                       cfg: RqmcConfig | None = None) -> RqmcResult:
     """Estimate ``log int_0^1 h_i(u) du`` for a batch of mixing integrands.
 
     Row i integrates ``exp(prefactor) w^(-shift_k) exp(-D2/(2w))`` with
@@ -418,8 +418,9 @@ def log_integral_batch(D2, shift_k, prefactor, w: _WReader,
     integrals, its error their errors weighted by their shares of that sum
     (inf on a piece whose table misses the search's budget),
     ``n_per_randomization`` their nodes and ``iterations_used`` that count
-    in batches of ``cfg.n0``.  A row's result equals that of a call with
-    this row alone.
+    in batches of ``cfg.n0``: one :class:`RqmcResult` holds all rows, each
+    field an array with one entry per row.  Row i, ``result[i]``, equals
+    the result of a call with this row alone.
 
     The search reads the pieces' tables, and so does a row's integration
     where a table's bound is within the budget of ``_table_budget``, which
@@ -441,11 +442,8 @@ def log_integral_batch(D2, shift_k, prefactor, w: _WReader,
     than halfway to it (h grows at least like 1/u as u -> 0); either
     raises ``ValueError``.
     """
-    if cfg is None:
-        cfg = RqmcConfig()
+    cfg = RqmcConfig() if cfg is None else cfg
     pref, k, m = _row_arrays(D2, shift_k, prefactor)
-    if len(m) == 0:
-        return []
     # An atom of W at 0 makes a D2 = 0 row diverge; the smallest u of the
     # z range meets it.
     if np.any(m == 0.0) and _quantile_z(w.spec, _Z_LO, w.nu) == 0.0:
@@ -545,13 +543,13 @@ def log_integral_batch(D2, shift_k, prefactor, w: _WReader,
     # The rule's rows meet tol/10 on their error estimates.
     converged = ~beyond & ~open_end.any(axis=0) & _tolerance_met(10.0 * error, estimate, cfg,
                                                                   True)
-    return [RqmcResult(*row) for row in zip(estimate.tolist(), error.tolist(), n.tolist(),
-                                           (-(-n // cfg.n0)).tolist(), converged.tolist())]
+    return RqmcResult(estimate, error, n, -(-n // cfg.n0), converged)
 
 
 def log_density_batch(X, model: NvmModel, cfg: RqmcConfig | None = None,
-                      seed: int | None = None) -> list[RqmcResult]:
-    """Estimate log f(x_i) for the rows of ``X`` under the mixture model.
+                      seed: int | None = None) -> RqmcResult:
+    """Estimate log f(x_i) for the rows of ``X`` under the mixture model,
+    as one :class:`RqmcResult` of arrays, one entry per row.
 
     Constant mixtures short-circuit to the exact Gaussian log-density.
     The trapezoid rule of :func:`log_integral_batch` draws no points, so
@@ -560,8 +558,9 @@ def log_density_batch(X, model: NvmModel, cfg: RqmcConfig | None = None,
     if not model.is_full_rank:
         raise ValueError("log-density requires a full-rank scale matrix")
     if model.spec.kind == "constant":
-        return [RqmcResult(float(v), 0.0, 0, 0, True)
-                for v in np.atleast_1d(closed_log_density(model, X))]
+        v = np.atleast_1d(closed_log_density(model, X))
+        n = np.zeros(len(v), dtype=np.int64)
+        return RqmcResult(v, np.zeros(len(v)), n, n.copy(), np.ones(len(v), dtype=bool))
 
     d = model.dim
     d2 = np.atleast_1d(mahalanobis_sq(X, model.loc, model.factor))
@@ -585,9 +584,7 @@ def _log_lower_incomplete_gamma(z: float, x) -> np.ndarray | float:
     if np.any(small):
         xs = x[small]
         out[small] = z * np.log(xs) - math.log(z) + np.log1p(-z * xs / (z + 1.0))
-    if scalar:
-        return float(out[0])
-    return out
+    return float(out[0]) if scalar else out
 
 
 def closed_log_density(model: NvmModel, x) -> np.ndarray | float:
@@ -631,6 +628,4 @@ def closed_log_density(model: NvmModel, x) -> np.ndarray | float:
     else:
         raise ValueError(f"no closed-form density for mixture kind {kind!r}")
 
-    if single:
-        return float(out[0])
-    return out
+    return float(out[0]) if single else out

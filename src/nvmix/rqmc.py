@@ -150,13 +150,18 @@ class RqmcResult:
     the exact number of points spent per randomization, ``iterations_used``
     that number in batches of ``RqmcConfig.n0``, rounded up.  Every
     log-density row counts the trapezoid rule's nodes instead, summed over
-    the pieces of W."""
+    the pieces of W.  A batch call's fields are 1-D arrays, one entry per
+    row, and ``result[i]`` is row i in Python scalars: iterate for rows,
+    compare two through ``list()``.  ``prob``'s scalar result has no rows."""
 
-    estimate: float
-    error_estimate: float
-    n_per_randomization: int
-    iterations_used: int
-    converged: bool
+    estimate: float | np.ndarray
+    error_estimate: float | np.ndarray
+    n_per_randomization: int | np.ndarray
+    iterations_used: int | np.ndarray
+    converged: bool | np.ndarray
+
+    def __getitem__(self, i):
+        return RqmcResult(*(v[i].item() for v in vars(self).values()))
 
 
 def _errors(means: np.ndarray) -> float:
