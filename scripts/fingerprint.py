@@ -5,9 +5,9 @@ Prints one digest each for ``prob``, ``prob_singular``,
 a mixture whose quantile jumps, which is split into two pieces) and
 ``rnvmix``.  A result digest hashes the bytes of ``estimate``,
 ``error_estimate``, ``n_per_randomization``, ``iterations_used`` and
-``converged`` of every call; the ``rnvmix`` digest hashes the raw bytes
-of every draw.  Two checkouts whose digests agree computed bit-identical
-numbers over the sweep:
+``converged`` of every call, row by row for a batch call; the
+``rnvmix`` digest hashes the raw bytes of every draw.  Two checkouts
+whose digests agree computed bit-identical numbers over the sweep:
 
 * ``prob``: constant, IG(3), Pareto(2.5) and inverse-Burr(2, 2) mixtures
   with equicorrelation-0.5 scale at d in {1, 2, 5, 20, 50}, over orthant,

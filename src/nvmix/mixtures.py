@@ -62,7 +62,8 @@ _PILOT_POINTS = 1024
 
 
 class InvalidMixtureError(ValueError):
-    """A quantile callback produced a negative or NaN value."""
+    """A black-box quantile returned a negative or NaN value, or not one
+    value per u."""
 
 
 @dataclass(frozen=True)
@@ -194,6 +195,8 @@ def quantile(spec: _MixtureSpec, u, nu, uc=None) -> np.ndarray | float:
         raise ValueError("u must lie strictly inside (0, 1)")
     w = np.asarray(spec._quantile(u_arr, uc_arr, nu), dtype=float)
     if spec.kind == "blackbox":
+        if w.shape != u_arr.shape:
+            raise InvalidMixtureError("black-box quantile must return one value per u")
         if np.any(np.isnan(w)) or np.any(w < 0.0):
             raise InvalidMixtureError(
                 "black-box quantile returned a negative or NaN value"
@@ -201,6 +204,12 @@ def quantile(spec: _MixtureSpec, u, nu, uc=None) -> np.ndarray | float:
     if scalar:
         return float(w[0])
     return w
+
+
+def _edges(log_w):
+    """log w where it is -inf (w = 0) or +inf (past the largest double),
+    and 0 where it is finite."""
+    return np.where(np.isfinite(log_w), 0.0, log_w)
 
 
 def _z_range(spec: _MixtureSpec) -> tuple[float, float]:
@@ -233,7 +242,8 @@ class _QuantileTable:
     Where log w grows past the doubles' range (IG(1), say) L continues
     along its tangent from the last finite node.  A non-finite node below
     that (an atom of W at 0) leaves no interpolant, the bound inf, and
-    ``worst`` the first interval where the nodes' finiteness changes.
+    ``worst`` the first interval where w at the nodes passes between 0,
+    finite values and +inf.
     """
 
     def __init__(self, spec, nu, intervals=_TABLE_INTERVALS, z_range=None):
@@ -251,7 +261,8 @@ class _QuantileTable:
         n = len(nodes) if finite.all() else int(np.argmin(finite))
         self._piece, self.bound = None, np.inf
         if n < 2 or np.any(at_nodes[n:] != np.inf):
-            i = int(np.argmax(finite[1:] != finite[:-1]))
+            edge = _edges(at_nodes)
+            i = int(np.argmax(edge[1:] != edge[:-1]))
             self.worst = nodes[i], nodes[i + 1]
             return
         spline = CubicSpline(nodes[:n], at_nodes[:n])
@@ -338,9 +349,10 @@ def _break(table) -> tuple[float, float]:
     """``(a, b)``, at most eps max(1, |z|) apart, around the break of w in
     ``table``'s worst interval, by bisection on the quantile: each step
     keeps the half whose midpoint lies farther from the chord of log w,
-    infinitely far where w is 0 at one end only.  At a jump, a keeps w's
-    value below it and b the one above.  The pieces leave out the mass
-    between a and b: a gap of 1e-12 in z would leave 1e-12 of it out."""
+    infinitely far where w is 0, or past the largest double, at one end
+    only.  At a jump, a keeps w's value below it and b the one above.  The
+    pieces leave out the mass between a and b: a gap of 1e-12 in z would
+    leave 1e-12 of it out."""
     a, b = table.worst
     while b - a > _EPS * max(1.0, abs(a), abs(b)):
         z = np.linspace(a, b, 5)
@@ -348,8 +360,8 @@ def _break(table) -> tuple[float, float]:
         with np.errstate(divide="ignore", invalid="ignore"):
             log_w = np.log(w)
             chord = np.abs(log_w[[1, 3]] - 0.5 * (log_w[[0, 2]] + log_w[[2, 4]]))
-        zero = w == 0.0
-        chord = np.where(zero[[0, 2]] != zero[[2, 4]], np.inf, np.fmax(chord, 0.0))
+        edge = _edges(log_w)
+        chord = np.where(edge[[0, 2]] != edge[[2, 4]], np.inf, np.fmax(chord, 0.0))
         a, b = (z[0], z[2]) if chord[0] >= chord[1] else (z[2], z[4])
     return a, b
 
@@ -372,8 +384,9 @@ class _WReader:
         """Tables of w on the pieces of the z range between its breaks, in
         order.  While the largest bound exceeds ``_SEARCH_LOG_W_ERR`` and
         there are fewer than ``_MAX_PIECES``, that piece is split at
-        :func:`_break` into two with their own tables; a side where w is 0
-        throughout is dropped (g vanishes there when D2 > 0), and
+        :func:`_break` into two with their own tables.  A side where w is 0
+        throughout is dropped (g vanishes there when D2 > 0), and so is one
+        where w is past the largest double (h <= w^(-k) is negligible);
         ``ValueError`` is raised when no side is left.  A smooth W stays
         one piece, ``table``.
         """
@@ -385,9 +398,11 @@ class _WReader:
                 break
             (lo, hi), (a, b) = table.z_range, _break(table)
             sides = (_QuantileTable(self.spec, self.nu, z_range=r) for r in ((lo, a), (b, hi)))
-            pieces[i:i + 1] = [t for t in sides if t.exact(t.z_range[1]) > 0.0]
+            pieces[i:i + 1] = [t for t in sides
+                               if t.exact(t.z_range[1]) > 0.0 and t.exact(t.z_range[0]) < np.inf]
             if not pieces:
-                raise ValueError("w is 0 on the whole z range, so X has no density")
+                raise ValueError("w is 0 on the whole z range, or past the largest double, "
+                                 "so X has no density")
         return pieces
 
     def finer(self, i: int) -> _QuantileTable:

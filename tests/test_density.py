@@ -41,7 +41,7 @@ from nvmix.mixtures import (
     quantile,
 )
 from nvmix.model import NvmModel
-from nvmix.rqmc import RqmcConfig, rqmc_log_estimate
+from nvmix.rqmc import RqmcConfig, RqmcResult, rqmc_log_estimate
 from nvmix.sampling import rnvmix
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -978,6 +978,30 @@ def test_log_integral_batch_broadcasts_scalar_parameters():
     assert list(log_integral_batch(np.zeros(0), k, pref, _WReader(spec, nu))) == []
 
 
+def test_batch_result_reads_as_the_benchmark_reads_it(monkeypatch):
+    # A call builds one RqmcResult whose fields are arrays, one entry per
+    # row.  The benchmark zips a log_density_batch result with the exact
+    # values, unpacks a one-point result as (r,), and reads each row's
+    # estimate and converged flag, which are Python scalars.
+    built = []
+    monkeypatch.setattr(density, "RqmcResult", lambda *a: built.append(a) or RqmcResult(*a))
+    d = 10
+    model = NvmModel.build(None, np.eye(d), inverse_gamma(), [4.0])
+    X = np.zeros((5, d))
+    X[:, 0] = np.sqrt([0.0, 0.5, 640.0, 1.6e4, 1e8])
+    res = log_density_batch(X, model)
+    assert len(built) == 1
+    assert [v.dtype for v in astuple(res)] == [np.float64, np.float64, np.int64, np.int64, bool]
+    assert all(v.shape == (5,) for v in astuple(res))
+    rows = list(zip(res, closed_log_density(model, X)))
+    assert len(rows) == 5
+    for r, e in rows:
+        assert [type(v) for v in astuple(r)] == [float, float, int, int, bool]
+        assert r.converged and abs(r.estimate - e) <= 1e-3
+    (r,) = log_density_batch(X[2:3], model)
+    assert len(built) == 2 and r == rows[2][0]
+
+
 def test_call_memory_stays_below_one_block():
     # 2000 rows at D2 in [10, 100] or in [0.5, 2], where the search and the
     # rule of each row end well inside the z range: the rule evaluates and
@@ -1023,6 +1047,50 @@ def test_w_zero_everywhere_is_rejected():
     # integrate: X sits at loc and has no density.
     model = NvmModel.build(None, np.eye(2), blackbox(lambda u, nu: np.zeros_like(u), 1), [1.0])
     with pytest.raises(ValueError, match="w is 0 on the whole z range"):
+        log_density_batch(np.ones((1, 2)), model)
+
+
+@pytest.mark.parametrize("nu", [0.02, 0.001])
+def test_w_past_the_largest_double_is_dropped(nu):
+    # Under IG(0.02) and IG(0.001), w passes the largest double inside the
+    # z range.  The piece beyond is dropped, since h <= w^(-1) < 1e-308
+    # there, and the last piece ends where w is still finite.  Near the
+    # overflow the tables keep missing the search's budget, so the pieces
+    # reach the cap and the rows report themselves unconverged, yet every
+    # estimate is within tol of the closed form.
+    model = NvmModel.build(None, np.eye(2), inverse_gamma(), [nu])
+    X = np.zeros((5, 2))
+    X[:, 0] = np.sqrt([0.0, 0.5, 100.0, 1e6, 1e12])
+    tol = 1e-3
+    res = log_density_batch(X, model, RqmcConfig(tol=tol))
+    within = np.abs(res.estimate - closed_log_density(model, X)) <= tol
+    assert np.all(within) and np.all(within | ~res.converged)
+    last = model._w.pieces[-1]
+    assert last.z_range[1] < _z_range(inverse_gamma())[1]
+    assert math.isfinite(last.exact(last.z_range[1]))
+
+
+def test_w_past_the_largest_double_on_half_the_range():
+    # W = 1 below u = 0.5 and +inf above: the upper half is dropped, and
+    # the density is half the standard normal's.
+    model = NvmModel.build(
+        None, np.eye(2), blackbox(lambda u, nu: np.where(u < 0.5, 1.0, np.inf), 0), [])
+    D2 = np.array([0.0, 0.5, 100.0, 1e4])
+    X = np.zeros((4, 2))
+    X[:, 0] = np.sqrt(D2)
+    res = log_density_batch(X, model)
+    assert np.all(res.converged)
+    assert np.allclose(res.estimate, math.log(0.5) - LOG_2PI - 0.5 * D2, rtol=0.0, atol=1e-3)
+
+
+@pytest.mark.parametrize("q", [lambda u, nu: np.full(np.shape(u), np.inf),
+                               lambda u, nu: np.where(u < 0.5, 0.0, np.inf)],
+                         ids=["inf", "zero-then-inf"])
+def test_w_never_finite_is_rejected(q):
+    # With w never finite and positive, no piece is left to integrate.
+    # The break between w = 0 and w = inf is found as one.
+    model = NvmModel.build(None, np.eye(2), blackbox(q, 0), [])
+    with pytest.raises(ValueError, match="or past the largest double"):
         log_density_batch(np.ones((1, 2)), model)
 
 

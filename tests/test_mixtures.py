@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from nvmix import NvmModel, RqmcConfig, mixtures, prob
+from nvmix import NvmModel, RqmcConfig, log_density_batch, mixtures, prob, rnvmix
 from nvmix.mixtures import (
     InvalidMixtureError,
     blackbox,
@@ -54,6 +54,25 @@ class TestQuantile:
         spec = blackbox(lambda u, nu: u - 0.5, n_params=0)
         with pytest.raises(InvalidMixtureError):
             quantile(spec, 0.25, [])
+
+    @pytest.mark.parametrize("q", [lambda u, nu: np.ones(3), lambda u, nu: 2.0,
+                                   lambda u, nu: u[:, None]], ids=["three", "scalar", "column"])
+    def test_blackbox_one_value_per_u(self, q):
+        # A black box that returns other than one value per u, of u's
+        # shape, is rejected by the quantile itself, on every path that
+        # reads W: the density's table, the box probability's E(sqrt(W))
+        # and sampling.
+        spec = blackbox(q, n_params=0)
+        with pytest.raises(InvalidMixtureError, match="one value per u"):
+            quantile(spec, np.array([0.25, 0.5]), [])
+        model = NvmModel.build(None, np.eye(2), spec, [])
+        with pytest.raises(InvalidMixtureError, match="one value per u"):
+            log_density_batch(np.ones((1, 2)), model)
+        with pytest.raises(InvalidMixtureError, match="one value per u"):
+            prob(np.full(2, -np.inf), np.zeros(2), NvmModel.build(None, np.eye(2), spec, []))
+        for method in ("pseudo", "inversion-sobol"):
+            with pytest.raises(InvalidMixtureError, match="one value per u"):
+                rnvmix(10, NvmModel.build(None, np.eye(2), spec, []), seed=1, method=method)
 
     def test_blackbox_matches_builtin(self):
         spec = blackbox(lambda u, nu: (u ** (-1 / nu[1]) - 1) ** (-1 / nu[0]), n_params=2)
