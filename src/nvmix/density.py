@@ -34,14 +34,10 @@ from scipy.special import expit, gammainc, gammaln, log_expit
 from .linalg import mahalanobis_sq
 # quantile stays bound here for tools that patch it by name; the table in
 # mixtures makes the calls.
-from .mixtures import (_EPS, _SEARCH_LOG_W_ERR, _Z_LO, _MixtureSpec, _quantile_z, _WReader,
-                       _z_range)
+from .mixtures import _EPS, _SEARCH_LOG_W_ERR, _Z_LO, _quantile_z, _WReader, _z_range
 from .mixtures import quantile  # noqa: F401
 from .model import NvmModel
-# rqmc_log_estimate stays bound here for tools that trace this module's
-# estimator by name.
-from .rqmc import (_BLOCK_VALUES, RqmcConfig, RqmcResult, _tolerance_met,  # noqa: F401
-                   rqmc_log_estimate)
+from .rqmc import _BLOCK_VALUES, RqmcConfig, RqmcResult, _tolerance_met
 
 __all__ = ["log_density_batch", "closed_log_density"]
 
@@ -49,23 +45,12 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
 _DIVERGES = "integrand diverges at w = 0 when D2 = 0"
-# The bracket ends at most _K_TH_RULE decades below g's maximum, and
-# region_bounds' _K_TH decades; the search stops a row once its z-step is
-# below _EPS_BISEC.
-_K_TH = 10.0
+# The bracket ends at most _K_TH_RULE decades below g's maximum; the
+# search stops a row once its z-step is below _EPS_BISEC.
 _K_TH_RULE = 16.0
 _EPS_BISEC = 1e-6
 # The rule's first intervals.
 _ADAPTIVE_STEP = 16
-
-
-def _log_h_of_w(w, pref, k, m) -> np.ndarray:
-    """log integrand from quantile values; broadcasts params against w.
-    Where m / w overflows, h is 0 and its log -inf."""
-    w = np.asarray(w, dtype=float)
-    safe = np.maximum(w, 1e-300)
-    with np.errstate(over="ignore"):
-        return np.where(w > 0.0, pref - k * np.log(safe) - m / safe, -np.inf)
 
 
 def _row_arrays(D2, shift_k, prefactor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -83,8 +68,13 @@ def _row_arrays(D2, shift_k, prefactor) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _log_g_w(w, z, pref, k, m):
-    """log g at z from the quantile values w there."""
-    return _log_h_of_w(w, pref, k, m) + log_expit(z) + log_expit(-z)
+    """log g at z from the quantile values w there; broadcasts its
+    arguments.  Where m / w overflows, h is 0 and log g -inf."""
+    w = np.asarray(w, dtype=float)
+    safe = np.maximum(w, 1e-300)
+    with np.errstate(over="ignore"):
+        log_h = np.where(w > 0.0, pref - k * np.log(safe) - m / safe, -np.inf)
+    return log_h + log_expit(z) + log_expit(-z)
 
 
 def _log_g_log_w(log_w, z, pref, k, m):
@@ -145,69 +135,12 @@ def _rows_log_g(tables, reads, z, pref, k, m):
     return out
 
 
-def _bisect(goes_up, a, b, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row bisection of the given rows between ``a`` and ``b`` down to
-    a width of ``_EPS_BISEC``: at each step the midpoint replaces ``a``
-    where ``goes_up(mid, rows)`` holds and ``b`` elsewhere, in one call
-    for all rows still running."""
-    a, b = a.copy(), b.copy()
-    rows = rows[np.abs(b[rows] - a[rows]) > _EPS_BISEC]
-    while len(rows):
-        mid = 0.5 * (a[rows] + b[rows])
-        up = goes_up(mid, rows)
-        a[rows] = np.where(up, mid, a[rows])
-        b[rows] = np.where(up, b[rows], mid)
-        rows = rows[np.abs(b[rows] - a[rows]) > _EPS_BISEC]
-    return a, b
+def _retired(*args, **kwargs):
+    raise NotImplementedError("removed: log_integral_batch integrates every row")
 
 
-def _peak_z(w_star, table) -> np.ndarray:
-    """Per row, the logit of the peak of h, where w (``table`` read within
-    ``_SEARCH_LOG_W_ERR``) reaches ``w_star`` = m / k, by bisection in z
-    down to ``_EPS_BISEC``; where w cannot reach it (W bounded on that
-    side, or the target beyond the doubles' range), that end of the z
-    range."""
-    z_lo, z_hi = _z_range(table.spec)
-    w_z = table.read(_SEARCH_LOG_W_ERR)
-    lo, hi = _bisect(lambda z, r: w_z(z) <= w_star[r], np.full(len(w_star), z_lo),
-                     np.full(len(w_star), z_hi), np.arange(len(w_star)))
-    at_lo, at_hi = lo == z_lo, hi == z_hi
-    if np.any(w_star[~at_lo & ~at_hi] == 0.0):  # quantile(expit(lo)) <= w* = 0
-        raise ValueError(_DIVERGES)
-    return np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))
-
-
-def peak(D2: float, shift_k: float, prefactor: float, spec: _MixtureSpec,
-         nu) -> tuple[float, float]:
-    """Deprecated, kept for tools that trace it by name: the location u*
-    (the nearest double) and log height of the peak of one integrand h of
-    :func:`log_integral_batch`, where w = D2 / (2 shift_k) (:func:`_peak_z`).
-    An interior peak's height has a closed form free of W; at an end of
-    the z range h is evaluated there."""
-    if D2 <= 0.0:
-        raise ValueError("peak undefined for D2 = 0, where h = w^(-k) is monotone in u")
-    pref, k, m = _row_arrays([D2], shift_k, prefactor)
-    table = _WReader(spec, nu).table
-    z = _peak_z(m / k, table)
-    if z[0] in _z_range(spec):
-        log_h_max = _log_h_of_w(table.read(_SEARCH_LOG_W_ERR)(z), pref, k, m)[0]
-    else:
-        # math.log: numpy's array log may differ from it in the last bit.
-        log_h_max = pref[0] - k[0] * (math.log(m[0]) - math.log(k[0])) - k[0]
-    return float(expit(z[0])), float(log_h_max)
-
-
-def region_bounds(D2: float, shift_k: float, prefactor: float, spec: _MixtureSpec,
-                  nu) -> tuple[float, float, bool]:
-    """Deprecated, kept for tools that trace it by name: the bracket
-    ``(z_l, z_r, closed)`` in z = logit(u) where one integrand g of
-    :func:`log_integral_batch` exceeds its maximum less ``_K_TH`` = 10
-    decades, the union of its pieces' brackets; ``closed`` is False when g
-    is still above that level at an end of the z range."""
-    z_l, z_r, _, tops, ends, _ = _bracket_z(*_row_arrays([D2], shift_k, prefactor),
-                                            _WReader(spec, nu).pieces, _K_TH)
-    closed = np.all(ends <= tops.max(axis=0) - _K_TH * _LN10)
-    return float(np.nanmin(z_l)), float(np.nanmax(z_r)), bool(closed)
+# bench/spans.py patches these names until ROADMAP item 5 retires them.
+peak = region_bounds = rqmc_log_estimate = _retired
 
 
 def _log_g_slopes(table, z, pref, k, m):

@@ -1,15 +1,13 @@
 """Digitally-shifted Sobol' streams and iterative RQMC estimation.
 
-The estimators here exploit extensibility of the Sobol' sequence: every
-iteration appends a fresh batch of points to each randomized stream and
-folds it into a running per-randomization mean, so no function evaluation
-is ever discarded.  One loop, ``_run``, estimates one integrand per run:
-it keeps plain running means over the B digital shifts of one Sobol'
-stream, derived from the run's seed, and stops once their CI half width
-meets the tolerance or the batch cap is reached.  ``rqmc_estimate`` runs
-it on plain values; ``rqmc_log_estimate`` on logs, whose means are kept
-under a running scale, the largest value so far (a "proper logarithm", so
-that integrals as small as exp(-5000) are handled without underflow).
+``rqmc_estimate`` exploits the extensibility of the Sobol' sequence:
+every iteration appends a fresh batch of points to each randomized stream
+and folds it into a running per-randomization mean, so no function
+evaluation is ever discarded.  It estimates one integrand per run, over
+the B digital shifts of one Sobol' stream derived from the run's seed,
+and stops once the CI half width of the means meets the tolerance or the
+batch cap is reached.  The log-density's trapezoid rule shares its
+tolerance test, ``_tolerance_met``, on log-estimates.
 """
 
 from __future__ import annotations
@@ -109,7 +107,7 @@ class _SobolStream:
 
 @dataclass(frozen=True)
 class RqmcConfig:
-    """Error-control parameters for the iterative RQMC loops.
+    """Error-control parameters for the iterative RQMC loop.
 
     A batch of ``n0`` points per randomization is the budget's unit:
     ``i_max`` caps the total number of batches per randomization, so at
@@ -194,25 +192,24 @@ def _tolerance_met(err, estimate, cfg: RqmcConfig, log: bool):
     return np.isfinite(err) & met
 
 
-def _run(g, dimension: int, cfg: RqmcConfig, seed, log: bool) -> RqmcResult:
-    """RQMC for one integrand under the ``B`` shifts of ``seed``, until it
-    meets the tolerance or ``i_max`` batches are spent.
+def rqmc_estimate(
+    g: Callable[[np.ndarray], np.ndarray],
+    dimension: int,
+    cfg: RqmcConfig,
+    seed: int | None,
+) -> RqmcResult:
+    """Estimate ``int g(u) du`` over ``(0,1)^dimension`` under the ``B``
+    digital shifts of ``seed``, until the CI half width meets the
+    tolerance or ``i_max`` batches are spent.
 
     Each iteration draws the ``(B * n0, dimension)`` points of a batch,
     randomization by randomization, and calls ``g`` on them once; ``g``
     returns one value per point (NaN aborts with the offending point).
     The batch's mean under each shift is folded into the ``(B,)`` running
     means, weighed by the number of batches before it.
-
-    When ``log`` is set, ``g`` returns logs and the means are of exp(value
-    - c), c the running scale: the largest finite value seen so far, the
-    most negative double before any (the means are then 0).  A batch that
-    raises c first multiplies the means by exp(c_old - c_new).  The
-    estimate is then c + log(mean) and the error the CI half width over
-    the mean, infinite where the mean is 0.
     """
     stream = _SobolStream(dimension, seed, n_random=cfg.B)
-    means, scale = np.zeros(cfg.B), -np.finfo(float).max
+    means = np.zeros(cfg.B)
     for n in range(cfg.i_max):
         pts = stream.take(cfg.n0).reshape(-1, dimension)
         vals = np.asarray(g(pts), dtype=float)
@@ -222,53 +219,9 @@ def _run(g, dimension: int, cfg: RqmcConfig, seed, log: bool) -> RqmcResult:
         bad = np.flatnonzero(np.isnan(vals))
         if len(bad):
             raise IntegrandNaNError(pts[bad[0]])
-        if log:
-            c = np.maximum(scale, vals.max(initial=-np.inf, where=np.isfinite(vals)))
-            means *= np.exp(scale - c)
-            scale = c
-            vals = np.exp(vals - c)
         means = (n * means + vals.mean(axis=1)) / (n + 1)
         estimate, error = means.mean(), _errors(means)
-        if log:
-            error = error / estimate if estimate > 0.0 else math.inf
-            with np.errstate(divide="ignore"):
-                estimate = scale + np.log(estimate)
-        converged = bool(_tolerance_met(error, estimate, cfg, log))
+        converged = bool(_tolerance_met(error, estimate, cfg, False))
         if converged:
             break
     return RqmcResult(float(estimate), float(error), (n + 1) * cfg.n0, n + 1, converged)
-
-
-def rqmc_estimate(
-    g: Callable[[np.ndarray], np.ndarray],
-    dimension: int,
-    cfg: RqmcConfig,
-    seed: int | None,
-) -> RqmcResult:
-    """Estimate ``int g(u) du`` over ``(0,1)^dimension``.
-
-    ``g`` is called with an ``(n, dimension)`` array and must return one
-    finite value per row (NaN aborts with the offending point).  ``B``
-    digitally-shifted streams derived from ``seed`` are advanced in
-    batches of ``n0`` until the CI half width meets the tolerance or
-    ``i_max`` batches are spent.
-    """
-    return _run(g, dimension, cfg, seed, log=False)
-
-
-def rqmc_log_estimate(
-    log_g: Callable[[np.ndarray], np.ndarray],
-    dimension: int,
-    cfg: RqmcConfig,
-    seed: int | None,
-) -> RqmcResult:
-    """Estimate ``log int exp(log_g(u)) du`` via a proper logarithm.
-
-    Same iteration scheme as :func:`rqmc_estimate`, but the running
-    means are of exp(log_g - c), c the largest value of ``log_g`` seen so
-    far, so integrands as small as exp(-5000) are estimated without
-    underflow.  The estimate is c plus the log of the means' mean, and the
-    error estimate is the means' CI half width over their mean, infinite
-    where that mean is 0.
-    """
-    return _run(log_g, dimension, cfg, seed, log=True)

@@ -12,19 +12,14 @@ from scipy.special import expit, gammaincc, gammaln, logsumexp
 from nvmix import density, mixtures, rqmc
 from nvmix.density import (
     _EPS_BISEC,
-    _K_TH,
     _SEARCH_LOG_W_ERR,
-    _bisect,
     _bracket_z,
     _log_g_w,
-    _log_h_of_w,
     _log_lower_incomplete_gamma,
-    _peak_z,
+    _row_arrays,
     closed_log_density,
     log_density_batch,
     log_integral_batch,
-    peak,
-    region_bounds,
 )
 from nvmix.mixtures import (
     _MAX_PIECES,
@@ -41,11 +36,13 @@ from nvmix.mixtures import (
     quantile,
 )
 from nvmix.model import NvmModel
-from nvmix.rqmc import RqmcConfig, RqmcResult, rqmc_log_estimate
+from nvmix.rqmc import RqmcConfig, RqmcResult, rqmc_estimate
 from nvmix.sampling import rnvmix
 
 LOG_2PI = math.log(2.0 * math.pi)
 LN10 = math.log(10.0)
+# The decades below g's maximum at which the search tests bracket g.
+K_TH = 10.0
 
 
 def gaussian_prefactor(d, log_det=0.0):
@@ -90,8 +87,10 @@ def rule_results(monkeypatch):
 
 
 def log_h(u, D2, shift_k, prefactor, spec, nu):
-    """log of the mixing integrand at u."""
-    return _log_h_of_w(quantile(spec, u, nu), prefactor, shift_k, 0.5 * D2)
+    """log of the mixing integrand at u: log g at z = 0, whose
+    log-Jacobian log(expit(0) expit(-0)) is -2 log 2, with w read at u."""
+    w = quantile(spec, u, nu)
+    return _log_g_w(w, 0.0, prefactor, shift_k, 0.5 * D2) + 2.0 * math.log(2.0)
 
 
 def _log_g(z, spec, nu, pref, k, m):
@@ -125,68 +124,6 @@ class TestLogH:
         assert out.shape == (9,)
 
 
-class TestPeak:
-    def test_inverse_gamma_location_oracle(self, monkeypatch):
-        # u* = F_W(D2/d); independent CDF via the regularized upper
-        # incomplete gamma: F_IG(w; a, a) = Q(a, a/w).
-        monkeypatch.setattr(density, "_EPS_BISEC", 1e-9)
-        nu, d, D2 = 3.0, 5, 12.0
-        u_star, _ = peak(*density_args(D2, d), inverse_gamma(), [nu])
-        a = nu / 2.0
-        oracle = float(gammaincc(a, a / (D2 / d)))
-        assert u_star == pytest.approx(oracle, abs=1e-8)
-
-    def test_height_arithmetic(self):
-        _, lh_max = peak(*density_args(2.0, 2), inverse_gamma(), [4.0])
-        assert lh_max == pytest.approx(math.log(math.exp(-1.0) / (2.0 * math.pi)), abs=1e-12)
-        assert math.exp(lh_max) == pytest.approx(0.05855, abs=1e-5)
-
-    def test_height_matches_grid_maximum(self):
-        p = density_args(30.0, 4)
-        for spec, nu in ((inverse_gamma(), [2.5]), (pareto(), [3.0])):
-            _, lh_max = peak(*p, spec, nu)
-            coarse = np.linspace(1e-6, 1 - 1e-6, 10001)
-            vals = log_h(coarse, *p, spec, nu)
-            u0 = coarse[int(np.argmax(vals))]
-            fine = np.linspace(max(u0 - 1e-3, 1e-9), min(u0 + 1e-3, 1 - 1e-9), 20001)
-            grid_max = float(np.max(log_h(fine, *p, spec, nu)))
-            # A true maximum: never below the brute-force value, and tight.
-            assert lh_max >= grid_max - 1e-12
-            assert lh_max == pytest.approx(grid_max, rel=1e-6)
-
-    def test_distribution_independence(self):
-        # Same (D2, d, log_det) gives the same interior peak height for
-        # any mixing distribution reaching it.
-        p = density_args(40.0, 6, log_det=1.3)
-        _, h_ig = peak(*p, inverse_gamma(), [1.7])
-        _, h_par = peak(*p, pareto(), [2.2])
-        assert h_ig == h_par
-
-    def test_pareto_boundary_branch(self):
-        # D2/d < 1 puts the target below the Pareto support; the peak
-        # collapses to the left boundary where w -> 1.
-        d, D2 = 4, 2.0
-        u_star, lh_max = peak(*density_args(D2, d), pareto(), [2.0])
-        assert u_star < 1e-8
-        boundary = -0.5 * d * LOG_2PI - 0.5 * D2  # w = 1
-        assert lh_max == pytest.approx(boundary, abs=1e-6)
-
-    def test_far_tail_peak_is_interior(self):
-        # The peak sits at 1 - u* ~ 1e-18 (IG) and 1e-78 (Pareto), where
-        # 1 - u underflows but the logit does not: the height is the
-        # interior closed form, not a boundary value.
-        p = D2, k, pref = density_args(1e14, 10)
-        closed = pref - k * (math.log(0.5 * D2) - math.log(k)) - k
-        for spec, nu in ((inverse_gamma(), [4.0]), (pareto(), [6.0])):
-            u_star, lh_max = peak(*p, spec, nu)
-            assert u_star == 1.0
-            assert lh_max == closed
-
-    def test_zero_distance_rejected(self):
-        with pytest.raises(ValueError, match="monotone"):
-            peak(*density_args(0.0, 3), inverse_gamma(), [4.0])
-
-
 class CountedTable(_QuantileTable):
     """A table that counts its reads of w, or of L and its derivatives,
     once it is built."""
@@ -218,6 +155,48 @@ def one_piece_bracket(pref, k, m, table, k_th):
     return z_l[0], z_r[0], np.all(ends <= tops[0] - k_th * LN10, axis=0), z_g[0], tops[0]
 
 
+def bisect(goes_up, a, b, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row bisection of the given rows between ``a`` and ``b`` down to
+    a width of ``_EPS_BISEC``: at each step the midpoint replaces ``a``
+    where ``goes_up(mid, rows)`` holds and ``b`` elsewhere, in one call
+    for all rows still running."""
+    a, b = a.copy(), b.copy()
+    rows = rows[np.abs(b[rows] - a[rows]) > _EPS_BISEC]
+    while len(rows):
+        mid = 0.5 * (a[rows] + b[rows])
+        up = goes_up(mid, rows)
+        a[rows] = np.where(up, mid, a[rows])
+        b[rows] = np.where(up, b[rows], mid)
+        rows = rows[np.abs(b[rows] - a[rows]) > _EPS_BISEC]
+    return a, b
+
+
+def peak_z(w_star, table) -> np.ndarray:
+    """Per row, the logit of the peak of h, where w (``table`` read within
+    ``_SEARCH_LOG_W_ERR``) reaches ``w_star`` = m / k, by bisection in z
+    down to ``_EPS_BISEC``; where w cannot reach it (W bounded on that
+    side, or the target beyond the doubles' range), that end of the z
+    range."""
+    z_lo, z_hi = _z_range(table.spec)
+    w_z = table.read(_SEARCH_LOG_W_ERR)
+    lo, hi = bisect(lambda z, r: w_z(z) <= w_star[r], np.full(len(w_star), z_lo),
+                    np.full(len(w_star), z_hi), np.arange(len(w_star)))
+    at_lo, at_hi = lo == z_lo, hi == z_hi
+    if np.any(w_star[~at_lo & ~at_hi] == 0.0):  # quantile(expit(lo)) <= w* = 0
+        raise ValueError(density._DIVERGES)
+    return np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))
+
+
+def region_bounds(D2, shift_k, prefactor, spec, nu, k_th):
+    """``(z_l, z_r, closed)`` of one integrand: the union of its pieces'
+    brackets from ``_bracket_z`` at ``k_th`` decades, with ``closed``
+    False where g is still above that level at an end of the z range."""
+    z_l, z_r, _, tops, ends, _ = _bracket_z(*_row_arrays([D2], shift_k, prefactor),
+                                            _WReader(spec, nu).pieces, k_th)
+    closed = np.all(ends <= tops.max(axis=0) - k_th * LN10)
+    return float(np.nanmin(z_l)), float(np.nanmax(z_r)), bool(closed)
+
+
 def bisection_bracket(pref, k, m, w_z, z_range, k_th):
     """Reference for the search: ``(z_l, z_r, closed, z_g, top)`` per row
     by bisection on ``w_z`` over ``z_range``, down to a z-width of
@@ -245,13 +224,13 @@ def bisection_bracket(pref, k, m, w_z, z_range, k_th):
         log_g = _log_g_w(w, zz, pref[rows, None], k[rows, None], m[rows, None])
         return (log_g[:, 1] > log_g[:, 0]) | (w[:, 1] == 0.0)
 
-    _, z_g = _bisect(rises, np.full(n, z_lo), np.full(n, z_hi), rows)
+    _, z_g = bisect(rises, np.full(n, z_lo), np.full(n, z_hi), rows)
     top = f(z_g, rows)
     level, both = np.tile(top - k_th * LN10, 2), np.tile(rows, 2)
     z_end = np.repeat([z_lo, z_hi], n)
     open_end = f(z_end, both) > level
-    a, b = _bisect(lambda z, r: f(z, both[r]) > level[r], np.tile(z_g, 2), z_end,
-                   np.flatnonzero(~open_end))
+    a, b = bisect(lambda z, r: f(z, both[r]) > level[r], np.tile(z_g, 2), z_end,
+                  np.flatnonzero(~open_end))
     z = np.where(open_end, z_end, 0.5 * (a + b))
     return z[:n], z[n:], ~open_end[:n] & ~open_end[n:], z_g, top
 
@@ -313,7 +292,7 @@ def test_bracket_reads_do_not_grow_with_the_rows(family):
     for D2 in (np.zeros(1), np.concatenate([[0.0], np.logspace(-8, 10, 199)])):
         table = CountedTable(spec, nu)
         n = len(D2)
-        _bracket_z(np.full(n, gaussian_prefactor(10)), np.full(n, 5.0), 0.5 * D2, [table], _K_TH)
+        _bracket_z(np.full(n, gaussian_prefactor(10)), np.full(n, 5.0), 0.5 * D2, [table], K_TH)
         reads.append(table.reads)
     assert reads[0] <= reads[1] <= 15
 
@@ -340,8 +319,8 @@ def test_table_search_matches_bisection_on_its_interpolant(family, shift_k):
     args = np.full(len(D2), gaussian_prefactor(10)), np.full(len(D2), shift_k), 0.5 * D2
     table = _QuantileTable(spec, nu)
     assert table.bound <= _SEARCH_LOG_W_ERR
-    z_l, z_r, closed, z_g, top = one_piece_bracket(*args, table, _K_TH)
-    b_l, b_r, b_closed, b_g, b_top = bisection_bracket(*args, table.w, table.z_range, _K_TH)
+    z_l, z_r, closed, z_g, top = one_piece_bracket(*args, table, K_TH)
+    b_l, b_r, b_closed, b_g, b_top = bisection_bracket(*args, table.w, table.z_range, K_TH)
     for z, b in ((z_l, b_l), (z_r, b_r), (z_g, b_g)):
         assert np.max(np.abs(z - b)) <= _EPS_BISEC
     assert np.array_equal(closed, b_closed)
@@ -385,7 +364,7 @@ def test_mass_beyond_a_jump_of_the_quantile_is_bracketed(monkeypatch):
     # where the row converges within tol of log(1e-9 exp(-1/2)), and not at
     # tol 1e-6, where it does not.
     spec = blackbox(lambda u, nu: np.where(u < 1 - 1e-9, 0.0, 1.0), 0)
-    z_l, z_r, closed = region_bounds(1.0, 5.0, 0.0, spec, [])
+    z_l, z_r, closed = region_bounds(1.0, 5.0, 0.0, spec, [], K_TH)
     assert z_l == pytest.approx(math.log((1 - 1e-9) / 1e-9), abs=_EPS_BISEC)
     assert (z_r, closed) == (_z_range(spec)[1], False)
     seen = adaptive_rows(monkeypatch)
@@ -400,7 +379,7 @@ def test_mass_beyond_a_jump_of_the_quantile_is_bracketed(monkeypatch):
 @pytest.mark.parametrize("family", ["inverse_gamma", "pareto", "inverse_burr"])
 def test_bracket_ends_cross_the_level_of_a_reference_maximum(family, D2):
     # The bracket's ends must sit within _EPS_BISEC of where log g crosses
-    # the level _K_TH decades below its maximum on [a, b] = [min(z_h, 0),
+    # the level K_TH decades below its maximum on [a, b] = [min(z_h, 0),
     # max(z_h, 0)], the maximum here from scipy's bounded minimizer
     # rather than the bisection on g's slope.  That minimizer only
     # evaluates interior points, so g at a and b counts too: at
@@ -415,12 +394,12 @@ def test_bracket_ends_cross_the_level_of_a_reference_maximum(family, D2):
         return _log_g(np.asarray(z, dtype=float), spec, nu, pref, k, m)
 
     table = _QuantileTable(spec, nu)
-    z_h = _peak_z(m / k, table)
+    z_h = peak_z(m / k, table)
     a, b = min(z_h[0], 0.0), max(z_h[0], 0.0)
     opt = minimize_scalar(lambda z: -log_g(z)[0], method="bounded", bounds=(a, b),
                           options={"xatol": _EPS_BISEC})
-    level = max(-opt.fun, *log_g([a, b])) - _K_TH * math.log(10.0)
-    (z_l,), (z_r,), (closed,), _, _ = one_piece_bracket(pref, k, m, table, _K_TH)
+    level = max(-opt.fun, *log_g([a, b])) - K_TH * math.log(10.0)
+    (z_l,), (z_r,), (closed,), _, _ = one_piece_bracket(pref, k, m, table, K_TH)
     z_lo, z_hi = _z_range(spec)
     for z, outward, end in ((z_l, -1.0, z_lo), (z_r, 1.0, z_hi)):
         if z == end:
@@ -454,36 +433,34 @@ def log_g1(z, D2, shift_k, prefactor, spec, nu):
 
 
 class TestRegionBounds:
-    def test_symmetric_toy(self, monkeypatch):
+    def test_symmetric_toy(self):
         # h is symmetric about u = 1/2 and the Jacobian u (1 - u) too, so
         # g is symmetric about z = 0.
-        monkeypatch.setattr(density, "_K_TH", 3.0)
         spec = symmetric_toy_quantile()
         p = 2.0, 1.0, gaussian_prefactor(2)  # m = 1, k = 1, w* = 1
         eps = _EPS_BISEC
-        u_star, _ = peak(*p, spec, [])
+        u_star = expit(peak_z(np.array([1.0]), _WReader(spec, []).table)[0])
         assert u_star == pytest.approx(0.5, abs=2 * eps)
-        z_l, z_r, closed = region_bounds(*p, spec, [])
+        z_l, z_r, closed = region_bounds(*p, spec, [], 3.0)
         assert closed and z_l < 0.0 < z_r
         assert -z_l == pytest.approx(z_r, abs=2 * eps)
 
-    def test_bounds_sit_at_threshold(self, monkeypatch):
-        monkeypatch.setattr(density, "_K_TH", 6.0)
+    def test_bounds_sit_at_threshold(self):
         p = density_args(35.0, 5)
         spec, nu = inverse_gamma(), [2.0]
-        z_l, z_r, closed = region_bounds(*p, spec, nu)
+        z_l, z_r, closed = region_bounds(*p, spec, nu, 6.0)
         assert closed
         g_max = float(np.max(log_g1(np.linspace(z_l, z_r, 200001), *p, spec, nu)))
         target = g_max - 6.0 * math.log(10.0)
         assert log_g1(z_l, *p, spec, nu) == pytest.approx(target, abs=1e-2)
         assert log_g1(z_r, *p, spec, nu) == pytest.approx(target, abs=1e-2)
 
-    def test_huge_threshold_collapses_to_unit_interval(self, monkeypatch):
+    def test_huge_threshold_collapses_to_unit_interval(self):
         # g never falls 1e6 decades below its maximum: the bracket is the
         # whole z range, and open.
-        monkeypatch.setattr(density, "_K_TH", 1e6)
         spec = symmetric_toy_quantile()
-        assert region_bounds(2.0, 1.0, gaussian_prefactor(2), spec, []) == (*_z_range(spec), False)
+        assert (region_bounds(2.0, 1.0, gaussian_prefactor(2), spec, [], 1e6)
+                == (*_z_range(spec), False))
 
 
 LOG_MAX = math.log(np.finfo(float).max)
@@ -807,15 +784,19 @@ class TestLogDensityBatch:
 
         p = density_args(float(x @ x), d)
 
-        def crude_log_g(v):
-            return log_h(np.clip(v[:, 0], 1e-16, 1 - 1e-16), *p, inverse_gamma(), [4.0])
+        def crude_g(v):
+            return np.exp(log_h(np.clip(v[:, 0], 1e-16, 1 - 1e-16), *p, inverse_gamma(), [4.0]))
 
-        crude = [rqmc_log_estimate(crude_log_g, 1, RqmcConfig(i_max=4), seed=s) for s in range(8)]
+        # A relative tol of 1e-3 on the integral is the absolute tol 1e-3
+        # of a log-estimate whose error is the CI over the mean.
+        cfg = RqmcConfig(i_max=4, tol_type="relative")
+        crude = [rqmc_estimate(crude_g, 1, cfg, seed=s) for s in range(8)]
+        crude_log = [math.log(c.estimate) for c in crude]
         adaptive = log_density_batch(x[None, :], model, RqmcConfig(tol=1e-3))[0]
-        assert np.mean([c.estimate for c in crude]) - truth < -1.0
+        assert np.mean(crude_log) - truth < -1.0
         assert not any(c.converged for c in crude)
         assert abs(adaptive.estimate - truth) <= 1e-3
-        assert all(adaptive.estimate != c.estimate for c in crude)
+        assert all(adaptive.estimate != c for c in crude_log)
 
     def test_center_point_matches_closed_form(self):
         model = NvmModel.build(None, np.eye(10), inverse_gamma(), [4.0])
@@ -1566,7 +1547,7 @@ def test_rule_rows_do_not_depend_on_the_seed(monkeypatch):
         return traced
 
     monkeypatch.setattr(rqmc, "_new_engine", spy("engine", rqmc._new_engine))
-    monkeypatch.setattr(rqmc, "_run", spy("run", rqmc._run))
+    monkeypatch.setattr(rqmc, "rqmc_estimate", spy("run", rqmc.rqmc_estimate))
     d = 10
     X = np.zeros((6, d))
     X[:, 0] = np.sqrt([0.0, 0.5, 3.0, 640.0, 1.6e4, 1e10])
@@ -1606,3 +1587,4 @@ def test_a_jump_of_w_is_split_at_the_jump():
                    + 0.7 * np.exp(-D2 / 8.0) / (8.0 * np.pi) ** 1.5)
     assert [astuple(r) for r in res] == JUMP_RESULTS
     assert all(abs(r.estimate - e) <= 1e-3 for r, e in zip(res, exact))
+

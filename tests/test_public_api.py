@@ -6,6 +6,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import nvmix
 
 PUBLIC = {
@@ -15,10 +17,13 @@ PUBLIC = {
 }
 # Machinery that keeps its spelling because bench/spans.py and
 # bench/workloads.py bind these names in nvmix's modules; they go private or
-# go away once the tracer stops wrapping them (ROADMAP items 5 and 8).
+# go away once the tracer stops wrapping them (ROADMAP items 5 and 8).  The
+# RETIRED names are one stub in nvmix.density that raises: the tracer wraps
+# them, and nothing calls them.
+RETIRED = ("peak", "region_bounds", "rqmc_log_estimate")
 BENCHMARK_BOUND = {
     "quantile", "cholesky", "mahalanobis_sq", "reorder", "BoxIntegrand", "rqmc_estimate",
-    "rqmc_log_estimate", "peak", "region_bounds", "log_integral_batch", "prob_singular",
+    *RETIRED, "log_integral_batch", "prob_singular",
 }
 MODULES = ("density", "distribution", "linalg", "mixtures", "model", "rqmc", "sampling")
 SRC = Path(nvmix.__file__).parent
@@ -57,3 +62,28 @@ def test_no_other_public_module_level_name():
         if public - PUBLIC - BENCHMARK_BOUND:
             stray[path.name] = sorted(public - PUBLIC - BENCHMARK_BOUND)
     assert stray == {}
+
+
+def test_retired_names_are_one_object():
+    density = importlib.import_module("nvmix.density")
+    assert len({id(getattr(density, name)) for name in RETIRED}) == 1
+
+
+def test_the_retired_stub_raises():
+    stub = importlib.import_module("nvmix.density").peak
+    with pytest.raises(NotImplementedError, match="log_integral_batch"):
+        stub(1.0, 5.0, 0.0)
+
+
+def test_no_module_calls_the_retired_stub():
+    stub = importlib.import_module("nvmix.density").peak
+    called = {stub.__name__, *RETIRED}
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in called:
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
