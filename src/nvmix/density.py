@@ -368,8 +368,9 @@ def log_integral_batch(D2, shift_k, prefactor, w: _WReader,
     the mass beyond, at most g there times 1 + e^(-|z|), is within tol/10
     of the estimate.  A row whose g peaks at an end of the z range (within
     ``_EPS_BISEC``) or is -inf at its peak (D2 = inf) has its mass beyond
-    the doubles' reach: it gets no nodes, an infinite error and, as its
-    estimate, g's maximum plus the log of its brackets' width.  At D2 = 0
+    the doubles' reach, as has a row whose log g at its peak is spaced
+    wider than the bracket's fall: it gets no nodes, an infinite error
+    and, as its estimate, g's maximum plus the log of its brackets' width.  At D2 = 0
     the integral diverges when W has an atom at w = 0, or when g is still
     above the threshold at the lower end of the z range and no lower there
     than halfway to it (h grows at least like 1/u as u -> 0); either
@@ -400,10 +401,13 @@ def log_integral_batch(D2, shift_k, prefactor, w: _WReader,
             raise ValueError(_DIVERGES)
     # A row whose g peaks at an end of the z range, or is -inf at its
     # peak (D2 = inf), has its mass beyond the doubles' reach, which no
-    # integration inside the range can find.
+    # integration inside the range can find; so does a row whose log g is
+    # spaced wider than the fall (from about D2 = 3e18 on a W bounded
+    # above), where no node can resolve the bracket's level.
     z_lo, z_hi = _z_range(w.spec)
     at_end = (z_g - z_lo <= _EPS_BISEC) | (z_hi - z_g <= _EPS_BISEC)
-    beyond = np.any(at_end & (tops == top), axis=0) | (top == -math.inf)
+    coarse = np.spacing(np.abs(top)) > fall
+    beyond = np.any(at_end & (tops == top), axis=0) | (top == -math.inf) | coarse
     widths = z_r - z_l
     # A bracket that rounds to a point (D2 = 1e300, where g falls k_th
     # decades within a rounding error of z) has log width -inf.

@@ -1588,3 +1588,18 @@ def test_a_jump_of_w_is_split_at_the_jump():
     assert [astuple(r) for r in res] == JUMP_RESULTS
     assert all(abs(r.estimate - e) <= 1e-3 for r, e in zip(res, exact))
 
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-8])
+def test_a_row_whose_log_g_is_spaced_wider_than_its_fall_is_finite(tol):
+    # From D2 = 3e18 on, log g near -D2/8 on JUMP's upper piece has doubles
+    # 64 or more apart, wider than the bracket's fall (18.4 at tol 1e-3,
+    # 29.9 at 1e-8), so no node can resolve the bracket's level.  Such a
+    # row gets no nodes and an infinite error, and its estimate, g's
+    # maximum plus the log of its bracket's width, lies within 5e-14 of
+    # the exact value relative, with no warning.
+    D2 = np.array([3e18, 1e20, 1e50, 1e300])
+    res = log_integral_batch(D2, 1.5, 0.0, _WReader(JUMP, []), RqmcConfig(tol=tol))
+    exact = np.logaddexp(math.log(0.3) - D2 / 2.0, math.log(0.7 / 8.0) - D2 / 8.0)
+    assert np.all(np.abs(res.estimate - exact) <= 5e-14 * np.abs(exact))
+    assert not np.any(res.converged) and np.all(res.error_estimate == math.inf)
+    assert np.all(res.n_per_randomization == 0)
