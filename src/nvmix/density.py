@@ -368,13 +368,13 @@ def log_integral_batch(D2, shift_k, prefactor, w: _WReader,
     the mass beyond, at most g there times 1 + e^(-|z|), is within tol/10
     of the estimate.  A row whose g peaks at an end of the z range (within
     ``_EPS_BISEC``) or is -inf at its peak (D2 = inf) has its mass beyond
-    the doubles' reach, as has a row whose log g at its peak is spaced
+    the doubles' reach, and so has a row whose log g at its peak is spaced
     wider than the bracket's fall: it gets no nodes, an infinite error
-    and, as its estimate, g's maximum plus the log of its brackets' width.  At D2 = 0
-    the integral diverges when W has an atom at w = 0, or when g is still
-    above the threshold at the lower end of the z range and no lower there
-    than halfway to it (h grows at least like 1/u as u -> 0); either
-    raises ``ValueError``.
+    and, as its estimate, g's maximum plus the log of its brackets' width.
+    At D2 = 0 the integral diverges when W has an atom at w = 0, or when g
+    is still above the threshold at the lower end of the z range and no
+    lower there than halfway to it (h grows at least like 1/u as u -> 0);
+    either raises ``ValueError``.
     """
     cfg = RqmcConfig() if cfg is None else cfg
     pref, k, m = _row_arrays(D2, shift_k, prefactor)
@@ -402,8 +402,9 @@ def log_integral_batch(D2, shift_k, prefactor, w: _WReader,
     # A row whose g peaks at an end of the z range, or is -inf at its
     # peak (D2 = inf), has its mass beyond the doubles' reach, which no
     # integration inside the range can find; so does a row whose log g is
-    # spaced wider than the fall (from about D2 = 3e18 on a W bounded
-    # above), where no node can resolve the bracket's level.
+    # spaced wider than the fall (|log g| past about 1.4e17 at tol 1e-3,
+    # which a W bounded above reaches), where no node can resolve the
+    # bracket's level.
     z_lo, z_hi = _z_range(w.spec)
     at_end = (z_g - z_lo <= _EPS_BISEC) | (z_hi - z_g <= _EPS_BISEC)
     coarse = np.spacing(np.abs(top)) > fall

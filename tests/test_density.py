@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
-from scipy.special import expit, gammaincc, gammaln, logsumexp
+from scipy.special import expit, gammaln, logsumexp
 
 from nvmix import density, mixtures, rqmc
 from nvmix.density import (
