@@ -199,7 +199,8 @@ class TestRun:
 
 
 class TestToleranceMet:
-    """The log-density's rule tests its log-estimates with these rules."""
+    """The RQMC loop tests its estimates, and the log-density's rule its
+    log-estimates, by these rules."""
 
     @pytest.mark.parametrize("tol_type", ["absolute", "relative"])
     @pytest.mark.parametrize("log", [False, True])
